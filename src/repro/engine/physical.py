@@ -340,8 +340,15 @@ def pruned_scan_chunks(bound: BoundQuery, binding: str, filters,
     if not filters:
         return list(chunked), chunked, name_of
 
+    # A literal's physical code depends on the column alone, never on the
+    # chunk: encode each once per scan, not once per chunk.
+    encoded: dict = {}
+
     def encode(ref, value):
-        return encode_literal(bound, ref, value)
+        key = (ref, value)
+        if key not in encoded:
+            encoded[key] = encode_literal(bound, ref, value)
+        return encoded[key]
 
     kept = []
     for chunk in chunked:

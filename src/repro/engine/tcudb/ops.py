@@ -10,8 +10,8 @@ generator).  The catalog:
 * :class:`FoldJoin`       — one chained-join step folding a dimension
   into the fact side (Section 3.2's matrix->table conversion);
 * :class:`FoldJoinChain`  — a fused run of consecutive fold steps
-  (installed by the fusion pass): one combined survivor mask, one
-  gather pass over the final survivors;
+  (installed by the fusion pass): each step probes the rows the earlier
+  ones kept, one gather pass over the final survivors;
 * :class:`IndicatorBuild` — union key domain + indicator/comparison
   operand matrices for one join step (Section 3.1/3.4 encodings);
 * :class:`ValueFill`      — value-filled grouped operand matrices for a
@@ -51,7 +51,6 @@ from repro.engine.tcudb.cost import (
     OperatorGeometry,
     Strategy,
     estimate_fold_chain,
-    estimate_fold_step,
     estimate_mask_apply,
     estimate_physical_stage,
 )
@@ -151,10 +150,15 @@ class FactValue:
         return Environment(arrays, self.env.n_rows)
 
     def filtered(self, mask: np.ndarray) -> "FactValue":
+        return self.taken(np.flatnonzero(mask))
+
+    def taken(self, rows: np.ndarray) -> "FactValue":
+        """The given rows, in order.  Gathering every column by row ids
+        beats a boolean mask, which is walked again for each column."""
         return FactValue(
-            env=self.env.filtered(mask),
-            weights=self.weights[mask],
-            gathered={k: np.asarray(v)[mask] for k, v in self.gathered.items()},
+            env=self.env.taken(rows),
+            weights=self.weights[rows],
+            gathered={k: np.asarray(v)[rows] for k, v in self.gathered.items()},
         )
 
 
@@ -321,24 +325,36 @@ class TableSource(TensorOp):
         )
 
     def execute(self, ctx) -> RelationValue:
+        table = ctx.bound.binding(self.binding).table
+        # Projected scan: every column an operator can ask this binding
+        # for was resolved by the binder (SELECT * resolves them all),
+        # so the rest are never read — and never copied by a filter.
+        read = {column.column for column in ctx.bound.resolution.values()
+                if column.binding == self.binding}
+        name_of = {name.lower(): name for name in table.column_names
+                   if name.lower() in read}
         filters = ctx.bound.filters.get(self.binding, [])
         if not filters:
-            return RelationValue(
-                env=Environment.from_table(ctx.bound, self.binding)
-            )
+            return RelationValue(env=self._env_of(table, name_of))
         if ctx.chunk_rows is None:
-            env = Environment.from_table(ctx.bound, self.binding)
+            env = self._env_of(table, name_of)
             ctx.charge(self, STAGE_FILL,
                        env.n_rows * ctx.host.scan_elem_s * len(filters))
-            return RelationValue(
-                env=env.filtered(conjunction_mask(filters, env, ctx.bound))
-            )
-        return RelationValue(env=self._scan_chunked(ctx, filters))
+            return RelationValue(env=self._filtered(ctx, env, filters))
+        return RelationValue(env=self._scan_chunked(ctx, filters, name_of))
 
-    def _scan_chunked(self, ctx, filters) -> Environment:
+    def _env_of(self, source, name_of) -> Environment:
+        """Environment over the projected columns of a table or chunk."""
+        return Environment(
+            {f"{self.binding}.{lower}": source.column(name).data
+             for lower, name in name_of.items()},
+            source.num_rows,
+        )
+
+    def _scan_chunked(self, ctx, filters, name_of) -> Environment:
         binding = self.binding
         table = ctx.bound.binding(binding).table
-        kept, chunked, name_of = pruned_scan_chunks(
+        kept, chunked, _ = pruned_scan_chunks(
             ctx.bound, binding, filters, ctx.chunk_rows
         )
         scanned = sum(chunk.num_rows for chunk in kept)
@@ -351,18 +367,9 @@ class TableSource(TensorOp):
             # filtering the concatenated arrays.
             from repro.engine.parallel import parallel_map
 
-            binding_local = binding
-
             def filter_chunk(chunk):
-                env = Environment(
-                    {
-                        f"{binding_local}.{lower}": chunk.column(name).data
-                        for lower, name in name_of.items()
-                    },
-                    chunk.num_rows,
-                )
-                mask = conjunction_mask(filters, env, ctx.bound)
-                return {k: v[mask] for k, v in env.arrays.items()}
+                env = self._env_of(chunk, name_of)
+                return self._filtered(ctx, env, filters).arrays
 
             parts = list(parallel_map(filter_chunk, kept, ctx.workers))
             arrays = {
@@ -372,28 +379,26 @@ class TableSource(TensorOp):
             n_rows = int(next(iter(arrays.values())).size) if arrays else 0
             return Environment(arrays, n_rows)
         if len(kept) == chunked.num_chunks:
-            env = Environment.from_table(ctx.bound, binding)
-        elif kept:
+            env = self._env_of(table, name_of)
+        else:
+            # The zero-length head keeps the column dtype when every
+            # chunk was pruned.
             env = Environment(
                 {
                     f"{binding}.{lower}": np.concatenate(
-                        [chunk.column(name).data for chunk in kept]
+                        [table.column(name).data[:0]]
+                        + [chunk.column(name).data for chunk in kept]
                     )
                     for lower, name in name_of.items()
                 },
                 scanned,
             )
-        else:
-            env = Environment(
-                {
-                    f"{binding}.{lower}": np.array(
-                        [], dtype=table.column(name).data.dtype
-                    )
-                    for lower, name in name_of.items()
-                },
-                0,
-            )
-        return env.filtered(conjunction_mask(filters, env, ctx.bound))
+        return self._filtered(ctx, env, filters)
+
+    @staticmethod
+    def _filtered(ctx, env: Environment, filters) -> Environment:
+        mask = conjunction_mask(filters, env, ctx.bound)
+        return env.taken(np.flatnonzero(mask))
 
 
 @dataclass
@@ -436,7 +441,8 @@ class FoldJoin(TensorOp):
     Unique-key dimensions gather their group/factor/residual columns
     onto fact rows; duplicate-key dimensions that contribute nothing
     multiply the fact weight by their key multiplicity (exact bag
-    semantics).
+    semantics).  Executes as a one-step :class:`FoldJoinChain` (a
+    one-step chain estimate equals ``estimate_fold_step``).
     """
 
     fact_input: str
@@ -468,80 +474,7 @@ class FoldJoin(TensorOp):
         )
 
     def execute(self, ctx) -> FactValue:
-        fact = ctx.value(self.fact_input)
-        if isinstance(fact, RelationValue):
-            fact = FactValue(env=fact.env,
-                             weights=np.ones(fact.env.n_rows), gathered={})
-        dim_env = ctx.value(self.dim_input).env
-        dim_keys = dim_env.lookup(self.dim_column.key)
-        fact_keys = fact.column(self.fact_column.key)
-        # Chained-join step: matrix fill + product + nonzero() conversion
-        # of the intermediate back to tuples.
-        ctx.charge(
-            self, STAGE_FILL,
-            estimate_fold_step(ctx.host, ctx.device, fact_keys.size,
-                               dim_keys.size, CHAINED_JOIN_FILL_S),
-        )
-        unique_keys = np.unique(dim_keys)
-        if unique_keys.size == 0:
-            # Filtered dimension is empty: the join eliminates every
-            # fact row.
-            empty = np.zeros(fact.env.n_rows, dtype=bool)
-            folded = fact.filtered(empty)
-            for key in self.needed:
-                folded.gathered[key] = np.array([], dtype=np.int64)
-            return folded
-        is_unique = unique_keys.size == dim_keys.size
-        if self.needed and not is_unique:
-            raise FallbackRequired(
-                f"dimension {self.dim_binding} has duplicate join keys but "
-                "contributes group/factor columns",
-                kind="pattern",
-            )
-        positions, matched = self._probe_chunked(ctx, unique_keys, fact_keys)
-        weights = fact.weights
-        gathered = dict(fact.gathered)
-        if is_unique:
-            row_of = np.argsort(dim_keys, kind="stable")
-            dim_rows = ctx.backend.gather(
-                row_of, np.clip(positions, 0, max(dim_keys.size - 1, 0)))
-            for key in self.needed:
-                gathered[key] = ctx.backend.gather(dim_env.lookup(key),
-                                                   dim_rows)
-        else:
-            counts = ctx.backend.bincount(
-                np.searchsorted(unique_keys, dim_keys),
-                minlength=max(unique_keys.size, 1),
-            )
-            multiplicity = np.where(matched, counts[positions], 0)
-            weights = weights * multiplicity
-        folded = FactValue(env=fact.env, weights=weights, gathered=gathered)
-        if not matched.all():
-            folded = folded.filtered(matched)
-        return folded
-
-    @staticmethod
-    def _probe_chunked(ctx, unique_keys: np.ndarray, fact_keys: np.ndarray):
-        """Probe the fold's sorted key domain one fact chunk at a time.
-
-        Chunk-at-a-time probing bounds the per-step temporaries to the
-        chunk size (the morsel contract); concatenating the per-chunk
-        results is bit-identical to the whole-side probe.
-        """
-        chunk = ctx.chunk_rows or max(int(fact_keys.size), 1)
-        positions_parts: list[np.ndarray] = []
-        matched_parts: list[np.ndarray] = []
-        for start in range(0, int(fact_keys.size), chunk):
-            part = fact_keys[start:start + chunk]
-            positions = np.searchsorted(unique_keys, part)
-            positions = np.clip(positions, 0, max(unique_keys.size - 1, 0))
-            positions_parts.append(positions)
-            matched_parts.append(unique_keys[positions] == part)
-        if not positions_parts:
-            empty = np.array([], dtype=np.int64)
-            return empty, np.array([], dtype=bool)
-        return (np.concatenate(positions_parts),
-                np.concatenate(matched_parts))
+        return _fold_steps(ctx, self, self.fact_input, [self])
 
 
 @dataclass(frozen=True)
@@ -561,12 +494,12 @@ class FoldJoinChain(TensorOp):
     """Fold a run of consecutive dimensions in one gather pass.
 
     The fusion pass collapses back-to-back :class:`FoldJoin` steps into
-    this op: every step probes the *original* fact rows (searchsorted is
-    per-row, so probing unfiltered rows then masking is bit-identical to
-    the step-at-a-time refilter), survivorship accumulates in one
-    combined mask, and each needed dimension column is gathered exactly
-    once — on the rows that survive the whole run — instead of being
-    gathered early and refiltered by every later step.
+    this op: the run carries the surviving fact row ids, so each step
+    probes only the rows the earlier ones kept (per-row, so bit-identical
+    to the step-at-a-time refilter, with no intermediate fact copy), and
+    each needed dimension column is gathered exactly once — on the rows
+    that survive the whole run — instead of being gathered early and
+    refiltered by every later step.
 
     The cost model charges a single fold step for the run: one ledger
     entry whose seconds are exactly the sum of the sequential per-step
@@ -606,75 +539,141 @@ class FoldJoinChain(TensorOp):
         )
 
     def execute(self, ctx) -> FactValue:
-        fact = ctx.value(self.fact_input)
-        if isinstance(fact, RelationValue):
-            fact = FactValue(env=fact.env,
-                             weights=np.ones(fact.env.n_rows), gathered={})
-        combined = np.ones(fact.env.n_rows, dtype=bool)
-        weights = fact.weights
-        # Deferred per-step gathers, executed once on the final
-        # survivors; kept in step order so the gathered-column layout
-        # matches the sequential fold chain exactly.
-        deferred: list[tuple] = []
-        step_sizes: list[tuple[int, int]] = []
-        for step in self.steps:
-            dim_env = ctx.value(step.dim_input).env
-            dim_keys = dim_env.lookup(step.dim_column.key)
-            fact_keys = fact.column(step.fact_column.key)
-            # Rows that would have survived into this step of the
-            # sequential chain — what its estimate would have charged.
-            step_sizes.append((int(combined.sum()), int(dim_keys.size)))
-            unique_keys = np.unique(dim_keys)
-            if unique_keys.size == 0:
-                # Empty dimension: the join eliminates every fact row
-                # (later steps still execute on the empty survivor set,
-                # exactly like the sequential ops would).
-                combined[:] = False
-                deferred.append(("empty", step.needed))
-                continue
-            is_unique = unique_keys.size == dim_keys.size
-            if step.needed and not is_unique:
+        return _fold_steps(ctx, self, self.fact_input, self.steps)
+
+
+def _fold_steps(ctx, op: TensorOp, fact_input: str, steps) -> FactValue:
+    """The fold body of :class:`FoldJoin` (one step) and
+    :class:`FoldJoinChain` (a fused run); ``steps`` carry the
+    :class:`FoldStep` fields."""
+    fact = ctx.value(fact_input)
+    if isinstance(fact, RelationValue):
+        fact = FactValue(env=fact.env,
+                         weights=np.ones(fact.env.n_rows), gathered={})
+    rows = None  # surviving fact row ids so far; None: all of them
+    weights = fact.weights
+    # Matching dimension rows per gathering step, narrowed with ``rows``;
+    # in step order, the gathered-column layout of a step-at-a-time chain.
+    gathers: list[tuple] = []
+    step_sizes: list[tuple[int, int]] = []
+    for step in steps:
+        dim_env = ctx.value(step.dim_input).env
+        dim_keys = dim_env.lookup(step.dim_column.key)
+        fact_keys = fact.column(step.fact_column.key)
+        if rows is not None:
+            fact_keys = fact_keys.take(rows)
+        # Rows entering the step: what a step-at-a-time estimate charges.
+        step_sizes.append((int(fact_keys.size), int(dim_keys.size)))
+        dim_rows, matched, multiplicity = probe_dimension(
+            ctx.backend, dim_keys, fact_keys)
+        if multiplicity is not None:
+            if step.needed:
                 raise FallbackRequired(
                     f"dimension {step.dim_binding} has duplicate join keys "
                     "but contributes group/factor columns",
                     kind="pattern",
                 )
-            positions, matched = FoldJoin._probe_chunked(
-                ctx, unique_keys, fact_keys)
-            if is_unique:
-                row_of = np.argsort(dim_keys, kind="stable")
-                dim_rows = ctx.backend.gather(
-                    row_of,
-                    np.clip(positions, 0, max(dim_keys.size - 1, 0)))
-                deferred.append(("gather", dim_env, dim_rows, step.needed))
-            else:
-                counts = ctx.backend.bincount(
-                    np.searchsorted(unique_keys, dim_keys),
-                    minlength=max(unique_keys.size, 1),
-                )
-                multiplicity = np.where(matched, counts[positions], 0)
-                weights = weights * multiplicity
-            combined &= matched
-        ctx.charge(
-            self, STAGE_FILL,
-            estimate_fold_chain(ctx.host, ctx.device, step_sizes,
-                                CHAINED_JOIN_FILL_S),
-        )
-        folded = FactValue(env=fact.env, weights=weights,
-                           gathered=dict(fact.gathered))
-        if not combined.all():
-            folded = folded.filtered(combined)
-        for entry in deferred:
-            if entry[0] == "empty":
-                for key in entry[1]:
-                    folded.gathered[key] = np.array([], dtype=np.int64)
-                continue
-            _, dim_env, dim_rows, needed = entry
-            surviving_rows = dim_rows[combined]
-            for key in needed:
-                folded.gathered[key] = ctx.backend.gather(
-                    dim_env.lookup(key), surviving_rows)
-        return folded
+            weights = weights * multiplicity
+        elif step.needed:
+            gathers.append((dim_env, dim_rows, step.needed))
+        # An empty dimension matches nothing: the join eliminates every
+        # fact row, and later steps run on the empty survivor set.
+        if not matched.all():
+            keep = np.flatnonzero(matched)
+            rows = keep if rows is None else rows.take(keep)
+            weights = weights.take(keep)
+            gathers = [(env, found.take(keep), needed)
+                       for env, found, needed in gathers]
+    ctx.charge(op, STAGE_FILL, estimate_fold_chain(
+        ctx.host, ctx.device, step_sizes, CHAINED_JOIN_FILL_S))
+    kept = fact if rows is None else fact.taken(rows)
+    folded = FactValue(env=kept.env, weights=weights,
+                       gathered=dict(kept.gathered))
+    for dim_env, dim_rows, needed in gathers:
+        for key in needed:
+            folded.gathered[key] = ctx.backend.gather(dim_env.lookup(key),
+                                                      dim_rows)
+    return folded
+
+
+# A direct-address table gets at most this many slots per probed row
+# (fact + dimension rows) — past it the table outgrows the arrays it
+# serves — and at most ``DIRECT_ADDRESS_MAX_SLOTS`` in all: 512 KiB of
+# int64, inside a core's private cache.  A larger table's lookups go to
+# the shared cache, where their cost follows what earlier queries and
+# other tenants left there.  Past either, the sorted probe takes over.
+DIRECT_ADDRESS_SLOTS_PER_ROW = 4
+DIRECT_ADDRESS_MAX_SLOTS = 1 << 16
+
+
+def probe_dimension(backend, dim_keys: np.ndarray, fact_keys: np.ndarray):
+    """Resolve every fact key against one (filtered) dimension's join keys.
+
+    Returns ``(dim_rows, matched, multiplicity)`` over the fact rows:
+    ``matched`` marks rows whose key occurs in the dimension.  For a
+    unique-key dimension ``dim_rows`` is the matching dimension row
+    (``-1`` where unmatched) and ``multiplicity`` is ``None``; for a
+    duplicate-key dimension ``dim_rows`` is ``None`` and
+    ``multiplicity`` counts the matching dimension rows (``0`` where
+    unmatched).
+
+    Integer keys whose span fits the slot budget are the matrix index
+    the paper's "Fill Matrices" step makes of them: one table lookup per
+    fact row.  Sparse, float or over-span keys binary-search the sorted
+    key domain instead.  The choice reads only the arrays in hand.
+    """
+    if dim_keys.size == 0:
+        return (np.full(fact_keys.size, -1, dtype=np.intp),
+                np.zeros(fact_keys.size, dtype=bool), None)
+    table = _direct_address_range(dim_keys, fact_keys)
+    if table is None:
+        return _probe_sorted(backend, dim_keys, fact_keys)
+    return _probe_direct(backend, dim_keys, fact_keys, *table)
+
+
+def _direct_address_range(dim_keys: np.ndarray, fact_keys: np.ndarray):
+    """``(lo, span)`` of the direct-address table over ``dim_keys``, or
+    ``None`` when the keys are not int64-safe integers or the span
+    exceeds either slot budget.  The span is a Python int: ``max - min``
+    of int64 extremes does not fit int64."""
+    if not all(keys.dtype.kind in "iu" and np.can_cast(keys.dtype, np.int64)
+               for keys in (dim_keys, fact_keys)):
+        return None
+    lo = int(dim_keys.min())
+    span = int(dim_keys.max()) - lo + 1
+    if span > min(DIRECT_ADDRESS_MAX_SLOTS, DIRECT_ADDRESS_SLOTS_PER_ROW
+                  * (dim_keys.size + fact_keys.size)):
+        return None
+    return lo, span
+
+
+def _probe_direct(backend, dim_keys, fact_keys, lo: int, span: int):
+    dim_slots = dim_keys.astype(np.int64, copy=False) - lo
+    # Slot ``span`` is the miss slot every out-of-range fact key reads.
+    counts = backend.bincount(dim_slots, minlength=span + 1)
+    fact = fact_keys.astype(np.int64, copy=False)
+    in_range = (fact >= lo) & (fact <= lo + span - 1)
+    # ``fact - lo`` may wrap for out-of-range keys; those are masked.
+    slots = np.where(in_range, fact - lo, span)
+    if counts.max() > 1:
+        multiplicity = backend.gather(counts, slots)
+        return None, multiplicity > 0, multiplicity
+    row_of = np.full(span + 1, -1, dtype=np.intp)
+    row_of[dim_slots] = np.arange(dim_keys.size)
+    dim_rows = backend.gather(row_of, slots)
+    return dim_rows, dim_rows >= 0, None
+
+
+def _probe_sorted(backend, dim_keys, fact_keys):
+    unique_keys, first_row, counts = np.unique(
+        dim_keys, return_index=True, return_counts=True)
+    positions = np.minimum(np.searchsorted(unique_keys, fact_keys),
+                           unique_keys.size - 1)
+    matched = unique_keys[positions] == fact_keys
+    if unique_keys.size < dim_keys.size:
+        return None, matched, np.where(matched, counts[positions], 0)
+    return (np.where(matched, backend.gather(first_row, positions), -1),
+            matched, None)
 
 
 @dataclass
