@@ -180,6 +180,8 @@ def combine_group_codes(arrays: list[np.ndarray]) -> np.ndarray:
         raise ExecutionError("group-by requires at least one key")
     combined = np.zeros(arrays[0].size, dtype=np.int64)
     for array in arrays:
+        # np.unique on purpose: the oracle engines must not share
+        # repro.tensor.keys.unique_inverse, the primitive under test.
         _, codes = np.unique(array, return_inverse=True)
         span = int(codes.max()) + 1 if codes.size else 1
         combined = combined * span + codes

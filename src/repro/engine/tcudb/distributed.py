@@ -132,6 +132,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.shard import ShardedCatalog
 from repro.storage.table import Table
+from repro.tensor.keys import unique_inverse
 
 #: Ledger stage name of the allreduce merge charge.
 STAGE_SHARD_MERGE = "shard_merge"
@@ -790,7 +791,7 @@ class DistributedEngine(Engine):
                 keys = [gather_raw(f"__g{i}")[live]
                         for i in range(len(group_cols))]
                 combined = combine_group_codes(keys)
-                uniques, ids = np.unique(combined, return_inverse=True)
+                uniques, ids = unique_inverse(combined)
                 n_groups = int(uniques.size)
                 representatives = np.zeros(n_groups, dtype=np.int64)
                 representatives[ids] = np.arange(ids.size)

@@ -34,6 +34,7 @@ from repro.engine.tcudb.cost import PlanCost, Strategy
 from repro.hardware.gpu import GPUDevice
 from repro.tensor.backend import get_backend
 from repro.tensor.coo import COOMatrix, dense_from_coo
+from repro.tensor.keys import unique_inverse
 from repro.tensor.matmul import msplit_gemm
 from repro.tensor.tiled import TiledMatrix, TileLayout
 
@@ -55,21 +56,23 @@ class CompositeKey:
         if not arrays:
             raise ExecutionError("composite key needs at least one array")
         labels: list[np.ndarray] = []
-        per_column_codes: list[np.ndarray] = []
-        for array in arrays:
-            uniques, codes = np.unique(array, return_inverse=True)
-            labels.append(uniques)
-            per_column_codes.append(codes)
-        combined = np.zeros(arrays[0].size, dtype=np.int64)
+        combined = None
         cardinality = 1
-        for uniques, codes in zip(labels, per_column_codes):
-            combined = combined * uniques.size + codes
+        for array in arrays:
+            uniques, codes = unique_inverse(array)
+            labels.append(uniques)
+            # The first column's codes are the composite so far.
+            combined = (codes.astype(np.int64, copy=False)
+                        if combined is None
+                        else combined * uniques.size + codes)
             cardinality *= uniques.size
         return CompositeKey(labels=labels, codes=combined,
                             cardinality=cardinality)
 
     def decode(self, composite: np.ndarray) -> list[np.ndarray]:
         """Recover the per-column physical values of composite codes."""
+        if len(self.labels) == 1:
+            return [self.labels[0][composite]]
         remaining = np.asarray(composite, dtype=np.int64)
         sizes = [u.size for u in self.labels]
         out: list[np.ndarray] = [None] * len(self.labels)  # type: ignore
@@ -116,6 +119,14 @@ class PreparedAggSide:
             return np.zeros(self.keys_mapped.size, dtype=np.int64)
         return self.group.codes
 
+    def fill_slots(self, aggregates) -> list[np.ndarray]:
+        """Fill values of every grid the product computes: the COUNT
+        grid's weights, then one array per non-COUNT aggregate."""
+        return [self.count_values] + [
+            self.values_for(i) for i, spec in enumerate(aggregates)
+            if spec.func != "count"
+        ]
+
     def values_for(self, index: int,
                    selection: np.ndarray | None = None) -> np.ndarray:
         """Fill values of aggregate ``index``, optionally restricted to a
@@ -155,7 +166,7 @@ class OperandStructure:
     The (row, column) coordinate pattern of a grouped operand matrix is
     the same for every aggregate of a product — only the fill values
     differ.  This structure canonicalizes the coordinates a single time
-    (one ``np.unique`` over the linearized cells) so per-aggregate
+    (one ``unique_inverse`` over the linearized cells) so per-aggregate
     operand builds, nnz accounting and exact cell-range feasibility all
     reduce to one ``np.bincount`` over the shared ``inverse`` array.
     """
@@ -199,23 +210,24 @@ class OperandStructure:
         out[self.cells] = self.cell_sums(values)
         return out.reshape(self.g, self.k)
 
-    def dense_stack(self, values_list: list[np.ndarray],
+    def dense_stack(self, sums_list: list[np.ndarray],
                     dtype=np.float64) -> np.ndarray:
         """(n_agg, g, k) stacked operand: shared coordinates, one slice of
-        fill values per aggregate.  ``dtype`` follows the active
-        backend's fill dtype (float32 stacks feed sgemm directly)."""
-        stack = np.zeros((len(values_list), self.g * self.k), dtype=dtype)
-        for i, values in enumerate(values_list):
-            stack[i, self.cells] = self.cell_sums(values)
-        return stack.reshape(len(values_list), self.g, self.k)
+        per-cell sums (:meth:`cell_sums`) per aggregate.  ``dtype``
+        follows the active backend's fill dtype (float32 stacks feed
+        sgemm directly)."""
+        stack = np.zeros((len(sums_list), self.g * self.k), dtype=dtype)
+        for i, sums in enumerate(sums_list):
+            stack[i, self.cells] = sums
+        return stack.reshape(len(sums_list), self.g, self.k)
 
 
 def build_coo_operands(side: "PreparedAggSide", k: int) -> OperandStructure:
     """Canonicalize one agg side's operand coordinates (rows/codes shared
     across every aggregate of the product)."""
-    cells = side.row_codes() * k + np.asarray(side.keys_mapped,
-                                              dtype=np.int64)
-    unique_cells, inverse = np.unique(cells, return_inverse=True)
+    cells = side.row_codes() * k
+    cells += np.asarray(side.keys_mapped, dtype=np.int64)
+    unique_cells, inverse = unique_inverse(cells)
     return OperandStructure(g=side.g, k=k, cells=unique_cells,
                             inverse=inverse)
 
@@ -587,28 +599,21 @@ class TCUDriver:
 
     def _grids_batched(self, left: PreparedAggSide, right: PreparedAggSide,
                        k: int, aggregates, plan: PlanCost,
-                       left_structure: OperandStructure | None = None,
-                       right_structure: OperandStructure | None = None):
+                       left_structure: OperandStructure,
+                       right_structure: OperandStructure,
+                       left_sums: list[np.ndarray],
+                       right_sums: list[np.ndarray]):
         """Fused multi-aggregate grid execution (``BatchedGemm``).
 
-        Builds each side's indicator structure once, stacks the
-        per-aggregate fill values into an (n_agg, g, k) operand and
-        issues a single stacked matmul, instead of the per-aggregate
-        rebuild-everything loop of :meth:`_grids_by_matmul`.
+        The producing ``ValueFill`` built each side's indicator structure
+        and every fill slot's per-cell sums once (slot 0 = COUNT grid,
+        then one per non-COUNT aggregate); this stacks them into an
+        (n_agg, g, k) operand and issues a single stacked matmul, instead
+        of the per-aggregate rebuild-everything loop of
+        :meth:`_grids_by_matmul`.
         """
-        if left_structure is None:
-            left_structure = build_coo_operands(left, k)
-        if right_structure is None:
-            right_structure = build_coo_operands(right, k)
-        value_index: list[int | None] = [None]  # slice 0 = COUNT grid
-        left_values = [left.count_values]
-        right_values = [right.count_values]
-        for i, spec in enumerate(aggregates):
-            if spec.func == "count":
-                continue
-            value_index.append(i)
-            left_values.append(left.values_per_agg[i])
-            right_values.append(partial(right.values_for, i))
+        value_index = [None] + [i for i, spec in enumerate(aggregates)
+                                if spec.func != "count"]
         if plan.strategy == Strategy.SPARSE:
             # Batched sparse tiles: the tile structure (block keys,
             # uniques, within-tile offsets) is derived ONCE from the
@@ -621,28 +626,25 @@ class TCUDriver:
             layout_b = TileLayout.from_coords(
                 right_structure.cols, right_structure.rows, (k, g2))
             products = []
-            for lv, rv in zip(left_values, right_values):
-                tiled_a = layout_a.fill(left_structure.cell_sums(lv))
-                tiled_b = layout_b.fill(
-                    right_structure.cell_sums(_resolve_values(rv)))
-                product, _ = tiled_a.spmm(tiled_b)
+            for lsums, rsums in zip(left_sums, right_sums):
+                product, _ = layout_a.fill(lsums).spmm(layout_b.fill(rsums))
                 products.append(product.to_dense()[:g1, :g2])
             stacked = np.stack(products)
         elif self.chunk_rows is not None and k > self.chunk_rows:
             # Grid-wise accumulation over key-domain chunks; the shared
             # coordinate structure is rebuilt per chunk slice, but only
             # one (g, chunk) slice pair is ever live.
-            stacked = np.stack(
-                self._grid_accumulate(left, right, k, left_values,
-                                      right_values, plan)
-            )
+            stacked = np.stack(self._grid_accumulate(
+                left, right, k, left.fill_slots(aggregates),
+                [right.count_values] + [partial(right.values_for, i)
+                                        for i in value_index[1:]],
+                plan,
+            ))
         else:
             fill_dtype = self.backend.fill_dtype
-            a_stack = left_structure.dense_stack(left_values,
-                                                 dtype=fill_dtype)
-            b_stack = right_structure.dense_stack(
-                [_resolve_values(rv) for rv in right_values],
-                dtype=fill_dtype)
+            a_stack = left_structure.dense_stack(left_sums, dtype=fill_dtype)
+            b_stack = right_structure.dense_stack(right_sums,
+                                                  dtype=fill_dtype)
             if plan.strategy == Strategy.BLOCKED:
                 stacked = np.stack([
                     np.asarray(

@@ -92,6 +92,7 @@ from repro.sql.eval import (
 )
 from repro.sql.logical import Join as JoinNode
 from repro.sql.logical import LogicalNode, Scan
+from repro.tensor.keys import address_range
 
 # Per-qualifying-record cost of one chained-join step's matrix->table
 # conversion and intermediate rebuild (Section 3.2's step 2/3).  Fitted to
@@ -220,8 +221,9 @@ class AggOperandsValue:
     """Operand matrices of one join+aggregate (or grouped-reduce) product.
 
     When built by a shared-structure ``ValueFill`` (fusion on), the
-    canonicalized COO coordinate structures ride along so the consuming
-    ``BatchedGemm`` never rebuilds them.
+    canonicalized COO coordinate structures and each fill slot's
+    per-cell sums ride along so the consuming ``BatchedGemm`` never
+    rebuilds them.
     """
 
     left: PreparedAggSide | None
@@ -235,6 +237,8 @@ class AggOperandsValue:
     empty: bool = False
     left_structure: OperandStructure | None = None
     right_structure: OperandStructure | None = None
+    left_sums: list[np.ndarray] | None = None
+    right_sums: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -596,13 +600,12 @@ def _fold_steps(ctx, op: TensorOp, fact_input: str, steps) -> FactValue:
     return folded
 
 
-# A direct-address table gets at most this many slots per probed row
-# (fact + dimension rows) — past it the table outgrows the arrays it
-# serves — and at most ``DIRECT_ADDRESS_MAX_SLOTS`` in all: 512 KiB of
-# int64, inside a core's private cache.  A larger table's lookups go to
-# the shared cache, where their cost follows what earlier queries and
-# other tenants left there.  Past either, the sorted probe takes over.
-DIRECT_ADDRESS_SLOTS_PER_ROW = 4
+# A direct-address table gets at most ``DIRECT_ADDRESS_SLOTS_PER_ROW``
+# slots per probed row (fact + dimension rows) and at most
+# ``DIRECT_ADDRESS_MAX_SLOTS`` in all: 512 KiB of int64, inside a core's
+# private cache.  A larger table's lookups go to the shared cache, where
+# their cost follows what earlier queries and other tenants left there.
+# Past either, the sorted probe takes over.
 DIRECT_ADDRESS_MAX_SLOTS = 1 << 16
 
 
@@ -634,17 +637,8 @@ def probe_dimension(backend, dim_keys: np.ndarray, fact_keys: np.ndarray):
 def _direct_address_range(dim_keys: np.ndarray, fact_keys: np.ndarray):
     """``(lo, span)`` of the direct-address table over ``dim_keys``, or
     ``None`` when the keys are not int64-safe integers or the span
-    exceeds either slot budget.  The span is a Python int: ``max - min``
-    of int64 extremes does not fit int64."""
-    if not all(keys.dtype.kind in "iu" and np.can_cast(keys.dtype, np.int64)
-               for keys in (dim_keys, fact_keys)):
-        return None
-    lo = int(dim_keys.min())
-    span = int(dim_keys.max()) - lo + 1
-    if span > min(DIRECT_ADDRESS_MAX_SLOTS, DIRECT_ADDRESS_SLOTS_PER_ROW
-                  * (dim_keys.size + fact_keys.size)):
-        return None
-    return lo, span
+    exceeds either slot budget."""
+    return address_range(DIRECT_ADDRESS_MAX_SLOTS, dim_keys, fact_keys)
 
 
 def _probe_direct(backend, dim_keys, fact_keys, lo: int, span: int):
@@ -893,25 +887,37 @@ class ValueFill(TensorOp):
             b_side=True,
         )
         pairs = mapped_pair_count(domain.left, domain.right, domain.k)
-        left_structure = right_structure = None
-        if self.shared:
-            left_structure = build_coo_operands(left_side, domain.k)
-            right_structure = build_coo_operands(right_side, domain.k)
+        left_structure = build_coo_operands(left_side, domain.k)
+        right_structure = build_coo_operands(right_side, domain.k)
         geometry = _agg_geometry(
             ctx, self.specs, left_side, right_side, domain.k, pairs,
-            fact_binding, self.b_side,
-            left_structure=left_structure, right_structure=right_structure,
+            fact_binding, self.b_side, left_structure.nnz,
+            right_structure.nnz,
         )
+        return self._operands(ctx, left_side, right_side, domain.k, geometry,
+                              pairs, grouped, left_structure, right_structure)
+
+    def _operands(self, ctx, left_side, right_side, k, geometry, pairs,
+                  grouped, left_structure, right_structure):
+        """Each fill slot's per-cell sums are computed once per operator:
+        the feasibility test reads their range here and, when the
+        structure is shared, ``BatchedGemm`` places the same arrays."""
+        left_values = left_side.fill_slots(self.specs)
+        right_values = right_side.fill_slots(self.specs)
+        left_sums = [left_structure.cell_sums(v) for v in left_values]
+        right_sums = [right_structure.cell_sums(v) for v in right_values]
         feasibility = _agg_feasibility(
-            self.specs, left_side, right_side, domain.k,
+            zip(left_values, left_sums), zip(right_values, right_sums), k,
             require_exact=ctx.options.require_exact,
-            left_structure=left_structure, right_structure=right_structure,
         )
-        return AggOperandsValue(
-            left=left_side, right=right_side, k=domain.k, geometry=geometry,
-            feasibility=feasibility, pairs=pairs, specs=self.specs,
-            grouped=grouped,
+        shared = dict(
             left_structure=left_structure, right_structure=right_structure,
+            left_sums=left_sums, right_sums=right_sums,
+        ) if self.shared else {}
+        return AggOperandsValue(
+            left=left_side, right=right_side, k=k, geometry=geometry,
+            feasibility=feasibility, pairs=pairs, specs=self.specs,
+            grouped=grouped, **shared,
         )
 
     # -- reduce (hybrid) mode ------------------------------------------ #
@@ -968,20 +974,10 @@ class ValueFill(TensorOp):
             needs_nonzero=True,
             fill_scale=4.0 if value_specs else 1.0,
         )
-        left_structure = right_structure = None
-        if self.shared:
-            left_structure = build_coo_operands(left_side, n)
-            right_structure = build_coo_operands(right_side, n)
-        feasibility = _agg_feasibility(
-            self.specs, left_side, right_side, n,
-            require_exact=ctx.options.require_exact,
-            left_structure=left_structure, right_structure=right_structure,
-        )
-        return AggOperandsValue(
-            left=left_side, right=right_side, k=n, geometry=geometry,
-            feasibility=feasibility, pairs=n, specs=self.specs,
-            grouped=grouped,
-            left_structure=left_structure, right_structure=right_structure,
+        return self._operands(
+            ctx, left_side, right_side, n, geometry, n, grouped,
+            build_coo_operands(left_side, n),
+            build_coo_operands(right_side, n),
         )
 
 
@@ -1136,8 +1132,8 @@ class BatchedGemm(Gemm):
     def _run_grids(self, ctx, operands: AggOperandsValue, plan):
         return ctx.driver._grids_batched(
             operands.left, operands.right, operands.k, operands.specs, plan,
-            left_structure=operands.left_structure,
-            right_structure=operands.right_structure,
+            operands.left_structure, operands.right_structure,
+            operands.left_sums, operands.right_sums,
         )
 
 
@@ -1816,19 +1812,7 @@ def _build_agg_side(specs, group_by, column_of, mapped_keys, side_bindings,
 
 
 def _agg_geometry(ctx, specs, left_side, right_side, k, pairs, fact,
-                  b_side, left_structure=None,
-                  right_structure=None) -> OperatorGeometry:
-    if left_structure is not None and right_structure is not None:
-        # Shared structure already canonicalized the coordinates.
-        nnz_left = left_structure.nnz
-        nnz_right = right_structure.nnz
-    else:
-        nnz_left = int(np.unique(
-            left_side.row_codes() * k + left_side.keys_mapped
-        ).size)
-        nnz_right = int(np.unique(
-            right_side.row_codes() * k + right_side.keys_mapped
-        ).size)
+                  b_side, nnz_left, nnz_right) -> OperatorGeometry:
     n = left_side.keys_mapped.size
     m = right_side.keys_mapped.size
     raw_bytes = 8.0 * (
@@ -1848,56 +1832,36 @@ def _agg_geometry(ctx, specs, left_side, right_side, k, pairs, fact,
     )
 
 
-def _agg_feasibility(specs, left_side, right_side, k, require_exact=False,
-                     left_structure=None, right_structure=None):
+def _agg_feasibility(left_fills, right_fills, k, require_exact=False):
     """Exact data-range test over the prepared operand matrices.
 
     Both sides are fully materialized by the time the optimizer decides,
-    so the test computes the exact per-cell sums each matrix will hold.
-    With shared operand structures (fusion on) every per-aggregate range
-    reduces to one bincount over the already-canonicalized coordinates
-    instead of re-deriving them per aggregate.
+    so the test reads the exact per-cell sums each matrix will hold:
+    ``*_fills`` yield one ``(fill values, per-cell sums)`` pair per fill
+    slot, over the side's canonicalized coordinates.
     """
-    worst_left = _exact_cell_range(left_side, k, left_side.count_values,
-                                   left_structure)
-    worst_right = _exact_cell_range(right_side, k, right_side.count_values,
-                                    right_structure)
-    for i, spec in enumerate(specs):
-        if spec.func == "count":
-            continue
-        left_range = _exact_cell_range(left_side, k,
-                                       left_side.values_per_agg[i],
-                                       left_structure)
-        right_range = _exact_cell_range(right_side, k,
-                                        right_side.values_for(i),
-                                        right_structure)
+    worst_left = worst_right = None
+    for (left_values, left_sums), (right_values, right_sums) in zip(
+            left_fills, right_fills):
+        left_range = _exact_cell_range(left_values, left_sums)
+        right_range = _exact_cell_range(right_values, right_sums)
         if left_range is None or right_range is None:
             return run_feasibility_test(None, None, k)
         worst_left = _wider(worst_left, left_range)
         worst_right = _wider(worst_right, right_range)
-    return run_feasibility_test(
-        worst_left or INDICATOR_RANGE, worst_right or INDICATOR_RANGE, k,
-        require_exact=require_exact,
-    )
+    return run_feasibility_test(worst_left, worst_right, k,
+                                require_exact=require_exact)
 
 
-def _exact_cell_range(side, k, values, structure=None):
+def _exact_cell_range(values, sums):
     """Exact [min, max] of one operand matrix's cell sums (0 included for
     empty cells); None when a value is non-finite (e.g. division by a
     zero-valued column)."""
     from repro.tensor.precision import ValueRange
 
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return INDICATOR_RANGE
     if not np.all(np.isfinite(values)):
         return None
-    if structure is not None:
-        sums = structure.cell_sums(values)
-    else:
-        cells = side.row_codes() * k + side.keys_mapped
-        _, inverse = np.unique(cells, return_inverse=True)
-        sums = np.bincount(inverse, weights=values)
     # The fill values (not just the accumulated endpoints) decide
     # integrality: fractional fills quantize to garbage at int4/int8.
     integral = bool(np.all(values == np.rint(values)))

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.timing import STAGE_FILL, STAGE_MEMCPY, TimingBreakdown
 from repro.hardware.gpu import GPUDevice
 from repro.hardware.profiles import HostProfile
-from repro.tensor.precision import Precision
+from repro.tensor.keys import unique_inverse
 
 
 @dataclass(frozen=True)
@@ -49,16 +48,12 @@ def union_key_domain(
 ) -> KeyDomain:
     """dom(A.ID) | dom(B.ID) with both columns remapped onto it.
 
-    One ``np.unique(..., return_inverse=True)`` over the concatenation
-    yields the domain and both remappings in a single sort — the
-    historical unique-then-searchsorted-twice construction paid two
-    extra binary-search passes over the same data.
+    One :func:`unique_inverse` over the concatenation yields the domain
+    and both remappings in a single pass: a presence table when the keys
+    are dense integers, one sort otherwise.
     """
     n = int(np.asarray(left_keys).size)
-    values, inverse = np.unique(
-        np.concatenate([left_keys, right_keys]), return_inverse=True
-    )
-    inverse = inverse.reshape(-1)  # numpy < 2.1 keeps the concat shape
+    values, inverse = unique_inverse(np.concatenate([left_keys, right_keys]))
     return KeyDomain(
         values=values,
         left=inverse[:n],
@@ -140,7 +135,7 @@ def grouped_matrix(mapped_keys: np.ndarray, k: int,
         labels = np.array([0], dtype=np.int64)
         g = 1
     else:
-        labels, rows = np.unique(group_codes, return_inverse=True)
+        labels, rows = unique_inverse(group_codes)
         g = int(labels.size)
     return SideMatrix(
         rows=rows,
@@ -253,11 +248,3 @@ def best_transform_cost(
     gpu = gpu_transform_cost(host, device, n_tuples, raw_bytes, matrix_bytes)
     return gpu if gpu.total < cpu.total else cpu
 
-
-def charge_transform(breakdown: TimingBreakdown, cost: TransformCost) -> None:
-    breakdown.add(STAGE_FILL, cost.fill_seconds)
-    breakdown.add(STAGE_MEMCPY, cost.memcpy_seconds)
-
-
-def matrix_device_bytes(shape: tuple[int, int], precision: Precision) -> float:
-    return shape[0] * shape[1] * precision.bytes_per_element

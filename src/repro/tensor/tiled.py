@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.common.errors import ReproError
 from repro.tensor.coo import COOMatrix
+from repro.tensor.keys import unique_inverse
 
 TILE = 16
 
@@ -64,7 +65,7 @@ class TiledMatrix:
         block_c = coo.cols // TILE
         blocks_per_row = -(-n_cols // TILE)
         keys = block_r * blocks_per_row + block_c
-        unique_keys, tile_index = np.unique(keys, return_inverse=True)
+        unique_keys, tile_index = unique_inverse(keys)
         tiles = np.zeros((unique_keys.size, TILE, TILE), dtype=np.float64)
         # Coordinates are unique here (canonical input or post
         # sum_duplicates), so plain fancy-index assignment applies — much
@@ -191,7 +192,7 @@ class TileLayout:
             return TileLayout(empty, empty, empty, empty, empty, shape)
         blocks_per_row = -(-shape[1] // TILE)
         keys = (rows // TILE) * blocks_per_row + cols // TILE
-        unique_keys, tile_index = np.unique(keys, return_inverse=True)
+        unique_keys, tile_index = unique_inverse(keys)
         return TileLayout(
             block_rows=unique_keys // blocks_per_row,
             block_cols=unique_keys % blocks_per_row,

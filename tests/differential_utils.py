@@ -18,6 +18,9 @@ from repro.bench.verify import (  # noqa: F401  (re-exported for suites)
     result_rows,
     rows_match,
 )
+from repro.storage.catalog import Catalog
+from repro.storage.column import Column
+from repro.storage.table import Table
 
 
 def assert_rows_match(
@@ -38,3 +41,22 @@ def assert_results_match(got, expected, rel: float = 1e-9, context: str = ""):
     assert_rows_match(
         result_rows(got), result_rows(expected), rel=rel, context=context
     )
+
+
+def scaled_key_catalog(catalog, key_columns: dict[str, set[str]],
+                       factor: int = 10**9):
+    """The catalog's tables with every named integer key column scaled by
+    ``factor``: equal rows and equal operator sizes, but key spans no
+    address table can cover."""
+    scaled = Catalog()
+    for name in key_columns:
+        table = catalog.get(name)
+        columns = {}
+        for column_name in table.column_names:
+            column = table.column(column_name)
+            if column_name in key_columns[name]:
+                column = Column(column.data * factor, column.dtype,
+                                column.dictionary)
+            columns[column_name] = column
+        scaled.register(Table(name, columns))
+    return scaled

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from differential_utils import assert_results_match
+from differential_utils import assert_results_match, scaled_key_catalog
 from repro.common.errors import ExecutionError
 from repro.datasets.ssb import ssb_catalog
 from repro.engine import ReferenceEngine
@@ -22,9 +22,9 @@ from repro.engine.tcudb import ops
 from repro.sql.binder import bind
 from repro.sql.parser import parse
 from repro.storage.catalog import Catalog
-from repro.storage.column import Column
 from repro.storage.table import Table
 from repro.tensor.backend import get_backend
+from repro.tensor.keys import DIRECT_ADDRESS_SLOTS_PER_ROW
 
 TCU_REL = 2e-3
 INT64 = np.iinfo(np.int64)
@@ -134,7 +134,7 @@ class TestProbeStrategies:
 
     def test_selection_rule_at_the_threshold(self):
         fact_keys = np.arange(6, dtype=np.int64)
-        budget = ops.DIRECT_ADDRESS_SLOTS_PER_ROW * (2 + fact_keys.size)
+        budget = DIRECT_ADDRESS_SLOTS_PER_ROW * (2 + fact_keys.size)
         at = np.array([-7, -7 + budget - 1], dtype=np.int64)
         past = np.array([-7, -7 + budget], dtype=np.int64)
         assert ops._direct_address_range(at, fact_keys) == (-7, budget)
@@ -281,23 +281,6 @@ SURROGATE_KEYS = {
 }
 
 
-def sparse_key_catalog(catalog):
-    """The same star with every join key scaled by 1e9: equal rows and
-    equal operator sizes, but spans no direct-address table can cover."""
-    sparse = Catalog()
-    for name, keys in SURROGATE_KEYS.items():
-        table = catalog.get(name)
-        columns = {}
-        for column_name in table.column_names:
-            column = table.column(column_name)
-            if column_name in keys:
-                column = Column(column.data * 10**9, column.dtype,
-                                column.dictionary)
-            columns[column_name] = column
-        sparse.register(Table(name, columns))
-    return sparse
-
-
 STAR_QUERIES = [
     # two folds (customer, supplier) + the B side
     "SELECT c_nation, s_nation, d_year, SUM(lo_revenue) AS revenue "
@@ -344,7 +327,7 @@ def engine_variants(catalog, monkeypatch):
 @pytest.mark.parametrize("sql", STAR_QUERIES)
 def test_dense_and_sparse_keys_agree_end_to_end(catalog, sql, probe_calls,
                                                 monkeypatch):
-    sparse = sparse_key_catalog(catalog)
+    sparse = scaled_key_catalog(catalog, SURROGATE_KEYS)
     expected = ReferenceEngine(catalog).execute(sql)
     seconds = {}
     for keys, star in (("dense", catalog), ("sparse", sparse)):
