@@ -79,6 +79,8 @@ def equi_join_indices(
     With ``pair_limit``, the (cheaply computed) pair count is checked
     before materialization, so callers need no separate counting pass.
     """
+    # The oracle's kernel on purpose: TCUDB joins pair through
+    # transform.PairRuns, so the differential compares two kernels.
     order = np.argsort(right_keys, kind="stable")
     sorted_right = right_keys[order]
     starts = np.searchsorted(sorted_right, left_keys, side="left")
@@ -497,22 +499,28 @@ def apply_order_limit(
 
 
 def make_output_column(
-    bound: BoundQuery, expr: Expr | None, array: np.ndarray
+    bound: BoundQuery, source: BoundColumn | None, array: np.ndarray
 ) -> Column:
-    """Type one output array, preserving string dictionaries and int64."""
-    if isinstance(expr, ColumnRef):
-        resolved = bound.resolve(expr)
-        if resolved.dtype == DataType.STRING:
-            source = bound.binding(resolved.binding).table.column(
-                resolved.column
-            )
-            return Column(array.astype(np.int64), DataType.STRING,
-                          source.dictionary)
-        if resolved.dtype == DataType.INT64:
-            return Column(array.astype(np.int64), DataType.INT64)
-    if array.dtype.kind in ("i", "u"):
-        return Column(array.astype(np.int64), DataType.INT64)
-    return Column(array.astype(np.float64), DataType.FLOAT64)
+    """Type one output array, preserving string dictionaries and int64.
+
+    ``source`` is the table column the output projects, if any.  The
+    column adopts (and freezes) an array that owns its data and already
+    has the result dtype; anything else is copied — a view would pin
+    its base, an operator's buffer or a scratch grid, for the result's
+    lifetime.
+    """
+    dtype, dictionary = DataType.FLOAT64, None
+    if source is not None and source.dtype == DataType.STRING:
+        dtype = DataType.STRING
+        dictionary = bound.binding(source.binding).table.column(
+            source.column
+        ).dictionary
+    elif ((source is not None and source.dtype == DataType.INT64)
+            or array.dtype.kind in ("i", "u")):
+        dtype = DataType.INT64
+    if not (array.flags.owndata and array.dtype == dtype.numpy_dtype):
+        array = array.astype(dtype.numpy_dtype)
+    return Column(array, dtype, dictionary)
 
 
 def build_result_table(
@@ -520,16 +528,21 @@ def build_result_table(
     arrays: list[np.ndarray],
     names: list[str],
     items: list[SelectItem] | None = None,
+    sources: list[BoundColumn | None] | None = None,
 ) -> Table:
-    """Assemble output arrays into a result table with unique column names."""
-    items = list(items) if items is not None else list(bound.select_items)
-    item_exprs: dict[str, Expr | None] = {name: None for name in names}
-    for item, name in zip(items, names):
-        item_exprs[name] = item.expr
+    """Assemble output arrays into a result table with unique column
+    names.  Each output is typed by its entry of ``sources`` (default:
+    the column its select item names, by output name)."""
+    if sources is None:
+        items = list(items) if items is not None else list(bound.select_items)
+        by_name: dict[str, BoundColumn | None] = {}
+        for item, name in zip(items, names):
+            by_name[name] = (bound.resolve(item.expr)
+                             if isinstance(item.expr, ColumnRef) else None)
+        sources = [by_name.get(name) for name in names]
     columns: dict[str, Column] = {}
-    for array, name in zip(arrays, names):
-        expr = item_exprs.get(name)
-        column = make_output_column(bound, expr, np.asarray(array))
+    for array, name, source in zip(arrays, names, sources):
+        column = make_output_column(bound, source, np.asarray(array))
         unique_name = name
         suffix = 1
         while unique_name in columns:

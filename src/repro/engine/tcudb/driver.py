@@ -31,6 +31,11 @@ from repro.engine.base import ExecutionMode
 from repro.engine.parallel import parallel_map, workers_policy
 from repro.engine.relational import equi_join_indices, nonequi_join_indices
 from repro.engine.tcudb.cost import PlanCost, Strategy
+from repro.engine.tcudb.transform import (
+    PairIndex,
+    PairRuns,
+    mapped_pair_count,
+)
 from repro.hardware.gpu import GPUDevice
 from repro.tensor.backend import get_backend
 from repro.tensor.coo import COOMatrix, dense_from_coo
@@ -347,14 +352,18 @@ class TCUDriver:
     def join_2way(self, prepared: PreparedJoin, plan: PlanCost) -> OperatorRun:
         breakdown = TimingBreakdown()
         self._charge(breakdown, plan, "tcu_join")
-        if self.use_numeric_join(prepared, self.mode):
-            left_idx, right_idx = self._join_pairs_by_matmul(prepared, plan)
-        else:
-            left_idx, right_idx = self._join_pairs_semantic(prepared)
-        if self.mode != ExecutionMode.REAL and left_idx is None:
+        if self.mode != ExecutionMode.REAL:
             count = self._join_count(prepared)
             return OperatorRun(n_rows=count, breakdown=breakdown,
                                meta={"strategy": plan.strategy.value})
+        if self.use_numeric_join(prepared, self.mode):
+            left_idx, right_idx = self._join_pairs_by_matmul(prepared, plan)
+        else:
+            pairs = self._join_pairs_semantic(prepared)
+            left_idx, = pairs.left(
+                [np.arange(prepared.left_keys_mapped.size)])
+            right_idx, = pairs.right(
+                [np.arange(prepared.right_keys_mapped.size)])
         return OperatorRun(
             n_rows=int(left_idx.size),
             breakdown=breakdown,
@@ -448,19 +457,19 @@ class TCUDriver:
         return np.concatenate(rows_parts), np.concatenate(cols_parts)
 
     def _join_pairs_semantic(self, prepared: PreparedJoin):
-        if self.mode != ExecutionMode.REAL:
-            return None, None
+        """The exact-key pair list: run-length for an equi join (nothing
+        of pair-list length is built until a column is expanded),
+        materialized indices otherwise."""
         if prepared.op == "=":
-            return equi_join_indices(
-                prepared.left_keys_mapped, prepared.right_keys_mapped
-            )
+            return PairRuns(prepared.left_keys_mapped,
+                            prepared.right_keys_mapped, prepared.k)
         left_values = prepared.domain_values[prepared.left_keys_mapped]
         right_values = prepared.domain_values[prepared.right_keys_mapped]
-        return nonequi_join_indices(left_values, right_values, prepared.op)
+        return PairIndex(
+            *nonequi_join_indices(left_values, right_values, prepared.op))
 
     def _join_count(self, prepared: PreparedJoin) -> int:
         from repro.engine.relational import nonequi_join_count
-        from repro.engine.tcudb.transform import mapped_pair_count
 
         if prepared.op == "=":
             return mapped_pair_count(

@@ -23,13 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.common.errors import QueryCancelled, UnsupportedQueryError
 from repro.common.faults import SITE_CACHE_GET, fault_point
 from repro.engine.base import Engine, ExecutionMode, QueryResult
 from repro.engine.cache import ProgramCache
-from repro.engine.physical import apply_order_limit
+from repro.engine.physical import apply_order_limit, build_result_table
 from repro.engine.tcudb.cost import Strategy
 from repro.engine.tcudb.driver import TCUDriver
 from repro.engine.tcudb.lower import LoweredQuery, lower_hybrid, lower_query
@@ -45,9 +43,7 @@ from repro.hardware.profiles import I7_7700K, HostProfile
 from repro.sql.binder import BoundColumn, BoundQuery
 from repro.sql.prepared import PreparedStatement
 from repro.storage.catalog import Catalog
-from repro.storage.column import Column
 from repro.storage.table import Table
-from repro.storage.types import DataType
 from repro.tensor.precision import Precision
 
 
@@ -341,8 +337,7 @@ class TCUDBEngine(Engine):
         table = None
         n_rows = output.n_rows
         if output.arrays is not None:
-            arrays = apply_order_limit(bound, list(output.arrays),
-                                       list(output.names))
+            arrays = apply_order_limit(bound, output.arrays, output.names)
             table = self._build_table(bound, arrays, output.names,
                                       output.by_columns)
             n_rows = table.num_rows
@@ -384,28 +379,6 @@ class TCUDBEngine(Engine):
 
     def _build_table(self, bound: BoundQuery, arrays, names,
                      columns: list[BoundColumn | None]) -> Table:
-        out: dict[str, Column] = {}
-        for i, (array, name) in enumerate(zip(arrays, names)):
-            array = np.asarray(array)
-            source = columns[i] if i < len(columns) else None
-            if not isinstance(source, BoundColumn):
-                source = None
-            if source is not None and source.dtype == DataType.STRING:
-                dictionary = bound.binding(source.binding).table.column(
-                    source.column
-                ).dictionary
-                column = Column(array.astype(np.int64), DataType.STRING,
-                                dictionary)
-            elif source is not None and source.dtype == DataType.INT64:
-                column = Column(array.astype(np.int64), DataType.INT64)
-            elif array.dtype.kind in ("i", "u"):
-                column = Column(array.astype(np.int64), DataType.INT64)
-            else:
-                column = Column(array.astype(np.float64), DataType.FLOAT64)
-            unique = name
-            suffix = 1
-            while unique in out:
-                suffix += 1
-                unique = f"{name}_{suffix}"
-            out[unique] = column
-        return Table("result", out)
+        sources = [column if isinstance(column, BoundColumn) else None
+                   for column in columns]
+        return build_result_table(bound, arrays, names, sources=sources)

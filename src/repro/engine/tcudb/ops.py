@@ -45,7 +45,6 @@ from repro.common.errors import ExecutionError
 from repro.common.timing import STAGE_FILL
 from repro.engine.base import ExecutionMode
 from repro.engine.physical import PhysicalExecutor, pruned_scan_chunks
-from repro.engine.relational import equi_join_count
 from repro.engine.tcudb.codegen import OpEmission
 from repro.engine.tcudb.cost import (
     OperatorGeometry,
@@ -80,7 +79,12 @@ from repro.engine.tcudb.patterns import (
     OutputOp,
     TCUPattern,
 )
-from repro.engine.tcudb.transform import mapped_pair_count, union_key_domain
+from repro.engine.tcudb.transform import (
+    PairIndex,
+    PairRuns,
+    mapped_pair_count,
+    union_key_domain,
+)
 from repro.sql.ast_nodes import Expr, Predicate
 from repro.sql.binder import BoundColumn, JoinPredicate
 from repro.sql.eval import (
@@ -165,38 +169,70 @@ class FactValue:
 
 @dataclass
 class ChainValue:
-    """State of a (possibly multi-step) join chain.
+    """State of a (possibly multi-step) join chain, composed lazily.
 
-    ``indices[binding]`` maps each output row to a row of that binding's
-    scanned environment.  ``indices`` is empty when the chain is not
-    materialized (ANALYTIC estimates); ``multiplicity[binding]`` then
-    carries, per scanned row of that binding, its exact row count in the
-    unmaterialized intermediate — what lets chain steps past the first
-    price from exact per-step cardinalities instead of unfiltered key
-    counts."""
+    No per-binding row index is stored.  A chain records how its rows
+    derive from its ``parent``'s — ``step`` is the join's pair list
+    (:class:`PairRuns` or :class:`PairIndex`, whose right side is
+    ``right_binding``) or the rows a filter kept — and :meth:`expand` lays
+    a binding's columns out over the chain's rows on demand, so a
+    binding nobody projects, joins on or filters by is never gathered.
+    The seed chain (``parent`` None) is the identity.
+
+    ``materialized`` is False for ANALYTIC estimates;
+    ``multiplicity[binding]`` then carries, per scanned row of that
+    binding, its exact row count in the unmaterialized intermediate —
+    what lets chain steps past the first price from exact per-step
+    cardinalities instead of unfiltered key counts."""
 
     envs: dict[str, Environment]
-    indices: dict[str, np.ndarray]
     n_rows: int
-    joined: set[str] = field(default_factory=set)
     multiplicity: dict[str, np.ndarray] = field(default_factory=dict)
+    materialized: bool = True
+    parent: "ChainValue | None" = None
+    step: PairRuns | PairIndex | None = None
+    right_binding: str | None = None
 
-    @property
-    def materialized(self) -> bool:
-        return bool(self.indices)
+    def expand(self, binding: str,
+               columns: list[np.ndarray]) -> list[np.ndarray]:
+        """``columns`` (one value per scanned row of ``binding``) over
+        this chain's rows."""
+        if self.parent is None:
+            return list(columns)
+        if binding == self.right_binding:
+            return self.step.right(columns)
+        return self.step.left(self.parent.expand(binding, columns))
 
-    def keys_of(self, column: BoundColumn) -> np.ndarray:
-        keys = self.envs[column.binding].lookup(column.key)
-        return keys[self.indices[column.binding]]
+    def filtered(self, predicates: list[Predicate], bound) -> "ChainValue":
+        """The rows satisfying ``predicates``; only the columns they
+        read are expanded."""
+        keep = np.flatnonzero(
+            conjunction_mask(predicates, _ChainEnvironment(self), bound))
+        return ChainValue(envs=self.envs, n_rows=int(keep.size),
+                          parent=self, step=PairIndex(keep))
 
-    def merged_environment(self) -> Environment:
-        arrays: dict[str, np.ndarray] = {}
-        for binding in self.joined:
-            env = self.envs[binding]
-            index = self.indices[binding]
-            for key, array in env.arrays.items():
-                arrays[key] = array[index]
-        return Environment(arrays, self.n_rows)
+    def head(self, limit: int) -> "ChainValue":
+        """The first ``limit`` rows, before any column is expanded."""
+        return replace(self, step=self.step.head(limit),
+                       n_rows=min(self.n_rows, limit))
+
+
+class _ChainEnvironment(Environment):
+    """The joined bindings' columns over a chain's rows; a column is
+    expanded the first time a predicate looks it up."""
+
+    def __init__(self, chain: ChainValue):
+        super().__init__({}, chain.n_rows)
+        self._chain = chain
+
+    def lookup(self, key: str) -> np.ndarray:
+        if key not in self.arrays:
+            for binding, env in self._chain.envs.items():
+                column = env.arrays.get(key)
+                if column is not None:
+                    self.arrays[key], = self._chain.expand(binding, [column])
+                    break
+        return super().lookup(key)
 
 
 @dataclass
@@ -243,10 +279,9 @@ class AggOperandsValue:
 
 @dataclass
 class ProductValue:
-    """Output of one Gemm: a dense product / grids, or a deferred handle."""
+    """Output of one Gemm: pairs / grids, or a deferred handle."""
 
     operands: JoinOperandsValue | AggOperandsValue
-    dense: np.ndarray | None = None  # join product (numeric emulation)
     grids: list[np.ndarray] | None = None  # one grid per aggregate
     count_grid: np.ndarray | None = None
     semantic: bool = False  # extraction defers to exact-key kernels
@@ -424,9 +459,7 @@ class ChainStart(TensorOp):
         relation: RelationValue = ctx.value(self.input)
         return ChainValue(
             envs={self.binding: relation.env},
-            indices={self.binding: np.arange(relation.env.n_rows)},
             n_rows=relation.env.n_rows,
-            joined={self.binding},
         )
 
 
@@ -714,21 +747,28 @@ class IndicatorBuild(TensorOp):
                         if predicate.right.binding == self.right_binding
                         else (predicate.right, predicate.left))
         weights = None
+        left_keys = chain.envs[inner.binding].lookup(inner.key)
         if chain.materialized:
-            left_keys = chain.keys_of(inner)
+            left_keys, = chain.expand(inner.binding, [left_keys])
         else:
             # ANALYTIC chains past the first unmaterialized step: the
             # chain threads exact per-row multiplicities, so this step
             # prices from the exact intermediate cardinality instead of
             # the unfiltered key counts.
-            left_keys = chain.envs[inner.binding].lookup(inner.key)
             weights = chain.multiplicity.get(inner.binding)
         right_keys = right.env.lookup(outer.key)
         domain = union_key_domain(left_keys, right_keys)
         n, m, k = left_keys.size, right_keys.size, domain.k
+        prepared = PreparedJoin(
+            op=predicate.op if self.profile == "two_way" else "=",
+            left_keys_mapped=domain.left,
+            right_keys_mapped=domain.right,
+            domain_values=domain.values,
+            k=k,
+        )
         if self.profile == "two_way":
             nnz_left = _comparison_nnz(domain, predicate.op, n)
-            pairs = _pair_count(domain, predicate.op)
+            pairs = ctx.driver._join_count(prepared)
             raw_bytes = 8.0 * (
                 n * ctx.referenced_columns(inner.binding)
                 + m * ctx.referenced_columns(outer.binding)
@@ -744,7 +784,7 @@ class IndicatorBuild(TensorOp):
             raw_bytes = 8.0 * (n + m)
         else:
             nnz_left = n
-            pairs = mapped_pair_count(domain.left, domain.right, domain.k)
+            pairs = ctx.driver._join_count(prepared)
             raw_bytes = 8.0 * (n + m)
         geometry = OperatorGeometry(
             g1=n, g2=m, k=k, nnz_left=nnz_left, nnz_right=m,
@@ -755,13 +795,6 @@ class IndicatorBuild(TensorOp):
             INDICATOR_RANGE, INDICATOR_RANGE, k,
             require_exact=(ctx.options.require_exact
                            if self.profile == "two_way" else False),
-        )
-        prepared = PreparedJoin(
-            op=predicate.op if self.profile == "two_way" else "=",
-            left_keys_mapped=domain.left,
-            right_keys_mapped=domain.right,
-            domain_values=domain.values,
-            k=k,
         )
         return JoinOperandsValue(
             prepared=prepared, geometry=geometry, feasibility=feasibility,
@@ -1183,13 +1216,9 @@ class NonzeroExtract(TensorOp):
         operands = product.operands
         chain = operands.chain
         if product.pair_indices is not None:
-            left_idx, right_idx = product.pair_indices
-        elif product.dense is not None:
-            left_idx, right_idx = ctx.backend.nonzero(product.dense > 0)
+            pairs = PairIndex(*product.pair_indices)
         elif ctx.mode == ExecutionMode.REAL:
-            left_idx, right_idx = ctx.driver._join_pairs_semantic(
-                operands.prepared
-            )
+            pairs = ctx.driver._join_pairs_semantic(operands.prepared)
         else:
             # ANALYTIC: exact count, no materialization.  Equi steps also
             # compute the per-right-row multiplicity of the new
@@ -1224,37 +1253,19 @@ class NonzeroExtract(TensorOp):
             )
             return ChainValue(
                 envs={**chain.envs, operands.right_binding: operands.right_env},
-                indices={},
                 n_rows=count,
-                joined=chain.joined | {operands.right_binding},
                 multiplicity=multiplicity,
+                materialized=False,
             )
-        left_idx = np.asarray(left_idx)
-        indices = {
-            binding: index[left_idx]
-            for binding, index in chain.indices.items()
-        }
-        indices[operands.right_binding] = np.asarray(right_idx)
         extracted = ChainValue(
             envs={**chain.envs, operands.right_binding: operands.right_env},
-            indices=indices,
-            n_rows=int(np.asarray(left_idx).size),
-            joined=chain.joined | {operands.right_binding},
+            n_rows=pairs.n_pairs,
+            parent=chain, step=pairs, right_binding=operands.right_binding,
         )
         if not self.epilogue_predicates:
             return extracted
         self._charge_epilogue(ctx, extracted.n_rows)
-        env = extracted.merged_environment()
-        mask = conjunction_mask(self.epilogue_predicates, env, ctx.bound)
-        bindings = list(extracted.indices)
-        masked = ctx.backend.apply_mask(
-            [extracted.indices[b] for b in bindings], mask)
-        return ChainValue(
-            envs=extracted.envs,
-            indices=dict(zip(bindings, masked)),
-            n_rows=int(np.count_nonzero(mask)),
-            joined=set(extracted.joined),
-        )
+        return extracted.filtered(self.epilogue_predicates, ctx.bound)
 
     def _charge_epilogue(self, ctx, rows: int) -> None:
         ctx.charge(
@@ -1474,19 +1485,12 @@ class MaskApply(TensorOp):
             )
             n = int(chain.n_rows * selectivity)
             return ChainValue(
-                envs=chain.envs, indices={}, n_rows=n,
-                joined=set(chain.joined),
+                envs=chain.envs, n_rows=n,
                 multiplicity={b: m * selectivity
                               for b, m in chain.multiplicity.items()},
+                materialized=False,
             )
-        env = chain.merged_environment()
-        mask = conjunction_mask(self.predicates, env, ctx.bound)
-        bindings = list(chain.indices)
-        masked = ctx.backend.apply_mask(
-            [chain.indices[b] for b in bindings], mask)
-        return ChainValue(envs=chain.envs, indices=dict(zip(bindings, masked)),
-                          n_rows=int(np.count_nonzero(mask)),
-                          joined=set(chain.joined))
+        return chain.filtered(self.predicates, ctx.bound)
 
     def _mask_groups(self, ctx, groups: GroupsValue) -> GroupsValue:
         self._charge(ctx, groups.n_rows)
@@ -1675,15 +1679,26 @@ class Decode(TensorOp):
             return OutputValue(arrays=None, names=names,
                                by_columns=list(self.projected),
                                n_rows=chain.n_rows)
-        arrays: list[np.ndarray] = []
-        for column in self.projected:
+        limit = ctx.bound.limit
+        if limit is not None and not ctx.bound.order_by:
+            # Without ORDER BY the result is the first ``limit`` rows:
+            # truncate the pair list instead of the expanded columns.
+            chain = chain.head(limit)
+        # One expansion per output column; a binding's columns expand
+        # together so they share its row positions.
+        arrays: list = [None] * len(self.projected)
+        positions: dict[str, list[int]] = {}
+        for position, column in enumerate(self.projected):
             if isinstance(column, float):
-                arrays.append(np.full(chain.n_rows, column))
-                continue
-            env = chain.envs[column.binding]
-            index = chain.indices.get(column.binding)
-            data = env.lookup(column.key)
-            arrays.append(data if index is None else data[index])
+                arrays[position] = np.full(chain.n_rows, column)
+            else:
+                positions.setdefault(column.binding, []).append(position)
+        for binding, at in positions.items():
+            env = chain.envs[binding]
+            expanded = chain.expand(
+                binding, [env.lookup(self.projected[p].key) for p in at])
+            for position, array in zip(at, expanded):
+                arrays[position] = array
         return OutputValue(arrays=arrays, names=names,
                            by_columns=list(self.projected),
                            n_rows=chain.n_rows)
@@ -1734,16 +1749,6 @@ def _comparison_nnz(domain, op: str, n: int) -> int:
     else:  # <>, !=
         counts = np.full(n, domain.k - 1)
     return int(counts.sum())
-
-
-def _pair_count(domain, op: str) -> int:
-    from repro.engine.relational import nonequi_join_count
-
-    if op == "=":
-        return equi_join_count(domain.left, domain.right)
-    return nonequi_join_count(
-        domain.values[domain.left], domain.values[domain.right], op
-    )
 
 
 def _build_agg_side(specs, group_by, column_of, mapped_keys, side_bindings,

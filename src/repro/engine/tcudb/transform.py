@@ -21,6 +21,7 @@ Two cost paths mirror Equations (1) and (2):
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +67,116 @@ def mapped_pair_count(left_codes: np.ndarray, right_codes: np.ndarray,
     """Exact equi-join pair count for codes already mapped onto a domain
     of size ``k``: one histogram per side and a dot product — O(n + k),
     versus the sort-based count's O(n log n)."""
-    left_hist = np.bincount(np.asarray(left_codes, dtype=np.int64),
-                            minlength=max(k, 1))
-    right_hist = np.bincount(np.asarray(right_codes, dtype=np.int64),
-                             minlength=max(k, 1))
-    return int(np.dot(left_hist, right_hist))
+    return int(np.dot(_key_histogram(left_codes, k),
+                      _key_histogram(right_codes, k)))
+
+
+def _key_histogram(codes: np.ndarray, k: int) -> np.ndarray:
+    return np.bincount(np.asarray(codes, dtype=np.int64), minlength=max(k, 1))
+
+
+# Pairs per block of :meth:`PairRuns.right`: the block's positions and
+# one gathered slice stay cache-resident.  Measured on ``em_blocking``
+# (quiet geomean): 24.3 ms at 2**16 pairs, 25.9 at 2**14, 26.5 at 2**18,
+# 33.9 at 2**20 (the block leaves the cache), 36.5 at 2**12 (per-block
+# overhead).
+PAIR_BLOCK = 1 << 16
+
+
+class PairRuns:
+    """Exact equi-join pair list in run-length form.
+
+    Built from key codes already mapped onto ``0..k-1``.  Pairs are
+    left-major with each left row's matching right rows in input order —
+    the order ``nonzero`` of the dense indicator product gives — but only
+    O(n + m + k) state is held: where each left row's run of pairs ends
+    in the pair list (``run_end``) and the right rows grouped by key
+    (``order``).
+    :meth:`left` and :meth:`right` lay columns out over the pairs and
+    are the only code that touches anything of pair-list length; index
+    arrays are ``intp``, which ``take`` and ``repeat`` use without a
+    converted copy.
+    """
+
+    def __init__(self, left_codes: np.ndarray, right_codes: np.ndarray,
+                 k: int):
+        per_key = _key_histogram(right_codes, k)
+        # The narrowest code dtype: NumPy radix-sorts 16-bit integers.
+        self.order = np.argsort(
+            np.asarray(right_codes).astype(np.min_scalar_type(k)),
+            kind="stable")
+        counts = per_key[left_codes]
+        self.run_end = np.cumsum(counts)
+        # order[_shift[row] + p] is the right row of pair ``p``, one of
+        # left row ``row``'s.
+        self._shift = ((np.cumsum(per_key) - per_key)[left_codes]
+                       - (self.run_end - counts))
+
+    @property
+    def n_pairs(self) -> int:
+        return int(self.run_end[-1]) if self.run_end.size else 0
+
+    def head(self, limit: int) -> "PairRuns":
+        """The first ``limit`` pairs: runs clipped, nothing expanded."""
+        clipped = copy.copy(self)
+        clipped.run_end = np.minimum(self.run_end, limit)
+        return clipped
+
+    def left(self, columns: list[np.ndarray]) -> list[np.ndarray]:
+        """Left-side columns (one value per left row) over the pairs."""
+        counts = np.diff(self.run_end, prepend=0)
+        return [np.repeat(column, counts) for column in columns]
+
+    def right(self, columns: list[np.ndarray]) -> list[np.ndarray]:
+        """Right-side columns (one value per right row) over the pairs.
+
+        Each column is first grouped by key (one m-length gather), so a
+        run reads consecutive positions; positions are then computed one
+        block of pairs at a time, shared by all columns, and each
+        column is gathered by them (bounds-checked) into its output."""
+        n_pairs = self.n_pairs
+        columns = [column[self.order] for column in columns]
+        outs = [np.empty(n_pairs, dtype=column.dtype) for column in columns]
+        ramp = np.arange(PAIR_BLOCK)
+        for begin in range(0, n_pairs, PAIR_BLOCK):
+            end = min(begin + PAIR_BLOCK, n_pairs)
+            # Runs overlapping [begin, end): only the first can start
+            # before the block and only the last can end after it.
+            first = np.searchsorted(self.run_end, begin, side="right")
+            last = np.searchsorted(self.run_end, end, side="left") + 1
+            sizes = np.diff(np.minimum(self.run_end[first:last], end),
+                            prepend=begin)
+            positions = np.repeat(self._shift[first:last] + begin, sizes)
+            positions += ramp[:end - begin]
+            for column, out in zip(columns, outs):
+                # Not take(..., out=): bounds-checked, it copies ``out``
+                # in and back, a second fault on every fresh page.
+                out[begin:end] = column[positions]
+        return outs
+
+
+@dataclass(frozen=True)
+class PairIndex:
+    """A materialized pair list with :class:`PairRuns`' interface:
+    ``nonzero`` of a numeric product, a non-equi join, or (``cols``
+    None) the rows a mask kept."""
+
+    rows: np.ndarray
+    cols: np.ndarray | None = None
+
+    @property
+    def n_pairs(self) -> int:
+        return int(self.rows.size)
+
+    def head(self, limit: int) -> "PairIndex":
+        cols = None if self.cols is None else self.cols[:limit]
+        return PairIndex(self.rows[:limit], cols)
+
+    def left(self, columns: list[np.ndarray]) -> list[np.ndarray]:
+        return [column[self.rows] for column in columns]
+
+    def right(self, columns: list[np.ndarray]) -> list[np.ndarray]:
+        return [column[self.cols] for column in columns]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from repro.bench.verify import (  # noqa: F401  (re-exported for suites)
     result_rows,
     rows_match,
 )
+from repro.engine.tcudb import DistributedEngine, TCUDBEngine, TCUDBOptions
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.table import Table
@@ -60,3 +61,22 @@ def scaled_key_catalog(catalog, key_columns: dict[str, set[str]],
             columns[column_name] = column
         scaled.register(Table(name, columns))
     return scaled
+
+
+def engine_variants(catalog, fact, monkeypatch):
+    """``(name, engine)`` along the axes the cost model is blind to:
+    backend, fusion, workers, chunk size, and two shards of ``fact``."""
+    def engine(**options):
+        return TCUDBEngine(catalog, options=TCUDBOptions(**options))
+
+    yield "fused/sim", engine(backend="sim")
+    yield "fused/fast", engine(backend="fast")
+    yield "unfused", engine(fusion=False)
+    yield "workers=2", engine(workers=2)
+    yield "chunk_rows=16", engine(chunk_rows=16)
+    monkeypatch.setenv("REPRO_SHARDS", "2")
+    # Round-robin: a hash of the scaled keys would move rows between
+    # shards and with them the per-shard operator sizes.
+    yield "REPRO_SHARDS=2", DistributedEngine(
+        catalog, fact=fact, partition_policy="round_robin")
+    monkeypatch.delenv("REPRO_SHARDS")

@@ -75,7 +75,9 @@ class TestDriverJoinPaths:
         driver = TCUDriver(device, ExecutionMode.REAL)
         assert n * m <= NUMERIC_CELL_LIMIT
         via_matmul = driver.join_2way(prepared, plan)
-        li, ri = driver._join_pairs_semantic(prepared)
+        pairs = driver._join_pairs_semantic(prepared)
+        li, = pairs.left([np.arange(n)])
+        ri, = pairs.right([np.arange(m)])
         matmul_pairs = sorted(zip(via_matmul.arrays[0].tolist(),
                                   via_matmul.arrays[1].tolist()))
         semantic_pairs = sorted(zip(li.tolist(), ri.tolist()))

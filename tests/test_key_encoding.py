@@ -13,11 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from differential_utils import assert_results_match, scaled_key_catalog
+from differential_utils import (
+    assert_results_match,
+    engine_variants,
+    scaled_key_catalog,
+)
 from repro.datasets.matmul import MATMUL_QUERY, matmul_catalog
 from repro.datasets.ssb import ssb_catalog
 from repro.engine import ReferenceEngine
-from repro.engine.tcudb import DistributedEngine, TCUDBEngine, TCUDBOptions
 from repro.engine.tcudb import ops
 from repro.tensor import keys as key_encoding
 from repro.tensor.keys import (
@@ -172,23 +175,6 @@ SSB_STAR = (
     "AND lo_orderdate = d_datekey AND c_region = 'ASIA' "
     "AND s_region = 'ASIA' GROUP BY c_nation, s_nation, d_year"
 )
-
-
-def engine_variants(catalog, fact, monkeypatch):
-    def engine(**options):
-        return TCUDBEngine(catalog, options=TCUDBOptions(**options))
-
-    yield "fused/sim", engine(backend="sim")
-    yield "fused/fast", engine(backend="fast")
-    yield "unfused", engine(fusion=False)
-    yield "workers=2", engine(workers=2)
-    yield "chunk_rows=16", engine(chunk_rows=16)
-    monkeypatch.setenv("REPRO_SHARDS", "2")
-    # Round-robin: a hash of the scaled keys would move rows between
-    # shards and with them the per-shard operator sizes.
-    yield "REPRO_SHARDS=2", DistributedEngine(
-        catalog, fact=fact, partition_policy="round_robin")
-    monkeypatch.delenv("REPRO_SHARDS")
 
 
 @pytest.fixture
