@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -39,7 +39,11 @@ from repro.engine.tcudb.transform import (
 from repro.hardware.gpu import GPUDevice
 from repro.tensor.backend import get_backend
 from repro.tensor.coo import COOMatrix, dense_from_coo
-from repro.tensor.keys import unique_inverse
+from repro.tensor.keys import (
+    DIRECT_ADDRESS_SLOTS_PER_ROW,
+    KEY_TABLE_MAX_SLOTS,
+    unique_inverse,
+)
 from repro.tensor.matmul import msplit_gemm
 from repro.tensor.tiled import TiledMatrix, TileLayout
 
@@ -105,7 +109,9 @@ class PreparedAggSide:
     keys_mapped: np.ndarray
     group: CompositeKey | None  # None => side collapses to one row
     values_per_agg: list[np.ndarray]  # factor products (incl. weights)
-    count_values: np.ndarray  # weights for the COUNT grid
+    # Weights for the COUNT grid; None: every tuple counts once, so the
+    # COUNT operand is the structure's occupancy histogram.
+    count_values: np.ndarray | None
     # binding.column keys of the group columns, in composite-code order
     # (used to decode grid rows back into output columns).
     group_order: list[str] = field(default_factory=list)
@@ -124,13 +130,21 @@ class PreparedAggSide:
             return np.zeros(self.keys_mapped.size, dtype=np.int64)
         return self.group.codes
 
-    def fill_slots(self, aggregates) -> list[np.ndarray]:
+    def fill_slots(self, aggregates) -> list[np.ndarray | None]:
         """Fill values of every grid the product computes: the COUNT
-        grid's weights, then one array per non-COUNT aggregate."""
+        grid's weights (None on a unit side), then one array per
+        non-COUNT aggregate."""
         return [self.count_values] + [
             self.values_for(i) for i, spec in enumerate(aggregates)
             if spec.func != "count"
         ]
+
+    def count_fill(self, selection: np.ndarray | None = None) -> np.ndarray:
+        """Per-tuple COUNT weights, for the paths that place tuples one
+        by one (unfused, chunked, semantic)."""
+        if self.count_values is None:
+            return unit_fill(self.keys_mapped.size, selection)
+        return _resolve_values(self.count_values, selection)
 
     def values_for(self, index: int,
                    selection: np.ndarray | None = None) -> np.ndarray:
@@ -142,6 +156,16 @@ class PreparedAggSide:
             return self.value_fill(index, selection)
         values = np.asarray(self.values_per_agg[index])
         return values if selection is None else values[selection]
+
+
+def unit_fill(n: int, selection: np.ndarray | None = None) -> np.ndarray:
+    """The all-ones fill of ``n`` tuples, or of a ``selection`` (boolean
+    mask or index array) of them."""
+    if selection is not None:
+        selection = np.asarray(selection)
+        n = (int(np.count_nonzero(selection))
+             if selection.dtype == np.bool_ else selection.size)
+    return np.ones(n)
 
 
 def _resolve_values(values, selection: np.ndarray | None = None):
@@ -170,71 +194,119 @@ class OperandStructure:
 
     The (row, column) coordinate pattern of a grouped operand matrix is
     the same for every aggregate of a product — only the fill values
-    differ.  This structure canonicalizes the coordinates a single time
-    (one ``unique_inverse`` over the linearized cells) so per-aggregate
-    operand builds, nnz accounting and exact cell-range feasibility all
-    reduce to one ``np.bincount`` over the shared ``inverse`` array.
+    differ.  This structure gives every input tuple the *slot* of its
+    cell a single time, so per-aggregate operand builds, nnz accounting
+    and exact cell-range feasibility all reduce to one ``np.bincount``
+    over the shared ``slots`` array.  :func:`build_coo_operands` picks
+    one of two placements:
+
+    * **addressed** — the slot is the cell's address ``row * k + col``
+      and there are ``g * k`` slots: per-slot sums already are the flat
+      operand, and no canonicalization runs;
+    * **ranked** — the slot is the cell's rank among the distinct
+      occupied ``cells`` (one ``unique_inverse``), for operands too
+      large or too thinly occupied to address.
+
+    ``bincount`` accumulates in tuple order in both, so every operand
+    cell is bit-identical whichever ran.
     """
 
     g: int
     k: int
-    cells: np.ndarray  # sorted distinct linearized cells (row * k + col)
-    inverse: np.ndarray  # input tuple -> index into ``cells``
+    slots: np.ndarray  # input tuple -> slot of its cell
+    # Ranked placement: slot -> linearized cell (row * k + col), sorted.
+    # None: addressed, a slot is its cell.
+    cells: np.ndarray | None
+
+    @property
+    def n_slots(self) -> int:
+        return self.g * self.k if self.cells is None else int(self.cells.size)
+
+    @cached_property
+    def occupancy(self) -> np.ndarray:
+        """Tuples per slot, counted on first read and kept: the COUNT
+        operand of a unit side, and what ``nnz`` of an addressed
+        structure reads.  A ranked, weighted side never needs it."""
+        return np.bincount(self.slots, minlength=self.n_slots)
 
     @property
     def nnz(self) -> int:
-        return int(self.cells.size)
+        if self.cells is not None:
+            return self.n_slots
+        return int(np.count_nonzero(self.occupancy))
+
+    @cached_property
+    def occupied_cells(self) -> np.ndarray:
+        """Sorted linearized cells holding at least one tuple."""
+        if self.cells is None:
+            return np.flatnonzero(self.occupancy)
+        return self.cells
 
     @property
     def rows(self) -> np.ndarray:
-        return self.cells // self.k
+        return self.occupied_cells // self.k
 
     @property
     def cols(self) -> np.ndarray:
-        return self.cells % self.k
+        return self.occupied_cells % self.k
 
-    def cell_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-cell sums of one fill-value array (duplicates summed)."""
+    def cell_sums(self, values: np.ndarray | None) -> np.ndarray:
+        """Per-slot sums of one fill-value array (duplicates summed).
+        ``None`` fills every tuple with one: an integer count equals the
+        sum of that many 1.0s exactly, so the sums are the occupancy."""
+        if values is None:
+            return self.occupancy
         return np.bincount(
-            self.inverse, weights=np.asarray(values, dtype=np.float64),
-            minlength=self.nnz,
+            self.slots, weights=np.asarray(values, dtype=np.float64),
+            minlength=self.n_slots,
         )
 
-    def coo(self, values: np.ndarray) -> COOMatrix:
+    def at_cells(self, sums: np.ndarray) -> np.ndarray:
+        """Per-slot sums as one value per occupied cell, in the order of
+        :attr:`rows` / :attr:`cols`."""
+        return sums if self.cells is not None else sums[self.occupied_cells]
+
+    def coo(self, values: np.ndarray | None) -> COOMatrix:
         """Direct-sparse operand: COO built straight from the key/code
         arrays — the dense intermediate is never materialized."""
         sums = self.cell_sums(values)
-        keep = sums != 0.0
+        keep = np.flatnonzero(sums)
+        cells = keep if self.cells is None else self.cells[keep]
         return COOMatrix(
-            rows=self.rows[keep], cols=self.cols[keep], vals=sums[keep],
+            rows=cells // self.k, cols=cells % self.k, vals=sums[keep],
             shape=(self.g, self.k),
         )
-
-    def dense(self, values: np.ndarray, dtype=np.float64) -> np.ndarray:
-        out = np.zeros(self.g * self.k, dtype=dtype)
-        out[self.cells] = self.cell_sums(values)
-        return out.reshape(self.g, self.k)
 
     def dense_stack(self, sums_list: list[np.ndarray],
                     dtype=np.float64) -> np.ndarray:
         """(n_agg, g, k) stacked operand: shared coordinates, one slice of
-        per-cell sums (:meth:`cell_sums`) per aggregate.  ``dtype``
+        per-slot sums (:meth:`cell_sums`) per aggregate.  ``dtype``
         follows the active backend's fill dtype (float32 stacks feed
-        sgemm directly)."""
-        stack = np.zeros((len(sums_list), self.g * self.k), dtype=dtype)
+        sgemm directly).  Addressed sums are the flat slices already —
+        a converting copy; ranked sums scatter to their cells."""
+        addressed = self.cells is None
+        stack = (np.empty if addressed else np.zeros)(
+            (len(sums_list), self.g * self.k), dtype=dtype)
+        where = slice(None) if addressed else self.cells
         for i, sums in enumerate(sums_list):
-            stack[i, self.cells] = sums
+            stack[i, where] = sums
         return stack.reshape(len(sums_list), self.g, self.k)
 
 
 def build_coo_operands(side: "PreparedAggSide", k: int) -> OperandStructure:
-    """Canonicalize one agg side's operand coordinates (rows/codes shared
-    across every aggregate of the product)."""
-    cells = side.row_codes() * k
-    cells += np.asarray(side.keys_mapped, dtype=np.int64)
-    unique_cells, inverse = unique_inverse(cells)
-    return OperandStructure(g=side.g, k=k, cells=unique_cells,
-                            inverse=inverse)
+    """Place one agg side's tuples into operand slots (rows/codes shared
+    across every aggregate of the product).  A cell's slot is its address
+    when the ``g * k`` table fits :func:`~repro.tensor.keys.address_range`'s
+    budget — the table cap, and a few slots per tuple served — and its
+    rank among the distinct cells otherwise; the choice reads only the
+    arrays in hand."""
+    slots = side.row_codes() * k
+    slots += np.asarray(side.keys_mapped, dtype=np.int64)
+    cells = None
+    if side.g * k > min(KEY_TABLE_MAX_SLOTS,
+                        DIRECT_ADDRESS_SLOTS_PER_ROW * slots.size):
+        cells, slots = unique_inverse(slots)
+    return OperandStructure(g=side.g, k=k, slots=slots, cells=cells)
 
 
 class TCUDriver:
@@ -490,7 +562,7 @@ class TCUDriver:
         operand matrices from scratch (the redundancy the fusion pass's
         ``BatchedGemm`` eliminates)."""
         count_grid = self._one_grid(
-            left, right, k, left.count_values, right.count_values, plan,
+            left, right, k, left.count_fill, right.count_fill, plan,
         )
         grids = []
         for i, spec in enumerate(aggregates):
@@ -508,22 +580,22 @@ class TCUDriver:
     def _one_grid(self, left, right, k, left_values, right_values, plan):
         # Indicator products stay exact at any TCU precision; value
         # products run at the plan's precision.  Sparse plans build the
-        # operands straight in COO (no dense intermediate).  The B side's
-        # values may arrive as a streamed-fill thunk; the chunked path
-        # below fills it one key-domain chunk at a time.
+        # operands straight in COO (no dense intermediate).  Values may
+        # arrive as a streamed-fill thunk (the B side's, either side's
+        # COUNT weights); the chunked path below fills it one key-domain
+        # chunk at a time.
         if plan.strategy == Strategy.SPARSE:
-            mat_a = build_coo_operands(left, k).coo(left_values)
+            mat_a = build_coo_operands(left, k).coo(
+                _resolve_values(left_values))
             mat_b = build_coo_operands(right, k).coo(
                 _resolve_values(right_values))
             return self._execute_gemm(mat_a, mat_b.transpose(), plan)
         if self.chunk_rows is not None and k > self.chunk_rows:
-            return self._grid_accumulate(left, right, k,
-                                         [np.asarray(left_values,
-                                                     dtype=np.float64)],
-                                         [right_values],
-                                         plan)[0]
+            return self._grid_accumulate(left, right, k, [left_values],
+                                         [right_values], plan)[0]
         mat_a = self.backend.dense_from_coo(
-            left.row_codes(), left.keys_mapped, left_values, (left.g, k)
+            left.row_codes(), left.keys_mapped,
+            _resolve_values(left_values), (left.g, k)
         )
         mat_b = self.backend.dense_from_coo(
             right.row_codes(), right.keys_mapped,
@@ -540,10 +612,10 @@ class TCUDriver:
         them and accumulates the partial grids — the tiled-matmul
         identity ``A @ B.T == sum_c A[:, c] @ B[:, c].T`` over column
         chunks ``c``.  Only one slice pair is live at a time, so the
-        dense numeric path scales to any key-domain size.  B-side value
-        entries may be streamed-fill thunks: each chunk then fills only
-        its own tuple selection, so the full B-side value arrays are
-        never materialized.
+        dense numeric path scales to any key-domain size.  Value entries
+        may be streamed-fill thunks: each chunk then fills only its own
+        tuple selection, so the full value arrays are never
+        materialized.
         """
         chunk = self.chunk_rows
         n_slices = len(left_values_list)
@@ -553,7 +625,7 @@ class TCUDriver:
         def chunk_operands(k0: int, i: int, lsel, rsel, kc: int):
             mat_a = self.backend.dense_from_coo(
                 lrows[lsel], lkeys[lsel] - k0,
-                np.asarray(left_values_list[i])[lsel], (left.g, kc),
+                _resolve_values(left_values_list[i], lsel), (left.g, kc),
             )
             mat_b = self.backend.dense_from_coo(
                 rrows[rsel], rkeys[rsel] - k0,
@@ -636,19 +708,21 @@ class TCUDriver:
                 right_structure.cols, right_structure.rows, (k, g2))
             products = []
             for lsums, rsums in zip(left_sums, right_sums):
-                product, _ = layout_a.fill(lsums).spmm(layout_b.fill(rsums))
+                tiled_a = layout_a.fill(left_structure.at_cells(lsums))
+                tiled_b = layout_b.fill(right_structure.at_cells(rsums))
+                product, _ = tiled_a.spmm(tiled_b)
                 products.append(product.to_dense()[:g1, :g2])
             stacked = np.stack(products)
         elif self.chunk_rows is not None and k > self.chunk_rows:
             # Grid-wise accumulation over key-domain chunks; the shared
             # coordinate structure is rebuilt per chunk slice, but only
             # one (g, chunk) slice pair is ever live.
+            def streamed(side):
+                return [side.count_fill] + [partial(side.values_for, i)
+                                            for i in value_index[1:]]
+
             stacked = np.stack(self._grid_accumulate(
-                left, right, k, left.fill_slots(aggregates),
-                [right.count_values] + [partial(right.values_for, i)
-                                        for i in value_index[1:]],
-                plan,
-            ))
+                left, right, k, streamed(left), streamed(right), plan))
         else:
             fill_dtype = self.backend.fill_dtype
             a_stack = left_structure.dense_stack(left_sums, dtype=fill_dtype)
@@ -719,7 +793,7 @@ class TCUDriver:
         size = g1 * g2
         count_grid = np.bincount(
             cell,
-            weights=left.count_values[left_idx] * right.count_values[right_idx],
+            weights=left.count_fill(left_idx) * right.count_fill(right_idx),
             minlength=size,
         ).reshape(g1, g2)
         grids = []

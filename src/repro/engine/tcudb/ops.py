@@ -59,6 +59,7 @@ from repro.engine.tcudb.driver import (
     PreparedAggSide,
     PreparedJoin,
     build_coo_operands,
+    unit_fill,
 )
 from repro.storage.statistics import (
     bound_stats_lookup,
@@ -136,8 +137,10 @@ class FactValue:
     """The fact side of a star, with folded-dimension state."""
 
     env: Environment
-    weights: np.ndarray
     gathered: dict[str, np.ndarray]
+    # Per-row multiplicity from folded duplicate-key dimensions; None:
+    # every row counts once.
+    weights: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -162,7 +165,7 @@ class FactValue:
         beats a boolean mask, which is walked again for each column."""
         return FactValue(
             env=self.env.taken(rows),
-            weights=self.weights[rows],
+            weights=None if self.weights is None else self.weights[rows],
             gathered={k: np.asarray(v)[rows] for k, v in self.gathered.items()},
         )
 
@@ -585,8 +588,7 @@ def _fold_steps(ctx, op: TensorOp, fact_input: str, steps) -> FactValue:
     :class:`FoldStep` fields."""
     fact = ctx.value(fact_input)
     if isinstance(fact, RelationValue):
-        fact = FactValue(env=fact.env,
-                         weights=np.ones(fact.env.n_rows), gathered={})
+        fact = FactValue(env=fact.env, gathered={})
     rows = None  # surviving fact row ids so far; None: all of them
     weights = fact.weights
     # Matching dimension rows per gathering step, narrowed with ``rows``;
@@ -610,7 +612,8 @@ def _fold_steps(ctx, op: TensorOp, fact_input: str, steps) -> FactValue:
                     "but contributes group/factor columns",
                     kind="pattern",
                 )
-            weights = weights * multiplicity
+            weights = (multiplicity if weights is None
+                       else weights * multiplicity)
         elif step.needed:
             gathers.append((dim_env, dim_rows, step.needed))
         # An empty dimension matches nothing: the join eliminates every
@@ -618,7 +621,8 @@ def _fold_steps(ctx, op: TensorOp, fact_input: str, steps) -> FactValue:
         if not matched.all():
             keep = np.flatnonzero(matched)
             rows = keep if rows is None else rows.take(keep)
-            weights = weights.take(keep)
+            if weights is not None:
+                weights = weights.take(keep)
             gathers = [(env, found.take(keep), needed)
                        for env, found, needed in gathers]
     ctx.charge(op, STAGE_FILL, estimate_fold_chain(
@@ -882,8 +886,7 @@ class ValueFill(TensorOp):
     def _execute_star(self, ctx) -> AggOperandsValue:
         fact = ctx.value(self.left_input)
         if isinstance(fact, RelationValue):
-            fact = FactValue(env=fact.env,
-                             weights=np.ones(fact.env.n_rows), gathered={})
+            fact = FactValue(env=fact.env, gathered={})
         if self.epilogue_predicates:
             # Masked operand fill: residual-fact conjuncts ride the fill
             # pass — masked tuples are never placed into the operands.
@@ -916,8 +919,7 @@ class ValueFill(TensorOp):
         )
         right_side = _build_agg_side(
             self.specs, self.group_by, b_env.lookup, domain.right,
-            side_bindings={self.b_side}, weights=np.ones(b_keys.size),
-            b_side=True,
+            side_bindings={self.b_side}, weights=None, b_side=True,
         )
         pairs = mapped_pair_count(domain.left, domain.right, domain.k)
         left_structure = build_coo_operands(left_side, domain.k)
@@ -971,10 +973,10 @@ class ValueFill(TensorOp):
             group = CompositeKey.build(
                 [np.asarray(env.lookup(c.key)) for c in self.group_by]
             )
-        values_per_agg: list[np.ndarray] = []
+        values_per_agg: list[np.ndarray | None] = []
         for spec, argument in zip(self.specs, self.arguments):
             if spec.func == "count" or argument is None:
-                values_per_agg.append(np.ones(n))
+                values_per_agg.append(None)  # COUNT reads the count grid
                 continue
             values = evaluate_expr(argument, env, ctx.bound)
             values_per_agg.append(np.asarray(values, dtype=np.float64))
@@ -982,18 +984,17 @@ class ValueFill(TensorOp):
             keys_mapped=np.arange(n, dtype=np.int64),
             group=group,
             values_per_agg=values_per_agg,
-            count_values=np.ones(n),
+            count_values=None,
             group_order=group_order,
         )
         # The reduce-mode B side is an all-ones vector for every
         # aggregate: share one array instead of materializing a copy per
         # aggregate.
-        ones = np.ones(n)
         right_side = PreparedAggSide(
             keys_mapped=np.arange(n, dtype=np.int64),
             group=None,
-            values_per_agg=[ones] * len(self.specs),
-            count_values=ones,
+            values_per_agg=[np.ones(n)] * len(self.specs),
+            count_values=None,
         )
         value_specs = sum(1 for s in self.specs if s.func != "count")
         g1 = left_side.g
@@ -1468,8 +1469,7 @@ class MaskApply(TensorOp):
 
     def _mask_fact(self, ctx, value):
         if isinstance(value, RelationValue):
-            value = FactValue(env=value.env,
-                              weights=np.ones(value.env.n_rows), gathered={})
+            value = FactValue(env=value.env, gathered={})
         self._charge(ctx, value.n_rows)
         env = value.eval_environment()
         mask = conjunction_mask(self.predicates, env, ctx.bound)
@@ -1771,14 +1771,7 @@ def _build_agg_side(specs, group_by, column_of, mapped_keys, side_bindings,
         # ever live.
         def fill(index: int, selection=None) -> np.ndarray:
             spec = specs[index]
-            if selection is None:
-                values = np.full(n, 1.0)
-            else:
-                selection = np.asarray(selection)
-                size = (int(np.count_nonzero(selection))
-                        if selection.dtype == np.bool_
-                        else selection.size)
-                values = np.full(size, 1.0)
+            values = unit_fill(n, selection)
             for factor in spec.factors:
                 if factor.column.binding not in side_bindings:
                     continue
@@ -1794,13 +1787,15 @@ def _build_agg_side(specs, group_by, column_of, mapped_keys, side_bindings,
             keys_mapped=np.asarray(mapped_keys),
             group=group,
             values_per_agg=[],
-            count_values=np.ones(n),
+            count_values=None,
             group_order=group_order,
             value_fill=fill,
         )
     values_per_agg: list[np.ndarray] = []
     for spec in specs:
-        values = np.full(n, 1.0) * spec.constant * weights
+        values = np.full(n, 1.0) * spec.constant
+        if weights is not None:
+            values = values * weights
         for factor in spec.factors:
             if factor.column.binding not in side_bindings:
                 continue
@@ -1811,7 +1806,8 @@ def _build_agg_side(specs, group_by, column_of, mapped_keys, side_bindings,
         keys_mapped=np.asarray(mapped_keys),
         group=group,
         values_per_agg=values_per_agg,
-        count_values=np.asarray(weights, dtype=np.float64),
+        count_values=(None if weights is None
+                      else np.asarray(weights, dtype=np.float64)),
         group_order=group_order,
     )
 
@@ -1861,9 +1857,11 @@ def _agg_feasibility(left_fills, right_fills, k, require_exact=False):
 def _exact_cell_range(values, sums):
     """Exact [min, max] of one operand matrix's cell sums (0 included for
     empty cells); None when a value is non-finite (e.g. division by a
-    zero-valued column)."""
+    zero-valued column).  ``values`` None: every tuple fills one."""
     from repro.tensor.precision import ValueRange
 
+    if values is None:  # unit fills: the sums are tuple counts
+        return ValueRange(0.0, float(sums.max()), integral=True)
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         return None

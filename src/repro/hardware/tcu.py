@@ -23,8 +23,12 @@ import numpy as np
 from repro.common.errors import PrecisionError
 from repro.tensor.precision import (
     FP16_MAX,
+    INT32_MAX,
+    INTEGER_WINDOW,
     Precision,
+    exact_integer_matmul,
     fp16_scale_factor,
+    in_integer_window,
 )
 
 # WMMA fragment edge: tensor cores consume 16x16x16 tiles.
@@ -136,21 +140,22 @@ class TensorCoreUnit:
     def _matmul_int(
         self, a: np.ndarray, b: np.ndarray, precision: Precision
     ) -> np.ndarray:
-        lo, hi = (-8, 7) if precision == Precision.INT4 else (-128, 127)
-        a_int = np.rint(a).astype(np.int64)
-        b_int = np.rint(b).astype(np.int64)
-        if a_int.size and (a_int.min() < lo or a_int.max() > hi):
-            raise PrecisionError(
-                f"operand A outside {precision.value} range [{lo}, {hi}]"
-            )
-        if b_int.size and (b_int.min() < lo or b_int.max() > hi):
-            raise PrecisionError(
-                f"operand B outside {precision.value} range [{lo}, {hi}]"
-            )
-        # int8/int4 MMA accumulates in int32; int64 matmul is exact for
-        # every in-range input, so emulate and then check the accumulator.
-        product = a_int @ b_int
-        if product.size and np.max(np.abs(product)) > (1 << 31) - 1:
+        for name, operand in (("A", a), ("B", b)):
+            # rint is monotonic: the quantized operand's extremes are the
+            # quantized extremes.  A NaN or infinite one fails the test.
+            if operand.size and not in_integer_window(
+                    np.rint(operand.min()), np.rint(operand.max()),
+                    precision):
+                lo, hi = INTEGER_WINDOW[precision]
+                raise PrecisionError(
+                    f"operand {name} outside {precision.value} range "
+                    f"[{lo}, {hi}]"
+                )
+        # int8/int4 MMA accumulates in int32; the exact-width product is
+        # exact for every in-range input (its bound is <= 2**14 * k), so
+        # emulate and then check the accumulator.
+        product = exact_integer_matmul(a, b)
+        if product.size and max(product.max(), -product.min()) > INT32_MAX:
             raise PrecisionError("int32 accumulator overflow in TCU matmul")
         return product
 

@@ -23,7 +23,8 @@ implementations:
   bincount epilogues.  fp16-strategy products skip the simulator's
   cast-to-binary16 rounding (float32 inputs, fp32 accumulation), which
   keeps results within the documented ``rel=2e-3`` equivalence envelope;
-  integer-precision products stay exact.
+  integer-precision products are the simulator's own
+  (:func:`~repro.tensor.precision.exact_integer_matmul`).
 * :class:`TorchBackend` — the same interface on PyTorch tensors
   (import-guarded; absent torch makes selection a
   :class:`~repro.common.errors.ConfigError` and tests auto-skip),
@@ -54,7 +55,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.tensor.coo import dense_from_coo as _sim_dense_from_coo
-from repro.tensor.precision import Precision
+from repro.tensor.precision import Precision, exact_integer_matmul
 
 
 class TensorBackend:
@@ -144,9 +145,10 @@ class FastBackend(TensorBackend):
     fp16-strategy products run as one contiguous float32 sgemm (fp32
     accumulation, no binary16 input rounding, no scale/finite-check
     passes): numerically *tighter* than the simulator and several array
-    passes cheaper.  Integer precisions run as one float64 dgemm — exact
-    for every product the int32-accumulator feasibility gate admits
-    (|result| < 2**31 « 2**53).  Operand fills are float32 and
+    passes cheaper.  Integer precisions run
+    :func:`~repro.tensor.precision.exact_integer_matmul`, the product
+    the simulator runs: exact at the width the operands need, sgemm on
+    the float32 fills in the common case.  Operand fills are float32 and
     C-contiguous so sgemm consumes them without conversion; the
     grid-accumulation loop reuses one thread-local scratch buffer per
     output shape instead of allocating a partial per chunk.
@@ -169,13 +171,10 @@ class FastBackend(TensorBackend):
         if not precision.is_integer:
             product = np.matmul(self._as_f32(a), self._as_f32(b))
             return product.astype(np.float64)
-        # int8/int4: float64 matmul is exact below 2**53, far beyond the
-        # int32 accumulator bound the upstream feasibility test enforces.
-        product = np.matmul(
-            np.rint(np.asarray(a, dtype=np.float64)),
-            np.rint(np.asarray(b, dtype=np.float64)),
-        )
-        return np.rint(product).astype(np.int64)
+        # int8/int4: the simulator's own integer product (sgemm on the
+        # float32 fills while k * max|a| * max|b| <= 2**24, dgemm past
+        # it), minus its range and accumulator checks.
+        return exact_integer_matmul(a, b)
 
     def matmul_into(self, acc, device, a, b, precision):
         if precision.is_integer:

@@ -14,6 +14,9 @@ rules the feasibility test relies on:
 * int8/int4 represent integers within their two's-complement range exactly.
 * Products of two fp16 values are exact in fp32; int8/int4 products
   accumulate exactly in int32 until the accumulator itself overflows.
+* A product of integer-valued operands is exact in the narrowest float
+  type that holds ``k * max|a| * max|b|`` (:func:`exact_integer_matmul`,
+  the one integer product every backend runs).
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.common.errors import PrecisionError
 
@@ -63,6 +68,21 @@ class Precision(enum.Enum):
         return self in (Precision.INT8, Precision.INT4)
 
 
+# Two's-complement window of each integer input type.
+INTEGER_WINDOW = {Precision.INT4: (-8, 7), Precision.INT8: (-128, 127)}
+
+
+def in_integer_window(lo, hi, precision: Precision) -> bool:
+    """Whether ``[lo, hi]`` lies inside ``precision``'s integer window.
+
+    Written as two positive comparisons so that a NaN or infinite
+    endpoint — the ``min()`` / ``max()`` of an array holding one — fails
+    it: ``nan < lo or nan > hi`` would let the array through.
+    """
+    window_lo, window_hi = INTEGER_WINDOW[precision]
+    return bool(window_lo <= lo and hi <= window_hi)
+
+
 # Precision order from most compact upward; the feasibility test walks
 # this list and picks the first precision that fits (Figure 6, steps
 # "4bit? / 8bit? / 16bit? / 32bit?").
@@ -102,10 +122,9 @@ class ValueRange:
 
 def fits_exactly(values: ValueRange, precision: Precision) -> bool:
     """Whether every value in the range is exactly representable."""
-    if precision == Precision.INT4:
-        return values.is_integral and -8 <= values.lo and values.hi <= 7
-    if precision == Precision.INT8:
-        return values.is_integral and -128 <= values.lo and values.hi <= 127
+    if precision.is_integer:
+        return values.is_integral and in_integer_window(
+            values.lo, values.hi, precision)
     if precision == Precision.FP16:
         # Exact only for integers within the fp16 significand window; real
         # values are never exact, so the caller must accept rounding.
@@ -149,6 +168,41 @@ def accumulator_exact(a: ValueRange, b: ValueRange, k: int,
     if precision == Precision.FP16:
         return bound <= FP32_EXACT_INT
     return False
+
+
+def _quantized_magnitude(operand: np.ndarray) -> float:
+    # max |rint(x)|.  rint is monotonic, so the two extremes decide it:
+    # no array-sized temporary (np.abs, np.rint) is made.
+    if operand.size == 0:
+        return 0.0
+    return float(max(np.rint(operand.max()), -np.rint(operand.min())))
+
+
+def exact_integer_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``rint(a) @ rint(b)`` (2-D or stacked), exactly, as int64.
+
+    Operands are quantized to the nearest integer, as the unit's input
+    cast does.  Every partial sum of the product is then an integer of
+    magnitude at most ``k * max|a| * max|b|``.  While that bound stays
+    within 2**24 each one is exactly representable in float32, so the
+    product is exact in *any* accumulation order — blocked and FMA
+    kernels included — and runs as sgemm; up to 2**53 the same holds in
+    float64.  The width is read from the operands in hand: int4 data
+    stays in float32 for every k <= 262144, full-range int8 for
+    k <= 1024, and every product the int32 accumulator admits fits
+    float64.  This is the one integer product of the code base: the
+    simulated unit and the execution backends both call it, so integer
+    results agree by construction.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    bound = a.shape[-1] * _quantized_magnitude(a) * _quantized_magnitude(b)
+    dtype = np.float32 if bound <= FP32_EXACT_INT else np.float64
+    # One pass per operand: quantized straight into the product's width
+    # and the operand's own layout (BLAS takes transposed views as-is).
+    a, b = (np.rint(x, out=np.empty_like(x, dtype=dtype), casting="same_kind")
+            for x in (a, b))
+    return np.matmul(a, b).astype(np.int64)
 
 
 def fp16_scale_factor(magnitude: float) -> float:

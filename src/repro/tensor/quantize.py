@@ -22,6 +22,7 @@ from repro.tensor.precision import (
     fits_exactly,
     fits_representable,
     fp16_scale_factor,
+    in_integer_window,
 )
 
 
@@ -88,10 +89,10 @@ def quantize(values: np.ndarray, precision: Precision) -> np.ndarray:
         if out.size and not np.all(np.isfinite(out)):
             raise PrecisionError("values overflow fp16; scale first")
         return out
-    if precision in (Precision.INT8, Precision.INT4):
-        lo, hi = (-8, 7) if precision == Precision.INT4 else (-128, 127)
+    if precision.is_integer:
         out = np.rint(values)
-        if out.size and (out.min() < lo or out.max() > hi):
+        if out.size and not in_integer_window(out.min(), out.max(),
+                                              precision):
             raise PrecisionError(f"values outside {precision.value} range")
         return out.astype(np.int8)
     if precision == Precision.FP32:

@@ -43,7 +43,12 @@ from repro.tensor.backend import (
     backend_policy,
     get_backend,
 )
-from repro.tensor.precision import FP16_EXACT_INT, Precision
+from repro.common.errors import PrecisionError
+from repro.tensor.precision import (
+    FP16_EXACT_INT,
+    INTEGER_WINDOW,
+    Precision,
+)
 
 TCU_REL = 2e-3
 FUZZ_SEED = 20250808
@@ -102,6 +107,59 @@ class TestPrimitiveContracts:
         got = backend.matmul(device, a, b, precision)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, reference)
+
+    @pytest.mark.parametrize("precision", list(INTEGER_WINDOW))
+    def test_integer_stacks_bit_identical_sim_and_fast(self, sim, device,
+                                                       precision,
+                                                       monkeypatch):
+        """Both backends run ``exact_integer_matmul`` on their own fill
+        dtype: the stacked product agrees to the bit, inside the float32
+        window (k = 300) and past it (full-range int8 at k = 2100)."""
+        lo, hi = INTEGER_WINDOW[precision]
+        fast = FastBackend()
+        widths = []
+        matmul = np.matmul
+
+        def recorded(a, b, **kwargs):
+            widths.append(np.result_type(a, b))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        for seed, (n, g1, k, g2) in enumerate(
+                [(2, 9, 300, 7), (3, 4, 2100, 5), (1, 1, 17, 1)]):
+            rng = make_rng(seed)
+            a = rng.integers(lo, hi + 1, size=(n, g1, k))
+            b = rng.integers(lo, hi + 1, size=(n, g2, k))
+            a[0, 0, 0] = b[0, 0, 0] = lo  # the widest magnitude is present
+            reference = sim.matmul(
+                device, a.astype(sim.fill_dtype),
+                b.astype(sim.fill_dtype).transpose(0, 2, 1), precision)
+            got = fast.matmul(
+                device, a.astype(fast.fill_dtype),
+                b.astype(fast.fill_dtype).transpose(0, 2, 1), precision)
+            assert got.dtype == reference.dtype == np.int64
+            np.testing.assert_array_equal(got, reference)
+            np.testing.assert_array_equal(got, a @ b.transpose(0, 2, 1))
+            acc = fast.matmul_into(
+                np.zeros(got.shape), device, a.astype(fast.fill_dtype),
+                b.astype(fast.fill_dtype).transpose(0, 2, 1), precision)
+            np.testing.assert_array_equal(acc, reference)
+            expected = (np.float32 if k * lo * lo <= 1 << 24
+                        else np.float64)
+            assert set(widths) == {np.dtype(expected)}, (precision, k)
+            del widths[:]
+
+    def test_sim_integer_checks_survive_the_shared_product(self, sim,
+                                                           device):
+        ones = np.ones((2, 2))
+        for bad in (200.0, np.nan, np.inf):
+            with pytest.raises(PrecisionError, match="range"):
+                sim.matmul(device, np.full((2, 2), bad), ones,
+                           Precision.INT8)
+        k = 133_145  # 127 * 127 * k is the first sum past int32
+        with pytest.raises(PrecisionError, match="accumulator"):
+            sim.matmul(device, np.full((1, k), 127.0),
+                       np.full((k, 1), 127.0), Precision.INT8)
 
     @pytest.mark.parametrize("backend", execution_backends(),
                              ids=lambda b: b.name)

@@ -5,16 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import PrecisionError
 from repro.hardware.gpu import GPUDevice
 from repro.tensor.matmul import dense_gemm, msplit_gemm
 from repro.tensor.precision import (
     FP16_EXACT_INT,
+    FP32_EXACT_INT,
+    INT32_MAX,
+    INTEGER_WINDOW,
     Precision,
     ValueRange,
     accumulator_exact,
+    exact_integer_matmul,
     fits_exactly,
     fits_representable,
     fp16_scale_factor,
+    in_integer_window,
     product_magnitude_bound,
 )
 from repro.tensor.quantize import (
@@ -30,8 +36,6 @@ class TestValueRange:
         assert ValueRange(0, 7).magnitude == 7
 
     def test_empty_range_rejected(self):
-        from repro.common.errors import PrecisionError
-
         with pytest.raises(PrecisionError):
             ValueRange(3, 1)
 
@@ -116,10 +120,23 @@ class TestQuantize:
         assert out.dtype == np.float16
 
     def test_int8_range_check(self):
-        from repro.common.errors import PrecisionError
-
         with pytest.raises(PrecisionError):
             quantize(np.array([300.0]), Precision.INT8)
+
+    @pytest.mark.parametrize("precision", list(INTEGER_WINDOW))
+    def test_integer_window_edges_and_non_finite(self, precision):
+        lo, hi = INTEGER_WINDOW[precision]
+        out = quantize(np.array([lo, 0.4, hi]), precision)
+        assert out.dtype == np.int8 and out.tolist() == [lo, 0, hi]
+        # The range test must not be NaN-blind: ``nan < lo`` is False.
+        for bad in (lo - 1, hi + 1, np.nan, np.inf, -np.inf):
+            with pytest.raises(PrecisionError):
+                quantize(np.array([bad, 3.0]), precision)
+            assert not in_integer_window(min(bad, 3.0), max(bad, 3.0),
+                                         precision)
+        assert in_integer_window(lo, hi, precision)
+        assert not fits_exactly(ValueRange(lo - 1, hi), precision)
+        assert not fits_exactly(ValueRange(lo, float("inf")), precision)
 
     def test_observed_range(self):
         r = observed_range(np.array([3.0, -1.0, 2.0]))
@@ -196,6 +213,146 @@ class TestBlockedGemm:
         blocked, _ = msplit_gemm_seconds(device, 8192, 8192, 8192,
                                          memory_budget=64 * 1024**2)
         assert blocked > dense
+
+
+def _int64_product(a, b):
+    return np.matmul(a.astype(np.int64), b.astype(np.int64))
+
+
+def _transposed_view(x):
+    """Same values, but a strided view of the transposed layout — what
+    ``b_stack.transpose(0, 2, 1)`` hands the backend."""
+    return np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+# (value of every A cell, of every B cell, k, width the rule must pick):
+# operands parked on the two windows of ``exact_integer_matmul``.
+WINDOW_CASES = [
+    pytest.param(127, 127, 1040, np.float32, id="under-2^24"),
+    pytest.param(-128, -128, 1024, np.float32, id="at-2^24"),
+    pytest.param(127, -127, 1041, np.float64, id="first-past-2^24"),
+    pytest.param(127, 127, 133_144, np.float64, id="under-2^31"),
+]
+
+
+@pytest.fixture
+def matmul_dtypes(monkeypatch):
+    """Operand dtypes of every ``np.matmul`` call made meanwhile."""
+    seen: list[np.dtype] = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        seen.append(np.result_type(a, b))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return seen
+
+
+class TestExactIntegerMatmul:
+    """One rule for every integer product: float32 while
+    ``k * max|a| * max|b| <= 2**24``, float64 past it, int64 out."""
+
+    @pytest.mark.parametrize("a_value, b_value, k, width", WINDOW_CASES)
+    @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "3d"])
+    @pytest.mark.parametrize("transposed", [False, True],
+                             ids=["contiguous", "view"])
+    def test_all_maximum_operands_on_the_windows(
+            self, matmul_dtypes, a_value, b_value, k, width, stacked,
+            transposed):
+        a = np.full((2, 3, k), float(a_value))
+        b = np.full((2, k, 2), float(b_value))
+        if transposed:
+            a, b = _transposed_view(a), _transposed_view(b)
+        if not stacked:
+            a, b = a[0], b[0]
+        expected = _int64_product(a, b)
+        del matmul_dtypes[:]
+        got = exact_integer_matmul(a, b)
+        assert matmul_dtypes == [np.dtype(width)]
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+        bound = k * abs(a_value) * abs(b_value)
+        assert (bound <= FP32_EXACT_INT) == (width is np.float32)
+        assert bound <= INT32_MAX
+
+    def test_first_bound_past_the_window_needs_float64(self):
+        # 1041 * 127 * 127 is odd and above 2**24: float32 cannot hold
+        # it, so the float32 run is wrong — the rule, not lucky data,
+        # keeps the product exact.
+        a = np.full((3, 1041), 127.0, dtype=np.float32)
+        b = np.full((1041, 2), 127.0, dtype=np.float32)
+        exact = _int64_product(a, b)
+        assert not np.array_equal(np.matmul(a, b).astype(np.int64), exact)
+        assert np.array_equal(exact_integer_matmul(a, b), exact)
+
+    def test_int4_stays_float32_up_to_k_262144(self, matmul_dtypes):
+        for k, width in ((262_144, np.float32), (262_145, np.float64)):
+            a = np.full((1, k), -8.0, dtype=np.float32)
+            b = np.full((k, 1), -8.0, dtype=np.float32)
+            del matmul_dtypes[:]
+            assert exact_integer_matmul(a, b).tolist() == [[64 * k]]
+            assert matmul_dtypes == [np.dtype(width)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_random_operands_match_int64_product(self, rng, dtype):
+        for lo, hi, shape_a, shape_b in (
+            (-8, 8, (2, 9, 300), (2, 300, 7)),
+            (-128, 128, (5, 40), (40, 11)),
+            (-128, 128, (3, 6, 2000), (3, 2000, 4)),
+        ):
+            a = rng.integers(lo, hi, shape_a).astype(dtype)
+            b = _transposed_view(rng.integers(lo, hi, shape_b).astype(dtype))
+            got = exact_integer_matmul(a, b)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _int64_product(a, b))
+
+    def test_empty_operands(self):
+        for shape_a, shape_b, shape in (
+            ((0, 5), (5, 3), (0, 3)),
+            ((3, 0), (0, 2), (3, 2)),
+            ((2, 3, 0), (2, 0, 4), (2, 3, 4)),
+        ):
+            got = exact_integer_matmul(np.zeros(shape_a), np.zeros(shape_b))
+            assert got.dtype == np.int64 and got.shape == shape
+            assert not got.any()
+
+
+class TestSimulatedIntegerUnit:
+    """``device.tcu.matmul`` keeps its range and accumulator checks
+    around the exact-width product."""
+
+    @pytest.mark.parametrize("precision", list(INTEGER_WINDOW))
+    def test_out_of_range_and_non_finite_operands_raise(self, device,
+                                                        precision):
+        lo, hi = INTEGER_WINDOW[precision]
+        good = np.array([[lo, hi], [0.0, 1.0]])
+        assert np.array_equal(
+            device.tcu.matmul(good, good, precision),
+            _int64_product(good, good))
+        for bad in (lo - 1, hi + 1, np.nan, np.inf, -np.inf):
+            operand = good.copy()
+            operand[1, 0] = bad
+            with pytest.raises(PrecisionError, match="operand A"):
+                device.tcu.matmul(operand, good, precision)
+            with pytest.raises(PrecisionError, match="operand B"):
+                device.tcu.matmul(good, operand, precision)
+
+    def test_int32_accumulator_overflow_still_raises(self, device):
+        # 127 * 127 * 133144 < 2**31 <= 127 * 127 * 133145.
+        for k, overflows in ((133_144, False), (133_145, True)):
+            a = np.full((1, k), 127.0)
+            b = np.full((k, 1), 127.0)
+            if overflows:
+                with pytest.raises(PrecisionError, match="accumulator"):
+                    device.tcu.matmul(a, b, Precision.INT8)
+            else:
+                product = device.tcu.matmul(a, b, Precision.INT8)
+                assert product.tolist() == [[127 * 127 * k]]
+
+    def test_operands_are_quantized_before_the_range_check(self, device):
+        a = np.array([[127.4, -0.4]])
+        b = np.array([[2.0], [3.0]])
+        assert device.tcu.matmul(a, b, Precision.INT8).tolist() == [[254]]
 
 
 @settings(max_examples=30, deadline=None)
