@@ -97,7 +97,7 @@ from repro.sql.eval import (
 )
 from repro.sql.logical import Join as JoinNode
 from repro.sql.logical import LogicalNode, Scan
-from repro.tensor.keys import address_range
+from repro.tensor.keys import presence_probe
 
 # Per-qualifying-record cost of one chained-join step's matrix->table
 # conversion and intermediate rebuild (Section 3.2's step 2/3).  Fitted to
@@ -603,8 +603,16 @@ def _fold_steps(ctx, op: TensorOp, fact_input: str, steps) -> FactValue:
             fact_keys = fact_keys.take(rows)
         # Rows entering the step: what a step-at-a-time estimate charges.
         step_sizes.append((int(fact_keys.size), int(dim_keys.size)))
-        dim_rows, matched, multiplicity = probe_dimension(
-            ctx.backend, dim_keys, fact_keys)
+        keep, dim_rows, multiplicity = probe_dimension(
+            ctx.backend, dim_keys, fact_keys, bool(step.needed))
+        # An empty dimension matches nothing: the join eliminates every
+        # fact row, and later steps run on the empty survivor set.
+        if keep.size < fact_keys.size:
+            rows = keep if rows is None else rows.take(keep)
+            if weights is not None:
+                weights = weights.take(keep)
+            gathers = [(env, found.take(keep), needed)
+                       for env, found, needed in gathers]
         if multiplicity is not None:
             if step.needed:
                 raise FallbackRequired(
@@ -616,15 +624,6 @@ def _fold_steps(ctx, op: TensorOp, fact_input: str, steps) -> FactValue:
                        else weights * multiplicity)
         elif step.needed:
             gathers.append((dim_env, dim_rows, step.needed))
-        # An empty dimension matches nothing: the join eliminates every
-        # fact row, and later steps run on the empty survivor set.
-        if not matched.all():
-            keep = np.flatnonzero(matched)
-            rows = keep if rows is None else rows.take(keep)
-            if weights is not None:
-                weights = weights.take(keep)
-            gathers = [(env, found.take(keep), needed)
-                       for env, found, needed in gathers]
     ctx.charge(op, STAGE_FILL, estimate_fold_chain(
         ctx.host, ctx.device, step_sizes, CHAINED_JOIN_FILL_S))
     kept = fact if rows is None else fact.taken(rows)
@@ -637,62 +636,43 @@ def _fold_steps(ctx, op: TensorOp, fact_input: str, steps) -> FactValue:
     return folded
 
 
-# A direct-address table gets at most ``DIRECT_ADDRESS_SLOTS_PER_ROW``
-# slots per probed row (fact + dimension rows) and at most
-# ``DIRECT_ADDRESS_MAX_SLOTS`` in all: 512 KiB of int64, inside a core's
-# private cache.  A larger table's lookups go to the shared cache, where
-# their cost follows what earlier queries and other tenants left there.
-# Past either, the sorted probe takes over.
-DIRECT_ADDRESS_MAX_SLOTS = 1 << 16
+def probe_dimension(backend, dim_keys: np.ndarray, fact_keys: np.ndarray,
+                    want_rows: bool):
+    """Resolve the fact keys against one (filtered) dimension's join keys.
 
+    Returns the survivors, ``(keep, dim_rows, multiplicity)``: ``keep``
+    is the ascending positions of the fact rows whose key occurs in the
+    dimension, the other two describe those rows only.  A unique-key
+    dimension gives the matching dimension row (``None`` unless
+    ``want_rows``) and ``multiplicity`` ``None``; a duplicate-key one
+    gives ``dim_rows`` ``None`` and the count of matching dimension rows.
 
-def probe_dimension(backend, dim_keys: np.ndarray, fact_keys: np.ndarray):
-    """Resolve every fact key against one (filtered) dimension's join keys.
-
-    Returns ``(dim_rows, matched, multiplicity)`` over the fact rows:
-    ``matched`` marks rows whose key occurs in the dimension.  For a
-    unique-key dimension ``dim_rows`` is the matching dimension row
-    (``-1`` where unmatched) and ``multiplicity`` is ``None``; for a
-    duplicate-key dimension ``dim_rows`` is ``None`` and
-    ``multiplicity`` counts the matching dimension rows (``0`` where
-    unmatched).
-
-    Integer keys whose span fits the slot budget are the matrix index
-    the paper's "Fill Matrices" step makes of them: one table lookup per
-    fact row.  Sparse, float or over-span keys binary-search the sorted
-    key domain instead.  The choice reads only the arrays in hand.
+    Integer keys :func:`~repro.tensor.keys.address_range` accepts are the
+    matrix index the paper's "Fill Matrices" step makes of them, in two
+    levels: every fact row reads a one-byte presence table, only the
+    survivors read the 8-byte row (or count) table.  Sparse, float or
+    over-span keys binary-search the sorted key domain instead.  The
+    choice reads only the arrays in hand.
     """
     if dim_keys.size == 0:
-        return (np.full(fact_keys.size, -1, dtype=np.intp),
-                np.zeros(fact_keys.size, dtype=bool), None)
-    table = _direct_address_range(dim_keys, fact_keys)
+        none = np.empty(0, dtype=np.intp)
+        return none, none, None
+    table = presence_probe(dim_keys, fact_keys)
     if table is None:
         return _probe_sorted(backend, dim_keys, fact_keys)
-    return _probe_direct(backend, dim_keys, fact_keys, *table)
-
-
-def _direct_address_range(dim_keys: np.ndarray, fact_keys: np.ndarray):
-    """``(lo, span)`` of the direct-address table over ``dim_keys``, or
-    ``None`` when the keys are not int64-safe integers or the span
-    exceeds either slot budget."""
-    return address_range(DIRECT_ADDRESS_MAX_SLOTS, dim_keys, fact_keys)
-
-
-def _probe_direct(backend, dim_keys, fact_keys, lo: int, span: int):
-    dim_slots = dim_keys.astype(np.int64, copy=False) - lo
-    # Slot ``span`` is the miss slot every out-of-range fact key reads.
-    counts = backend.bincount(dim_slots, minlength=span + 1)
-    fact = fact_keys.astype(np.int64, copy=False)
-    in_range = (fact >= lo) & (fact <= lo + span - 1)
-    # ``fact - lo`` may wrap for out-of-range keys; those are masked.
-    slots = np.where(in_range, fact - lo, span)
-    if counts.max() > 1:
-        multiplicity = backend.gather(counts, slots)
-        return None, multiplicity > 0, multiplicity
-    row_of = np.full(span + 1, -1, dtype=np.intp)
+    present, dim_slots, slots = table
+    keep = np.flatnonzero(backend.gather(present, slots))
+    unique = np.count_nonzero(present) == dim_keys.size
+    if unique and not want_rows:
+        return keep, None, None
+    slots = slots.take(keep)
+    if not unique:
+        counts = backend.bincount(dim_slots, minlength=present.size)
+        return keep, None, backend.gather(counts, slots)
+    # Only present slots are ever read: no fill pass.
+    row_of = np.empty(present.size, dtype=np.intp)
     row_of[dim_slots] = np.arange(dim_keys.size)
-    dim_rows = backend.gather(row_of, slots)
-    return dim_rows, dim_rows >= 0, None
+    return keep, backend.gather(row_of, slots), None
 
 
 def _probe_sorted(backend, dim_keys, fact_keys):
@@ -700,11 +680,11 @@ def _probe_sorted(backend, dim_keys, fact_keys):
         dim_keys, return_index=True, return_counts=True)
     positions = np.minimum(np.searchsorted(unique_keys, fact_keys),
                            unique_keys.size - 1)
-    matched = unique_keys[positions] == fact_keys
+    keep = np.flatnonzero(unique_keys[positions] == fact_keys)
+    positions = positions.take(keep)
     if unique_keys.size < dim_keys.size:
-        return None, matched, np.where(matched, counts[positions], 0)
-    return (np.where(matched, backend.gather(first_row, positions), -1),
-            matched, None)
+        return keep, None, counts[positions]
+    return keep, backend.gather(first_row, positions), None
 
 
 @dataclass

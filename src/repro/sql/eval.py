@@ -25,8 +25,10 @@ from repro.sql.ast_nodes import (
     Literal,
     Negation,
     Predicate,
+    fold_constants,
 )
 from repro.sql.binder import BoundQuery
+from repro.tensor.keys import presence_probe
 
 
 class Environment:
@@ -129,12 +131,19 @@ def predicate_mask(
     """
 
     def operand(expr: Expr, other: Expr) -> np.ndarray:
-        if isinstance(expr, Literal) and isinstance(expr.value, str):
+        literal = fold_constants(expr)
+        if isinstance(literal, Literal) and isinstance(literal.value, str):
             if isinstance(other, ColumnRef):
-                return np.full(n_rows, encode(other, expr.value))
+                return np.asarray(encode(other, literal.value))
             raise ExecutionError(
-                f"string literal {expr.value!r} compared against non-column"
+                f"string literal {literal.value!r} compared against non-column"
             )
+        # A literal facing a non-literal is a 0-d array of the dtype
+        # ``np.full`` would give it: the same promotion, no column built.
+        # Literal-vs-literal (``1 = 1``) stays full length, as the mask must.
+        if (isinstance(literal, Literal)
+                and not isinstance(fold_constants(other), Literal)):
+            return np.asarray(literal.value)
         return eval_expr(expr)
 
     if isinstance(predicate, Comparison):
@@ -157,7 +166,12 @@ def predicate_mask(
         else:
             values = [literal.value for literal in predicate.values]
         column = eval_expr(predicate.expr)
-        return np.isin(column, np.asarray(values))
+        values = np.asarray(values)
+        table = presence_probe(values, column)
+        if table is None:
+            return np.isin(column, values)
+        present, _, slots = table
+        return present.take(slots)
     if isinstance(predicate, Negation):
         # No NULLs in the storage layer, so two-valued logic applies and
         # NOT is plain complement.

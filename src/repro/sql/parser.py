@@ -50,6 +50,15 @@ from repro.sql.ast_nodes import (
 from repro.sql.lexer import Token, TokenType, tokenize
 
 
+def _number(text: str) -> int | float:
+    """Value of a NUMBER token, an ``int`` when integral (``1e3``, ``2.0``).
+    Digit-only text converts exactly: ``float`` rounds it past 2**53."""
+    value = float(text)
+    if not value.is_integer():
+        return value
+    return int(text) if text.isdecimal() else int(value)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
@@ -140,7 +149,7 @@ class _Parser:
             token = self._advance()
             if token.type != TokenType.NUMBER:
                 raise ParseError(f"LIMIT needs a number, got {token.value!r}")
-            limit = int(float(token.value))
+            limit = int(_number(token.value))
         self._accept_punct(";")
         trailing = self._peek()
         if trailing.type != TokenType.END:
@@ -268,8 +277,7 @@ class _Parser:
     def _parse_literal(self) -> Literal:
         token = self._advance()
         if token.type == TokenType.NUMBER:
-            value = float(token.value)
-            return Literal(int(value) if value.is_integer() else value)
+            return Literal(_number(token.value))
         if token.type == TokenType.STRING:
             return Literal(token.value)
         raise ParseError(f"expected literal, got {token.value!r}")
@@ -307,8 +315,7 @@ class _Parser:
             return BinaryOp(op="-", left=Literal(0), right=inner)
         token = self._advance()
         if token.type == TokenType.NUMBER:
-            value = float(token.value)
-            return Literal(int(value) if value.is_integer() else value)
+            return Literal(_number(token.value))
         if token.type == TokenType.STRING:
             return Literal(token.value)
         if token.type == TokenType.PUNCT and token.value == "?":

@@ -171,17 +171,6 @@ class ChunkedTable:
     def __len__(self) -> int:
         return len(self.chunks)
 
-    def pruned(self, can_match) -> Iterator[Chunk]:
-        """Chunks surviving a stat-pruning test.
-
-        ``can_match(chunk)`` returns False only when the chunk's
-        statistics *prove* no row can satisfy the scan's predicates;
-        pruned chunks are skipped without touching their rows.
-        """
-        for chunk in self.chunks:
-            if can_match(chunk):
-                yield chunk
-
     def __repr__(self) -> str:
         return (f"ChunkedTable({self.name!r}, rows={self.num_rows}, "
                 f"chunks={self.num_chunks} x {self.chunk_rows})")

@@ -189,6 +189,13 @@ def _bound_literal(expr, ref, encode) -> float | None:
     return float(expr.value)
 
 
+def _rounded(stats: ColumnStats, *values) -> bool:
+    """Whether a chunk bound or literal is at or beyond +-2**53, where
+    the float statistics stop being exact and pruning must decline."""
+    return any(value is not None and abs(value) >= 2.0 ** 53
+               for value in (stats.min_value, stats.max_value, *values))
+
+
 def predicate_can_match(predicate, stats_of, encode=None) -> bool:
     """Chunk-level stat pruning: can any row with these min/max
     statistics satisfy the predicate?
@@ -230,7 +237,7 @@ def predicate_can_match(predicate, stats_of, encode=None) -> bool:
             # A zero-row chunk satisfies no predicate; its min/max are
             # fabricated (0.0/0.0), so prune unconditionally.
             return False
-        if value is None:
+        if value is None or _rounded(stats, value):
             return True
         lo, hi = stats.min_value, stats.max_value
         if op == "=":
@@ -252,6 +259,8 @@ def predicate_can_match(predicate, stats_of, encode=None) -> bool:
             return False
         low = _bound_literal(predicate.low, predicate.expr, encode)
         high = _bound_literal(predicate.high, predicate.expr, encode)
+        if _rounded(stats, low, high):
+            return True
         if low is not None and stats.max_value < low:
             return False
         if high is not None and stats.min_value > high:
@@ -267,7 +276,7 @@ def predicate_can_match(predicate, stats_of, encode=None) -> bool:
             _bound_literal(literal, predicate.expr, encode)
             for literal in predicate.values
         ]
-        if any(v is None for v in values):
+        if any(v is None for v in values) or _rounded(stats, *values):
             return True
         return any(
             stats.min_value <= v <= stats.max_value for v in values

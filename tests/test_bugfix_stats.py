@@ -1,6 +1,6 @@
 """Regression tests for the stats/pruning bugs the parallel work exposed.
 
-Three bugs, one suite:
+Four bugs, one suite:
 
 1. **Negative literals defeat pruning** — the parser encodes ``-5`` as
    ``(0 - 5)``; neither the binder nor the chunk-pruning statistics used
@@ -18,6 +18,14 @@ Three bugs, one suite:
    SUM/AVG/MIN/MAX as 0.0).  Fixed across the batch executor, the
    streaming aggregator, the relational estimator and the TCU grid
    harvest.
+4. **Integers above 2**53 round through ``float``** — the parser built
+   every number with ``float()``, so ``v = 9007199254740993`` matched
+   the rows holding ...992 in *every* engine (shared parser) while the
+   same value as a ``?`` parameter matched the right ones; and chunk
+   pruning compared float statistics with ``float(literal)``, so
+   ``v < 2**53 + 1`` dropped a chunk whose minimum is 2**53.  Fixed:
+   digit-only tokens parse with ``int()``; pruning declines when a
+   bound or literal is at or beyond +-2**53.
 """
 
 from __future__ import annotations
@@ -28,10 +36,14 @@ import pytest
 from repro.datasets.ssb import ssb_catalog
 from repro.engine import create_engine
 from repro.engine.reference import ReferenceEngine
+from repro.engine.tcudb import TCUDBEngine, TCUDBOptions
+from repro.engine.tcudb.optimizer import Strategy
 from repro.sql.ast_nodes import (
     BinaryOp,
     ColumnRef,
+    Between,
     Comparison,
+    InList,
     Literal,
     fold_constants,
 )
@@ -218,3 +230,125 @@ class TestZeroRowUngroupedAggregates:
                 "SELECT a, COUNT(*) AS c FROM t WHERE a > 1000 GROUP BY a"
             )
             assert result.n_rows == 0, engine_name
+
+
+# --------------------------------------------------------------------------- #
+# Bug 4: integers above 2**53
+# --------------------------------------------------------------------------- #
+
+B = 2 ** 53
+
+
+class TestIntegersAbove2To53:
+    #: ``k`` of the rows each predicate keeps, computed by hand over
+    #: v = [B-1, B | B+1, B+2 | B+1, B]  (``|``: chunk_rows=2 boundaries).
+    #: The third chunk's minimum is B, its rows straddle B+1.
+    CASES = [
+        ("f.v = ?", [B + 1], {3, 5}),
+        ("f.v = ?", [B - 1], {1}),
+        ("f.v < ?", [B + 1], {1, 2, 6}),
+        ("f.v <= ?", [B - 1], {1}),
+        ("f.v > ?", [B], {3, 4, 5}),
+        ("f.v > ?", [B - 1], {2, 3, 4, 5, 6}),
+        ("f.v >= ?", [B + 1], {3, 4, 5}),
+        ("? < f.v", [B + 1], {4}),
+        ("f.v BETWEEN ? AND ?", [B + 1, B + 2], {3, 4, 5}),
+        ("f.v BETWEEN ? AND ?", [B - 1, B], {1, 2, 6}),
+        ("f.v <> ?", [B + 1], {1, 2, 4, 6}),
+    ]
+    TEMPLATE = ("SELECT f.k, SUM(d.w) AS n FROM f, d "
+                "WHERE f.k = d.k AND {} GROUP BY f.k")
+
+    @staticmethod
+    def _engines():
+        def catalog():
+            catalog = Catalog()
+            catalog.register(Table.from_dict("f", {
+                "k": [1, 2, 3, 4, 5, 6],
+                "v": np.array([B - 1, B, B + 1, B + 2, B + 1, B]),
+            }))
+            catalog.register(Table.from_dict("d", {
+                "k": [1, 2, 3, 4, 5, 6], "w": [1, 1, 1, 1, 1, 1]}))
+            return catalog
+
+        yield "reference", ReferenceEngine(catalog())
+        yield "reference/streaming", ReferenceEngine(
+            catalog(), streaming=True, chunk_rows=2)
+        yield "ydb", create_engine("ydb", catalog())
+        # By cost the six-row join would fall back; force the TCU plan.
+        yield "tcudb", TCUDBEngine(catalog(), options=TCUDBOptions(
+            chunk_rows=2, force_strategy=Strategy.DENSE))
+
+    @staticmethod
+    def _kept(result) -> set[int]:
+        return {int(k) for k, _ in result.require_table().rows()}
+
+    @pytest.mark.parametrize("condition, params, expected", CASES)
+    def test_inlined_equals_prepared_equals_by_hand(self, condition, params,
+                                                    expected):
+        template = self.TEMPLATE.format(condition)
+        inlined = template
+        for value in params:
+            inlined = inlined.replace("?", str(value), 1)
+        for name, engine in self._engines():
+            got = engine.execute(inlined)
+            assert self._kept(got) == expected, (name, inlined)
+            prepared = engine.execute_prepared(engine.prepare(template),
+                                               params)
+            assert self._kept(prepared) == expected, (name, template)
+            if name == "tcudb":
+                assert got.extra["executed_by"] == "TCU"
+                assert prepared.extra["executed_by"] == "TCU"
+
+    @pytest.mark.parametrize("values, expected", [
+        ((B + 1, B - 1), {1, 3, 5}), ((B + 2, 7), {4}), ((B + 3,), set()),
+    ])
+    def test_in_list(self, values, expected):
+        # IN takes literals only: there is no ``?`` form to compare with.
+        sql = self.TEMPLATE.format(
+            f"f.v IN ({', '.join(map(str, values))})")
+        for name, engine in self._engines():
+            assert self._kept(engine.execute(sql)) == expected, (name, sql)
+
+    def test_number_tokens(self):
+        def literal(text):
+            (predicate,) = parse(f"SELECT a FROM t WHERE a = {text}").where
+            return predicate.right.value
+
+        for text, value in (("9007199254740993", B + 1),
+                            ("18446744073709551617", 2 ** 64 + 1),
+                            ("7", 7), ("1e3", 1000), ("2.0", 2), ("2.5", 2.5),
+                            ("0.5e1", 5)):
+            assert literal(text) == value
+            assert type(literal(text)) is type(value), text
+        # Past float's range the token stays the ``inf`` it always was.
+        assert literal("9" * 400) == float("inf")
+        assert parse(f"SELECT a FROM t LIMIT {B + 1}").limit == B + 1
+        assert parse("SELECT a FROM t LIMIT 1e2").limit == 100
+
+    def test_pruning_declines_at_2_to_53_and_only_there(self):
+        ref = ColumnRef(None, "a")
+
+        def can_match(predicate, lo, hi):
+            stats = compute_stats(Column(np.array([lo, hi]), DataType.INT64))
+            return predicate_can_match(
+                predicate,
+                lambda expr: stats if isinstance(expr, ColumnRef) else None)
+
+        def above(value):
+            return Comparison(">", ref, Literal(value))
+
+        # Provably empty, and exactly representable: pruned as before.
+        assert not can_match(above(B - 1), 0, B - 1)
+        assert not can_match(above(B - 1), -(B - 1), 5)
+        assert not can_match(Between(ref, Literal(10), Literal(B - 1)), 0, 9)
+        assert not can_match(InList(ref, (Literal(B - 1),)), 0, 9)
+        # A literal or a chunk bound at the edge: float(B + 1) == B, so
+        # the same proofs can no longer be trusted and the chunk is kept.
+        assert can_match(above(B), 0, B - 1)
+        assert can_match(above(B - 1), 0, B)
+        assert can_match(above(7), -B, 5)
+        assert can_match(Comparison("<", ref, Literal(-B)), 0, 9)
+        assert can_match(Between(ref, Literal(10), Literal(B)), 0, 9)
+        assert can_match(Between(ref, Literal(10), Literal(20)), B, B + 2)
+        assert can_match(InList(ref, (Literal(3), Literal(B + 1))), 10, 20)
