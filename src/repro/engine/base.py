@@ -5,7 +5,8 @@
   join outputs, so paper-scale configurations run in milliseconds while
   charging identical simulated time.
 * :class:`QueryResult` — result rows + the per-stage simulated-time
-  breakdown each figure of the paper stacks.
+  breakdown each figure of the paper stacks; its report strings may be
+  :class:`Deferred` and render on first read.
 * :class:`Engine` — the common ``execute(sql)`` facade.
 """
 
@@ -28,6 +29,30 @@ class ExecutionMode(enum.Enum):
     ANALYTIC = "analytic"  # exact cardinalities, no result materialization
 
 
+class Deferred:
+    """A report value rendered on first read by ``render()`` — which
+    captures small facts only, never a run's context or arrays: a
+    result may be held for long."""
+
+    def __init__(self, render):
+        self.render = render
+
+
+class ReportDict(dict):
+    """``QueryResult.extra`` whose values may be :class:`Deferred`:
+    ``[]`` and ``get`` render one on first read and keep the result, so
+    report strings nobody reads cost nothing."""
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if isinstance(value, Deferred):
+            value = self[key] = value.render()
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
 @dataclass
 class QueryResult:
     """Outcome of one query execution."""
@@ -36,7 +61,7 @@ class QueryResult:
     n_rows: int
     breakdown: TimingBreakdown
     table: Table | None = None
-    plan_description: str = ""
+    plan_description: str | Deferred = ""
     extra: dict = field(default_factory=dict)
 
     @property
@@ -50,6 +75,20 @@ class QueryResult:
                 "query ran in ANALYTIC mode; no result table materialized"
             )
         return self.table
+
+
+def _plan_description(result: QueryResult) -> str:
+    text = result.__dict__["plan_description"]
+    if isinstance(text, Deferred):
+        text = result.__dict__["plan_description"] = text.render()
+    return text
+
+
+# The field above, read through a property: a Deferred renders once.
+QueryResult.plan_description = property(
+    _plan_description,
+    lambda result, text: result.__dict__.update(plan_description=text),
+)
 
 
 class Engine:
@@ -91,8 +130,18 @@ class Engine:
         already-classified predicate lists and runs the engine's normal
         bound-query path — no re-parse, no re-resolution.
         """
-        exec_bound, _ = prepared.bind_execution(params)
+        exec_bound, _ = self.rebound(prepared).bind_execution(params)
         return self.execute_bound(exec_bound)
+
+    def rebound(self, prepared: PreparedStatement) -> PreparedStatement:
+        """*prepared*, bound against today's catalog.  A bound template
+        holds ``Table`` objects: once a table is replaced or dropped the
+        statement re-binds from its AST (no re-parse) rather than answer
+        from the old table."""
+        if prepared.fingerprint == self.catalog.fingerprint():
+            return prepared
+        return prepare_statement(prepared.statement, self.catalog,
+                                 prepared.sql)
 
     def execute_bound(self, bound: BoundQuery) -> QueryResult:
         raise NotImplementedError

@@ -23,6 +23,12 @@ against the *current* run's bound query — so a cached program is a pure
 compilation artifact, valid for any parameter binding under the same
 fingerprint.
 
+In front of the programs sits the *statement memo*: lifted SQL text
+(:func:`repro.sql.prepared.parameterize`) -> its ``PreparedStatement``,
+so one-shot SQL that differs only in WHERE / HAVING literals is parsed
+and bound once.  Same lock, capacity, LRU rule and fingerprint check (a
+prepared statement holds ``Table`` objects).
+
 Thread-safety contract: every public method takes the cache's internal
 lock, so concurrent sessions may ``get``/``put``/``stats`` freely on a
 shared instance.  The cached values themselves are never mutated by
@@ -51,8 +57,12 @@ class ProgramCache:
         self._entries: OrderedDict[Hashable, tuple[Hashable, object]] = (
             OrderedDict()
         )
+        # lifted text -> PreparedStatement, same LRU rule.
+        self._statements: OrderedDict[Hashable, object] = OrderedDict()
         self._hits = 0
         self._misses = 0
+        self._statement_hits = 0
+        self._statement_misses = 0
         self._evictions = 0
         self._invalidations = 0
         self._poisoned = 0
@@ -89,6 +99,28 @@ class ProgramCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
+    def statement(self, text: Hashable, fingerprint: Hashable):
+        """The memoized prepared statement for lifted *text*, or None;
+        one bound under a different fingerprint is dropped."""
+        with self._lock:
+            prepared = self._statements.get(text)
+            if prepared is None or prepared.fingerprint != fingerprint:
+                self._statements.pop(text, None)
+                self._statement_misses += 1
+                return None
+            self._statements.move_to_end(text)
+            self._statement_hits += 1
+            return prepared
+
+    def remember(self, text: Hashable, prepared) -> None:
+        """Memoize *prepared* for lifted *text*; the LRU tail past
+        ``capacity`` goes uncounted (its program is still cached)."""
+        with self._lock:
+            self._statements[text] = prepared
+            self._statements.move_to_end(text)
+            if len(self._statements) > self.capacity:
+                self._statements.popitem(last=False)
+
     def poison(self, key: Hashable) -> bool:
         """Evict *key* because its cached template raised in use.
 
@@ -108,6 +140,7 @@ class ProgramCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._statements.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -122,6 +155,8 @@ class ProgramCache:
                 "capacity": self.capacity,
                 "hits": self._hits,
                 "misses": self._misses,
+                "statement_hits": self._statement_hits,
+                "statement_misses": self._statement_misses,
                 "evictions": self._evictions,
                 "invalidations": self._invalidations,
                 "poisoned": self._poisoned,

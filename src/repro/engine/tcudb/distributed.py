@@ -568,7 +568,7 @@ class DistributedEngine(Engine):
                 token.raise_if_cancelled()
             output = op.execute(ctx)
             ctx.values[op.id] = output
-        result = self.node._finalize(bound, lowered, ctx, output)
+        result = self.node._finalize(bound, lowered.program, ctx, output)
         result.engine = self.name
         self._annotate(result, "grid-allreduce", merge_seconds,
                        executed_by="TCU-dist")

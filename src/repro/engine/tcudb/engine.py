@@ -11,10 +11,11 @@ Execution pipeline per query:
 3. **per-operator optimization** — every ``Gemm`` node runs Figure 6's
    workflow (range test, working-set test, density test, adaptive
    precision, cost comparison) for its own product;
-4. **code generation** — the program emits its CUDA C source one
-   section per operator, so executed plans stay inspectable;
-5. **execution** — operators thread the timing/precision/feasibility
+4. **execution** — operators thread the timing/precision/feasibility
    machinery through the DAG on the simulated device;
+5. **report** — the program's listing, the optimizer traces and the
+   CUDA C source (one section per operator) render when first read, so
+   executed plans stay inspectable and unread ones cost nothing;
 6. fall back to the YDB executor (same device) only when lowering or an
    operator's tests reject TCU execution outright.
 """
@@ -23,9 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import QueryCancelled, UnsupportedQueryError
+from repro.common.errors import (
+    QueryCancelled,
+    SQLError,
+    UnsupportedQueryError,
+)
 from repro.common.faults import SITE_CACHE_GET, fault_point
-from repro.engine.base import Engine, ExecutionMode, QueryResult
+from repro.engine.base import (
+    Deferred,
+    Engine,
+    ExecutionMode,
+    QueryResult,
+    ReportDict,
+)
 from repro.engine.cache import ProgramCache
 from repro.engine.physical import apply_order_limit, build_result_table
 from repro.engine.tcudb.cost import Strategy
@@ -34,14 +45,14 @@ from repro.engine.tcudb.lower import LoweredQuery, lower_hybrid, lower_query
 from repro.engine.tcudb.ops import FallbackRequired, OutputValue
 from repro.engine.tcudb.optimizer import TCUOptimizer
 from repro.engine.tcudb.patterns import MatchFailure
-from repro.engine.tcudb.program import ProgramContext
+from repro.engine.tcudb.program import ProgramContext, TensorProgram
 from repro.engine.tcudb.specialize import specialize_program
 from repro.engine.ydb import YDBEngine
 from repro.hardware.calibration import run_calibration
 from repro.hardware.gpu import GPUDevice
 from repro.hardware.profiles import I7_7700K, HostProfile
 from repro.sql.binder import BoundColumn, BoundQuery
-from repro.sql.prepared import PreparedStatement
+from repro.sql.prepared import PreparedStatement, parameterize
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.tensor.precision import Precision
@@ -146,14 +157,35 @@ class TCUDBEngine(Engine):
         sql: str | PreparedStatement,
         params: dict | list | tuple | None = None,
     ) -> QueryResult:
+        """One-shot execution.  With a program cache attached, raw SQL
+        reaches it as a template plus values: WHERE / HAVING literals
+        lift into parameters (:func:`~repro.sql.prepared.parameterize`)
+        and the cache's statement memo maps the lifted text to its
+        prepared statement, so text that differs only in those literals
+        is parsed, bound and lowered once.  Text that carries its own
+        placeholders (or arrives with ``params``) is prepared as
+        written; without a cache every call compiles."""
         if isinstance(sql, PreparedStatement):
             return self.execute_prepared(sql, params)
-        if self.program_cache is None:
-            return super().execute(sql, params)
-        # With a cache attached, one-shot statements route through the
-        # prepared path so repeated identical SQL reuses its program
-        # (literals render inline, so the normalized text is the key).
-        return self.execute_prepared(self.prepare(sql), params)
+        cache = self.program_cache
+        if cache is None:
+            result = super().execute(sql, params)
+            result.extra["statement"] = "literal"
+            return result
+        prepared, statement = None, "literal"
+        if params is None and (lifted := parameterize(sql)) is not None:
+            text, values = lifted
+            prepared = cache.statement(text, self.catalog.fingerprint())
+            try:
+                if prepared is None:
+                    prepared = self.prepare(text)
+                    cache.remember(text, prepared)
+                params, statement = values, "auto-parameterized"
+            except SQLError:
+                prepared = None  # report it against the text as written
+        result = self.execute_prepared(prepared or self.prepare(sql), params)
+        result.extra["statement"] = statement
+        return result
 
     def execute_prepared(
         self,
@@ -171,53 +203,64 @@ class TCUDBEngine(Engine):
         bound — the cache freezes program *structure*, not the
         literal-dependent density/precision choices.
         """
+        prepared = self.rebound(prepared)
         exec_bound, values = prepared.bind_execution(params)
-        cache = self.program_cache
-        key = fingerprint = None
-        cached = None
-        if cache is not None:
+        key = None
+        if self.program_cache is not None:
             key = (prepared.normalized_sql, self._cache_options_key())
-            fingerprint = self.catalog.fingerprint()
-            cached = cache.get(key, fingerprint)
+        result = self._run(prepared.bound, exec_bound, values, key,
+                           prepared.fingerprint)
+        result.extra["statement"] = "prepared"
+        return result
 
-        def compile_fresh() -> LoweredQuery | MatchFailure:
-            template = lower_query(prepared.bound, self.mode,
-                                   fusion=self.options.fusion,
-                                   streaming=self.options.stream_prestage)
-            if cache is not None:
-                cache.put(key, fingerprint, template)
-            return template
+    def execute_bound(self, bound: BoundQuery) -> QueryResult:
+        return self._run(bound, bound, {})
 
-        def relower() -> LoweredQuery | MatchFailure:
-            hybrid = lower_hybrid(prepared.bound, self.mode,
-                                  fusion=self.options.fusion,
-                                  streaming=self.options.stream_prestage)
-            if not isinstance(hybrid, LoweredQuery):
-                return hybrid
-            if cache is not None:
-                # The pattern program failed on a data-dependent shape
-                # that is stable under this fingerprint (the data can
-                # only change by re-registering, which changes the
-                # fingerprint) — remember the hybrid template instead.
-                cache.put(key, fingerprint, hybrid)
-            return LoweredQuery(
-                program=specialize_program(hybrid.program, exec_bound,
-                                           values),
-                pattern=hybrid.pattern,
-                hybrid=hybrid.hybrid,
-            )
+    def _run(self, template: BoundQuery, bound: BoundQuery, values: dict,
+             key=None, fingerprint=None) -> QueryResult:
+        """The one run body: take *template*'s program from the cache
+        (under *key*) or lower it, stamp *values* in, run it against
+        *bound* — the same query with the values substituted.
+        ``execute_bound`` passes one literal query as both."""
+        cache = self.program_cache if key is not None else None
 
-        def run(template: LoweredQuery | MatchFailure) -> QueryResult:
-            specialized = template
-            if isinstance(template, LoweredQuery):
-                specialized = LoweredQuery(
-                    program=specialize_program(template.program, exec_bound,
-                                               values),
-                    pattern=template.pattern,
-                    hybrid=template.hybrid,
-                )
-            return self._run_lowered(exec_bound, specialized, relower)
+        def lower(lowering) -> LoweredQuery | MatchFailure:
+            lowered = lowering(template, self.mode,
+                               fusion=self.options.fusion,
+                               streaming=self.options.stream_prestage)
+            # A hybrid re-lowering replaces the pattern template: the
+            # data-dependent shape it failed on is stable under this
+            # fingerprint (data only changes by re-registering).
+            if cache is not None and (lowering is lower_query
+                                      or isinstance(lowered, LoweredQuery)):
+                cache.put(key, fingerprint, lowered)
+            return lowered
 
+        def run(lowered: LoweredQuery | MatchFailure) -> QueryResult:
+            while isinstance(lowered, LoweredQuery):
+                program = specialize_program(lowered.program, bound, values)
+                ctx = self._context(bound)
+                try:
+                    output = program.run(ctx)
+                except FallbackRequired as failure:
+                    rejected = MatchFailure(failure.reason, failure.kind)
+                else:
+                    return self._finalize(bound, program, ctx, output)
+                if rejected.kind != "pattern" or lowered.hybrid:
+                    lowered = rejected
+                    break
+                # The pattern program discovered a data-dependent shape
+                # problem (e.g. duplicate-key dimensions) at run time;
+                # retry through the hybrid pipeline before giving up.
+                lowered = lower(lower_hybrid)
+                if (isinstance(lowered, MatchFailure)
+                        and lowered.kind != "mode"):
+                    # Not hybrid-expressible either (a mode block is the
+                    # better reason): report the run-time rejection.
+                    lowered = rejected
+            return self._fall_back(bound, lowered.reason, lowered.kind)
+
+        cached = cache.get(key, fingerprint) if cache is not None else None
         if cached is not None:
             # Hit-path exception safety: a template that raises during
             # specialization or execution is evicted (not pinned) and
@@ -231,8 +274,7 @@ class TCUDBEngine(Engine):
                 raise
             except Exception:
                 cache.poison(key)
-                return run(compile_fresh())
-        return run(compile_fresh())
+        return run(lower(lower_query))
 
     def _cache_options_key(self) -> tuple:
         """Compile-relevant engine configuration, part of the cache key.
@@ -263,52 +305,6 @@ class TCUDBEngine(Engine):
             self.driver.backend.name,
         )
 
-    def execute_bound(self, bound: BoundQuery) -> QueryResult:
-        lowered = lower_query(bound, self.mode, fusion=self.options.fusion,
-                              streaming=self.options.stream_prestage)
-
-        def relower() -> LoweredQuery | MatchFailure:
-            return lower_hybrid(bound, self.mode,
-                                fusion=self.options.fusion,
-                                streaming=self.options.stream_prestage)
-
-        return self._run_lowered(bound, lowered, relower)
-
-    def _run_lowered(
-        self,
-        bound: BoundQuery,
-        lowered: LoweredQuery | MatchFailure,
-        relower,
-    ) -> QueryResult:
-        if isinstance(lowered, MatchFailure):
-            return self._fall_back(bound, lowered.reason, lowered.kind)
-        ctx = self._context(bound)
-        try:
-            output = lowered.program.run(ctx)
-        except FallbackRequired as failure:
-            if failure.kind == "pattern" and not lowered.hybrid:
-                # The pattern program discovered a data-dependent shape
-                # problem (e.g. duplicate-key dimensions) at run time;
-                # retry through the hybrid pipeline before giving up.
-                hybrid = relower()
-                if isinstance(hybrid, LoweredQuery):
-                    ctx = self._context(bound)
-                    try:
-                        output = hybrid.program.run(ctx)
-                        lowered = hybrid
-                    except FallbackRequired as second:
-                        return self._fall_back(bound, second.reason,
-                                               second.kind)
-                elif hybrid.kind == "mode":
-                    # Hybrid-expressible, blocked only by the mode.
-                    return self._fall_back(bound, hybrid.reason, hybrid.kind)
-                else:
-                    return self._fall_back(bound, failure.reason,
-                                           failure.kind)
-            else:
-                return self._fall_back(bound, failure.reason, failure.kind)
-        return self._finalize(bound, lowered, ctx, output)
-
     def _context(self, bound: BoundQuery) -> ProgramContext:
         return ProgramContext(
             bound=bound, device=self.device, host=self.host, mode=self.mode,
@@ -329,9 +325,8 @@ class TCUDBEngine(Engine):
 
     # -- result assembly ------------------------------------------------ #
 
-    def _finalize(self, bound: BoundQuery, lowered: LoweredQuery,
+    def _finalize(self, bound: BoundQuery, program: TensorProgram,
                   ctx: ProgramContext, output: OutputValue) -> QueryResult:
-        program = lowered.program
         decisions = [ctx.decisions[op.id] for op in program.ops
                      if op.id in ctx.decisions]
         table = None
@@ -343,31 +338,30 @@ class TCUDBEngine(Engine):
             n_rows = table.num_rows
         elif bound.limit is not None:
             n_rows = min(n_rows, bound.limit)
+        plan = decisions[-1].plan if decisions else None
+        extra = ReportDict(
+            decision=decisions[-1] if decisions else None,
+            decisions=decisions,
+            generated_code=None,
+            strategy=plan.strategy.value if plan else "none",
+            precision=plan.precision.value if plan else "none",
+            executed_by="TCU-hybrid" if program.hybrid else "TCU",
+            fusion=self.options.fusion,
+            program=program,
+            program_listing=Deferred(program.describe),
+            operator_costs=ctx.op_costs,
+        )
+        # Empty inputs short-circuit before any product is priced.
+        plan_description = "empty input: no TCU operator issued"
         if decisions:
-            last = decisions[-1]
-            strategy = last.plan.strategy.value if last.plan else "none"
-            precision = last.plan.precision.value if last.plan else "none"
-            generated = program.generated_code(ctx)
-            plan_description = "\n---\n".join(
-                [program.describe()] + [d.explain() for d in decisions]
-            )
-        else:
-            # Empty inputs short-circuit before any product is priced.
-            strategy = precision = "none"
-            generated = None
-            plan_description = "empty input: no TCU operator issued"
-        extra = {
-            "decision": decisions[-1] if decisions else None,
-            "decisions": decisions,
-            "generated_code": generated,
-            "strategy": strategy,
-            "precision": precision,
-            "executed_by": "TCU-hybrid" if lowered.hybrid else "TCU",
-            "fusion": self.options.fusion,
-            "program": program,
-            "program_listing": program.describe(),
-            "operator_costs": ctx.op_costs,
-        }
+            # The report strings render on first read, from what is
+            # small — never from ctx: a held result must not keep a
+            # run's operand and relation arrays alive.
+            facts = program.code_facts(ctx)
+            extra["generated_code"] = Deferred(
+                lambda: program.generated_code(*facts))
+            plan_description = Deferred(lambda: "\n---\n".join(
+                [program.describe()] + [d.explain() for d in decisions]))
         return QueryResult(
             engine=self.name,
             n_rows=n_rows,

@@ -9,7 +9,6 @@ the optimizer decision (for ``Gemm`` nodes) and the simulated seconds
 charged, so an executed query remains fully inspectable:
 
 * ``program.describe()``        — the operator DAG, one line per node;
-* ``program.cost_table(ctx)``   — per-operator simulated seconds;
 * ``emit_tensor_program(...)``  — the per-operator CUDA C source
   (:mod:`repro.engine.tcudb.codegen`).
 """
@@ -17,11 +16,16 @@ charged, so an executed query remains fully inspectable:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.common.errors import ExecutionError
 from repro.common.timing import STAGE_FILL, STAGE_MEMCPY, TimingBreakdown
 from repro.engine.base import ExecutionMode
-from repro.engine.tcudb.codegen import GeneratedProgram, emit_tensor_program
+from repro.engine.tcudb.codegen import (
+    GeneratedProgram,
+    OpEmission,
+    emit_tensor_program,
+)
 from repro.engine.tcudb.ops import OutputValue, TensorOp
 
 
@@ -154,18 +158,23 @@ class TensorProgram:
         lines.extend(f"  note: {note}" for note in self.notes)
         return "\n".join(lines)
 
-    def cost_table(self, ctx: ProgramContext) -> list[OperatorCost]:
-        """Per-operator simulated charges recorded during the run."""
-        return list(ctx.op_costs)
+    def generated_code(self, decisions: dict,
+                       priced: dict[str, OpEmission]) -> GeneratedProgram:
+        """Assemble the per-operator CUDA sections of a finished run from
+        what :meth:`code_facts` kept of it."""
+        late = SimpleNamespace(decisions=decisions, values={})
+        emissions = [priced.get(op.id) or op.emission(late)
+                     for op in self.ops]
+        return emit_tensor_program(
+            self.strategy, [e for e in emissions if e is not None], decisions)
 
-    def generated_code(self, ctx: ProgramContext) -> GeneratedProgram:
-        """Assemble the per-operator CUDA sections (post-run: plans known)."""
-        emissions = []
-        for op in self.ops:
-            emission = op.emission(ctx)
-            if emission is not None:
-                emissions.append(emission)
-        return emit_tensor_program(self.strategy, emissions, ctx.decisions)
+    def code_facts(self, ctx: ProgramContext) -> tuple[dict, dict]:
+        """:meth:`generated_code`'s arguments, small enough to hold after
+        the run: the decisions, and the emissions of the operators that
+        recorded one (they read operand dims out of ``ctx.values``; any
+        other emission depends on its operator alone and can wait)."""
+        return ctx.decisions, {op.id: op.emission(ctx) for op in self.ops
+                               if op.id in ctx.decisions}
 
 
 __all__ = ["OperatorCost", "ProgramContext", "TensorProgram"]

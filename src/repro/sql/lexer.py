@@ -11,6 +11,7 @@ comparison operators, string/number literals, qualified identifiers and
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.common.errors import LexError
@@ -42,95 +43,57 @@ class Token:
         return self.type == TokenType.KEYWORD and self.value == word.lower()
 
 
-_TWO_CHAR_OPS = ("<=", ">=", "<>", "!=")
-_ONE_CHAR_OPS = "=<>+-/%"
-_PUNCT = "(),.;*?"
+# Lexical patterns, shared with the statement normalizer
+# (:func:`repro.sql.prepared.parameterize`) so both read literals alike.
+COMMENT = r"--[^\n]*"
+WORD = r"(?:@|[^\W\d])[\w#]*"
+# A dot is consumed only when a digit follows: "1." before an
+# identifier is a qualified-reference typo, not a float.
+NUMBER = r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"
+# What follows a string's opening quote: a closing quote is one no quote
+# follows ('' inside is an escaped quote).
+STRING_TAIL = {quote: rf"(?:[^{quote}]|{quote}{quote})*{quote}(?!{quote})"
+               for quote in "'\""}
+STRING = "|".join(quote + tail for quote, tail in STRING_TAIL.items())
+
+# '*' is multiplication in expressions and the star in SELECT * /
+# COUNT(*); it lexes as punctuation and the parser disambiguates.
+_TOKEN = re.compile(
+    rf"\s+|{COMMENT}|(?P<word>{WORD})|(?P<number>{NUMBER})"
+    rf"|(?P<string>{STRING})|(?P<operator><=|>=|<>|!=|[=<>+\-/%])"
+    r"|(?P<punct>[(),.;*?])|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
+def unquote(literal: str) -> str:
+    """The value of a STRING lexeme: quotes stripped, doubled quotes
+    collapsed."""
+    quote = literal[0]
+    return literal[1:-1].replace(quote + quote, quote)
 
 
 def tokenize(text: str) -> list[Token]:
     """Convert SQL text into a token list terminated by an END token."""
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:  # whitespace or a comment
             continue
-        if text.startswith("--", i):
-            newline = text.find("\n", i)
-            i = n if newline < 0 else newline + 1
-            continue
-        if ch.isalpha() or ch == "_" or ch == "@":
-            start = i
-            i += 1
-            while i < n and (text[i].isalnum() or text[i] in "_#"):
-                i += 1
-            word = text[start:i]
-            lowered = word.lower()
+        value, start = match.group(), match.start()
+        if kind == "word":
+            lowered = value.lower()
             if lowered in KEYWORDS:
                 tokens.append(Token(TokenType.KEYWORD, lowered, start))
             else:
-                tokens.append(Token(TokenType.IDENT, word, start))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            while i < n and (text[i].isdigit() or (text[i] == "." and not seen_dot)):
-                if text[i] == ".":
-                    # "1." followed by an identifier is a qualified ref typo;
-                    # only consume the dot when a digit follows.
-                    if i + 1 >= n or not text[i + 1].isdigit():
-                        break
-                    seen_dot = True
-                i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j + 1
-                    while i < n and text[i].isdigit():
-                        i += 1
-            tokens.append(Token(TokenType.NUMBER, text[start:i], start))
-            continue
-        if ch in ("'", '"'):
-            quote = ch
-            start = i
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise LexError("unterminated string literal", start)
-                if text[i] == quote:
-                    if i + 1 < n and text[i + 1] == quote:  # doubled quote
-                        parts.append(quote)
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                parts.append(text[i])
-                i += 1
-            tokens.append(Token(TokenType.STRING, "".join(parts), start))
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token(TokenType.OPERATOR, two, i))
-            i += 2
-            continue
-        if ch == "*":
-            # '*' is multiplication in expressions and the star in
-            # SELECT * / COUNT(*); the parser disambiguates.
-            tokens.append(Token(TokenType.PUNCT, ch, i))
-            i += 1
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(TokenType.OPERATOR, ch, i))
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokenType.PUNCT, ch, i))
-            i += 1
-            continue
-        raise LexError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenType.END, "", n))
+                tokens.append(Token(TokenType.IDENT, value, start))
+        elif kind == "string":
+            tokens.append(Token(TokenType.STRING, unquote(value), start))
+        elif kind == "bad":
+            if value in "'\"":
+                raise LexError("unterminated string literal", start)
+            raise LexError(f"unexpected character {value!r}", start)
+        else:
+            tokens.append(Token(TokenType(kind), value, start))
+    tokens.append(Token(TokenType.END, "", len(text)))
     return tokens

@@ -235,14 +235,14 @@ class _Parser:
         # try the boolean reading first and backtrack on failure.
         token = self._peek()
         if token.type == TokenType.PUNCT and token.value == "(":
-            saved = self._pos
+            saved = self._pos, self._param_ordinal
             self._advance()
             try:
                 inner = self._parse_or()
                 self._expect_punct(")")
                 return inner
             except ParseError:
-                self._pos = saved
+                self._pos, self._param_ordinal = saved
         return self._parse_predicate()
 
     def _parse_predicate(self) -> Predicate:

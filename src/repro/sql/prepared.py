@@ -18,6 +18,11 @@ appear anywhere a scalar expression can — filters, residual predicates,
 HAVING, select arithmetic, ORDER BY — but not inside ``IN (...)``
 lists, which the grammar restricts to literals.
 
+Raw SQL reaches the same template through :func:`parameterize`, the
+normalize stage: text that differs only in WHERE / HAVING literals
+shares one prepared statement and one compiled program
+(docs/serving.md, "What becomes a parameter").
+
 Thread-safety: :class:`PreparedStatement` is immutable after
 construction and ``bind_execution`` builds a fresh
 :class:`~repro.sql.binder.BoundQuery` per call, so one prepared
@@ -27,6 +32,7 @@ concurrently.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.common.errors import BindError
@@ -50,6 +56,8 @@ from repro.sql.binder import (
     param_map,
     substitute_parameters,
 )
+from repro.sql.lexer import NUMBER, STRING_TAIL, unquote
+from repro.sql.parser import _number
 from repro.storage.catalog import Catalog
 from repro.storage.types import DataType
 
@@ -81,7 +89,9 @@ class PreparedStatement:
     is the deterministic rendering of the parsed AST — two textual
     spellings of the same statement normalize identically, and parameter
     markers render as markers, so it is the cache key that lets every
-    parameter binding share one compiled program.
+    parameter binding share one compiled program.  ``bound`` holds
+    ``Table`` objects; ``fingerprint`` is the catalog's when they were
+    resolved, and engines re-bind ``statement`` once it has moved on.
     """
 
     sql: str
@@ -89,6 +99,7 @@ class PreparedStatement:
     statement: SelectStatement
     bound: BoundQuery
     slots: tuple[ParameterSlot, ...]
+    fingerprint: tuple
 
     @property
     def parameter_names(self) -> tuple[str, ...]:
@@ -122,6 +133,69 @@ class PreparedStatement:
         if not self.slots:
             return self.bound, {}
         return _substitute_bound(self.bound, values), values
+
+
+# The lexemes that matter to lifting, found without visiting the names
+# between them.  A match starts on one character that cannot be part of
+# a name (the pattern opens with that set, so the search skips names at
+# C speed) and is either what the character opens — a comment or string,
+# consumed whole so nothing inside reads as a literal; or a "stop": a
+# placeholder, ``)``, a quote that never closes — or the number or
+# clause keyword right behind it.  So no digit of ``p_brand1`` and no
+# column ``t.limit`` is taken; a keyword glued to a literal (``5group``)
+# is missed, which only ever leaves literals unlifted.  NUMBER and the
+# string tails are the tokenizer's own patterns.
+_OPENED_STRING = "|".join(
+    rf"(?<={quote}){tail}" for quote, tail in STRING_TAIL.items())
+_LIFT = re.compile(
+    r"[^\w#.](?:(?<=[-'\"?@)])(?:(?<=-)-[^\n]*"
+    rf"|(?P<string>{_OPENED_STRING})|(?<=[^-])(?P<stop>))"
+    rf"|(?=[\d.wWhHgGoOlLiI])(?:(?P<number>{NUMBER})"
+    r"|(?P<clause>(?i:where|having|group|order|limit|in))(?![\w#])))"
+)
+
+
+def parameterize(sql: str) -> tuple[str, list[int | float | str]] | None:
+    """Lift WHERE / HAVING literals into positional ``?`` parameters.
+
+    Returns ``(template text, values in lexical order)``, or ``None``
+    when the text is to be prepared as written: it already carries
+    ``?`` / ``@name`` placeholders, or a string never closes.  Select
+    list, GROUP BY and ORDER BY literals stay because lowering reads
+    them (``SUM(x * 5)`` changes the route); IN-lists and LIMIT because
+    the grammar takes literals only there.  Values follow the parser's
+    own rule (``_number``: digit-only text stays an exact ``int``), so
+    ``parse(template)`` with the values substituted is ``parse(sql)``.
+    """
+    pieces: list[str] = []
+    values: list[int | float | str] = []
+    lifting = in_list = False
+    copied = 0
+    for match in _LIFT.finditer(sql):
+        kind = match.lastgroup
+        if kind is None:  # a comment
+            continue
+        if kind == "clause":
+            word = match.group(kind).lower()
+            if word == "in":
+                in_list = True
+            else:
+                lifting = word in ("where", "having")
+        elif kind == "stop":
+            if match.group() != ")":
+                return None
+            in_list = False
+        elif lifting and not in_list:
+            # A string starts on the match's first character, a number
+            # behind it.
+            start = match.start() + (kind == "number")
+            text = sql[start:match.end()]
+            pieces += (sql[copied:start], "?")
+            copied = match.end()
+            values.append(_number(text) if kind == "number"
+                          else unquote(text))
+    pieces.append(sql[copied:])
+    return "".join(pieces), values
 
 
 def _substitute_expr(expr: Expr, values: dict[str, object]) -> Expr:
@@ -273,6 +347,7 @@ def prepare_statement(
     statement: SelectStatement, catalog: Catalog, sql: str = ""
 ) -> PreparedStatement:
     """Build the compile-once template for a parsed statement."""
+    fingerprint = catalog.fingerprint()
     bound = bind(statement, catalog, defer=True)
     parameters = _collect_parameters(statement)
     types = _infer_slot_types(statement, bound)
@@ -290,4 +365,5 @@ def prepare_statement(
         statement=statement,
         bound=bound,
         slots=slots,
+        fingerprint=fingerprint,
     )

@@ -18,6 +18,7 @@ from repro.bench.verify import (  # noqa: F401  (re-exported for suites)
     result_rows,
     rows_match,
 )
+from repro.engine.cache import ProgramCache
 from repro.engine.tcudb import DistributedEngine, TCUDBEngine, TCUDBOptions
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
@@ -63,11 +64,17 @@ def scaled_key_catalog(catalog, key_columns: dict[str, set[str]],
     return scaled
 
 
-def engine_variants(catalog, fact, monkeypatch):
+def engine_variants(catalog, fact, monkeypatch, cached=False):
     """``(name, engine)`` along the axes the cost model is blind to:
-    backend, fusion, workers, chunk size, and two shards of ``fact``."""
+    backend, fusion, workers, chunk size, and two shards of ``fact``.
+    ``cached`` attaches a fresh :class:`ProgramCache` to each engine, so
+    raw SQL takes the auto-parameterized, memoized path."""
+    def cache():
+        return ProgramCache() if cached else None
+
     def engine(**options):
-        return TCUDBEngine(catalog, options=TCUDBOptions(**options))
+        return TCUDBEngine(catalog, options=TCUDBOptions(**options),
+                           program_cache=cache())
 
     yield "fused/sim", engine(backend="sim")
     yield "fused/fast", engine(backend="fast")
@@ -78,5 +85,6 @@ def engine_variants(catalog, fact, monkeypatch):
     # Round-robin: a hash of the scaled keys would move rows between
     # shards and with them the per-shard operator sizes.
     yield "REPRO_SHARDS=2", DistributedEngine(
-        catalog, fact=fact, partition_policy="round_robin")
+        catalog, fact=fact, partition_policy="round_robin",
+        program_cache=cache())
     monkeypatch.delenv("REPRO_SHARDS")

@@ -69,6 +69,18 @@ class TestPlaceholderParsing:
         ]
         assert names == ["0", "1", "2"]
 
+    def test_backtracking_over_a_parenthesis_keeps_the_numbering(self):
+        # "(" is first tried as a boolean group; giving that reading up
+        # must give back the ordinals it handed out.
+        (first, second), = [
+            (predicate.left, predicate.right)
+            for predicate in parse(
+                "select a.x from a where (a.x + ?) * ? > ?").where
+        ]
+        names = [node.name for node in first.walk()
+                 if isinstance(node, Parameter)]
+        assert names == ["0", "1"] and second == Parameter("2")
+
     def test_mixed_named_and_positional(self):
         statement = parse(
             "select a.x from a where a.x > @low and a.y < ?"

@@ -144,11 +144,13 @@ class TestEngineIntegration:
 class TestFuzzDifferential:
     def test_prepared_cached_matches_one_shot_corpus(self, catalog):
         """Zero-divergence gate: for a fuzz corpus, prepared+cached
-        execution is row-identical to the uncached one-shot engine."""
+        execution and auto-parameterized one-shot execution are both
+        row-identical to the uncached one-shot engine."""
         rng = make_rng(9120622)
         generator = QueryGenerator(rng)
-        cache = ProgramCache()
+        cache, lifted_cache = ProgramCache(), ProgramCache()
         cached = TCUDBEngine(catalog, program_cache=cache)
+        lifted = TCUDBEngine(catalog, program_cache=lifted_cache)
         uncached = TCUDBEngine(catalog)
         failures = []
         queries = [generator.generate() for _ in range(60)]
@@ -156,18 +158,28 @@ class TestFuzzDifferential:
             expected = uncached.execute(sql)
             prepared = cached.prepare(sql)
             for repeat in range(2):  # second run replays from cache
-                got = cached.execute_prepared(prepared)
-                try:
-                    assert_results_match(
-                        got, expected, rel=0,
-                        context=f"fuzz #{index} repeat {repeat}: {sql}",
-                    )
-                except AssertionError as error:
-                    failures.append(str(error))
+                for arm, got in (
+                    ("prepared", cached.execute_prepared(prepared)),
+                    ("auto-parameterized", lifted.execute(sql)),
+                ):
+                    assert got.extra["statement"] == arm
+                    assert repr(got.seconds) == repr(expected.seconds), sql
+                    try:
+                        assert_results_match(
+                            got, expected, rel=0,
+                            context=f"fuzz #{index} {arm} {repeat}: {sql}",
+                        )
+                    except AssertionError as error:
+                        failures.append(str(error))
         assert not failures, "\n".join(failures[:5])
         stats = cache.stats()
         assert stats["hits"] >= len(queries)  # every replay hit
         assert stats["entries"] > 0
+        stats = lifted_cache.stats()
+        assert stats["hits"] >= len(queries)
+        assert stats["statement_hits"] >= len(queries)
+        # Statements that differ only in lifted literals share a shape.
+        assert stats["entries"] <= stats["statement_misses"] <= len(queries)
 
 
 class TestConcurrentSessions:
