@@ -71,14 +71,15 @@ def run_ablation_fusion(
     """TensorProgram fusion on vs off over multi-aggregate SSB stars.
 
     Both variants run in REAL mode with the dense strategy pinned, so
-    the measurement isolates the fusion pass: fusion=off executes the
-    per-aggregate operator fan-out (every grid rebuilds both operand
-    matrices and re-derives feasibility ranges), fusion=on executes the
-    rewritten program (shared indicator structure, one stacked GEMM,
-    ``n_agg`` MMA passes).  Each point records simulated seconds *and*
-    measured host wall-clock (``host_seconds``) — the simulated ledger
-    shows the modeled one-fill-vs-n-rebuilds gap, the host clock shows
-    the real interpreter-level speedup.  Left to its own devices the
+    the measurement isolates the fusion pass: fusion=off prices the
+    per-aggregate operator fan-out (one operand fill per grid) and runs
+    its epilogues as separate passes, fusion=on prices the rewritten
+    program (shared indicator structure, one stacked GEMM, ``n_agg`` MMA
+    passes).  Each point records simulated seconds *and* measured host
+    wall-clock (``host_seconds``) — the simulated ledger shows the
+    modeled one-fill-vs-n-rebuilds gap; on the host both variants
+    multiply the same prepared operands, so the clock shows what the
+    fold-chain and epilogue rewrites save.  Left to its own devices the
     optimizer would reject the unfused plans outright (the per-aggregate
     rebuild cost loses to the conventional plan), which is the
     cost-model view of the same story.

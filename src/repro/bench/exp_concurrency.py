@@ -4,9 +4,9 @@ Runs the same query at increasing ``workers`` counts and records the
 host wall-clock speedup over the sequential (``workers=1``) run for two
 engine paths:
 
-* **TCUDB** — the chunked join+aggregate pipeline (``_grid_accumulate``
-  fans per-chunk GEMM partials across the pool, merging grids in chunk
-  order);
+* **TCUDB** — the chunked join+aggregate pipeline (the driver fans the
+  key-domain slice products of an aggregate GEMM across the pool,
+  merging grids in chunk order);
 * **Reference-streaming** — the morsel-driven streaming executor
   (parallel chunk scan/filter with submission-order merge).
 

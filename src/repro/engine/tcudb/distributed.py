@@ -663,10 +663,7 @@ class DistributedEngine(Engine):
         """
         if all(side.group is None for side in sides):
             merged = PreparedAggSide(
-                keys_mapped=np.zeros(0, dtype=np.int64), group=None,
-                values_per_agg=[], count_values=np.zeros(0),
-                group_order=[],
-            )
+                keys_mapped=np.zeros(0, dtype=np.int64), group=None)
             return merged, [np.zeros(1, dtype=np.int64) for _ in sides]
         if any(side.group is None for side in sides):
             raise ExecutionError(
@@ -697,7 +694,6 @@ class DistributedEngine(Engine):
             group=CompositeKey(labels=union_labels,
                                codes=np.zeros(0, dtype=np.int64),
                                cardinality=cardinality),
-            values_per_agg=[], count_values=np.zeros(0),
             group_order=list(sides[0].group_order),
         )
         return merged, maps

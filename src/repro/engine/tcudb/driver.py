@@ -10,18 +10,19 @@ equivalence of the two paths is property-tested.
 Since the TensorProgram refactor the operator-level orchestration lives
 in :mod:`repro.engine.tcudb.ops`; this module provides the shared
 device kernels those operators invoke — strategy-dispatched GEMM
-execution (``_execute_gemm``), dense operand construction
-(``join_operand_matrices``, ``_grids_by_matmul``), the semantic
-exact-key equivalents (``_join_pairs_semantic``, ``_grids_semantic``)
-and the numeric-emulation gates — plus the legacy ``join_2way``
-operator retained for the driver-level property tests.
+execution (``_execute_gemm``), operand construction
+(``join_operand_matrices``, ``build_coo_operands``), the one aggregate
+product over a prepared operand (``_grids_numeric``: whole, in
+key-domain column slices, or as SPARSE tiles), the semantic exact-key
+equivalents (``_join_pairs_semantic``, ``_grids_semantic``) and the
+numeric-emulation gates — plus ``join_2way``, the join operator the
+driver-level property tests call directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -104,22 +105,16 @@ class PreparedJoin:
 
 @dataclass
 class PreparedAggSide:
-    """One side of a join+aggregate operator."""
+    """One side of a join+aggregate operator: where each tuple goes.
+    What it is filled with — one array of per-tuple values per grid —
+    lives only until ``ValueFill`` has summed it per operand slot
+    (:meth:`OperandStructure.cell_sums`)."""
 
     keys_mapped: np.ndarray
     group: CompositeKey | None  # None => side collapses to one row
-    values_per_agg: list[np.ndarray]  # factor products (incl. weights)
-    # Weights for the COUNT grid; None: every tuple counts once, so the
-    # COUNT operand is the structure's occupancy histogram.
-    count_values: np.ndarray | None
     # binding.column keys of the group columns, in composite-code order
     # (used to decode grid rows back into output columns).
     group_order: list[str] = field(default_factory=list)
-    # Streamed fill (the B side of ValueFill): per-aggregate fill values
-    # are computed on demand — whole-side or one key-domain chunk's
-    # tuple selection — instead of being materialized up front, so at
-    # most one aggregate slice of one chunk is ever live.
-    value_fill: Callable[[int, np.ndarray | None], np.ndarray] | None = None
 
     @property
     def g(self) -> int:
@@ -129,52 +124,6 @@ class PreparedAggSide:
         if self.group is None:
             return np.zeros(self.keys_mapped.size, dtype=np.int64)
         return self.group.codes
-
-    def fill_slots(self, aggregates) -> list[np.ndarray | None]:
-        """Fill values of every grid the product computes: the COUNT
-        grid's weights (None on a unit side), then one array per
-        non-COUNT aggregate."""
-        return [self.count_values] + [
-            self.values_for(i) for i, spec in enumerate(aggregates)
-            if spec.func != "count"
-        ]
-
-    def count_fill(self, selection: np.ndarray | None = None) -> np.ndarray:
-        """Per-tuple COUNT weights, for the paths that place tuples one
-        by one (unfused, chunked, semantic)."""
-        if self.count_values is None:
-            return unit_fill(self.keys_mapped.size, selection)
-        return _resolve_values(self.count_values, selection)
-
-    def values_for(self, index: int,
-                   selection: np.ndarray | None = None) -> np.ndarray:
-        """Fill values of aggregate ``index``, optionally restricted to a
-        tuple ``selection`` (boolean mask or index array).  Slicing the
-        factor columns before the elementwise products is bit-identical
-        to slicing the materialized product."""
-        if self.value_fill is not None:
-            return self.value_fill(index, selection)
-        values = np.asarray(self.values_per_agg[index])
-        return values if selection is None else values[selection]
-
-
-def unit_fill(n: int, selection: np.ndarray | None = None) -> np.ndarray:
-    """The all-ones fill of ``n`` tuples, or of a ``selection`` (boolean
-    mask or index array) of them."""
-    if selection is not None:
-        selection = np.asarray(selection)
-        n = (int(np.count_nonzero(selection))
-             if selection.dtype == np.bool_ else selection.size)
-    return np.ones(n)
-
-
-def _resolve_values(values, selection: np.ndarray | None = None):
-    """Materialize one fill-value operand: a plain array (optionally
-    sliced) or a streamed-fill thunk called with the selection."""
-    if callable(values):
-        return values(selection)
-    arr = np.asarray(values)
-    return arr if selection is None else arr[selection]
 
 
 @dataclass
@@ -242,11 +191,11 @@ class OperandStructure:
             return np.flatnonzero(self.occupancy)
         return self.cells
 
-    @property
+    @cached_property
     def rows(self) -> np.ndarray:
         return self.occupied_cells // self.k
 
-    @property
+    @cached_property
     def cols(self) -> np.ndarray:
         return self.occupied_cells % self.k
 
@@ -266,17 +215,6 @@ class OperandStructure:
         :attr:`rows` / :attr:`cols`."""
         return sums if self.cells is not None else sums[self.occupied_cells]
 
-    def coo(self, values: np.ndarray | None) -> COOMatrix:
-        """Direct-sparse operand: COO built straight from the key/code
-        arrays — the dense intermediate is never materialized."""
-        sums = self.cell_sums(values)
-        keep = np.flatnonzero(sums)
-        cells = keep if self.cells is None else self.cells[keep]
-        return COOMatrix(
-            rows=cells // self.k, cols=cells % self.k, vals=sums[keep],
-            shape=(self.g, self.k),
-        )
-
     def dense_stack(self, sums_list: list[np.ndarray],
                     dtype=np.float64) -> np.ndarray:
         """(n_agg, g, k) stacked operand: shared coordinates, one slice of
@@ -291,6 +229,66 @@ class OperandStructure:
         for i, sums in enumerate(sums_list):
             stack[i, where] = sums
         return stack.reshape(len(sums_list), self.g, self.k)
+
+
+class ColumnSlices:
+    """Key-domain chunks ``[c * chunk, (c + 1) * chunk)`` of one prepared
+    operand: the ``(g, width)`` column slices of the matrices
+    :meth:`OperandStructure.dense_stack` would build whole.
+
+    An addressed chunk is a view of the per-slot sums, converted to the
+    fill dtype.  Ranked ``cells`` are sorted by row, then column, so a
+    chunk is one run of cells per row: a single ``searchsorted`` finds
+    every run's bounds, and a chunk scatters its runs into one slice —
+    O(nnz) over the whole product, nothing of ``g * k`` cells allocated.
+    """
+
+    def __init__(self, structure: OperandStructure, chunk: int):
+        self.structure = structure
+        self.chunk = chunk
+        if structure.cells is not None:
+            g, k = structure.g, structure.k
+            edges = np.minimum(np.arange(-(-k // chunk) + 1) * chunk, k)
+            # (g, n_chunks + 1): row r's run of chunk c in ``cells``.
+            self._bounds = np.searchsorted(
+                structure.cells, np.arange(g)[:, None] * k + edges)
+
+    def occupied(self, c: int) -> bool:
+        """Whether any tuple's key falls in chunk ``c``."""
+        structure = self.structure
+        if structure.cells is not None:
+            return bool(
+                (self._bounds[:, c + 1] > self._bounds[:, c]).any())
+        k0 = c * self.chunk
+        return bool(structure.occupancy.reshape(structure.g, structure.k)
+                    [:, k0:k0 + self.chunk].any())
+
+    def fills(self, c: int, sums_list: list[np.ndarray], dtype):
+        """Chunk ``c`` of every operand of ``sums_list`` (one value per
+        slot each, :meth:`OperandStructure.cell_sums`), C-contiguous,
+        generated one at a time."""
+        structure = self.structure
+        g, k = structure.g, structure.k
+        k0 = c * self.chunk
+        if structure.cells is None:
+            for sums in sums_list:
+                yield np.ascontiguousarray(
+                    sums.reshape(g, k)[:, k0:k0 + self.chunk], dtype=dtype)
+            return
+        width = min(self.chunk, k - k0)
+        starts = self._bounds[:, c]
+        lengths = self._bounds[:, c + 1] - starts
+        run_starts = np.cumsum(lengths) - lengths
+        # The chunk's cells, row by row, and their offsets in the slice
+        # (int32: a slice the numeric gate admits has under 2**23 cells).
+        index = np.arange(lengths.sum()) + np.repeat(starts - run_starts,
+                                                     lengths)
+        offsets = (structure.cells[index] - np.repeat(
+            np.arange(g) * (k - width) + k0, lengths)).astype(np.int32)
+        for sums in sums_list:
+            out = np.zeros(g * width, dtype=dtype)
+            out[offsets] = sums[index]
+            yield out.reshape(g, width)
 
 
 def build_coo_operands(side: "PreparedAggSide", k: int) -> OperandStructure:
@@ -317,8 +315,8 @@ class TCUDriver:
     is at most ``g x chunk_rows`` cells) and numeric join products chunk
     the probe rows, extracting nonzero pairs per product slice.  Chunked
     accumulation is what keeps large-``k`` products on the bit-accurate
-    numeric path with bounded memory; ``None`` reproduces the legacy
-    whole-operand build.
+    numeric path with bounded memory; ``None`` multiplies every operand
+    whole, whatever its ``k``.
 
     ``workers`` > 1 fans the independent chunks of both loops across a
     thread pool (the GEMM emulation is stateless, so parallel products
@@ -393,8 +391,10 @@ class TCUDriver:
         Dense plans must materialize both (g, k) operand matrices, so the
         dense cell counts gate — unless chunked execution is on, in which
         case the key domain streams through the unit in ``chunk_rows``
-        column slices and only the ``g x chunk`` slices plus the output
-        grid need fit.  Sparse plans with direct-COO operands
+        column slices of the prepared operand (:class:`ColumnSlices`: a
+        view of at most 2**20 addressed cells, or O(nnz) ranked cells
+        plus one ``(g, chunk)`` slice pair) and only the ``g x chunk``
+        slices plus the output grid need fit.  Sparse plans with direct-COO operands
         (``sparse=True`` plus known nnz) never build the dense operands —
         what bounds them is the tiled representation: at worst one 16x16
         tile per stored entry (or per grid slot, whichever is smaller),
@@ -556,185 +556,48 @@ class TCUDriver:
     # (invoked by the TensorProgram Gemm operator; result assembly lives
     # in ops.GridAggregate)
 
-    def _grids_by_matmul(self, left: PreparedAggSide, right: PreparedAggSide,
-                         k: int, aggregates, plan: PlanCost):
-        """Unfused per-aggregate grid execution: each grid rebuilds both
-        operand matrices from scratch (the redundancy the fusion pass's
-        ``BatchedGemm`` eliminates)."""
-        count_grid = self._one_grid(
-            left, right, k, left.count_fill, right.count_fill, plan,
-        )
-        grids = []
-        for i, spec in enumerate(aggregates):
-            if spec.func == "count":
-                grids.append(count_grid)
-                continue
-            grids.append(
-                self._one_grid(
-                    left, right, k, left.values_per_agg[i],
-                    partial(right.values_for, i), plan,
-                )
-            )
-        return grids, count_grid
-
-    def _one_grid(self, left, right, k, left_values, right_values, plan):
-        # Indicator products stay exact at any TCU precision; value
-        # products run at the plan's precision.  Sparse plans build the
-        # operands straight in COO (no dense intermediate).  Values may
-        # arrive as a streamed-fill thunk (the B side's, either side's
-        # COUNT weights); the chunked path below fills it one key-domain
-        # chunk at a time.
-        if plan.strategy == Strategy.SPARSE:
-            mat_a = build_coo_operands(left, k).coo(
-                _resolve_values(left_values))
-            mat_b = build_coo_operands(right, k).coo(
-                _resolve_values(right_values))
-            return self._execute_gemm(mat_a, mat_b.transpose(), plan)
-        if self.chunk_rows is not None and k > self.chunk_rows:
-            return self._grid_accumulate(left, right, k, [left_values],
-                                         [right_values], plan)[0]
-        mat_a = self.backend.dense_from_coo(
-            left.row_codes(), left.keys_mapped,
-            _resolve_values(left_values), (left.g, k)
-        )
-        mat_b = self.backend.dense_from_coo(
-            right.row_codes(), right.keys_mapped,
-            _resolve_values(right_values), (right.g, k)
-        )
-        return self._execute_gemm(mat_a, mat_b.T, plan)
-
-    def _grid_accumulate(self, left, right, k, left_values_list,
-                         right_values_list, plan):
-        """Grid-wise accumulation over key-domain chunks.
-
-        Each chunk builds per-side ``(g, chunk)`` operand slices holding
-        only the tuples whose mapped key falls in the chunk, multiplies
-        them and accumulates the partial grids — the tiled-matmul
-        identity ``A @ B.T == sum_c A[:, c] @ B[:, c].T`` over column
-        chunks ``c``.  Only one slice pair is live at a time, so the
-        dense numeric path scales to any key-domain size.  Value entries
-        may be streamed-fill thunks: each chunk then fills only its own
-        tuple selection, so the full value arrays are never
-        materialized.
-        """
-        chunk = self.chunk_rows
-        n_slices = len(left_values_list)
-        lrows, lkeys = left.row_codes(), np.asarray(left.keys_mapped)
-        rrows, rkeys = right.row_codes(), np.asarray(right.keys_mapped)
-
-        def chunk_operands(k0: int, i: int, lsel, rsel, kc: int):
-            mat_a = self.backend.dense_from_coo(
-                lrows[lsel], lkeys[lsel] - k0,
-                _resolve_values(left_values_list[i], lsel), (left.g, kc),
-            )
-            mat_b = self.backend.dense_from_coo(
-                rrows[rsel], rkeys[rsel] - k0,
-                _resolve_values(right_values_list[i], rsel),
-                (right.g, kc),
-            )
-            return mat_a, mat_b
-
-        grids = [np.zeros((left.g, right.g)) for _ in range(n_slices)]
-        if (self.workers <= 1
-                and plan.strategy not in (Strategy.SPARSE, Strategy.BLOCKED)):
-            # Sequential dense accumulation: the backend adds each chunk's
-            # partial straight into the output grid (matmul_into), reusing
-            # one scratch buffer across all key-domain chunks instead of
-            # materializing a partial grid per chunk.  Same accumulation
-            # order as the parallel merge below, so both stay
-            # bit-identical per backend.
-            for k0 in range(0, k, chunk):
-                k1 = min(k0 + chunk, k)
-                lsel = (lkeys >= k0) & (lkeys < k1)
-                rsel = (rkeys >= k0) & (rkeys < k1)
-                if not lsel.any() or not rsel.any():
-                    continue
-                for i in range(n_slices):
-                    mat_a, mat_b = chunk_operands(k0, i, lsel, rsel, k1 - k0)
-                    self.backend.matmul_into(grids[i], self.device,
-                                             mat_a, mat_b.T, plan.precision)
-            return grids
-
-        def chunk_partials(k0: int) -> list[np.ndarray] | None:
-            k1 = min(k0 + chunk, k)
-            lsel = (lkeys >= k0) & (lkeys < k1)
-            rsel = (rkeys >= k0) & (rkeys < k1)
-            if not lsel.any() or not rsel.any():
-                return None
-            partials = []
-            for i in range(n_slices):
-                mat_a, mat_b = chunk_operands(k0, i, lsel, rsel, k1 - k0)
-                partials.append(self._execute_gemm(mat_a, mat_b.T, plan))
-            return partials
-
-        # Partial grids compute in parallel but sum on this thread in
-        # chunk order — float accumulation order matches the sequential
-        # loop, keeping the parallel grids bit-identical.
-        for partials in parallel_map(chunk_partials, range(0, k, chunk),
-                                     self.workers):
-            if partials is None:
-                continue
-            for i in range(n_slices):
-                grids[i] += partials[i]
-        return grids
-
-    def _grids_batched(self, left: PreparedAggSide, right: PreparedAggSide,
-                       k: int, aggregates, plan: PlanCost,
-                       left_structure: OperandStructure,
-                       right_structure: OperandStructure,
+    def _grids_numeric(self, left: OperandStructure,
+                       right: OperandStructure,
                        left_sums: list[np.ndarray],
-                       right_sums: list[np.ndarray]):
-        """Fused multi-aggregate grid execution (``BatchedGemm``).
+                       right_sums: list[np.ndarray],
+                       aggregates, plan: PlanCost):
+        """Every grid of one aggregate product (``Gemm``, fused or not).
 
         The producing ``ValueFill`` built each side's indicator structure
         and every fill slot's per-cell sums once (slot 0 = COUNT grid,
-        then one per non-COUNT aggregate); this stacks them into an
-        (n_agg, g, k) operand and issues a single stacked matmul, instead
-        of the per-aggregate rebuild-everything loop of
-        :meth:`_grids_by_matmul`.
+        then one per non-COUNT aggregate).  They are multiplied as SPARSE
+        tiles, in key-domain column slices when ``k`` outgrows
+        ``chunk_rows``, or whole — an (n_agg, g, k) stack and a single
+        stacked matmul.
         """
-        value_index = [None] + [i for i, spec in enumerate(aggregates)
-                                if spec.func != "count"]
+        k = left.k
         if plan.strategy == Strategy.SPARSE:
             # Batched sparse tiles: the tile structure (block keys,
             # uniques, within-tile offsets) is derived ONCE from the
             # shared COO coordinates; each aggregate of the batch then
             # materializes its tiles with a single fancy-index fill —
             # no per-grid TiledMatrix re-derivation.
-            g1, g2 = left_structure.g, right_structure.g
-            layout_a = TileLayout.from_coords(
-                left_structure.rows, left_structure.cols, (g1, k))
-            layout_b = TileLayout.from_coords(
-                right_structure.cols, right_structure.rows, (k, g2))
+            g1, g2 = left.g, right.g
+            layout_a = TileLayout.from_coords(left.rows, left.cols, (g1, k))
+            layout_b = TileLayout.from_coords(right.cols, right.rows,
+                                              (k, g2))
             products = []
             for lsums, rsums in zip(left_sums, right_sums):
-                tiled_a = layout_a.fill(left_structure.at_cells(lsums))
-                tiled_b = layout_b.fill(right_structure.at_cells(rsums))
+                tiled_a = layout_a.fill(left.at_cells(lsums))
+                tiled_b = layout_b.fill(right.at_cells(rsums))
                 product, _ = tiled_a.spmm(tiled_b)
                 products.append(product.to_dense()[:g1, :g2])
             stacked = np.stack(products)
         elif self.chunk_rows is not None and k > self.chunk_rows:
-            # Grid-wise accumulation over key-domain chunks; the shared
-            # coordinate structure is rebuilt per chunk slice, but only
-            # one (g, chunk) slice pair is ever live.
-            def streamed(side):
-                return [side.count_fill] + [partial(side.values_for, i)
-                                            for i in value_index[1:]]
-
-            stacked = np.stack(self._grid_accumulate(
-                left, right, k, streamed(left), streamed(right), plan))
+            stacked = np.stack(self._grids_by_slices(
+                left, right, left_sums, right_sums, plan))
         else:
             fill_dtype = self.backend.fill_dtype
-            a_stack = left_structure.dense_stack(left_sums, dtype=fill_dtype)
-            b_stack = right_structure.dense_stack(right_sums,
-                                                  dtype=fill_dtype)
+            a_stack = left.dense_stack(left_sums, dtype=fill_dtype)
+            b_stack = right.dense_stack(right_sums, dtype=fill_dtype)
             if plan.strategy == Strategy.BLOCKED:
                 stacked = np.stack([
-                    np.asarray(
-                        msplit_gemm(self.device, a, b.T, plan.precision,
-                                    backend=self.backend)[0],
-                        dtype=np.float64,
-                    )
+                    self._execute_gemm(a, b.T, plan)
                     for a, b in zip(a_stack, b_stack)
                 ])
             else:
@@ -745,37 +608,64 @@ class TCUDriver:
                     ),
                     dtype=np.float64,
                 )
-        count_grid = stacked[0]
-        by_index = {
-            index: stacked[slot]
-            for slot, index in enumerate(value_index)
-            if index is not None
-        }
-        grids = [
-            count_grid if spec.func == "count" else by_index[i]
-            for i, spec in enumerate(aggregates)
-        ]
-        return grids, count_grid
+        return _grids_of(stacked, aggregates)
 
-    def _execute_gemm(self, a, b, plan: PlanCost) -> np.ndarray:
-        """Strategy-dispatched GEMM.  ``a``/``b`` may be dense arrays or
-        :class:`~repro.tensor.coo.COOMatrix` operands — sparse plans
-        consume the COO directly (no dense round-trip), dense plans
-        densify it."""
+    def _grids_by_slices(self, left: OperandStructure,
+                         right: OperandStructure, left_sums, right_sums,
+                         plan: PlanCost) -> list[np.ndarray]:
+        """Grid-wise accumulation over key-domain chunks — the tiled
+        matmul identity ``A @ B.T == sum_c A[:, c] @ B[:, c].T`` over
+        column slices ``c`` of the prepared operands.  A chunk either
+        side leaves empty is skipped, and one slice pair is live at a
+        time, so the dense numeric path scales to any key-domain size.
+        """
+        chunk = self.chunk_rows
+        fill_dtype = self.backend.fill_dtype
+        left_slices = ColumnSlices(left, chunk)
+        right_slices = ColumnSlices(right, chunk)
+        grids = [np.zeros((left.g, right.g)) for _ in left_sums]
+        # Sequential dense accumulation: the backend adds each chunk's
+        # product straight into the output grid (matmul_into), reusing
+        # one scratch buffer across all chunks.  Otherwise the partials
+        # compute on the pool (or as BLOCKED msplit products) and sum on
+        # this thread in chunk order — the same float accumulation
+        # order, so every variant is bit-identical per backend.
+        in_place = self.workers <= 1 and plan.strategy != Strategy.BLOCKED
+
+        def chunk_partials(c: int) -> list[np.ndarray]:
+            partials: list[np.ndarray] = []
+            if not (left_slices.occupied(c) and right_slices.occupied(c)):
+                return partials
+            for grid, mat_a, mat_b in zip(
+                    grids, left_slices.fills(c, left_sums, fill_dtype),
+                    right_slices.fills(c, right_sums, fill_dtype)):
+                if in_place:
+                    self.backend.matmul_into(grid, self.device, mat_a,
+                                             mat_b.T, plan.precision)
+                else:
+                    partials.append(self._execute_gemm(mat_a, mat_b.T, plan))
+            return partials
+
+        for partials in parallel_map(chunk_partials,
+                                     range(-(-left.k // chunk)),
+                                     self.workers):
+            for grid, partial in zip(grids, partials):
+                grid += partial
+        return grids
+
+    def _execute_gemm(self, a: np.ndarray, b: np.ndarray,
+                      plan: PlanCost) -> np.ndarray:
+        """Strategy-dispatched GEMM of two dense operands."""
         if plan.strategy == Strategy.SPARSE:
-            coo_a = a if isinstance(a, COOMatrix) else COOMatrix.from_dense(a)
-            coo_b = b if isinstance(b, COOMatrix) else COOMatrix.from_dense(b)
-            # Both operands carry unique coordinates (nonzero extraction
-            # and the operand builder are both duplicate-free), so the
-            # canonicalizing sort in from_coo is skipped.
-            tiled_a = TiledMatrix.from_coo(coo_a, assume_canonical=True)
-            tiled_b = TiledMatrix.from_coo(coo_b, assume_canonical=True)
+            # from_dense extracts nonzeros in row-major order: unique,
+            # sorted coordinates, so from_coo's canonicalizing sort is
+            # skipped.
+            tiled_a = TiledMatrix.from_coo(COOMatrix.from_dense(a),
+                                           assume_canonical=True)
+            tiled_b = TiledMatrix.from_coo(COOMatrix.from_dense(b),
+                                           assume_canonical=True)
             result, _ = tiled_a.spmm(tiled_b)
-            return result.to_dense()[: coo_a.shape[0], : coo_b.shape[1]]
-        if isinstance(a, COOMatrix):
-            a = a.to_dense()
-        if isinstance(b, COOMatrix):
-            b = b.to_dense()
+            return result.to_dense()[: a.shape[0], : b.shape[1]]
         if plan.strategy == Strategy.BLOCKED:
             result, _ = msplit_gemm(self.device, a, b, plan.precision,
                                     backend=self.backend)
@@ -785,29 +675,29 @@ class TCUDriver:
             dtype=np.float64,
         )
 
-    def _grids_semantic(self, left, right, aggregates, g1, g2):
-        left_idx, right_idx = equi_join_indices(
-            left.keys_mapped, right.keys_mapped
-        )
-        cell = left.row_codes()[left_idx] * g2 + right.row_codes()[right_idx]
-        size = g1 * g2
-        count_grid = np.bincount(
-            cell,
-            weights=left.count_fill(left_idx) * right.count_fill(right_idx),
-            minlength=size,
-        ).reshape(g1, g2)
-        grids = []
-        for i, spec in enumerate(aggregates):
-            if spec.func == "count":
-                grids.append(count_grid)
-                continue
-            weights = (
-                left.values_per_agg[i][left_idx]
-                * right.values_for(i, right_idx)
-            )
-            grids.append(
-                np.bincount(cell, weights=weights, minlength=size)
-                .reshape(g1, g2)
-            )
-        return grids, count_grid
+    @staticmethod
+    def _grids_semantic(left: OperandStructure, right: OperandStructure,
+                        left_sums, right_sums, aggregates):
+        """The exact-key equivalent of :meth:`_grids_numeric`, for
+        products too large to emulate: the occupied cells of the two
+        operands join on their column, in float64."""
+        left_idx, right_idx = equi_join_indices(left.cols, right.cols)
+        cell = left.rows[left_idx] * right.g + right.rows[right_idx]
+        return _grids_of([
+            np.bincount(
+                cell,
+                weights=(left.at_cells(lsums)[left_idx]
+                         * right.at_cells(rsums)[right_idx]),
+                minlength=left.g * right.g,
+            ).reshape(left.g, right.g)
+            for lsums, rsums in zip(left_sums, right_sums)
+        ], aggregates)
 
+
+def _grids_of(slots, aggregates):
+    """``(grids, count_grid)`` of a product's slot grids — slot 0 is the
+    COUNT grid, which every COUNT aggregate shares."""
+    count_grid = slots[0]
+    values = iter(slots[1:])
+    return ([count_grid if spec.func == "count" else next(values)
+             for spec in aggregates], count_grid)

@@ -59,7 +59,6 @@ from repro.engine.tcudb.driver import (
     PreparedAggSide,
     PreparedJoin,
     build_coo_operands,
-    unit_fill,
 )
 from repro.storage.statistics import (
     bound_stats_lookup,
@@ -259,10 +258,9 @@ class JoinOperandsValue:
 class AggOperandsValue:
     """Operand matrices of one join+aggregate (or grouped-reduce) product.
 
-    When built by a shared-structure ``ValueFill`` (fusion on), the
-    canonicalized COO coordinate structures and each fill slot's
-    per-cell sums ride along so the consuming ``BatchedGemm`` never
-    rebuilds them.
+    Each side's coordinate structure and every fill slot's per-cell sums
+    ride along (``ValueFill`` computes them for the range test, fused or
+    not): the consuming ``Gemm`` multiplies these, it builds nothing.
     """
 
     left: PreparedAggSide | None
@@ -816,8 +814,9 @@ class ValueFill(TensorOp):
     b_column: BoundColumn | None = None
     # reduce mode only: one argument expression (or None for COUNT) per spec
     arguments: list[Expr | None] = field(default_factory=list)
-    # Set by the fusion pass: build each side's indicator structure once
-    # (shared rows/codes) instead of per-aggregate.
+    # Set by the fusion pass: the consuming BatchedGemm charges one
+    # fill of the shared indicator structure instead of one per
+    # aggregate (the structure itself is built once either way).
     shared: bool = False
     # Fused residual-fact mask (fusion pass): the residual conjuncts are
     # evaluated inside the operand fill — masked fact tuples are never
@@ -892,12 +891,12 @@ class ValueFill(TensorOp):
         bound = ctx.bound
         fact_binding = self.pattern.fact
         dims = {t.binding for t in bound.tables} - {fact_binding, self.b_side}
-        left_side = _build_agg_side(
+        left_side, left_fills = _build_agg_side(
             self.specs, self.group_by, fact.column, domain.left,
             side_bindings={fact_binding} | dims, weights=fact.weights,
             b_side=False,
         )
-        right_side = _build_agg_side(
+        right_side, right_fills = _build_agg_side(
             self.specs, self.group_by, b_env.lookup, domain.right,
             side_bindings={self.b_side}, weights=None, b_side=True,
         )
@@ -910,29 +909,30 @@ class ValueFill(TensorOp):
             right_structure.nnz,
         )
         return self._operands(ctx, left_side, right_side, domain.k, geometry,
-                              pairs, grouped, left_structure, right_structure)
+                              pairs, grouped, left_structure, right_structure,
+                              left_fills, right_fills)
 
     def _operands(self, ctx, left_side, right_side, k, geometry, pairs,
-                  grouped, left_structure, right_structure):
-        """Each fill slot's per-cell sums are computed once per operator:
-        the feasibility test reads their range here and, when the
-        structure is shared, ``BatchedGemm`` places the same arrays."""
-        left_values = left_side.fill_slots(self.specs)
-        right_values = right_side.fill_slots(self.specs)
-        left_sums = [left_structure.cell_sums(v) for v in left_values]
-        right_sums = [right_structure.cell_sums(v) for v in right_values]
+                  grouped, left_structure, right_structure,
+                  left_fills, right_fills):
+        """``*_fills`` hold each side's per-tuple fill values, one entry
+        per grid: the COUNT grid's weights, then one array per non-COUNT
+        aggregate; None fills every tuple with one.  Each is summed per
+        operand slot once, here: the feasibility test reads the sums'
+        range, the consuming ``Gemm`` multiplies the same arrays, and the
+        per-tuple values end with this call."""
+        left_sums = [left_structure.cell_sums(v) for v in left_fills]
+        right_sums = [right_structure.cell_sums(v) for v in right_fills]
         feasibility = _agg_feasibility(
-            zip(left_values, left_sums), zip(right_values, right_sums), k,
+            zip(left_fills, left_sums), zip(right_fills, right_sums), k,
             require_exact=ctx.options.require_exact,
         )
-        shared = dict(
-            left_structure=left_structure, right_structure=right_structure,
-            left_sums=left_sums, right_sums=right_sums,
-        ) if self.shared else {}
         return AggOperandsValue(
             left=left_side, right=right_side, k=k, geometry=geometry,
             feasibility=feasibility, pairs=pairs, specs=self.specs,
-            grouped=grouped, **shared,
+            grouped=grouped,
+            left_structure=left_structure, right_structure=right_structure,
+            left_sums=left_sums, right_sums=right_sums,
         )
 
     # -- reduce (hybrid) mode ------------------------------------------ #
@@ -953,30 +953,22 @@ class ValueFill(TensorOp):
             group = CompositeKey.build(
                 [np.asarray(env.lookup(c.key)) for c in self.group_by]
             )
-        values_per_agg: list[np.ndarray | None] = []
-        for spec, argument in zip(self.specs, self.arguments):
-            if spec.func == "count" or argument is None:
-                values_per_agg.append(None)  # COUNT reads the count grid
-                continue
-            values = evaluate_expr(argument, env, ctx.bound)
-            values_per_agg.append(np.asarray(values, dtype=np.float64))
+        # COUNT reads the count grid (slot 0, unit weights).
+        left_fills: list[np.ndarray | None] = [None] + [
+            np.asarray(evaluate_expr(argument, env, ctx.bound),
+                       dtype=np.float64)
+            for spec, argument in zip(self.specs, self.arguments)
+            if spec.func != "count"
+        ]
         left_side = PreparedAggSide(
             keys_mapped=np.arange(n, dtype=np.int64),
             group=group,
-            values_per_agg=values_per_agg,
-            count_values=None,
             group_order=group_order,
         )
-        # The reduce-mode B side is an all-ones vector for every
-        # aggregate: share one array instead of materializing a copy per
-        # aggregate.
+        # The reduce-mode B side is an all-ones vector for every grid.
         right_side = PreparedAggSide(
-            keys_mapped=np.arange(n, dtype=np.int64),
-            group=None,
-            values_per_agg=[np.ones(n)] * len(self.specs),
-            count_values=None,
-        )
-        value_specs = sum(1 for s in self.specs if s.func != "count")
+            keys_mapped=np.arange(n, dtype=np.int64), group=None)
+        value_specs = len(left_fills) - 1
         g1 = left_side.g
         geometry = OperatorGeometry(
             g1=g1, g2=1, k=n,
@@ -992,6 +984,7 @@ class ValueFill(TensorOp):
             ctx, left_side, right_side, n, geometry, n, grouped,
             build_coo_operands(left_side, n),
             build_coo_operands(right_side, n),
+            left_fills, [None] * len(left_fills),
         )
 
 
@@ -1038,10 +1031,9 @@ class Gemm(TensorOp):
     def priced_geometry(self, operands) -> OperatorGeometry:
         """Geometry the optimizer prices and the plan charges.
 
-        The unfused per-aggregate loop rebuilds both operand matrices for
-        every grid, so multi-grid products charge one operand fill per
-        matmul; the fused ``BatchedGemm`` overrides this to a single
-        shared fill.
+        An unfused multi-grid product is priced as the per-aggregate
+        loop it stands for — one operand fill per matmul; the fused
+        ``BatchedGemm`` overrides this to a single shared fill.
         """
         geometry = operands.geometry
         if isinstance(operands, AggOperandsValue) and geometry.n_matmuls > 1:
@@ -1085,28 +1077,22 @@ class Gemm(TensorOp):
         rows, cols = ctx.driver._join_pairs_by_matmul(prepared, plan)
         return ProductValue(operands=operands, pair_indices=(rows, cols))
 
-    def _run_grids(self, ctx, operands: AggOperandsValue, plan):
-        return ctx.driver._grids_by_matmul(
-            operands.left, operands.right, operands.k, operands.specs, plan
-        )
-
     def _execute_agg(self, ctx, operands: AggOperandsValue,
                      plan) -> ProductValue:
-        left, right = operands.left, operands.right
-        g1, g2, k = left.g, right.g, operands.k
         if ctx.mode != ExecutionMode.REAL:
             return ProductValue(operands=operands, semantic=True)
         geometry = operands.geometry
+        # Either way the grids come from what ValueFill prepared.
+        prepared = (operands.left_structure, operands.right_structure,
+                    operands.left_sums, operands.right_sums, operands.specs)
         if ctx.driver.use_numeric_grid(
-            g1, g2, k,
+            operands.left.g, operands.right.g, operands.k,
             nnz_left=geometry.nnz_left, nnz_right=geometry.nnz_right,
             sparse=plan.strategy == Strategy.SPARSE,
         ):
-            grids, count_grid = self._run_grids(ctx, operands, plan)
+            grids, count_grid = ctx.driver._grids_numeric(*prepared, plan)
         else:
-            grids, count_grid = ctx.driver._grids_semantic(
-                left, right, operands.specs, g1, g2
-            )
+            grids, count_grid = ctx.driver._grids_semantic(*prepared)
         return ProductValue(operands=operands, grids=grids,
                             count_grid=count_grid)
 
@@ -1115,11 +1101,12 @@ class Gemm(TensorOp):
 class BatchedGemm(Gemm):
     """Fused multi-aggregate GEMM (fusion rewrite of a JOIN_AGG fan-out).
 
-    Builds each side's indicator structure once — rows and group codes
-    shared across every aggregate — stacks the per-aggregate fill values
-    into an (n_agg, g, k) operand and issues a single stacked matmul.
-    The cost model charges one operand fill plus ``n_agg`` MMA passes
-    instead of ``n_agg`` full operand rebuilds.
+    Each side's indicator structure is built once — rows and group codes
+    shared across every aggregate — the per-aggregate fill values stack
+    into an (n_agg, g, k) operand and a single stacked matmul is issued.
+    It executes as ``Gemm`` does; what the rewrite changes is the price:
+    one operand fill plus ``n_agg`` MMA passes instead of ``n_agg`` full
+    operand rebuilds.
     """
 
     n_grids: int = 1
@@ -1142,13 +1129,6 @@ class BatchedGemm(Gemm):
         emission = super().emission(ctx)
         return replace(emission, kind="batched_gemm",
                        label=f"{self.label} (batched x{self.n_grids})")
-
-    def _run_grids(self, ctx, operands: AggOperandsValue, plan):
-        return ctx.driver._grids_batched(
-            operands.left, operands.right, operands.k, operands.specs, plan,
-            operands.left_structure, operands.right_structure,
-            operands.left_sums, operands.right_sums,
-        )
 
 
 @dataclass
@@ -1732,48 +1712,26 @@ def _comparison_nnz(domain, op: str, n: int) -> int:
 
 
 def _build_agg_side(specs, group_by, column_of, mapped_keys, side_bindings,
-                    weights, b_side) -> PreparedAggSide:
+                    weights, b_side):
+    """One side's placement (:class:`PreparedAggSide`) and its per-tuple
+    fill values, one entry per grid: the COUNT grid's weights (None:
+    every tuple counts once), then the factor product of each non-COUNT
+    aggregate."""
     group_cols = [c for c in group_by if c.binding in side_bindings]
     group = None
-    group_order = [c.key for c in group_cols]
     if group_cols:
         group = CompositeKey.build(
             [np.asarray(column_of(c.key)) for c in group_cols]
         )
     n = mapped_keys.size
-    if b_side:
-        # Streamed B-side fill: the per-aggregate factor products are
-        # computed on demand (whole-side or one key-domain chunk's tuple
-        # selection) instead of being materialized per aggregate up
-        # front.  Slicing the factor columns before the elementwise
-        # products is bit-identical to slicing the product, so the
-        # chunked grid accumulation stays exact while only one slice is
-        # ever live.
-        def fill(index: int, selection=None) -> np.ndarray:
-            spec = specs[index]
-            values = unit_fill(n, selection)
-            for factor in spec.factors:
-                if factor.column.binding not in side_bindings:
-                    continue
-                array = np.asarray(column_of(factor.column.key),
-                                   dtype=np.float64)
-                if selection is not None:
-                    array = array[selection]
-                values = values * (array if factor.power == 1
-                                   else 1.0 / array)
-            return values
-
-        return PreparedAggSide(
-            keys_mapped=np.asarray(mapped_keys),
-            group=group,
-            values_per_agg=[],
-            count_values=None,
-            group_order=group_order,
-            value_fill=fill,
-        )
-    values_per_agg: list[np.ndarray] = []
+    fills: list[np.ndarray | None] = [
+        None if weights is None else np.asarray(weights, dtype=np.float64)]
     for spec in specs:
-        values = np.full(n, 1.0) * spec.constant
+        if spec.func == "count":
+            continue  # reads the count grid
+        values = np.full(n, 1.0)
+        if not b_side:  # the constant multiplies in once, on the A side
+            values = values * spec.constant
         if weights is not None:
             values = values * weights
         for factor in spec.factors:
@@ -1781,15 +1739,12 @@ def _build_agg_side(specs, group_by, column_of, mapped_keys, side_bindings,
                 continue
             array = np.asarray(column_of(factor.column.key), dtype=np.float64)
             values = values * (array if factor.power == 1 else 1.0 / array)
-        values_per_agg.append(values)
-    return PreparedAggSide(
-        keys_mapped=np.asarray(mapped_keys),
-        group=group,
-        values_per_agg=values_per_agg,
-        count_values=(None if weights is None
-                      else np.asarray(weights, dtype=np.float64)),
-        group_order=group_order,
+        fills.append(values)
+    side = PreparedAggSide(
+        keys_mapped=np.asarray(mapped_keys), group=group,
+        group_order=[c.key for c in group_cols],
     )
+    return side, fills
 
 
 def _agg_geometry(ctx, specs, left_side, right_side, k, pairs, fact,

@@ -12,6 +12,15 @@ from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "engine_matrix: iterates differential_utils.engine_variants (or a "
+        "matrix like it); CI re-runs every such test under REPRO_WORKERS=2, "
+        "REPRO_SHARDS=2 and REPRO_BACKEND=fast",
+    )
+
+
 @pytest.fixture
 def device() -> GPUDevice:
     return GPUDevice(RTX_3090)

@@ -67,6 +67,8 @@ from repro.sql.prepared import parameterize  # noqa: E402
 from repro.workloads.ssb_queries import SSB_QUERIES  # noqa: E402
 from test_fuzz_queries import QueryGenerator  # noqa: E402
 
+pytestmark = pytest.mark.engine_matrix
+
 TCU_REL = 2e-3
 B = 2 ** 53
 

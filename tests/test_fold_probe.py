@@ -33,6 +33,8 @@ from repro.tensor import keys
 from repro.tensor.backend import get_backend
 from repro.tensor.keys import DIRECT_ADDRESS_SLOTS_PER_ROW, KEY_TABLE_MAX_SLOTS
 
+pytestmark = pytest.mark.engine_matrix
+
 TCU_REL = 2e-3
 INT64 = np.iinfo(np.int64)
 

@@ -28,6 +28,8 @@ from repro.engine.tcudb.transform import PairRuns, mapped_pair_count
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
+pytestmark = pytest.mark.engine_matrix
+
 
 # --------------------------------------------------------------------- #
 # The primitive

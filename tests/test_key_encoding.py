@@ -29,6 +29,8 @@ from repro.tensor.keys import (
     unique_inverse,
 )
 
+pytestmark = pytest.mark.engine_matrix
+
 TCU_REL = 2e-3
 INT64 = np.iinfo(np.int64)
 

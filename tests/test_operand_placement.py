@@ -4,9 +4,10 @@
 address (``row * k + col``, when the ``g * k`` table fits the
 ``tensor/keys.py`` budget) or by rank among the distinct cells (one
 ``unique_inverse``, the only placement before).  Whichever runs, the
-operand matrices, ``nnz``, the COO and tile coordinates — and therefore
-plans, simulated seconds and rows — are the same; a side whose COUNT
-weights are all one reads its COUNT operand off the occupancy histogram.
+operand matrices, their key-domain column slices, ``nnz`` and the tile
+coordinates — and therefore plans, simulated seconds and rows — are the
+same; a side whose COUNT weights are all one reads its COUNT operand off
+the occupancy histogram.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.datasets.ssb import ssb_catalog
 from repro.engine import ReferenceEngine
 from repro.engine.tcudb import Strategy, TCUDBEngine, TCUDBOptions, driver, ops
 from repro.engine.tcudb.driver import (
+    ColumnSlices,
     CompositeKey,
     PreparedAggSide,
     build_coo_operands,
@@ -29,6 +31,8 @@ from repro.storage.column import Column
 from repro.storage.table import Table
 from repro.tensor.coo import dense_from_coo
 from repro.tensor.keys import DIRECT_ADDRESS_SLOTS_PER_ROW, KEY_TABLE_MAX_SLOTS
+
+pytestmark = pytest.mark.engine_matrix
 
 TCU_REL = 2e-3
 PLACEMENTS = ("addressed", "ranked")
@@ -56,14 +60,13 @@ def placements(monkeypatch):
     return seen
 
 
-def make_side(rows, keys, g: int, count_values=None) -> PreparedAggSide:
+def make_side(rows, keys, g: int) -> PreparedAggSide:
     """An agg side of ``g`` group rows (``rows`` None: the one-row side)."""
     group = None if rows is None else CompositeKey(
         labels=[np.arange(g)], codes=np.asarray(rows, dtype=np.int64),
         cardinality=g)
     return PreparedAggSide(
-        keys_mapped=np.asarray(keys, dtype=np.int64), group=group,
-        values_per_agg=[], count_values=count_values)
+        keys_mapped=np.asarray(keys, dtype=np.int64), group=group)
 
 
 def _random_side():
@@ -99,10 +102,9 @@ def test_addressed_and_ranked_structures_agree(rows, keys, g, k,
 
     rng = np.random.default_rng(n)
     cancelling = rng.normal(size=n)
-    # Two tuples of one cell summing to zero: stored, but not in the COO.
-    cancels = (n > 1 and rows is not None
-               and (rows[0], keys[0]) == (rows[1], keys[1]))
-    if cancels:
+    # Two tuples of one cell summing to zero: the cell stays occupied.
+    if (n > 1 and rows is not None
+            and (rows[0], keys[0]) == (rows[1], keys[1])):
         cancelling[1] = -cancelling[0]
     fills = [None, np.ones(n), rng.integers(1, 4, n).astype(np.float64),
              cancelling]
@@ -118,18 +120,11 @@ def test_addressed_and_ranked_structures_agree(rows, keys, g, k,
         assert a_sums.size == g * k and r_sums.size == ranked.nnz
         assert addressed.at_cells(a_sums).tobytes() == r_sums.tobytes()
         assert ranked.at_cells(r_sums) is r_sums
-        a_coo, r_coo = addressed.coo(values), ranked.coo(values)
-        for part in ("rows", "cols", "vals"):
-            assert np.array_equal(getattr(a_coo, part), getattr(r_coo, part))
-        assert a_coo.shape == r_coo.shape == (g, k)
-        assert np.array_equal(a_coo.to_dense(), references[i])
     # The unit COUNT slot is the occupancy histogram: the same numbers
     # as summing that many 1.0s, without the array of ones.
     for p in PLACEMENTS:
         assert sums[p][0] is built[p].occupancy
         assert np.array_equal(sums[p][0], sums[p][1])
-    if cancels:
-        assert addressed.coo(cancelling).nnz == addressed.nnz - 1
     for dtype in (np.float32, np.float64):
         a_stack = addressed.dense_stack(sums["addressed"], dtype=dtype)
         r_stack = ranked.dense_stack(sums["ranked"], dtype=dtype)
@@ -139,6 +134,22 @@ def test_addressed_and_ranked_structures_agree(rows, keys, g, k,
         assert a_stack.flags.c_contiguous
         for reference, matrix in zip(references, a_stack):
             assert np.array_equal(matrix, reference.astype(dtype))
+        # Key-domain chunks are column slices of those matrices; a chunk
+        # counts as occupied when a tuple's key falls in it, whatever
+        # its cells sum to.
+        for chunk in (1, 2, 3, k, k + 1):
+            slicers = {p: ColumnSlices(built[p], chunk) for p in PLACEMENTS}
+            for c, k0 in enumerate(range(0, k, chunk)):
+                in_chunk = (side.keys_mapped >= k0) & (
+                    side.keys_mapped < k0 + chunk)
+                for p in PLACEMENTS:
+                    assert slicers[p].occupied(c) == in_chunk.any()
+                    pieces = slicers[p].fills(c, sums[p], dtype)
+                    for matrix, piece in zip(a_stack, pieces, strict=True):
+                        assert piece.dtype == dtype
+                        assert piece.flags.c_contiguous
+                        assert np.array_equal(piece,
+                                              matrix[:, k0:k0 + chunk])
 
 
 def test_placement_follows_the_key_table_budget():

@@ -52,6 +52,8 @@ from repro.storage.table import Table
 from repro.storage.types import DataType
 from repro.tensor.keys import DIRECT_ADDRESS_SLOTS_PER_ROW
 
+pytestmark = pytest.mark.engine_matrix
+
 N_ROWS = 64
 COLORS = ["red", "green", "blue", "teal"]
 
