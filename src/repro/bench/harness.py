@@ -33,7 +33,7 @@ class SeriesPoint:
     verify_note: str = ""
     # TCU-path bookkeeping (repro.bench.harness.annotate_tcu_point):
     # why a TCUDB point left the TCU path, and how it was classified
-    # ("pattern" | "cost" | "feasibility" | "mode"); empty when native.
+    # ("pattern" | "cost" | "feasibility"); empty when native.
     fallback_reason: str = ""
     fallback_kind: str = ""
     executed_by: str = ""  # "TCU" | "TCU-hybrid" | "YDB-fallback"

@@ -70,42 +70,6 @@ from repro.storage.types import DataType
 # --------------------------------------------------------------------------- #
 
 
-def equi_join_indices(
-    left_keys: np.ndarray, right_keys: np.ndarray,
-    pair_limit: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matching (left_index, right_index) pairs of an equi join.
-
-    With ``pair_limit``, the (cheaply computed) pair count is checked
-    before materialization, so callers need no separate counting pass.
-    """
-    # The oracle's kernel on purpose: TCUDB joins pair through
-    # transform.PairRuns, so the differential compares two kernels.
-    order = np.argsort(right_keys, kind="stable")
-    sorted_right = right_keys[order]
-    starts = np.searchsorted(sorted_right, left_keys, side="left")
-    ends = np.searchsorted(sorted_right, left_keys, side="right")
-    counts = ends - starts
-    total = int(counts.sum())
-    if pair_limit is not None and total > pair_limit:
-        raise ExecutionError(
-            f"equi join would materialize {total} pairs (> {pair_limit})"
-        )
-    left_idx = np.repeat(np.arange(left_keys.size), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    right_idx = order[np.repeat(starts, counts) + offsets]
-    return left_idx, right_idx
-
-
-def equi_join_count(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
-    """Exact matching-pair count without materializing the pairs."""
-    order = np.argsort(right_keys, kind="stable")
-    sorted_right = right_keys[order]
-    starts = np.searchsorted(sorted_right, left_keys, side="left")
-    ends = np.searchsorted(sorted_right, left_keys, side="right")
-    return int((ends - starts).sum())
-
-
 # searchsorted side per operator: for "left op right" we count, per left
 # key, the right keys satisfying the comparison in the sorted right array.
 # "<" needs right keys strictly greater (insertion point from the right),
@@ -119,24 +83,112 @@ _NONEQUI_SIDES = {
 }
 
 
+class _PairBudget:
+    """A join-pair budget: :meth:`reserve` adds a count and raises once
+    the total crosses ``limit`` (``None``: unbounded).
+
+    One budget spans every probe chunk of a streaming join; with the
+    chunks racing on the pool, each reservation is atomic, so exactly the
+    same total triggers exactly the same error at every worker count
+    (only the reporting chunk can differ).
+    """
+
+    def __init__(self, limit: int | None, op: str):
+        self.limit = limit
+        self.kind = "equi" if op == "=" else "non-equi"
+        self._total = 0
+        self._lock = threading.Lock()
+
+    def reserve(self, pairs: int) -> None:
+        with self._lock:
+            self._total += pairs
+            if self.limit is not None and self._total > self.limit:
+                raise ExecutionError(
+                    f"{self.kind} join would materialize {self._total} "
+                    f"pairs (> {self.limit})"
+                )
+
+
+class JoinBuild:
+    """A join's build (right) side, sorted once and probed any number of
+    times.
+
+    :meth:`pairs` counts a probe's matches and reserves that count from
+    a :class:`_PairBudget` before materializing anything, so one counting
+    pass serves both the budget and the expansion.
+    """
+
+    def __init__(self, keys: np.ndarray, op: str):
+        if op not in ("=", "<>", "!=", *_NONEQUI_SIDES):
+            raise ExecutionError(f"unsupported join operator {op!r}")
+        self.keys = keys
+        self.op = op
+        # The oracle's kernel on purpose: TCUDB joins pair through
+        # transform.PairRuns, so the differential compares two kernels.
+        self.order = np.argsort(keys, kind="stable")
+        self.sorted = keys[self.order]
+
+    def _runs(self, left_keys: np.ndarray):
+        """Per probe key, its run ``(start, count)`` of matches in
+        ``order`` (for "<>": of equal keys, the complement)."""
+        if self.op in _NONEQUI_SIDES:
+            positions = np.searchsorted(self.sorted, left_keys,
+                                        side=_NONEQUI_SIDES[self.op])
+            if self.op in ("<", "<="):
+                return positions, self.sorted.size - positions
+            return np.zeros_like(positions), positions
+        starts = np.searchsorted(self.sorted, left_keys, side="left")
+        ends = np.searchsorted(self.sorted, left_keys, side="right")
+        return starts, ends - starts
+
+    def count(self, left_keys: np.ndarray) -> int:
+        """Exact matching-pair count without materializing the pairs."""
+        matched = int(self._runs(left_keys)[1].sum())
+        if self.op in ("<>", "!="):
+            return int(left_keys.size) * self.sorted.size - matched
+        return matched
+
+    def pairs(self, left_keys: np.ndarray, budget: _PairBudget):
+        """Matching ``(left_index, right_index)`` pairs, left-major."""
+        if self.op in ("<>", "!="):
+            budget.reserve(self.count(left_keys))
+            m = self.sorted.size
+            left_all = np.repeat(np.arange(left_keys.size), m)
+            right_all = np.tile(np.arange(m), left_keys.size)
+            keep = left_keys[left_all] != self.keys[right_all]
+            return left_all[keep], right_all[keep]
+        starts, counts = self._runs(left_keys)
+        total = int(counts.sum())
+        budget.reserve(total)
+        left_idx = np.repeat(np.arange(left_keys.size), counts)
+        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+        return left_idx, self.order[np.repeat(starts, counts) + offsets]
+
+
+def equi_join_indices(
+    left_keys: np.ndarray, right_keys: np.ndarray,
+    pair_limit: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matching (left_index, right_index) pairs of an equi join.
+
+    With ``pair_limit``, the pair count is checked before
+    materialization, so callers need no separate counting pass.
+    """
+    return JoinBuild(right_keys, "=").pairs(left_keys,
+                                            _PairBudget(pair_limit, "="))
+
+
+def equi_join_count(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
+    """Exact matching-pair count without materializing the pairs."""
+    return JoinBuild(right_keys, "=").count(left_keys)
+
+
 def nonequi_join_count(
     left_keys: np.ndarray, right_keys: np.ndarray, op: str
 ) -> int:
     """Exact pair count for <, <=, >, >=, != joins via sorted counting."""
-    sorted_right = np.sort(right_keys)
-    m = sorted_right.size
-    if op in ("<", "<="):
-        side = _NONEQUI_SIDES[op]
-        positions = np.searchsorted(sorted_right, left_keys, side=side)
-        return int((m - positions).sum())
-    if op in (">", ">="):
-        side = _NONEQUI_SIDES[op]
-        positions = np.searchsorted(sorted_right, left_keys, side=side)
-        return int(positions.sum())
-    if op in ("<>", "!="):
-        equal = equi_join_count(left_keys, right_keys)
-        return int(left_keys.size) * m - equal
-    raise ExecutionError(f"unsupported join operator {op!r}")
+    return JoinBuild(right_keys, op).count(left_keys)
 
 
 def nonequi_join_indices(
@@ -144,36 +196,8 @@ def nonequi_join_indices(
     pair_limit: int = 50_000_000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Materialize non-equi join pairs (bounded by ``pair_limit``)."""
-    pairs = nonequi_join_count(left_keys, right_keys, op)
-    if pairs > pair_limit:
-        raise ExecutionError(
-            f"non-equi join would materialize {pairs} pairs (> {pair_limit})"
-        )
-    order = np.argsort(right_keys, kind="stable")
-    sorted_right = right_keys[order]
-    m = sorted_right.size
-    if op in ("<", "<=", ">", ">="):
-        side = _NONEQUI_SIDES[op]
-        positions = np.searchsorted(sorted_right, left_keys, side=side)
-        if op in ("<", "<="):
-            counts = m - positions
-            starts = positions
-        else:
-            counts = positions
-            starts = np.zeros_like(positions)
-        total = int(counts.sum())
-        left_idx = np.repeat(np.arange(left_keys.size), counts)
-        offsets = (
-            np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        )
-        right_idx = order[np.repeat(starts, counts) + offsets]
-        return left_idx, right_idx
-    if op in ("<>", "!="):
-        left_idx_all = np.repeat(np.arange(left_keys.size), m)
-        right_idx_all = np.tile(np.arange(m), left_keys.size)
-        keep = left_keys[left_idx_all] != right_keys[right_idx_all]
-        return left_idx_all[keep], right_idx_all[keep]
-    raise ExecutionError(f"unsupported join operator {op!r}")
+    return JoinBuild(right_keys, op).pairs(left_keys,
+                                           _PairBudget(pair_limit, op))
 
 
 def combine_group_codes(arrays: list[np.ndarray]) -> np.ndarray:
@@ -562,8 +586,8 @@ class PhysicalExecutor:
 
     Cost-free and exact on both of its paths:
 
-    * the legacy contiguous path (:meth:`run`) materializes every
-      operator's full output;
+    * the contiguous path (:meth:`run`) materializes every operator's
+      full output — the oracle the streaming path is checked against;
     * the streaming path (:meth:`run_streaming`) pulls fixed-size row
       chunks through Scan/Filter/Compute/Join and merges mergeable
       aggregate partials, so grouped queries execute in memory bounded
@@ -576,9 +600,9 @@ class PhysicalExecutor:
     chunks on the streaming path) so runaway fuzzed queries fail loudly
     instead of exhausting memory.
 
-    ``workers`` > 1 fans independent chunks of the streaming path
-    across a thread pool (``None`` takes the ``REPRO_WORKERS`` policy).
-    Chunks are processed by workers but *merged in submission order*,
+    The streaming path is one walker over independent chunk tasks;
+    ``workers`` > 1 runs them on a thread pool (``None`` takes the
+    ``REPRO_WORKERS`` policy).  Chunks are *merged in submission order*,
     so the parallel output — and every floating-point accumulation
     order behind it — is bit-identical to the sequential run.
     ``cancel_token`` is polled at every chunk boundary for cooperative
@@ -690,104 +714,25 @@ class PhysicalExecutor:
 
         Chunk boundaries are an implementation detail: concatenating the
         yielded chunks equals the contiguous ``_run_relation`` output row
-        for row (streaming never reorders).  With ``workers`` > 1 the
-        chunks run on the worker pool; results are still yielded in
-        chunk order, so downstream consumers cannot observe the
-        parallelism.
+        for row (streaming never reorders).  One walker serves every
+        worker count: the chunk tasks run in order on this thread at
+        ``workers`` <= 1 and on the worker pool otherwise, and results
+        are yielded in chunk order either way, so downstream consumers
+        cannot observe the parallelism.
         """
-        if self.workers > 1:
-            tasks = self._chunk_tasks(node)
-            for envs in parallel_map(
-                lambda task: task(), tasks, self.workers,
-                token=self.cancel_token,
-            ):
-                yield from envs
-            return
-        yield from self._stream_relation_sequential(node)
-
-    def _stream_relation_sequential(self, node: LogicalNode):
-        if isinstance(node, Scan):
-            yield from self._stream_scan(node)
-        elif isinstance(node, Join):
-            yield from self._stream_join(node)
-        elif isinstance(node, Filter):
-            for env in self.stream_relation(node.input):
-                filtered = env.filtered(
-                    conjunction_mask(node.predicates, env, self.bound)
-                )
-                if filtered.n_rows:
-                    yield filtered
-        elif isinstance(node, Compute):
-            for env in self.stream_relation(node.input):
-                yield compute_environment(env, node.computed, self.bound)
-        else:
-            raise ExecutionError(f"unexpected relational node {node!r}")
-
-    def _stream_scan(self, node: Scan):
-        binding = node.binding
-        kept, chunked, name_of = pruned_scan_chunks(
-            self.bound, binding, node.filters, self.chunk_rows
-        )
-        self.chunks_pruned += chunked.num_chunks - len(kept)
-        for chunk in kept:
-            self._check_cancelled()
-            self.chunks_scanned += 1
-            env = Environment(
-                {
-                    f"{binding}.{lower}": chunk.column(name).data
-                    for lower, name in name_of.items()
-                },
-                chunk.num_rows,
-            )
-            if node.filters:
-                env = env.filtered(
-                    conjunction_mask(node.filters, env, self.bound)
-                )
-            if env.n_rows:
-                yield env
-
-    def _stream_join(self, node: Join):
-        """Stream the probe (left) side against a materialized build
-        (right) side, one chunk of matches at a time."""
-        right = self._run_relation(node.right)
-        predicate = node.predicate
-        right_keys = right.lookup(predicate.right.key)
-        total = 0
-        for left_env in self.stream_relation(node.left):
-            self._check_cancelled()
-            left_keys = left_env.lookup(predicate.left.key)
-            # Each chunk gets the *remaining* budget, so a skewed chunk
-            # fails on its cheap pre-count instead of materializing an
-            # over-limit pair set first.
-            remaining = self.pair_limit - total
-            if predicate.is_equi:
-                left_idx, right_idx = equi_join_indices(
-                    left_keys, right_keys, pair_limit=remaining
-                )
-            else:
-                left_idx, right_idx = nonequi_join_indices(
-                    left_keys, right_keys, predicate.op,
-                    pair_limit=remaining,
-                )
-            total += int(left_idx.size)
-            if not left_idx.size:
-                continue
-            merged = dict(left_env.taken(left_idx).arrays)
-            merged.update(right.taken(right_idx).arrays)
-            yield Environment(merged, int(left_idx.size))
-
-    # -- parallel morsel decomposition ----------------------------------- #
+        for envs in parallel_map(lambda task: task(), self._chunk_tasks(node),
+                                 self.workers, token=self.cancel_token):
+            yield from envs
 
     def _chunk_tasks(self, node: LogicalNode):
         """Decompose a relation into independent chunk tasks.
 
-        Each task returns the list of Environments its chunk contributes;
-        concatenating every task's list in task order reproduces the
-        sequential :meth:`stream_relation` output exactly — scans map to
-        one task per surviving chunk, Filter/Compute wrap the inner
-        tasks, and a Join materializes its build side once (here, on the
-        submitting thread) and wraps the probe-side tasks around a
-        lock-protected cumulative pair budget.
+        Each task returns the list of Environments its chunk contributes,
+        in task order — scans map to one task per surviving chunk,
+        Filter/Compute wrap the inner tasks, and a Join materializes and
+        sorts its build side once (here, on the submitting thread) and
+        wraps the probe-side tasks around a lock-protected cumulative
+        pair budget.
         """
         if isinstance(node, Scan):
             kept, chunked, name_of = pruned_scan_chunks(
@@ -810,9 +755,11 @@ class PhysicalExecutor:
             ]
         if isinstance(node, Join):
             right = self._run_relation(node.right)
-            budget = _PairBudget(self.pair_limit)
+            predicate = node.predicate
+            build = JoinBuild(right.lookup(predicate.right.key), predicate.op)
+            budget = _PairBudget(self.pair_limit, predicate.op)
             return [
-                self._probe_task(node, inner, right, budget)
+                self._probe_task(node, inner, right, build, budget)
                 for inner in self._chunk_tasks(node.left)
             ]
         raise ExecutionError(f"unexpected relational node {node!r}")
@@ -859,35 +806,18 @@ class PhysicalExecutor:
         return task
 
     def _probe_task(self, node: Join, inner, right: Environment,
-                    budget: "_PairBudget"):
-        predicate = node.predicate
-        right_keys = right.lookup(predicate.right.key)
+                    build: JoinBuild, budget: _PairBudget):
+        key = node.predicate.left.key
 
         def task():
             out = []
             for left_env in inner():
-                left_keys = left_env.lookup(predicate.left.key)
-                if predicate.is_equi:
-                    count = equi_join_count(left_keys, right_keys)
-                else:
-                    count = nonequi_join_count(
-                        left_keys, right_keys, predicate.op
-                    )
-                # Reserve before materializing: over-budget chunks fail
-                # on their cheap pre-count, exactly like the sequential
-                # remaining-budget check.
-                budget.reserve(count, predicate.op)
-                if not count:
+                # The count that reserves is the count that expands:
+                # over-budget chunks fail before materializing a pair.
+                left_idx, right_idx = build.pairs(left_env.lookup(key),
+                                                  budget)
+                if not left_idx.size:
                     continue
-                if predicate.is_equi:
-                    left_idx, right_idx = equi_join_indices(
-                        left_keys, right_keys
-                    )
-                else:
-                    left_idx, right_idx = nonequi_join_indices(
-                        left_keys, right_keys, predicate.op,
-                        pair_limit=count,
-                    )
                 merged = dict(left_env.taken(left_idx).arrays)
                 merged.update(right.taken(right_idx).arrays)
                 out.append(Environment(merged, int(left_idx.size)))
@@ -956,31 +886,6 @@ class PhysicalExecutor:
         arrays, names = self._stream_output(tree)
         arrays = apply_order_limit(self.bound, arrays, names)
         return arrays, names
-
-
-class _PairBudget:
-    """Cumulative join-pair budget shared by parallel probe tasks.
-
-    The sequential streaming join raises once the cumulative pair count
-    crosses ``pair_limit``; with probe chunks racing, the reservation
-    must be atomic so exactly the same total triggers exactly the same
-    error (only the reporting chunk can differ).
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self._total = 0
-        self._lock = threading.Lock()
-
-    def reserve(self, pairs: int, op: str) -> None:
-        with self._lock:
-            self._total += pairs
-            if self._total > self.limit:
-                kind = "equi" if op == "=" else "non-equi"
-                raise ExecutionError(
-                    f"{kind} join would materialize {self._total} "
-                    f"cumulative pairs (> {self.limit})"
-                )
 
 
 # --------------------------------------------------------------------------- #

@@ -428,10 +428,8 @@ class DistributedEngine(Engine):
                         # dimension keys — dimension data, so every
                         # shard sees it): retry through hybrid lowering
                         # before abandoning the grid path.
-                        hybrid = lower_hybrid(
-                            bound, self.mode, fusion=self.options.fusion,
-                            streaming=self.options.stream_prestage,
-                        )
+                        hybrid = lower_hybrid(bound,
+                                              fusion=self.options.fusion)
                         if isinstance(hybrid, LoweredQuery):
                             split = self._split_program(hybrid)
                             if split is not None:
@@ -488,8 +486,7 @@ class DistributedEngine(Engine):
                     # Poisoned template: evict and recompile fresh
                     # below rather than re-serving the bad entry.
                     cache.poison(key)
-        lowered = lower_query(bound, self.mode, fusion=self.options.fusion,
-                              streaming=self.options.stream_prestage)
+        lowered = lower_query(bound, fusion=self.options.fusion)
         if cache is not None:
             cache.put(key, fingerprint, lowered)
         return lowered

@@ -15,8 +15,7 @@ execution (``_execute_gemm``), operand construction
 product over a prepared operand (``_grids_numeric``: whole, in
 key-domain column slices, or as SPARSE tiles), the semantic exact-key
 equivalents (``_join_pairs_semantic``, ``_grids_semantic``) and the
-numeric-emulation gates — plus ``join_2way``, the join operator the
-driver-level property tests call directly.
+numeric-emulation gates.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from functools import cached_property
 import numpy as np
 
 from repro.common.errors import ExecutionError
-from repro.common.timing import STAGE_FILL, STAGE_MEMCPY, TimingBreakdown
 from repro.engine.base import ExecutionMode
 from repro.engine.parallel import parallel_map, workers_policy
 from repro.engine.relational import equi_join_indices, nonequi_join_indices
@@ -38,6 +36,7 @@ from repro.engine.tcudb.transform import (
     mapped_pair_count,
 )
 from repro.hardware.gpu import GPUDevice
+from repro.storage.chunk import chunk_rows_policy
 from repro.tensor.backend import get_backend
 from repro.tensor.coo import COOMatrix, dense_from_coo
 from repro.tensor.keys import (
@@ -124,17 +123,6 @@ class PreparedAggSide:
         if self.group is None:
             return np.zeros(self.keys_mapped.size, dtype=np.int64)
         return self.group.codes
-
-
-@dataclass
-class OperatorRun:
-    """What one driver invocation produced."""
-
-    n_rows: int
-    breakdown: TimingBreakdown
-    arrays: list[np.ndarray] | None = None
-    names: list[str] | None = None
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -310,13 +298,14 @@ def build_coo_operands(side: "PreparedAggSide", k: int) -> OperandStructure:
 class TCUDriver:
     """Executes TCU plans on a simulated device.
 
-    ``chunk_rows`` enables morsel-driven numeric execution: dense/blocked
-    aggregate grids accumulate over key-domain chunks (each operand slice
-    is at most ``g x chunk_rows`` cells) and numeric join products chunk
-    the probe rows, extracting nonzero pairs per product slice.  Chunked
-    accumulation is what keeps large-``k`` products on the bit-accurate
-    numeric path with bounded memory; ``None`` multiplies every operand
-    whole, whatever its ``k``.
+    ``chunk_rows`` (``None``: the storage layer's chunk-size policy,
+    resolved once here) drives morsel-driven numeric execution:
+    dense/blocked aggregate grids accumulate over key-domain chunks (each
+    operand slice is at most ``g x chunk_rows`` cells) and numeric join
+    products chunk the probe rows, extracting nonzero pairs per product
+    slice.  Chunked accumulation is what keeps large-``k`` products on
+    the bit-accurate numeric path with bounded memory; an operand no
+    wider than one chunk multiplies whole.
 
     ``workers`` > 1 fans the independent chunks of both loops across a
     thread pool (the GEMM emulation is stateless, so parallel products
@@ -326,13 +315,11 @@ class TCUDriver:
     accumulated in a fixed order).
     """
 
-    def __init__(self, device: GPUDevice, mode: ExecutionMode,
-                 chunk_rows: int | None = None,
+    def __init__(self, device: GPUDevice, chunk_rows: int | None = None,
                  workers: int | None = None,
                  backend: str | None = None):
         self.device = device
-        self.mode = mode
-        self.chunk_rows = chunk_rows
+        self.chunk_rows = chunk_rows_policy(chunk_rows)
         self.workers = workers_policy(workers)
         # Kernel-primitive layer: "sim" (the simulated unit, the oracle),
         # "fast" (optimized NumPy/BLAS) or "torch"; see
@@ -340,29 +327,17 @@ class TCUDriver:
         # equivalence contract.
         self.backend = get_backend(backend)
 
-    # -- shared charging ---------------------------------------------------- #
-
-    def _charge(self, breakdown: TimingBreakdown, plan: PlanCost,
-                op_stage: str) -> None:
-        breakdown.add(STAGE_FILL, plan.transform.fill_seconds)
-        breakdown.add(STAGE_MEMCPY, plan.transform.memcpy_seconds)
-        breakdown.add(op_stage, plan.compute_seconds)
-        # Result extraction: nonzero scan belongs to the operator, the
-        # host transfer to the memcpy stage; plan.result_seconds bundles
-        # both, so split by recomputing the transfer part.
-        breakdown.add(STAGE_MEMCPY, plan.result_seconds)
-
     # -- numeric-emulation gates (shared with the TensorProgram ops) -------- #
 
     def use_numeric_join(self, prepared: PreparedJoin,
                          mode: ExecutionMode) -> bool:
         """True when the join product can run bit-accurate TCU emulation.
 
-        Unchunked, every dense piece (left operand, right operand, the
-        product) must fit the cell budget.  With chunked execution the
-        probe rows stream: only one ``chunk x k`` operand slice and one
-        ``chunk x m`` product slice live at a time, so the left row count
-        stops being a limit — the build side still must fit.
+        Whole, every dense piece (left operand, right operand, the
+        product) must fit the cell budget.  Chunked, the probe rows
+        stream: only one ``chunk x k`` operand slice and one ``chunk x m``
+        product slice live at a time, so the left row count stops being a
+        limit — the build side still must fit.
         """
         if mode != ExecutionMode.REAL:
             return False
@@ -373,8 +348,6 @@ class TCUDriver:
                 and n * k <= NUMERIC_CELL_LIMIT
                 and m * k <= NUMERIC_CELL_LIMIT):
             return True
-        if self.chunk_rows is None:
-            return False
         chunk = min(self.chunk_rows, max(n, 1))
         return (
             m * k <= NUMERIC_CELL_LIMIT
@@ -388,9 +361,8 @@ class TCUDriver:
                          sparse: bool = False) -> bool:
         """True when the aggregate grids can run bit-accurate numerics.
 
-        Dense plans must materialize both (g, k) operand matrices, so the
-        dense cell counts gate — unless chunked execution is on, in which
-        case the key domain streams through the unit in ``chunk_rows``
+        Dense plans materialize both operands one key-domain chunk at a
+        time: the key domain streams through the unit in ``chunk_rows``
         column slices of the prepared operand (:class:`ColumnSlices`: a
         view of at most 2**20 addressed cells, or O(nnz) ranked cells
         plus one ``(g, chunk)`` slice pair) and only the ``g x chunk``
@@ -413,35 +385,10 @@ class TCUDriver:
                 + min(nnz_right, -(-g2 // TILE) * k_slots)
             )
             return worst_tiles * TILE * TILE <= NUMERIC_CELL_LIMIT
-        k_slice = k if self.chunk_rows is None else min(k, self.chunk_rows)
+        k_slice = min(k, self.chunk_rows)
         return (
             g1 * k_slice <= NUMERIC_CELL_LIMIT
             and g2 * k_slice <= NUMERIC_CELL_LIMIT
-        )
-
-    # -- 2-way join (Q1/Q5) ---------------------------------------------------- #
-
-    def join_2way(self, prepared: PreparedJoin, plan: PlanCost) -> OperatorRun:
-        breakdown = TimingBreakdown()
-        self._charge(breakdown, plan, "tcu_join")
-        if self.mode != ExecutionMode.REAL:
-            count = self._join_count(prepared)
-            return OperatorRun(n_rows=count, breakdown=breakdown,
-                               meta={"strategy": plan.strategy.value})
-        if self.use_numeric_join(prepared, self.mode):
-            left_idx, right_idx = self._join_pairs_by_matmul(prepared, plan)
-        else:
-            pairs = self._join_pairs_semantic(prepared)
-            left_idx, = pairs.left(
-                [np.arange(prepared.left_keys_mapped.size)])
-            right_idx, = pairs.right(
-                [np.arange(prepared.right_keys_mapped.size)])
-        return OperatorRun(
-            n_rows=int(left_idx.size),
-            breakdown=breakdown,
-            arrays=[left_idx, right_idx],
-            names=["__left_index", "__right_index"],
-            meta={"strategy": plan.strategy.value},
         )
 
     @staticmethod
@@ -450,9 +397,9 @@ class TCUDriver:
         backend=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Dense indicator/comparison operand matrices of one join
-        (Sections 3.1/3.4), shared by the legacy 2-way path and the
-        TensorProgram ``Gemm`` operator.  ``backend`` supplies the
-        dense-from-COO fill kernel (``None``: the simulator's)."""
+        (Sections 3.1/3.4), as the TensorProgram ``Gemm`` operator
+        multiplies them.  ``backend`` supplies the dense-from-COO fill
+        kernel (``None``: the simulator's)."""
         from repro.engine.tcudb.transform import comparison_matrix
 
         fill = backend.dense_from_coo if backend is not None else dense_from_coo
@@ -475,7 +422,7 @@ class TCUDriver:
 
     def _join_pairs_by_matmul(self, prepared: PreparedJoin, plan: PlanCost):
         n = prepared.left_keys_mapped.size
-        if self.chunk_rows is not None and n > self.chunk_rows:
+        if n > self.chunk_rows:
             return self._join_pairs_chunked(prepared, plan)
         left, right = self.join_operand_matrices(prepared, self.backend)
         product = self._execute_gemm(left, right.T, plan)
@@ -588,7 +535,7 @@ class TCUDriver:
                 product, _ = tiled_a.spmm(tiled_b)
                 products.append(product.to_dense()[:g1, :g2])
             stacked = np.stack(products)
-        elif self.chunk_rows is not None and k > self.chunk_rows:
+        elif k > self.chunk_rows:
             stacked = np.stack(self._grids_by_slices(
                 left, right, left_sums, right_sums, plan))
         else:

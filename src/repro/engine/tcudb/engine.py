@@ -71,17 +71,11 @@ class TCUDBOptions:
     # default; ``fusion=False`` executes the unfused per-aggregate
     # operator DAG (bench ablation / debugging).
     fusion: bool = True
-    # Chunked (morsel-driven) execution: scans walk stat-pruned row
+    # Rows per chunk, the unit of execution: scans walk stat-pruned row
     # chunks, the driver accumulates GEMM grids over key-domain chunks,
-    # and hybrid pre-stages stream.  ``chunked_execution=False`` is the
-    # legacy contiguous ablation switch; ``chunk_rows=None`` takes the
-    # storage layer's chunk-size policy.
-    chunked_execution: bool = True
+    # and hybrid pre-stages stream.  ``None`` takes the storage layer's
+    # chunk-size policy; a size past every table is one whole chunk.
     chunk_rows: int | None = None
-    # Streaming hybrid pre-stage: lets hybrid-class queries run in
-    # ANALYTIC mode (bounded by the stage's row budget) instead of
-    # falling back with kind="mode".
-    stream_prestage: bool = True
     # Morsel parallelism: worker-thread count for the independent chunk
     # loops (scan filters, probe-chunk GEMMs, grid partials, streaming
     # pre-stages).  ``None`` defers to the REPRO_WORKERS policy; 1 is
@@ -133,8 +127,8 @@ class TCUDBEngine(Engine):
             force_strategy=self.options.force_strategy,
             force_precision=self.options.force_precision,
         )
-        self.driver = TCUDriver(self.device, mode,
-                                chunk_rows=self._driver_chunk_rows(),
+        self.driver = TCUDriver(self.device,
+                                chunk_rows=self.options.chunk_rows,
                                 workers=self.options.workers,
                                 backend=self.options.backend)
         self._fallback = YDBEngine(catalog, self.device, mode=mode)
@@ -142,13 +136,6 @@ class TCUDBEngine(Engine):
         # this before execute_bound and clears it after; operators poll
         # it at chunk/op boundaries.
         self.cancel_token = None
-
-    def _driver_chunk_rows(self) -> int | None:
-        if not self.options.chunked_execution:
-            return None
-        from repro.storage.chunk import chunk_rows_policy
-
-        return chunk_rows_policy(self.options.chunk_rows)
 
     # ------------------------------------------------------------------ #
 
@@ -225,9 +212,7 @@ class TCUDBEngine(Engine):
         cache = self.program_cache if key is not None else None
 
         def lower(lowering) -> LoweredQuery | MatchFailure:
-            lowered = lowering(template, self.mode,
-                               fusion=self.options.fusion,
-                               streaming=self.options.stream_prestage)
+            lowered = lowering(template, fusion=self.options.fusion)
             # A hybrid re-lowering replaces the pattern template: the
             # data-dependent shape it failed on is stable under this
             # fingerprint (data only changes by re-registering).
@@ -253,10 +238,9 @@ class TCUDBEngine(Engine):
                 # problem (e.g. duplicate-key dimensions) at run time;
                 # retry through the hybrid pipeline before giving up.
                 lowered = lower(lower_hybrid)
-                if (isinstance(lowered, MatchFailure)
-                        and lowered.kind != "mode"):
-                    # Not hybrid-expressible either (a mode block is the
-                    # better reason): report the run-time rejection.
+                if isinstance(lowered, MatchFailure):
+                    # Not hybrid-expressible either: report the run-time
+                    # rejection.
                     lowered = rejected
             return self._fall_back(bound, lowered.reason, lowered.kind)
 
@@ -298,9 +282,7 @@ class TCUDBEngine(Engine):
             options.disable_fallback,
             options.force_cpu_transform,
             options.fusion,
-            options.chunked_execution,
             options.chunk_rows,
-            options.stream_prestage,
             options.cache_namespace,
             self.driver.backend.name,
         )

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.base import ExecutionMode
 from repro.engine.tcudb import ops
 from repro.engine.tcudb.patterns import (
     AggRef,
@@ -70,16 +69,13 @@ class LoweredQuery:
 
 
 def lower_query(
-    bound: BoundQuery, mode: ExecutionMode, fusion: bool = True,
-    streaming: bool = True,
+    bound: BoundQuery, fusion: bool = True,
 ) -> LoweredQuery | MatchFailure:
     """Lower a bound query, preferring the full pattern pipeline.
 
     ``fusion`` runs the optimizing rewrite pass
     (:mod:`repro.engine.tcudb.fuse`) over the lowered program — on by
     default; ``fusion=False`` is the ablation/debug switch.
-    ``streaming`` allows hybrid pre-stages to stream in ANALYTIC mode
-    (off reproduces the legacy ``kind="mode"`` fallback).
     """
     pattern = match_pattern(bound)
     if isinstance(pattern, TCUPattern):
@@ -89,12 +85,8 @@ def lower_query(
         pattern_failure = lowered
     else:
         pattern_failure = pattern
-    hybrid = lower_hybrid(bound, mode, fusion=fusion, streaming=streaming)
+    hybrid = lower_hybrid(bound, fusion=fusion)
     if isinstance(hybrid, LoweredQuery):
-        return hybrid
-    if hybrid.kind == "mode":
-        # The query is hybrid-expressible; only the execution mode
-        # blocks it.  Report that, not a (wrong) expressiveness gap.
         return hybrid
     # Report the primary (pattern) rejection: it names the construct
     # beyond matmul expressiveness.
@@ -367,16 +359,14 @@ def _dim_needed_columns(pattern: TCUPattern, dim: str) -> list[str]:
 
 
 def lower_hybrid(
-    bound: BoundQuery, mode: ExecutionMode, fusion: bool = True,
-    streaming: bool = True,
+    bound: BoundQuery, fusion: bool = True,
 ) -> LoweredQuery | MatchFailure:
     """Lower the aggregation core onto the TCU over a conventional
     pre-stage (Lemma 3.1 grouped reduce).
 
-    With ``streaming`` (the default), the pre-stage pulls chunk batches
-    through the plan prefix, which also unlocks ANALYTIC-mode hybrid
-    execution (bounded by the stage's row budget) — previously a
-    ``kind="mode"`` fallback."""
+    The pre-stage pulls chunk batches through the plan prefix, so the
+    program runs in every execution mode (ANALYTIC bounded by the
+    stage's row budget)."""
     if not (bound.has_aggregates or bound.group_by):
         return MatchFailure(
             "no aggregation core: hybrid lowering accelerates "
@@ -453,17 +443,7 @@ def lower_hybrid(
             if isinstance(node, MatchFailure):
                 return MatchFailure(f"HAVING: {node.reason}")
             having_nodes[expr] = node
-    # Checked last, after expressibility: a "mode" rejection asserts the
-    # query *would* run hybrid in REAL mode (the classification the
-    # fallback-rate reporting relies on).  Streaming pre-stages execute
-    # in any mode, so the rejection only survives with streaming off.
-    if mode != ExecutionMode.REAL and not streaming:
-        return MatchFailure(
-            "hybrid pre-stage requires REAL mode (materialized relation)",
-            kind="mode",
-        )
-    tree = plan_relation(bound)
-    stage = ops.PhysicalStage(id="prestage", tree=tree, streaming=streaming)
+    stage = ops.PhysicalStage(id="prestage", tree=plan_relation(bound))
     fill = ops.ValueFill(
         id="value_fill", left_input=stage.id, right_input=None,
         mode="reduce", specs=specs, group_by=list(bound.group_by),

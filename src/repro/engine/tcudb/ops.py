@@ -342,11 +342,11 @@ class TensorOp:
 class TableSource(TensorOp):
     """Scan one binding and apply its local filter conjuncts.
 
-    With chunked execution on, the scan walks the table's fixed-size row
-    chunks and *prunes* chunks whose per-chunk min/max statistics prove
-    the filters empty — pruned chunks are never touched and never
-    charged, so selective filters over clustered columns get cheaper
-    with data layout, as a real columnar scan would.
+    The scan walks the table's fixed-size row chunks and *prunes* chunks
+    whose per-chunk min/max statistics prove the filters empty — pruned
+    chunks are never touched and never charged, so selective filters
+    over clustered columns get cheaper with data layout, as a real
+    columnar scan would.
     """
 
     binding: str
@@ -376,11 +376,6 @@ class TableSource(TensorOp):
         filters = ctx.bound.filters.get(self.binding, [])
         if not filters:
             return RelationValue(env=self._env_of(table, name_of))
-        if ctx.chunk_rows is None:
-            env = self._env_of(table, name_of)
-            ctx.charge(self, STAGE_FILL,
-                       env.n_rows * ctx.host.scan_elem_s * len(filters))
-            return RelationValue(env=self._filtered(ctx, env, filters))
         return RelationValue(env=self._scan_chunked(ctx, filters, name_of))
 
     def _env_of(self, source, name_of) -> Environment:
@@ -1505,51 +1500,36 @@ class PhysicalStage(TensorOp):
     host-executor time, and hands the materialized relation to the TCU
     core (grouped-reduce ValueFill/Gemm).
 
-    With ``streaming`` on (the default since the chunked-storage
-    refactor), the prefix executes morsel-driven — chunk batches pulled
-    through Scan/Filter/Join — which bounds peak intermediates to the
-    chunk size times the join fan-out and, crucially, lets hybrid
-    lowering run in ANALYTIC mode: the pre-stage streams up to
-    ``budget_rows`` output rows instead of refusing with a ``mode``
-    fallback.
+    The prefix executes morsel-driven — chunk batches pulled through
+    Scan/Filter/Join — which bounds peak intermediates to the chunk size
+    times the join fan-out and lets the stage run in every execution
+    mode: ANALYTIC streams up to ``budget_rows`` output rows.
     """
 
     tree: LogicalNode
-    streaming: bool = False
     budget_rows: int = 4_000_000
 
     kind = "physical_stage"
 
     def describe(self) -> str:
-        roots = [n.describe() for n in self.tree.walk()]
-        suffix = " [streaming]" if self.streaming else ""
-        return f"{self.id}: PhysicalStage({' <- '.join(roots[:1])}...)"\
-            + suffix
+        return (f"{self.id}: PhysicalStage({self.tree.describe()}...) "
+                "[streaming]")
 
     def emission(self, ctx) -> OpEmission:
-        label = "PhysicalStage (host pre-join"
-        label += ", streamed)" if self.streaming else ")"
         return OpEmission(
-            kind="physical_stage", label=label,
+            kind="physical_stage",
+            label="PhysicalStage (host pre-join, streamed)",
             lines=["  // host executor: joins/filters beyond matmul "
                    "expressiveness; streams the joined relation to the TCU "
                    "chunk by chunk"],
         )
 
     def execute(self, ctx) -> RelationValue:
-        if ctx.mode != ExecutionMode.REAL and not self.streaming:
-            raise FallbackRequired(
-                "hybrid pre-stage requires REAL mode (materialized relation)",
-                kind="mode",
-            )
         executor = PhysicalExecutor(ctx.bound, chunk_rows=ctx.chunk_rows,
                                     workers=ctx.workers,
                                     cancel_token=ctx.cancel_token)
         try:
-            if self.streaming:
-                env = self._stream_prefix(ctx, executor)
-            else:
-                env = executor._run_relation(self.tree)
+            env = self._stream_prefix(ctx, executor)
         except ExecutionError as error:
             raise FallbackRequired(
                 f"hybrid pre-stage exceeded materialization budget: {error}",

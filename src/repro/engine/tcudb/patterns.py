@@ -126,8 +126,7 @@ class MatchFailure:
 
     ``kind`` classifies the rejection for the fallback-rate surfaces:
     ``pattern`` (expressiveness), ``cost`` (optimizer preferred the
-    conventional plan), ``feasibility`` (data-range test failed) or
-    ``mode`` (execution mode cannot support the plan).
+    conventional plan) or ``feasibility`` (data-range test failed).
     """
 
     reason: str

@@ -83,36 +83,24 @@ class ProgramContext:
     def record_decision(self, op_id: str, decision) -> None:
         self.decisions[op_id] = decision
 
-    # -- helpers shared with the former engine monoliths ----------------- #
+    # -- settings the driver resolved once, at engine construction ------- #
 
     @property
-    def chunk_rows(self) -> int | None:
-        """Effective chunk size for morsel-driven operators, or ``None``
-        when chunked execution is off (the legacy contiguous path)."""
-        if not getattr(self.options, "chunked_execution", True):
-            return None
-        from repro.storage.chunk import chunk_rows_policy
-
-        return chunk_rows_policy(getattr(self.options, "chunk_rows", None))
+    def chunk_rows(self) -> int:
+        """Rows per chunk of the morsel-driven operators."""
+        return self.driver.chunk_rows
 
     @property
     def workers(self) -> int:
-        """Effective worker count for the morsel-parallel chunk loops."""
-        from repro.engine.parallel import workers_policy
-
-        return workers_policy(getattr(self.options, "workers", None))
+        """Worker count of the morsel-parallel chunk loops."""
+        return self.driver.workers
 
     @property
     def backend(self):
         """The active :class:`~repro.tensor.backend.TensorBackend` —
         operators route gather/bincount/nonzero/mask primitives through
         it so one selection covers the whole program."""
-        driver = self.driver
-        if driver is not None and getattr(driver, "backend", None) is not None:
-            return driver.backend
-        from repro.tensor.backend import get_backend
-
-        return get_backend(getattr(self.options, "backend", None))
+        return self.driver.backend
 
     def referenced_columns(self, binding: str) -> int:
         return max(

@@ -11,9 +11,8 @@ min/max/n_distinct statistics so scans can prune chunks a predicate
 provably cannot match (see
 :func:`repro.storage.statistics.predicate_can_match`).
 
-The partitioning is purely a view: ``to_contiguous()`` hands legacy
-callers the original table, and concatenating every chunk reproduces it
-row for row (chunking never reorders).
+The partitioning is purely a view: concatenating every chunk reproduces
+the table row for row (chunking never reorders).
 """
 
 from __future__ import annotations
@@ -128,8 +127,7 @@ class ChunkedTable:
     """A table partitioned into fixed-size row chunks.
 
     Chunks are zero-copy views in row order; statistics are computed per
-    chunk on first use.  ``to_contiguous()`` returns the backing table
-    for legacy callers that need one contiguous array per column.
+    chunk on first use.
     """
 
     def __init__(self, table: Table, chunk_rows: int | None = None):
@@ -160,10 +158,6 @@ class ChunkedTable:
     @property
     def column_names(self) -> list[str]:
         return self._table.column_names
-
-    def to_contiguous(self) -> Table:
-        """The backing contiguous table (chunking is a pure view)."""
-        return self._table
 
     def __iter__(self) -> Iterator[Chunk]:
         return iter(self.chunks)

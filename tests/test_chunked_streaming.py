@@ -1,13 +1,13 @@
 """Chunked columnar storage + streaming execution contracts.
 
-The morsel-driven refactor must be *invisible* to answers: chunked
-storage on vs. the legacy contiguous path (both in the oracle and in
-TCUDB) produce identical results over the fuzz corpus, chunk pruning
-never drops qualifying rows, the streaming hybrid pre-stage turns the
-historical ANALYTIC ``kind="mode"`` fallbacks into ``TCU-hybrid``
-executions with exact row counts, unmaterialized chain steps price from
-exact per-step cardinalities, and the bench verifier's sampled streaming
-replay verifies paper-scale catalogs it previously skipped.
+Chunks are the unit of execution and must be *invisible* to answers:
+the streaming oracle equals the contiguous one, TCUDB at tiny and
+whole-table chunks equals the oracle over the fuzz corpus, chunk pruning
+never drops qualifying rows, the streaming hybrid pre-stage runs
+ANALYTIC queries as ``TCU-hybrid`` executions with exact row counts,
+unmaterialized chain steps price from exact per-step cardinalities, and
+the bench verifier's sampled streaming replay verifies paper-scale
+catalogs it previously skipped.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class TestChunkedTable:
         # Chunks are zero-copy views over the contiguous columns.
         assert np.shares_memory(chunked.chunks[0].column("a").data,
                                 table.column("a").data)
-        assert chunked.to_contiguous() is table
 
     def test_concatenated_chunks_reproduce_the_table(self):
         rng = np.random.default_rng(5)
@@ -171,7 +170,7 @@ class TestChunkPruning:
 
 
 # --------------------------------------------------------------------------- #
-# Streaming oracle == legacy contiguous oracle (ablation, both paths)
+# Streaming oracle == contiguous oracle; TCUDB at any chunk size == oracle
 # --------------------------------------------------------------------------- #
 
 
@@ -185,22 +184,44 @@ def test_streaming_oracle_equals_contiguous(fuzz_catalog):
         )
 
 
-def test_tcudb_chunked_equals_contiguous(fuzz_catalog):
-    """TCUDB with chunked execution (tiny chunks, so scans, folds, grid
-    accumulation and the streaming pre-stage all actually chunk) equals
-    the legacy contiguous ablation over the fuzz corpus."""
-    chunked = TCUDBEngine(fuzz_catalog,
-                          options=TCUDBOptions(chunk_rows=64))
-    legacy = TCUDBEngine(
-        fuzz_catalog,
-        options=TCUDBOptions(chunked_execution=False,
-                             stream_prestage=False),
-    )
+@pytest.mark.parametrize("chunk_rows", [64, 1 << 30])
+def test_tcudb_at_any_chunk_size_equals_oracle(fuzz_catalog, chunk_rows):
+    """TCUDB with tiny chunks (scans, folds, grid accumulation and the
+    streaming pre-stage all actually chunk) and with one chunk per table
+    (every operand whole) equals the oracle over the fuzz corpus."""
+    engine = TCUDBEngine(fuzz_catalog,
+                         options=TCUDBOptions(chunk_rows=chunk_rows))
+    oracle = ReferenceEngine(fuzz_catalog)
     for index, sql in enumerate(fuzz_queries(50)):
         assert_results_match(
-            chunked.execute(sql), legacy.execute(sql), rel=TCU_REL,
-            context=f"chunked fuzz #{index}: {sql}",
+            engine.execute(sql), oracle.execute(sql), rel=TCU_REL,
+            context=f"chunk_rows={chunk_rows} fuzz #{index}: {sql}",
         )
+
+
+def test_settings_resolve_once_per_engine(fuzz_catalog, monkeypatch):
+    """Scans chunk with the size the driver resolved at construction,
+    even when the environment changes before the run."""
+    import repro.engine.tcudb.ops as ops_module
+
+    monkeypatch.delenv("REPRO_CHUNK_ROWS", raising=False)
+    engine = TCUDBEngine(fuzz_catalog)
+    monkeypatch.setenv("REPRO_CHUNK_ROWS", "64")
+    seen = []
+    real = ops_module.pruned_scan_chunks
+
+    def spy(bound, binding, filters, chunk_rows=None):
+        seen.append(chunk_rows)
+        return real(bound, binding, filters, chunk_rows)
+
+    monkeypatch.setattr(ops_module, "pruned_scan_chunks", spy)
+    result = engine.execute(
+        "SELECT SUM(lo_revenue) AS r, d_year FROM lineorder, ddate "
+        "WHERE lo_orderdate = d_datekey AND lo_discount < 4 "
+        "GROUP BY d_year")
+    assert result.extra["executed_by"] == "TCU"
+    assert seen and set(seen) == {engine.driver.chunk_rows}
+    assert engine.driver.chunk_rows != 64
 
 
 # --------------------------------------------------------------------------- #
@@ -234,15 +255,7 @@ CHAIN_AGG_SQL = (
 
 
 class TestStreamingPrestage:
-    def test_analytic_hybrid_executes_instead_of_mode_fallback(
-        self, chain_catalog
-    ):
-        legacy = TCUDBEngine(
-            chain_catalog, mode=ExecutionMode.ANALYTIC,
-            options=TCUDBOptions(stream_prestage=False),
-        ).execute(CHAIN_AGG_SQL)
-        assert legacy.extra["executed_by"] == "YDB-fallback"
-        assert legacy.extra["fallback_kind"] == "mode"
+    def test_analytic_hybrid_executes_streamed(self, chain_catalog):
         streamed = TCUDBEngine(
             chain_catalog, mode=ExecutionMode.ANALYTIC
         ).execute(CHAIN_AGG_SQL)
@@ -255,7 +268,7 @@ class TestStreamingPrestage:
         engine = TCUDBEngine(chain_catalog, mode=ExecutionMode.ANALYTIC)
         bound = bind(parse(CHAIN_AGG_SQL), chain_catalog)
         stage = PhysicalStage(id="prestage", tree=plan_relation(bound),
-                              streaming=True, budget_rows=1)
+                              budget_rows=1)
         ctx = engine._context(bound)
         with pytest.raises(FallbackRequired) as info:
             stage.execute(ctx)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.engine.base import ExecutionMode
 from repro.engine.magiq import GraphBLAS, MAGiQEngine
 from repro.engine.tcudb.cost import estimate_dense
 from repro.engine.tcudb.driver import (
@@ -67,41 +66,29 @@ class TestDriverJoinPaths:
         return estimate_dense(device, I7_7700K, geometry, Precision.INT4)
 
     def test_matmul_and_semantic_paths_agree(self, device, rng):
-        """The indicator-GEMM join and the key-based join produce the
-        same pair set — the central driver invariant."""
+        """The indicator-GEMM join (the path the ``Gemm`` operator runs)
+        and the key-based join produce the same pair set — the central
+        driver invariant."""
         n, m, k = 60, 45, 9
         prepared = self._prepared(rng, n, m, k)
         plan = self._plan(device, n, m, k)
-        driver = TCUDriver(device, ExecutionMode.REAL)
+        driver = TCUDriver(device)
         assert n * m <= NUMERIC_CELL_LIMIT
-        via_matmul = driver.join_2way(prepared, plan)
+        rows, cols = driver._join_pairs_by_matmul(prepared, plan)
         pairs = driver._join_pairs_semantic(prepared)
         li, = pairs.left([np.arange(n)])
         ri, = pairs.right([np.arange(m)])
-        matmul_pairs = sorted(zip(via_matmul.arrays[0].tolist(),
-                                  via_matmul.arrays[1].tolist()))
+        matmul_pairs = sorted(zip(rows.tolist(), cols.tolist()))
         semantic_pairs = sorted(zip(li.tolist(), ri.tolist()))
         assert matmul_pairs == semantic_pairs
 
-    def test_analytic_mode_counts_only(self, device, rng):
+    def test_analytic_count_matches_pairs(self, device, rng):
+        """ANALYTIC mode counts the pairs REAL mode materializes."""
         prepared = self._prepared(rng, 40, 40, 5)
         plan = self._plan(device, 40, 40, 5)
-        driver = TCUDriver(device, ExecutionMode.ANALYTIC)
-        run = driver.join_2way(prepared, plan)
-        assert run.arrays is None
-        real = TCUDriver(device, ExecutionMode.REAL).join_2way(prepared, plan)
-        assert run.n_rows == real.n_rows
-
-    def test_breakdown_charges_plan_components(self, device, rng):
-        prepared = self._prepared(rng, 40, 40, 5)
-        plan = self._plan(device, 40, 40, 5)
-        driver = TCUDriver(device, ExecutionMode.REAL)
-        run = driver.join_2way(prepared, plan)
-        stages = run.breakdown.stages
-        assert stages["fill_matrices"] == pytest.approx(
-            plan.transform.fill_seconds
-        )
-        assert stages["tcu_join"] == pytest.approx(plan.compute_seconds)
+        driver = TCUDriver(device)
+        rows, _ = driver._join_pairs_by_matmul(prepared, plan)
+        assert driver._join_count(prepared) == rows.size
 
 
 class TestGraphBLAS:

@@ -306,10 +306,11 @@ STAR = ("SELECT d_year, SUM(lo_revenue) AS rev FROM lineorder, ddate "
 
 
 class TestProjectedScan:
-    # Chunk-pruned (sequential and morsel-parallel), unchunked, and — on
-    # ddate, which has no filter here — the unfiltered branch.
+    # Chunk-pruned (sequential and morsel-parallel), one whole-table
+    # chunk (every chunk kept), and — on ddate, which has no filter
+    # here — the unfiltered branch.
     @pytest.mark.parametrize("options", [
-        {}, {"workers": 2}, {"chunked_execution": False}, {"chunk_rows": 64},
+        {}, {"workers": 2}, {"chunk_rows": 1 << 30}, {"chunk_rows": 64},
     ])
     def test_only_referenced_columns_are_carried(self, catalog, options):
         fact = scan(catalog, STAR, "lineorder", **options).env

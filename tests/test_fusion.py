@@ -43,7 +43,7 @@ TCU_REL = 2e-3
 
 def lowered_program(catalog, sql, fusion):
     bound = bind(parse(sql), catalog, None)
-    lowered = lower_query(bound, ExecutionMode.REAL, fusion=fusion)
+    lowered = lower_query(bound, fusion=fusion)
     assert not isinstance(lowered, type(None))
     return lowered.program
 

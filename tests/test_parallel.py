@@ -14,7 +14,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigError, QueryCancelled
+from differential_utils import assert_results_match
+from repro.common.errors import ConfigError, ExecutionError, QueryCancelled
 from repro.common.rng import make_rng
 from repro.datasets.ssb import ssb_catalog
 from repro.engine.parallel import (
@@ -23,8 +24,13 @@ from repro.engine.parallel import (
     parallel_map,
     workers_policy,
 )
+from repro.engine.physical import PhysicalExecutor
 from repro.engine.reference import ReferenceEngine
 from repro.engine.tcudb import TCUDBEngine, TCUDBOptions
+from repro.sql.binder import bind
+from repro.sql.logical import Join, Scan
+from repro.sql.parser import parse
+from repro.sql.planner import plan
 from repro.storage.table import Table
 from repro.workloads import SSB_QUERIES
 from test_fuzz_queries import FUZZ_SEED, QueryGenerator
@@ -150,6 +156,32 @@ class TestParallelEquivalence:
         b = parallel.execute(sql)
         assert a.extra["chunks_pruned"] == b.extra["chunks_pruned"]
         assert a.extra["chunks_scanned"] == b.extra["chunks_scanned"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pair_limit_is_cumulative(self, catalog, workers):
+        """One join's pair budget spans all of its probe chunks, at every
+        worker count: a limit one below the join's total fails, the
+        total itself returns the contiguous oracle's rows."""
+        generator = QueryGenerator(make_rng(FUZZ_SEED))
+        while True:
+            sql = generator.generate()
+            bound = bind(parse(sql), catalog)
+            joins = [n for n in plan(bound).walk() if isinstance(n, Join)]
+            if (len(joins) == 1 and isinstance(joins[0].left, Scan)
+                    and joins[0].left.binding == "lineorder"):
+                break
+        total = PhysicalExecutor(bound)._run_relation(joins[0]).n_rows
+        assert total > 0
+
+        def streamed(pair_limit):
+            return ReferenceEngine(catalog, streaming=True, chunk_rows=256,
+                                   workers=workers, pair_limit=pair_limit)
+
+        with pytest.raises(ExecutionError, match="would materialize"):
+            streamed(total - 1).execute(sql)
+        assert_results_match(streamed(total).execute(sql),
+                             ReferenceEngine(catalog).execute(sql),
+                             context=sql)
 
 
 # --------------------------------------------------------------------------- #

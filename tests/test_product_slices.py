@@ -22,7 +22,6 @@ import pytest
 
 from differential_utils import assert_results_match, engine_variants
 from repro.engine import ReferenceEngine
-from repro.engine.base import ExecutionMode
 from repro.engine.tcudb import (
     Strategy,
     TCUDBEngine,
@@ -159,7 +158,7 @@ def test_sliced_grids_equal_the_reselecting_loop(
         case, placement, backend, workers, strategy, device, monkeypatch):
     left, right, k, chunk, specs, precision = CASES[case].values()
     force_placement(monkeypatch, placement)
-    driver = TCUDriver(device, ExecutionMode.REAL, chunk_rows=chunk,
+    driver = TCUDriver(device, chunk_rows=chunk,
                        workers=workers, backend=backend)
     plan = product_plan(device, left, right, k, precision, strategy)
     structures, sums = prepared_operands(left, right, k)
@@ -205,7 +204,7 @@ def test_a_chunk_either_side_leaves_empty_is_not_multiplied(
     left, right, k, chunk, specs, precision = CASES[
         "one-sided chunks"].values()
     force_placement(monkeypatch, placement)
-    driver = TCUDriver(device, ExecutionMode.REAL, chunk_rows=chunk,
+    driver = TCUDriver(device, chunk_rows=chunk,
                        workers=1, backend="sim")
     plan = product_plan(device, left, right, k, precision, Strategy.DENSE)
     _, multiplied = reselecting_oracle(driver, left, right, k, plan)
