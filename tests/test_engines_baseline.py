@@ -187,6 +187,48 @@ class TestAnalyticMode:
             run.require_table()
 
 
+#: sha256 of every baseline charge over the differential corpus; see
+#: test_baseline_charges_are_pinned.
+BASELINE_CHARGES_DIGEST = (
+    "ae55039ac53d6bd3775837278b6508fe06718d35945fe647d5e46b257bf31278"
+)
+
+
+@pytest.mark.engine_matrix
+def test_baseline_charges_are_pinned():
+    """YDB / MonetDB simulated seconds are byte-stable.
+
+    Both baselines run the differential corpus in REAL mode and in
+    ANALYTIC mode at a 64-pair materialization limit, so the runs that
+    skip a join (and price the operators above it from statistics) are
+    pinned too.  The digest covers row counts, ``repr(seconds)`` and every
+    stage in charge order: any change to what the walker reports or to
+    the order the cost model replays it changes it.
+    """
+    import hashlib
+    import itertools
+
+    from repro.datasets.ssb import ssb_catalog
+    from test_differential import CORPUS
+
+    catalogs = {"ssb": ssb_catalog(scale_factor=1, rows_per_sf=3000, seed=11),
+                "micro": microbench_catalog(600, 24, seed=3)}
+    cells = [(ExecutionMode.REAL, 4_000_000), (ExecutionMode.ANALYTIC, 64)]
+    digest = hashlib.sha256()
+    skipped = 0
+    for cls, (mode, limit), (schema, name, sql) in itertools.product(
+            (YDBEngine, MonetDBEngine), cells, CORPUS):
+        r = cls(catalogs[schema], mode=mode,
+                materialize_limit=limit).execute(sql)
+        skipped += r.table is None
+        digest.update(repr((
+            cls.__name__, mode.value, name, r.n_rows, repr(r.seconds),
+            list(r.breakdown.stages.items()),
+        )).encode())
+    assert skipped == 62
+    assert digest.hexdigest() == BASELINE_CHARGES_DIGEST
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(2, 80),
