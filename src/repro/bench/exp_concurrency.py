@@ -96,8 +96,7 @@ def run_concurrency(
                            options=options)
 
     def reference_engine(workers: int) -> ReferenceEngine:
-        return ReferenceEngine(catalog, streaming=True,
-                               chunk_rows=chunk_rows, workers=workers)
+        return ReferenceEngine(catalog, chunk_rows=chunk_rows, workers=workers)
 
     series = (
         ("TCUDB", tcudb_engine, JOIN_AGG_SQL),

@@ -13,8 +13,8 @@ Verification kinds recorded on each :class:`SeriesPoint`:
 * ``oracle``  — SQL replayed through the engine (REAL mode) and the
   Reference oracle; row multisets compared within fp tolerance.  Under
   the ``stream`` policy the replay runs on a deterministically
-  chunk-sampled catalog through the streaming oracle (paper/stress
-  scales), recorded in the point's note.
+  chunk-sampled catalog (paper/stress scales), recorded in the point's
+  note.
 * ``numeric`` — tensor-unit numerics checked against a float64 product
   (used for the raw-GEMM and precision experiments with no SQL query).
 * ``shape``   — generator output recounted independently (dataset-shape
@@ -176,8 +176,7 @@ class OracleVerifier:
       (the smoke profile: inputs are CI-sized by construction);
     * ``"stream"`` — paper/stress-scale replay: tables beyond
       ``sample_rows`` are deterministically chunk-sampled (stride over
-      the storage chunk grid, no RNG) and the oracle executes through
-      the *streaming* PhysicalExecutor.  Engine and oracle replay the
+      the storage chunk grid, no RNG).  Engine and oracle replay the
       same sample, so the row-multiset comparison remains a true
       differential check; the sampling is recorded in the point's
       ``verify_note``.
@@ -239,10 +238,9 @@ class OracleVerifier:
         params_key = tuple(sorted((params or {}).items()))
         key = (id(catalog), sql, params_key)
         if key not in self._oracle_cache:
-            # Stream policy: the oracle replays morsel-driven, so its
-            # peak memory stays bounded by chunk size + distinct groups.
-            oracle = ReferenceEngine(catalog, pair_limit=self.pair_limit,
-                                     streaming=self.policy == "stream")
+            # The oracle walks chunk by chunk, so its peak memory stays
+            # bounded by chunk size + distinct groups.
+            oracle = ReferenceEngine(catalog, pair_limit=self.pair_limit)
             self._oracle_cache[key] = result_rows(
                 oracle.execute(sql, params=params)
             )

@@ -1,15 +1,14 @@
-"""General vectorized physical-plan executor and shared NumPy kernels.
+"""The one plan walker and the NumPy kernels it runs.
 
 This module is the execution backbone of the repo:
 
-* the join / group-by kernels every engine uses live here (they are
-  re-exported by :mod:`repro.engine.relational` for the cost-charging
-  baseline executors);
+* the NumPy join / group-by kernels live here;
 * :class:`PhysicalExecutor` interprets the *full* logical algebra from
   :mod:`repro.sql.logical` — Scan, Join, Filter, Aggregate (with HAVING
-  and MIN/MAX), Project, Sort, Limit — with pure NumPy semantics and no
-  cost model, which is what makes it suitable as a correctness oracle
-  (see :class:`repro.engine.reference.ReferenceEngine`);
+  and MIN/MAX), Project, Sort, Limit — as chunk tasks.  It is the only
+  plan interpreter: unobserved it is the Reference oracle, observed by a
+  :class:`~repro.engine.cost_models.CostObserver` it is YDB or MonetDB,
+  and TCUDB's hybrid pre-stage materializes a relational prefix with it;
 * the shared output helpers (:func:`resolve_output_index`,
   :func:`apply_order_limit`, :func:`build_result_table`) centralize
   ORDER BY/LIMIT and result-table semantics so TCUDB, the baselines and
@@ -40,6 +39,7 @@ from repro.sql.ast_nodes import (
     Literal,
     Predicate,
     SelectItem,
+    walk_predicate_exprs,
 )
 from repro.sql.binder import BoundColumn, BoundQuery
 from repro.sql.eval import (
@@ -66,7 +66,7 @@ from repro.storage.table import Table
 from repro.storage.types import DataType
 
 # --------------------------------------------------------------------------- #
-# Join kernels (shared by every engine; re-exported from engine.relational)
+# Join kernels
 # --------------------------------------------------------------------------- #
 
 
@@ -214,131 +214,10 @@ def combine_group_codes(arrays: list[np.ndarray]) -> np.ndarray:
     return combined
 
 
-def group_aggregate(
-    call: AggregateCall, env: Environment, bound: BoundQuery,
-    group_ids: np.ndarray, n_groups: int,
-) -> np.ndarray:
-    """Evaluate one SUM/COUNT/AVG/MIN/MAX call per group."""
-    if call.argument is None:  # COUNT(*)
-        return np.bincount(group_ids, minlength=n_groups).astype(np.float64)
-    values = evaluate_expr(call.argument, env, bound).astype(np.float64)
-    if call.func == "count":
-        return np.bincount(group_ids, minlength=n_groups).astype(np.float64)
-    if call.func == "sum":
-        return np.bincount(group_ids, weights=values, minlength=n_groups)
-    if call.func == "avg":
-        sums = np.bincount(group_ids, weights=values, minlength=n_groups)
-        counts = np.bincount(group_ids, minlength=n_groups)
-        return sums / np.maximum(counts, 1)
-    if call.func == "min":
-        out = np.full(n_groups, np.inf)
-        np.minimum.at(out, group_ids, values)
-        return _zero_empty_groups(out, group_ids, n_groups)
-    if call.func == "max":
-        out = np.full(n_groups, -np.inf)
-        np.maximum.at(out, group_ids, values)
-        return _zero_empty_groups(out, group_ids, n_groups)
-    raise ExecutionError(f"unsupported aggregate {call.func!r}")
-
-
-def _zero_empty_groups(out: np.ndarray, group_ids: np.ndarray,
-                       n_groups: int) -> np.ndarray:
-    """Replace the ±inf MIN/MAX sentinels of row-less groups with 0.0.
-
-    Only the single global group of an ungrouped aggregate over zero
-    rows can be row-less (grouped group ids come from the present
-    rows); this storage model has no NULLs, so that row reports 0.0.
-    """
-    counts = np.bincount(group_ids, minlength=n_groups)
-    out[counts == 0] = 0.0
-    return out
-
-
 _ARITH_OPS = {
     "+": np.add, "-": np.subtract, "*": np.multiply,
     "/": np.divide, "%": np.mod,
 }
-
-
-class GroupContext:
-    """Per-group evaluation of expressions and HAVING predicates.
-
-    Wraps one grouped relation: ``group_ids`` assigns each input row to a
-    group, ``representatives`` holds one input row index per group (for
-    group-key columns).  Expressions evaluate to one value per group.
-    Expressions structurally equal to a computed GROUP BY key resolve to
-    that key's projected column (expression GROUP BY).
-    """
-
-    def __init__(
-        self,
-        bound: BoundQuery,
-        env: Environment,
-        group_ids: np.ndarray,
-        n_groups: int,
-        representatives: np.ndarray,
-        group_by: list[BoundColumn],
-    ):
-        self.bound = bound
-        self.env = env
-        self.group_ids = group_ids
-        self.n_groups = n_groups
-        self.representatives = representatives
-        self.group_keys = {c.key for c in group_by}
-        self.computed = {
-            expr: key
-            for key, expr in getattr(bound, "group_exprs", {}).items()
-        }
-
-    # -- expressions ---------------------------------------------------- #
-
-    def eval_expr(self, expr: Expr) -> np.ndarray:
-        computed_key = self.computed.get(expr)
-        if computed_key is not None:
-            return self.env.lookup(computed_key)[self.representatives]
-        if isinstance(expr, AggregateCall):
-            return group_aggregate(expr, self.env, self.bound,
-                                   self.group_ids, self.n_groups)
-        if isinstance(expr, Literal):
-            return np.full(self.n_groups, expr.value)
-        if isinstance(expr, ColumnRef):
-            key = self.bound.resolve(expr).key
-            if key not in self.group_keys:
-                raise ExecutionError(f"non-grouped column {key} in select")
-            return self.env.lookup(key)[self.representatives]
-        if isinstance(expr, BinaryOp):
-            left = self.eval_expr(expr.left)
-            right = self.eval_expr(expr.right)
-            op = _ARITH_OPS.get(expr.op)
-            if op is None:
-                raise ExecutionError(
-                    f"unsupported arithmetic operator {expr.op!r}"
-                )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return op(
-                    np.asarray(left, dtype=np.float64),
-                    np.asarray(right, dtype=np.float64),
-                )
-        raise ExecutionError(
-            f"unsupported aggregate-context expression {expr!r}"
-        )
-
-    # -- HAVING predicates ---------------------------------------------- #
-
-    def eval_predicate(self, predicate: Predicate) -> np.ndarray:
-        # Same interpreter as WHERE evaluation, with per-group leaves.
-        return predicate_mask(
-            predicate,
-            self.n_groups,
-            self.eval_expr,
-            lambda ref, value: encode_literal(self.bound, ref, value),
-        )
-
-    def having_mask(self, predicates: list[Predicate]) -> np.ndarray:
-        mask = np.ones(self.n_groups, dtype=bool)
-        for predicate in predicates:
-            mask &= self.eval_predicate(predicate)
-        return mask
 
 
 def compute_environment(
@@ -394,28 +273,6 @@ def pruned_scan_chunks(bound: BoundQuery, binding: str, filters,
         if conjunction_can_match(filters, stats_of, encode):
             kept.append(chunk)
     return kept, chunked, name_of
-
-
-def build_group_context(
-    bound: BoundQuery, env: Environment, group_by: list[BoundColumn]
-) -> GroupContext:
-    """Assign group ids over an environment (one global group if no keys)."""
-    if group_by:
-        key_arrays = [env.lookup(c.key) for c in group_by]
-        combined = combine_group_codes(key_arrays)
-        unique_codes, group_ids = np.unique(combined, return_inverse=True)
-        n_groups = int(unique_codes.size)
-        representatives = np.zeros(n_groups, dtype=np.int64)
-        representatives[group_ids] = np.arange(group_ids.size)
-    else:
-        group_ids = np.zeros(env.n_rows, dtype=np.int64)
-        # An ungrouped aggregate always produces exactly one row — over
-        # zero input rows that row is COUNT=0 and SUM/AVG/MIN/MAX=0.0
-        # (no NULLs in this storage model).
-        n_groups = 1
-        representatives = np.zeros(1, dtype=np.int64)
-    return GroupContext(bound, env, group_ids, n_groups, representatives,
-                        group_by)
 
 
 # --------------------------------------------------------------------------- #
@@ -577,162 +434,117 @@ def build_result_table(
 
 
 # --------------------------------------------------------------------------- #
-# The general physical executor
+# The plan walker
 # --------------------------------------------------------------------------- #
 
 
 class PhysicalExecutor:
-    """Interpret a logical plan tree with pure NumPy kernels.
+    """Walk a logical plan as independent chunk tasks over NumPy kernels.
 
-    Cost-free and exact on both of its paths:
+    Scans yield fixed-size row chunks, skipping chunks their per-chunk
+    min/max statistics prove empty for the pushed-down filters;
+    Filter/Compute wrap the chunk tasks, a Join materializes its build
+    side once and probes every chunk, and aggregates merge mergeable
+    per-chunk partials.  Memory is bounded by (chunk size x join
+    fan-out) + (distinct groups), and answers do not depend on the chunk
+    size: ``chunk_rows=1 << 30`` is the whole-table run.
 
-    * the contiguous path (:meth:`run`) materializes every operator's
-      full output — the oracle the streaming path is checked against;
-    * the streaming path (:meth:`run_streaming`) pulls fixed-size row
-      chunks through Scan/Filter/Compute/Join and merges mergeable
-      aggregate partials, so grouped queries execute in memory bounded
-      by (chunk size x join fan-out) + (distinct groups) instead of the
-      full intermediate — what lets REAL-mode oracle replay work at
-      paper scale.  Scans prune chunks their per-chunk min/max
-      statistics prove empty for the pushed-down filters.
+    This is the only plan interpreter.  Unobserved it is the Reference
+    oracle.  With an ``observer`` (a
+    :class:`~repro.engine.cost_models.CostObserver`) it is YDB or
+    MonetDB: the walker reports exact counts to it and counts every join
+    before expanding it, so the observer can decline an ANALYTIC join
+    too large to materialize; everything above a declined join is left
+    to the observer's estimators (:meth:`run` returns no arrays).
+    TCUDB's hybrid pre-stage runs a relational prefix through
+    :meth:`materialize`.
 
-    ``pair_limit`` bounds join materialization (cumulative across
-    chunks on the streaming path) so runaway fuzzed queries fail loudly
-    instead of exhausting memory.
-
-    The streaming path is one walker over independent chunk tasks;
-    ``workers`` > 1 runs them on a thread pool (``None`` takes the
-    ``REPRO_WORKERS`` policy).  Chunks are *merged in submission order*,
-    so the parallel output — and every floating-point accumulation
-    order behind it — is bit-identical to the sequential run.
-    ``cancel_token`` is polled at every chunk boundary for cooperative
-    cancellation (see :class:`~repro.engine.parallel.CancellationToken`).
+    ``pair_limit`` (``None``: unbounded) bounds each join's pairs,
+    cumulative across its probe chunks, so runaway fuzzed queries fail
+    loudly instead of exhausting memory.  ``workers`` > 1 runs the chunk
+    tasks on a thread pool (``None`` takes the ``REPRO_WORKERS``
+    policy); chunks are *merged in submission order*, so the parallel
+    output — and every floating-point accumulation order behind it — is
+    bit-identical to the sequential run.  ``cancel_token`` is polled at
+    every chunk boundary for cooperative cancellation (see
+    :class:`~repro.engine.parallel.CancellationToken`).
     """
 
-    def __init__(self, bound: BoundQuery, pair_limit: int = 20_000_000,
+    def __init__(self, bound: BoundQuery, pair_limit: int | None = 20_000_000,
                  chunk_rows: int | None = None,
                  workers: int | None = None,
-                 cancel_token: CancellationToken | None = None):
+                 cancel_token: CancellationToken | None = None,
+                 observer=None):
         self.bound = bound
         self.pair_limit = pair_limit
         self.chunk_rows = chunk_rows
         self.workers = workers_policy(workers)
         self.cancel_token = cancel_token
-        #: chunks skipped by stat pruning in the last streaming run
+        self.observer = observer
+        #: chunks skipped by stat pruning / scanned, over the executor's life
         self.chunks_pruned = 0
         self.chunks_scanned = 0
 
-    def _check_cancelled(self) -> None:
+    def run(self, tree: LogicalNode
+            ) -> tuple[list[np.ndarray] | None, list[str]]:
+        """Execute the plan; returns ordered/limited output arrays (None
+        above a join the observer declined) and their names."""
         if self.cancel_token is not None:
             self.cancel_token.raise_if_cancelled()
-
-    # -- relational operators (return environments) ---------------------- #
-
-    def _run_relation(self, node: LogicalNode) -> Environment:
-        if isinstance(node, Scan):
-            env = Environment.from_table(self.bound, node.binding)
-            if node.filters:
-                env = env.filtered(
-                    conjunction_mask(node.filters, env, self.bound)
-                )
-            return env
-        if isinstance(node, Join):
-            return self._run_join(node)
-        if isinstance(node, Filter):
-            env = self._run_relation(node.input)
-            return env.filtered(
-                conjunction_mask(node.predicates, env, self.bound)
-            )
-        if isinstance(node, Compute):
-            env = self._run_relation(node.input)
-            return compute_environment(env, node.computed, self.bound)
-        raise ExecutionError(f"unexpected relational node {node!r}")
-
-    def _run_join(self, node: Join) -> Environment:
-        left = self._run_relation(node.left)
-        right = self._run_relation(node.right)
-        predicate = node.predicate
-        left_keys = left.lookup(predicate.left.key)
-        right_keys = right.lookup(predicate.right.key)
-        if predicate.is_equi:
-            left_idx, right_idx = equi_join_indices(
-                left_keys, right_keys, pair_limit=self.pair_limit
-            )
-        else:
-            left_idx, right_idx = nonequi_join_indices(
-                left_keys, right_keys, predicate.op,
-                pair_limit=self.pair_limit,
-            )
-        merged = dict(left.taken(left_idx).arrays)
-        merged.update(right.taken(right_idx).arrays)
-        return Environment(merged, int(left_idx.size))
-
-    # -- projection operators (return output arrays) --------------------- #
-
-    def _run_aggregate(
-        self, node: Aggregate
-    ) -> tuple[list[np.ndarray], list[str]]:
-        env = self._run_relation(node.input)
-        names = [item.output_name for item in node.items]
-        context = build_group_context(self.bound, env, node.group_by)
-        if context.n_groups == 0:
-            return [np.array([]) for _ in node.items], names
-        arrays = [context.eval_expr(item.expr) for item in node.items]
-        if node.having:
-            mask = context.having_mask(node.having)
-            arrays = [np.asarray(a)[mask] for a in arrays]
+        while isinstance(tree, (Sort, Limit)):
+            # Sorting and limiting apply once, below, from the bound
+            # query's keys and count.
+            tree = tree.input
+        arrays, names = self._output(tree)
+        if arrays is not None:
+            arrays = apply_order_limit(self.bound, arrays, names)
         return arrays, names
 
-    def _run_output(self, node: LogicalNode) -> tuple[list[np.ndarray], list[str]]:
-        if isinstance(node, Aggregate):
-            return self._run_aggregate(node)
-        if isinstance(node, Project):
-            env = self._run_relation(node.input)
-            names = [item.output_name for item in node.items]
-            arrays = [
-                evaluate_expr(item.expr, env, self.bound)
-                for item in node.items
-            ]
-            return arrays, names
-        if isinstance(node, (Sort, Limit)):
-            # Sorting and limiting are applied once at the top via
-            # apply_order_limit (bound carries the keys and count).
-            return self._run_output(node.input)
-        raise ExecutionError(f"unknown plan node {node!r}")
+    def materialize(self, node: LogicalNode,
+                    max_rows: int | None = None) -> Environment | None:
+        """The relation's chunk environments, concatenated (None above a
+        declined join); more than ``max_rows`` rows raises."""
+        tasks = self._chunk_tasks(node)
+        if tasks is None:
+            return None
+        chunks: list[Environment] = []
+        total = 0
+        for env in self._stream(tasks):
+            total += env.n_rows
+            if max_rows is not None and total > max_rows:
+                raise ExecutionError(f"relation exceeds {max_rows} rows")
+            chunks.append(env)
+        if not chunks:
+            return Environment({}, 0)
+        if len(chunks) == 1:
+            return chunks[0]
+        return Environment({
+            key: np.concatenate([chunk.arrays[key] for chunk in chunks])
+            for key in chunks[0].arrays
+        }, total)
 
-    def run(self, tree: LogicalNode) -> tuple[list[np.ndarray], list[str]]:
-        """Execute the plan; returns fully ordered/limited output arrays."""
-        self._check_cancelled()
-        arrays, names = self._run_output(tree)
-        arrays = apply_order_limit(self.bound, arrays, names)
-        return arrays, names
-
-    # -- streaming (morsel-driven) execution ----------------------------- #
-
-    def stream_relation(self, node: LogicalNode):
-        """Yield the relation's rows as a sequence of chunk Environments.
-
-        Chunk boundaries are an implementation detail: concatenating the
-        yielded chunks equals the contiguous ``_run_relation`` output row
-        for row (streaming never reorders).  One walker serves every
-        worker count: the chunk tasks run in order on this thread at
-        ``workers`` <= 1 and on the worker pool otherwise, and results
-        are yielded in chunk order either way, so downstream consumers
-        cannot observe the parallelism.
-        """
-        for envs in parallel_map(lambda task: task(), self._chunk_tasks(node),
-                                 self.workers, token=self.cancel_token):
+    def _stream(self, tasks):
+        """Run chunk tasks (in order here at ``workers`` <= 1 or for one
+        task, on the pool otherwise) and yield their Environments in
+        chunk order."""
+        workers = self.workers if len(tasks) > 1 else 1
+        for envs in parallel_map(lambda task: task(), tasks, workers,
+                                 token=self.cancel_token):
             yield from envs
 
+    def _rows_out(self, node: LogicalNode, envs: list[Environment]) -> None:
+        if self.observer is not None:
+            self.observer.rows(node, sum(env.n_rows for env in envs))
+
     def _chunk_tasks(self, node: LogicalNode):
-        """Decompose a relation into independent chunk tasks.
+        """Decompose a relation into independent chunk tasks (None above
+        a declined join).
 
         Each task returns the list of Environments its chunk contributes,
         in task order — scans map to one task per surviving chunk,
         Filter/Compute wrap the inner tasks, and a Join materializes and
         sorts its build side once (here, on the submitting thread) and
-        wraps the probe-side tasks around a lock-protected cumulative
-        pair budget.
+        wraps the probe-side tasks around one cumulative pair budget.
         """
         if isinstance(node, Scan):
             kept, chunked, name_of = pruned_scan_chunks(
@@ -743,26 +555,39 @@ class PhysicalExecutor:
             return [
                 self._scan_task(node, chunk, name_of) for chunk in kept
             ]
-        if isinstance(node, Filter):
-            return [
-                self._filter_task(node, inner)
-                for inner in self._chunk_tasks(node.input)
-            ]
-        if isinstance(node, Compute):
-            return [
-                self._compute_task(node, inner)
-                for inner in self._chunk_tasks(node.input)
-            ]
+        if isinstance(node, (Filter, Compute)):
+            inner = self._chunk_tasks(node.input)
+            if inner is None:
+                return None
+            wrap = (self._filter_task if isinstance(node, Filter)
+                    else self._compute_task)
+            return [wrap(node, task) for task in inner]
         if isinstance(node, Join):
-            right = self._run_relation(node.right)
-            predicate = node.predicate
-            build = JoinBuild(right.lookup(predicate.right.key), predicate.op)
-            budget = _PairBudget(self.pair_limit, predicate.op)
-            return [
-                self._probe_task(node, inner, right, build, budget)
-                for inner in self._chunk_tasks(node.left)
-            ]
+            return self._join_tasks(node)
         raise ExecutionError(f"unexpected relational node {node!r}")
+
+    def _join_tasks(self, node: Join):
+        tasks = self._chunk_tasks(node.left)
+        right = self.materialize(node.right)
+        if tasks is None or right is None:
+            return None
+        predicate = node.predicate
+        build = (JoinBuild(right.lookup(predicate.right.key), predicate.op)
+                 if right.n_rows else None)
+        if self.observer is not None:
+            # Counted before expanded: the observer may decline to
+            # materialize an ANALYTIC join.
+            chunks = list(self._stream(tasks))
+            pairs = sum(build.count(env.lookup(predicate.left.key))
+                        for env in chunks) if build is not None else 0
+            if not self.observer.expands(node, pairs):
+                return None
+            tasks = [lambda env=env: [env] for env in chunks]
+        if build is None:
+            return []
+        budget = _PairBudget(self.pair_limit, predicate.op)
+        return [self._probe_task(node, inner, right, build, budget)
+                for inner in tasks]
 
     def _scan_task(self, node: Scan, chunk, name_of):
         binding = node.binding
@@ -779,7 +604,9 @@ class PhysicalExecutor:
                 env = env.filtered(
                     conjunction_mask(node.filters, env, self.bound)
                 )
-            return [env] if env.n_rows else []
+            out = [env] if env.n_rows else []
+            self._rows_out(node, out)
+            return out
 
         return task
 
@@ -792,6 +619,7 @@ class PhysicalExecutor:
                 )
                 if filtered.n_rows:
                     out.append(filtered)
+            self._rows_out(node, out)
             return out
 
         return task
@@ -825,67 +653,51 @@ class PhysicalExecutor:
 
         return task
 
-    def _stream_output(
-        self, node: LogicalNode
-    ) -> tuple[list[np.ndarray], list[str]]:
-        if isinstance(node, Aggregate):
-            return self._stream_aggregate(node)
-        if isinstance(node, Project):
-            names = [item.output_name for item in node.items]
-            parts: list[list[np.ndarray]] = [[] for _ in node.items]
-            for env in self.stream_relation(node.input):
-                for i, item in enumerate(node.items):
-                    parts[i].append(
-                        np.asarray(evaluate_expr(item.expr, env, self.bound))
-                    )
-            arrays = [
-                np.concatenate(chunks) if chunks else np.array([])
-                for chunks in parts
-            ]
-            return arrays, names
-        if isinstance(node, (Sort, Limit)):
-            return self._stream_output(node.input)
-        raise ExecutionError(f"unknown plan node {node!r}")
-
-    def _stream_aggregate(
-        self, node: Aggregate
-    ) -> tuple[list[np.ndarray], list[str]]:
+    def _output(self, node: LogicalNode):
+        if not isinstance(node, (Aggregate, Project)):
+            raise ExecutionError(f"unknown plan node {node!r}")
         names = [item.output_name for item in node.items]
+        tasks = self._chunk_tasks(node.input)
+        if tasks is None:
+            return None, names
+        if isinstance(node, Aggregate):
+            return self._aggregate(node, self._stream(tasks)), names
+        parts: list[list[np.ndarray]] = [[] for _ in node.items]
+        for env in self._stream(tasks):
+            for i, item in enumerate(node.items):
+                parts[i].append(
+                    np.asarray(evaluate_expr(item.expr, env, self.bound))
+                )
+        return [
+            np.concatenate(chunks) if chunks else np.array([])
+            for chunks in parts
+        ], names
+
+    def _aggregate(self, node: Aggregate, envs) -> list[np.ndarray]:
         calls: list[AggregateCall] = []
-        for item in node.items:
-            for sub in item.expr.walk():
+        exprs = [item.expr for item in node.items] + [
+            expr for predicate in node.having
+            for expr in walk_predicate_exprs(predicate)
+        ]
+        for expr in exprs:
+            for sub in expr.walk():
                 if isinstance(sub, AggregateCall) and sub not in calls:
                     calls.append(sub)
-        for predicate in node.having:
-            from repro.sql.ast_nodes import walk_predicate_exprs
-
-            for expr in walk_predicate_exprs(predicate):
-                for sub in expr.walk():
-                    if isinstance(sub, AggregateCall) and sub not in calls:
-                        calls.append(sub)
         aggregator = StreamAggregator(self.bound, node.group_by, calls)
-        for env in self.stream_relation(node.input):
+        for env in envs:
             aggregator.consume(env)
         evaluator = aggregator.finalize()
-        if evaluator.n_groups == 0:
-            return [np.array([]) for _ in node.items], names
-        arrays = [evaluator.eval_expr(item.expr) for item in node.items]
-        if node.having:
-            mask = evaluator.having_mask(node.having)
-            arrays = [np.asarray(a)[mask] for a in arrays]
-        return arrays, names
-
-    def run_streaming(
-        self, tree: LogicalNode
-    ) -> tuple[list[np.ndarray], list[str]]:
-        """Streaming equivalent of :meth:`run`: same arrays, bounded
-        memory."""
-        self._check_cancelled()
-        self.chunks_pruned = 0
-        self.chunks_scanned = 0
-        arrays, names = self._stream_output(tree)
-        arrays = apply_order_limit(self.bound, arrays, names)
-        return arrays, names
+        n_groups = kept = evaluator.n_groups
+        arrays = [np.array([]) for _ in node.items]
+        if n_groups:
+            arrays = [evaluator.eval_expr(item.expr) for item in node.items]
+            if node.having:
+                mask = evaluator.having_mask(node.having)
+                arrays = [np.asarray(a)[mask] for a in arrays]
+                kept = int(np.count_nonzero(mask))
+        if self.observer is not None:
+            self.observer.grouped(node, n_groups, kept)
+        return arrays
 
 
 # --------------------------------------------------------------------------- #
@@ -966,11 +778,17 @@ class StreamAggregator:
             if self.group_keys:
                 return StreamGroupEval(self.bound, self.group_by, {}, {}, 0)
             # Ungrouped aggregate over an empty stream: one output row
-            # with COUNT=0 and SUM/AVG/MIN/MAX=0.0 — mirroring
-            # build_group_context on the batch path.
+            # with COUNT=0 and SUM/AVG/MIN/MAX=0.0 (no NULLs in this
+            # storage model).
             finals = {call: np.zeros(1) for call in self.calls}
             return StreamGroupEval(self.bound, self.group_by, {}, finals, 1)
-        if self.group_keys:
+        if self.group_keys and len(self._key_parts[0]) == 1:
+            # One chunk: its groups are already distinct and in key order.
+            key_values = dict(zip(self.group_keys,
+                                  (part[0] for part in self._key_parts)))
+            n_groups = self._key_parts[0][0].size
+            ids = np.arange(n_groups)
+        elif self.group_keys:
             key_arrays = [np.concatenate(part) for part in self._key_parts]
             combined = combine_group_codes(key_arrays)
             uniques, ids = np.unique(combined, return_inverse=True)
@@ -1023,8 +841,11 @@ class StreamAggregator:
 
 
 class StreamGroupEval:
-    """Per-group expression/HAVING evaluation over merged partials
-    (the streaming counterpart of :class:`GroupContext`)."""
+    """Per-group expression/HAVING evaluation over merged partials.
+
+    Expressions structurally equal to a computed GROUP BY key resolve to
+    that key's column (expression GROUP BY).
+    """
 
     def __init__(self, bound: BoundQuery, group_by: list[BoundColumn],
                  key_values: dict[str, np.ndarray],

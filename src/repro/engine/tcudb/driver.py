@@ -28,7 +28,11 @@ import numpy as np
 from repro.common.errors import ExecutionError
 from repro.engine.base import ExecutionMode
 from repro.engine.parallel import parallel_map, workers_policy
-from repro.engine.relational import equi_join_indices, nonequi_join_indices
+from repro.engine.physical import (
+    equi_join_indices,
+    nonequi_join_count,
+    nonequi_join_indices,
+)
 from repro.engine.tcudb.cost import PlanCost, Strategy
 from repro.engine.tcudb.transform import (
     PairIndex,
@@ -488,8 +492,6 @@ class TCUDriver:
             *nonequi_join_indices(left_values, right_values, prepared.op))
 
     def _join_count(self, prepared: PreparedJoin) -> int:
-        from repro.engine.relational import nonequi_join_count
-
         if prepared.op == "=":
             return mapped_pair_count(
                 prepared.left_keys_mapped, prepared.right_keys_mapped,

@@ -1528,8 +1528,12 @@ class PhysicalStage(TensorOp):
         executor = PhysicalExecutor(ctx.bound, chunk_rows=ctx.chunk_rows,
                                     workers=ctx.workers,
                                     cancel_token=ctx.cancel_token)
+        # ANALYTIC streams up to the row budget; REAL keeps the pair-limit
+        # bound alone.
+        budget = (self.budget_rows
+                  if ctx.mode != ExecutionMode.REAL else None)
         try:
-            env = self._stream_prefix(ctx, executor)
+            env = executor.materialize(self.tree, budget)
         except ExecutionError as error:
             raise FallbackRequired(
                 f"hybrid pre-stage exceeded materialization budget: {error}",
@@ -1547,30 +1551,6 @@ class PhysicalStage(TensorOp):
             estimate_physical_stage(ctx.host, n_input, env.n_rows, n_joins),
         )
         return RelationValue(env=env)
-
-    def _stream_prefix(self, ctx, executor: PhysicalExecutor) -> Environment:
-        """Pull the prefix through the streaming executor, bounded by the
-        row budget in ANALYTIC mode (REAL keeps the pair-limit bound)."""
-        chunks: list[Environment] = []
-        total = 0
-        budget = (self.budget_rows
-                  if ctx.mode != ExecutionMode.REAL else None)
-        for env in executor.stream_relation(self.tree):
-            total += env.n_rows
-            if budget is not None and total > budget:
-                raise FallbackRequired(
-                    f"streaming pre-stage exceeded {budget} rows in "
-                    f"{ctx.mode.value} mode",
-                    kind="cost",
-                )
-            chunks.append(env)
-        if not chunks:
-            return Environment({}, 0)
-        arrays = {
-            key: np.concatenate([chunk.arrays[key] for chunk in chunks])
-            for key in chunks[0].arrays
-        }
-        return Environment(arrays, total)
 
 
 @dataclass

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 from repro.engine.base import ExecutionMode
 from repro.engine.cost_models import GPUCostModel
-from repro.engine.relational import RelationalExecutor
+from repro.engine.reference import ReferenceEngine
 from repro.hardware.gpu import GPUDevice
 from repro.storage.catalog import Catalog
 
 
-class YDBEngine(RelationalExecutor):
-    """GPU-accelerated warehouse-style query engine."""
+class YDBEngine(ReferenceEngine):
+    """GPU-accelerated warehouse-style query engine: the Reference walk,
+    priced by :class:`~repro.engine.cost_models.GPUCostModel`."""
+
+    name = "YDB"
 
     def __init__(
         self,
@@ -25,13 +28,11 @@ class YDBEngine(RelationalExecutor):
         mode: ExecutionMode = ExecutionMode.REAL,
         materialize_limit: int = 4_000_000,
     ):
+        super().__init__(catalog, pair_limit=None)
+        self.mode = mode
+        self.materialize_limit = materialize_limit
         self.device = device if device is not None else GPUDevice()
-        super().__init__(
-            catalog,
-            GPUCostModel(self.device),
-            mode=mode,
-            materialize_limit=materialize_limit,
-        )
+        self.cost_model = GPUCostModel(self.device)
 
 
 __all__ = ["YDBEngine"]

@@ -108,7 +108,7 @@ class TestNegativeLiteralFolding:
         catalog = _catalog_with("t", {"a": np.arange(1, 4097)})
         num_chunks = ChunkedTable(catalog.get("t"), 256).num_chunks
         assert num_chunks == 16
-        engine = ReferenceEngine(catalog, streaming=True, chunk_rows=256)
+        engine = ReferenceEngine(catalog, chunk_rows=256)
         result = engine.execute("SELECT COUNT(*) AS c FROM t WHERE a < -5")
         assert result.extra["chunks_pruned"] == num_chunks
         assert result.extra["chunks_scanned"] == 0
@@ -203,8 +203,7 @@ class TestZeroRowUngroupedAggregates:
                                                               name)
 
     def test_streaming_executor(self):
-        engine = ReferenceEngine(self._catalog(), streaming=True,
-                                 chunk_rows=32)
+        engine = ReferenceEngine(self._catalog(), chunk_rows=32)
         result = engine.execute(self.SQL)
         assert result.n_rows == 1
         assert int(result.table.column("c").data[0]) == 0
@@ -272,8 +271,8 @@ class TestIntegersAbove2To53:
             return catalog
 
         yield "reference", ReferenceEngine(catalog())
-        yield "reference/streaming", ReferenceEngine(
-            catalog(), streaming=True, chunk_rows=2)
+        yield "reference/chunk_rows=2", ReferenceEngine(catalog(),
+                                                        chunk_rows=2)
         yield "ydb", create_engine("ydb", catalog())
         # By cost the six-row join would fall back; force the TCU plan.
         yield "tcudb", TCUDBEngine(catalog(), options=TCUDBOptions(

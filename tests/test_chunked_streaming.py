@@ -1,7 +1,8 @@
 """Chunked columnar storage + streaming execution contracts.
 
 Chunks are the unit of execution and must be *invisible* to answers:
-the streaming oracle equals the contiguous one, TCUDB at tiny and
+the oracle, YDB and MonetDB at tiny chunks equal themselves at
+whole-table chunks (rows and simulated seconds), TCUDB at tiny and
 whole-table chunks equals the oracle over the fuzz corpus, chunk pruning
 never drops qualifying rows, the streaming hybrid pre-stage runs
 ANALYTIC queries as ``TCU-hybrid`` executions with exact row counts,
@@ -22,6 +23,7 @@ from repro.common.errors import BindError, PlanError, StorageError
 from repro.common.rng import make_rng
 from repro.datasets.ssb import ssb_catalog
 from repro.engine.base import ExecutionMode
+from repro.engine.monetdb import MonetDBEngine
 from repro.engine.reference import ReferenceEngine
 from repro.engine.tcudb import TCUDBEngine, TCUDBOptions
 from repro.engine.tcudb.ops import FallbackRequired, PhysicalStage
@@ -154,7 +156,7 @@ class TestChunkPruning:
 
     def test_pruning_never_drops_rows(self):
         """A selective scan over a clustered column prunes chunks but
-        returns exactly the contiguous answer."""
+        returns exactly the whole-table answer."""
         catalog = Catalog()
         catalog.register(Table.from_dict("t", {
             "k": np.arange(5000),
@@ -162,26 +164,38 @@ class TestChunkPruning:
         }))
         sql = ("SELECT SUM(t.v) AS s, COUNT(*) AS c FROM t "
                "WHERE t.k BETWEEN 900 AND 1100")
-        legacy = ReferenceEngine(catalog).execute(sql)
-        streamed = ReferenceEngine(catalog, streaming=True,
-                                   chunk_rows=128).execute(sql)
-        assert streamed.extra["chunks_pruned"] > 0
-        assert result_rows(streamed) == result_rows(legacy)
+        whole = ReferenceEngine(catalog, chunk_rows=1 << 30).execute(sql)
+        chunked = ReferenceEngine(catalog, chunk_rows=128).execute(sql)
+        assert chunked.extra["chunks_pruned"] > 0
+        assert whole.extra["chunks_pruned"] == 0
+        assert result_rows(chunked) == result_rows(whole)
 
 
 # --------------------------------------------------------------------------- #
-# Streaming oracle == contiguous oracle; TCUDB at any chunk size == oracle
+# The plan walk at 97-row chunks == at whole tables; TCUDB at any chunk
+# size == oracle
 # --------------------------------------------------------------------------- #
 
 
-def test_streaming_oracle_equals_contiguous(fuzz_catalog):
-    legacy = ReferenceEngine(fuzz_catalog)
-    streamed = ReferenceEngine(fuzz_catalog, streaming=True, chunk_rows=97)
-    for index, sql in enumerate(fuzz_queries(60)):
-        assert_results_match(
-            streamed.execute(sql), legacy.execute(sql),
-            context=f"stream fuzz #{index}: {sql}",
-        )
+def test_streaming_oracle_equals_contiguous(fuzz_catalog, monkeypatch):
+    """Reference, YDB and MonetDB walk the plan at 97-row chunks and at
+    whole-table chunks: rows match, and every count a cost model charges
+    is chunk-invariant, so the baselines' seconds are byte-equal."""
+    queries = fuzz_queries(60)
+    runs = {}
+    for chunk_rows in (97, 1 << 30):
+        # The baselines take the chunk-size policy, like the oracle.
+        monkeypatch.setenv("REPRO_CHUNK_ROWS", str(chunk_rows))
+        runs[chunk_rows] = [
+            [cls(fuzz_catalog).execute(sql)
+             for cls in (ReferenceEngine, YDBEngine, MonetDBEngine)]
+            for sql in queries
+        ]
+    for index, sql in enumerate(queries):
+        for chunked, whole in zip(runs[97][index], runs[1 << 30][index]):
+            context = f"{whole.engine} fuzz #{index}: {sql}"
+            assert_results_match(chunked, whole, rel=1e-9, context=context)
+            assert repr(chunked.seconds) == repr(whole.seconds), context
 
 
 @pytest.mark.parametrize("chunk_rows", [64, 1 << 30])
@@ -400,10 +414,10 @@ class TestExpressionGroupBy:
         assert_results_match(ydb, oracle)
 
     def test_streaming_oracle_handles_group_exprs(self, fuzz_catalog):
-        legacy = ReferenceEngine(fuzz_catalog).execute(self.SQL)
-        streamed = ReferenceEngine(fuzz_catalog, streaming=True,
-                                   chunk_rows=97).execute(self.SQL)
-        assert_results_match(streamed, legacy)
+        whole = ReferenceEngine(fuzz_catalog, chunk_rows=1 << 30)
+        chunked = ReferenceEngine(fuzz_catalog, chunk_rows=97)
+        assert_results_match(chunked.execute(self.SQL),
+                             whole.execute(self.SQL))
 
     def test_having_on_group_expression(self, fuzz_catalog):
         sql = (

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.datasets.microbench import microbench_catalog
 from repro.engine.base import ExecutionMode
 from repro.engine.monetdb import MonetDBEngine
-from repro.engine.relational import (
+from repro.engine.physical import (
     combine_group_codes,
     equi_join_count,
     equi_join_indices,

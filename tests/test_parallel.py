@@ -27,6 +27,7 @@ from repro.engine.parallel import (
 from repro.engine.physical import PhysicalExecutor
 from repro.engine.reference import ReferenceEngine
 from repro.engine.tcudb import TCUDBEngine, TCUDBOptions
+from repro.engine.ydb import YDBEngine
 from repro.sql.binder import bind
 from repro.sql.logical import Join, Scan
 from repro.sql.parser import parse
@@ -117,10 +118,9 @@ class TestParallelEquivalence:
     @pytest.mark.parametrize("chunk_rows", [256, 1024])
     def test_reference_streaming_fuzz(self, catalog, workers, chunk_rows):
         generator = QueryGenerator(make_rng(FUZZ_SEED))
-        sequential = ReferenceEngine(catalog, streaming=True,
-                                     chunk_rows=chunk_rows)
-        parallel = ReferenceEngine(catalog, streaming=True,
-                                   chunk_rows=chunk_rows, workers=workers)
+        sequential = ReferenceEngine(catalog, chunk_rows=chunk_rows)
+        parallel = ReferenceEngine(catalog, chunk_rows=chunk_rows,
+                                   workers=workers)
         divergences = []
         for _ in range(25):
             sql = generator.generate()
@@ -149,19 +149,40 @@ class TestParallelEquivalence:
     def test_pruning_counters_deterministic(self, catalog):
         sql = ("SELECT SUM(lo_revenue) AS r FROM lineorder "
                "WHERE lo_quantity < 10")
-        sequential = ReferenceEngine(catalog, streaming=True, chunk_rows=256)
-        parallel = ReferenceEngine(catalog, streaming=True, chunk_rows=256,
-                                   workers=4)
+        sequential = ReferenceEngine(catalog, chunk_rows=256)
+        parallel = ReferenceEngine(catalog, chunk_rows=256, workers=4)
         a = sequential.execute(sql)
         b = parallel.execute(sql)
         assert a.extra["chunks_pruned"] == b.extra["chunks_pruned"]
         assert a.extra["chunks_scanned"] == b.extra["chunks_scanned"]
 
+    def test_observer_counts_survive_racing_chunks(self, catalog,
+                                                   monkeypatch):
+        """YDB's cost observer sums the row counts of chunk tasks racing
+        on the pool: with more workers than cores and a short switch
+        interval, a lost update would change the charged seconds."""
+        import sys
+
+        sql = ("SELECT SUM(lo_revenue) AS r, d_year FROM lineorder, ddate "
+               "WHERE lo_orderdate = d_datekey AND lo_quantity < 30 "
+               "GROUP BY d_year")
+        monkeypatch.setenv("REPRO_CHUNK_ROWS", "16")
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        expected = repr(YDBEngine(catalog).execute(sql).seconds)
+        monkeypatch.setenv("REPRO_WORKERS", "32")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert repr(YDBEngine(catalog).execute(sql).seconds) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pair_limit_is_cumulative(self, catalog, workers):
         """One join's pair budget spans all of its probe chunks, at every
         worker count: a limit one below the join's total fails, the
-        total itself returns the contiguous oracle's rows."""
+        total itself returns the whole-table oracle's rows."""
         generator = QueryGenerator(make_rng(FUZZ_SEED))
         while True:
             sql = generator.generate()
@@ -170,17 +191,17 @@ class TestParallelEquivalence:
             if (len(joins) == 1 and isinstance(joins[0].left, Scan)
                     and joins[0].left.binding == "lineorder"):
                 break
-        total = PhysicalExecutor(bound)._run_relation(joins[0]).n_rows
+        total = PhysicalExecutor(bound).materialize(joins[0]).n_rows
         assert total > 0
 
         def streamed(pair_limit):
-            return ReferenceEngine(catalog, streaming=True, chunk_rows=256,
+            return ReferenceEngine(catalog, chunk_rows=256,
                                    workers=workers, pair_limit=pair_limit)
 
         with pytest.raises(ExecutionError, match="would materialize"):
             streamed(total - 1).execute(sql)
-        assert_results_match(streamed(total).execute(sql),
-                             ReferenceEngine(catalog).execute(sql),
+        whole = ReferenceEngine(catalog, chunk_rows=1 << 30)
+        assert_results_match(streamed(total).execute(sql), whole.execute(sql),
                              context=sql)
 
 
@@ -192,8 +213,7 @@ class TestParallelEquivalence:
 class TestCancellation:
     def test_cancel_mid_stream(self, catalog):
         token = CancellationToken()
-        engine = ReferenceEngine(catalog, streaming=True, chunk_rows=64,
-                                 cancel_token=token)
+        engine = ReferenceEngine(catalog, chunk_rows=64, cancel_token=token)
         cancelled_after = {"chunks": 0}
 
         original = ReferenceEngine.execute_bound
@@ -215,7 +235,7 @@ class TestCancellation:
 
     def test_deadline_cancels_streaming_query(self, catalog):
         token = CancellationToken(deadline_s=0.0)
-        engine = ReferenceEngine(catalog, streaming=True, chunk_rows=64,
+        engine = ReferenceEngine(catalog, chunk_rows=64,
                                  cancel_token=token, workers=2)
         with pytest.raises(QueryCancelled, match="time budget"):
             engine.execute(SSB_QUERIES["Q2.1"])

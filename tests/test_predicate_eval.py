@@ -11,7 +11,7 @@ strings compared as strings):
 * literal-vs-literal conjuncts keep the mask at the environment's length;
 * IN-lists over integer columns read the shared presence table
   (``tensor.keys``); float, mixed and over-budget lists stay ``np.isin``;
-* the group-level call sites (``GroupContext.eval_predicate``,
+* the group-level call sites (``StreamGroupEval.having_mask``,
   ``ops.having_mask``) go through the same interpreter.
 """
 

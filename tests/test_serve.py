@@ -64,8 +64,7 @@ class TestSessions:
     def test_reference_engine_server(self, catalog):
         with QueryServer(catalog, engine="reference", max_concurrent=2,
                          workers=2,
-                         engine_kwargs={"streaming": True,
-                                        "chunk_rows": 512}) as server:
+                         engine_kwargs={"chunk_rows": 512}) as server:
             session = server.session()
             result = session.execute(SSB_QUERIES["Q1.2"], timeout=60)
             assert result.extra["workers"] == 2
@@ -142,8 +141,7 @@ class TestAdmissionControl:
 class TestBudgets:
     def test_time_budget_cancels(self, catalog):
         with QueryServer(catalog, engine="reference", max_concurrent=1,
-                         engine_kwargs={"streaming": True,
-                                        "chunk_rows": 64}) as server:
+                         engine_kwargs={"chunk_rows": 64}) as server:
             session = server.session()
             with pytest.raises(QueryCancelled, match="time budget"):
                 session.execute(SSB_QUERIES["Q3.1"],

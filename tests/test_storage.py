@@ -245,8 +245,7 @@ class TestClusterBy:
         def run(variant):
             catalog = Catalog()
             catalog.register(variant)
-            return ReferenceEngine(catalog, streaming=True,
-                                   chunk_rows=256).execute(sql)
+            return ReferenceEngine(catalog, chunk_rows=256).execute(sql)
 
         shuffled = run(table)
         clustered = run(table.cluster_by("k"))
