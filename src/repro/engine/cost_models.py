@@ -25,6 +25,7 @@ from repro.common.timing import (
     TimingBreakdown,
 )
 from repro.engine.base import ExecutionMode
+from repro.engine.physical import NONEQUI_PAIR_LIMIT
 from repro.hardware.gpu import GPUDevice
 from repro.hardware.profiles import HostProfile
 from repro.sql.ast_nodes import ColumnRef
@@ -151,7 +152,8 @@ class CostObserver:
     for every Aggregate).  It asks :meth:`expands` before materializing
     a join: in ANALYTIC mode a join of more than ``materialize_limit``
     pairs is declined, and the operators above it are priced from
-    statistics instead.  :meth:`charge` then replays the model's charges
+    statistics instead; a non-equi join it would expand past
+    ``NONEQUI_PAIR_LIMIT`` pairs raises.  :meth:`charge` then replays the model's charges
     in post-order — a Join after both of its inputs, Sort after its
     input, ``result_out`` last — so they depend on neither the chunk
     size nor the worker count the walk ran with.
@@ -179,6 +181,10 @@ class CostObserver:
         if self.analytic and pairs > self.materialize_limit:
             self._declined.add(id(join))
             return False
+        if not join.predicate.is_equi and pairs > NONEQUI_PAIR_LIMIT:
+            # Equi joins expand unbounded; a runaway range join fails loudly.
+            raise ExecutionError(f"non-equi join would materialize {pairs} "
+                                 f"pairs (> {NONEQUI_PAIR_LIMIT})")
         return True
 
     def grouped(self, aggregate: Aggregate, groups: int, kept: int) -> None:

@@ -191,9 +191,13 @@ def nonequi_join_count(
     return JoinBuild(right_keys, op).count(left_keys)
 
 
+#: Non-equi joins that would materialize more pairs than this fail.
+NONEQUI_PAIR_LIMIT = 50_000_000
+
+
 def nonequi_join_indices(
     left_keys: np.ndarray, right_keys: np.ndarray, op: str,
-    pair_limit: int = 50_000_000,
+    pair_limit: int = NONEQUI_PAIR_LIMIT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Materialize non-equi join pairs (bounded by ``pair_limit``)."""
     return JoinBuild(right_keys, op).pairs(left_keys,
@@ -782,13 +786,7 @@ class StreamAggregator:
             # storage model).
             finals = {call: np.zeros(1) for call in self.calls}
             return StreamGroupEval(self.bound, self.group_by, {}, finals, 1)
-        if self.group_keys and len(self._key_parts[0]) == 1:
-            # One chunk: its groups are already distinct and in key order.
-            key_values = dict(zip(self.group_keys,
-                                  (part[0] for part in self._key_parts)))
-            n_groups = self._key_parts[0][0].size
-            ids = np.arange(n_groups)
-        elif self.group_keys:
+        if self.group_keys:
             key_arrays = [np.concatenate(part) for part in self._key_parts]
             combined = combine_group_codes(key_arrays)
             uniques, ids = np.unique(combined, return_inverse=True)

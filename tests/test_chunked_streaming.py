@@ -177,7 +177,7 @@ class TestChunkPruning:
 # --------------------------------------------------------------------------- #
 
 
-def test_streaming_oracle_equals_contiguous(fuzz_catalog, monkeypatch):
+def test_walk_is_chunk_size_invariant(fuzz_catalog, monkeypatch):
     """Reference, YDB and MonetDB walk the plan at 97-row chunks and at
     whole-table chunks: rows match, and every count a cost model charges
     is chunk-invariant, so the baselines' seconds are byte-equal."""

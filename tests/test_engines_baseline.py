@@ -187,6 +187,26 @@ class TestAnalyticMode:
             run.require_table()
 
 
+@pytest.mark.parametrize("engine_cls", [YDBEngine, MonetDBEngine])
+def test_nonequi_join_over_pair_cap_raises(engine_cls):
+    """A non-equi join past ``NONEQUI_PAIR_LIMIT`` fails before expanding;
+    ANALYTIC mode still declines it and counts its pairs."""
+    from repro.common.errors import ExecutionError
+    from repro.engine.physical import NONEQUI_PAIR_LIMIT
+
+    n = 10_000
+    catalog = Catalog()
+    catalog.register(Table.from_dict("a", {"id": np.arange(n)}))
+    catalog.register(Table.from_dict("b", {"id": np.arange(n, 2 * n)}))
+    sql = "SELECT a.id, b.id FROM a, b WHERE a.id < b.id"
+    assert n * n > NONEQUI_PAIR_LIMIT
+    with pytest.raises(ExecutionError, match="non-equi join"):
+        engine_cls(catalog).execute(sql)
+    analytic = engine_cls(catalog, mode=ExecutionMode.ANALYTIC).execute(sql)
+    assert analytic.table is None
+    assert analytic.n_rows == n * n
+
+
 #: sha256 of every baseline charge over the differential corpus; see
 #: test_baseline_charges_are_pinned.
 BASELINE_CHARGES_DIGEST = (
