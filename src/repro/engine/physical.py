@@ -528,11 +528,9 @@ class PhysicalExecutor:
         }, total)
 
     def _stream(self, tasks):
-        """Run chunk tasks (in order here at ``workers`` <= 1 or for one
-        task, on the pool otherwise) and yield their Environments in
-        chunk order."""
-        workers = self.workers if len(tasks) > 1 else 1
-        for envs in parallel_map(lambda task: task(), tasks, workers,
+        """Run chunk tasks (in order here at ``workers`` <= 1, on the pool
+        otherwise) and yield their Environments in chunk order."""
+        for envs in parallel_map(lambda task: task(), tasks, self.workers,
                                  token=self.cancel_token):
             yield from envs
 
