@@ -248,35 +248,28 @@ def pruned_scan_chunks(bound: BoundQuery, binding: str, filters,
     table = bound.binding(binding).table
     chunked = table.chunked(chunk_rows)
     name_of = {name.lower(): name for name in table.column_names}
-    if not filters:
+    if not filters or not chunked.num_chunks:
         return list(chunked), chunked, name_of
 
-    # A literal's physical code depends on the column alone, never on the
-    # chunk: encode each once per scan, not once per chunk.
-    encoded: dict = {}
+    def stats_of(expr):
+        if not isinstance(expr, ColumnRef):
+            return None
+        try:
+            resolved = bound.resolve(expr)
+        except BindError:
+            return None
+        if resolved.binding != binding:
+            return None
+        return chunked.column_stats(name_of[resolved.column])
 
-    def encode(ref, value):
-        key = (ref, value)
-        if key not in encoded:
-            encoded[key] = encode_literal(bound, ref, value)
-        return encoded[key]
-
-    kept = []
-    for chunk in chunked:
-        def stats_of(expr, chunk=chunk):
-            if not isinstance(expr, ColumnRef):
-                return None
-            try:
-                resolved = bound.resolve(expr)
-            except BindError:
-                return None
-            if resolved.binding != binding:
-                return None
-            return chunk.stats(name_of[resolved.column])
-
-        if conjunction_can_match(filters, stats_of, encode):
-            kept.append(chunk)
-    return kept, chunked, name_of
+    # One pass per conjunct over every chunk's statistics at once.
+    keep = conjunction_can_match(
+        filters, stats_of,
+        lambda ref, value: encode_literal(bound, ref, value))
+    if keep is True:  # no conjunct the statistics could read
+        return list(chunked), chunked, name_of
+    return ([chunk for chunk, kept in zip(chunked.chunks, keep.tolist())
+             if kept], chunked, name_of)
 
 
 # --------------------------------------------------------------------------- #

@@ -368,7 +368,8 @@ class TableSource(TensorOp):
         table = ctx.bound.binding(self.binding).table
         # Projected scan: every column an operator can ask this binding
         # for was resolved by the binder (SELECT * resolves them all),
-        # so the rest are never read — and never copied by a filter.
+        # so the rest are never read; a column only the filters read is
+        # read for the mask and never gathered.
         read = {column.column for column in ctx.bound.resolution.values()
                 if column.binding == self.binding}
         name_of = {name.lower(): name for name in table.column_names
@@ -376,7 +377,10 @@ class TableSource(TensorOp):
         filters = ctx.bound.filters.get(self.binding, [])
         if not filters:
             return RelationValue(env=self._env_of(table, name_of))
-        return RelationValue(env=self._scan_chunked(ctx, filters, name_of))
+        return RelationValue(env=self._scan_chunked(
+            ctx, filters, name_of,
+            [key for key in (f"{self.binding}.{lower}" for lower in name_of)
+             if key in ctx.bound.read_past_filters]))
 
     def _env_of(self, source, name_of) -> Environment:
         """Environment over the projected columns of a table or chunk."""
@@ -386,7 +390,7 @@ class TableSource(TensorOp):
             source.num_rows,
         )
 
-    def _scan_chunked(self, ctx, filters, name_of) -> Environment:
+    def _scan_chunked(self, ctx, filters, name_of, gathered) -> Environment:
         binding = self.binding
         table = ctx.bound.binding(binding).table
         kept, chunked, _ = pruned_scan_chunks(
@@ -395,6 +399,12 @@ class TableSource(TensorOp):
         scanned = sum(chunk.num_rows for chunk in kept)
         ctx.charge(self, STAGE_FILL,
                    scanned * ctx.host.scan_elem_s * len(filters))
+
+        def filtered(env):
+            rows = np.flatnonzero(conjunction_mask(filters, env, ctx.bound))
+            return Environment({key: env.arrays[key].take(rows)
+                                for key in gathered}, int(rows.size))
+
         if ctx.workers > 1 and kept:
             # Morsel-parallel filtering: each kept chunk evaluates the
             # conjunction over its own slice; filtering per chunk and
@@ -402,38 +412,28 @@ class TableSource(TensorOp):
             # filtering the concatenated arrays.
             from repro.engine.parallel import parallel_map
 
-            def filter_chunk(chunk):
-                env = self._env_of(chunk, name_of)
-                return self._filtered(ctx, env, filters).arrays
-
-            parts = list(parallel_map(filter_chunk, kept, ctx.workers))
-            arrays = {
-                key: np.concatenate([part[key] for part in parts])
-                for key in parts[0]
-            }
-            n_rows = int(next(iter(arrays.values())).size) if arrays else 0
-            return Environment(arrays, n_rows)
+            parts = list(parallel_map(
+                lambda chunk: filtered(self._env_of(chunk, name_of)),
+                kept, ctx.workers))
+            return Environment(
+                {key: np.concatenate([part.arrays[key] for part in parts])
+                 for key in gathered},
+                sum(part.n_rows for part in parts))
         if len(kept) == chunked.num_chunks:
-            env = self._env_of(table, name_of)
-        else:
-            # The zero-length head keeps the column dtype when every
-            # chunk was pruned.
-            env = Environment(
-                {
-                    f"{binding}.{lower}": np.concatenate(
-                        [table.column(name).data[:0]]
-                        + [chunk.column(name).data for chunk in kept]
-                    )
-                    for lower, name in name_of.items()
-                },
-                scanned,
-            )
-        return self._filtered(ctx, env, filters)
+            return filtered(self._env_of(table, name_of))
+        # The zero-length head keeps the column dtype when every chunk
+        # was pruned.
+        return filtered(Environment(
+            {
+                f"{binding}.{lower}": np.concatenate(
+                    [table.column(name).data[:0]]
+                    + [chunk.column(name).data for chunk in kept]
+                )
+                for lower, name in name_of.items()
+            },
+            scanned,
+        ))
 
-    @staticmethod
-    def _filtered(ctx, env: Environment, filters) -> Environment:
-        mask = conjunction_mask(filters, env, ctx.bound)
-        return env.taken(np.flatnonzero(mask))
 
 
 @dataclass
@@ -642,8 +642,9 @@ def probe_dimension(backend, dim_keys: np.ndarray, fact_keys: np.ndarray,
 
     Integer keys :func:`~repro.tensor.keys.address_range` accepts are the
     matrix index the paper's "Fill Matrices" step makes of them, in two
-    levels: every fact row reads a one-byte presence table, only the
-    survivors read the 8-byte row (or count) table.  Sparse, float or
+    levels: every fact row reads a one-byte presence table (positive
+    surrogate keys index it directly, see :mod:`repro.tensor.keys`),
+    only the survivors read the 8-byte row (or count) table.  Sparse, float or
     over-span keys binary-search the sorted key domain instead.  The
     choice reads only the arrays in hand.
     """
@@ -653,8 +654,8 @@ def probe_dimension(backend, dim_keys: np.ndarray, fact_keys: np.ndarray,
     table = presence_probe(dim_keys, fact_keys)
     if table is None:
         return _probe_sorted(backend, dim_keys, fact_keys)
-    present, dim_slots, slots = table
-    keep = np.flatnonzero(backend.gather(present, slots))
+    present, dim_slots, hits, slots = table
+    keep = np.flatnonzero(hits)
     unique = np.count_nonzero(present) == dim_keys.size
     if unique and not want_rows:
         return keep, None, None

@@ -10,6 +10,7 @@ matcher consume the resulting :class:`BoundQuery`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.common.errors import BindError
 from repro.sql.ast_nodes import (
@@ -115,6 +116,24 @@ class BoundQuery:
 
     def aggregates(self) -> list[AggregateCall]:
         return self.statement.aggregates()
+
+    @cached_property
+    def read_past_filters(self) -> frozenset[str]:
+        """Keys of the columns something past the per-table scan filters
+        reads: join and group keys, select / ORDER BY / computed group
+        expressions, residual and HAVING predicates.  A column only its
+        own table's filters read is needed for the scan's mask alone."""
+        columns = {column for join in self.join_predicates
+                   for column in (join.left, join.right)}
+        columns.update(self.group_by)
+        exprs = [item.expr for item in (*self.select_items, *self.order_by)]
+        exprs.extend(self.group_exprs.values())
+        for predicate in (*self.residuals, *self.having):
+            exprs.extend(walk_predicate_exprs(predicate))
+        columns.update(self.resolution.get(node) for expr in exprs
+                       for node in expr.walk() if isinstance(node, ColumnRef))
+        return frozenset(column.key for column in columns
+                         if column is not None)
 
     @property
     def has_aggregates(self) -> bool:

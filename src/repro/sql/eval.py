@@ -170,8 +170,8 @@ def predicate_mask(
         table = presence_probe(values, column)
         if table is None:
             return np.isin(column, values)
-        present, _, slots = table
-        return present.take(slots)
+        _, _, hits, _ = table
+        return hits
     if isinstance(predicate, Negation):
         # No NULLs in the storage layer, so two-valued logic applies and
         # NOT is plain complement.

@@ -7,9 +7,10 @@ streamed through the unit — both argue the engine should process
 *chunks*, not whole tables.  A :class:`ChunkedTable` partitions a
 :class:`~repro.storage.table.Table` into fixed-size row chunks of
 zero-copy column slices, each carrying its own lazily computed
-min/max/n_distinct statistics so scans can prune chunks a predicate
-provably cannot match (see
-:func:`repro.storage.statistics.predicate_can_match`).
+min/max/n_distinct statistics.  Scans prune chunks a predicate provably
+cannot match from the table-wide per-column arrays of chunk min / max /
+row count (:meth:`ChunkedTable.column_stats`), one array pass per
+conjunct (see :func:`repro.storage.statistics.predicate_can_match`).
 
 The partitioning is purely a view: concatenating every chunk reproduces
 the table row for row (chunking never reorders).
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.common.errors import StorageError
 from repro.storage.column import Column
-from repro.storage.statistics import ColumnStats, compute_stats
+from repro.storage.statistics import ChunkStats, ColumnStats, compute_stats
 from repro.storage.table import Table
 
 #: Default rows per chunk.  4096 keeps a chunk's operand slice inside a
@@ -62,9 +63,6 @@ class Chunk:
         self.index = index
         self.start = start
         self.stop = stop
-        #: Column this chunk is sorted by (inherited from
-        #: ``Table.cluster_by``), or None.
-        self.sort_key = table.sort_key
         self._columns: dict[str, Column] = {
             name: table.column(name).slice(start, stop)
             for name in table.column_names
@@ -96,23 +94,9 @@ class Chunk:
         with self._stats_lock:
             cached = self._stats.get(name)
             if cached is None:
-                cached = self._compute_stats(name)
+                cached = compute_stats(self._columns[name])
                 self._stats[name] = cached
             return cached
-
-    def _compute_stats(self, name: str) -> ColumnStats:
-        if name == self.sort_key and self.num_rows:
-            # Clustered fast path: the chunk is sorted on this column,
-            # so min/max are the endpoints and distinct values are value
-            # boundaries — no sort, no hash.
-            data = self._columns[name].data
-            return ColumnStats(
-                min_value=data[0].item(),
-                max_value=data[-1].item(),
-                n_distinct=1 + int(np.count_nonzero(data[1:] != data[:-1])),
-                n_rows=data.size,
-            )
-        return compute_stats(self._columns[name])
 
     def arrays(self) -> dict[str, "object"]:
         """Physical arrays per column (codes for strings)."""
@@ -127,7 +111,8 @@ class ChunkedTable:
     """A table partitioned into fixed-size row chunks.
 
     Chunks are zero-copy views in row order; statistics are computed per
-    chunk on first use.
+    chunk on first use, and per column over all chunks at once
+    (:meth:`column_stats`).
     """
 
     def __init__(self, table: Table, chunk_rows: int | None = None):
@@ -142,6 +127,9 @@ class ChunkedTable:
             Chunk(table, i, start, min(start + self.chunk_rows, n))
             for i, start in enumerate(bounds)
         ]
+        self._starts = np.array(bounds, dtype=np.intp)
+        self._column_stats: dict[str, ChunkStats] = {}
+        self._stats_lock = threading.Lock()
 
     @property
     def name(self) -> str:
@@ -158,6 +146,27 @@ class ChunkedTable:
     @property
     def column_names(self) -> list[str]:
         return self._table.column_names
+
+    def column_stats(self, name: str) -> ChunkStats:
+        """Every chunk's min / max / row count of one column, as arrays
+        indexed like :attr:`chunks`: one ``reduceat`` per bound, built on
+        first use and memoized under a lock (pool scans race here)."""
+        cached = self._column_stats.get(name)
+        if cached is not None:
+            return cached
+        with self._stats_lock:
+            cached = self._column_stats.get(name)
+            if cached is None:
+                data = self._table.column(name).data
+                cached = ChunkStats(
+                    min_value=np.minimum.reduceat(data, self._starts)
+                    .astype(np.float64, copy=False),
+                    max_value=np.maximum.reduceat(data, self._starts)
+                    .astype(np.float64, copy=False),
+                    n_rows=np.diff(self._starts, append=data.size),
+                )
+                self._column_stats[name] = cached
+            return cached
 
     def __iter__(self) -> Iterator[Chunk]:
         return iter(self.chunks)

@@ -10,6 +10,7 @@ matrix dimensions/densities and join output cardinalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,8 +19,30 @@ from repro.storage.types import DataType
 from repro.tensor.precision import ValueRange
 
 
+#: Float statistics are exact only inside (-2**53, 2**53).
+_EXACT = 2.0 ** 53
+
+
+class _PruningBounds:
+    """Which chunks' min / max can decide a predicate, worked out once
+    per statistics object (see :func:`predicate_can_match`)."""
+
+    @cached_property
+    def pruning_masks(self):
+        """``(nonempty, undecided, decided)`` over the chunks: ``decided``
+        where the chunk has rows and both bounds are inside (-2**53,
+        2**53) — not NaN — and ``undecided`` where it has rows but not
+        such bounds.  Both are ``None`` when every chunk decides."""
+        nonempty = np.asarray(self.n_rows) > 0
+        decided = (nonempty & (np.abs(self.min_value) < _EXACT)
+                   & (np.abs(self.max_value) < _EXACT))
+        if decided.all():
+            return nonempty, None, None
+        return nonempty, nonempty & ~decided, decided
+
+
 @dataclass(frozen=True)
-class ColumnStats:
+class ColumnStats(_PruningBounds):
     """min / max / #distinct for one column, plus the row count."""
 
     min_value: float
@@ -36,6 +59,17 @@ class ColumnStats:
         """Density of the indicator matrix keyed on this column: each row
         contributes one nonzero across ``n_distinct`` key columns."""
         return 1.0 / self.n_distinct if self.n_distinct else 0.0
+
+
+@dataclass(frozen=True)
+class ChunkStats(_PruningBounds):
+    """One column's min / max / row count per chunk, one array element
+    per chunk (min and max as float64, as in :class:`ColumnStats`): what
+    stat pruning reads, every chunk of a table at once."""
+
+    min_value: np.ndarray
+    max_value: np.ndarray
+    n_rows: np.ndarray
 
 
 def compute_stats(column: Column) -> ColumnStats:
@@ -189,23 +223,48 @@ def _bound_literal(expr, ref, encode) -> float | None:
     return float(expr.value)
 
 
-def _rounded(stats: ColumnStats, *values) -> bool:
-    """Whether a chunk bound or literal is at or beyond +-2**53, where
-    the float statistics stop being exact and pruning must decline."""
-    return any(value is not None and abs(value) >= 2.0 ** 53
-               for value in (stats.min_value, stats.max_value, *values))
+# Whether a chunk with bounds ``lo`` / ``hi`` can hold ``col op v``.
+_CAN_HOLD = {
+    "=": lambda lo, hi, v: (lo <= v) & (v <= hi),
+    "<": lambda lo, hi, v: lo < v,
+    "<=": lambda lo, hi, v: lo <= v,
+    ">": lambda lo, hi, v: hi > v,
+    ">=": lambda lo, hi, v: hi >= v,
+}
 
 
-def predicate_can_match(predicate, stats_of, encode=None) -> bool:
-    """Chunk-level stat pruning: can any row with these min/max
-    statistics satisfy the predicate?
+def _keep(stats, test, *values):
+    """Keep-mask over ``stats``' chunks: ``test(lo, hi)`` where the float
+    bounds decide, every non-empty chunk where they cannot.
 
-    Returns ``False`` only when the statistics *prove* the predicate
-    empty over the chunk — the conservative direction, so pruning never
-    drops a qualifying row.  ``stats_of(expr)`` resolves a plain
-    column-reference expression to the chunk's :class:`ColumnStats`
-    (``None`` for anything else); ``encode(ref, value)`` translates
-    string literals through the column's dictionary.
+    They cannot decide when ``test`` is ``None``, when a literal is at or
+    beyond +-2**53, or — per chunk — when a bound is at or beyond +-2**53
+    or NaN (every comparison reads NaN as false, yet the chunk's other
+    rows may qualify).  A zero-row chunk is always pruned: its bounds are
+    fabricated.
+    """
+    nonempty, undecided, decided = stats.pruning_masks
+    if test is None or not all(abs(v) < _EXACT for v in values):
+        return nonempty
+    keep = test(stats.min_value, stats.max_value)
+    if decided is None:
+        return keep
+    return undecided | (decided & keep)
+
+
+def predicate_can_match(predicate, stats_of, encode=None):
+    """Chunk-level stat pruning: which chunks can hold a row satisfying
+    the predicate?
+
+    Returns a keep-mask over the chunks, ``False`` only where the
+    statistics *prove* the predicate empty — the conservative direction,
+    so pruning never drops a qualifying row.  ``stats_of(expr)``
+    resolves a plain column-reference expression to its statistics
+    (``None`` for anything else): :class:`ChunkStats` arrays, one element
+    per chunk, or one :class:`ColumnStats` — the one-chunk case, answered
+    with a scalar bool.  A predicate the statistics cannot read at all
+    answers a plain ``True``.  ``encode(ref, value)`` translates string
+    literals through the column's dictionary.
     """
     from repro.sql.ast_nodes import (
         Between,
@@ -220,90 +279,75 @@ def predicate_can_match(predicate, stats_of, encode=None) -> bool:
         left_stats = stats_of(predicate.left)
         right_stats = stats_of(predicate.right)
         if left_stats is not None and right_stats is None:
-            stats = left_stats
-            ref = predicate.left
-            value = _bound_literal(predicate.right, ref, encode)
+            stats, ref, other = left_stats, predicate.left, predicate.right
             op = predicate.op
         elif right_stats is not None and left_stats is None:
-            stats = right_stats
-            ref = predicate.right
-            value = _bound_literal(predicate.left, ref, encode)
+            stats, ref, other = right_stats, predicate.right, predicate.left
             op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(
                 predicate.op, predicate.op
             )
         else:  # column-vs-column or literal-vs-literal: no pruning
             return True
-        if stats.n_rows == 0:
-            # A zero-row chunk satisfies no predicate; its min/max are
-            # fabricated (0.0/0.0), so prune unconditionally.
-            return False
-        if value is None or _rounded(stats, value):
-            return True
-        lo, hi = stats.min_value, stats.max_value
-        if op == "=":
-            return lo <= value <= hi
-        if op == "<":
-            return lo < value
-        if op == "<=":
-            return lo <= value
-        if op == ">":
-            return hi > value
-        if op == ">=":
-            return hi >= value
-        return True  # <> / != prunes nothing from min/max alone
+        value = _bound_literal(other, ref, encode)
+        # <> / != prunes nothing from min/max alone.
+        if value is None or op not in _CAN_HOLD:
+            return _keep(stats, None)
+        return _keep(stats, lambda lo, hi: _CAN_HOLD[op](lo, hi, value),
+                     value)
     if isinstance(predicate, Between):
         stats = stats_of(predicate.expr)
         if stats is None:
             return True
-        if stats.n_rows == 0:
-            return False
         low = _bound_literal(predicate.low, predicate.expr, encode)
         high = _bound_literal(predicate.high, predicate.expr, encode)
-        if _rounded(stats, low, high):
-            return True
-        if low is not None and stats.max_value < low:
-            return False
-        if high is not None and stats.min_value > high:
-            return False
-        return True
+
+        def test(lo, hi):
+            keep = True
+            if low is not None:
+                keep = keep & (hi >= low)
+            if high is not None:
+                keep = keep & (lo <= high)
+            return keep
+
+        return _keep(stats, test,
+                     *(bound for bound in (low, high) if bound is not None))
     if isinstance(predicate, InList):
         stats = stats_of(predicate.expr)
         if stats is None:
             return True
-        if stats.n_rows == 0:
-            return False
         values = [
             _bound_literal(literal, predicate.expr, encode)
             for literal in predicate.values
         ]
-        if any(v is None for v in values) or _rounded(stats, *values):
-            return True
-        return any(
-            stats.min_value <= v <= stats.max_value for v in values
+        if any(v is None for v in values):
+            return _keep(stats, None)
+        points = np.array(values, dtype=np.float64)
+        return _keep(
+            stats,
+            lambda lo, hi: (np.less_equal.outer(lo, points)
+                            & np.greater_equal.outer(hi, points)).any(axis=-1),
+            *values,
         )
     if isinstance(predicate, Negation):
         # Proving the complement empty needs an "always true" analysis;
         # min/max statistics cannot provide it conservatively.
         return True
     if isinstance(predicate, Conjunction):
-        return all(
-            predicate_can_match(part, stats_of, encode)
-            for part in predicate.parts
-        )
+        return conjunction_can_match(predicate.parts, stats_of, encode)
     if isinstance(predicate, Disjunction):
-        return any(
-            predicate_can_match(arm, stats_of, encode)
-            for arm in predicate.arms
-        )
+        keep = False
+        for arm in predicate.arms:
+            keep = keep | predicate_can_match(arm, stats_of, encode)
+        return keep
     return True
 
 
-def conjunction_can_match(predicates, stats_of, encode=None) -> bool:
+def conjunction_can_match(predicates, stats_of, encode=None):
     """AND of :func:`predicate_can_match` over a conjunct list."""
-    return all(
-        predicate_can_match(predicate, stats_of, encode)
-        for predicate in predicates
-    )
+    keep = True
+    for predicate in predicates:
+        keep = keep & predicate_can_match(predicate, stats_of, encode)
+    return keep
 
 
 def conjunction_selectivity(predicates, stats_of) -> float:

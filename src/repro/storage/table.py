@@ -45,8 +45,7 @@ class Table:
         self._stats: dict[str, ColumnStats] = {}
         self._chunked: dict[int, object] = {}  # chunk_rows -> ChunkedTable
         #: Column this table is physically sorted by (``cluster_by``), or
-        #: None.  Chunk statistics use it as a cheap-stats fast path and
-        #: pruning on a clustered column skips disjoint chunk ranges.
+        #: None: pruning on a clustered column skips disjoint chunk ranges.
         self.sort_key: str | None = None
 
     # -- constructors ------------------------------------------------------ #
@@ -162,10 +161,9 @@ class Table:
     def cluster_by(self, name: str) -> "Table":
         """This table physically sorted by ``name``, marked clustered.
 
-        The returned table carries ``sort_key = name``: chunk statistics
-        for that column come from the chunk's first/last element instead
-        of a scan, and min/max pruning on the clustered column skips
-        whole chunks because chunk value ranges are disjoint.
+        The returned table carries ``sort_key = name``: min/max pruning
+        on the clustered column skips whole chunks because chunk value
+        ranges are disjoint.
         """
         clustered = self.sort_by(name)
         clustered.sort_key = name

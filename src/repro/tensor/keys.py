@@ -7,6 +7,13 @@ dense-integer rule.  One cap (``KEY_TABLE_MAX_SLOTS``), three users:
 :func:`unique_inverse` (key domains, COO cells) and, through
 :func:`presence_probe`, the fold join's probe (``probe_dimension`` in
 ``engine.tcudb.ops``) and IN-lists (``sql.eval.predicate_mask``).
+
+A presence table usually starts at the smallest key, and a probe's slot
+is its unsigned offset from there.  When every key is at least 1 and
+``max + 1`` slots fit the same budget, the table starts at 0 instead:
+a probe *is* its slot, read with one clipped ``take`` and no offset
+array, slot 0 and the top slot being the misses.  SSB's surrogate keys
+all probe this way.
 """
 
 from __future__ import annotations
@@ -24,6 +31,12 @@ DIRECT_ADDRESS_SLOTS_PER_ROW = 4
 KEY_TABLE_MAX_SLOTS = 1 << 20
 
 
+def _slot_budget(*arrays: np.ndarray) -> int:
+    """Most slots a table serving ``arrays`` may have."""
+    return min(KEY_TABLE_MAX_SLOTS,
+               DIRECT_ADDRESS_SLOTS_PER_ROW * sum(a.size for a in arrays))
+
+
 def address_range(keys: np.ndarray, *probes: np.ndarray):
     """``(lo, span)`` of a table addressed by the values of ``keys`` that
     ``probes`` are looked up in, or ``None`` when an array is not an
@@ -36,8 +49,7 @@ def address_range(keys: np.ndarray, *probes: np.ndarray):
         return None
     lo = int(keys.min())
     span = int(keys.max()) - lo + 1
-    if span > min(KEY_TABLE_MAX_SLOTS, DIRECT_ADDRESS_SLOTS_PER_ROW
-                  * sum(a.size for a in arrays)):
+    if span > _slot_budget(*arrays):
         return None
     return lo, span
 
@@ -53,19 +65,29 @@ def _presence(keys: np.ndarray, lo: int, span: int):
 
 def presence_probe(keys: np.ndarray, probes: np.ndarray):
     """"Which ``probes`` occur in ``keys``" as table lookups — ``(present,
-    key_slots, probe_slots)``, the answer being ``present[probe_slots]``
-    — or ``None`` where :func:`address_range` declines."""
+    key_slots, hits, probe_slots)``: ``hits`` is the answer, one bool per
+    probe, and ``probe_slots`` each probe's slot, exact where it hits —
+    or ``None`` where :func:`address_range` declines."""
     table = address_range(keys, probes)
     if table is None:
         return None
     lo, span = table
+    if lo >= 1 and lo + span <= _slot_budget(keys, probes):
+        # Origin 0: a probe is its own slot.  Slot 0 (no key is below 1)
+        # and slot ``lo + span`` miss; clipping sends every outsider,
+        # negative or huge, to one of them.
+        present, key_slots = _presence(keys, 0, lo + span)
+        return (present, key_slots, present.take(probes, mode="clip"),
+                probes)
     # Read unsigned, a probe below ``lo`` — or so far from it that the
-    # signed difference wraps — is a huge offset: one minimum sends every
-    # outsider to the miss slot.  (A false hit would need ``probe = lo +
-    # d - 2**64`` with ``lo + d <= max(keys)``: below int64.)
-    offsets = probes.astype(np.int64, copy=False) - lo
-    slots = np.minimum(offsets.view(np.uint64), np.uint64(span))
-    return (*_presence(keys, lo, span), slots.view(np.intp))
+    # signed difference wraps — is a huge offset: one minimum, in place,
+    # sends every outsider to the miss slot.  (A false hit would need
+    # ``probe = lo + d - 2**64`` with ``lo + d <= max(keys)``: below int64.)
+    slots = np.subtract(probes, np.int64(lo), dtype=np.int64).view(np.uint64)
+    np.minimum(slots, np.uint64(span), out=slots)
+    slots = slots.view(np.intp)
+    present, key_slots = _presence(keys, lo, span)
+    return present, key_slots, present.take(slots), slots
 
 
 def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -351,3 +351,59 @@ class TestIntegersAbove2To53:
         assert can_match(Between(ref, Literal(10), Literal(B)), 0, 9)
         assert can_match(Between(ref, Literal(10), Literal(20)), B, B + 2)
         assert can_match(InList(ref, (Literal(3), Literal(B + 1))), 10, 20)
+
+
+# --------------------------------------------------------------------------- #
+# Bug 5: a NaN chunk bound pruned qualifying rows
+# --------------------------------------------------------------------------- #
+
+
+class TestNaNChunkBounds:
+    """x = [NaN, 10.0 | 1.0, 2.0]: the first chunk's min/max are NaN, and
+    every comparison against NaN is false — ``hi > 5`` used to prune the
+    chunk holding 10.0.  A NaN bound now keeps the chunk, like +-2**53."""
+
+    CASES = [
+        ("x > 5", {2}),
+        ("x < 5", {3, 4}),
+        ("x = 10", {2}),
+        ("x BETWEEN 5 AND 20", {2}),
+        ("x IN (10, 30)", {2}),
+        ("5 < x", {2}),
+    ]
+
+    @staticmethod
+    def _catalog():
+        return _catalog_with("t", {"k": [1, 2, 3, 4],
+                                   "x": [np.nan, 10.0, 1.0, 2.0]})
+
+    @pytest.mark.parametrize("condition, expected", CASES)
+    @pytest.mark.parametrize("chunk_rows", [2, None])
+    def test_rows_survive_on_both_engines(self, condition, expected,
+                                          chunk_rows):
+        sql = f"SELECT k FROM t WHERE {condition}"
+        for engine in (
+                ReferenceEngine(self._catalog(), chunk_rows=chunk_rows),
+                TCUDBEngine(self._catalog(),
+                            options=TCUDBOptions(chunk_rows=chunk_rows))):
+            got = {int(k) for (k,) in engine.execute(sql).require_table()
+                   .rows()}
+            assert got == expected, (engine.name, chunk_rows, sql)
+
+    def test_nan_bound_keeps_the_chunk(self):
+        ref = ColumnRef(None, "x")
+        stats = compute_stats(Column(np.array([np.nan, 10.0]),
+                                     DataType.FLOAT64))
+        assert np.isnan(stats.min_value)
+
+        def can_match(predicate):
+            return predicate_can_match(
+                predicate,
+                lambda expr: stats if isinstance(expr, ColumnRef) else None)
+
+        for predicate in (Comparison(">", ref, Literal(5)),
+                          Comparison("<", ref, Literal(-5)),
+                          Comparison("=", ref, Literal(99)),
+                          Between(ref, Literal(50), Literal(60)),
+                          InList(ref, (Literal(99),))):
+            assert can_match(predicate), predicate

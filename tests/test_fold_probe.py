@@ -74,16 +74,26 @@ def assert_probe_equal(got, expected, context):
             assert np.array_equal(g, e), f"{name} differs: {context}"
 
 
+class ProbeCalls(dict):
+    """``{"addressed": [slots, ..], "sorted": n}`` plus, in ``direct``,
+    one bool per addressed probe: whether the table's origin was 0, the
+    fact keys indexing it themselves (no offset array)."""
+
+    def __init__(self):
+        super().__init__(addressed=[], sorted=0)
+        self.direct: list[bool] = []
+
+
 @pytest.fixture
 def probe_calls(monkeypatch):
-    """Which strategy ``probe_dimension`` ran, and over how many slots:
-    ``{"addressed": [span, ..], "sorted": n}``."""
-    calls = {"addressed": [], "sorted": 0}
+    """Which strategy ``probe_dimension`` ran, and over how many slots."""
+    calls = ProbeCalls()
 
     def presence_probe(dim_keys, fact_keys):
         table = keys.presence_probe(dim_keys, fact_keys)
         if table is not None:
             calls["addressed"].append(table[0].size - 1)  # less the miss slot
+            calls.direct.append(table[3] is fact_keys)
         return table
 
     def probe_sorted(*args):
@@ -284,6 +294,87 @@ class TestProbeStrategies:
         assert probe_calls == {"addressed": [], "sorted": 4}
 
 
+class TestOriginZeroTable:
+    """Keys all >= 1 whose ``max + 1`` slots fit the budget: the fact key
+    is its own slot, ``take(mode="clip")`` sends outsiders to slot 0 or
+    the top slot."""
+
+    OUTSIDERS = [0, -1, INT64.min, INT64.max]
+
+    def path(self, probe_calls, dim_keys, fact_keys):
+        """``probe_dimension`` against the dict loop, both ``want_rows``;
+        ``"direct"`` or ``"offset"``."""
+        for want_rows in (True, False):
+            assert_probe_equal(
+                addressed_probe(probe_calls, dim_keys, fact_keys, want_rows),
+                reference_probe(dim_keys, fact_keys, want_rows),
+                f"dim={dim_keys!r} fact={fact_keys!r}")
+        assert probe_calls.direct[-1] == probe_calls.direct[-2]
+        return "direct" if probe_calls.direct[-1] else "offset"
+
+    @pytest.mark.parametrize("dim_keys", [
+        np.array([1, 5, 3], dtype=np.int64),
+        np.array([5, 1, 5, 3], dtype=np.int64),
+    ], ids=["unique", "duplicates"])
+    def test_minimum_one_indexes_directly(self, dim_keys, probe_calls):
+        top = int(dim_keys.max())
+        fact_keys = np.array([3, top + 1, *self.OUTSIDERS, 1, 2, top],
+                             dtype=np.int64)
+        assert self.path(probe_calls, dim_keys, fact_keys) == "direct"
+        keep = addressed_probe(probe_calls, dim_keys, fact_keys)[0]
+        assert keep.tolist() == [0, 6, 8]
+        # Slot 0 and the top slot are the misses.
+        assert probe_calls["addressed"][-1] == top + 1
+
+    @pytest.mark.parametrize("dim_keys", [
+        np.array([0, 4, 2], dtype=np.int64),
+        np.array([-3, 4, 2], dtype=np.int64),
+        np.array([-9, -2], dtype=np.int64),
+    ], ids=["minimum-0", "straddles-0", "negative"])
+    def test_minimum_below_one_takes_the_offset(self, dim_keys, probe_calls):
+        fact_keys = np.array([-9, -3, -2, 0, 2, 4, 5, *self.OUTSIDERS],
+                             dtype=np.int64)
+        assert self.path(probe_calls, dim_keys, fact_keys) == "offset"
+
+    def test_top_slot_at_the_per_row_budget_and_one_past(self, probe_calls):
+        fact_keys = np.array([1, 2, 0, -1, INT64.min, INT64.max],
+                             dtype=np.int64)
+        budget = DIRECT_ADDRESS_SLOTS_PER_ROW * (2 + fact_keys.size)
+        # lo + span == max + 1 == budget: origin 0 fits exactly.
+        at = np.array([1, budget - 1], dtype=np.int64)
+        assert self.path(probe_calls, at, fact_keys) == "direct"
+        assert probe_calls["addressed"][-1] == budget
+        # One past: origin 0 no longer fits, the offset table (span
+        # == budget) still does.
+        past = np.array([1, budget], dtype=np.int64)
+        assert self.path(probe_calls, past, fact_keys) == "offset"
+        assert probe_calls["addressed"][-1] == budget
+        # And past the span budget itself: the sorted probe.
+        got = ops.probe_dimension(get_backend("sim"),
+                                  np.array([1, budget + 1], dtype=np.int64),
+                                  fact_keys, True)
+        assert_probe_equal(got, reference_probe(
+            np.array([1, budget + 1]), fact_keys), "past the budget")
+        assert probe_calls["sorted"] == 1
+
+    @pytest.mark.parametrize("fact_dtype", KEY_DTYPES)
+    @pytest.mark.parametrize("dim_dtype", [np.int8, np.uint8, np.int64])
+    def test_narrow_probe_dtypes(self, dim_dtype, fact_dtype, probe_calls,
+                                 monkeypatch):
+        monkeypatch.setattr(keys, "DIRECT_ADDRESS_SLOTS_PER_ROW", 1 << 20)
+        dim_keys = np.array([1, 7, 100, 127], dtype=dim_dtype)
+        info = np.iinfo(fact_dtype)
+        fact_keys = np.array(
+            sorted({info.min, -1 if info.min < 0 else 0, 0, 1, 7, 100, 127,
+                    min(128, info.max), info.max}),
+            dtype=fact_dtype)
+        assert self.path(probe_calls, dim_keys, fact_keys) == "direct"
+        for backend in ("sim", "fast"):
+            keep = addressed_probe(probe_calls, dim_keys, fact_keys,
+                                   backend=backend)[0]
+            assert fact_keys[keep].tolist() == [1, 7, 100, 127]
+
+
 # --------------------------------------------------------------------- #
 # (b) Projected scans
 # --------------------------------------------------------------------- #
@@ -313,17 +404,48 @@ class TestProjectedScan:
         {}, {"workers": 2}, {"chunk_rows": 1 << 30}, {"chunk_rows": 64},
     ])
     def test_only_referenced_columns_are_carried(self, catalog, options):
+        # lo_discount is read by the filter alone: masked, never gathered.
         fact = scan(catalog, STAR, "lineorder", **options).env
         assert sorted(fact.arrays) == [
-            "lineorder.lo_discount", "lineorder.lo_orderdate",
-            "lineorder.lo_revenue",
+            "lineorder.lo_orderdate", "lineorder.lo_revenue",
         ]
-        discount = fact.lookup("lineorder.lo_discount")
-        assert fact.n_rows == discount.size > 0
-        assert ((discount >= 1) & (discount <= 3)).all()
+        lineorder = catalog.get("lineorder")
+        discount = lineorder.column("lo_discount").data
+        rows = np.flatnonzero((discount >= 1) & (discount <= 3))
+        assert fact.n_rows == rows.size > 0
+        for name in ("lo_orderdate", "lo_revenue"):
+            assert np.array_equal(fact.lookup(f"lineorder.{name}"),
+                                  lineorder.column(name).data[rows])
         dim = scan(catalog, STAR, "ddate", **options).env
         assert sorted(dim.arrays) == ["ddate.d_datekey", "ddate.d_year"]
         assert dim.n_rows == catalog.get("ddate").num_rows
+
+    # lo_discount is filtered and also read past the scan: by a
+    # cross-table residual, an aggregate argument, HAVING, a group key.
+    @pytest.mark.parametrize("sql", [
+        "SELECT d_year, SUM(lo_revenue) AS rev FROM lineorder, ddate "
+        "WHERE lo_orderdate = d_datekey AND lo_discount BETWEEN 1 AND 3 "
+        "AND (lo_discount = 2 OR d_year = 1994) GROUP BY d_year",
+        "SELECT d_year, SUM(lo_discount) AS rev FROM lineorder, ddate "
+        "WHERE lo_orderdate = d_datekey AND lo_discount < 4 GROUP BY d_year",
+        "SELECT d_year, SUM(lo_revenue) AS rev FROM lineorder, ddate "
+        "WHERE lo_orderdate = d_datekey AND lo_discount < 4 "
+        "GROUP BY d_year HAVING SUM(lo_discount) > 10",
+        "SELECT lo_discount, SUM(lo_revenue) AS rev FROM lineorder, ddate "
+        "WHERE lo_orderdate = d_datekey AND lo_discount < 4 "
+        "GROUP BY lo_discount ORDER BY lo_discount",
+    ], ids=["residual", "aggregate", "having", "group-order"])
+    def test_filter_columns_read_downstream_are_gathered(self, catalog, sql):
+        fact = scan(catalog, sql, "lineorder").env
+        assert "lineorder.lo_discount" in fact.arrays
+        assert_results_match(TCUDBEngine(catalog).execute(sql),
+                             ReferenceEngine(catalog).execute(sql),
+                             rel=TCU_REL)
+
+    def test_part_scan_drops_filter_only_columns(self, catalog):
+        sql = STAR_QUERIES[1]
+        part = scan(catalog, sql, "part").env
+        assert sorted(part.arrays) == ["part.p_brand1", "part.p_partkey"]
 
     def test_projection_keeps_rows_of_a_fully_pruned_scan_typed(self, catalog):
         sql = STAR.replace("BETWEEN 1 AND 3", "> 1000")

@@ -216,13 +216,13 @@ class TestClusterBy:
 
         clustered = self._shuffled().cluster_by("k")
         chunked = ChunkedTable(clustered, 256)
+        arrays = chunked.column_stats("k")
         for chunk in chunked.chunks:
-            fast = chunk.stats("k")  # endpoint fast path (sort_key)
             full = compute_stats(chunk.column("k"))
-            assert fast.min_value == full.min_value
-            assert fast.max_value == full.max_value
-            assert fast.n_distinct == full.n_distinct
-            assert fast.n_rows == full.n_rows
+            assert chunk.stats("k") == full
+            assert arrays.min_value[chunk.index] == full.min_value
+            assert arrays.max_value[chunk.index] == full.max_value
+            assert arrays.n_rows[chunk.index] == full.n_rows
 
     def test_clustered_chunk_ranges_are_disjoint(self):
         from repro.storage.chunk import ChunkedTable
