@@ -2,6 +2,7 @@
 (docs/operations.md § Chaos testing)."""
 
 from repro.bench import run_chaos
+from repro.bench.exp_chaos import JOIN_AGG_SQL
 from repro.common.faults import FaultPlan, FaultRule, SITE_SHARD_EXECUTE, inject
 from repro.datasets.ssb import ssb_catalog
 from repro.serve import QueryServer
@@ -17,8 +18,7 @@ def test_chaos_resilience(print_series, benchmark, bench_profile, verifier):
         config = f"fault_rate={rate}"
         assert result.find(config, "success-rate").seconds == 1.0
         assert result.find(config, "availability").seconds == 1.0
-    # The zero-rate anchor must not pay any resilience overhead worth
-    # noting; faulted rates may (that IS the measurement).
+    # Every recovery converged: the server ledger records no failed query.
     ledger = [n for n in result.notes if "recovery ledger" in n]
     assert ledger, "experiment must report the server recovery ledger"
     assert "failed=0" in ledger[0]
@@ -33,8 +33,6 @@ def test_chaos_resilience(print_series, benchmark, bench_profile, verifier):
     )
     try:
         session = server.session()
-        from repro.bench.exp_concurrency import JOIN_AGG_SQL
-
         session.execute(JOIN_AGG_SQL)  # warm the program cache
         plan = FaultPlan(
             [FaultRule(site=SITE_SHARD_EXECUTE, kind="transient",

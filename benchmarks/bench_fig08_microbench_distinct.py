@@ -26,8 +26,8 @@ def test_fig8_series(print_series, benchmark, bench_profile, verifier, query):
                     > result.find(configs[0], "TCUDB").normalized)
     else:
         # Q3/Q4 use the compact grouped construction, so TCUDB stays
-        # ahead of YDB across the whole sweep (see EXPERIMENTS.md for
-        # the divergence from the paper's tuple-rows series).
+        # ahead of YDB across the whole sweep (docs/benchmarking.md §
+        # Known divergences: the paper's tuple-rows series).
         for config in result.configs():
             assert (result.find(config, "TCUDB").normalized
                     < result.find(config, "YDB").normalized)

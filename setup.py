@@ -1,10 +1,3 @@
 from setuptools import setup
 
-setup(
-    extras_require={
-        # Optional tensor execution backend (src/repro/tensor/backend.py).
-        # The library runs on numpy alone; TorchBackend is import-guarded
-        # and its tests auto-skip, so CI never installs this extra.
-        "torch": ["torch"],
-    },
-)
+setup()

@@ -16,12 +16,8 @@ from repro.bench.exp_casestudies import (
     run_fig13,
     run_table1,
 )
-from repro.bench.exp_backends import run_backends
 from repro.bench.exp_chaos import run_chaos
-from repro.bench.exp_compile_cache import run_compile_cache
-from repro.bench.exp_concurrency import run_concurrency
 from repro.bench.exp_microbench import run_fig3, run_fig7, run_fig8, run_fig14
-from repro.bench.exp_scaleout import run_scaleout
 from repro.bench.exp_ssb import run_fig9
 from repro.bench.exp_tables import run_table4, run_tables23
 from repro.bench.harness import (
@@ -47,10 +43,7 @@ __all__ = [
     "run_ablation_fusion",
     "run_ablation_precision",
     "run_ablation_transform_location",
-    "run_backends",
     "run_chaos",
-    "run_compile_cache",
-    "run_concurrency",
     "run_fig10",
     "run_fig11",
     "run_fig12",
@@ -60,7 +53,6 @@ __all__ = [
     "run_fig7",
     "run_fig8",
     "run_fig9",
-    "run_scaleout",
     "run_table1",
     "run_table4",
     "run_tables23",

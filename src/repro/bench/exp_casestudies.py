@@ -94,8 +94,9 @@ def run_fig10(
 ) -> ExperimentResult:
     """Figure 10: matmul query, engine-measured small dims plus
     cost-model projections at the paper's dims (4096**2..32768**2 records
-    cannot be materialized in a Python process; EXPERIMENTS.md documents
-    the projection methodology and its validation at overlapping dims)."""
+    cannot be materialized in a Python process; docs/benchmarking.md §
+    Known divergences documents the projection methodology and its
+    validation at overlapping dims)."""
     engine_dims = engine_dims or list(
         profile.fig10_engine_dims if profile else (256, 512, 1024))
     projected_dims = projected_dims or list(

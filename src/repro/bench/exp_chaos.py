@@ -10,21 +10,17 @@ derived from the swept rate — and records, per rate:
   injected fault class is recoverable, so retries + the degradation
   ladder must always converge);
 * **availability** — fraction whose *rows* equal the Reference oracle's
-  (a degraded answer must still be exact, not approximate);
-* **p99-overhead** — p99 host latency divided by the fault-free p99 on
-  the same warmed server (the price of retries/backoff/failover).
+  (a degraded answer must still be exact, not approximate).
 
-The fault plan is seeded, so a failing rate reproduces exactly.  The
-latency ratios are host-measured (machine-dependent) and therefore
-exempt from the regression gate's value-drift check; the correctness
-columns are not machine-dependent at all.
+The fault plan is seeded, so a failing rate reproduces exactly, and
+neither column depends on the machine.  Each rate's p99 host latency is
+recorded in a note only: host time is ``perfbench/``'s to measure.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.bench.exp_concurrency import JOIN_AGG_SQL, SCAN_AGG_SQL
 from repro.bench.harness import ExperimentResult
 from repro.bench.scale import ScaleProfile
 from repro.bench.verify import OracleVerifier, result_rows, rows_match
@@ -43,6 +39,18 @@ from repro.serve.server import QueryServer
 
 #: Chaos plan seed (pinned so bench failures replay exactly).
 CHAOS_SEED = 1306
+
+# One join+aggregate (the sharded grid-allreduce route) and one
+# filter+aggregate (the partial-rows route, with chunk pruning in play).
+JOIN_AGG_SQL = """
+    SELECT d_year, SUM(lo_revenue) AS rev, COUNT(*) AS orders
+    FROM lineorder, ddate
+    WHERE lo_orderdate = d_datekey
+    GROUP BY d_year;"""
+SCAN_AGG_SQL = """
+    SELECT SUM(lo_extendedprice * lo_discount) AS revenue
+    FROM lineorder
+    WHERE lo_discount BETWEEN 1 AND 3 AND lo_quantity < 25;"""
 
 
 def _plan_for(rate: float, index: int) -> FaultPlan:
@@ -68,7 +76,7 @@ def run_chaos(
     profile: ScaleProfile | None = None,
     verifier: OracleVerifier | None = None,
 ) -> ExperimentResult:
-    """Fault-rate sweep: availability / success-rate / p99 overhead."""
+    """Fault-rate sweep: success rate and oracle-exact availability."""
     if rows is None:
         rows = profile.chaos_rows if profile else 12_000
     rates = list(profile.chaos_fault_rates if profile else (0.0, 0.1, 0.3))
@@ -78,10 +86,8 @@ def run_chaos(
     result = ExperimentResult(
         "chaos_resilience",
         "Injected fault rate vs serving resilience: success rate and "
-        "oracle-exact availability must hold 1.0 while p99 latency "
-        "absorbs the retry/failover overhead",
+        "oracle-exact availability must hold 1.0",
         unit="ratio",
-        host_measured=True,
     )
     catalog = ssb_catalog(scale_factor=1, rows_per_sf=rows, seed=seed)
     oracle = ReferenceEngine(catalog)
@@ -98,7 +104,8 @@ def run_chaos(
             for sql in set(workload):
                 session.execute(sql)
 
-        def run_pass(plan: FaultPlan | None):
+        for index, rate in enumerate(rates):
+            plan = _plan_for(rate, index)
             latencies, succeeded, correct = [], 0, 0
             with inject(plan):
                 for sql in workload:
@@ -120,25 +127,14 @@ def run_chaos(
                     if rows_match(result_rows(run), expected[sql],
                                   rel=TCU_REL) is None:
                         correct += 1
-            return latencies, succeeded, correct
-
-        clean_latencies, _, _ = run_pass(None)
-        clean_p99 = _p99(clean_latencies)
-
-        for index, rate in enumerate(rates):
-            plan = _plan_for(rate, index)
-            latencies, succeeded, correct = run_pass(plan)
             total = len(workload)
             success_rate = succeeded / total
             availability = correct / total
             p99 = _p99(latencies) if latencies else float("inf")
-            overhead = p99 / clean_p99 if clean_p99 > 0 else float("inf")
 
             config = f"fault_rate={rate}"
             p_success = result.add(config, "success-rate", success_rate)
             p_avail = result.add(config, "availability", availability)
-            p_over = result.add(config, "p99-overhead", overhead)
-            p_over.host_seconds = p99
             if verifier is not None:
                 verifier.verify_check(
                     p_success, success_rate == 1.0, "oracle",
@@ -150,17 +146,13 @@ def run_chaos(
                     f"{correct}/{total} answers row-identical to the "
                     f"Reference oracle (degraded answers stay exact)",
                 )
-                # Replay the workload's join query through the same
-                # sharded path, fault-free, against the oracle.
-                verifier.verify_query(
-                    p_over, f"tcudb-dist{shards}", catalog, JOIN_AGG_SQL,
-                )
             result.notes.append(
                 f"fault_rate={rate}: injected "
                 + ", ".join(
                     f"{r['site']}:{r['kind']} x{r['fires']}"
                     for r in plan.stats()["rules"]
                 )
+                + f"; host p99 {p99 * 1e3:.2f} ms"
             )
         stats = server.resilience_stats()["queries"]
         result.notes.append(
@@ -173,7 +165,7 @@ def run_chaos(
     result.notes.append(
         f"rows_per_sf={rows}, shards={shards}, "
         f"queries_per_rate={len(workload)}, repeats={reps}, "
-        f"plan_seed={CHAOS_SEED}; p99-overhead is faulty p99 / "
-        f"fault-free p99 on the same warmed server (host-measured)"
+        f"plan_seed={CHAOS_SEED}; host p99 is over each query's best of "
+        f"{reps} runs on the same warmed server"
     )
     return result

@@ -5,7 +5,7 @@ Every experiment produces an :class:`ExperimentResult`: a list of
 (configuration, engine) points with simulated seconds, the normalized
 value (paper-style: divided by a designated baseline point), the stage
 breakdown, and — where the paper publishes numbers — the reference value
-for side-by-side comparison in EXPERIMENTS.md.
+for side-by-side comparison.
 """
 
 from __future__ import annotations
@@ -94,10 +94,6 @@ class ExperimentResult:
     # the perf-regression gate), "percent" (error rates), "count"
     # (dataset shapes) or "ratio" (speedup factors).
     unit: str = "seconds"
-    # True when the point values derive from *host* wall-clock (e.g. the
-    # concurrency worker-scaling ratios): machine-dependent, so the
-    # regression gate skips value-drift warnings for this experiment.
-    host_measured: bool = False
 
     def add(
         self,
@@ -222,7 +218,6 @@ class ExperimentResult:
             "experiment_id": self.experiment_id,
             "title": self.title,
             "unit": self.unit,
-            "host_measured": self.host_measured,
             "points": [point.to_dict() for point in self.points],
             "notes": list(self.notes),
             "fidelity_geomean": geometric_mean_ratio(self),
@@ -239,7 +234,6 @@ class ExperimentResult:
             points=[SeriesPoint.from_dict(p) for p in data.get("points", [])],
             notes=list(data.get("notes", [])),
             unit=data.get("unit", "seconds"),
-            host_measured=bool(data.get("host_measured", False)),
         )
 
     # -- rendering --------------------------------------------------------- #
@@ -312,7 +306,7 @@ def geomean(values) -> float | None:
 
 def geometric_mean_ratio(result: ExperimentResult) -> float | None:
     """Geometric mean of ours/paper across points that have both — the
-    headline fidelity metric EXPERIMENTS.md reports per experiment."""
+    headline fidelity metric the runner prints per experiment."""
     return geomean(
         point.normalized / point.paper_value
         for point in result.points

@@ -16,10 +16,7 @@ Points are matched by (experiment_id, config, engine).  The gate fails
 
 Non-time experiments (``unit`` of percent/count/ratio — Table 1 MAPE,
 dataset shapes, Figure 14 speedups) are excluded from the slowdown
-geomean but large value drifts are reported as warnings — except
-``host_measured`` experiments (the concurrency worker-scaling curve),
-whose values are host wall-clock ratios and legitimately vary between
-machines and runs.
+geomean but large value drifts are reported as warnings.
 """
 
 from __future__ import annotations
@@ -184,11 +181,6 @@ def compare_reports(
                     )
                     continue
                 deltas.append(delta)
-            elif experiment.host_measured:
-                # Host-measured values (e.g. concurrency speedup ratios)
-                # depend on the machine and its load; run-to-run drift is
-                # expected and must not pollute the warning list.
-                continue
             elif base_seconds > 0 and not (
                 1 / (1 + max_slowdown) <= delta.ratio <= 1 + max_slowdown
             ):

@@ -34,12 +34,8 @@ from repro.bench.exp_casestudies import (
     run_fig13,
     run_table1,
 )
-from repro.bench.exp_backends import run_backends
 from repro.bench.exp_chaos import run_chaos
-from repro.bench.exp_compile_cache import run_compile_cache
-from repro.bench.exp_concurrency import run_concurrency
 from repro.bench.exp_microbench import run_fig3, run_fig7, run_fig8, run_fig14
-from repro.bench.exp_scaleout import run_scaleout
 from repro.bench.exp_ssb import run_fig9
 from repro.bench.exp_tables import run_table4, run_tables23
 from repro.bench.harness import ExperimentResult, geometric_mean_ratio
@@ -63,9 +59,8 @@ def iter_experiments(
 ) -> Iterator[tuple[str, ExperimentThunk]]:
     """Every experiment of the suite, keyed for ``--experiments`` filters.
 
-    This registry is the single source of truth for "the whole suite":
-    both this runner and ``repro.bench.reporting`` (EXPERIMENTS.md) walk
-    it, so a new ``exp_*`` runner only needs to be added here.
+    This registry is the single source of truth for "the whole suite",
+    so a new ``exp_*`` runner only needs to be added here.
     """
     kwargs = {"profile": profile, "verifier": verifier}
     yield "fig3", lambda: run_fig3(**kwargs)
@@ -96,11 +91,7 @@ def iter_experiments(
     yield "ablation:transform_location", (
         lambda: run_ablation_transform_location(**kwargs))
     yield "ablation:fusion", lambda: run_ablation_fusion(**kwargs)
-    yield "concurrency", lambda: run_concurrency(**kwargs)
-    yield "compile_cache", lambda: run_compile_cache(**kwargs)
-    yield "scaleout", lambda: run_scaleout(**kwargs)
     yield "chaos", lambda: run_chaos(**kwargs)
-    yield "backends", lambda: run_backends(**kwargs)
 
 
 def run_suite(

@@ -8,13 +8,12 @@ whole suite can run at three calibrated scales:
 * ``smoke``  — CI-sized inputs (< 2 minutes end-to-end) with *per-point
   oracle verification* enabled: every benchmarked query is replayed in
   REAL mode and compared against :class:`~repro.engine.reference.ReferenceEngine`.
-* ``paper``  — the configurations EXPERIMENTS.md reports, matching the
-  published figures.  Verified through *sampled streaming replay*
-  (``verify_policy="stream"``): full REAL-mode replay would materialize
-  billions of join pairs at these sizes, so every SQL point replays on a
-  deterministically chunk-sampled catalog through the streaming oracle —
-  engine and oracle see identical samples, keeping the check a true
-  differential one.
+* ``paper``  — the configurations of the published figures.  Verified
+  through *sampled streaming replay* (``verify_policy="stream"``): full
+  REAL-mode replay would materialize billions of join pairs at these
+  sizes, so every SQL point replays on a deterministically chunk-sampled
+  catalog through the streaming oracle — engine and oracle see identical
+  samples, keeping the check a true differential one.
 * ``stress`` — larger-than-paper sweeps for the cost models (analytic
   mode keeps them cheap to *time*); verified the same sampled way.
 """
@@ -78,40 +77,10 @@ class ScaleProfile:
     # per-aggregate redundancy dominates the fixed query overhead).
     fusion_rows: int = 20_000
     fusion_reps: int = 3
-    # Concurrency experiment: worker counts for the morsel-parallel
-    # scaling curve, SSB generator rows, morsel size and host-timing
-    # repeats (REAL mode; the value reported is a host speedup ratio).
-    concurrency_workers: tuple[int, ...] = (1, 2, 4)
-    concurrency_rows: int = 20_000
-    concurrency_chunk_rows: int = 2048
-    concurrency_reps: int = 3
-    # Scale-out experiment: shard counts for the distributed speedup
-    # curve, SSB generator rows, morsel size and host-timing repeats
-    # (REAL mode; the value reported is a host speedup ratio over the
-    # one-shard anchor).
-    scaleout_shards: tuple[int, ...] = (1, 2, 4)
-    scaleout_rows: int = 20_000
-    scaleout_chunk_rows: int = 2048
-    scaleout_reps: int = 3
-    # Compile-once experiment: SSB generator rows, number of distinct
-    # parameterized statements, executions per statement in the repeated
-    # workload, and warm/cold host-timing repeats.
-    compile_cache_rows: int = 12_000
-    compile_cache_statements: int = 4
-    compile_cache_executions: int = 6
-    compile_cache_reps: int = 3
-    # Backend experiment: SSB generator rows and host-timing repeats for
-    # the sim-vs-fast (and torch, when installed) execution-backend
-    # speedup series (REAL mode; the value reported is a host speedup
-    # ratio over the sim-backend anchor, so the row count stays in the
-    # regime where fill overhead — what the fast backend sheds — is a
-    # visible fraction of the query).
-    backends_rows: int = 12_000
-    backends_reps: int = 3
     # Chaos experiment: injected fault rates (probability per shard
-    # execution) swept against availability/success-rate/p99 overhead,
-    # SSB generator rows, shard count, queries per point and host-timing
-    # repeats (REAL mode; every point's answer oracle-verified).
+    # execution) swept against success rate and availability, SSB
+    # generator rows, shard count, queries per point and repeats per
+    # query (REAL mode; every point's answer oracle-verified).
     chaos_fault_rates: tuple[float, ...] = (0.0, 0.1, 0.3)
     chaos_rows: int = 12_000
     chaos_shards: int = 2
@@ -126,7 +95,7 @@ class ScaleProfile:
         return out
 
 
-#: The published-figure configurations (EXPERIMENTS.md).
+#: The published-figure configurations.
 PAPER = ScaleProfile(
     name="paper",
     description="the configurations the paper's figures report",
@@ -159,20 +128,6 @@ SMOKE = ScaleProfile(
     ablation_distincts=(16, 16384),
     fusion_rows=20_000,
     fusion_reps=3,
-    concurrency_workers=(1, 2, 4),
-    concurrency_rows=8_000,
-    concurrency_chunk_rows=1024,
-    concurrency_reps=2,
-    scaleout_shards=(1, 2, 4),
-    scaleout_rows=8_000,
-    scaleout_chunk_rows=1024,
-    scaleout_reps=2,
-    compile_cache_rows=5_000,
-    compile_cache_statements=3,
-    compile_cache_executions=4,
-    compile_cache_reps=2,
-    backends_rows=10_000,
-    backends_reps=3,
     chaos_fault_rates=(0.0, 0.2),
     chaos_rows=6_000,
     chaos_shards=2,
@@ -203,20 +158,6 @@ STRESS = ScaleProfile(
     ablation_distincts=(64, 1024, 32768),
     fusion_rows=60_000,
     fusion_reps=3,
-    concurrency_workers=(1, 2, 4, 8),
-    concurrency_rows=40_000,
-    concurrency_chunk_rows=2048,
-    concurrency_reps=3,
-    scaleout_shards=(1, 2, 4, 8),
-    scaleout_rows=40_000,
-    scaleout_chunk_rows=2048,
-    scaleout_reps=3,
-    compile_cache_rows=30_000,
-    compile_cache_statements=6,
-    compile_cache_executions=10,
-    compile_cache_reps=3,
-    backends_rows=30_000,
-    backends_reps=3,
 )
 
 PROFILES: dict[str, ScaleProfile] = {

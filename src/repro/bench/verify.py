@@ -30,7 +30,7 @@ import numpy as np
 from repro.engine.base import ExecutionMode
 from repro.engine.monetdb import MonetDBEngine
 from repro.engine.reference import ReferenceEngine
-from repro.engine.tcudb import DistributedEngine, TCUDBEngine
+from repro.engine.tcudb import TCUDBEngine
 from repro.engine.ydb import YDBEngine
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
@@ -221,15 +221,6 @@ class OracleVerifier:
         if key == "tcudb":
             return TCUDBEngine(catalog, device=device,
                                mode=ExecutionMode.REAL, options=options)
-        if key.startswith("tcudb-dist"):
-            # "tcudb-dist" or "tcudb-distN": replay through the
-            # distributed engine at N shards (default 2) so sharded
-            # benchmark points are verified through the same merge path
-            # that produced them.
-            shards = int(key[len("tcudb-dist"):] or 2)
-            return DistributedEngine(catalog, shards=shards, device=device,
-                                     mode=ExecutionMode.REAL,
-                                     options=options)
         if key == "reference":
             return ReferenceEngine(catalog)
         raise KeyError(f"no REAL-mode constructor for engine {name!r}")

@@ -325,8 +325,8 @@ class TCUDriver:
         self.device = device
         self.chunk_rows = chunk_rows_policy(chunk_rows)
         self.workers = workers_policy(workers)
-        # Kernel-primitive layer: "sim" (the simulated unit, the oracle),
-        # "fast" (optimized NumPy/BLAS) or "torch"; see
+        # Kernel-primitive layer: "sim" (the simulated unit, the oracle)
+        # or "fast" (optimized NumPy/BLAS); see
         # repro.tensor.backend for the selection policy and the
         # equivalence contract.
         self.backend = get_backend(backend)

@@ -89,8 +89,8 @@ class TCUDBOptions:
     # guard treats a mismatch as stale) and the cache would thrash.
     cache_namespace: str = ""
     # Tensor backend for the kernel primitives: "sim" (the simulated
-    # unit, the reference oracle), "fast" (optimized NumPy/BLAS) or
-    # "torch" (optional).  ``None`` defers to the REPRO_BACKEND policy;
+    # unit, the reference oracle) or "fast" (optimized NumPy/BLAS).
+    # ``None`` defers to the REPRO_BACKEND policy;
     # see repro.tensor.backend.  Simulated seconds are charged by the
     # cost model regardless of backend, so this only changes host
     # wall-clock (within the documented numeric envelope).

@@ -10,7 +10,8 @@ Calibration: the per-element constants were fitted to the paper's own
 normalized results (Figures 7, 8 and 10).  The paper's YDB baseline at the
 (4096 records, 32 distinct) microbenchmark point takes roughly 5 ms on the
 RTX 3090 under this model, which makes all the relative series line up
-with the published figures.  ``EXPERIMENTS.md`` records the residuals.
+with the published figures.  ``docs/benchmarking.md`` § Known divergences
+records the residuals.
 """
 
 from __future__ import annotations

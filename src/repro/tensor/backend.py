@@ -8,7 +8,7 @@ layer.  Our operator catalog is already exactly that granularity, so a
 :class:`TensorBackend` exposes the primitives the driver actually uses —
 ``matmul`` (2-D and 3-D stacked, with the fp16 scaling semantics of the
 simulated unit), ``gather``, ``bincount``/segmented-sum, ``nonzero``,
-dense-from-COO construction and the masked-epilogue apply — with three
+dense-from-COO construction and the masked-epilogue apply — with two
 implementations:
 
 * :class:`SimBackend` — the NumPy tensor-core simulator, extracted
@@ -25,11 +25,6 @@ implementations:
   keeps results within the documented ``rel=2e-3`` equivalence envelope;
   integer-precision products are the simulator's own
   (:func:`~repro.tensor.precision.exact_integer_matmul`).
-* :class:`TorchBackend` — the same interface on PyTorch tensors
-  (import-guarded; absent torch makes selection a
-  :class:`~repro.common.errors.ConfigError` and tests auto-skip),
-  proving the TQP claim that the operator set runs on a real tensor
-  computation runtime.
 
 Selection mirrors ``workers_policy``/``shards_policy``: an explicit
 ``TCUDBOptions.backend`` wins, then the ``REPRO_BACKEND`` environment
@@ -40,8 +35,8 @@ Equivalence contract (differentially tested in ``tests/test_backends.py``):
 * integer-precision products and indicator/count grids are **exact**
   across backends;
 * fp16-strategy value grids agree with the simulator within relative
-  ``2e-3`` (the simulator's own fp16 rounding is ~1e-3; the fast/torch
-  float32 paths sit well inside it);
+  ``2e-3`` (the simulator's own fp16 rounding is ~1e-3; the fast
+  float32 path sits well inside it);
 * ``gather``/``bincount``/``nonzero``/``dense_from_coo``/``apply_mask``
   are bit-identical everywhere (same integer/boolean arithmetic).
 """
@@ -211,96 +206,10 @@ class FastBackend(TensorBackend):
         )
 
 
-class TorchBackend(TensorBackend):
-    """The same primitives on PyTorch tensors (a real TCR API).
-
-    Import-guarded: constructing it without torch installed raises
-    :class:`ConfigError`, and the selection policy reports torch as
-    unavailable so tests auto-skip.  Products run in torch float32 (fp32
-    accumulation — the same equivalence envelope as the fast backend)
-    or float64 for integer precisions (exact).
-    """
-
-    name = "torch"
-    fill_dtype = np.float64
-
-    def __init__(self):
-        try:
-            import torch
-        except ImportError as error:  # pragma: no cover - env-dependent
-            raise ConfigError(
-                "backend 'torch' requested but PyTorch is not installed "
-                "(pip install torch, or pick backend 'sim'/'fast')"
-            ) from error
-        self._torch = torch
-
-    @staticmethod
-    def available() -> bool:
-        try:
-            import torch  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    def matmul(self, device, a, b, precision):
-        torch = self._torch
-        if not precision.is_integer:
-            product = torch.matmul(
-                torch.as_tensor(np.ascontiguousarray(a, dtype=np.float32)),
-                torch.as_tensor(np.ascontiguousarray(b, dtype=np.float32)),
-            )
-            return product.numpy().astype(np.float64)
-        product = torch.matmul(
-            torch.round(torch.as_tensor(
-                np.ascontiguousarray(a, dtype=np.float64))),
-            torch.round(torch.as_tensor(
-                np.ascontiguousarray(b, dtype=np.float64))),
-        )
-        return np.rint(product.numpy()).astype(np.int64)
-
-    def gather(self, array, indices):
-        torch = self._torch
-        source = torch.as_tensor(np.ascontiguousarray(array))
-        index = torch.as_tensor(np.asarray(indices, dtype=np.int64))
-        return source.index_select(0, index).numpy()
-
-    def bincount(self, codes, weights=None, minlength=0):
-        torch = self._torch
-        codes_t = torch.as_tensor(np.asarray(codes, dtype=np.int64))
-        weights_t = (
-            torch.as_tensor(np.asarray(weights, dtype=np.float64))
-            if weights is not None else None
-        )
-        return torch.bincount(codes_t, weights=weights_t,
-                              minlength=int(minlength)).numpy()
-
-    def nonzero(self, matrix):
-        torch = self._torch
-        coords = torch.nonzero(torch.as_tensor(np.ascontiguousarray(matrix)),
-                               as_tuple=True)
-        return tuple(c.numpy() for c in coords)
-
-    def dense_from_coo(self, rows, cols, vals, shape):
-        torch = self._torch
-        n_rows, n_cols = shape
-        dense = torch.zeros(n_rows * n_cols, dtype=torch.float64)
-        if len(rows):
-            flat = torch.as_tensor(
-                np.asarray(rows, dtype=np.int64) * n_cols
-                + np.asarray(cols, dtype=np.int64)
-            )
-            dense.index_add_(
-                0, flat,
-                torch.as_tensor(np.asarray(vals, dtype=np.float64)),
-            )
-        return dense.reshape(n_rows, n_cols).numpy()
-
-
 #: Backend registry — the names ``backend_policy`` accepts.
 BACKENDS: dict[str, type[TensorBackend]] = {
     "sim": SimBackend,
     "fast": FastBackend,
-    "torch": TorchBackend,
 }
 
 DEFAULT_BACKEND = "sim"
@@ -344,7 +253,6 @@ __all__ = [
     "FastBackend",
     "SimBackend",
     "TensorBackend",
-    "TorchBackend",
     "backend_policy",
     "get_backend",
 ]

@@ -8,16 +8,13 @@ Three layers of coverage for :mod:`repro.tensor.backend`:
   equivalence contract against the sim backend (exact for integer /
   index primitives, ``rel=2e-3`` for fp16-strategy products);
 * **selection policy** — explicit option > ``REPRO_BACKEND`` env >
-  ``sim`` default, :class:`ConfigError` on unknown names and on torch
-  selection without torch installed, and the resolved name isolates
-  :class:`~repro.engine.cache.ProgramCache` entries;
+  ``sim`` default, :class:`ConfigError` on unknown names, and the
+  resolved name isolates :class:`~repro.engine.cache.ProgramCache`
+  entries;
 * **differential fuzz** — 50+ generated queries (reusing the seeded SSB
   generator) run under the fast backend across the native, hybrid and
   fallback routes plus the distributed engine, and must match both the
   sim backend and the reference oracle within the TCU tolerance.
-
-Torch-specific tests auto-skip when PyTorch is not installed
-(``TorchBackend.available()``) — CI never installs it.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from repro.tensor.backend import (
     DEFAULT_BACKEND,
     FastBackend,
     SimBackend,
-    TorchBackend,
     backend_policy,
     get_backend,
 )
@@ -54,17 +50,10 @@ TCU_REL = 2e-3
 FUZZ_SEED = 20250808
 N_FUZZ_QUERIES = 60
 
-needs_torch = pytest.mark.skipif(
-    not TorchBackend.available(), reason="PyTorch not installed"
-)
-
 
 def execution_backends() -> list:
-    """Every non-sim backend constructible in this environment."""
-    backends = [FastBackend()]
-    if TorchBackend.available():
-        backends.append(TorchBackend())
-    return backends
+    """Every non-sim backend."""
+    return [FastBackend()]
 
 
 @pytest.fixture(scope="module")
@@ -297,17 +286,12 @@ class TestSelectionPolicy:
             backend_policy(None)
 
     def test_registry_covers_documented_backends(self):
-        assert set(BACKENDS) == {"sim", "fast", "torch"}
+        assert set(BACKENDS) == {"sim", "fast"}
 
-    @pytest.mark.skipif(TorchBackend.available(),
-                        reason="torch installed: selection must succeed")
     def test_torch_unavailable_is_config_error(self):
-        with pytest.raises(ConfigError, match="not installed"):
+        """There is no torch backend: the name is rejected like a typo."""
+        with pytest.raises(ConfigError, match="unknown tensor backend"):
             get_backend("torch")
-
-    @needs_torch
-    def test_torch_selectable_when_installed(self):
-        assert isinstance(get_backend("torch"), TorchBackend)
 
     def test_cache_key_isolates_backends(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -413,13 +397,3 @@ def test_distributed_route_matches_across_backends(fuzz_catalog):
                              context=f"distributed fast vs sim: {sql}")
         assert fast_run.seconds == sim_run.seconds
 
-
-@needs_torch
-def test_torch_backend_matches_oracle(fuzz_catalog):
-    """When torch is installed, the torch backend joins the contract."""
-    oracle = ReferenceEngine(fuzz_catalog)
-    engine = TCUDBEngine(fuzz_catalog, mode=ExecutionMode.REAL,
-                         options=TCUDBOptions(backend="torch"))
-    for sql in DISTRIBUTED_SQL:
-        assert_results_match(engine.execute(sql), oracle.execute(sql),
-                             rel=TCU_REL, context=sql)

@@ -9,12 +9,13 @@ import pytest
 
 from repro.bench import (
     ExperimentResult,
+    OracleVerifier,
     geometric_mean_ratio,
     run_ablation_density_switch,
     run_ablation_fused_agg,
     run_ablation_precision,
     run_ablation_transform_location,
-    run_concurrency,
+    run_chaos,
     run_fig3,
     run_fig7,
     run_fig8,
@@ -223,7 +224,8 @@ class TestFig14:
         # dominated by device-side compaction/GEMM): TCU-heavy execution
         # gains more from the new generation than vector-heavy execution.
         # Q3/Q4 diverge in our model because the compact grouped
-        # construction keeps their device-side work tiny (EXPERIMENTS.md).
+        # construction keeps their device-side work tiny (docs/benchmarking.md
+        # § Known divergences).
         for size in (16384, 32768):
             config = f"Q1 {size},32"
             assert (result.find(config, "TCUDB").seconds
@@ -268,34 +270,23 @@ class TestAblations:
         assert auto <= cpu
 
 
-class TestConcurrency:
-    def test_scaling_curve_shape(self):
-        result = run_concurrency(rows=3000)
-        assert result.unit == "ratio"
-        assert result.host_measured is True
-        # Both series anchor at exactly 1.0 for workers=1 and carry the
-        # raw wall-clock on every point.
-        for engine in ("TCUDB", "Reference-streaming"):
-            assert result.find("workers=1", engine).seconds == 1.0
-            for config in result.configs():
-                point = result.find(config, engine)
-                assert point.host_seconds is not None
-                assert point.host_seconds > 0
-        # The run-recorded invariants: bit-identical rows across worker
-        # counts, worker-invariant simulated seconds, and the CPU count
-        # a reader needs to interpret the ratios.
-        notes = "\n".join(result.notes)
-        assert "row divergences: 0" in notes
-        assert "worker-invariant: True" in notes
-        assert "cpu_count=" in notes
+class TestChaos:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_chaos(rows=1000, verifier=OracleVerifier(enabled=True))
 
-    def test_round_trips_through_the_report_schema(self):
-        result = run_concurrency(rows=3000)
-        clone = ExperimentResult.from_dict(result.to_dict())
-        assert clone.host_measured is True
-        assert clone.unit == "ratio"
-        assert [p.host_seconds for p in clone.points] == [
-            p.host_seconds for p in result.points
-        ]
-        # ratio-unit experiments never feed the host-drift geomean
-        assert clone.host_drift_ratios() == []
+    def test_every_rate_recovers_exactly(self, result):
+        for rate in (0.0, 0.1, 0.3):
+            for series in ("success-rate", "availability"):
+                point = result.find(f"fault_rate={rate}", series)
+                assert point.seconds == 1.0
+                assert point.verified is True
+
+    def test_points_are_deterministic_only(self, result):
+        # Host latency is a note, never a gated point.
+        assert result.engines() == ["success-rate", "availability"]
+        assert all(p.host_seconds is None for p in result.points)
+        for rate in (0.0, 0.1, 0.3):
+            assert any(note.startswith(f"fault_rate={rate}:")
+                       and "host p99" in note for note in result.notes)
+

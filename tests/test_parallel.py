@@ -142,9 +142,12 @@ class TestParallelEquivalence:
             a = sequential.execute(sql)
             b = parallel.execute(sql)
             assert rows_of(a) == rows_of(b), query_id
-            # Parallelism must not change routing decisions.
+            # Parallelism must not change routing decisions, nor the
+            # simulated seconds (the ledger models the device, not the
+            # host's worker pool).
             assert (a.extra.get("executed_by")
                     == b.extra.get("executed_by")), query_id
+            assert repr(a.seconds) == repr(b.seconds), query_id
 
     def test_pruning_counters_deterministic(self, catalog):
         sql = ("SELECT SUM(lo_revenue) AS r FROM lineorder "
