@@ -108,7 +108,11 @@ from repro.engine.physical import (
     combine_group_codes,
 )
 from repro.engine.tcudb.cost import estimate_shard_merge
-from repro.engine.tcudb.driver import CompositeKey, PreparedAggSide
+from repro.engine.tcudb.driver import (
+    CompositeKey,
+    PreparedAggSide,
+    reads_count,
+)
 from repro.engine.tcudb.engine import TCUDBEngine, TCUDBOptions
 from repro.engine.tcudb.lower import LoweredQuery, lower_hybrid, lower_query
 from repro.engine.tcudb.ops import (
@@ -577,7 +581,8 @@ class DistributedEngine(Engine):
         """Checksum-guard one shard's grid partial before it is shipped.
 
         The checksums (per-grid sums) are captured from the honest
-        arrays; the partial then passes through the
+        arrays — every grid shipped: one per aggregate, plus the COUNT
+        grid when it was multiplied; the partial then passes through the
         ``grid.accumulate`` corruption point — so an injected
         perturbation flows exactly where a real bit-flip would — and is
         re-verified.  A mismatch raises the retryable
@@ -585,15 +590,17 @@ class DistributedEngine(Engine):
         retry ladder recomputes this shard from scratch.
         """
         product = ctx.value(gemm.id)
-        if (not isinstance(product, ProductValue)
-                or product.grids is None or product.count_grid is None):
+        if not isinstance(product, ProductValue) or product.grids is None:
             return
-        arrays = [*product.grids, product.count_grid]
+        counted = product.count_grid is not None
+        arrays = [*product.grids, *([product.count_grid] if counted else [])]
         checksums = [float(np.sum(a)) for a in arrays]
         shipped = [corrupt_array(SITE_GRID_ACCUMULATE, a, shard=index)
                    for a in arrays]
+        n_grids = len(product.grids)
         ctx.values[gemm.id] = replace(
-            product, grids=shipped[:-1], count_grid=shipped[-1]
+            product, grids=shipped[:n_grids],
+            count_grid=shipped[n_grids] if counted else None,
         )
         for expected, array in zip(checksums, shipped):
             actual = float(np.sum(array))
@@ -614,7 +621,7 @@ class DistributedEngine(Engine):
         if not live:
             return ProductValue(operands=products[0].operands,
                                 empty=True), 0, 0
-        if any(p.grids is None or p.count_grid is None for p in live):
+        if any(p.grids is None for p in live):
             raise FallbackRequired(
                 "shard produced a grid-less product partial", kind="cost"
             )
@@ -627,7 +634,12 @@ class DistributedEngine(Engine):
         )
         g1, g2 = left_side.g, right_side.g
         grids = [np.zeros((g1, g2)) for _ in first.specs]
-        count_grid = np.zeros((g1, g2))
+        # Every shard multiplies the COUNT grid an aggregate reads, and
+        # only then is the sum needed; presence is the OR of the shards'
+        # presence, whether a COUNT grid or occupancy proved it.
+        count_grid = (np.zeros((g1, g2)) if reads_count(first.specs)
+                      else None)
+        present = np.zeros((g1, g2), dtype=bool)
         # Deterministic allreduce: ascending shard order, coordinator
         # thread.  Row/col maps are injective (distinct shard composite
         # codes map to distinct union codes), so fancy-indexed += folds
@@ -636,7 +648,10 @@ class DistributedEngine(Engine):
             cells = np.ix_(rows, cols)
             for merged_grid, grid in zip(grids, product.grids):
                 merged_grid[cells] += grid
-            count_grid[cells] += product.count_grid
+            if count_grid is not None:
+                count_grid[cells] += product.count_grid
+            present[cells] |= (True if product.present is None
+                               else product.present)
         operands = AggOperandsValue(
             left=left_side, right=right_side, k=first.k,
             geometry=first.geometry, feasibility=first.feasibility,
@@ -644,7 +659,7 @@ class DistributedEngine(Engine):
             specs=first.specs, grouped=first.grouped,
         )
         merged = ProductValue(operands=operands, grids=grids,
-                              count_grid=count_grid)
+                              count_grid=count_grid, present=present)
         return merged, g1 * g2, len(grids) + 1
 
     @staticmethod

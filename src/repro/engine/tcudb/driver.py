@@ -158,6 +158,10 @@ class OperandStructure:
     # Ranked placement: slot -> linearized cell (row * k + col), sorted.
     # None: addressed, a slot is its cell.
     cells: np.ndarray | None
+    # Rows are a multi-column CompositeKey's codes: a cross product, which
+    # may leave a row without tuples.  One group column (or none) codes
+    # only values that occur, so each of its rows holds a tuple.
+    cross_rows: bool = False
 
     @property
     def n_slots(self) -> int:
@@ -170,11 +174,23 @@ class OperandStructure:
         structure reads.  A ranked, weighted side never needs it."""
         return np.bincount(self.slots, minlength=self.n_slots)
 
-    @property
+    @cached_property
     def nnz(self) -> int:
         if self.cells is not None:
             return self.n_slots
         return int(np.count_nonzero(self.occupancy))
+
+    @property
+    def full(self) -> bool:
+        """Every (row, key) cell holds a tuple."""
+        return self.nnz == self.g * self.k
+
+    @cached_property
+    def rows_occupied(self) -> bool:
+        """Every row holds a tuple: by construction unless
+        :attr:`cross_rows`, when the occupied rows are counted."""
+        return (not self.cross_rows
+                or bool(np.bincount(self.rows, minlength=self.g).all()))
 
     @cached_property
     def occupied_cells(self) -> np.ndarray:
@@ -296,7 +312,40 @@ def build_coo_operands(side: "PreparedAggSide", k: int) -> OperandStructure:
     if side.g * k > min(KEY_TABLE_MAX_SLOTS,
                         DIRECT_ADDRESS_SLOTS_PER_ROW * slots.size):
         cells, slots = unique_inverse(slots)
-    return OperandStructure(g=side.g, k=k, slots=slots, cells=cells)
+    return OperandStructure(
+        g=side.g, k=k, slots=slots, cells=cells,
+        cross_rows=side.group is not None and len(side.group.labels) > 1)
+
+
+def all_present(left: OperandStructure, right: OperandStructure) -> bool:
+    """Whether every cell (i, j) of the product provably holds a tuple,
+    read from operand occupancy with no product: one side occupies every
+    (row, key) cell, and every row j of the other holds a tuple at some
+    key k0 — which the full side occupies in every row i, so (i, j) has
+    a pair through k0.  COUNT weights are multiplicities >= 1, so that
+    cell's count is > 0."""
+    return ((left.full and right.rows_occupied)
+            or (right.full and left.rows_occupied))
+
+
+def reads_count(aggregates) -> bool:
+    """Whether an aggregate reads the COUNT grid: COUNT itself (HAVING
+    COUNT included: it adds a spec) and AVG's divisor."""
+    return any(spec.func != "sum" for spec in aggregates)
+
+
+def product_slots(left: OperandStructure, right: OperandStructure,
+                  left_sums, right_sums, aggregates):
+    """The fill slots one product multiplies, decided once for every
+    consumer.  Slot 0, the COUNT grid, runs only when something reads it:
+    an aggregate (:func:`reads_count`), or cell presence that
+    :func:`all_present` does not prove.  Returns both sides' slot sums,
+    whether slot 0 is among them, and whether presence is proven — what
+    :func:`_grids_of` reads the grids back with."""
+    proven = all_present(left, right)
+    counted = not proven or reads_count(aggregates)
+    first = 0 if counted else 1
+    return left_sums[first:], right_sums[first:], counted, proven
 
 
 class TCUDriver:
@@ -514,13 +563,19 @@ class TCUDriver:
 
         The producing ``ValueFill`` built each side's indicator structure
         and every fill slot's per-cell sums once (slot 0 = COUNT grid,
-        then one per non-COUNT aggregate).  They are multiplied as SPARSE
+        then one per non-COUNT aggregate); :func:`product_slots` drops
+        slot 0 when nothing reads it.  The rest are multiplied as SPARSE
         tiles, in key-domain column slices when ``k`` outgrows
         ``chunk_rows``, or whole — an (n_agg, g, k) stack and a single
-        stacked matmul.
+        stacked matmul.  Returns ``(grids, count_grid, present)``
+        (:func:`_grids_of`).
         """
+        left_sums, right_sums, counted, proven = product_slots(
+            left, right, left_sums, right_sums, aggregates)
         k = left.k
-        if plan.strategy == Strategy.SPARSE:
+        if not left_sums:
+            stacked = []
+        elif plan.strategy == Strategy.SPARSE:
             # Batched sparse tiles: the tile structure (block keys,
             # uniques, within-tile offsets) is derived ONCE from the
             # shared COO coordinates; each aggregate of the batch then
@@ -557,7 +612,7 @@ class TCUDriver:
                     ),
                     dtype=np.float64,
                 )
-        return _grids_of(stacked, aggregates)
+        return _grids_of(stacked, aggregates, counted, proven)
 
     def _grids_by_slices(self, left: OperandStructure,
                          right: OperandStructure, left_sums, right_sums,
@@ -630,6 +685,8 @@ class TCUDriver:
         """The exact-key equivalent of :meth:`_grids_numeric`, for
         products too large to emulate: the occupied cells of the two
         operands join on their column, in float64."""
+        left_sums, right_sums, counted, proven = product_slots(
+            left, right, left_sums, right_sums, aggregates)
         left_idx, right_idx = equi_join_indices(left.cols, right.cols)
         cell = left.rows[left_idx] * right.g + right.rows[right_idx]
         return _grids_of([
@@ -640,13 +697,17 @@ class TCUDriver:
                 minlength=left.g * right.g,
             ).reshape(left.g, right.g)
             for lsums, rsums in zip(left_sums, right_sums)
-        ], aggregates)
+        ], aggregates, counted, proven)
 
 
-def _grids_of(slots, aggregates):
-    """``(grids, count_grid)`` of a product's slot grids — slot 0 is the
-    COUNT grid, which every COUNT aggregate shares."""
-    count_grid = slots[0]
-    values = iter(slots[1:])
-    return ([count_grid if spec.func == "count" else next(values)
-             for spec in aggregates], count_grid)
+def _grids_of(slots, aggregates, counted: bool, proven: bool):
+    """``(grids, count_grid, present)`` of a product's slot grids: one
+    grid per aggregate (every COUNT aggregate shares the COUNT grid), the
+    COUNT grid when slot 0 was multiplied (``counted``) else None, and the
+    mask of cells holding a tuple — None when every cell provably does
+    (``proven``), else the COUNT grid's ``> 0``."""
+    count_grid = slots[0] if counted else None
+    values = iter(slots[1:] if counted else slots)
+    grids = [count_grid if spec.func == "count" else next(values)
+             for spec in aggregates]
+    return grids, count_grid, None if proven else count_grid > 0

@@ -284,7 +284,12 @@ class ProductValue:
 
     operands: JoinOperandsValue | AggOperandsValue
     grids: list[np.ndarray] | None = None  # one grid per aggregate
+    # The COUNT grid, when it was multiplied: a COUNT or AVG aggregate
+    # reads it, or presence needed it.
     count_grid: np.ndarray | None = None
+    # Cells holding a tuple; None: every cell does, proved from operand
+    # occupancy (driver.all_present) with no COUNT product.
+    present: np.ndarray | None = None
     semantic: bool = False  # extraction defers to exact-key kernels
     empty: bool = False
     # Chunked numeric join: pairs extracted grid-wise per product chunk
@@ -1086,11 +1091,13 @@ class Gemm(TensorOp):
             nnz_left=geometry.nnz_left, nnz_right=geometry.nnz_right,
             sparse=plan.strategy == Strategy.SPARSE,
         ):
-            grids, count_grid = ctx.driver._grids_numeric(*prepared, plan)
+            grids, count_grid, present = ctx.driver._grids_numeric(
+                *prepared, plan)
         else:
-            grids, count_grid = ctx.driver._grids_semantic(*prepared)
+            grids, count_grid, present = ctx.driver._grids_semantic(
+                *prepared)
         return ProductValue(operands=operands, grids=grids,
-                            count_grid=count_grid)
+                            count_grid=count_grid, present=present)
 
 
 @dataclass
@@ -1314,10 +1321,29 @@ class GridAggregate(TensorOp):
                 ))
             return GroupsValue(agg_values=None, group_columns=None,
                                n_rows=estimate)
-        grids, count_grid = product.grids, product.count_grid
-        present = count_grid > 0
-        rows, cols = ctx.backend.nonzero(present)
-        if rows.size == 0 and not operands.grouped:
+        if product.present is None:
+            # Every cell holds a tuple, so the row-major order nonzero
+            # would give is the flat order: no mask pass and no gather,
+            # and a group column is its ``g`` labels repeated (rows) or
+            # tiled (columns) rather than decoded per cell.
+            n_rows = left.g * right.g
+
+            def harvest(grid):
+                return grid.reshape(-1)
+
+            sides = ((left, np.arange(left.g),
+                      lambda labels: np.repeat(labels, right.g)),
+                     (right, np.arange(right.g),
+                      lambda labels: np.tile(labels, left.g)))
+        else:
+            rows, cols = ctx.backend.nonzero(product.present)
+            n_rows = int(rows.size)
+
+            def harvest(grid):
+                return grid[rows, cols]
+
+            sides = ((left, rows, None), (right, cols, None))
+        if n_rows == 0 and not operands.grouped:
             # Non-empty operands but zero matching pairs: the ungrouped
             # result row still exists (COUNT = 0, sums 0.0).
             groups = GroupsValue(
@@ -1326,23 +1352,21 @@ class GridAggregate(TensorOp):
             )
             return self._apply_epilogue(ctx, groups)
         agg_values: list[np.ndarray] = []
-        for spec, grid in zip(operands.specs, grids):
-            values = grid[rows, cols]
+        for spec, grid in zip(operands.specs, product.grids):
+            values = harvest(grid)
             if spec.func == "avg":
-                values = values / np.maximum(count_grid[rows, cols], 1)
+                values = values / np.maximum(harvest(product.count_grid), 1)
             agg_values.append(values)
         group_columns: dict[str, np.ndarray] = {}
-        if left.group is not None:
-            decoded = left.group.decode(rows)
-            for column, values in zip(left.group_order, decoded):
-                group_columns[column] = values
-        if right.group is not None:
-            decoded = right.group.decode(cols)
-            for column, values in zip(right.group_order, decoded):
-                group_columns[column] = values
+        for side, codes, spread in sides:
+            if side.group is None:
+                continue
+            decoded = side.group.decode(codes)
+            for column, values in zip(side.group_order, decoded):
+                group_columns[column] = (values if spread is None
+                                         else spread(values))
         groups = GroupsValue(agg_values=agg_values,
-                             group_columns=group_columns,
-                             n_rows=int(rows.size))
+                             group_columns=group_columns, n_rows=n_rows)
         return self._apply_epilogue(ctx, groups)
 
     def _apply_epilogue(self, ctx, groups: GroupsValue) -> GroupsValue:
@@ -1690,22 +1714,41 @@ def _build_agg_side(specs, group_by, column_of, mapped_keys, side_bindings,
     for spec in specs:
         if spec.func == "count":
             continue  # reads the count grid
-        values = np.full(n, 1.0)
-        if not b_side:  # the constant multiplies in once, on the A side
-            values = values * spec.constant
+        # The terms of the per-tuple product, in multiplication order.
+        terms = []
+        if not b_side and spec.constant != 1.0:
+            terms.append(spec.constant)  # multiplies in once, on the A side
         if weights is not None:
-            values = values * weights
+            terms.append(fills[0])
         for factor in spec.factors:
             if factor.column.binding not in side_bindings:
                 continue
             array = np.asarray(column_of(factor.column.key), dtype=np.float64)
-            values = values * (array if factor.power == 1 else 1.0 / array)
-        fills.append(values)
+            terms.append(array if factor.power == 1 else 1.0 / array)
+        fills.append(_term_product(terms, n))
     side = PreparedAggSide(
         keys_mapped=np.asarray(mapped_keys), group=group,
         group_order=[c.key for c in group_cols],
     )
     return side, fills
+
+
+def _term_product(terms, n: int) -> np.ndarray:
+    """``1.0 * t0 * t1 * ...`` over per-tuple terms (float64 arrays, or
+    a leading scalar), as ``n`` float64 values: multiplied left to right
+    from the first term, into the first product's array.  ``x * 1.0 ==
+    x`` exactly, so no bit differs from starting at a ones-array.  A lone
+    array term is returned as is."""
+    if not terms:
+        return np.ones(n)
+    if len(terms) == 1:
+        (term,) = terms
+        return (term if isinstance(term, np.ndarray)
+                else np.full(n, term, dtype=np.float64))
+    values = terms[0] * terms[1]
+    for term in terms[2:]:
+        values *= term
+    return values
 
 
 def _agg_geometry(ctx, specs, left_side, right_side, k, pairs, fact,

@@ -92,6 +92,13 @@ def _cases():
             right=side(None, [0, 2, 3, 3, 6, 6], 1, None),
             k=7, chunk=3, specs=[COUNT], precision=Precision.INT8),
         "fp fills, weighted, three slots": random,
+        # The left side occupies every cell and each right row holds a
+        # tuple: every grid cell is present, so SUM alone skips slot 0.
+        "full side, SUM only": dict(
+            left=side([0, 0, 0, 1, 1, 1, 1], [0, 1, 2, 0, 1, 2, 2], 2,
+                      None, [1, 2, 3, 4, 5, 6, 7]),
+            right=side([0, 1, 2, 2], [1, 1, 0, 2], 3, None, [2, 3, 4, 5]),
+            k=3, chunk=2, specs=[SUM], precision=Precision.INT8),
     }
 
 
@@ -164,10 +171,21 @@ def test_sliced_grids_equal_the_reselecting_loop(
     structures, sums = prepared_operands(left, right, k)
     assert all((s.cells is None) == (placement == "addressed")
                for s in structures)
-    grids, count_grid = driver._grids_numeric(*structures, *sums, specs, plan)
+    grids, count_grid, present = driver._grids_numeric(
+        *structures, *sums, specs, plan)
     expected, _ = reselecting_oracle(driver, left, right, k, plan)
     value_grids = iter(expected[1:])
-    assert np.array_equal(count_grid, expected[0])
+    # The COUNT grid is multiplied when read or needed for presence, and
+    # absent otherwise — not zero-filled; presence is the oracle's either
+    # way.
+    if count_grid is None:
+        assert present is None and case == "full side, SUM only"
+    else:
+        assert np.array_equal(count_grid, expected[0])
+    if present is None:
+        assert (expected[0] > 0).all()
+    else:
+        assert np.array_equal(present, expected[0] > 0)
     for spec, grid in zip(specs, grids, strict=True):
         if spec.func == "count":
             assert grid is count_grid
@@ -176,7 +194,10 @@ def test_sliced_grids_equal_the_reselecting_loop(
     # ... and the exact product's, which the semantic path computes from
     # the same structures and sums: to the bit at the integer precisions,
     # within binary16 rounding of the operands otherwise.
-    exact, exact_count = driver._grids_semantic(*structures, *sums, specs)
+    exact, exact_count, exact_present = driver._grids_semantic(
+        *structures, *sums, specs)
+    assert (exact_count is None) == (count_grid is None)
+    assert (exact_present is None) == (present is None)
     exact_slots = [exact_count] + [
         grid for spec, grid in zip(specs, exact) if spec.func != "count"]
 
@@ -188,6 +209,8 @@ def test_sliced_grids_equal_the_reselecting_loop(
 
     for got, product, lvalues, rvalues in zip(
             expected, exact_slots, left[1], right[1], strict=True):
+        if product is None:  # the skipped COUNT slot
+            continue
         assert np.allclose(
             product, dense(left[0], lvalues) @ dense(right[0], rvalues).T,
             rtol=1e-12, atol=1e-12)
@@ -315,9 +338,9 @@ def test_unfused_gemm_multiplies_the_fused_tiles(strategy, chunk_rows,
     inner = TCUDriver._grids_numeric
 
     def recorded(self, *args):
-        grids, count_grid = inner(self, *args)
+        grids, count_grid, present = inner(self, *args)
         produced.append([count_grid, *grids])
-        return grids, count_grid
+        return grids, count_grid, present
 
     monkeypatch.setattr(TCUDriver, "_grids_numeric", recorded)
     results = {}

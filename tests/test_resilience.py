@@ -21,6 +21,7 @@ import time
 import pytest
 
 from differential_utils import assert_results_match
+from test_count_slot import MATMUL_SQL, assert_is_product, matmul_product
 from test_fuzz_queries import FUZZ_SEED, QueryGenerator
 from test_serve import BlockingEngine
 from repro.common.errors import (
@@ -55,6 +56,7 @@ from repro.common.faults import (
     suppress,
 )
 from repro.common.rng import make_rng
+from repro.datasets.matmul import matmul_catalog
 from repro.datasets.ssb import ssb_catalog
 from repro.engine.base import ExecutionMode
 from repro.engine.cache import ProgramCache
@@ -458,6 +460,26 @@ class TestShardRecovery:
                       for log in resilience["retries"].values()
                       for entry in log]
             assert "CorruptPartialError" in errors
+
+    def test_corrupt_sum_only_partial_is_reexecuted(self, monkeypatch):
+        """Figure 5 multiplies no COUNT grid, and its SUM grid still
+        passes the corruption point and its checksum before shipping."""
+        dim = 24
+        catalog = matmul_catalog(dim, seed=11)
+        monkeypatch.setenv("REPRO_SHARDS", "2")
+        engine = DistributedEngine(catalog, fact="a",
+                                   partition_policy="round_robin",
+                                   mode=ExecutionMode.REAL)
+        plan = FaultPlan([FaultRule(site=SITE_GRID_ACCUMULATE,
+                                    kind="corrupt", n=1)])
+        with inject(plan):
+            result = engine.execute(MATMUL_SQL)
+        resilience = result.extra["resilience"]
+        assert resilience["route"] == "grid-allreduce"
+        errors = [entry["error"] for log in resilience["retries"].values()
+                  for entry in log]
+        assert errors == ["CorruptPartialError"]
+        assert_is_product(result, matmul_product(catalog, dim))
 
     def test_per_shard_recovery_after_retry_exhaustion(self, catalog,
                                                        oracle):
