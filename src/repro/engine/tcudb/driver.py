@@ -136,10 +136,11 @@ class OperandStructure:
     The (row, column) coordinate pattern of a grouped operand matrix is
     the same for every aggregate of a product — only the fill values
     differ.  This structure gives every input tuple the *slot* of its
-    cell a single time, so per-aggregate operand builds, nnz accounting
-    and exact cell-range feasibility all reduce to one ``np.bincount``
-    over the shared ``slots`` array.  :func:`build_coo_operands` picks
-    one of two placements:
+    cell a single time, so per-aggregate operand builds and exact
+    cell-range feasibility reduce to one ``np.bincount`` over the shared
+    ``slots`` array, and nnz to a one-byte presence table (the tuple
+    count per slot is counted only when a COUNT operand reads it).
+    :func:`build_coo_operands` picks one of two placements:
 
     * **addressed** — the slot is the cell's address ``row * k + col``
       and there are ``g * k`` slots: per-slot sums already are the flat
@@ -170,20 +171,35 @@ class OperandStructure:
     @cached_property
     def occupancy(self) -> np.ndarray:
         """Tuples per slot, counted on first read and kept: the COUNT
-        operand of a unit side, and what ``nnz`` of an addressed
-        structure reads.  A ranked, weighted side never needs it."""
+        operand of a unit side.  Presence and the multiplicity bound
+        never need it."""
         return np.bincount(self.slots, minlength=self.n_slots)
+
+    @cached_property
+    def presence(self) -> np.ndarray:
+        """One byte per addressed slot, set where a tuple lives."""
+        present = np.zeros(self.n_slots, dtype=np.bool_)
+        present[self.slots] = True
+        return present
 
     @cached_property
     def nnz(self) -> int:
         if self.cells is not None:
             return self.n_slots
-        return int(np.count_nonzero(self.occupancy))
+        return int(np.count_nonzero(self.presence))
 
     @property
     def full(self) -> bool:
         """Every (row, key) cell holds a tuple."""
         return self.nnz == self.g * self.k
+
+    @property
+    def max_multiplicity(self) -> int:
+        """Most tuples in one cell — the largest COUNT operand entry: 1
+        exactly when no two tuples share a cell."""
+        if self.nnz == self.slots.size:
+            return 1
+        return int(self.occupancy.max())
 
     @cached_property
     def rows_occupied(self) -> bool:
@@ -196,7 +212,7 @@ class OperandStructure:
     def occupied_cells(self) -> np.ndarray:
         """Sorted linearized cells holding at least one tuple."""
         if self.cells is None:
-            return np.flatnonzero(self.occupancy)
+            return np.flatnonzero(self.presence)
         return self.cells
 
     @cached_property
@@ -228,9 +244,13 @@ class OperandStructure:
         """(n_agg, g, k) stacked operand: shared coordinates, one slice of
         per-slot sums (:meth:`cell_sums`) per aggregate.  ``dtype``
         follows the active backend's fill dtype (float32 stacks feed
-        sgemm directly).  Addressed sums are the flat slices already —
-        a converting copy; ranked sums scatter to their cells."""
+        sgemm directly).  Addressed sums are the flat slices already: one
+        slot is returned as its sums, unconverted (the backend's product
+        converts what it reads), more are copied into one stack; ranked
+        sums scatter to their cells."""
         addressed = self.cells is None
+        if addressed and len(sums_list) == 1:
+            return sums_list[0].reshape(1, self.g, self.k)
         stack = (np.empty if addressed else np.zeros)(
             (len(sums_list), self.g * self.k), dtype=dtype)
         where = slice(None) if addressed else self.cells
@@ -268,7 +288,7 @@ class ColumnSlices:
             return bool(
                 (self._bounds[:, c + 1] > self._bounds[:, c]).any())
         k0 = c * self.chunk
-        return bool(structure.occupancy.reshape(structure.g, structure.k)
+        return bool(structure.presence.reshape(structure.g, structure.k)
                     [:, k0:k0 + self.chunk].any())
 
     def fills(self, c: int, sums_list: list[np.ndarray], dtype):
@@ -339,13 +359,22 @@ def product_slots(left: OperandStructure, right: OperandStructure,
     """The fill slots one product multiplies, decided once for every
     consumer.  Slot 0, the COUNT grid, runs only when something reads it:
     an aggregate (:func:`reads_count`), or cell presence that
-    :func:`all_present` does not prove.  Returns both sides' slot sums,
-    whether slot 0 is among them, and whether presence is proven — what
-    :func:`_grids_of` reads the grids back with."""
+    :func:`all_present` does not prove.  A unit slot 0 that ValueFill
+    left uncounted (None) is counted here, only then.  Returns both
+    sides' slot sums, whether slot 0 is among them, and whether presence
+    is proven — what :func:`_grids_of` reads the grids back with."""
     proven = all_present(left, right)
     counted = not proven or reads_count(aggregates)
-    first = 0 if counted else 1
-    return left_sums[first:], right_sums[first:], counted, proven
+    if not counted:
+        return left_sums[1:], right_sums[1:], counted, proven
+    return (_counted(left, left_sums), _counted(right, right_sums),
+            counted, proven)
+
+
+def _counted(structure: OperandStructure, sums):
+    if sums[0] is not None:
+        return sums
+    return [structure.cell_sums(None), *sums[1:]]
 
 
 class TCUDriver:

@@ -59,6 +59,7 @@ from repro.engine.tcudb.driver import (
     PreparedAggSide,
     PreparedJoin,
     build_coo_operands,
+    reads_count,
 )
 from repro.storage.statistics import (
     bound_stats_lookup,
@@ -921,11 +922,16 @@ class ValueFill(TensorOp):
         aggregate; None fills every tuple with one.  Each is summed per
         operand slot once, here: the feasibility test reads the sums'
         range, the consuming ``Gemm`` multiplies the same arrays, and the
-        per-tuple values end with this call."""
-        left_sums = [left_structure.cell_sums(v) for v in left_fills]
-        right_sums = [right_structure.cell_sums(v) for v in right_fills]
+        per-tuple values end with this call.  A unit COUNT slot no
+        aggregate reads is left None: its range is the multiplicity
+        bound, and ``driver.product_slots`` counts it only if presence
+        needs it."""
+        count_read = reads_count(self.specs)
+        left_sums = _slot_sums(left_structure, left_fills, count_read)
+        right_sums = _slot_sums(right_structure, right_fills, count_read)
         feasibility = _agg_feasibility(
-            zip(left_fills, left_sums), zip(right_fills, right_sums), k,
+            _cell_ranges(left_structure, left_fills, left_sums),
+            _cell_ranges(right_structure, right_fills, right_sums), k,
             require_exact=ctx.options.require_exact,
         )
         return AggOperandsValue(
@@ -1772,19 +1778,38 @@ def _agg_geometry(ctx, specs, left_side, right_side, k, pairs, fact,
     )
 
 
-def _agg_feasibility(left_fills, right_fills, k, require_exact=False):
+def _slot_sums(structure: OperandStructure, fills, count_read: bool):
+    """Per-slot sums of every fill slot (:meth:`OperandStructure.cell_sums`),
+    but None for a unit COUNT slot when ``count_read`` is false."""
+    return [None if slot == 0 and values is None and not count_read
+            else structure.cell_sums(values)
+            for slot, values in enumerate(fills)]
+
+
+def _cell_ranges(structure: OperandStructure, fills, sums):
+    """Exact [min, max] of each fill slot's operand cells
+    (:func:`_exact_cell_range`); a unit slot's cells are tuple counts,
+    bounded by the structure's multiplicity."""
+    from repro.tensor.precision import ValueRange
+
+    for values, slot_sums in zip(fills, sums):
+        if values is None:
+            yield ValueRange(0.0, float(structure.max_multiplicity),
+                             integral=True)
+        else:
+            yield _exact_cell_range(values, slot_sums)
+
+
+def _agg_feasibility(left_ranges, right_ranges, k, require_exact=False):
     """Exact data-range test over the prepared operand matrices.
 
     Both sides are fully materialized by the time the optimizer decides,
-    so the test reads the exact per-cell sums each matrix will hold:
-    ``*_fills`` yield one ``(fill values, per-cell sums)`` pair per fill
-    slot, over the side's canonicalized coordinates.
+    so the test reads the exact per-cell range each matrix will hold:
+    ``*_ranges`` yield one range per fill slot (:func:`_cell_ranges`),
+    None where a value is non-finite.
     """
     worst_left = worst_right = None
-    for (left_values, left_sums), (right_values, right_sums) in zip(
-            left_fills, right_fills):
-        left_range = _exact_cell_range(left_values, left_sums)
-        right_range = _exact_cell_range(right_values, right_sums)
+    for left_range, right_range in zip(left_ranges, right_ranges):
         if left_range is None or right_range is None:
             return run_feasibility_test(None, None, k)
         worst_left = _wider(worst_left, left_range)
@@ -1796,13 +1821,13 @@ def _agg_feasibility(left_fills, right_fills, k, require_exact=False):
 def _exact_cell_range(values, sums):
     """Exact [min, max] of one operand matrix's cell sums (0 included for
     empty cells); None when a value is non-finite (e.g. division by a
-    zero-valued column).  ``values`` None: every tuple fills one."""
+    zero-valued column)."""
     from repro.tensor.precision import ValueRange
 
-    if values is None:  # unit fills: the sums are tuple counts
-        return ValueRange(0.0, float(sums.max()), integral=True)
     values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
+    # The extremes are non-finite exactly when some value is: NaN
+    # propagates through both, an infinity is one of them.
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         return None
     # The fill values (not just the accumulated endpoints) decide
     # integrality: fractional fills quantize to garbage at int4/int8.

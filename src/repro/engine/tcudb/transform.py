@@ -49,17 +49,12 @@ def union_key_domain(
 ) -> KeyDomain:
     """dom(A.ID) | dom(B.ID) with both columns remapped onto it.
 
-    One :func:`unique_inverse` over the concatenation yields the domain
-    and both remappings in a single pass: a presence table when the keys
-    are dense integers, one sort otherwise.
+    One :func:`unique_inverse` over both columns yields the domain and
+    both remappings in a single pass: a presence table when the keys are
+    dense integers, one sort otherwise.
     """
-    n = int(np.asarray(left_keys).size)
-    values, inverse = unique_inverse(np.concatenate([left_keys, right_keys]))
-    return KeyDomain(
-        values=values,
-        left=inverse[:n],
-        right=inverse[n:],
-    )
+    values, left, right = unique_inverse(left_keys, right_keys)
+    return KeyDomain(values=values, left=left, right=right)
 
 
 def mapped_pair_count(left_codes: np.ndarray, right_codes: np.ndarray,

@@ -8,6 +8,15 @@ dense-integer rule.  One cap (``KEY_TABLE_MAX_SLOTS``), three users:
 :func:`presence_probe`, the fold join's probe (``probe_dimension`` in
 ``engine.tcudb.ops``) and IN-lists (``sql.eval.predicate_mask``).
 
+Canonicalization is index arithmetic on the arrays in hand, not a copy
+of them.  :func:`unique_inverse` takes a join's two key columns at once:
+each side is scattered into one shared table and keeps its own codes,
+so the union is never concatenated.  A hole-free ``intp`` domain that
+starts at 0 — Figure 5's ``row_num`` / ``col_num``, an unfiltered
+string column's dictionary codes — is its own code: the inverse is the
+input, returned as a read-only view, so a write through it raises
+instead of corrupting the column.
+
 A presence table usually starts at the smallest key, and a probe's slot
 is its unsigned offset from there.  When every key is at least 1 and
 ``max + 1`` slots fit the same budget, the table starts at 0 instead:
@@ -44,22 +53,51 @@ def address_range(keys: np.ndarray, *probes: np.ndarray):
     per-row budget.  The span is a Python int: ``max - min`` of int64
     extremes does not fit int64."""
     arrays = (keys, *probes)
-    if not all(a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)
-               for a in arrays):
+    if not _integer_keys(arrays):
         return None
-    lo = int(keys.min())
-    span = int(keys.max()) - lo + 1
+    return _table_range(int(keys.min()), int(keys.max()), arrays)
+
+
+def _integer_keys(arrays) -> bool:
+    """Every array is int64-safe: ``np.can_cast(dtype, np.int64)``
+    without its per-call cost — any signed width, unsigned below 64
+    bits."""
+    return all(a.dtype.kind == "i"
+               or (a.dtype.kind == "u" and a.dtype.itemsize < 8)
+               for a in arrays)
+
+
+def _table_range(lo: int, hi: int, arrays):
+    span = hi - lo + 1
     if span > _slot_budget(*arrays):
         return None
     return lo, span
 
 
-def _presence(keys: np.ndarray, lo: int, span: int):
-    """``(present, slots)``: one byte per address, set where a key lives,
-    and each key's address.  Slot ``span`` is the miss slot, never set."""
-    slots = keys.astype(np.intp, copy=False) - lo
+def _offsets(keys: np.ndarray, lo: int) -> np.ndarray:
+    """Each key's address in a table starting at ``lo``, as ``intp``.  At
+    origin 0 an ``intp`` array already is its addresses: it is returned
+    as a read-only view, so no caller can write through it into the
+    column."""
+    if keys.dtype != np.intp:
+        slots = keys.astype(np.intp)
+        slots -= lo
+        return slots
+    if lo:
+        return keys - lo
+    view = keys.view()
+    view.flags.writeable = False
+    return view
+
+
+def _presence(lo: int, span: int, *arrays: np.ndarray):
+    """``(present, slots)``: one byte per address, set where a key of any
+    of ``arrays`` lives, and each array's addresses.  Slot ``span`` is the
+    miss slot, never set."""
+    slots = [_offsets(keys, lo) for keys in arrays]
     present = np.zeros(span + 1, dtype=np.bool_)
-    present[slots] = True
+    for array_slots in slots:
+        present[array_slots] = True
     return present, slots
 
 
@@ -76,7 +114,7 @@ def presence_probe(keys: np.ndarray, probes: np.ndarray):
         # Origin 0: a probe is its own slot.  Slot 0 (no key is below 1)
         # and slot ``lo + span`` miss; clipping sends every outsider,
         # negative or huge, to one of them.
-        present, key_slots = _presence(keys, 0, lo + span)
+        present, (key_slots,) = _presence(0, lo + span, keys)
         return (present, key_slots, present.take(probes, mode="clip"),
                 probes)
     # Read unsigned, a probe below ``lo`` — or so far from it that the
@@ -86,25 +124,49 @@ def presence_probe(keys: np.ndarray, probes: np.ndarray):
     slots = np.subtract(probes, np.int64(lo), dtype=np.int64).view(np.uint64)
     np.minimum(slots, np.uint64(span), out=slots)
     slots = slots.view(np.intp)
-    present, key_slots = _presence(keys, lo, span)
+    present, (key_slots,) = _presence(lo, span, keys)
     return present, key_slots, present.take(slots), slots
 
 
-def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)`` — same sorted distinct
-    values, same dtype, 1-D ``intp`` inverse — without the sort when the
-    keys are dense integers.  The choice reads only the array in hand."""
+def unique_inverse(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(values, *inverses)``: ``np.unique(np.concatenate(arrays),
+    return_inverse=True)`` with the inverse split back per array — same
+    sorted distinct values, same promoted dtype, 1-D ``intp`` inverses —
+    without the sort when the keys are dense integers, and without the
+    concatenation.  One array gives ``np.unique(keys,
+    return_inverse=True)``.  The choice reads only the arrays in hand.
+
+    An inverse may be its array itself (dense ``intp`` keys from 0: a key
+    is its own code), never a writable alias of it."""
     # Flattened first, as np.unique does: the sort branch's inverse is
     # then 1-D on every NumPy (2.0 shaped it like the input).
-    keys = np.asarray(keys).reshape(-1)
-    table = address_range(keys) if keys.size else None
-    if table is None:
-        return np.unique(keys, return_inverse=True)
-    return _by_table(keys, *table)
+    arrays = [np.asarray(keys).reshape(-1) for keys in arrays]
+    table = _union_range(arrays)
+    if table is not None:
+        return _by_table(arrays, *table)
+    if len(arrays) == 1:
+        return np.unique(arrays[0], return_inverse=True)
+    values, inverse = np.unique(np.concatenate(arrays), return_inverse=True)
+    codes, start = [], 0
+    for keys in arrays:
+        codes.append(inverse[start:start + keys.size])
+        start += keys.size
+    return values, *codes
 
 
-def _by_table(keys: np.ndarray, lo: int, span: int):
-    present, offsets = _presence(keys, lo, span)
+def _union_range(arrays: list[np.ndarray]):
+    """:func:`address_range` of the union of ``arrays``."""
+    if not _integer_keys(arrays):
+        return None
+    occupied = [keys for keys in arrays if keys.size]
+    if not occupied:
+        return None
+    return _table_range(min(int(keys.min()) for keys in occupied),
+                        max(int(keys.max()) for keys in occupied), arrays)
+
+
+def _by_table(arrays: list[np.ndarray], lo: int, span: int):
+    present, offsets = _presence(lo, span, *arrays)
     if np.count_nonzero(present) == span:
         # No holes: a key's offset is its rank.
         slots = np.arange(span, dtype=np.intp)
@@ -113,6 +175,6 @@ def _by_table(keys: np.ndarray, lo: int, span: int):
         slots = np.flatnonzero(present)
         rank = np.empty(span, dtype=np.intp)
         rank[slots] = np.arange(slots.size)
-        codes = rank[offsets]
+        codes = [rank[array_offsets] for array_offsets in offsets]
     slots += lo
-    return slots.astype(keys.dtype, copy=False), codes
+    return slots.astype(np.result_type(*arrays), copy=False), *codes

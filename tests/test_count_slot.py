@@ -10,9 +10,17 @@ rows are counted.  Every case runs on both backends, DENSE / BLOCKED /
 SPARSE plans and the exact-key path, at two chunk sizes, and must equal
 the Reference oracle; the fills of ``_build_agg_side`` equal the
 ones-array formula they replaced, byte for byte.
+
+The tuple count per slot (``OperandStructure.occupancy``) is the COUNT
+operand only.  ``ValueFill`` counts it when an aggregate reads slot 0,
+``Gemm`` when presence needs it, and nothing counts it otherwise:
+presence reads a one-byte table, and slot 0's feasibility range is the
+largest cell multiplicity, 1 whenever no two tuples share a cell.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -103,6 +111,11 @@ RULE_QUERIES = {
         f"SELECT grp, c1, c2 {JOIN} GROUP BY grp, c1, c2", True, False),
 }
 PLANS = ("dense", "blocked", "sparse", "exact-key")
+# Queries whose aggregates read slot 0: ValueFill counts their unit
+# sides' occupancy.  Every other query counts it in Gemm when slot 0 runs
+# for presence, and nowhere when it does not.
+READS_COUNT = {"c: COUNT", "c: AVG", "c: HAVING COUNT(*)",
+               "d: fold-weighted COUNT"}
 
 
 @pytest.fixture
@@ -110,19 +123,46 @@ def slots_seen(monkeypatch):
     """``(counted, proven, weighted)`` of every product the driver
     multiplied: whether slot 0 ran, whether every cell was proven
     present, and whether a side's COUNT weights were folded
-    multiplicities."""
+    multiplicities.  A unit COUNT slot no aggregate reads arrives
+    uncounted (None)."""
     seen = []
     inner = driver.product_slots
 
     def recorded(left, right, left_sums, right_sums, aggregates):
         out = inner(left, right, left_sums, right_sums, aggregates)
-        weighted = any(sums[0].dtype.kind == "f"
+        weighted = any(sums[0] is not None and sums[0].dtype.kind == "f"
                        for sums in (left_sums, right_sums))
         seen.append((*out[2:], weighted))
         return out
 
     monkeypatch.setattr(driver, "product_slots", recorded)
     return seen
+
+
+@pytest.fixture
+def occupancy_counted(monkeypatch):
+    """The operator (``value_fill`` or ``gemm``) executing each time an
+    ``OperandStructure.occupancy`` was counted."""
+    counted, running = [], []
+    inner = driver.OperandStructure.occupancy.func
+
+    def occupancy(structure):
+        counted.append(running[-1] if running else None)
+        return inner(structure)
+
+    spy = functools.cached_property(occupancy)
+    spy.__set_name__(driver.OperandStructure, "occupancy")
+    monkeypatch.setattr(driver.OperandStructure, "occupancy", spy)
+    for op in (ops.ValueFill, ops.Gemm):
+        def execute(self, ctx, _inner=op.execute, _kind=op.kind):
+            running.append(_kind)
+            try:
+                return _inner(self, ctx)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(op, "execute", execute)
+    return counted
 
 
 def plan_options(monkeypatch, plan, **options) -> TCUDBOptions:
@@ -138,7 +178,8 @@ def plan_options(monkeypatch, plan, **options) -> TCUDBOptions:
 @pytest.mark.parametrize("plan", PLANS)
 @pytest.mark.parametrize("name", RULE_QUERIES)
 def test_count_slot_runs_only_when_read_or_presence_is_unproven(
-        name, plan, backend, chunk_rows, slots_seen, monkeypatch):
+        name, plan, backend, chunk_rows, slots_seen, occupancy_counted,
+        monkeypatch):
     sql, counted, proven = RULE_QUERIES[name]
     catalog = rule_catalog()
     expected = ReferenceEngine(catalog).execute(sql)
@@ -151,6 +192,9 @@ def test_count_slot_runs_only_when_read_or_presence_is_unproven(
     assert got.extra["strategy"] == ("dense" if plan == "exact-key"
                                      else plan)
     assert slots_seen == [(counted, proven, name.startswith("d:"))]
+    counted_by = ({"value_fill"} if name in READS_COUNT
+                  else {"gemm"} if counted else set())
+    assert set(occupancy_counted) == counted_by
     assert_results_match(got, expected, rel=TCU_REL, context=name)
 
 
@@ -196,20 +240,86 @@ def assert_is_product(result, expected):
 @pytest.mark.parametrize("backend", ["sim", "fast"])
 def test_figure5_multiplies_a_depth_one_stack(backend, slots_seen,
                                               monkeypatch):
+    """One GEMM of the value slot's own sums: float64 on both backends,
+    not a copy converted to the backend's fill dtype."""
     dim = 24
     catalog = matmul_catalog(dim, seed=5)
     engine = TCUDBEngine(catalog, options=TCUDBOptions(backend=backend))
-    shapes = []
+    stacks = []
     inner = type(engine.driver.backend).matmul
     monkeypatch.setattr(
         type(engine.driver.backend), "matmul",
-        lambda self, device, a, b, precision: shapes.append(a.shape)
+        lambda self, device, a, b, precision: stacks.append((a.shape, a.dtype))
         or inner(self, device, a, b, precision))
     got = engine.execute(MATMUL_SQL)
     assert got.extra["executed_by"] == "TCU"
-    assert shapes == [(1, dim, dim)]
+    assert stacks == [((1, dim, dim), np.float64)]
     assert slots_seen == [(False, True, False)]
     assert_is_product(got, matmul_product(catalog, dim))
+
+
+@pytest.mark.parametrize("chunk_rows", [16, None])
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+@pytest.mark.parametrize("plan", PLANS)
+def test_figure5_never_counts_occupancy(plan, backend, chunk_rows,
+                                        occupancy_counted, monkeypatch):
+    """Dense keys from 0, one tuple per cell, SUM only: presence, nnz and
+    slot 0's range all come from the presence table."""
+    dim = 24
+    catalog = matmul_catalog(dim, seed=7)
+    engine = TCUDBEngine(catalog, options=plan_options(
+        monkeypatch, plan, backend=backend, chunk_rows=chunk_rows))
+    got = engine.execute(MATMUL_SQL)
+    assert got.extra["executed_by"] == "TCU"
+    assert occupancy_counted == []
+    assert_is_product(got, matmul_product(catalog, dim))
+
+
+def duplicate_cell_catalog(g=4, k=8, copies=20) -> Catalog:
+    """Every (grp, fk) cell of ``fact`` holds ``copies`` tuples whose
+    values alternate -1 / +1, so each cell's SUM operand is 0 while its
+    COUNT operand is ``copies``: slot 0 alone sets the fact side's
+    range."""
+    grp, fk = np.divmod(np.arange(g * k * copies) // copies, k)
+    catalog = Catalog()
+    catalog.register(Table.from_dict("fact", {
+        "fk": fk, "grp": grp,
+        "v": np.where(np.arange(fk.size) % 2, 1.0, -1.0)}))
+    catalog.register(Table.from_dict("dim", {
+        "id": np.arange(k), "c1": np.arange(k) % 2,
+        "w": np.arange(k) % 3 + 1.0}))
+    return catalog
+
+
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+@pytest.mark.parametrize("plan", PLANS)
+def test_duplicate_cells_keep_the_count_slot_range(
+        plan, backend, slots_seen, occupancy_counted, monkeypatch):
+    """Slot 0 is not multiplied (presence is proven), yet its range — the
+    largest multiplicity, 20 — still decides the precision: int8, where
+    the SUM operands alone would admit int4."""
+    sql = ("SELECT grp, c1, SUM(v * w) AS s FROM fact, dim "
+           "WHERE fk = id GROUP BY grp, c1")
+    catalog = duplicate_cell_catalog()
+    reports = []
+    inner = ops.ValueFill._operands
+
+    def operands(self, *args):
+        value = inner(self, *args)
+        reports.append(value.feasibility)
+        return value
+
+    monkeypatch.setattr(ops.ValueFill, "_operands", operands)
+    engine = TCUDBEngine(catalog, options=plan_options(
+        monkeypatch, plan, backend=backend))
+    got = engine.execute(sql)
+    assert slots_seen == [(False, True, False)]
+    assert occupancy_counted == ["value_fill"]
+    (report,) = reports
+    assert (report.left_range.lo, report.left_range.hi) == (0.0, 20.0)
+    assert got.extra["precision"] == "int8"
+    assert_results_match(got, ReferenceEngine(catalog).execute(sql),
+                         rel=TCU_REL, context=plan)
 
 
 # --------------------------------------------------------------------- #

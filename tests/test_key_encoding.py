@@ -3,6 +3,10 @@
 * the primitive equals ``np.unique(keys, return_inverse=True)`` — values,
   values dtype, 1-D ``intp`` inverse — on every key shape, and picks the
   presence table or the sort from the array alone;
+* called on several arrays it equals ``np.unique`` over their
+  concatenation, inverse split per array, promotion included;
+* an inverse is never a writable alias of its input: dense ``intp`` keys
+  from 0 are their own codes, as a read-only view;
 * end to end: Figure 5's matmul and an SSB grouped star give the oracle's
   rows on dense keys (table) and on the same keys x 10^9 (sort), with the
   same ``k``, plan and simulated seconds.
@@ -37,13 +41,14 @@ INT64 = np.iinfo(np.int64)
 
 @pytest.fixture
 def table_calls(monkeypatch):
-    """Sizes of the key arrays that took the presence-table path."""
+    """Sizes of the key arrays (summed over a union's arrays) that took
+    the presence-table path."""
     calls: list[int] = []
     by_table = key_encoding._by_table
 
-    def counted(keys, lo, span):
-        calls.append(keys.size)
-        return by_table(keys, lo, span)
+    def counted(arrays, lo, span):
+        calls.append(sum(keys.size for keys in arrays))
+        return by_table(arrays, lo, span)
 
     monkeypatch.setattr(key_encoding, "_by_table", counted)
     return calls
@@ -57,6 +62,34 @@ def assert_equals_np_unique(keys, context=""):
                           equal_nan=values.dtype.kind == "f"), context
     assert inverse.dtype == np.intp and inverse.ndim == 1, context
     assert np.array_equal(inverse, expected_inverse.reshape(-1)), context
+    assert not (inverse.flags.writeable and np.shares_memory(inverse, keys))
+
+
+def assert_union_equals_np_unique(*arrays, table: bool):
+    """The variadic call against ``np.unique`` of the concatenation, split
+    at the array sizes.  Only the presence table's dense-from-0 domain
+    returns a (read-only) ``intp`` input as its own codes; no other
+    inverse shares memory with any input."""
+    values, *inverses = unique_inverse(*arrays)
+    expected_values, expected_inverse = np.unique(np.concatenate(arrays),
+                                                  return_inverse=True)
+    assert values.dtype == expected_values.dtype
+    assert np.array_equal(values, expected_values,
+                          equal_nan=values.dtype.kind == "f")
+    ends = np.cumsum([keys.size for keys in arrays])[:-1]
+    expected_inverses = np.split(expected_inverse.reshape(-1), ends)
+    assert len(inverses) == len(arrays)
+    own_codes = (table and values.size > 0 and values[0] == 0
+                 and values[-1] == values.size - 1)
+    for keys, inverse, expected in zip(arrays, inverses, expected_inverses):
+        assert inverse.dtype == np.intp and inverse.ndim == 1
+        assert np.array_equal(inverse, expected)
+        if own_codes and keys.dtype == np.intp and keys.size:
+            assert np.shares_memory(inverse, keys)
+            assert not inverse.flags.writeable
+        else:
+            assert not any(np.shares_memory(inverse, other)
+                           for other in arrays)
 
 
 class TestUniqueInverse:
@@ -154,10 +187,78 @@ class TestUniqueInverse:
             assert_equals_np_unique(keys)
         assert len(table_calls) == 5
 
-    def test_inverse_never_aliases_the_input(self):
-        keys = np.arange(10, dtype=np.intp)
+    def test_inverse_is_never_a_writable_alias(self):
+        keys = np.arange(10, dtype=np.intp)[::-1]
         _, inverse = unique_inverse(keys)
-        assert not np.shares_memory(inverse, keys)
+        assert np.shares_memory(inverse, keys)
+        assert keys.flags.writeable and not inverse.flags.writeable
+        with pytest.raises(ValueError):
+            inverse[0] = 3
+        assert keys[0] == 9
+        for other in (keys + 1, keys.astype(np.int32), keys[:-1:2],
+                      keys * 10**12):
+            _, inverse = unique_inverse(other)
+            assert not np.shares_memory(inverse, other), other.dtype
+
+
+def _union_cases():
+    rng = np.random.default_rng(17)
+    dense = rng.permutation(np.arange(60)) % 40
+    holey = rng.integers(0, 60, 80) * 2
+    empty = np.array([], dtype=np.int64)
+    size_l, size_r = 30, 20
+    budget = DIRECT_ADDRESS_SLOTS_PER_ROW * (size_l + size_r)
+    left = np.arange(-9, -9 + size_l, dtype=np.int64)
+
+    def spanning(last):
+        return np.concatenate([np.arange(-9, -9 + size_r - 1), [last]])
+
+    # name -> (arrays, presence table expected)
+    return {
+        "int32 x int64, from 0": (
+            (dense.astype(np.int32), dense[::3].astype(np.int64)), True),
+        "int8 x uint8 promote to int16": (
+            (np.array([-3, 5, 2], np.int8), np.array([255, 0, 4], np.uint8)),
+            False),
+        "uint32 x int16, from 0": (
+            (np.arange(25, dtype=np.uint32), np.arange(-5, 5, dtype=np.int16)),
+            True),
+        "intp, dense from 0": ((dense, dense[:17]), True),
+        "intp, dense from 0, one side inside": ((dense, dense[dense < 8]), True),
+        "intp, dense from 5": ((dense + 5, dense[:9] + 5), True),
+        "negative lo": ((dense - 30, dense[::2] - 7), True),
+        "holes from 0": ((holey, holey[:20] + 2), True),
+        "holes, negative lo": ((holey - 101, holey[5:] - 55), True),
+        "one side empty": ((dense, empty), True),
+        "other side empty": ((empty, dense[:30] - 3), True),
+        "both empty": ((empty, empty[:0]), False),
+        "empty float side": ((dense, np.array([], np.float64)), False),
+        "span at the two-sided budget": ((left, spanning(-9 + budget - 1)),
+                                         True),
+        "span one past the two-sided budget": (
+            (left, spanning(-9 + budget)), False),
+        "int64 extremes": ((np.array([INT64.max, 0], np.int64),
+                            np.array([INT64.min, INT64.max], np.int64)),
+                           False),
+        "float": ((dense / 4, dense[:7] / 2), False),
+        "float x int": ((dense / 4, dense[:7]), False),
+        "uint64": ((dense.astype(np.uint64), dense[:9].astype(np.uint64)),
+                   False),
+        "uint64 x int64": ((dense.astype(np.uint64), dense[:9]), False),
+        "strings": ((dense.astype("U2"), np.array(["7", "x", ""])), False),
+        "three arrays": ((dense, dense[:5] + 3, dense[::7] * 2), True),
+    }
+
+
+UNION_CASES = _union_cases()
+
+
+@pytest.mark.parametrize("name", UNION_CASES)
+def test_union_equals_np_unique_of_the_concatenation(name, table_calls):
+    arrays, table = UNION_CASES[name]
+    assert_union_equals_np_unique(*arrays, table=table)
+    assert table_calls == ([sum(keys.size for keys in arrays)] if table
+                           else [])
 
 
 # --------------------------------------------------------------------- #

@@ -436,3 +436,46 @@ def test_chunked_product_holds_one_slice_pair(backend, monkeypatch):
     assert got.require_table().num_rows == 150
     (peak,) = peaks
     assert peak <= PARENT_PEAK_BYTES[backend]
+
+
+# tracemalloc peaks of Figure 5's dim-256 product at the parent commit
+# (CPython 3.11, NumPy 2.x), in bytes: ValueFill copied the dense keys
+# into codes, concatenated the key union, counted an int64 occupancy
+# nothing read and stacked a converted copy of the one SUM operand.
+PARENT_FIGURE5_PEAK_BYTES = {
+    ("sim", "ValueFill"): 5_846_738, ("sim", "BatchedGemm"): 2_364_531,
+    ("fast", "ValueFill"): 5_845_572, ("fast", "BatchedGemm"): 1_840_427,
+}
+# The bounds, in (256 x 256) float64 operands of 512 KiB: ValueFill holds
+# both sides' slot arrays and SUM operands (4) plus the feasibility test's
+# integrality pass over one fill column (1); the product reads the SUM
+# operands themselves, so it holds the backend's quantized copies and
+# product (~2.5).
+FIGURE5_PEAK_OPERANDS = {"ValueFill": 6, "BatchedGemm": 3}
+
+
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+def test_figure5_operand_path_allocates_no_temporaries(backend, monkeypatch):
+    from repro.datasets.matmul import MATMUL_QUERY, matmul_catalog
+
+    dim = 256
+    peaks = {}
+    for op in (ops.ValueFill, ops.BatchedGemm):
+        def measured(self, ctx, _inner=op.execute, _name=op.__name__):
+            tracemalloc.start()
+            try:
+                return _inner(self, ctx)
+            finally:
+                peaks[_name] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+
+        monkeypatch.setattr(op, "execute", measured)
+    engine = TCUDBEngine(matmul_catalog(dim, seed=11), options=TCUDBOptions(
+        chunk_rows=4096, workers=1, backend=backend))
+    got = engine.execute(MATMUL_QUERY)
+    assert got.extra["executed_by"] == "TCU"
+    assert got.require_table().num_rows == dim * dim
+    operand = dim * dim * 8
+    for name, bound in FIGURE5_PEAK_OPERANDS.items():
+        assert peaks[name] <= bound * operand, (name, peaks[name])
+        assert peaks[name] < PARENT_FIGURE5_PEAK_BYTES[backend, name]
