@@ -6,8 +6,8 @@ sites*.  In normal operation these are no-ops.  When a
 :class:`FaultPlan` is active — installed explicitly via :func:`inject`
 / :func:`set_fault_plan` or parsed from the ``REPRO_FAULTS``
 environment variable — each site consults the plan's rules and may
-sleep (straggler simulation) or raise a typed, *retryable*
-:class:`~repro.common.errors.ReproError` subtype.  Every recovery path
+raise a typed, *retryable* :class:`~repro.common.errors.ReproError`
+subtype (or, for ``corrupt``, perturb an array).  Every recovery path
 in the engine and server is therefore testable and CI-reproducible:
 the same plan string always injects the same faults at the same call
 counts.
@@ -35,8 +35,7 @@ Semicolon-separated entries; the first may pin the seed::
     REPRO_FAULTS="seed=1306;shard.execute:transient:every=3;session.run:unavailable:every=11"
 
 Each rule is ``site:kind[:knob=value[,knob=value...]]`` with kinds
-``transient`` / ``unavailable`` / ``slow`` / ``corrupt`` / ``poison``
-and knobs:
+``transient`` / ``unavailable`` / ``corrupt`` / ``poison`` and knobs:
 
 ``p=0.25``
     Fire with this probability (per-rule seeded RNG; deterministic for
@@ -47,9 +46,6 @@ and knobs:
     Fire on every 3rd matching call (periodic — consecutive calls never
     both fire, so a single retry deterministically succeeds; this is
     what the CI chaos leg uses to stay flake-free).
-``delay=0.01``
-    Sleep this many wall-clock seconds when the rule fires (the
-    ``slow`` kind; stragglers).
 ``max=5``
     Stop firing after this many total fires.
 
@@ -62,7 +58,6 @@ from __future__ import annotations
 import os
 import random
 import threading
-import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -89,7 +84,7 @@ SITES = frozenset({
     SITE_SESSION_RUN,
 })
 
-KINDS = frozenset({"transient", "unavailable", "slow", "corrupt", "poison"})
+KINDS = frozenset({"transient", "unavailable", "corrupt", "poison"})
 
 #: Seed for plans that do not pin one (matches the repo-wide default).
 DEFAULT_FAULT_SEED = 20220612
@@ -104,7 +99,6 @@ class FaultRule:
     p: float | None = None
     n: int | None = None
     every: int | None = None
-    delay: float = 0.0
     max_fires: int | None = None
 
     # Mutable per-rule state (guarded by the owning plan's lock).
@@ -238,7 +232,7 @@ def parse_fault_plan(spec: str) -> FaultPlan:
                 try:
                     if key in ("n", "every", "max"):
                         knobs[key] = int(raw)
-                    elif key in ("p", "delay"):
+                    elif key == "p":
                         knobs[key] = float(raw)
                     else:
                         raise ConfigError(
@@ -253,7 +247,6 @@ def parse_fault_plan(spec: str) -> FaultPlan:
             p=knobs.get("p"),
             n=knobs.get("n"),
             every=knobs.get("every"),
-            delay=float(knobs.get("delay", 0.0)),
             max_fires=knobs.get("max"),
         ))
     return FaultPlan(rules, seed=seed)
@@ -344,7 +337,7 @@ def _suppressed() -> bool:
 
 
 def fault_point(site: str, shard: int | None = None) -> None:
-    """Injection hook: sleep and/or raise per the active plan.
+    """Injection hook: raise per the active plan.
 
     No-op (a dict lookup and one branch) when no plan is active or the
     current thread is inside :func:`suppress`.  ``corrupt`` rules are
@@ -358,10 +351,7 @@ def fault_point(site: str, shard: int | None = None) -> None:
     if plan is None:
         return
     for rule in plan.fired_rules(site):
-        if rule.kind == "slow":
-            if rule.delay > 0.0:
-                time.sleep(rule.delay)
-        elif rule.kind == "transient":
+        if rule.kind == "transient":
             raise TransientShardError(
                 f"injected transient fault at {site}"
                 + (f" (shard {shard})" if shard is not None else ""),

@@ -39,7 +39,6 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError, QueryCancelled, ReproError
@@ -117,9 +116,13 @@ def parallel_map(
 
     In-flight work is bounded to ``2 * workers`` items so a slow
     consumer never forces the whole result sequence to materialize.  A
-    worker exception (or a cancelled token) cancels the remaining items
-    and re-raises on the yield of the failing item.  ``workers <= 1``
-    degenerates to a plain ordered map with no pool.
+    worker exception, a cancelled token or a consumer that closes the
+    stream early cancels the items not yet started and re-raises (the
+    failing item's exception on its yield).  The token is only read,
+    never written: whether a failure ends the query is the caller's
+    call — the shard fan-out re-runs a failed query single-node under
+    the same token.  ``workers <= 1`` degenerates to a plain ordered
+    map with no pool.
     """
     if token is not None:
         token.raise_if_cancelled()
@@ -155,8 +158,6 @@ def parallel_map(
                     token.raise_if_cancelled()
                 yield pending.popleft().result()
         except BaseException:
-            if token is not None:
-                token.cancel("aborted by a failed sibling chunk")
             for future in pending:
                 future.cancel()
             raise
@@ -240,75 +241,6 @@ def call_with_retries(
                 time.sleep(backoff)
 
 
-def speculative_map(
-    fn: Callable,
-    items: Iterable,
-    workers: int,
-    token: CancellationToken | None = None,
-    straggler_timeout_s: float | None = None,
-    on_speculate: Callable[[object], None] | None = None,
-) -> Iterator:
-    """:func:`parallel_map` with straggler hedging.
-
-    Results stream in submission order.  When the head-of-queue item
-    takes longer than ``straggler_timeout_s`` host seconds, the item is
-    speculatively re-executed inline on the consuming thread and the
-    first result to finish wins (the straggler's is discarded) — the
-    single-host analogue of hedged requests.  Unlike
-    :func:`parallel_map`, a failing item does **not** cancel the shared
-    token: the caller's degradation ladder still needs a live token to
-    re-execute surviving work.
-    """
-    if token is not None:
-        token.raise_if_cancelled()
-    if workers <= 1:
-        for item in items:
-            if token is not None:
-                token.raise_if_cancelled()
-            yield fn(item)
-        return
-
-    def call(item):
-        if token is not None:
-            token.raise_if_cancelled()
-        return fn(item)
-
-    window = 2 * workers
-    pending: deque = deque()
-    iterator = iter(items)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            exhausted = False
-            while True:
-                while not exhausted and len(pending) < window:
-                    try:
-                        item = next(iterator)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    pending.append((item, pool.submit(call, item)))
-                if not pending:
-                    break
-                if token is not None:
-                    token.raise_if_cancelled()
-                item, future = pending.popleft()
-                if straggler_timeout_s is None:
-                    yield future.result()
-                    continue
-                try:
-                    yield future.result(timeout=straggler_timeout_s)
-                except FutureTimeoutError:
-                    if on_speculate is not None:
-                        on_speculate(item)
-                    result = call(item)
-                    future.cancel()
-                    yield result
-        except BaseException:
-            for _, future in pending:
-                future.cancel()
-            raise
-
-
 __all__ = [
     "MAX_WORKERS",
     "CancellationToken",
@@ -316,6 +248,5 @@ __all__ = [
     "call_with_retries",
     "is_retryable",
     "parallel_map",
-    "speculative_map",
     "workers_policy",
 ]

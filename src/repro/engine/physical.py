@@ -669,29 +669,14 @@ class PhysicalExecutor:
         ], names
 
     def _aggregate(self, node: Aggregate, envs) -> list[np.ndarray]:
-        calls: list[AggregateCall] = []
-        exprs = [item.expr for item in node.items] + [
-            expr for predicate in node.having
-            for expr in walk_predicate_exprs(predicate)
-        ]
-        for expr in exprs:
-            for sub in expr.walk():
-                if isinstance(sub, AggregateCall) and sub not in calls:
-                    calls.append(sub)
-        aggregator = StreamAggregator(self.bound, node.group_by, calls)
+        aggregator = StreamAggregator(self.bound, node.group_by,
+                                      aggregate_calls(node.items, node.having))
         for env in envs:
             aggregator.consume(env)
         evaluator = aggregator.finalize()
-        n_groups = kept = evaluator.n_groups
-        arrays = [np.array([]) for _ in node.items]
-        if n_groups:
-            arrays = [evaluator.eval_expr(item.expr) for item in node.items]
-            if node.having:
-                mask = evaluator.having_mask(node.having)
-                arrays = [np.asarray(a)[mask] for a in arrays]
-                kept = int(np.count_nonzero(mask))
+        arrays, kept = evaluator.output(node.items, node.having)
         if self.observer is not None:
-            self.observer.grouped(node, n_groups, kept)
+            self.observer.grouped(node, evaluator.n_groups, kept)
         return arrays
 
 
@@ -700,14 +685,34 @@ class PhysicalExecutor:
 # --------------------------------------------------------------------------- #
 
 
-class StreamAggregator:
-    """Grouped aggregation over a chunk stream.
+def aggregate_calls(items: list[SelectItem],
+                    having: list[Predicate]) -> list[AggregateCall]:
+    """The distinct aggregate calls of the select items, then of HAVING,
+    in first-seen order: the calls a :class:`StreamAggregator` carries."""
+    calls: list[AggregateCall] = []
+    exprs = [item.expr for item in items] + [
+        expr for predicate in having
+        for expr in walk_predicate_exprs(predicate)
+    ]
+    for expr in exprs:
+        for sub in expr.walk():
+            if isinstance(sub, AggregateCall) and sub not in calls:
+                calls.append(sub)
+    return calls
 
-    Each chunk reduces to per-chunk-group partials (SUM/COUNT partials
-    sum, MIN/MAX partials min/max, AVG carries sum+count), keyed by the
-    chunk's group-key values; ``finalize`` merges the partials with one
-    global re-group.  Memory is bounded by the number of *distinct
-    groups seen*, never by the input row count.
+
+class StreamAggregator:
+    """Grouped aggregation over a stream of mergeable partials.
+
+    A partial is one row per group: the group's key values, its row
+    count and, per call, one reduced value (SUM/AVG: the sum, MIN/MAX:
+    the min/max; COUNT reads the row count).  :meth:`consume` reduces a
+    chunk to its partials and hands them to :meth:`add_partial`, which
+    a caller holding partials reduced elsewhere (a shard's aggregate)
+    feeds directly.  ``finalize`` merges the partials with one global
+    re-group: sums and counts add, min/max fold, AVG is Σsum/Σcount.
+    Memory is bounded by the number of *distinct groups seen*, never by
+    the input row count.
     """
 
     def __init__(self, bound: BoundQuery, group_by: list[BoundColumn],
@@ -719,18 +724,15 @@ class StreamAggregator:
         self._key_parts: list[list[np.ndarray]] = [
             [] for _ in self.group_keys
         ]
-        # Per call: list of (component name -> partial array) per chunk.
-        self._partials: list[dict[str, list[np.ndarray]]] = [
-            {"sum": [], "count": [], "min": [], "max": []}
-            for _ in self.calls
-        ]
-        self._saw_rows = False
+        self._counts: list[np.ndarray] = []
+        # Per call: its partial values, one array per partial.
+        self._values: list[list[np.ndarray]] = [[] for _ in self.calls]
 
     def consume(self, env: Environment) -> None:
         n = env.n_rows
         if n == 0:
             return
-        self._saw_rows = True
+        keys = []
         if self.group_keys:
             key_arrays = [np.asarray(env.lookup(k)) for k in self.group_keys]
             combined = combine_group_codes(key_arrays)
@@ -738,38 +740,54 @@ class StreamAggregator:
             n_groups = int(uniques.size)
             representatives = np.zeros(n_groups, dtype=np.int64)
             representatives[ids] = np.arange(n)
-            for part, keys in zip(self._key_parts, key_arrays):
-                part.append(keys[representatives])
+            keys = [array[representatives] for array in key_arrays]
         else:
             ids = np.zeros(n, dtype=np.int64)
             n_groups = 1
         counts = np.bincount(ids, minlength=n_groups).astype(np.float64)
-        for call, partial in zip(self.calls, self._partials):
+        values = []
+        for call in self.calls:
             if call.argument is None or call.func == "count":
-                partial["count"].append(counts)
+                values.append(None)
                 continue
-            values = np.asarray(
+            column = np.asarray(
                 evaluate_expr(call.argument, env, self.bound),
                 dtype=np.float64,
             )
             if call.func in ("sum", "avg"):
-                partial["sum"].append(
-                    np.bincount(ids, weights=values, minlength=n_groups)
+                values.append(
+                    np.bincount(ids, weights=column, minlength=n_groups)
                 )
-                partial["count"].append(counts)
             elif call.func == "min":
                 out = np.full(n_groups, np.inf)
-                np.minimum.at(out, ids, values)
-                partial["min"].append(out)
+                np.minimum.at(out, ids, column)
+                values.append(out)
             elif call.func == "max":
                 out = np.full(n_groups, -np.inf)
-                np.maximum.at(out, ids, values)
-                partial["max"].append(out)
+                np.maximum.at(out, ids, column)
+                values.append(out)
             else:
                 raise ExecutionError(f"unsupported aggregate {call.func!r}")
+        self.add_partial(keys, counts, values)
+
+    def add_partial(self, keys: list[np.ndarray], counts: np.ndarray,
+                    values: list[np.ndarray | None]) -> None:
+        """Append partials already reduced per group: ``keys`` holds one
+        array per GROUP BY key, ``counts`` the groups' row counts and
+        ``values`` one array per call (``None`` for COUNT).
+
+        Every group must hold rows: a zero-count partial would fabricate
+        a group and fold its 0 into MIN/MAX.
+        """
+        for part, array in zip(self._key_parts, keys):
+            part.append(array)
+        self._counts.append(counts)
+        for part, array in zip(self._values, values):
+            if array is not None:
+                part.append(array)
 
     def finalize(self) -> "StreamGroupEval":
-        if not self._saw_rows:
+        if not self._counts:
             if self.group_keys:
                 return StreamGroupEval(self.bound, self.group_by, {}, {}, 0)
             # Ungrouped aggregate over an empty stream: one output row
@@ -777,6 +795,7 @@ class StreamAggregator:
             # storage model).
             finals = {call: np.zeros(1) for call in self.calls}
             return StreamGroupEval(self.bound, self.group_by, {}, finals, 1)
+        row_counts = np.concatenate(self._counts)
         if self.group_keys:
             key_arrays = [np.concatenate(part) for part in self._key_parts]
             combined = combine_group_codes(key_arrays)
@@ -789,41 +808,27 @@ class StreamAggregator:
                 for key, array in zip(self.group_keys, key_arrays)
             }
         else:
-            n_partials = max(
-                (len(p["count"]) or len(p["sum"]) or len(p["min"])
-                 or len(p["max"]))
-                for p in self._partials
-            ) if self._partials else 1
-            ids = np.zeros(max(n_partials, 1), dtype=np.int64)
+            ids = np.zeros(row_counts.size, dtype=np.int64)
             n_groups = 1
             key_values = {}
+        counts = np.bincount(ids, weights=row_counts, minlength=n_groups)
         finals: dict[AggregateCall, np.ndarray] = {}
-        for call, partial in zip(self.calls, self._partials):
+        for call, parts in zip(self.calls, self._values):
             if call.argument is None or call.func == "count":
-                finals[call] = np.bincount(
-                    ids, weights=np.concatenate(partial["count"]),
-                    minlength=n_groups,
-                )
-            elif call.func in ("sum", "avg"):
-                sums = np.bincount(
-                    ids, weights=np.concatenate(partial["sum"]),
-                    minlength=n_groups,
-                )
-                if call.func == "sum":
-                    finals[call] = sums
-                else:
-                    counts = np.bincount(
-                        ids, weights=np.concatenate(partial["count"]),
-                        minlength=n_groups,
-                    )
-                    finals[call] = sums / np.maximum(counts, 1)
+                finals[call] = counts
+                continue
+            values = np.concatenate(parts)
+            if call.func in ("sum", "avg"):
+                sums = np.bincount(ids, weights=values, minlength=n_groups)
+                finals[call] = (sums if call.func == "sum"
+                                else sums / np.maximum(counts, 1))
             elif call.func == "min":
                 out = np.full(n_groups, np.inf)
-                np.minimum.at(out, ids, np.concatenate(partial["min"]))
+                np.minimum.at(out, ids, values)
                 finals[call] = out
             else:  # max
                 out = np.full(n_groups, -np.inf)
-                np.maximum.at(out, ids, np.concatenate(partial["max"]))
+                np.maximum.at(out, ids, values)
                 finals[call] = out
         return StreamGroupEval(self.bound, self.group_by, key_values,
                                finals, n_groups)
@@ -880,6 +885,19 @@ class StreamGroupEval:
         raise ExecutionError(
             f"unsupported aggregate-context expression {expr!r}"
         )
+
+    def output(self, items: list[SelectItem], having: list[Predicate]
+               ) -> tuple[list[np.ndarray], int]:
+        """The select items per group, restricted to the groups HAVING
+        keeps, and the number kept."""
+        if not self.n_groups:
+            return [np.array([]) for _ in items], 0
+        arrays = [self.eval_expr(item.expr) for item in items]
+        if not having:
+            return arrays, self.n_groups
+        mask = self.having_mask(having)
+        return ([np.asarray(array)[mask] for array in arrays],
+                int(np.count_nonzero(mask)))
 
     def having_mask(self, predicates: list[Predicate]) -> np.ndarray:
         mask = np.ones(self.n_groups, dtype=bool)

@@ -37,23 +37,20 @@ Merge routes, chosen per query:
     Aggregates the grid path cannot carry (MIN/MAX are beyond TCU
     expressiveness; per-shard cost/feasibility rejections).  Each shard
     runs a rewritten partial query (group keys + SUM partials for
-    SUM/AVG, MIN/MAX partials, COUNT(*)); the coordinator re-groups the
-    concatenated partial rows with the ``StreamAggregator`` merge
-    algebra: sums/counts add, min/max fold, AVG finalizes as
-    Σsum/Σcount.  A shard with zero qualifying rows contributes an
-    identity partial — its COUNT=0 row is dropped before the fold so it
-    can neither fabricate a group nor corrupt a MIN with a spurious 0.
-
-``concat``
-    Non-aggregate queries without LIMIT: per-shard rows concatenate in
-    shard order; ORDER BY re-applies globally on the coordinator.
+    SUM/AVG, MIN/MAX partials, COUNT(*)); the coordinator feeds every
+    shard's partial rows, in shard order, to one
+    :class:`~repro.engine.physical.StreamAggregator` and finalizes:
+    sums/counts add, min/max fold, AVG finalizes as Σsum/Σcount.  A
+    shard with zero qualifying rows contributes an identity partial —
+    its COUNT=0 row is dropped before the fold so it can neither
+    fabricate a group nor corrupt a MIN with a spurious 0.
 
 ``single-node``
-    Queries that never read the partitioned fact table (replicated
-    dimensions would be counted once per shard), self-joins of the fact
-    table (shard-local joins lose cross-shard pairs), ANALYTIC mode, and
-    non-aggregate LIMIT queries (which rows survive a tie at the LIMIT
-    boundary depends on physical row order, which sharding permutes).
+    Non-aggregate queries (the coordinator's own scan returns the same
+    rows a shard concatenation would), queries that never read the
+    partitioned fact table (replicated dimensions would be counted once
+    per shard), self-joins of the fact table (shard-local joins lose
+    cross-shard pairs) and ANALYTIC mode.
 
 Determinism: the merge folds shards in ascending shard index on the
 coordinator thread, so repeated distributed runs are bit-identical.
@@ -99,13 +96,13 @@ from repro.engine.parallel import (
     RetryPolicy,
     call_with_retries,
     is_retryable,
-    speculative_map,
+    parallel_map,
 )
 from repro.engine.physical import (
-    StreamGroupEval,
+    StreamAggregator,
+    aggregate_calls,
     apply_order_limit,
     build_result_table,
-    combine_group_codes,
 )
 from repro.engine.tcudb.cost import estimate_shard_merge
 from repro.engine.tcudb.driver import (
@@ -125,18 +122,11 @@ from repro.engine.tcudb.ops import (
 from repro.engine.tcudb.program import OperatorCost, ProgramContext
 from repro.hardware.gpu import GPUDevice
 from repro.hardware.profiles import HostProfile
-from repro.sql.ast_nodes import (
-    AggregateCall,
-    ColumnRef,
-    SelectItem,
-    walk_predicate_exprs,
-)
+from repro.sql.ast_nodes import AggregateCall, ColumnRef, SelectItem
 from repro.sql.binder import COMPUTED_GROUP_BINDING, BoundQuery, BoundTable
 from repro.storage.catalog import Catalog
-from repro.storage.column import Column
 from repro.storage.shard import ShardedCatalog
 from repro.storage.table import Table
-from repro.tensor.keys import unique_inverse
 
 #: Ledger stage name of the allreduce merge charge.
 STAGE_SHARD_MERGE = "shard_merge"
@@ -153,7 +143,6 @@ class _FanoutRecorder:
         self._lock = threading.Lock()
         self.retries: dict[int, list[dict]] = {}
         self.recovered: list[dict] = []
-        self.speculated: list[int] = []
 
     def record_retries(self, index: int, log: list[dict]) -> None:
         with self._lock:
@@ -165,14 +154,10 @@ class _FanoutRecorder:
                 "shard": index, "error": type(error).__name__,
             })
 
-    def record_speculation(self, index: int) -> None:
-        with self._lock:
-            self.speculated.append(index)
-
     @property
     def eventful(self) -> bool:
         with self._lock:
-            return bool(self.retries or self.recovered or self.speculated)
+            return bool(self.retries or self.recovered)
 
     def summary(self) -> dict:
         with self._lock:
@@ -184,7 +169,6 @@ class _FanoutRecorder:
                 "attempts": 1 + sum(len(log)
                                     for log in self.retries.values()),
                 "recovered": list(self.recovered),
-                "speculated": sorted(self.speculated),
             }
 
 
@@ -206,7 +190,6 @@ class DistributedEngine(Engine):
         options: TCUDBOptions | None = None,
         program_cache: ProgramCache | None = None,
         retry_policy: RetryPolicy | None = None,
-        straggler_timeout_s: float | None = None,
     ):
         if isinstance(catalog, ShardedCatalog):
             sharded = catalog
@@ -222,11 +205,9 @@ class DistributedEngine(Engine):
         self.options = options if options is not None else TCUDBOptions()
         self.program_cache = program_cache
         # Per-shard recovery: bounded retry with backoff for retryable
-        # failures, optional straggler hedging (host wall-clock seconds
-        # before a slow shard is speculatively re-executed).
+        # failures.
         self.retry_policy = (retry_policy if retry_policy is not None
                              else RetryPolicy())
-        self.straggler_timeout_s = straggler_timeout_s
         # The coordinator node: runs single-node routes, compiles the
         # shared program, and executes the post-merge suffix.  Its cache
         # entries (and the distributed program entries below) carry a
@@ -282,20 +263,16 @@ class DistributedEngine(Engine):
         if self.mode != ExecutionMode.REAL:
             return self._single_node(bound, "analytic mode")
         if bound.has_aggregates or bound.group_by:
-            return self._degradable(bound, "aggregate", self._execute_aggregate)
-        if bound.limit is not None:
-            # Which rows survive a tie at the LIMIT boundary depends on
-            # physical row order, which partitioning permutes.
-            return self._single_node(
-                bound, "LIMIT on a non-aggregate query is order-sensitive"
-            )
-        return self._degradable(bound, "concat", self._execute_concat)
+            return self._degradable(bound)
+        # No merge to share out: the coordinator's scan returns the rows
+        # a shard concatenation would, in the single-node row order.
+        return self._single_node(bound, "non-aggregate query")
 
-    def _degradable(self, bound: BoundQuery, route: str, fn) -> QueryResult:
-        """Run a fan-out route with the whole-query degradation rung.
+    def _degradable(self, bound: BoundQuery) -> QueryResult:
+        """Run the aggregate fan-out with the whole-query degradation rung.
 
         Per-shard retry and shard-level re-execution live inside
-        :meth:`_resilient_fanout`; if a retryable failure still escapes
+        :meth:`_fanout`; if a retryable failure still escapes
         (e.g. a shard engine broken beyond its partition), the query is
         re-routed single-node on the coordinator with injection
         suppressed — correct rows, no shard parallelism.  Cancellation
@@ -304,7 +281,7 @@ class DistributedEngine(Engine):
         final cause.
         """
         try:
-            return fn(bound)
+            return self._execute_aggregate(bound)
         except QueryCancelled:
             raise
         except Exception as error:
@@ -314,7 +291,7 @@ class DistributedEngine(Engine):
                 with suppress():
                     result = self._single_node(
                         bound,
-                        f"degraded from {route} fan-out after "
+                        "degraded from aggregate fan-out after "
                         f"{type(error).__name__}",
                     )
             except QueryCancelled:
@@ -322,11 +299,11 @@ class DistributedEngine(Engine):
             except Exception as final:
                 raise ResilienceExhausted(
                     f"retries and single-node degradation both failed "
-                    f"for the {route} route: {final}"
+                    f"for the aggregate route: {final}"
                 ) from final
             result.extra["resilience"] = {
                 "route": "single-node",
-                "degraded_from": route,
+                "degraded_from": "aggregate",
                 "cause": f"{type(error).__name__}: {error}",
             }
             return result
@@ -362,10 +339,9 @@ class DistributedEngine(Engine):
         errors, unavailable backends, corrupt partials); (2) one
         fault-suppressed re-execution of just this shard's partition —
         surviving shards' partials are untouched, only the failed
-        partition recomputes.  Straggler hedging
-        (``straggler_timeout_s``) speculatively re-executes a slow
-        shard on the consuming thread, first result wins.  Every event
-        lands in *recorder* for ``extra["resilience"]``.
+        partition recomputes.  Every event lands in *recorder* for
+        ``extra["resilience"]``.  A failure that escapes both leaves the
+        token live: :meth:`_degradable` re-runs the query under it.
         """
         token = self.cancel_token
         policy = self.retry_policy
@@ -399,11 +375,8 @@ class DistributedEngine(Engine):
                 recorder.record_retries(index, log)
             return result
 
-        return list(speculative_map(
-            run_one, range(self.n_shards), workers=self.n_shards,
-            token=token, straggler_timeout_s=self.straggler_timeout_s,
-            on_speculate=recorder.record_speculation,
-        ))
+        return list(parallel_map(run_one, range(self.n_shards),
+                                 workers=self.n_shards, token=token))
 
     def _attach_resilience(self, result: QueryResult,
                            recorder: _FanoutRecorder) -> None:
@@ -712,22 +685,8 @@ class DistributedEngine(Engine):
 
     # -- partial-rows route ---------------------------------------------- #
 
-    @staticmethod
-    def _aggregate_calls(bound: BoundQuery) -> list[AggregateCall]:
-        calls: list[AggregateCall] = []
-        for item in bound.select_items:
-            for sub in item.expr.walk():
-                if isinstance(sub, AggregateCall) and sub not in calls:
-                    calls.append(sub)
-        for predicate in bound.having:
-            for expr in walk_predicate_exprs(predicate):
-                for sub in expr.walk():
-                    if isinstance(sub, AggregateCall) and sub not in calls:
-                        calls.append(sub)
-        return calls
-
     def _execute_partials(self, bound: BoundQuery) -> QueryResult:
-        calls = self._aggregate_calls(bound)
+        calls = aggregate_calls(bound.select_items, bound.having)
         group_cols = list(bound.group_by)
         resolution = dict(bound.resolution)
         items: list[SelectItem] = []
@@ -740,14 +699,14 @@ class DistributedEngine(Engine):
             items.append(SelectItem(expr, alias=f"__g{i}"))
         # SUM partials carry SUM and AVG (AVG finalizes as Σsum/Σcount);
         # MIN/MAX fold; every COUNT derives from the shared __cnt.
-        partial_alias: dict[AggregateCall, str | None] = {}
+        partial_alias: list[str | None] = []
         for j, call in enumerate(calls):
             if call.argument is None or call.func == "count":
-                partial_alias[call] = None
+                partial_alias.append(None)
                 continue
             func = "sum" if call.func in ("sum", "avg") else call.func
             alias = f"__a{j}"
-            partial_alias[call] = alias
+            partial_alias.append(alias)
             items.append(
                 SelectItem(AggregateCall(func, call.argument), alias=alias)
             )
@@ -768,136 +727,42 @@ class DistributedEngine(Engine):
 
         recorder = _FanoutRecorder()
         shard_results = self._fanout(run_shard, recorder)
-        tables = [r.require_table() for r in shard_results]
-
-        def gather(name: str) -> np.ndarray:
-            return np.concatenate(
-                [np.asarray(t.column(name).data, dtype=np.float64)
-                 for t in tables]
+        aggregator = StreamAggregator(bound, group_cols, calls)
+        shipped_rows = live_rows = 0
+        for shard_result in shard_results:
+            table = shard_result.require_table()
+            counts = np.asarray(table.column("__cnt").data, dtype=np.float64)
+            # Identity partials: a shard with zero qualifying rows reports
+            # one ungrouped COUNT=0 row — drop those before the fold so
+            # they neither fabricate a group nor pollute a MIN/MAX with a
+            # spurious 0.
+            live = counts > 0
+            shipped_rows += counts.size
+            if not live.any():
+                continue
+            live_rows += int(np.count_nonzero(live))
+            aggregator.add_partial(
+                [np.asarray(table.column(f"__g{i}").data)[live]
+                 for i in range(len(group_cols))],
+                counts[live],
+                [None if alias is None else
+                 np.asarray(table.column(alias).data, dtype=np.float64)[live]
+                 for alias in partial_alias],
             )
-
-        def gather_raw(name: str) -> np.ndarray:
-            return np.concatenate(
-                [np.asarray(t.column(name).data) for t in tables]
-            )
-
-        counts_in = gather("__cnt")
-        # Identity partials: a shard with zero qualifying rows reports
-        # one ungrouped COUNT=0 row — drop those before the fold so they
-        # neither fabricate a group nor pollute a MIN/MAX with a
-        # spurious 0.
-        live = counts_in > 0
-        if not np.any(live):
-            if group_cols:
-                evaluator = StreamGroupEval(bound, group_cols, {}, {}, 0)
-            else:
-                finals = {call: np.zeros(1) for call in calls}
-                evaluator = StreamGroupEval(bound, group_cols, {}, finals, 1)
-        else:
-            counts_in = counts_in[live]
-            if group_cols:
-                keys = [gather_raw(f"__g{i}")[live]
-                        for i in range(len(group_cols))]
-                combined = combine_group_codes(keys)
-                uniques, ids = unique_inverse(combined)
-                n_groups = int(uniques.size)
-                representatives = np.zeros(n_groups, dtype=np.int64)
-                representatives[ids] = np.arange(ids.size)
-                key_values = {
-                    col.key: keys[i][representatives]
-                    for i, col in enumerate(group_cols)
-                }
-            else:
-                ids = np.zeros(counts_in.size, dtype=np.int64)
-                n_groups = 1
-                key_values = {}
-            counts = np.bincount(ids, weights=counts_in, minlength=n_groups)
-            finals = {}
-            for call in calls:
-                alias = partial_alias[call]
-                if alias is None:
-                    finals[call] = counts
-                    continue
-                values = gather(alias)[live]
-                if call.func == "sum":
-                    finals[call] = np.bincount(ids, weights=values,
-                                               minlength=n_groups)
-                elif call.func == "avg":
-                    sums = np.bincount(ids, weights=values,
-                                       minlength=n_groups)
-                    finals[call] = sums / np.maximum(counts, 1)
-                elif call.func == "min":
-                    out = np.full(n_groups, np.inf)
-                    np.minimum.at(out, ids, values)
-                    finals[call] = out
-                else:  # max
-                    out = np.full(n_groups, -np.inf)
-                    np.maximum.at(out, ids, values)
-                    finals[call] = out
-            evaluator = StreamGroupEval(bound, group_cols, key_values,
-                                        finals, n_groups)
+        arrays, _ = aggregator.finalize().output(bound.select_items,
+                                                 bound.having)
         names = [item.output_name for item in bound.select_items]
-        if evaluator.n_groups == 0:
-            arrays = [np.array([]) for _ in bound.select_items]
-        else:
-            arrays = [np.asarray(evaluator.eval_expr(item.expr))
-                      for item in bound.select_items]
-            if bound.having:
-                mask = evaluator.having_mask(bound.having)
-                arrays = [array[mask] for array in arrays]
         arrays = apply_order_limit(bound, arrays, names)
         table = build_result_table(bound, arrays, names)
-        transferred = int(counts_in.size) * max(len(items), 1)
-        result = self._merged_result(
-            bound, shard_results, table, "partial-rows", transferred,
-            executed_by="TCU-dist-partial",
-        )
+        # Live partial rows cross the wire; an all-empty fan-out still
+        # ships every shard's identity row.
+        transferred = (live_rows or shipped_rows) * max(len(items), 1)
+        result = self._merged_result(shard_results, table, transferred)
         self._attach_resilience(result, recorder)
         return result
 
-    # -- concat route ----------------------------------------------------- #
-
-    def _execute_concat(self, bound: BoundQuery) -> QueryResult:
-        statement = replace(bound.statement, order_by=(), limit=None)
-        local = replace(bound, statement=statement, order_by=[], limit=None)
-
-        def run_shard(index: int) -> QueryResult:
-            return self.shard_engines[index].execute_bound(
-                self._shard_bound(local, index)
-            )
-
-        recorder = _FanoutRecorder()
-        shard_results = self._fanout(run_shard, recorder)
-        tables = [r.require_table() for r in shard_results]
-        names = tables[0].column_names
-        columns = {name: [t.column(name) for t in tables] for name in names}
-        arrays = [
-            np.concatenate([c.data for c in columns[name]])
-            for name in names
-        ]
-        items = (list(bound.select_items)
-                 if len(bound.select_items) == len(names) else None)
-        arrays = apply_order_limit(bound, arrays, names, items=items)
-        out = {
-            name: Column(array, columns[name][0].dtype,
-                         columns[name][0].dictionary)
-            for name, array in zip(names, arrays)
-        }
-        table = Table("result", out)
-        transferred = sum(t.num_rows for t in tables) * max(len(names), 1)
-        result = self._merged_result(
-            bound, shard_results, table, "concat", transferred,
-            executed_by="TCU-dist-concat",
-        )
-        self._attach_resilience(result, recorder)
-        return result
-
-    # -- shared result assembly ------------------------------------------- #
-
-    def _merged_result(self, bound: BoundQuery,
-                       shard_results: list[QueryResult], table: Table,
-                       route: str, transferred_cells: int,
-                       executed_by: str) -> QueryResult:
+    def _merged_result(self, shard_results: list[QueryResult], table: Table,
+                       transferred_cells: int) -> QueryResult:
         breakdown = TimingBreakdown()
         for stage in sorted({
             s for r in shard_results for s in r.breakdown.stages
@@ -922,11 +787,10 @@ class DistributedEngine(Engine):
             table=table,
             plan_description=critical.plan_description,
             extra={
-                "executed_by": executed_by,
                 "operator_costs": op_costs,
                 "program_listing": critical.extra.get(
                     "program_listing",
-                    f"distributed[{route}] per-shard plans",
+                    "distributed[partial-rows] per-shard plans",
                 ),
                 "shard_executed_by": [
                     r.extra.get("executed_by", "TCU")
@@ -934,8 +798,8 @@ class DistributedEngine(Engine):
                 ],
             },
         )
-        self._annotate(result, route, merge_seconds,
-                       executed_by=executed_by)
+        self._annotate(result, "partial-rows", merge_seconds,
+                       executed_by="TCU-dist-partial")
         return result
 
     def _annotate(self, result: QueryResult, route: str,

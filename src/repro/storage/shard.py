@@ -37,9 +37,8 @@ suites through the distributed engine.
 Both policies are *pure functions of the base table*: re-partitioning
 the same catalog always yields bit-identical shard assignments.  The
 distributed engine's fault tolerance leans on this (docs/operations.md)
-— a failed or straggling shard can be retried or speculatively
-re-executed from the shared catalog alone, with no partition state to
-reconcile, and whole-query degradation to the unsharded base catalog is
+— a failed shard can be retried or re-executed from the shared catalog
+alone, with no partition state to reconcile, and whole-query degradation to the unsharded base catalog is
 always exact because the shards partition it losslessly.
 """
 

@@ -207,8 +207,8 @@ class TestMergeDeterminism:
         assert any(op.op_id == "allreduce" for op in ops)
         assert "allreduce merge" in result.extra["program_listing"]
 
-    def test_single_node_routes(self, catalog):
-        engine = dist_engine(catalog, shards=2)
+    def test_single_node_routes(self, catalog, oracle):
+        engine = dist_engine(catalog, shards=4)
         # Dimension-only query: replicated tables, fan-out would
         # multiply rows.
         dims = engine.execute(
@@ -216,22 +216,19 @@ class TestMergeDeterminism:
         ).extra["distributed"]
         assert dims["route"] == "single-node"
         assert "does not read the partitioned fact" in dims["reason"]
-        # Non-aggregate LIMIT: tie-truncation depends on physical row
-        # order, which sharding permutes.
-        limited = engine.execute(
-            "SELECT lo_orderkey FROM lineorder "
-            "ORDER BY lo_orderkey LIMIT 5;"
-        ).extra["distributed"]
-        assert limited["route"] == "single-node"
-
-    def test_concat_route_matches_oracle(self, catalog, oracle):
-        sql = ("SELECT lo_orderkey, lo_revenue FROM lineorder "
-               "WHERE lo_discount > 7 "
-               "ORDER BY lo_revenue DESC, lo_orderkey;")
-        got = dist_engine(catalog, shards=4).execute(sql)
-        assert got.extra["distributed"]["route"] == "concat"
-        assert_results_match(got, oracle.execute(sql), rel=TCU_REL,
-                             context="concat route")
+        # Non-aggregate queries, with or without LIMIT: nothing to
+        # merge, so the coordinator answers them.
+        for sql in ("SELECT lo_orderkey FROM lineorder "
+                    "ORDER BY lo_orderkey LIMIT 5;",
+                    "SELECT lo_orderkey, lo_revenue FROM lineorder "
+                    "WHERE lo_discount > 7 "
+                    "ORDER BY lo_revenue DESC, lo_orderkey;"):
+            got = engine.execute(sql)
+            info = got.extra["distributed"]
+            assert info["route"] == "single-node"
+            assert info["reason"] == "non-aggregate query"
+            assert_results_match(got, oracle.execute(sql), rel=TCU_REL,
+                                 context=sql)
 
 
 class TestEmptyShards:
@@ -249,14 +246,27 @@ class TestEmptyShards:
         }))
         return cat
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT label, SUM(v) AS s, MIN(neg) AS m, COUNT(*) AS n "
+        "FROM facts, dim WHERE facts.k = dim.k "
+        "GROUP BY label ORDER BY label;",
+        # Ungrouped: every empty shard reports a COUNT=0 row.
+        "SELECT SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(neg) AS hi, "
+        "COUNT(*) AS n FROM facts;",
+        "SELECT label, COUNT(v) AS c, MAX(v) AS hi "
+        "FROM facts, dim WHERE facts.k = dim.k "
+        "GROUP BY label ORDER BY label;",
+        # HAVING reads an aggregate the select list does not.
+        "SELECT label, SUM(v) AS s FROM facts, dim "
+        "WHERE facts.k = dim.k GROUP BY label "
+        "HAVING MIN(neg) < -8 ORDER BY label;",
+    ])
     @pytest.mark.parametrize("policy", ["hash", "round_robin"])
-    def test_zero_row_shards_contribute_identity(self, tiny, policy):
+    def test_zero_row_shards_contribute_identity(self, tiny, policy, sql):
         # 8 shards over a 3-row fact: most shards hold zero rows.  They
         # must contribute identity partials — no fabricated groups, no
-        # zero corrupting a MIN over negative values.
-        sql = ("SELECT label, SUM(v) AS s, MIN(neg) AS m, COUNT(*) AS n "
-               "FROM facts, dim WHERE facts.k = dim.k "
-               "GROUP BY label ORDER BY label;")
+        # zero corrupting a MIN over positive or a MAX over negative
+        # values.
         expected = ReferenceEngine(tiny).execute(sql)
         engine = DistributedEngine(
             tiny, shards=8, fact="facts", partition_policy=policy,
@@ -264,7 +274,9 @@ class TestEmptyShards:
             mode=ExecutionMode.REAL,
         )
         assert min(engine.sharded.shard_rows()) == 0
-        assert_results_match(engine.execute(sql), expected, rel=TCU_REL,
+        got = engine.execute(sql)
+        assert got.extra["distributed"]["route"] == "partial-rows"
+        assert_results_match(got, expected, rel=TCU_REL,
                              context=f"empty shards ({policy})")
 
     def test_all_shards_empty_after_filter(self, tiny):

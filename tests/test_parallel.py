@@ -10,6 +10,7 @@ every chunk size.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -100,6 +101,42 @@ class TestParallelMap:
         with pytest.raises(QueryCancelled):
             list(parallel_map(work, range(10_000), 2, token=token))
         assert len(seen) < 10_000
+
+    def test_early_close_leaves_the_token_live(self):
+        token = CancellationToken()
+        ran = []
+        busy = threading.Semaphore(0)
+
+        def work(i):
+            ran.append(i)
+            if i:
+                busy.release()
+                time.sleep(0.2)  # hold both workers past the close
+            return i
+
+        stream = parallel_map(work, range(10), 2, token=token)
+        assert next(stream) == 0
+        assert busy.acquire(timeout=5) and busy.acquire(timeout=5)
+        stream.close()
+        # Item 3 was queued, not started: the close cancelled it.
+        assert sorted(ran) == [0, 1, 2]
+        assert not token.cancelled and token.reason == "cancelled"
+
+    def test_failing_item_leaves_the_token_live(self):
+        token = CancellationToken()
+        ran = []
+
+        def work(i):
+            ran.append(i)
+            if i == 0:
+                raise ValueError("item 0 failed")
+            time.sleep(0.2)  # hold the workers past the failure
+            return i
+
+        with pytest.raises(ValueError, match="item 0"):
+            list(parallel_map(work, range(10), 2, token=token))
+        assert set(ran) <= {0, 1, 2}
+        assert not token.cancelled and token.reason == "cancelled"
 
     def test_deadline_token_self_fires(self):
         token = CancellationToken(deadline_s=0.0)

@@ -6,9 +6,8 @@ queries, each executed on a distributed engine (2 and 4 shards) under
 an injected fault plan — transient shard errors plus corrupted grid
 partials — and every answer must be row-identical to the fault-free
 run and the Reference oracle.  Unit classes pin the individual
-contracts: fault-plan parsing/determinism, retry backoff, speculative
-straggler re-execution, the circuit-breaker state machine, program
-cache poisoning, graceful degradation to single-node and to the
+contracts: fault-plan parsing/determinism, retry backoff, the
+circuit-breaker state machine, program cache poisoning, graceful degradation to single-node and to the
 reference fallback, server close/cancel semantics, load shedding, and
 the error taxonomy (no raw non-ReproError ever escapes the server).
 """
@@ -62,9 +61,9 @@ from repro.engine.base import ExecutionMode
 from repro.engine.cache import ProgramCache
 from repro.engine.parallel import (
     RetryPolicy,
+    CancellationToken,
     call_with_retries,
     is_retryable,
-    speculative_map,
 )
 from repro.engine.reference import ReferenceEngine
 from repro.engine.tcudb import DistributedEngine, TCUDBEngine, TCUDBOptions
@@ -76,6 +75,8 @@ N_FUZZ_QUERIES = 50
 FACT_KW = {"fact": "lineorder", "partition_key": "lo_orderkey"}
 
 AGG_SQL = ("SELECT SUM(lo_revenue) AS r, d_year FROM lineorder, ddate "
+           "WHERE lo_orderdate = d_datekey GROUP BY d_year")
+MIN_SQL = ("SELECT MIN(lo_revenue) AS r, d_year FROM lineorder, ddate "
            "WHERE lo_orderdate = d_datekey GROUP BY d_year")
 
 
@@ -110,15 +111,13 @@ class TestFaultPlan:
     def test_parse_seed_and_knobs(self):
         plan = parse_fault_plan(
             "seed=7; shard.execute:transient:every=3;"
-            "session.run:unavailable:p=0.5,max=2;"
-            "grid.accumulate:slow:delay=0.25,n=1"
+            "session.run:unavailable:p=0.5,max=2"
         )
         assert plan.seed == 7
-        every, proba, slow = plan.rules
+        every, proba = plan.rules
         assert (every.site, every.kind, every.every) == (
             SITE_SHARD_EXECUTE, "transient", 3)
         assert (proba.p, proba.max_fires) == (0.5, 2)
-        assert (slow.delay, slow.n) == (0.25, 1)
 
     @pytest.mark.parametrize("spec", [
         "shard.execute",                       # no kind
@@ -128,6 +127,8 @@ class TestFaultPlan:
         "shard.execute:transient:every=0",     # bad period
         "shard.execute:transient:bogus=1",     # unknown knob
         "shard.execute:transient:every=x",     # non-numeric value
+        "shard.execute:slow",                  # removed kind
+        "shard.execute:transient:delay=0.1",   # removed knob
         "seed=abc",                            # bad seed
     ])
     def test_bad_specs_rejected(self, spec):
@@ -251,7 +252,7 @@ class TestFaultPlan:
 
 
 # --------------------------------------------------------------------- #
-# Retry / speculation primitives
+# Retry primitives
 # --------------------------------------------------------------------- #
 
 class TestRetryPolicy:
@@ -305,35 +306,6 @@ class TestRetryPolicy:
         assert not is_retryable(ExecutionError("x"))
         assert not is_retryable(QueryCancelled("x"))
         assert not is_retryable(ValueError("x"))
-
-
-class TestSpeculativeMap:
-    def test_straggler_is_speculatively_reexecuted(self):
-        slow_once = threading.Event()
-        speculated: list[int] = []
-
-        def work(item):
-            if item == 0 and not slow_once.is_set():
-                slow_once.set()
-                time.sleep(0.4)
-            return item * 10
-
-        results = list(speculative_map(
-            work, range(3), workers=3,
-            straggler_timeout_s=0.05,
-            on_speculate=speculated.append,
-        ))
-        assert results == [0, 10, 20]
-        assert speculated == [0]
-
-    def test_no_timeout_means_no_speculation(self):
-        speculated: list[int] = []
-        results = list(speculative_map(
-            lambda item: item, range(4), workers=2,
-            on_speculate=speculated.append,
-        ))
-        assert results == [0, 1, 2, 3]
-        assert speculated == []
 
 
 # --------------------------------------------------------------------- #
@@ -496,15 +468,6 @@ class TestShardRecovery:
         recovered = result.extra["resilience"]["recovered"]
         assert recovered and recovered[0]["error"] == "TransientShardError"
 
-    def test_straggler_speculation(self, catalog, oracle):
-        engine = dist_engine(catalog, 2, straggler_timeout_s=0.05)
-        plan = FaultPlan([FaultRule(site=SITE_SHARD_EXECUTE, kind="slow",
-                                    delay=0.5, n=1)])
-        with inject(plan):
-            result = engine.execute(AGG_SQL)
-        assert_results_match(result, oracle.execute(AGG_SQL), rel=TCU_REL)
-        assert result.extra["resilience"]["speculated"]
-
     def test_whole_query_degrades_to_single_node(self, catalog, oracle,
                                                  monkeypatch):
         engine = dist_engine(catalog, 2)
@@ -520,6 +483,34 @@ class TestShardRecovery:
         assert resilience["route"] == "single-node"
         assert resilience["degraded_from"] == "aggregate"
         assert "BackendUnavailable" in resilience["cause"]
+
+    @pytest.mark.parametrize("sql, route", [
+        (AGG_SQL, "grid-allreduce"),
+        (MIN_SQL, "partial-rows"),
+    ])
+    def test_degradation_keeps_an_armed_token_live(self, catalog, oracle,
+                                                   sql, route):
+        # A token armed the way QueryServer arms one.  Shard 1 fails on
+        # every call with a real (non-injected) error, so neither retry
+        # nor the suppressed per-shard rung rescues it; the whole query
+        # must re-run single-node under the same, still live, token.
+        engine = dist_engine(catalog, 2)
+        with inject(None):
+            assert engine.execute(sql).extra["distributed"]["route"] == route
+        shard_bound = engine._shard_bound
+
+        def broken_shard(bound, index):
+            if index == 1:
+                raise BackendUnavailable("shard 1 is down")
+            return shard_bound(bound, index)
+
+        engine._shard_bound = broken_shard
+        token = engine.cancel_token = CancellationToken()
+        result = engine.execute(sql)
+        assert result.extra["distributed"]["route"] == "single-node"
+        assert result.extra["resilience"]["degraded_from"] == "aggregate"
+        assert_results_match(result, oracle.execute(sql), rel=TCU_REL)
+        assert not token.cancelled
 
     def test_resilience_exhausted_when_nothing_works(self, catalog,
                                                      monkeypatch):
