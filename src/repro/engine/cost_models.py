@@ -302,7 +302,7 @@ class CostObserver:
             # input rows (COUNT=0 / SUM=0.0 in this NULL-free model).
             return 1
         estimate = 1
-        group_exprs = getattr(bound, "group_exprs", {})
+        group_exprs = bound.group_exprs
         for column in group_by:
             if column.key in group_exprs:
                 # Computed key: distinct(f(x, y, ...)) is bounded by the

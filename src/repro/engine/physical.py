@@ -851,7 +851,7 @@ class StreamGroupEval:
         self.n_groups = n_groups
         self.computed = {
             expr: key
-            for key, expr in getattr(bound, "group_exprs", {}).items()
+            for key, expr in bound.group_exprs.items()
         }
 
     def eval_expr(self, expr: Expr) -> np.ndarray:

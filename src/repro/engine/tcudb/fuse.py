@@ -169,7 +169,6 @@ def fuse_program(program: TensorProgram) -> TensorProgram:
             rewritten[host.id] = replace(
                 base,
                 epilogue_predicates=list(op.predicates),
-                epilogue_nodes=dict(op.having_nodes),
                 fused_from=list(base.fused_from) + [op.id],
             )
             dropped[op.id] = host.id

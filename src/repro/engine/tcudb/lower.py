@@ -32,29 +32,15 @@ from dataclasses import dataclass
 
 from repro.engine.tcudb import ops
 from repro.engine.tcudb.patterns import (
-    AggRef,
     AggregateSpec,
-    ConstRef,
-    GroupRef,
     MatchFailure,
-    OutputItem,
-    OutputNode,
-    OutputOp,
     PatternKind,
     TCUPattern,
-    build_having_nodes,
-    is_parameter_constant,
+    collect_aggregates,
     match_pattern,
 )
 from repro.engine.tcudb.program import TensorProgram
-from repro.sql.ast_nodes import (
-    AggregateCall,
-    BinaryOp,
-    ColumnRef,
-    Expr,
-    Literal,
-    walk_predicate_exprs,
-)
+from repro.sql.ast_nodes import AggregateCall, ColumnRef, walk_predicate_exprs
 from repro.sql.binder import BoundQuery, JoinPredicate
 from repro.sql.planner import plan_relation
 
@@ -239,12 +225,6 @@ def _lower_join_agg(
     b_side = _choose_b_side(pattern, dims, residual_bindings)
     if isinstance(b_side, MatchFailure):
         return b_side
-    having_nodes: dict[Expr, OutputNode] = {}
-    if bound.having:
-        built = build_having_nodes(bound, pattern)
-        if isinstance(built, MatchFailure):
-            return built
-        having_nodes = built
     program_ops: list[ops.TensorOp] = []
     scan_fact = ops.TableSource(id=f"scan_{fact}", binding=fact)
     program_ops.append(scan_fact)
@@ -294,20 +274,9 @@ def _lower_join_agg(
     gemm = ops.Gemm(id="gemm_agg", input=fill.id,
                     label="TCU Join+GroupBy+Aggregation")
     fill.consumer_id = gemm.id
-    harvest = ops.GridAggregate(id="grid_agg", input=gemm.id)
-    program_ops.extend([scan_b, fill, gemm, harvest])
-    node_id = harvest.id
-    if bound.having:
-        having = ops.MaskApply(
-            id="mask_having", input=node_id, predicates=list(bound.having),
-            role="having", having_nodes=having_nodes,
-        )
-        program_ops.append(having)
-        node_id = having.id
-    program_ops.append(
-        ops.Decode(id="decode", input=node_id, role="aggregate",
-                   outputs=list(pattern.outputs))
-    )
+    program_ops.extend([scan_b, fill, gemm])
+    program_ops.extend(
+        _aggregate_tail(bound, gemm.id, pattern.calls, split_sums=True))
     return LoweredQuery(
         program=TensorProgram(ops=program_ops, strategy="pattern:join_agg"),
         pattern=pattern,
@@ -353,6 +322,29 @@ def _dim_needed_columns(pattern: TCUPattern, dim: str) -> list[str]:
     return sorted(set(needed))
 
 
+def _aggregate_tail(bound: BoundQuery, gemm_id: str,
+                    calls: list[AggregateCall],
+                    split_sums: bool = False) -> list[ops.TensorOp]:
+    """The harvest of an aggregate product, HAVING's mask over its
+    groups, then the select items evaluated per group."""
+    harvest = ops.GridAggregate(id="grid_agg", input=gemm_id,
+                                calls=list(calls), split_sums=split_sums)
+    program_ops: list[ops.TensorOp] = [harvest]
+    node_id = harvest.id
+    if bound.having:
+        having = ops.MaskApply(
+            id="mask_having", input=node_id, predicates=list(bound.having),
+            role="having",
+        )
+        program_ops.append(having)
+        node_id = having.id
+    program_ops.append(
+        ops.Decode(id="decode", input=node_id, role="aggregate",
+                   items=list(bound.select_items))
+    )
+    return program_ops
+
+
 # --------------------------------------------------------------------------- #
 # Hybrid lowering (PhysicalStage + grouped reduce)
 # --------------------------------------------------------------------------- #
@@ -372,77 +364,14 @@ def lower_hybrid(
             "no aggregation core: hybrid lowering accelerates "
             "grouped reduction only"
         )
-    group_keys = {c.key for c in bound.group_by}
-    group_columns = {c.key: c for c in bound.group_by}
-    # Computed GROUP BY keys: select/HAVING expressions structurally
-    # equal to a group expression resolve to the projected key column.
-    expr_groups = {
-        expr: group_columns[key]
-        for key, expr in getattr(bound, "group_exprs", {}).items()
-        if key in group_columns
-    }
-    calls: list[AggregateCall] = []
-    specs: list[AggregateSpec] = []
-
-    def build(expr: Expr) -> OutputNode | MatchFailure:
-        if expr in expr_groups:
-            return GroupRef(expr_groups[expr])
-        if isinstance(expr, Literal):
-            if isinstance(expr.value, str):
-                return MatchFailure("string literals in aggregate outputs")
-            return ConstRef(float(expr.value))
-        if isinstance(expr, ColumnRef):
-            column = bound.resolve(expr)
-            if column.key not in group_keys:
-                return MatchFailure(
-                    f"column {column.key} in SELECT is not a GROUP BY key"
-                )
-            return GroupRef(column)
-        if isinstance(expr, AggregateCall):
-            if expr.func in ("min", "max"):
-                return MatchFailure(
-                    f"{expr.func.upper()} is beyond TCU expressiveness"
-                )
-            if expr.func not in ("sum", "count", "avg"):
-                return MatchFailure(f"unsupported aggregate {expr.func!r}")
-            if expr in calls:
-                return AggRef(calls.index(expr))
-            calls.append(expr)
-            specs.append(
-                AggregateSpec(func=expr.func, constant=1.0, factors=[])
-            )
-            return AggRef(len(calls) - 1)
-        if isinstance(expr, BinaryOp):
-            left = build(expr.left)
-            if isinstance(left, MatchFailure):
-                return left
-            right = build(expr.right)
-            if isinstance(right, MatchFailure):
-                return right
-            return OutputOp(op=expr.op, left=left, right=right)
-        return MatchFailure(f"unsupported select expression {expr}")
-
-    outputs: list[OutputItem] = []
-    for item in bound.select_items:
-        node = build(item.expr)
-        if isinstance(node, MatchFailure):
-            return node
-        outputs.append(OutputItem(name=item.output_name, node=node))
-    having_nodes: dict[Expr, OutputNode] = {}
-    for predicate in bound.having:
-        for expr in walk_predicate_exprs(predicate):
-            if isinstance(expr, Literal) and isinstance(expr.value, str):
-                continue
-            if is_parameter_constant(expr):
-                # Folds to a literal once parameter values bind;
-                # specialization installs the folded ConstRef.
-                continue
-            if expr in having_nodes:
-                continue
-            node = build(expr)
-            if isinstance(node, MatchFailure):
-                return MatchFailure(f"HAVING: {node.reason}")
-            having_nodes[expr] = node
+    collected = collect_aggregates(
+        bound,
+        lambda call: [AggregateSpec(func=call.func, constant=1.0,
+                                    factors=[])],
+    )
+    if isinstance(collected, MatchFailure):
+        return collected
+    calls, specs = collected
     stage = ops.PhysicalStage(id="prestage", tree=plan_relation(bound))
     fill = ops.ValueFill(
         id="value_fill", left_input=stage.id, right_input=None,
@@ -452,20 +381,7 @@ def lower_hybrid(
     gemm = ops.Gemm(id="gemm_reduce", input=fill.id,
                     label="TCU grouped reduce (Lemma 3.1)")
     fill.consumer_id = gemm.id
-    harvest = ops.GridAggregate(id="grid_agg", input=gemm.id)
-    program_ops: list[ops.TensorOp] = [stage, fill, gemm, harvest]
-    node_id = harvest.id
-    if bound.having:
-        having = ops.MaskApply(
-            id="mask_having", input=node_id, predicates=list(bound.having),
-            role="having", having_nodes=having_nodes,
-        )
-        program_ops.append(having)
-        node_id = having.id
-    program_ops.append(
-        ops.Decode(id="decode", input=node_id, role="aggregate",
-                   outputs=outputs)
-    )
+    program_ops = [stage, fill, gemm, *_aggregate_tail(bound, gemm.id, calls)]
     return _maybe_fuse(
         LoweredQuery(
             program=TensorProgram(

@@ -44,7 +44,11 @@ import numpy as np
 from repro.common.errors import ExecutionError
 from repro.common.timing import STAGE_FILL
 from repro.engine.base import ExecutionMode
-from repro.engine.physical import PhysicalExecutor, pruned_scan_chunks
+from repro.engine.physical import (
+    PhysicalExecutor,
+    StreamGroupEval,
+    pruned_scan_chunks,
+)
 from repro.engine.tcudb.codegen import OpEmission
 from repro.engine.tcudb.cost import (
     OperatorGeometry,
@@ -70,31 +74,16 @@ from repro.engine.tcudb.feasibility import (
     FeasibilityReport,
     run_feasibility_test,
 )
-from repro.engine.tcudb.patterns import (
-    AggRef,
-    AggregateSpec,
-    ConstRef,
-    GroupRef,
-    OutputItem,
-    OutputNode,
-    OutputOp,
-    TCUPattern,
-)
+from repro.engine.tcudb.patterns import AggregateSpec, TCUPattern, sum_parts
 from repro.engine.tcudb.transform import (
     PairIndex,
     PairRuns,
     mapped_pair_count,
     union_key_domain,
 )
-from repro.sql.ast_nodes import Expr, Predicate
-from repro.sql.binder import BoundColumn, JoinPredicate
-from repro.sql.eval import (
-    Environment,
-    conjunction_mask,
-    encode_literal,
-    evaluate_expr,
-    predicate_mask,
-)
+from repro.sql.ast_nodes import AggregateCall, ColumnRef, Expr, Predicate
+from repro.sql.binder import BoundColumn, BoundQuery, JoinPredicate
+from repro.sql.eval import Environment, conjunction_mask, evaluate_expr
 from repro.sql.logical import Join as JoinNode
 from repro.sql.logical import LogicalNode, Scan
 from repro.tensor.keys import presence_probe
@@ -300,12 +289,30 @@ class ProductValue:
 
 @dataclass
 class GroupsValue:
-    """Aggregated output grid, harvested to per-group arrays."""
+    """Aggregated output grid, harvested to per-group arrays: one float64
+    final per aggregate call and one array per GROUP BY key."""
 
-    agg_values: list[np.ndarray] | None  # None in ANALYTIC mode
+    finals: dict[AggregateCall, np.ndarray] | None  # None in ANALYTIC mode
     group_columns: dict[str, np.ndarray] | None
     n_rows: int
     empty: bool = False
+
+    def evaluator(self, bound: BoundQuery) -> StreamGroupEval:
+        return StreamGroupEval(bound, bound.group_by, self.group_columns,
+                               self.finals, self.n_rows)
+
+    def having(self, ctx, predicates: list[Predicate]) -> "GroupsValue":
+        """The groups the HAVING conjuncts keep."""
+        mask = self.evaluator(ctx.bound).having_mask(predicates)
+        keys, calls = list(self.group_columns), list(self.finals)
+        masked = ctx.backend.apply_mask(
+            [self.group_columns[k] for k in keys]
+            + [self.finals[c] for c in calls], mask)
+        return GroupsValue(
+            finals=dict(zip(calls, masked[len(keys):])),
+            group_columns=dict(zip(keys, masked)),
+            n_rows=int(np.count_nonzero(mask)),
+        )
 
 
 @dataclass
@@ -1251,15 +1258,19 @@ class GridAggregate(TensorOp):
 
     Extracts present (group-left, group-right) cells via the COUNT grid,
     applies AVG division, and decodes the composite group codes back
-    into physical group-column values.  A fused HAVING epilogue
+    into physical group-column values.  The per-spec values become one
+    float64 final per aggregate call in ``calls``; under ``split_sums``
+    (the star lowering) a ``SUM(x ± y)`` call owns the specs of its
+    linear parts and adds or subtracts them.  A fused HAVING epilogue
     (installed by the fusion pass from a downstream
     ``MaskApply[having]``) evaluates the HAVING conjuncts inside this
     result hook — masked groups never leave the extraction pass.
     """
 
     input: str
+    calls: list[AggregateCall] = field(default_factory=list)
+    split_sums: bool = False
     epilogue_predicates: list[Predicate] = field(default_factory=list)
-    epilogue_nodes: dict[Expr, OutputNode] = field(default_factory=dict)
     fused_from: list[str] = field(default_factory=list)
 
     kind = "grid_aggregate"
@@ -1302,17 +1313,13 @@ class GridAggregate(TensorOp):
         operands: AggOperandsValue = product.operands
         if product.empty:
             if operands.grouped:
-                return GroupsValue(agg_values=[], group_columns={}, n_rows=0,
+                return GroupsValue(finals={}, group_columns={}, n_rows=0,
                                    empty=True)
             # Ungrouped aggregates over zero qualifying rows still return
             # one row: COUNT = 0 and (NULL-free model) SUM/AVG/MIN/MAX =
             # 0.0 — synthesize it rather than dropping the result row,
             # matching the conventional executors.
-            groups = GroupsValue(
-                agg_values=[np.zeros(1) for _ in operands.specs],
-                group_columns={}, n_rows=1,
-            )
-            return self._apply_epilogue(ctx, groups)
+            return self._apply_epilogue(ctx, self._empty_row())
         left, right = operands.left, operands.right
         if product.semantic and ctx.mode != ExecutionMode.REAL:
             estimate = min(
@@ -1325,7 +1332,7 @@ class GridAggregate(TensorOp):
                 estimate = int(estimate * conjunction_selectivity(
                     self.epilogue_predicates, bound_stats_lookup(ctx.bound)
                 ))
-            return GroupsValue(agg_values=None, group_columns=None,
+            return GroupsValue(finals=None, group_columns=None,
                                n_rows=estimate)
         if product.present is None:
             # Every cell holds a tuple, so the row-major order nonzero
@@ -1352,11 +1359,7 @@ class GridAggregate(TensorOp):
         if n_rows == 0 and not operands.grouped:
             # Non-empty operands but zero matching pairs: the ungrouped
             # result row still exists (COUNT = 0, sums 0.0).
-            groups = GroupsValue(
-                agg_values=[np.zeros(1) for _ in operands.specs],
-                group_columns={}, n_rows=1,
-            )
-            return self._apply_epilogue(ctx, groups)
+            return self._apply_epilogue(ctx, self._empty_row())
         agg_values: list[np.ndarray] = []
         for spec, grid in zip(operands.specs, product.grids):
             values = harvest(grid)
@@ -1371,24 +1374,40 @@ class GridAggregate(TensorOp):
             for column, values in zip(side.group_order, decoded):
                 group_columns[column] = (values if spread is None
                                          else spread(values))
-        groups = GroupsValue(agg_values=agg_values,
+        groups = GroupsValue(finals=self._finals(agg_values),
                              group_columns=group_columns, n_rows=n_rows)
         return self._apply_epilogue(ctx, groups)
+
+    def _finals(self, values: list[np.ndarray]
+                ) -> dict[AggregateCall, np.ndarray]:
+        """One float64 final per call from the per-spec values, in spec
+        order; a float64 value is the final itself, not a copy."""
+        parts = iter(values)
+        return {call: self._final(call, parts) for call in self.calls}
+
+    def _final(self, call: AggregateCall, parts) -> np.ndarray:
+        # A method, not a closure: a recursive closure is a reference
+        # cycle, and it would hold the grids until the cyclic collector
+        # runs.
+        halves = sum_parts(call) if self.split_sums else None
+        if halves is None:
+            return np.asarray(next(parts), dtype=np.float64)
+        left = self._final(halves[0], parts)
+        right = self._final(halves[1], parts)
+        return (np.add if call.argument.op == "+" else np.subtract)(
+            left, right)
+
+    def _empty_row(self) -> GroupsValue:
+        return GroupsValue(
+            finals={call: np.zeros(1) for call in self.calls},
+            group_columns={}, n_rows=1,
+        )
 
     def _apply_epilogue(self, ctx, groups: GroupsValue) -> GroupsValue:
         if not self.epilogue_predicates:
             return groups
         self._charge_epilogue(ctx, groups.n_rows)
-        mask = having_mask(ctx, self.epilogue_predicates,
-                           self.epilogue_nodes, groups)
-        keys = list(groups.group_columns)
-        masked_groups = ctx.backend.apply_mask(
-            [groups.group_columns[k] for k in keys], mask)
-        return GroupsValue(
-            agg_values=ctx.backend.apply_mask(groups.agg_values, mask),
-            group_columns=dict(zip(keys, masked_groups)),
-            n_rows=int(np.count_nonzero(mask)),
-        )
+        return groups.having(ctx, self.epilogue_predicates)
 
     def _charge_epilogue(self, ctx, rows: int) -> None:
         ctx.charge(
@@ -1409,13 +1428,12 @@ class MaskApply(TensorOp):
     * ``residual-pairs`` — residual conjuncts over extracted join pairs
       (JOIN_2WAY / multiway lowering);
     * ``having``         — HAVING conjuncts over the aggregated grid,
-      with aggregate sub-expressions compiled onto the grid's values.
+      evaluated per group over the harvested finals.
     """
 
     input: str
     predicates: list[Predicate]
     role: str
-    having_nodes: dict[Expr, OutputNode] = field(default_factory=dict)
 
     kind = "mask_apply"
 
@@ -1482,43 +1500,12 @@ class MaskApply(TensorOp):
         self._charge(ctx, groups.n_rows)
         if groups.empty:
             return groups
-        if groups.agg_values is None:
+        if groups.finals is None:
             n = int(groups.n_rows * conjunction_selectivity(
                 self.predicates, bound_stats_lookup(ctx.bound)
             ))
-            return GroupsValue(agg_values=None, group_columns=None, n_rows=n)
-        mask = having_mask(ctx, self.predicates, self.having_nodes, groups)
-        keys = list(groups.group_columns)
-        masked_groups = ctx.backend.apply_mask(
-            [groups.group_columns[k] for k in keys], mask)
-        return GroupsValue(
-            agg_values=ctx.backend.apply_mask(groups.agg_values, mask),
-            group_columns=dict(zip(keys, masked_groups)),
-            n_rows=int(np.count_nonzero(mask)),
-        )
-
-
-def having_mask(ctx, predicates, having_nodes, groups: GroupsValue):
-    """Boolean per-group mask of HAVING conjuncts compiled onto the grid
-    (shared by ``MaskApply[having]`` and the fused HAVING epilogue)."""
-    n = groups.n_rows
-
-    def eval_expr(expr: Expr) -> np.ndarray:
-        node = having_nodes.get(expr)
-        if node is None:
-            raise ExecutionError(
-                f"HAVING expression {expr} was not lowered onto the grid"
-            )
-        return eval_output_node(node, groups.agg_values,
-                                groups.group_columns, n)
-
-    mask = np.ones(n, dtype=bool)
-    for predicate in predicates:
-        mask &= predicate_mask(
-            predicate, n, eval_expr,
-            lambda ref, value: encode_literal(ctx.bound, ref, value),
-        )
-    return mask
+            return GroupsValue(finals=None, group_columns=None, n_rows=n)
+        return groups.having(ctx, self.predicates)
 
 
 @dataclass
@@ -1590,9 +1577,8 @@ class Decode(TensorOp):
 
     input: str
     role: str  # "project" | "aggregate"
-    items: list = field(default_factory=list)  # SelectItems (project)
+    items: list = field(default_factory=list)  # SelectItems
     projected: list = field(default_factory=list)  # BoundColumn | float
-    outputs: list[OutputItem] = field(default_factory=list)  # aggregate
 
     kind = "decode"
 
@@ -1606,7 +1592,7 @@ class Decode(TensorOp):
                 for c in self.projected
             )
         else:
-            cols = ", ".join(item.name for item in self.outputs)
+            cols = ", ".join(item.output_name for item in self.items)
         return f"{self.id}: Decode[{self.role}]({cols})"
 
     def emission(self, ctx) -> OpEmission:
@@ -1655,26 +1641,30 @@ class Decode(TensorOp):
                            n_rows=chain.n_rows)
 
     def _decode_groups(self, ctx, groups: GroupsValue) -> OutputValue:
-        names = [item.name for item in self.outputs]
-        by_columns = [
-            item.node.column if isinstance(item.node, GroupRef) else None
-            for item in self.outputs
-        ]
+        bound = ctx.bound
+        names = [item.output_name for item in self.items]
+        by_columns = [_key_column(bound, item.expr) for item in self.items]
         if groups.empty:
             return OutputValue(
-                arrays=[np.array([]) for _ in self.outputs],
+                arrays=[np.array([]) for _ in self.items],
                 names=names, by_columns=by_columns, n_rows=0,
             )
-        if groups.agg_values is None:
+        if groups.finals is None:
             return OutputValue(arrays=None, names=names,
                                by_columns=by_columns, n_rows=groups.n_rows)
-        arrays = [
-            eval_output_node(item.node, groups.agg_values,
-                             groups.group_columns, groups.n_rows)
-            for item in self.outputs
-        ]
+        evaluator = groups.evaluator(bound)
+        arrays = [evaluator.eval_expr(item.expr) for item in self.items]
         return OutputValue(arrays=arrays, names=names, by_columns=by_columns,
                            n_rows=groups.n_rows)
+
+
+def _key_column(bound: BoundQuery, expr: Expr) -> BoundColumn | None:
+    """The GROUP BY key an aggregate output reads whole, which types the
+    output: a key column, or the computed key the expression equals."""
+    for key, group_expr in bound.group_exprs.items():
+        if group_expr == expr:
+            return next(c for c in bound.group_by if c.key == key)
+    return bound.resolve(expr) if isinstance(expr, ColumnRef) else None
 
 
 # --------------------------------------------------------------------------- #
@@ -1848,31 +1838,6 @@ def _wider(a, b):
                       integral=a.is_integral and b.is_integral)
 
 
-def eval_output_node(node: OutputNode, agg_values, group_columns,
-                     n_rows) -> np.ndarray:
-    """Evaluate one output-expression tree over per-group arrays."""
-    if isinstance(node, AggRef):
-        return np.asarray(agg_values[node.index], dtype=np.float64)
-    if isinstance(node, ConstRef):
-        return np.full(n_rows, node.value)
-    if isinstance(node, GroupRef):
-        values = group_columns.get(node.column.key)
-        if values is None:
-            raise ExecutionError(
-                f"group column {node.column.key} missing from grid"
-            )
-        return np.asarray(values)
-    if isinstance(node, OutputOp):
-        left = eval_output_node(node.left, agg_values, group_columns,
-                                n_rows).astype(np.float64)
-        right = eval_output_node(node.right, agg_values, group_columns,
-                                 n_rows).astype(np.float64)
-        ops = {"+": np.add, "-": np.subtract, "*": np.multiply,
-               "/": np.divide, "%": np.mod}
-        return ops[node.op](left, right)
-    raise ExecutionError(f"bad output node {node!r}")
-
-
 __all__ = [
     "CHAINED_JOIN_FILL_S",
     "AggOperandsValue",
@@ -1897,6 +1862,4 @@ __all__ = [
     "TableSource",
     "TensorOp",
     "ValueFill",
-    "eval_output_node",
-    "having_mask",
 ]

@@ -17,14 +17,15 @@ TCU operators (:mod:`repro.engine.tcudb.ops`).
 
 Constructs truly beyond matmul expressiveness (MIN/MAX, additive
 aggregate arguments that do not split linearly, disconnected joins)
-still reject with a :class:`MatchFailure`; HAVING and cross-table
-residual predicates are *not* rejected here any more — the lowering pass
-turns them into ``MaskApply`` operators.
+still reject with a :class:`MatchFailure`, in HAVING too; HAVING and
+cross-table residual predicates themselves are *not* rejected — the
+lowering pass turns them into ``MaskApply`` operators.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.sql.ast_nodes import (
@@ -34,6 +35,7 @@ from repro.sql.ast_nodes import (
     Expr,
     Literal,
     Parameter,
+    walk_predicate_exprs,
 )
 from repro.sql.binder import BoundColumn, BoundQuery, JoinPredicate
 
@@ -68,44 +70,6 @@ class AggregateSpec:
         return {f.column.binding for f in self.factors}
 
 
-# Output expression tree over aggregate results -------------------------------- #
-
-
-@dataclass(frozen=True)
-class AggRef:
-    """Leaf referring to the i-th AggregateSpec's per-group result."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class GroupRef:
-    """Leaf referring to a group-by column's value."""
-
-    column: BoundColumn
-
-
-@dataclass(frozen=True)
-class ConstRef:
-    value: float
-
-
-@dataclass(frozen=True)
-class OutputOp:
-    op: str
-    left: "OutputNode"
-    right: "OutputNode"
-
-
-OutputNode = AggRef | GroupRef | ConstRef | OutputOp
-
-
-@dataclass
-class OutputItem:
-    name: str
-    node: OutputNode
-
-
 @dataclass
 class TCUPattern:
     """A query recognized as TCU-executable."""
@@ -115,7 +79,8 @@ class TCUPattern:
     joins: list[JoinPredicate]
     fact: str | None = None  # star center binding (JOIN_AGG)
     aggregates: list[AggregateSpec] = field(default_factory=list)
-    outputs: list[OutputItem] = field(default_factory=list)
+    # The distinct aggregate calls ``aggregates`` decompose (JOIN_AGG).
+    calls: list[AggregateCall] = field(default_factory=list)
     group_by: list[BoundColumn] = field(default_factory=list)
     projected: list[BoundColumn] = field(default_factory=list)
 
@@ -136,9 +101,9 @@ class MatchFailure:
 def match_pattern(bound: BoundQuery) -> TCUPattern | MatchFailure:
     """Classify a bound query into a TCU pattern or explain the rejection.
 
-    HAVING and residual predicates are deliberately *not* inspected: the
-    lowering pass attaches them as ``MaskApply`` operators over the
-    matched core shape.
+    Residual predicates are deliberately *not* inspected, and HAVING only
+    for its aggregate calls: the lowering pass attaches both as
+    ``MaskApply`` operators over the matched core shape.
     """
     if len(bound.tables) < 2:
         return MatchFailure("single-table query: nothing to encode as a join")
@@ -149,42 +114,95 @@ def match_pattern(bound: BoundQuery) -> TCUPattern | MatchFailure:
     return _match_join_project(bound)
 
 
-def build_having_nodes(
-    bound: BoundQuery, pattern: TCUPattern
-) -> dict[Expr, OutputNode] | MatchFailure:
-    """Lower HAVING expressions onto the aggregate grid.
+def collect_aggregates(
+    bound: BoundQuery,
+    specs_of: Callable[[AggregateCall], list[AggregateSpec] | MatchFailure],
+) -> tuple[list[AggregateCall], list[AggregateSpec]] | MatchFailure:
+    """The distinct aggregate calls of the select items, then of HAVING
+    (:func:`~repro.engine.physical.aggregate_calls` order), and the
+    specs ``specs_of`` makes of each call.
 
-    Every scalar expression appearing in a HAVING predicate is compiled
-    to an :data:`OutputNode` over the pattern's aggregate results —
-    appending additional :class:`AggregateSpec` entries for aggregates
-    that are not in the select list (e.g. ``HAVING COUNT(*) > 1`` under a
-    SUM-only projection).  Returns the expression -> node mapping the
-    ``MaskApply`` operator evaluates per group, or a
-    :class:`MatchFailure` when a HAVING aggregate is beyond matmul
-    expressiveness (MIN/MAX, non-product arguments).
+    Everything around the calls is evaluated per group by
+    :class:`~repro.engine.physical.StreamGroupEval`, so an output may be
+    arithmetic over calls, literals, GROUP BY columns and computed GROUP
+    BY expressions.  MIN/MAX, unknown aggregates, other columns, string
+    literals and anything else (a select-list parameter) are rejected,
+    HAVING's rejections prefixed ``HAVING: ``.  String literals and
+    parameter-only operands of HAVING are not checked: the predicate
+    interpreter encodes the former, the latter fold to literals once
+    values bind.
     """
-    from repro.sql.ast_nodes import walk_predicate_exprs
+    group_keys = {c.key for c in bound.group_by}
+    computed = set(bound.group_exprs.values())
+    calls: list[AggregateCall] = []
+    specs: list[AggregateSpec] = []
 
-    group_keys = {c.key for c in pattern.group_by}
-    nodes: dict[Expr, OutputNode] = {}
+    def visit(expr: Expr) -> MatchFailure | None:
+        # Depth first, left operand first, on an explicit stack: a
+        # recursive closure would be a reference cycle.
+        pending = [expr]
+        while pending:
+            node = pending.pop()
+            if node in computed:
+                continue
+            if isinstance(node, BinaryOp):
+                pending += [node.right, node.left]
+            elif isinstance(node, Literal):
+                if isinstance(node.value, str):
+                    return MatchFailure("string literals in aggregate outputs")
+            elif isinstance(node, ColumnRef):
+                column = bound.resolve(node)
+                if column.key not in group_keys:
+                    return MatchFailure(
+                        f"column {column.key} in SELECT is not a GROUP BY key"
+                    )
+            elif isinstance(node, AggregateCall):
+                if node.func in ("min", "max"):
+                    # Matrix multiply-accumulate cannot express MIN/MAX
+                    # (Section 3.4).
+                    return MatchFailure(
+                        f"{node.func.upper()} is beyond TCU expressiveness"
+                    )
+                if node.func not in ("sum", "count", "avg"):
+                    return MatchFailure(f"unsupported aggregate {node.func!r}")
+                if node not in calls:
+                    call_specs = specs_of(node)
+                    if isinstance(call_specs, MatchFailure):
+                        return call_specs
+                    calls.append(node)
+                    specs.extend(call_specs)
+            else:
+                return MatchFailure(f"unsupported select expression {node}")
+        return None
+
+    for item in bound.select_items:
+        failure = visit(item.expr)
+        if failure is not None:
+            return failure
     for predicate in bound.having:
         for expr in walk_predicate_exprs(predicate):
-            if isinstance(expr, Literal) and isinstance(expr.value, str):
-                # String literals are encoded against the compared
-                # column's dictionary by the predicate interpreter.
+            if ((isinstance(expr, Literal) and isinstance(expr.value, str))
+                    or is_parameter_constant(expr)):
                 continue
-            if is_parameter_constant(expr):
-                # Parameter-only operands fold to literals at execution;
-                # specialization installs the folded ConstRef.
-                continue
-            if expr in nodes:
-                continue
-            node = _build_output_node(expr, bound, pattern.aggregates,
-                                      group_keys)
-            if isinstance(node, MatchFailure):
-                return MatchFailure(f"HAVING: {node.reason}")
-            nodes[expr] = node
-    return nodes
+            failure = visit(expr)
+            if failure is not None:
+                return MatchFailure(f"HAVING: {failure.reason}")
+    return calls, specs
+
+
+def sum_parts(call: AggregateCall) -> tuple[AggregateCall, AggregateCall] | None:
+    """``(SUM(x), SUM(y))`` for a ``SUM(x ± y)`` call, else None.
+
+    SUM is linear, so the star lowering multiplies the two parts (e.g.
+    SSB's ``lo_revenue - lo_supplycost``) instead of falling back, and
+    the harvest combines them with the argument's operator.
+    """
+    argument = call.argument
+    if (call.func == "sum" and isinstance(argument, BinaryOp)
+            and argument.op in ("+", "-")):
+        return (AggregateCall(func="sum", argument=argument.left),
+                AggregateCall(func="sum", argument=argument.right))
+    return None
 
 
 # -- join-only patterns ---------------------------------------------------------- #
@@ -195,7 +213,7 @@ def is_parameter_constant(expr: Expr) -> bool:
     leaf is a literal or an unbound :class:`Parameter`, with at least one
     parameter present.  They fold to plain literals once values bind, so
     template lowering treats them like literal operands (HAVING skips
-    them; specialization installs the folded constant)."""
+    them; specialization substitutes the folded literal)."""
     saw_parameter = False
     for node in expr.walk():
         if isinstance(node, Parameter):
@@ -273,7 +291,7 @@ def _match_join_project(bound: BoundQuery) -> TCUPattern | MatchFailure:
 
 
 def _match_join_agg(bound: BoundQuery) -> TCUPattern | MatchFailure:
-    if getattr(bound, "group_exprs", {}):
+    if bound.group_exprs:
         # Computed GROUP BY keys live on no table side of the star; the
         # hybrid pipeline groups on the projected expression instead.
         return MatchFailure(
@@ -288,23 +306,18 @@ def _match_join_agg(bound: BoundQuery) -> TCUPattern | MatchFailure:
         return MatchFailure(
             "join graph is not a star/chain reducible to one fact table"
         )
-    aggregates: list[AggregateSpec] = []
-    outputs: list[OutputItem] = []
-    group_keys = {c.key for c in bound.group_by}
-    for item in bound.select_items:
-        node = _build_output_node(item.expr, bound, aggregates, group_keys)
-        if isinstance(node, MatchFailure):
-            return node
-        outputs.append(OutputItem(name=item.output_name, node=node))
-    if not aggregates:
-        return MatchFailure("no supported aggregate in the select list")
+    collected = collect_aggregates(
+        bound, lambda call: _product_specs(call, bound))
+    if isinstance(collected, MatchFailure):
+        return collected
+    calls, aggregates = collected
     return TCUPattern(
         kind=PatternKind.JOIN_AGG,
         bound=bound,
         joins=joins,
         fact=fact,
         aggregates=aggregates,
-        outputs=outputs,
+        calls=calls,
         group_by=list(bound.group_by),
     )
 
@@ -325,66 +338,26 @@ def _find_star_center(
     return None
 
 
-def _build_output_node(
-    expr: Expr,
-    bound: BoundQuery,
-    aggregates: list[AggregateSpec],
-    group_keys: set[str],
-) -> OutputNode | MatchFailure:
-    if isinstance(expr, Literal):
-        if isinstance(expr.value, str):
-            return MatchFailure("string literals in aggregate outputs")
-        return ConstRef(float(expr.value))
-    if isinstance(expr, ColumnRef):
-        column = bound.resolve(expr)
-        if column.key not in group_keys:
-            return MatchFailure(
-                f"column {column.key} in SELECT is not a GROUP BY key"
-            )
-        return GroupRef(column)
-    if isinstance(expr, AggregateCall):
-        # SUM is linear: SUM(x +- y) rewrites to SUM(x) +- SUM(y), which
-        # lets additive arguments (e.g. SSB's lo_revenue - lo_supplycost)
-        # run as two matmuls instead of falling back.
-        if (expr.func == "sum" and isinstance(expr.argument, BinaryOp)
-                and expr.argument.op in ("+", "-")):
-            left = _build_output_node(
-                AggregateCall(func="sum", argument=expr.argument.left),
-                bound, aggregates, group_keys,
-            )
-            if isinstance(left, MatchFailure):
-                return left
-            right = _build_output_node(
-                AggregateCall(func="sum", argument=expr.argument.right),
-                bound, aggregates, group_keys,
-            )
-            if isinstance(right, MatchFailure):
-                return right
-            return OutputOp(op=expr.argument.op, left=left, right=right)
-        spec = _decompose_aggregate(expr, bound)
-        if isinstance(spec, MatchFailure):
-            return spec
-        aggregates.append(spec)
-        return AggRef(len(aggregates) - 1)
-    if isinstance(expr, BinaryOp):
-        left = _build_output_node(expr.left, bound, aggregates, group_keys)
-        if isinstance(left, MatchFailure):
-            return left
-        right = _build_output_node(expr.right, bound, aggregates, group_keys)
-        if isinstance(right, MatchFailure):
-            return right
-        return OutputOp(op=expr.op, left=left, right=right)
-    return MatchFailure(f"unsupported select expression {expr}")
+def _product_specs(
+    call: AggregateCall, bound: BoundQuery
+) -> list[AggregateSpec] | MatchFailure:
+    """The product specs of one call: one, or one per linear SUM part."""
+    parts = sum_parts(call)
+    if parts is None:
+        spec = _decompose_aggregate(call, bound)
+        return spec if isinstance(spec, MatchFailure) else [spec]
+    specs: list[AggregateSpec] = []
+    for part in parts:
+        part_specs = _product_specs(part, bound)
+        if isinstance(part_specs, MatchFailure):
+            return part_specs
+        specs.extend(part_specs)
+    return specs
 
 
 def _decompose_aggregate(
     call: AggregateCall, bound: BoundQuery
 ) -> AggregateSpec | MatchFailure:
-    if call.func in ("min", "max"):
-        # Matrix multiply-accumulate cannot express MIN/MAX (Section 3.4).
-        return MatchFailure(f"{call.func.upper()} is beyond TCU expressiveness")
-    if call.func not in ("sum", "count", "avg"):
-        return MatchFailure(f"unsupported aggregate {call.func!r}")
     if call.argument is None:  # COUNT(*)
         return AggregateSpec(func="count", constant=1.0, factors=[])
     decomposed = _decompose_product(call.argument, bound)

@@ -10,8 +10,11 @@ operators that carry expressions, leaving everything else shared:
 
 * ``MaskApply`` / ``NonzeroExtract`` / ``GridAggregate`` / ``ValueFill``
   — residual/HAVING predicates (and fused epilogues) substituted and
-  re-folded; HAVING node maps re-keyed, with parameter-only operands
-  (skipped at template lowering) installed as folded ``ConstRef``s.
+  re-folded; parameter-only HAVING operands (skipped at template
+  lowering) fold to the literals the per-group evaluator reads.
+* ``GridAggregate`` / ``Decode`` — aggregate calls and select items go
+  through the same substitute+fold, so the finals a lifted
+  ``SUM(b * ?)`` keys are found under the substituted HAVING's call.
 * ``PhysicalStage`` — the hybrid pre-stage replans its logical tree
   from the execution bound (pure structural work, microseconds), so
   scan filters and residuals inside the tree are literal.
@@ -33,13 +36,12 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.engine.tcudb import ops
-from repro.engine.tcudb.patterns import ConstRef, OutputNode
 from repro.engine.tcudb.program import TensorProgram
 from repro.sql.ast_nodes import (
     Expr,
-    Literal,
     Parameter,
     Predicate,
+    SelectItem,
     fold_constants,
     walk_predicate_exprs,
 )
@@ -70,33 +72,6 @@ def _substitute_predicates(
     return [_substitute_predicate(p, values) for p in predicates]
 
 
-def _specialize_having_nodes(
-    nodes: dict[Expr, OutputNode],
-    predicates: list[Predicate],
-    values: dict[str, object],
-) -> dict[Expr, OutputNode]:
-    """Re-key a HAVING node map for substituted predicates.
-
-    Template keys are mapped through the same substitute+fold the
-    predicates went through (frozen AST nodes compare by value, so
-    parameter-free keys land on themselves).  Operands that were
-    parameter-only constants have no template entry — the substituted
-    literal gets a ``ConstRef`` here; string literals stay absent (the
-    predicate interpreter encodes them against the compared column's
-    dictionary).
-    """
-    specialized: dict[Expr, OutputNode] = {
-        _substitute_expr(key, values): node for key, node in nodes.items()
-    }
-    for predicate in predicates:
-        for expr in walk_predicate_exprs(predicate):
-            if expr in specialized:
-                continue
-            if isinstance(expr, Literal) and not isinstance(expr.value, str):
-                specialized[expr] = ConstRef(value=float(expr.value))
-    return specialized
-
-
 def _replace(op: ops.TensorOp, **changes) -> ops.TensorOp:
     """dataclasses.replace that preserves the out-of-band consumer_id
     annotation (set after construction, dropped by replace())."""
@@ -114,14 +89,9 @@ def _specialize_op(
     if isinstance(op, ops.MaskApply):
         if not any(map(_predicate_has_parameter, op.predicates)):
             return op
-        predicates = _substitute_predicates(op.predicates, values)
-        having_nodes = op.having_nodes
-        if having_nodes or op.role == "having":
-            having_nodes = _specialize_having_nodes(
-                op.having_nodes, predicates, values
-            )
-        return _replace(op, predicates=predicates,
-                        having_nodes=having_nodes)
+        return _replace(
+            op, predicates=_substitute_predicates(op.predicates, values)
+        )
     if isinstance(op, ops.ValueFill):
         needs_args = any(
             argument is not None and _expr_has_parameter(argument)
@@ -144,16 +114,26 @@ def _specialize_op(
             ),
         )
     if isinstance(op, ops.GridAggregate):
-        if not any(map(_predicate_has_parameter, op.epilogue_predicates)):
+        if not (any(map(_expr_has_parameter, op.calls))
+                or any(map(_predicate_has_parameter,
+                           op.epilogue_predicates))):
             return op
-        predicates = _substitute_predicates(op.epilogue_predicates, values)
         return _replace(
             op,
-            epilogue_predicates=predicates,
-            epilogue_nodes=_specialize_having_nodes(
-                op.epilogue_nodes, predicates, values
+            calls=[_substitute_expr(call, values) for call in op.calls],
+            epilogue_predicates=_substitute_predicates(
+                op.epilogue_predicates, values
             ),
         )
+    if isinstance(op, ops.Decode):
+        if not any(_expr_has_parameter(item.expr) for item in op.items):
+            return op
+        # The output keeps the template's name.
+        return _replace(op, items=[
+            SelectItem(_substitute_expr(item.expr, values),
+                       alias=item.output_name)
+            for item in op.items
+        ])
     if isinstance(op, ops.NonzeroExtract):
         if not any(map(_predicate_has_parameter, op.epilogue_predicates)):
             return op
@@ -164,8 +144,8 @@ def _specialize_op(
             ),
         )
     # TableSource reads its filters from the execution bound at run
-    # time; Gemm/IndicatorBuild/FoldJoin/Decode carry only column
-    # references and pre-resolved output nodes — nothing to substitute.
+    # time; Gemm/IndicatorBuild/FoldJoin carry only column references —
+    # nothing to substitute.
     return op
 
 

@@ -45,6 +45,12 @@ def assert_results_match(got, expected, rel: float = 1e-9, context: str = ""):
     )
 
 
+def column_dtypes(result) -> list:
+    """The result table's column types, in output order."""
+    table = result.require_table()
+    return [table.column(name).dtype for name in table.column_names]
+
+
 def scaled_key_catalog(catalog, key_columns: dict[str, set[str]],
                        factor: int = 10**9):
     """The catalog's tables with every named integer key column scaled by

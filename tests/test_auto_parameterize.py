@@ -9,6 +9,7 @@ Tier-1; also in the REPRO_WORKERS=2, REPRO_SHARDS=2 and chaos CI legs
 ``DistributedEngine`` never lift).
 """
 
+import gc
 import re
 import sys
 import threading
@@ -510,6 +511,58 @@ def test_stat_pruning_sees_the_bound_values(catalog):
     assert selective.seconds < everything.seconds
 
 
+LIFTED_HAVING = (
+    "select d.d_year, sum(lo.lo_revenue) from lineorder as lo, ddate as d "
+    "where lo.lo_orderdate = d.d_datekey group by d.d_year "
+    "having sum(lo.lo_revenue * {}) > {} and sum(lo.lo_revenue * {}) < {}")
+
+
+@pytest.mark.parametrize("values, calls", [
+    ((2, 2.5e7, 2, 2.9e7), 1),
+    ((2, 2.5e7, 3, 4.4e7), 2),
+], ids=["one-call", "two-calls"])
+def test_lifted_having_calls_find_their_substituted_finals(values, calls):
+    """HAVING's ``SUM(lo_revenue * ?)`` calls lift with its literals.
+    The template's two calls substitute to one call or to two, and the
+    harvest keys its finals by the substituted calls the substituted
+    HAVING reads — one-shot and prepared alike.  (The fuzz catalog:
+    five of its seven years pass both bounds.)"""
+    catalog = ssb_catalog(scale_factor=1, rows_per_sf=2000, seed=13)
+    engine = TCUDBEngine(catalog, program_cache=ProgramCache())
+    inlined = LIFTED_HAVING.format(*values)
+    expected = create_engine("reference", catalog).execute(inlined)
+    one_shot = engine.execute(inlined)
+    prepared = engine.execute_prepared(
+        engine.prepare(LIFTED_HAVING.format(*"????")), list(values))
+    assert one_shot.extra["statement"] == "auto-parameterized"
+    for got in (one_shot, prepared):
+        assert got.extra["executed_by"] == "TCU-hybrid"
+        substituted = re.findall(r"SUM\(\(lo\.lo_revenue \* \d+\)\)",
+                                 got.extra["program_listing"])
+        assert len(substituted) == 2 and len(set(substituted)) == calls
+        assert got.n_rows == expected.n_rows == 5
+        assert_results_match(got, expected, rel=TCU_REL, context=inlined)
+
+
+def test_prepared_select_items_read_the_substituted_finals(catalog,
+                                                          reference):
+    """Select items may carry parameters — inside an aggregate's
+    argument, or as the computed GROUP BY key they equal — and are
+    stamped with the values of the calls and keys they read."""
+    sql = ("select d.d_year % @m as y, sum(lo.lo_revenue * @w) as r "
+           "from lineorder as lo, ddate as d "
+           "where lo.lo_orderdate = d.d_datekey group by d.d_year % @m")
+    engine = TCUDBEngine(catalog, program_cache=ProgramCache())
+    statement = engine.prepare(sql)
+    for m, w in ((3, 2), (4, 5)):
+        got = engine.execute_prepared(statement, {"m": m, "w": w})
+        inlined = sql.replace("@m", str(m)).replace("@w", str(w))
+        assert got.extra["executed_by"] == "TCU-hybrid"
+        assert got.require_table().column_names == ["y", "r"]
+        assert_results_match(got, reference.execute(inlined), rel=TCU_REL,
+                             context=inlined)
+
+
 # --------------------------------------------------------------------- #
 # (d) Statements that outlive register(replace=True)
 # --------------------------------------------------------------------- #
@@ -648,9 +701,12 @@ def test_lazy_strings_are_the_eager_ones(catalog, monkeypatch):
 
 def test_a_held_result_keeps_no_operand_alive(catalog, monkeypatch):
     """Only the ``QueryResult`` is held: the run's context, its operand
-    build output and that output's arrays are gone, strings unread."""
+    build output, that output's arrays, the product grids and the
+    harvested finals are gone — by reference count, with no cyclic
+    collection — strings unread."""
     operands = []
     execute = ops.ValueFill.execute
+    harvest = ops.GridAggregate.execute
 
     def watched(self, ctx):
         value = execute(self, ctx)
@@ -659,10 +715,22 @@ def test_a_held_result_keeps_no_operand_alive(catalog, monkeypatch):
                          weakref.ref(ctx)])
         return value
 
+    def harvested(self, ctx):
+        groups = harvest(self, ctx)
+        operands.extend(weakref.ref(array) for array in (
+            *ctx.value(self.input).grids, *groups.finals.values()))
+        return groups
+
     monkeypatch.setattr(ops.ValueFill, "execute", watched)
-    result = TCUDBEngine(catalog, program_cache=ProgramCache()).execute(STAR)
-    assert len(operands) == 4
-    assert [ref() for ref in operands] == [None] * 4
+    monkeypatch.setattr(ops.GridAggregate, "execute", harvested)
+    gc.disable()
+    try:
+        result = TCUDBEngine(catalog,
+                             program_cache=ProgramCache()).execute(STAR)
+        assert len(operands) == 8
+        assert [ref() is None for ref in operands] == [True] * 8
+    finally:
+        gc.enable()
     assert "wmma" in result.extra["generated_code"].source
 
 

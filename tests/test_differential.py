@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from differential_utils import assert_results_match
+from differential_utils import assert_results_match, column_dtypes
 from repro.datasets.microbench import (
     QUERY_Q1,
     QUERY_Q3,
@@ -269,6 +269,16 @@ CORPUS = (
 )
 
 
+# Outputs typed by the oracle's rules, beyond the corpus the baseline
+# charges pin (test_engines_baseline): a literal select item of an
+# aggregate query is an INT64 column, not a float cast.
+TYPED_OUTPUTS = [
+    ("ssb", "literal_select_item",
+     "SELECT d_year, 7 AS k, SUM(lo_revenue) AS rev FROM lineorder, ddate "
+     "WHERE lo_orderdate = d_datekey GROUP BY d_year ORDER BY d_year;"),
+]
+
+
 def test_corpus_size():
     """The checklist demands a corpus of at least 50 queries."""
     assert len(CORPUS) >= 50
@@ -299,7 +309,8 @@ def engines(catalogs):
 
 
 @pytest.mark.parametrize(
-    "schema,name,sql", CORPUS, ids=[f"{s}:{n}" for s, n, _ in CORPUS]
+    "schema,name,sql", CORPUS + TYPED_OUTPUTS,
+    ids=[f"{s}:{n}" for s, n, _ in CORPUS + TYPED_OUTPUTS],
 )
 def test_engines_match_oracle(engines, schema, name, sql):
     oracle = engines[schema]["reference"].execute(sql)
@@ -307,6 +318,9 @@ def test_engines_match_oracle(engines, schema, name, sql):
     tcu = engines[schema]["tcudb"].execute(sql)
     assert_results_match(ydb, oracle, rel=EXACT_REL, context=f"{name} (YDB)")
     assert_results_match(tcu, oracle, rel=TCU_REL, context=f"{name} (TCUDB)")
+    expected = column_dtypes(oracle)
+    assert column_dtypes(ydb) == expected, f"{name} (YDB)"
+    assert column_dtypes(tcu) == expected, f"{name} (TCUDB)"
 
 
 def test_corpus_exercises_both_tcu_paths(engines):

@@ -100,10 +100,26 @@ class TestRewriteRules:
         assert not any(isinstance(op, BatchedGemm) for op in program.ops)
         assert any(type(op) is ops.Gemm for op in program.ops)
 
-    def test_having_fuses_into_grid_aggregate(self, catalog):
-        sql = ("SELECT SUM(a.val), b.g FROM a, b WHERE a.id = b.id "
+    # ``seconds``: the simulated charge under a forced DENSE plan.
+    # COUNT(*) in SELECT and HAVING is one call, hence one spec; COUNT
+    # specs multiply no grid, so the charge is the one a spec per
+    # occurrence (``count,count``) gave.
+    @pytest.mark.parametrize("items, funcs, seconds", [
+        ("SUM(a.val), b.g", "sum,count", "9.273279563369964e-05"),
+        ("COUNT(*), b.g", "count", "7.069279525274726e-05"),
+    ], ids=["sum", "repeated-count"])
+    def test_having_fuses_into_grid_aggregate(self, catalog, items, funcs,
+                                              seconds):
+        sql = (f"SELECT {items} FROM a, b WHERE a.id = b.id "
                "GROUP BY b.g HAVING COUNT(*) > 2")
         program = lowered_program(catalog, sql, fusion=True)
+        fill = next(op for op in program.ops
+                    if isinstance(op, ops.ValueFill))
+        assert ",".join(spec.func for spec in fill.specs) == funcs
+        run = TCUDBEngine(catalog, options=TCUDBOptions(
+            force_strategy=Strategy.DENSE)).execute(sql)
+        assert run.extra["executed_by"] == "TCU"
+        assert repr(run.seconds) == seconds
         kinds = op_kinds(program)
         assert "mask_apply" not in kinds
         harvest = next(op for op in program.ops

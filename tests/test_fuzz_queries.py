@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from differential_utils import assert_results_match
+from differential_utils import assert_results_match, column_dtypes
 from repro.common.rng import make_rng
 from repro.datasets.ssb import REGIONS, ssb_catalog
 from repro.engine import create_engine
@@ -397,6 +397,9 @@ def test_fuzzed_queries_match_oracle(fuzz_engines):
             assert_results_match(
                 tcu, oracle, rel=TCU_REL,
                 context=f"fuzz #{index}: {sql}",
+            )
+            assert column_dtypes(tcu) == column_dtypes(oracle), (
+                f"fuzz #{index}: column dtypes differ"
             )
         except AssertionError as error:
             failures.append(f"-- fuzz #{index}\n{sql}\n   {error}")

@@ -11,8 +11,9 @@ strings compared as strings):
 * literal-vs-literal conjuncts keep the mask at the environment's length;
 * IN-lists over integer columns read the shared presence table
   (``tensor.keys``); float, mixed and over-budget lists stay ``np.isin``;
-* the group-level call sites (``StreamGroupEval.having_mask``,
-  ``ops.having_mask``) go through the same interpreter.
+* the group-level call site, ``StreamGroupEval.having_mask``, serves
+  the oracle's HAVING and TCUDB's (``MaskApply`` and the fused epilogue)
+  through the same interpreter.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from differential_utils import (
 )
 from repro.datasets.microbench import microbench_catalog
 from repro.engine import ReferenceEngine, physical
-from repro.engine.tcudb import TCUDBEngine, ops
+from repro.engine.tcudb import TCUDBEngine
 from repro.sql import eval as sql_eval
 from repro.sql.ast_nodes import (
     AggregateCall,
@@ -312,20 +313,20 @@ def test_having_call_sites_share_the_interpreter(grouped, condition,
     catalog, sums = grouped
     expected = python_having(condition, sums)
     sql = HAVING_QUERIES[0].format(condition)
-    for module, make_engine in ((physical, ReferenceEngine),
-                                (ops, TCUDBEngine)):
+    for make_engine in (ReferenceEngine, TCUDBEngine):
         calls = []
 
         def counted(*args, _calls=calls):
             _calls.append(args[1])
             return sql_eval.predicate_mask(*args)
 
-        monkeypatch.setattr(module, "predicate_mask", counted)
+        monkeypatch.setattr(physical, "predicate_mask", counted)
         got = make_engine(catalog).execute(sql)
         monkeypatch.undo()
+        name = make_engine.__name__
         # Evaluated once per group, not once per joined row.
-        assert calls and set(calls) == {len(sums)}, module.__name__
+        assert calls and set(calls) == {len(sums)}, name
         if make_engine is TCUDBEngine:
             assert got.extra["executed_by"] == "TCU", condition
         assert_rows_match(result_rows(got), canonical_sorted(expected),
-                          rel=2e-3, context=f"{module.__name__}: {sql}")
+                          rel=2e-3, context=f"{name}: {sql}")
