@@ -3,7 +3,7 @@
 
 from repro.bench import run_chaos
 from repro.bench.exp_chaos import JOIN_AGG_SQL
-from repro.common.faults import FaultPlan, FaultRule, SITE_SHARD_EXECUTE, inject
+from repro.common.faults import FaultPlan, FaultRule, SITE_CACHE_GET, inject
 from repro.datasets.ssb import ssb_catalog
 from repro.serve import QueryServer
 
@@ -25,18 +25,12 @@ def test_chaos_resilience(print_series, benchmark, bench_profile, verifier):
 
     catalog = ssb_catalog(scale_factor=1,
                           rows_per_sf=bench_profile.chaos_rows, seed=47)
-    server = QueryServer(
-        catalog, engine="tcudb", shards=bench_profile.chaos_shards,
-        max_concurrent=2,
-        engine_kwargs={"fact": "lineorder",
-                       "partition_key": "lo_orderkey"},
-    )
+    server = QueryServer(catalog, engine="tcudb", max_concurrent=2)
     try:
         session = server.session()
         session.execute(JOIN_AGG_SQL)  # warm the program cache
         plan = FaultPlan(
-            [FaultRule(site=SITE_SHARD_EXECUTE, kind="transient",
-                       every=3)],
+            [FaultRule(site=SITE_CACHE_GET, kind="poison", every=3)],
             seed=1306,
         )
         with inject(plan):

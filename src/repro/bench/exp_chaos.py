@@ -1,8 +1,8 @@
 """Chaos experiment: injected fault rates vs serving resilience.
 
 Sweeps a deterministic :class:`~repro.common.faults.FaultPlan` over the
-fault-tolerant serving stack — transient shard errors, corrupted grid
-partials, and unavailable backends, each at a per-site probability
+fault-tolerant serving stack — poisoned cache entries, transient
+errors and unavailable backends, each at a per-site probability
 derived from the swept rate — and records, per rate:
 
 * **success-rate** — fraction of submitted queries that returned a
@@ -26,9 +26,8 @@ from repro.bench.scale import ScaleProfile
 from repro.bench.verify import OracleVerifier, result_rows, rows_match
 from repro.bench.verify import TCU_REL
 from repro.common.faults import (
-    SITE_GRID_ACCUMULATE,
+    SITE_CACHE_GET,
     SITE_SESSION_RUN,
-    SITE_SHARD_EXECUTE,
     FaultPlan,
     FaultRule,
     inject,
@@ -40,8 +39,8 @@ from repro.serve.server import QueryServer
 #: Chaos plan seed (pinned so bench failures replay exactly).
 CHAOS_SEED = 1306
 
-# One join+aggregate (the sharded grid-allreduce route) and one
-# filter+aggregate (the partial-rows route, with chunk pruning in play).
+# One join+aggregate (a GEMM grid) and one filter+aggregate (chunk
+# pruning in play).
 JOIN_AGG_SQL = """
     SELECT d_year, SUM(lo_revenue) AS rev, COUNT(*) AS orders
     FROM lineorder, ddate
@@ -54,12 +53,12 @@ SCAN_AGG_SQL = """
 
 
 def _plan_for(rate: float, index: int) -> FaultPlan:
-    """The deterministic fault mix for one swept rate: transient shard
-    errors at the full rate, corrupt grid partials at half, backend
-    unavailability (server-level) at a quarter — all recoverable."""
+    """The deterministic fault mix for one swept rate: poisoned cache
+    hits at the full rate, transient query errors at half, backend
+    unavailability at a quarter — all recoverable."""
     return FaultPlan([
-        FaultRule(site=SITE_SHARD_EXECUTE, kind="transient", p=rate),
-        FaultRule(site=SITE_GRID_ACCUMULATE, kind="corrupt", p=rate / 2),
+        FaultRule(site=SITE_CACHE_GET, kind="poison", p=rate),
+        FaultRule(site=SITE_SESSION_RUN, kind="transient", p=rate / 2),
         FaultRule(site=SITE_SESSION_RUN, kind="unavailable", p=rate / 4),
     ], seed=CHAOS_SEED + index)
 
@@ -80,7 +79,6 @@ def run_chaos(
     if rows is None:
         rows = profile.chaos_rows if profile else 12_000
     rates = list(profile.chaos_fault_rates if profile else (0.0, 0.1, 0.3))
-    shards = profile.chaos_shards if profile else 2
     queries = profile.chaos_queries if profile else 6
     reps = profile.chaos_reps if profile else 2
     result = ExperimentResult(
@@ -94,10 +92,7 @@ def run_chaos(
     workload = [JOIN_AGG_SQL, SCAN_AGG_SQL] * queries
     expected = {sql: result_rows(oracle.execute(sql)) for sql in set(workload)}
 
-    server = QueryServer(
-        catalog, engine="tcudb", shards=shards, max_concurrent=2,
-        engine_kwargs={"fact": "lineorder", "partition_key": "lo_orderkey"},
-    )
+    server = QueryServer(catalog, engine="tcudb", max_concurrent=2)
     try:
         session = server.session()
         with inject(None):  # warm the program cache fault-free
@@ -163,7 +158,7 @@ def run_chaos(
     finally:
         server.close()
     result.notes.append(
-        f"rows_per_sf={rows}, shards={shards}, "
+        f"rows_per_sf={rows}, "
         f"queries_per_rate={len(workload)}, repeats={reps}, "
         f"plan_seed={CHAOS_SEED}; host p99 is over each query's best of "
         f"{reps} runs on the same warmed server"

@@ -77,13 +77,12 @@ class ScaleProfile:
     # per-aggregate redundancy dominates the fixed query overhead).
     fusion_rows: int = 20_000
     fusion_reps: int = 3
-    # Chaos experiment: injected fault rates (probability per shard
-    # execution) swept against success rate and availability, SSB
-    # generator rows, shard count, queries per point and repeats per
-    # query (REAL mode; every point's answer oracle-verified).
+    # Chaos experiment: injected fault rates (probability per fault-site
+    # call) swept against success rate and availability, SSB generator
+    # rows, queries per point and repeats per query (REAL mode; every
+    # point's answer oracle-verified).
     chaos_fault_rates: tuple[float, ...] = (0.0, 0.1, 0.3)
     chaos_rows: int = 12_000
-    chaos_shards: int = 2
     chaos_queries: int = 6
     chaos_reps: int = 2
 
@@ -130,7 +129,6 @@ SMOKE = ScaleProfile(
     fusion_reps=3,
     chaos_fault_rates=(0.0, 0.2),
     chaos_rows=6_000,
-    chaos_shards=2,
     chaos_queries=4,
     chaos_reps=2,
 )

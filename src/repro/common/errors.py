@@ -11,20 +11,14 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all errors raised by this library.
 
-    Every subtype carries two class-level resilience flags the serving
-    layer keys recovery decisions on:
-
-    * ``retryable`` — the failure is transient infrastructure trouble
-      (a shard worker dying, a backend briefly unavailable, a corrupted
-      partial); re-running the same work may succeed, so retry budgets
-      and shard failover apply.
-    * ``degraded`` — the error was raised *after* a degradation attempt
-      (retries exhausted and the fallback ladder failed too); callers
-      should surface it rather than retry further.
+    Every subtype carries the class-level flag ``retryable`` the serving
+    layer keys recovery decisions on: the failure is transient
+    infrastructure trouble (a backend briefly unavailable, a poisoned
+    cache entry); re-running the same work may succeed, so the retry
+    budget applies.
     """
 
     retryable = False
-    degraded = False
 
 
 class ConfigError(ReproError):
@@ -112,15 +106,11 @@ class QueryCancelled(ExecutionError):
     deadline/budget expiry) and execution stopped cooperatively."""
 
 
-class TransientShardError(ExecutionError):
-    """A shard worker failed transiently (injected or real); re-running
-    the same shard partition may succeed."""
+class TransientError(ExecutionError):
+    """Execution failed transiently (injected or real); re-running the
+    same query may succeed."""
 
     retryable = True
-
-    def __init__(self, message: str, shard: int | None = None):
-        self.shard = shard
-        super().__init__(message)
 
 
 class BackendUnavailable(ExecutionError):
@@ -130,29 +120,11 @@ class BackendUnavailable(ExecutionError):
     retryable = True
 
 
-class CorruptPartialError(ExecutionError):
-    """A shard's grid partial failed its checksum; the partial must be
-    discarded and the shard re-executed."""
-
-    retryable = True
-
-    def __init__(self, message: str, shard: int | None = None):
-        self.shard = shard
-        super().__init__(message)
-
-
 class PoisonedTemplateError(ExecutionError):
     """A cached program template raised during specialization or
     execution; the entry is evicted and the query recompiled fresh."""
 
     retryable = True
-
-
-class ResilienceExhausted(ExecutionError):
-    """Retries and every rung of the degradation ladder failed; the
-    last underlying cause is attached as ``__cause__``."""
-
-    degraded = True
 
 
 class AdmissionError(ReproError):

@@ -1,26 +1,17 @@
 """Deterministic, seedable fault injection for resilience testing.
 
-The serving and distributed layers call :func:`fault_point` (and the
-array-corrupting sibling :func:`corrupt_array`) at a handful of *named
-sites*.  In normal operation these are no-ops.  When a
+The engine and the server call :func:`fault_point` at a handful of
+*named sites*.  In normal operation these are no-ops.  When a
 :class:`FaultPlan` is active — installed explicitly via :func:`inject`
 / :func:`set_fault_plan` or parsed from the ``REPRO_FAULTS``
 environment variable — each site consults the plan's rules and may
 raise a typed, *retryable* :class:`~repro.common.errors.ReproError`
-subtype (or, for ``corrupt``, perturb an array).  Every recovery path
-in the engine and server is therefore testable and CI-reproducible:
-the same plan string always injects the same faults at the same call
-counts.
+subtype.  Every recovery path in the engine and server is therefore
+testable and CI-reproducible: the same plan string always injects the
+same faults at the same call counts.
 
 Sites
 -----
-``shard.execute``
-    Around one shard's execution inside :class:`DistributedEngine`
-    fan-out.  ``transient`` faults here exercise per-shard retry and
-    failover.
-``grid.accumulate``
-    Where a shard's grid partial is merged.  ``corrupt`` rules perturb
-    the partial (checksums catch it; the shard is re-executed).
 ``cache.get``
     On a :class:`ProgramCache` hit.  ``poison`` rules make the cached
     template raise, exercising evict-and-recompile.
@@ -32,10 +23,10 @@ Plan syntax (``REPRO_FAULTS``)
 ------------------------------
 Semicolon-separated entries; the first may pin the seed::
 
-    REPRO_FAULTS="seed=1306;shard.execute:transient:every=3;session.run:unavailable:every=11"
+    REPRO_FAULTS="seed=1306;cache.get:poison:every=3;session.run:unavailable:every=11"
 
 Each rule is ``site:kind[:knob=value[,knob=value...]]`` with kinds
-``transient`` / ``unavailable`` / ``corrupt`` / ``poison`` and knobs:
+``transient`` / ``unavailable`` / ``poison`` and knobs:
 
 ``p=0.25``
     Fire with this probability (per-rule seeded RNG; deterministic for
@@ -65,26 +56,18 @@ from dataclasses import dataclass, field
 from repro.common.errors import (
     BackendUnavailable,
     ConfigError,
-    CorruptPartialError,
     PoisonedTemplateError,
-    TransientShardError,
+    TransientError,
 )
 
 #: The named injection sites.  ``fault_point`` validates against this so
 #: a typo'd site in a plan or a call site fails loudly.
-SITE_SHARD_EXECUTE = "shard.execute"
-SITE_GRID_ACCUMULATE = "grid.accumulate"
 SITE_CACHE_GET = "cache.get"
 SITE_SESSION_RUN = "session.run"
 
-SITES = frozenset({
-    SITE_SHARD_EXECUTE,
-    SITE_GRID_ACCUMULATE,
-    SITE_CACHE_GET,
-    SITE_SESSION_RUN,
-})
+SITES = frozenset({SITE_CACHE_GET, SITE_SESSION_RUN})
 
-KINDS = frozenset({"transient", "unavailable", "corrupt", "poison"})
+KINDS = frozenset({"transient", "unavailable", "poison"})
 
 #: Seed for plans that do not pin one (matches the repo-wide default).
 DEFAULT_FAULT_SEED = 20220612
@@ -319,10 +302,10 @@ def inject(plan: FaultPlan | None) -> Iterator[FaultPlan | None]:
 def suppress() -> Iterator[None]:
     """Disable injection on the *current thread* for the ``with`` body.
 
-    Coordinator-side recovery uses this: after retries exhaust, the
-    degradation rung re-executes work that must not be re-faulted
-    (otherwise an always-fire plan could never converge).  Thread-local
-    on purpose — sibling shard workers on other threads keep faulting.
+    The server's degradation rung uses this: after retries exhaust, it
+    re-executes work that must not be re-faulted (otherwise an
+    always-fire plan could never converge).  Thread-local on purpose —
+    queries on other threads keep faulting.
     """
     depth = getattr(_local, "suppressed", 0)
     _local.suppressed = depth + 1
@@ -336,12 +319,11 @@ def _suppressed() -> bool:
     return getattr(_local, "suppressed", 0) > 0
 
 
-def fault_point(site: str, shard: int | None = None) -> None:
+def fault_point(site: str) -> None:
     """Injection hook: raise per the active plan.
 
     No-op (a dict lookup and one branch) when no plan is active or the
-    current thread is inside :func:`suppress`.  ``corrupt`` rules are
-    *not* raised here — they act through :func:`corrupt_array`.
+    current thread is inside :func:`suppress`.
     """
     if site not in SITES:
         raise ConfigError(f"unknown fault site {site!r}")
@@ -352,47 +334,10 @@ def fault_point(site: str, shard: int | None = None) -> None:
         return
     for rule in plan.fired_rules(site):
         if rule.kind == "transient":
-            raise TransientShardError(
-                f"injected transient fault at {site}"
-                + (f" (shard {shard})" if shard is not None else ""),
-                shard=shard)
+            raise TransientError(f"injected transient fault at {site}")
         elif rule.kind == "unavailable":
             raise BackendUnavailable(
                 f"injected backend-unavailable fault at {site}")
         elif rule.kind == "poison":
             raise PoisonedTemplateError(
                 f"injected template poison at {site}")
-        # "corrupt" rules are consumed by corrupt_array at this site.
-
-
-def corrupt_array(site: str, array, shard: int | None = None):
-    """Return *array*, or a silently perturbed copy if a ``corrupt``
-    rule fires at *site*.
-
-    The caller is expected to have captured a checksum of the honest
-    value beforehand; downstream verification then detects the
-    perturbation and raises :class:`CorruptPartialError` — the full
-    corruption→detection→re-execution path, end to end.
-    """
-    if _suppressed():
-        return array
-    plan = active_plan()
-    if plan is None:
-        return array
-    for rule in plan.fired_rules(site):
-        if rule.kind != "corrupt":
-            continue
-        corrupted = array.copy()
-        flat = corrupted.reshape(-1)
-        if flat.size:
-            flat[0] = flat[0] + 1e9
-        return corrupted
-    return array
-
-
-def checksum_mismatch(site: str, shard: int | None = None) -> None:
-    """Raise the typed error for a detected corrupt partial."""
-    raise CorruptPartialError(
-        f"grid partial failed checksum verification at {site}"
-        + (f" (shard {shard})" if shard is not None else ""),
-        shard=shard)

@@ -11,14 +11,12 @@ and tools can instantiate engines uniformly::
 from repro.engine.base import Engine, ExecutionMode, QueryResult
 from repro.engine.monetdb import MonetDBEngine
 from repro.engine.reference import ReferenceEngine
-from repro.engine.tcudb.distributed import DistributedEngine
 from repro.engine.tcudb.engine import TCUDBEngine
 from repro.engine.ydb import YDBEngine
 from repro.storage.catalog import Catalog
 
 ENGINE_REGISTRY: dict[str, type[Engine]] = {
     "tcudb": TCUDBEngine,
-    "tcudb-dist": DistributedEngine,
     "ydb": YDBEngine,
     "monetdb": MonetDBEngine,
     "reference": ReferenceEngine,
@@ -42,7 +40,6 @@ def create_engine(name: str, catalog: Catalog, **kwargs) -> Engine:
 
 __all__ = [
     "ENGINE_REGISTRY",
-    "DistributedEngine",
     "Engine",
     "ExecutionMode",
     "MonetDBEngine",

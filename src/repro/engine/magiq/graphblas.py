@@ -65,14 +65,6 @@ class GraphBLAS:
         value = matrix.matvec(np.ones(matrix.shape[1]))
         return GrBResult(value, self._charge(matrix.nnz, matrix.shape[0]))
 
-    def reduce_vector(self, vector: np.ndarray) -> GrBResult:
-        value = np.array([float(np.sum(vector))])
-        return GrBResult(value, self._charge(0, vector.size))
-
-    def ewise_mult(self, u: np.ndarray, v: np.ndarray) -> GrBResult:
-        value = u * v
-        return GrBResult(value, self._charge(0, u.size))
-
     def ewise_div(self, u: np.ndarray, v: np.ndarray) -> GrBResult:
         safe = np.where(v != 0, v, 1.0)
         value = np.where(v != 0, u / safe, 0.0)

@@ -120,9 +120,8 @@ def parallel_map(
     stream early cancels the items not yet started and re-raises (the
     failing item's exception on its yield).  The token is only read,
     never written: whether a failure ends the query is the caller's
-    call — the shard fan-out re-runs a failed query single-node under
-    the same token.  ``workers <= 1`` degenerates to a plain ordered
-    map with no pool.
+    call.  ``workers <= 1`` degenerates to a plain ordered map with no
+    pool.
     """
     if token is not None:
         token.raise_if_cancelled()
@@ -171,7 +170,7 @@ class RetryPolicy:
 
     ``max_attempts`` counts the first try: 3 means one try plus two
     retries.  Jitter is derived from ``(seed, key, attempt)`` by a
-    splitmix-style hash rather than a shared RNG, so concurrent shard
+    splitmix-style hash rather than a shared RNG, so concurrent query
     retries never perturb each other's schedules and a failing run
     replays with identical sleeps.
     """

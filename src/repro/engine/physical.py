@@ -707,10 +707,9 @@ class StreamAggregator:
     A partial is one row per group: the group's key values, its row
     count and, per call, one reduced value (SUM/AVG: the sum, MIN/MAX:
     the min/max; COUNT reads the row count).  :meth:`consume` reduces a
-    chunk to its partials and hands them to :meth:`add_partial`, which
-    a caller holding partials reduced elsewhere (a shard's aggregate)
-    feeds directly.  ``finalize`` merges the partials with one global
-    re-group: sums and counts add, min/max fold, AVG is Σsum/Σcount.
+    chunk to its partials and hands them to :meth:`add_partial`.
+    ``finalize`` merges the partials with one global re-group: sums and
+    counts add, min/max fold, AVG is Σsum/Σcount.
     Memory is bounded by the number of *distinct groups seen*, never by
     the input row count.
     """

@@ -29,10 +29,6 @@ from repro.engine.tcudb.driver import (
     TCUDriver,
     build_coo_operands,
 )
-from repro.engine.tcudb.distributed import (
-    STAGE_SHARD_MERGE,
-    DistributedEngine,
-)
 from repro.engine.tcudb.engine import TCUDBEngine, TCUDBOptions
 from repro.engine.tcudb.fuse import fuse_program
 from repro.engine.tcudb.feasibility import (
@@ -71,7 +67,6 @@ __all__ = [
     "AggregateSpec",
     "BatchedGemm",
     "CompositeKey",
-    "DistributedEngine",
     "FallbackRequired",
     "FeasibilityReport",
     "GeneratedProgram",
@@ -88,7 +83,6 @@ __all__ = [
     "PreparedAggSide",
     "PreparedJoin",
     "ProgramContext",
-    "STAGE_SHARD_MERGE",
     "SideMatrix",
     "Strategy",
     "TCUDBEngine",

@@ -274,26 +274,6 @@ def estimate_fold_chain(host: HostProfile, device: GPUDevice,
     )
 
 
-def estimate_shard_merge(device: GPUDevice, grid_cells: int,
-                         n_shards: int, n_grids: int = 1) -> float:
-    """Allreduce-style merge of per-shard aggregation grids.
-
-    Models the ring-allreduce traffic of data-parallel TQP: every shard
-    ships its full fp32 grid across the interconnect (grid bytes x shard
-    count over the PCIe/NVLink-class bandwidth of the device profile)
-    and the destination folds it in with one add pass per incoming grid.
-    Single-shard execution merges nothing and costs nothing.
-    """
-    if n_shards <= 1:
-        return 0.0
-    grid_bytes = float(max(grid_cells, 1)) * 4.0 * max(n_grids, 1)
-    transfer = grid_bytes * n_shards / device.profile.pcie_bandwidth
-    fold = device.cuda.gather_seconds(
-        max(grid_cells, 1) * max(n_grids, 1) * (n_shards - 1)
-    )
-    return transfer + fold
-
-
 def estimate_physical_stage(host: HostProfile, input_rows: int,
                             output_rows: int, n_joins: int) -> float:
     """Host cost of a hybrid ``PhysicalStage`` pre-join: hash passes over

@@ -81,13 +81,6 @@ class TCUDBOptions:
     # pre-stages).  ``None`` defers to the REPRO_WORKERS policy; 1 is
     # strictly sequential.  Parallel output is bit-identical.
     workers: int | None = None
-    # Cache namespace: distinguishes engines that share one ProgramCache
-    # but compile against different catalogs (e.g. the per-shard engines
-    # of a DistributedEngine).  Without it, shard engines would share a
-    # cache key while their catalog fingerprints differ, so every shard
-    # execution would evict the previous shard's entry (the fingerprint
-    # guard treats a mismatch as stale) and the cache would thrash.
-    cache_namespace: str = ""
     # Tensor backend for the kernel primitives: "sim" (the simulated
     # unit, the reference oracle) or "fast" (optimized NumPy/BLAS).
     # ``None`` defers to the REPRO_BACKEND policy;
@@ -283,7 +276,6 @@ class TCUDBEngine(Engine):
             options.force_cpu_transform,
             options.fusion,
             options.chunk_rows,
-            options.cache_namespace,
             self.driver.backend.name,
         )
 

@@ -72,6 +72,3 @@ class DeviceMemory:
         self._live.clear()
         self._used = 0
         self._peak = 0
-
-    def live_allocations(self) -> list[Allocation]:
-        return list(self._live)

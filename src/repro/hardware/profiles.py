@@ -16,7 +16,7 @@ records the residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
 from repro.tensor.precision import Precision
@@ -64,18 +64,6 @@ class DeviceProfile:
         if multiplier is None:
             raise ConfigError(f"TCUs do not support precision {precision}")
         return self.tcu_tflops_fp16 * multiplier
-
-    def scaled_vector_costs(self, factor: float) -> "DeviceProfile":
-        """A profile with all vector-unit costs multiplied by ``factor``."""
-        return replace(
-            self,
-            hash_row_s=self.hash_row_s * factor,
-            join_pair_s=self.join_pair_s * factor,
-            agg_pair_s=self.agg_pair_s * factor,
-            accum_pair_s=self.accum_pair_s * factor,
-            gather_elem_s=self.gather_elem_s * factor,
-            fill_elem_s=self.fill_elem_s * factor,
-        )
 
 
 @dataclass(frozen=True)

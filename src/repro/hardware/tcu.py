@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.common.errors import PrecisionError
 from repro.tensor.precision import (
-    FP16_MAX,
     INT32_MAX,
     INTEGER_WINDOW,
     Precision,
@@ -158,10 +157,3 @@ class TensorCoreUnit:
         if product.size and max(product.max(), -product.min()) > INT32_MAX:
             raise PrecisionError("int32 accumulator overflow in TCU matmul")
         return product
-
-    @staticmethod
-    def representable_fp16(values: np.ndarray) -> bool:
-        """Whether all values fit fp16's finite range without scaling."""
-        if values.size == 0:
-            return True
-        return bool(np.max(np.abs(values)) <= FP16_MAX)

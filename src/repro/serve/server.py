@@ -74,7 +74,6 @@ from repro.engine.parallel import (
 )
 from repro.sql.prepared import PreparedStatement
 from repro.storage.catalog import Catalog
-from repro.storage.shard import ShardedCatalog, shards_policy
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ class QueryBudget:
     checked when the result materializes, so an aggregate over billions
     of input rows with a three-row answer passes a small budget.
     ``max_retries`` is the server-level retry budget: how many times a
-    *retryable* failure (transient shard error, unavailable backend) may
+    *retryable* failure (transient error, unavailable backend) may
     be re-run before the query degrades to the reference fallback.
     """
 
@@ -252,16 +251,6 @@ class QueryServer:
     tickets; ``workers`` is forwarded to every engine so each query's
     chunk loops fan out morsel-parallel (total thread pressure is then
     ``max_concurrent * workers`` — size accordingly).
-
-    ``shards`` turns on scale-out serving: the catalog is partitioned
-    ONCE at server construction (one :class:`ShardedCatalog` shared by
-    every session) and TCUDB sessions execute through the distributed
-    engine's allreduce merge instead of a single node.  The default
-    (``None``) resolves through :func:`~repro.storage.shard.shards_policy`
-    — an explicit count, else the ``REPRO_SHARDS`` environment knob,
-    else 1 (single-node serving, unchanged).  The shared ProgramCache
-    stays correct because distributed engines namespace their per-shard
-    cache entries (see ``TCUDBOptions.cache_namespace``).
     """
 
     def __init__(
@@ -271,7 +260,6 @@ class QueryServer:
         max_concurrent: int = 2,
         max_queued: int = 8,
         workers: int | None = None,
-        shards: int | None = None,
         default_budget: QueryBudget | None = None,
         engine_kwargs: dict | None = None,
         program_cache: ProgramCache | None = None,
@@ -291,19 +279,6 @@ class QueryServer:
         self.workers = workers_policy(workers)
         self.default_budget = default_budget or QueryBudget()
         self.engine_kwargs = dict(engine_kwargs or {})
-        self.shards = shards_policy(shards)
-        # Partition once, share with every session: shard tables are
-        # immutable views over the base arrays, so this is one take()
-        # per shard up front instead of one per session engine.
-        self.sharded: ShardedCatalog | None = None
-        if self.shards > 1 and engine.lower() in ("tcudb", "tcudb-dist"):
-            self.sharded = ShardedCatalog.partition(
-                catalog,
-                shards=self.shards,
-                fact=self.engine_kwargs.pop("fact", None),
-                policy=self.engine_kwargs.pop("partition_policy", "hash"),
-                key=self.engine_kwargs.pop("partition_key", None),
-            )
         # One program cache for the whole server: lowering is memoized
         # across sessions (the cache is internally locked; cached
         # programs are stateless templates, so sharing is safe).
@@ -505,11 +480,7 @@ class QueryServer:
                 )
             if resilience:
                 resilience.setdefault("route", "primary")
-                existing = result.extra.get("resilience")
-                if existing is not None:
-                    existing["server"] = resilience
-                else:
-                    result.extra["resilience"] = resilience
+                result.extra["resilience"] = resilience
             result.extra["host_seconds"] = time.perf_counter() - started
             result.extra["session"] = session.session_id
         except BaseException as error:  # resolve, never kill the worker
@@ -648,7 +619,7 @@ class Session:
             if self._engine_instance is None:
                 kwargs = dict(self.server.engine_kwargs)
                 name = self.server.engine_name
-                if name.lower() in ("tcudb", "tcudb-dist"):
+                if name.lower() == "tcudb":
                     from repro.engine.tcudb.engine import TCUDBOptions
 
                     options = kwargs.pop("options", None) or TCUDBOptions()
@@ -656,18 +627,6 @@ class Session:
                     kwargs["options"] = options
                     kwargs.setdefault("program_cache",
                                       self.server.program_cache)
-                    if self.server.sharded is not None:
-                        # Scale-out serving: every session executes
-                        # through the distributed engine over the one
-                        # server-wide partition.
-                        from repro.engine.tcudb.distributed import (
-                            DistributedEngine,
-                        )
-
-                        self._engine_instance = DistributedEngine(
-                            self.server.sharded, **kwargs
-                        )
-                        return self._engine_instance
                 else:
                     import inspect
 

@@ -10,12 +10,6 @@ from repro.storage.chunk import (
 from repro.storage.column import Column
 from repro.storage.csv_io import read_csv, write_csv
 from repro.storage.dictionary import StringDictionary
-from repro.storage.shard import (
-    MAX_SHARDS,
-    PARTITION_POLICIES,
-    ShardedCatalog,
-    shards_policy,
-)
 from repro.storage.statistics import (
     ColumnStats,
     compute_stats,
@@ -34,12 +28,8 @@ __all__ = [
     "Column",
     "ColumnStats",
     "DataType",
-    "MAX_SHARDS",
-    "PARTITION_POLICIES",
-    "ShardedCatalog",
     "StringDictionary",
     "Table",
-    "shards_policy",
     "chunk_rows_policy",
     "common_numeric_type",
     "compute_stats",

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.storage.column import Column
 from repro.storage.types import DataType
-from repro.tensor.precision import ValueRange
 
 
 #: Float statistics are exact only inside (-2**53, 2**53).
@@ -49,16 +48,6 @@ class ColumnStats(_PruningBounds):
     max_value: float
     n_distinct: int
     n_rows: int
-
-    @property
-    def value_range(self) -> ValueRange:
-        return ValueRange(self.min_value, self.max_value)
-
-    @property
-    def density_as_key(self) -> float:
-        """Density of the indicator matrix keyed on this column: each row
-        contributes one nonzero across ``n_distinct`` key columns."""
-        return 1.0 / self.n_distinct if self.n_distinct else 0.0
 
 
 @dataclass(frozen=True)

@@ -125,9 +125,6 @@ class Table:
             raise SchemaError("rename would collapse columns")
         return Table(self.name, columns)
 
-    def with_name(self, name: str) -> "Table":
-        return Table(name, self._columns)
-
     def filter(self, mask: np.ndarray) -> "Table":
         return Table(
             self.name,

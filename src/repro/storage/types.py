@@ -34,10 +34,6 @@ class DataType(enum.Enum):
     def is_numeric(self) -> bool:
         return self in (DataType.INT64, DataType.FLOAT64)
 
-    @property
-    def bytes_per_value(self) -> int:
-        return 8
-
 
 def infer_type(values) -> DataType:
     """Infer a logical type from a Python/numpy sequence."""

@@ -26,7 +26,7 @@ implementations:
   integer-precision products are the simulator's own
   (:func:`~repro.tensor.precision.exact_integer_matmul`).
 
-Selection mirrors ``workers_policy``/``shards_policy``: an explicit
+Selection mirrors ``workers_policy``: an explicit
 ``TCUDBOptions.backend`` wins, then the ``REPRO_BACKEND`` environment
 knob, then ``"sim"``.  Unknown names raise :class:`ConfigError`.
 

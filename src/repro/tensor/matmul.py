@@ -17,7 +17,6 @@ Each kernel returns ``(result, seconds)``; analytic variants
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,8 +223,3 @@ def matrix_bytes(m: int, n: int, precision: Precision) -> float:
 
 def gemm_flops(m: int, n: int, k: int) -> float:
     return 2.0 * m * n * k
-
-
-def required_tile_grid(m: int, n: int) -> int:
-    """Number of 16x16 tiles covering an m x n matrix."""
-    return math.ceil(m / TILE) * math.ceil(n / TILE)

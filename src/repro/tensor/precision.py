@@ -60,10 +60,6 @@ class Precision(enum.Enum):
         }[self]
 
     @property
-    def is_tcu_compatible(self) -> bool:
-        return self in (Precision.FP16, Precision.INT8, Precision.INT4)
-
-    @property
     def is_integer(self) -> bool:
         return self in (Precision.INT8, Precision.INT4)
 

@@ -19,7 +19,7 @@ from repro.bench.verify import (  # noqa: F401  (re-exported for suites)
     rows_match,
 )
 from repro.engine.cache import ProgramCache
-from repro.engine.tcudb import DistributedEngine, TCUDBEngine, TCUDBOptions
+from repro.engine.tcudb import TCUDBEngine, TCUDBOptions
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.table import Table
@@ -70,9 +70,9 @@ def scaled_key_catalog(catalog, key_columns: dict[str, set[str]],
     return scaled
 
 
-def engine_variants(catalog, fact, monkeypatch, cached=False):
+def engine_variants(catalog, cached=False):
     """``(name, engine)`` along the axes the cost model is blind to:
-    backend, fusion, workers, chunk size, and two shards of ``fact``.
+    backend, fusion, workers and chunk size.
     ``cached`` attaches a fresh :class:`ProgramCache` to each engine, so
     raw SQL takes the auto-parameterized, memoized path."""
     def cache():
@@ -87,10 +87,3 @@ def engine_variants(catalog, fact, monkeypatch, cached=False):
     yield "unfused", engine(fusion=False)
     yield "workers=2", engine(workers=2)
     yield "chunk_rows=16", engine(chunk_rows=16)
-    monkeypatch.setenv("REPRO_SHARDS", "2")
-    # Round-robin: a hash of the scaled keys would move rows between
-    # shards and with them the per-shard operator sizes.
-    yield "REPRO_SHARDS=2", DistributedEngine(
-        catalog, fact=fact, partition_policy="round_robin",
-        program_cache=cache())
-    monkeypatch.delenv("REPRO_SHARDS")

@@ -4,9 +4,8 @@ lifted ≡ inlined ≡ Reference along every ``engine_variants`` cell,
 statements that outlive ``register(replace=True)``, and the report
 strings that render on first read.
 
-Tier-1; also in the REPRO_WORKERS=2, REPRO_SHARDS=2 and chaos CI legs
-(the memo is shared state under the pool; the shard engines of a
-``DistributedEngine`` never lift).
+Tier-1; also in the REPRO_WORKERS=2 and chaos CI legs (the memo is
+shared state under the pool).
 """
 
 import gc
@@ -46,7 +45,6 @@ from repro.engine import create_engine  # noqa: E402
 from repro.engine.base import Deferred  # noqa: E402
 from repro.engine.cache import ProgramCache  # noqa: E402
 from repro.engine.tcudb import (  # noqa: E402
-    DistributedEngine,
     TCUDBEngine,
     TCUDBOptions,
     ops,
@@ -364,8 +362,7 @@ def test_two_sessions_one_shape_different_literals(catalog, reference):
     their own rows, from one compilation."""
     years = (1993, 1996)
     expected = {year: reference.execute(YEARLY.format(year)) for year in years}
-    with QueryServer(catalog, max_concurrent=4, workers=1,
-                     shards=1) as server:
+    with QueryServer(catalog, max_concurrent=4, workers=1) as server:
         server.session().execute(YEARLY.format(1992), timeout=60)  # compile
         results, errors = {year: [] for year in years}, []
         barrier = threading.Barrier(len(years))
@@ -396,22 +393,6 @@ def test_two_sessions_one_shape_different_literals(catalog, reference):
     assert (stats["statement_hits"], stats["hits"]) == (12, 12)
 
 
-def test_sharded_serving_never_lifts(catalog, reference):
-    """``DistributedEngine`` keeps ``Engine.execute``: its coordinator
-    and shard engines compile from bound queries under their own cache
-    namespaces, and the memo stays empty."""
-    with QueryServer(catalog, shards=2, workers=1) as server:
-        session = server.session()
-        for year in (1993, 1996, 1993):
-            got = session.execute(YEARLY.format(year), timeout=60)
-            assert_results_match(
-                got, reference.execute(YEARLY.format(year)), rel=TCU_REL,
-                context=f"sharded d_year >= {year}")
-            assert "statement" not in got.extra
-        stats = server.cache_stats()
-    assert stats["statement_misses"] == stats["statement_hits"] == 0
-
-
 # --------------------------------------------------------------------- #
 # (c) Same answers, same model: lifted ≡ inlined ≡ Reference
 # --------------------------------------------------------------------- #
@@ -435,7 +416,7 @@ def observed(result):
 
 
 def test_lifted_matches_inlined_and_reference_in_every_cell(
-        catalog, reference, monkeypatch):
+        catalog, reference):
     # The seed only keeps the suite quick: none of these shapes is a
     # half-second join projection.  They run natively, hybrid and by
     # fallback alike.
@@ -443,9 +424,8 @@ def test_lifted_matches_inlined_and_reference_in_every_cell(
     texts = [respelled(sql, shift) for sql in shapes for shift in (0, 1, 7)]
     oracle = {text: reference.execute(text) for text in texts}
     failures, routes = [], set()
-    cells = zip(engine_variants(catalog, "lineorder", monkeypatch),
-                engine_variants(catalog, "lineorder", monkeypatch,
-                                cached=True))
+    cells = zip(engine_variants(catalog),
+                engine_variants(catalog, cached=True))
     for (cell, inlined), (_, lifted) in cells:
         expected = {text: observed(inlined.execute(text)) for text in texts}
         # Two of three spellings are served by a statement and a
@@ -459,14 +439,11 @@ def test_lifted_matches_inlined_and_reference_in_every_cell(
             assert_results_match(got, oracle[text], rel=TCU_REL,
                                  context=context)
         stats = lifted.program_cache.stats()
-        if isinstance(lifted, DistributedEngine):
-            assert stats["statement_misses"] == 0, cell
-        else:
-            assert stats["statement_misses"] <= len(shapes), cell
-            assert stats["statement_hits"] == 2 * len(shapes), cell
-            assert stats["misses"] == stats["entries"] <= len(shapes), cell
+        assert stats["statement_misses"] <= len(shapes), cell
+        assert stats["statement_hits"] == 2 * len(shapes), cell
+        assert stats["misses"] == stats["entries"] <= len(shapes), cell
     assert not failures, "\n".join(failures[:5])
-    assert routes >= {"TCU", "TCU-hybrid", "YDB-fallback", "TCU-dist"}
+    assert routes >= {"TCU", "TCU-hybrid", "YDB-fallback"}
 
 
 def test_prepared_third_arm_of_the_bugfix_pins():
@@ -569,8 +546,7 @@ def test_prepared_select_items_read_the_substituted_finals(catalog,
 
 
 @pytest.mark.parametrize("engine_name, cached", [
-    ("tcudb", True), ("tcudb", False), ("tcudb-dist", True),
-    ("ydb", False), ("reference", False),
+    ("tcudb", True), ("tcudb", False), ("ydb", False), ("reference", False),
 ])
 def test_every_path_answers_from_the_replaced_table(engine_name, cached):
     """A bound statement holds ``Table`` objects: after a table is
@@ -578,16 +554,12 @@ def test_every_path_answers_from_the_replaced_table(engine_name, cached):
     shape under a new literal all read the new table."""
     catalog = ssb_catalog(scale_factor=1, rows_per_sf=1000, seed=5)
     kwargs = {"program_cache": ProgramCache()} if cached else {}
-    if engine_name == "tcudb-dist":
-        kwargs.update(shards=2, fact="lineorder")
     engine = create_engine(engine_name, catalog, **kwargs)
     held = engine.prepare(YEARLY.format("?"))
     before = engine.execute_prepared(held, [1992])
     engine.execute(YEARLY.format(1992))
     other = ssb_catalog(scale_factor=1, rows_per_sf=1000, seed=6)
     catalog.register(other.get("lineorder"), replace=True)
-    if engine_name == "tcudb-dist":  # partitions are taken at construction
-        engine = create_engine(engine_name, catalog, **kwargs)
     oracle = create_engine("reference", catalog)
     expected = oracle.execute(YEARLY.format(1992))
     assert expected.require_table().rows() != before.require_table().rows()
@@ -731,17 +703,6 @@ def test_a_held_result_keeps_no_operand_alive(catalog, monkeypatch):
         assert [ref() is None for ref in operands] == [True] * 8
     finally:
         gc.enable()
-    assert "wmma" in result.extra["generated_code"].source
-
-
-def test_distributed_appends_its_merge_note(catalog):
-    engine = DistributedEngine(catalog, shards=2, fact="lineorder")
-    result = engine.execute(STAR)
-    assert result.extra["executed_by"] == "TCU-dist"
-    for text in (result.plan_description, result.extra["program_listing"]):
-        assert type(text) is str
-        assert text.startswith("TensorProgram[")
-        assert "note: allreduce merge over 2 shards" in text.splitlines()[-1]
     assert "wmma" in result.extra["generated_code"].source
 
 

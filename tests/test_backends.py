@@ -13,8 +13,8 @@ Three layers of coverage for :mod:`repro.tensor.backend`:
   entries;
 * **differential fuzz** — 50+ generated queries (reusing the seeded SSB
   generator) run under the fast backend across the native, hybrid and
-  fallback routes plus the distributed engine, and must match both the
-  sim backend and the reference oracle within the TCU tolerance.
+  fallback routes, and must match both the sim backend and the
+  reference oracle within the TCU tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.common.rng import make_rng
 from repro.datasets.ssb import ssb_catalog
 from repro.engine.base import ExecutionMode
 from repro.engine.reference import ReferenceEngine
-from repro.engine.tcudb import DistributedEngine, TCUDBEngine, TCUDBOptions
+from repro.engine.tcudb import TCUDBEngine, TCUDBOptions
 from repro.hardware.gpu import GPUDevice
 from repro.tensor.backend import (
     BACKENDS,
@@ -362,38 +362,4 @@ def test_fuzzed_queries_agree_across_backends(fuzz_catalog):
             + "\n".join(failures[:10])
         )
     assert routes == {"native", "hybrid", "fallback"}, routes
-
-
-DISTRIBUTED_SQL = (
-    """SELECT d_year, SUM(lo_revenue) AS rev, COUNT(*) AS orders
-       FROM lineorder, ddate WHERE lo_orderdate = d_datekey
-       GROUP BY d_year;""",
-    """SELECT s_region, SUM(lo_revenue) AS rev
-       FROM lineorder, supplier WHERE lo_suppkey = s_suppkey
-       GROUP BY s_region;""",
-    """SELECT SUM(lo_extendedprice * lo_discount) AS revenue
-       FROM lineorder WHERE lo_discount BETWEEN 1 AND 3;""",
-)
-
-
-def test_distributed_route_matches_across_backends(fuzz_catalog):
-    """The fast backend threads through sharded execution unchanged."""
-    oracle = ReferenceEngine(fuzz_catalog)
-    engines = {
-        name: DistributedEngine(
-            fuzz_catalog, shards=2, fact="lineorder",
-            partition_key="lo_orderkey", mode=ExecutionMode.REAL,
-            options=TCUDBOptions(backend=name),
-        )
-        for name in ("sim", "fast")
-    }
-    for sql in DISTRIBUTED_SQL:
-        expected = oracle.execute(sql)
-        sim_run = engines["sim"].execute(sql)
-        fast_run = engines["fast"].execute(sql)
-        assert_results_match(fast_run, expected, rel=TCU_REL,
-                             context=f"distributed fast vs oracle: {sql}")
-        assert_results_match(fast_run, sim_run, rel=TCU_REL,
-                             context=f"distributed fast vs sim: {sql}")
-        assert fast_run.seconds == sim_run.seconds
 

@@ -43,7 +43,7 @@ def rule_catalog(g=16, k=64, seed=29) -> Catalog:
     """``fact`` occupies every (grp, fk) cell; ``dim``'s (c1, c2)
     composite misses (1, 1) while its (c1, c3) composite is complete;
     ``tag`` folds a multiplicity of 2 or 3 into every fact row.  Large
-    enough that the TCU plan wins on cost, sharded too."""
+    enough that the TCU plan wins on cost."""
     rng = np.random.default_rng(seed)
     grp, fk = np.divmod(np.arange(g * k), k)
     ids = np.arange(k)
@@ -201,13 +201,11 @@ def test_count_slot_runs_only_when_read_or_presence_is_unproven(
 @pytest.mark.parametrize("name", ["a: composite misses a combination",
                                   "a: composite complete",
                                   "d: fold-weighted SUM"])
-def test_every_engine_variant_agrees(name, monkeypatch):
-    """Shards decide per shard (a round-robin shard of the fact side is
-    rarely full); the merge ORs their presence into the union cells."""
+def test_every_engine_variant_agrees(name):
     sql = RULE_QUERIES[name][0]
     catalog = rule_catalog()
     expected = ReferenceEngine(catalog).execute(sql)
-    for variant, engine in engine_variants(catalog, "fact", monkeypatch):
+    for variant, engine in engine_variants(catalog):
         got = engine.execute(sql)
         assert not got.extra.get("fallback_reason"), variant
         assert_results_match(got, expected, rel=TCU_REL,

@@ -186,8 +186,7 @@ def exact_key_path(monkeypatch):
     return force
 
 
-def test_forced_exact_key_joins_equal_the_oracle(exact_key_path,
-                                                 monkeypatch):
+def test_forced_exact_key_joins_equal_the_oracle(exact_key_path):
     catalog = blocking_catalog()
     oracle = ReferenceEngine(catalog)
     expected = {name: oracle.execute(sql) for name, sql in QUERIES.items()}
@@ -196,11 +195,11 @@ def test_forced_exact_key_joins_equal_the_oracle(exact_key_path,
     # extracts the pairs.
     numeric = {
         (variant, name): ledger(engine.execute(sql))
-        for variant, engine in engine_variants(catalog, "b", monkeypatch)
+        for variant, engine in engine_variants(catalog)
         for name, sql in QUERIES.items()
     }
     built = exact_key_path()
-    for variant, engine in engine_variants(catalog, "b", monkeypatch):
+    for variant, engine in engine_variants(catalog):
         for name, sql in QUERIES.items():
             del built[:]
             got = engine.execute(sql)

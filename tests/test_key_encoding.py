@@ -295,23 +295,21 @@ def domain_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("name, sql, make_catalog, key_columns, fact", [
+@pytest.mark.parametrize("name, sql, make_catalog, key_columns", [
     ("matmul", MATMUL_QUERY,
-     lambda: matmul_catalog(24, seed=3, value_high=4.0), MATRIX_KEYS, "a"),
+     lambda: matmul_catalog(24, seed=3, value_high=4.0), MATRIX_KEYS),
     ("ssb_star", SSB_STAR,
      lambda: ssb_catalog(scale_factor=1, rows_per_sf=2000, seed=13),
-     SSB_KEYS, "lineorder"),
+     SSB_KEYS),
 ], ids=["figure-5 matmul", "ssb grouped star"])
 def test_dense_and_scaled_keys_agree_end_to_end(
-        name, sql, make_catalog, key_columns, fact, table_calls,
-        domain_sizes, monkeypatch):
+        name, sql, make_catalog, key_columns, table_calls, domain_sizes):
     dense = make_catalog()
     observed, tables = {}, {}
     for shape, catalog in (("dense", dense),
                            ("scaled", scaled_key_catalog(dense, key_columns))):
         expected = ReferenceEngine(catalog).execute(sql)
-        for variant, engine in engine_variants(catalog, fact,
-                                                   monkeypatch):
+        for variant, engine in engine_variants(catalog):
             del table_calls[:], domain_sizes[:]
             got = engine.execute(sql)
             context = f"{name}, {shape} keys, {variant}"

@@ -205,33 +205,32 @@ SSB_JOINS = ("lo_custkey = c_custkey AND lo_suppkey = s_suppkey "
              "AND lo_orderdate = d_datekey")
 QUERIES = {
     "figure-5 matmul": (
-        MATMUL_QUERY, lambda: matmul_catalog(48, seed=3, value_high=4.0),
-        "a"),
+        MATMUL_QUERY, lambda: matmul_catalog(48, seed=3, value_high=4.0)),
     "ssb year": (
         "SELECT d_year, SUM(lo_revenue) AS revenue, COUNT(*) AS n "
         "FROM lineorder, supplier, ddate WHERE lo_suppkey = s_suppkey "
         "AND lo_orderdate = d_datekey AND s_region = 'ASIA' "
         "GROUP BY d_year",
-        ssb_folded_duplicates, "lineorder"),
+        ssb_folded_duplicates),
     "ssb nation x year": (
         "SELECT c_nation, d_year, SUM(lo_revenue) AS revenue "
         f"FROM lineorder, customer, supplier, ddate WHERE {SSB_JOINS} "
         "AND c_region = 'ASIA' GROUP BY c_nation, d_year",
-        ssb_folded_duplicates, "lineorder"),
+        ssb_folded_duplicates),
     "ssb city": (
         "SELECT c_city, COUNT(*) AS n, AVG(lo_quantity) AS q, "
         "SUM(lo_extendedprice * lo_discount) AS r "
         "FROM lineorder, customer, supplier WHERE lo_custkey = c_custkey "
         "AND lo_suppkey = s_suppkey AND s_region = 'AMERICA' "
         "GROUP BY c_city",
-        ssb_folded_duplicates, "lineorder"),
+        ssb_folded_duplicates),
 }
 
 
-@pytest.mark.parametrize("sql, make_catalog, fact", QUERIES.values(),
+@pytest.mark.parametrize("sql, make_catalog", QUERIES.values(),
                          ids=QUERIES)
 def test_placement_never_moves_plan_ledger_or_rows(
-        sql, make_catalog, fact, placements, monkeypatch):
+        sql, make_catalog, placements, monkeypatch):
     """Default, all-addressed and all-ranked (the only placement there
     used to be) runs agree under every engine variant."""
     catalog = make_catalog()
@@ -242,7 +241,7 @@ def test_placement_never_moves_plan_ledger_or_rows(
         with monkeypatch.context() as patch:
             if forced is not None:
                 force_placement(patch, forced)
-            for variant, engine in engine_variants(catalog, fact, patch):
+            for variant, engine in engine_variants(catalog):
                 del placements[:]
                 got = engine.execute(sql)
                 context = f"{forced or 'default'} placement, {variant}"
@@ -278,7 +277,7 @@ def test_sparse_and_chunked_plans_through_addressed_structures(
         sql = MATMUL_QUERY
         catalog = matmul_catalog(48, seed=4, value_high=4.0, density=0.5)
     else:
-        sql, make_catalog, _ = QUERIES[name]
+        sql, make_catalog = QUERIES[name]
         catalog = make_catalog()
     force_placement(monkeypatch, "addressed")
     engine = TCUDBEngine(catalog,

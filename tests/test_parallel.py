@@ -186,6 +186,54 @@ class TestParallelEquivalence:
                     == b.extra.get("executed_by")), query_id
             assert repr(a.seconds) == repr(b.seconds), query_id
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_tcudb_fuzz(self, catalog, workers):
+        """Generated queries on TCUDB: bit-identical rows under a worker
+        pool, and the oracle's rows within the TCU tolerance."""
+        generator = QueryGenerator(make_rng(FUZZ_SEED))
+        oracle = ReferenceEngine(catalog)
+        sequential = TCUDBEngine(catalog,
+                                 options=TCUDBOptions(chunk_rows=512))
+        parallel = TCUDBEngine(
+            catalog,
+            options=TCUDBOptions(chunk_rows=512, workers=workers),
+        )
+        divergences = []
+        for index in range(25):
+            sql = generator.generate()
+            a = sequential.execute(sql)
+            b = parallel.execute(sql)
+            if rows_of(a) != rows_of(b):
+                divergences.append(sql)
+            assert_results_match(b, oracle.execute(sql), rel=2e-3,
+                                 context=f"fuzz #{index}: {sql}")
+        assert not divergences, divergences
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sql", [
+        "SELECT d_year, SUM(lo_revenue) AS rev, COUNT(*) AS n "
+        "FROM lineorder, ddate WHERE lo_orderdate = d_datekey "
+        "GROUP BY d_year ORDER BY d_year;",
+        "SELECT d_year, MIN(lo_revenue) AS lo, MAX(lo_revenue) AS hi, "
+        "AVG(lo_quantity) AS qty "
+        "FROM lineorder, ddate WHERE lo_orderdate = d_datekey "
+        "GROUP BY d_year ORDER BY d_year;",
+    ], ids=["grid", "partials"])
+    def test_tcudb_repeat_runs_bit_identical(self, catalog, sql, workers):
+        engine = TCUDBEngine(
+            catalog,
+            options=TCUDBOptions(chunk_rows=512, workers=workers),
+        )
+        first = engine.execute(sql).require_table()
+        second = engine.execute(sql).require_table()
+        assert first.column_names == second.column_names
+        for name in first.column_names:
+            assert np.array_equal(first.column(name).data,
+                                  second.column(name).data)
+        assert_results_match(engine.execute(sql),
+                             ReferenceEngine(catalog).execute(sql),
+                             rel=2e-3, context=sql)
+
     def test_pruning_counters_deterministic(self, catalog):
         sql = ("SELECT SUM(lo_revenue) AS r FROM lineorder "
                "WHERE lo_quantity < 10")

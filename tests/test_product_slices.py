@@ -303,19 +303,15 @@ def test_chunk_size_never_moves_rows_ledger_or_plan(sql, placement,
     observed = {}
     for chunk_rows in (UNCHUNKED, 16, 4096):
         monkeypatch.setenv("REPRO_CHUNK_ROWS", str(chunk_rows))
-        for variant, engine in engine_variants(catalog, "fact", monkeypatch):
+        for variant, engine in engine_variants(catalog):
             del sliced[:]
             got = engine.execute(sql)
             context = f"{placement}, chunk_rows={chunk_rows}, {variant}"
             assert not got.extra.get("fallback_reason"), context
             assert_results_match(got, expected, rel=TCU_REL, context=context)
-            # The variant that sets its own chunk size keeps it; a
-            # shard's key domain may fit one default chunk.
+            # The variant that sets its own chunk size keeps it.
             wanted = {16 if variant == "chunk_rows=16" else chunk_rows}
-            if variant == "REPRO_SHARDS=2" and chunk_rows == 4096:
-                assert set(sliced) <= wanted, context
-            else:
-                assert set(sliced) == wanted - {UNCHUNKED}, context
+            assert set(sliced) == wanted - {UNCHUNKED}, context
             observed[chunk_rows, variant] = (
                 repr(got.seconds), got.extra["executed_by"],
                 got.extra.get("strategy"), got.extra.get("precision"))

@@ -127,6 +127,46 @@ class TestEngineIntegration:
         assert cache.stats()["entries"] == 2
         assert cache.stats()["hits"] == 0
 
+    def test_engines_sharing_a_cache_keep_their_entries(self, catalog):
+        # Two option sets on one cache and the same SQL: the second
+        # round hits for both engines, and nothing is evicted or
+        # invalidated by a key collision.
+        cache = ProgramCache()
+        engines = (TCUDBEngine(catalog, program_cache=cache),
+                   TCUDBEngine(catalog, program_cache=cache,
+                               options=TCUDBOptions(fusion=False)))
+        expected = create_engine("reference", catalog).execute(JOIN_AGG_SQL)
+        for _ in range(2):
+            for engine in engines:
+                assert_results_match(engine.execute(JOIN_AGG_SQL), expected,
+                                     rel=TCU_REL, context="shared cache")
+        stats = cache.stats()
+        assert (stats["evictions"], stats["invalidations"]) == (0, 0)
+        assert stats["hits"] == 2
+
+    def test_distinct_parameter_bindings_do_not_collide(self, catalog):
+        # Two bindings of one prepared template share its program but
+        # never each other's answers.
+        cache = ProgramCache()
+        engine = TCUDBEngine(catalog, program_cache=cache)
+        oracle = create_engine("reference", catalog)
+        template = ("SELECT d_year, SUM(lo_revenue) AS rev "
+                    "FROM lineorder, ddate "
+                    "WHERE lo_orderdate = d_datekey AND lo_discount >= ? "
+                    "GROUP BY d_year;")
+        prepared = engine.prepare(template)
+        answers = {}
+        for value in (2, 8, 2):
+            got = engine.execute_prepared(prepared, [value])
+            expected = oracle.execute(template.replace("?", str(value)))
+            assert_results_match(got, expected, rel=TCU_REL,
+                                 context=f"prepared ?={value}")
+            if value in answers:
+                assert_results_match(got, answers[value], rel=0,
+                                     context=f"replayed ?={value}")
+            answers[value] = got
+        assert cache.stats()["hits"] >= 2
+
     def test_cached_failures_skip_rematching(self, catalog):
         # Single-table scans are not TCU-lowerable; the MatchFailure is
         # cached so the repeat falls back without re-matching (a second

@@ -1,15 +1,15 @@
-"""Fault-tolerant serving: injection, retry/failover, degradation.
+"""Fault-tolerant serving: injection, retry, degradation.
 
-The load-bearing test is the chaos differential fuzz sweep: the seeded
-SSB query generator (shared with ``test_fuzz_queries``) emits 50+
-queries, each executed on a distributed engine (2 and 4 shards) under
-an injected fault plan — transient shard errors plus corrupted grid
-partials — and every answer must be row-identical to the fault-free
-run and the Reference oracle.  Unit classes pin the individual
-contracts: fault-plan parsing/determinism, retry backoff, the
-circuit-breaker state machine, program cache poisoning, graceful degradation to single-node and to the
-reference fallback, server close/cancel semantics, load shedding, and
-the error taxonomy (no raw non-ReproError ever escapes the server).
+The load-bearing test is the chaos differential fuzz sweep: seeded SSB
+queries (the generator shared with ``test_fuzz_queries``) are served by
+a TCUDB ``QueryServer`` under each fault kind alone and under the plan
+``bench/exp_chaos.py`` sweeps, and every answer must equal the
+fault-free run and the Reference oracle.  Unit classes pin the
+individual contracts: fault-plan parsing and determinism, retry
+backoff, the circuit-breaker state machine, program cache poisoning,
+graceful degradation to the reference fallback, server close/cancel
+semantics, load shedding, and the error taxonomy (no raw
+non-ReproError ever escapes the server).
 """
 
 from __future__ import annotations
@@ -20,34 +20,29 @@ import time
 import pytest
 
 from differential_utils import assert_results_match
-from test_count_slot import MATMUL_SQL, assert_is_product, matmul_product
 from test_fuzz_queries import FUZZ_SEED, QueryGenerator
 from test_serve import BlockingEngine
+from repro.bench.exp_chaos import _plan_for as chaos_sweep_plan
 from repro.common.errors import (
     AdmissionError,
     BackendUnavailable,
     ConfigError,
-    CorruptPartialError,
     ExecutionError,
     InternalError,
     PoisonedTemplateError,
     QueryCancelled,
     ReproError,
-    ResilienceExhausted,
     ServerClosed,
-    TransientShardError,
+    TransientError,
 )
 from repro.common.faults import (
     DEFAULT_FAULT_SEED,
     SITE_CACHE_GET,
-    SITE_GRID_ACCUMULATE,
     SITE_SESSION_RUN,
-    SITE_SHARD_EXECUTE,
     FaultPlan,
     FaultRule,
     active_plan,
     clear_fault_plan,
-    corrupt_array,
     fault_point,
     inject,
     parse_fault_plan,
@@ -55,28 +50,21 @@ from repro.common.faults import (
     suppress,
 )
 from repro.common.rng import make_rng
-from repro.datasets.matmul import matmul_catalog
 from repro.datasets.ssb import ssb_catalog
 from repro.engine.base import ExecutionMode
 from repro.engine.cache import ProgramCache
 from repro.engine.parallel import (
     RetryPolicy,
-    CancellationToken,
     call_with_retries,
     is_retryable,
 )
 from repro.engine.reference import ReferenceEngine
-from repro.engine.tcudb import DistributedEngine, TCUDBEngine, TCUDBOptions
+from repro.engine.tcudb import TCUDBEngine
 from repro.serve import CircuitBreaker, QueryBudget, QueryServer, Session
 
 TCU_REL = 2e-3
-N_FUZZ_QUERIES = 50
-
-FACT_KW = {"fact": "lineorder", "partition_key": "lo_orderkey"}
 
 AGG_SQL = ("SELECT SUM(lo_revenue) AS r, d_year FROM lineorder, ddate "
-           "WHERE lo_orderdate = d_datekey GROUP BY d_year")
-MIN_SQL = ("SELECT MIN(lo_revenue) AS r, d_year FROM lineorder, ddate "
            "WHERE lo_orderdate = d_datekey GROUP BY d_year")
 
 
@@ -98,11 +86,6 @@ def _no_leaked_plan():
     clear_fault_plan()
 
 
-def dist_engine(catalog, shards, **kwargs):
-    return DistributedEngine(catalog, shards=shards,
-                             mode=ExecutionMode.REAL, **FACT_KW, **kwargs)
-
-
 # --------------------------------------------------------------------- #
 # Fault-plan units
 # --------------------------------------------------------------------- #
@@ -110,35 +93,38 @@ def dist_engine(catalog, shards, **kwargs):
 class TestFaultPlan:
     def test_parse_seed_and_knobs(self):
         plan = parse_fault_plan(
-            "seed=7; shard.execute:transient:every=3;"
+            "seed=7; session.run:transient:every=3;"
             "session.run:unavailable:p=0.5,max=2"
         )
         assert plan.seed == 7
         every, proba = plan.rules
         assert (every.site, every.kind, every.every) == (
-            SITE_SHARD_EXECUTE, "transient", 3)
+            SITE_SESSION_RUN, "transient", 3)
         assert (proba.p, proba.max_fires) == (0.5, 2)
 
     @pytest.mark.parametrize("spec", [
-        "shard.execute",                       # no kind
+        "session.run",                         # no kind
         "nowhere:transient",                   # unknown site
-        "shard.execute:explode",               # unknown kind
-        "shard.execute:transient:p=2.0",       # probability out of range
-        "shard.execute:transient:every=0",     # bad period
-        "shard.execute:transient:bogus=1",     # unknown knob
-        "shard.execute:transient:every=x",     # non-numeric value
-        "shard.execute:slow",                  # removed kind
-        "shard.execute:transient:delay=0.1",   # removed knob
+        "session.run:explode",                 # unknown kind
+        "session.run:transient:p=2.0",         # probability out of range
+        "session.run:transient:every=0",       # bad period
+        "session.run:transient:bogus=1",       # unknown knob
+        "session.run:transient:every=x",       # non-numeric value
+        "session.run:slow",                    # removed kind
+        "session.run:transient:delay=0.1",     # removed knob
         "seed=abc",                            # bad seed
+        "shard.execute:transient",             # removed site
+        "grid.accumulate:corrupt",             # removed site and kind
+        "session.run:corrupt",                 # removed kind
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigError):
             parse_fault_plan(spec)
 
     def test_every_rule_never_fires_twice_in_a_row(self):
-        rule = FaultRule(site=SITE_SHARD_EXECUTE, kind="transient", every=3)
+        rule = FaultRule(site=SITE_SESSION_RUN, kind="transient", every=3)
         plan = FaultPlan([rule])
-        fired = [bool(plan.fired_rules(SITE_SHARD_EXECUTE))
+        fired = [bool(plan.fired_rules(SITE_SESSION_RUN))
                  for _ in range(12)]
         assert fired == [False, False, True] * 4
         assert not any(a and b for a, b in zip(fired, fired[1:]))
@@ -155,10 +141,10 @@ class TestFaultPlan:
 
     def test_probability_rules_are_seed_deterministic(self):
         def pattern(seed):
-            plan = FaultPlan([FaultRule(site=SITE_SHARD_EXECUTE,
+            plan = FaultPlan([FaultRule(site=SITE_SESSION_RUN,
                                         kind="transient", p=0.5)],
                              seed=seed)
-            return [bool(plan.fired_rules(SITE_SHARD_EXECUTE))
+            return [bool(plan.fired_rules(SITE_SESSION_RUN))
                     for _ in range(64)]
 
         assert pattern(11) == pattern(11)
@@ -166,60 +152,47 @@ class TestFaultPlan:
         assert any(pattern(11)) and not all(pattern(11))
 
     def test_reset_restores_the_exact_sequence(self):
-        plan = FaultPlan([FaultRule(site=SITE_SHARD_EXECUTE,
+        plan = FaultPlan([FaultRule(site=SITE_SESSION_RUN,
                                     kind="transient", p=0.4)], seed=3)
-        first = [bool(plan.fired_rules(SITE_SHARD_EXECUTE))
+        first = [bool(plan.fired_rules(SITE_SESSION_RUN))
                  for _ in range(32)]
         plan.reset()
-        again = [bool(plan.fired_rules(SITE_SHARD_EXECUTE))
+        again = [bool(plan.fired_rules(SITE_SESSION_RUN))
                  for _ in range(32)]
         assert first == again
 
     def test_fault_point_raises_typed_errors(self):
         plan = FaultPlan([
-            FaultRule(site=SITE_SHARD_EXECUTE, kind="transient", n=1),
-            FaultRule(site=SITE_SESSION_RUN, kind="unavailable", n=1),
+            FaultRule(site=SITE_SESSION_RUN, kind="transient", n=1),
+            FaultRule(site=SITE_SESSION_RUN, kind="unavailable", every=2),
             FaultRule(site=SITE_CACHE_GET, kind="poison", n=1),
         ])
         with inject(plan):
-            with pytest.raises(TransientShardError) as info:
-                fault_point(SITE_SHARD_EXECUTE, shard=3)
-            assert info.value.retryable and "shard 3" in str(info.value)
+            with pytest.raises(TransientError) as info:
+                fault_point(SITE_SESSION_RUN)
+            assert info.value.retryable
             with pytest.raises(BackendUnavailable):
                 fault_point(SITE_SESSION_RUN)
             with pytest.raises(PoisonedTemplateError):
                 fault_point(SITE_CACHE_GET)
-            fault_point(SITE_GRID_ACCUMULATE)  # no rule -> no-op
+            fault_point(SITE_CACHE_GET)  # no rule fires -> no-op
         with pytest.raises(ConfigError):
             fault_point("not.a.site")
 
-    def test_corrupt_array_perturbs_a_copy(self):
-        import numpy as np
-
-        plan = FaultPlan([FaultRule(site=SITE_GRID_ACCUMULATE,
-                                    kind="corrupt", n=1)])
-        honest = np.ones((2, 2))
-        with inject(plan):
-            shipped = corrupt_array(SITE_GRID_ACCUMULATE, honest)
-            assert shipped[0, 0] != honest[0, 0]  # perturbed copy
-            assert honest[0, 0] == 1.0            # original untouched
-            second = corrupt_array(SITE_GRID_ACCUMULATE, honest)
-            assert second is honest               # n=1 exhausted
-
     def test_suppress_is_thread_local(self):
-        plan = FaultPlan([FaultRule(site=SITE_SHARD_EXECUTE,
+        plan = FaultPlan([FaultRule(site=SITE_SESSION_RUN,
                                     kind="transient")])
         sibling_faulted = threading.Event()
 
         def sibling():
             try:
-                fault_point(SITE_SHARD_EXECUTE)
-            except TransientShardError:
+                fault_point(SITE_SESSION_RUN)
+            except TransientError:
                 sibling_faulted.set()
 
         with inject(plan):
             with suppress():
-                fault_point(SITE_SHARD_EXECUTE)  # suppressed here...
+                fault_point(SITE_SESSION_RUN)  # suppressed here...
                 worker = threading.Thread(target=sibling)
                 worker.start()
                 worker.join()
@@ -227,7 +200,7 @@ class TestFaultPlan:
 
     def test_env_plan_applies_and_explicit_wins(self, monkeypatch):
         monkeypatch.setenv(
-            "REPRO_FAULTS", "seed=5;shard.execute:transient:every=2")
+            "REPRO_FAULTS", "seed=5;session.run:transient:every=2")
         plan = active_plan()
         assert plan is not None and plan.seed == 5
         assert active_plan() is plan  # cached shared instance
@@ -240,13 +213,13 @@ class TestFaultPlan:
         assert active_plan() is plan
 
     def test_stats_ledger(self):
-        plan = FaultPlan([FaultRule(site=SITE_SHARD_EXECUTE,
+        plan = FaultPlan([FaultRule(site=SITE_SESSION_RUN,
                                     kind="transient", every=2)])
         for _ in range(4):
-            plan.fired_rules(SITE_SHARD_EXECUTE)
+            plan.fired_rules(SITE_SESSION_RUN)
         stats = plan.stats()
         assert stats["seed"] == DEFAULT_FAULT_SEED
-        assert stats["rules"] == [{"site": SITE_SHARD_EXECUTE,
+        assert stats["rules"] == [{"site": SITE_SESSION_RUN,
                                    "kind": "transient",
                                    "calls": 4, "fires": 2}]
 
@@ -264,7 +237,7 @@ class TestRetryPolicy:
                           for a in range(1, 6)]
         cap = policy.max_backoff_s * (1.0 + policy.jitter)
         assert all(0.0 < d <= cap for d in delays)
-        # Jitter decorrelates shards: same attempt, different key.
+        # Jitter decorrelates sessions: same attempt, different key.
         assert policy.backoff_for(1, key=1) != policy.backoff_for(1, key=2)
 
     def test_retries_then_succeeds(self):
@@ -273,7 +246,7 @@ class TestRetryPolicy:
         def flaky():
             calls["n"] += 1
             if calls["n"] < 3:
-                raise TransientShardError("flap")
+                raise TransientError("flap")
             return "ok"
 
         log: list[dict] = []
@@ -281,13 +254,13 @@ class TestRetryPolicy:
         assert call_with_retries(flaky, policy, attempts_log=log) == "ok"
         assert calls["n"] == 3
         assert [entry["error"] for entry in log] == [
-            "TransientShardError", "TransientShardError"]
+            "TransientError", "TransientError"]
 
     def test_exhaustion_and_non_retryable(self):
         policy = RetryPolicy(max_attempts=2, base_backoff_s=0.0)
-        with pytest.raises(TransientShardError):
+        with pytest.raises(TransientError):
             call_with_retries(
-                lambda: (_ for _ in ()).throw(TransientShardError("x")),
+                lambda: (_ for _ in ()).throw(TransientError("x")),
                 policy)
         calls = {"n": 0}
 
@@ -300,9 +273,9 @@ class TestRetryPolicy:
         assert calls["n"] == 1  # no second attempt
 
     def test_is_retryable_taxonomy(self):
-        assert is_retryable(TransientShardError("x"))
+        assert is_retryable(TransientError("x"))
         assert is_retryable(BackendUnavailable("x"))
-        assert is_retryable(CorruptPartialError("x"))
+        assert is_retryable(PoisonedTemplateError("x"))
         assert not is_retryable(ExecutionError("x"))
         assert not is_retryable(QueryCancelled("x"))
         assert not is_retryable(ValueError("x"))
@@ -376,163 +349,127 @@ class TestCachePoison:
 
 
 # --------------------------------------------------------------------- #
-# Distributed recovery: the chaos differential fuzz sweep
+# Served recovery: the chaos differential fuzz sweep
 # --------------------------------------------------------------------- #
 
-class TestShardRecovery:
-    @pytest.mark.parametrize("shards", [2, 4])
+N_FUZZ_QUERIES = 30
+
+SINGLE_KIND_PLANS = {
+    "poison": FaultRule(site=SITE_CACHE_GET, kind="poison", p=0.3),
+    "transient": FaultRule(site=SITE_SESSION_RUN, kind="transient", p=0.3),
+    "unavailable": FaultRule(site=SITE_SESSION_RUN, kind="unavailable",
+                             p=0.15),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_answers(catalog, oracle):
+    """``(sql, fault-free TCUDB result, oracle result)`` per query."""
+    generator = QueryGenerator(make_rng(FUZZ_SEED))
+    clean = TCUDBEngine(catalog, mode=ExecutionMode.REAL)
+    answers = []
+    with inject(None):
+        for _ in range(N_FUZZ_QUERIES):
+            sql = generator.generate()
+            answers.append((sql, clean.execute(sql), oracle.execute(sql)))
+    return answers
+
+
+def serve_fuzz(catalog, fuzz_answers, plan: FaultPlan) -> QueryServer:
+    """Serve every fuzz query twice under *plan* (the repeat hits the
+    program cache); each answer must equal the fault-free run and the
+    oracle.  Returns the closed server."""
+    with QueryServer(catalog, engine="tcudb", max_concurrent=1,
+                     retry_policy=RetryPolicy(base_backoff_s=0.0)) as server:
+        session = server.session()
+        for index, (sql, expected, exact) in enumerate(fuzz_answers):
+            for repeat in range(2):
+                with inject(plan):
+                    got = session.execute(sql, timeout=120)
+                context = f"[chaos query {index} run {repeat}] {sql}"
+                assert_results_match(got, expected, rel=TCU_REL,
+                                     context=context)
+                assert_results_match(got, exact, rel=TCU_REL,
+                                     context=context)
+        assert server.stats["failed"] == 0
+    return server
+
+
+class TestServedRecovery:
+    @pytest.mark.parametrize("kind", sorted(SINGLE_KIND_PLANS))
     def test_chaos_fuzz_matches_fault_free_and_oracle(self, catalog,
-                                                      oracle, shards):
-        generator = QueryGenerator(make_rng(FUZZ_SEED))
-        queries = [generator.generate() for _ in range(N_FUZZ_QUERIES)]
-        faulty = dist_engine(catalog, shards)
-        clean = dist_engine(catalog, shards)
-        plan = FaultPlan([
-            FaultRule(site=SITE_SHARD_EXECUTE, kind="transient", p=0.3),
-            FaultRule(site=SITE_GRID_ACCUMULATE, kind="corrupt", p=0.15),
-        ], seed=FUZZ_SEED)
-        for index, sql in enumerate(queries):
-            expected = clean.execute(sql)
-            with inject(plan):
-                got = faulty.execute(sql)
-            context = f"[chaos shards={shards} query {index}] {sql}"
-            assert_results_match(got, expected, rel=TCU_REL,
-                                 context=context)
-            assert_results_match(got, oracle.execute(sql), rel=TCU_REL,
-                                 context=context)
-        stats = plan.stats()
-        fires = {r["site"]: r["fires"] for r in stats["rules"]}
-        assert fires[SITE_SHARD_EXECUTE] > 0, \
-            "the sweep must actually have injected shard faults"
+                                                      fuzz_answers, kind):
+        plan = FaultPlan([SINGLE_KIND_PLANS[kind]], seed=FUZZ_SEED)
+        serve_fuzz(catalog, fuzz_answers, plan)
+        assert plan.stats()["rules"][0]["fires"] > 0, \
+            "the sweep must actually have injected faults"
 
-    def test_retries_recorded_in_resilience_extra(self, catalog):
-        engine = dist_engine(catalog, 2)
-        plan = FaultPlan([FaultRule(site=SITE_SHARD_EXECUTE,
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5])
+    def test_chaos_sweep_plan_keeps_every_answer(self, catalog,
+                                                 fuzz_answers, rate):
+        # The plan bench/exp_chaos.py sweeps: every point reads 1.0.
+        plan = chaos_sweep_plan(rate, 0)
+        server = serve_fuzz(catalog, fuzz_answers, plan)
+        fires = sum(rule["fires"] for rule in plan.stats()["rules"])
+        assert (fires > 0) == (rate > 0)
+        assert server.stats["completed"] == 2 * N_FUZZ_QUERIES
+
+    def test_retries_recorded_in_resilience_extra(self, catalog, oracle):
+        plan = FaultPlan([FaultRule(site=SITE_SESSION_RUN,
                                     kind="transient", n=1)])
-        with inject(plan):
-            result = engine.execute(AGG_SQL)
-        resilience = result.extra["resilience"]
-        assert resilience["route"] in ("grid-allreduce", "partial-rows")
-        assert resilience["attempts"] >= 2
-        [(shard, log)] = list(resilience["retries"].items())
-        assert log[0]["error"] == "TransientShardError"
-        assert resilience["retry_policy"]["max_attempts"] >= 2
-
-    def test_corrupt_partial_detected_and_reexecuted(self, catalog,
-                                                     oracle):
-        engine = dist_engine(catalog, 2)
-        plan = FaultPlan([FaultRule(site=SITE_GRID_ACCUMULATE,
-                                    kind="corrupt", n=1)])
-        with inject(plan):
-            result = engine.execute(AGG_SQL)
-        assert_results_match(result, oracle.execute(AGG_SQL), rel=TCU_REL)
-        resilience = result.extra.get("resilience")
-        if resilience is not None and resilience.get("retries"):
-            errors = [entry["error"]
-                      for log in resilience["retries"].values()
-                      for entry in log]
-            assert "CorruptPartialError" in errors
-
-    def test_corrupt_sum_only_partial_is_reexecuted(self, monkeypatch):
-        """Figure 5 multiplies no COUNT grid, and its SUM grid still
-        passes the corruption point and its checksum before shipping."""
-        dim = 24
-        catalog = matmul_catalog(dim, seed=11)
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        engine = DistributedEngine(catalog, fact="a",
-                                   partition_policy="round_robin",
-                                   mode=ExecutionMode.REAL)
-        plan = FaultPlan([FaultRule(site=SITE_GRID_ACCUMULATE,
-                                    kind="corrupt", n=1)])
-        with inject(plan):
-            result = engine.execute(MATMUL_SQL)
-        resilience = result.extra["resilience"]
-        assert resilience["route"] == "grid-allreduce"
-        errors = [entry["error"] for log in resilience["retries"].values()
-                  for entry in log]
-        assert errors == ["CorruptPartialError"]
-        assert_is_product(result, matmul_product(catalog, dim))
-
-    def test_per_shard_recovery_after_retry_exhaustion(self, catalog,
-                                                       oracle):
-        engine = dist_engine(
-            catalog, 2,
-            retry_policy=RetryPolicy(max_attempts=2, base_backoff_s=0.0))
-        # n=2 out-fires the 2-attempt budget on the first shard call, so
-        # the suppressed per-shard recovery rung must kick in.
-        plan = FaultPlan([FaultRule(site=SITE_SHARD_EXECUTE,
-                                    kind="transient", n=2)])
-        with inject(plan):
-            result = engine.execute(AGG_SQL)
-        assert_results_match(result, oracle.execute(AGG_SQL), rel=TCU_REL)
-        recovered = result.extra["resilience"]["recovered"]
-        assert recovered and recovered[0]["error"] == "TransientShardError"
-
-    def test_whole_query_degrades_to_single_node(self, catalog, oracle,
-                                                 monkeypatch):
-        engine = dist_engine(catalog, 2)
-
-        def always_down(self, bound):
-            raise BackendUnavailable("fan-out path is down")
-
-        monkeypatch.setattr(DistributedEngine, "_execute_aggregate",
-                            always_down)
-        result = engine.execute(AGG_SQL)
+        with QueryServer(catalog, engine="tcudb") as server:
+            with inject(plan):
+                result = server.session().execute(AGG_SQL, timeout=60)
+            assert server.stats["retried"] == 1
         assert_results_match(result, oracle.execute(AGG_SQL), rel=TCU_REL)
         resilience = result.extra["resilience"]
-        assert resilience["route"] == "single-node"
-        assert resilience["degraded_from"] == "aggregate"
-        assert "BackendUnavailable" in resilience["cause"]
+        assert resilience["route"] == "primary"
+        assert [entry["error"] for entry in resilience["retries"]] == [
+            "TransientError"]
 
-    @pytest.mark.parametrize("sql, route", [
-        (AGG_SQL, "grid-allreduce"),
-        (MIN_SQL, "partial-rows"),
+    def test_poisoned_served_hit_recompiles(self, catalog, oracle):
+        plan = FaultPlan([FaultRule(site=SITE_CACHE_GET, kind="poison",
+                                    n=1)])
+        with QueryServer(catalog, engine="tcudb") as server:
+            session = server.session()
+            with inject(None):
+                session.execute(AGG_SQL, timeout=60)  # populate the cache
+            with inject(plan):
+                healed = session.execute(AGG_SQL, timeout=60)
+            assert server.cache_stats()["poisoned"] == 1
+        assert_results_match(healed, oracle.execute(AGG_SQL), rel=TCU_REL)
+        # A poisoned hit recompiles on the primary path: no retry, no
+        # degradation.
+        assert "resilience" not in healed.extra
+
+    @pytest.mark.parametrize("error", [
+        BackendUnavailable, TransientError, RuntimeError,
     ])
-    def test_degradation_keeps_an_armed_token_live(self, catalog, oracle,
-                                                   sql, route):
-        # A token armed the way QueryServer arms one.  Shard 1 fails on
-        # every call with a real (non-injected) error, so neither retry
-        # nor the suppressed per-shard rung rescues it; the whole query
-        # must re-run single-node under the same, still live, token.
-        engine = dist_engine(catalog, 2)
-        with inject(None):
-            assert engine.execute(sql).extra["distributed"]["route"] == route
-        shard_bound = engine._shard_bound
+    def test_degradation_keeps_the_token_live(self, catalog, oracle,
+                                              monkeypatch, error):
+        # The primary fails on every call, so the server must answer
+        # from the reference fallback under the same, still live, token.
+        def down(self, sql, params=None):
+            raise error("primary path is down")
 
-        def broken_shard(bound, index):
-            if index == 1:
-                raise BackendUnavailable("shard 1 is down")
-            return shard_bound(bound, index)
-
-        engine._shard_bound = broken_shard
-        token = engine.cancel_token = CancellationToken()
-        result = engine.execute(sql)
-        assert result.extra["distributed"]["route"] == "single-node"
-        assert result.extra["resilience"]["degraded_from"] == "aggregate"
-        assert_results_match(result, oracle.execute(sql), rel=TCU_REL)
-        assert not token.cancelled
-
-    def test_resilience_exhausted_when_nothing_works(self, catalog,
-                                                     monkeypatch):
-        engine = dist_engine(catalog, 2)
-
-        def always_down(self, bound):
-            raise BackendUnavailable("fan-out path is down")
-
-        monkeypatch.setattr(DistributedEngine, "_execute_aggregate",
-                            always_down)
-        monkeypatch.setattr(
-            DistributedEngine, "_single_node",
-            lambda self, bound, reason: (_ for _ in ()).throw(
-                ExecutionError("single-node is down too")))
-        with pytest.raises(ResilienceExhausted) as info:
-            engine.execute(AGG_SQL)
-        assert info.value.degraded
+        monkeypatch.setattr(TCUDBEngine, "execute", down)
+        with QueryServer(catalog, engine="tcudb",
+                         retry_policy=RetryPolicy(base_backoff_s=0.0)) \
+                as server:
+            with inject(None):
+                ticket = server.session().submit(AGG_SQL)
+                result = ticket.result(timeout=60)
+            assert server.stats["degraded"] == 1
+        assert not ticket.token.cancelled
+        assert_results_match(result, oracle.execute(AGG_SQL), rel=TCU_REL)
+        resilience = result.extra["resilience"]
+        assert resilience["route"] == "reference-fallback"
+        assert resilience["degraded_from"] == "tcudb"
 
     def test_fault_free_queries_carry_no_resilience_extra(self, catalog):
-        engine = dist_engine(catalog, 2)
-        with inject(None):  # even under an ambient REPRO_FAULTS plan
-            result = engine.execute(AGG_SQL)
+        with QueryServer(catalog, engine="tcudb") as server:
+            with inject(None):  # even under an ambient REPRO_FAULTS plan
+                result = server.session().execute(AGG_SQL, timeout=60)
         assert "resilience" not in result.extra
 
 
@@ -543,7 +480,7 @@ class TestShardRecovery:
 class FlakyEngine:
     """Test double: fails the first *n* executions, then delegates."""
 
-    def __init__(self, delegate, failures, error=TransientShardError):
+    def __init__(self, delegate, failures, error=TransientError):
         self.delegate = delegate
         self.remaining = failures
         self.error = error
@@ -584,7 +521,7 @@ class TestServerResilience:
                                  rel=TCU_REL)
             resilience = result.extra["resilience"]
             assert resilience["route"] == "reference-fallback"
-            assert "TransientShardError" in resilience["cause"]
+            assert "TransientError" in resilience["cause"]
             assert server.stats["degraded"] == 1
 
     def test_injected_session_faults_are_absorbed(self, catalog):
@@ -732,17 +669,15 @@ class TestServerResilience:
         assert server.health()["status"] == "closed"
 
     def test_served_chaos_matches_oracle(self, catalog, oracle):
-        """End-to-end: sharded serving under a mixed fault plan still
+        """End-to-end: TCUDB serving under a mixed fault plan still
         returns oracle-exact rows for every query."""
         plan = FaultPlan([
-            FaultRule(site=SITE_SHARD_EXECUTE, kind="transient",
-                      every=3),
+            FaultRule(site=SITE_CACHE_GET, kind="poison", every=3),
             FaultRule(site=SITE_SESSION_RUN, kind="unavailable",
                       every=5),
-        ], seed=FUZZ_SEED)
-        with QueryServer(catalog, engine="tcudb", shards=2,
-                         max_concurrent=2,
-                         engine_kwargs=dict(FACT_KW)) as server:
+        ])
+        with QueryServer(catalog, engine="tcudb",
+                         max_concurrent=2) as server:
             session = server.session()
             with inject(plan):
                 for _ in range(6):

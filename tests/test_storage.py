@@ -106,6 +106,21 @@ class TestTable:
         assert [r[0] for r in table.sort_by("x", descending=True).rows()] == [3, 2, 1]
         assert table.filter(np.array([True, False, True])).num_rows == 2
 
+    def test_row_subsets_share_dictionaries(self):
+        # take(), filter() and sort_by() keep each string column's
+        # dictionary object, so codes from two subsets of one table
+        # compare and concatenate without re-encoding.
+        table = Table.from_dict("t", {"x": [3, 1, 2],
+                                      "name": ["c", "a", "b"]})
+        dictionary = table.column("name").dictionary
+        subsets = (table.take(np.array([2, 0])),
+                   table.filter(np.array([False, True, True])),
+                   table.sort_by("x"))
+        for subset in subsets:
+            assert subset is not table
+            assert subset.column("name").dictionary is dictionary
+        assert [r[1] for r in subsets[2].rows()] == ["a", "b", "c"]
+
     def test_unknown_column(self):
         table = Table.from_dict("t", {"x": [1]})
         with pytest.raises(UnknownColumnError):
@@ -253,17 +268,3 @@ class TestClusterBy:
         assert clustered.extra["chunks_pruned"] >= 12  # 16 chunks total
         assert shuffled.require_table().rows() == \
             clustered.require_table().rows()
-
-    def test_sharding_preserves_cluster_order(self):
-        from repro.storage.shard import ShardedCatalog
-
-        catalog = Catalog()
-        catalog.register(self._shuffled().cluster_by("k"))
-        sharded = ShardedCatalog.partition(
-            catalog, shards=4, fact="t", policy="hash", key="k",
-        )
-        for s in range(4):
-            part = sharded.shard(s).get("t")
-            assert part.sort_key == "k"
-            data = part.column("k").data
-            assert np.all(data[1:] >= data[:-1])

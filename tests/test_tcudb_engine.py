@@ -14,6 +14,7 @@ from repro.datasets.microbench import (
     microbench_catalog,
 )
 from repro.engine.base import ExecutionMode
+from repro.engine.reference import ReferenceEngine
 from repro.engine.tcudb import Strategy, TCUDBEngine, TCUDBOptions
 from repro.engine.ydb import YDBEngine
 from repro.storage import Catalog, Table
@@ -216,6 +217,81 @@ class TestAnalyticMode:
         ).execute(QUERY_Q1)
         assert analytic.n_rows == real.n_rows
         assert analytic.seconds == pytest.approx(real.seconds, rel=1e-6)
+
+
+EMPTY_INPUT_QUERIES = {
+    "grouped": "SELECT label, SUM(v) AS s, MIN(neg) AS m, COUNT(*) AS n "
+               "FROM facts, dim WHERE facts.k = dim.k "
+               "GROUP BY label ORDER BY label;",
+    # Ungrouped: an empty input still yields one identity row.
+    "ungrouped": "SELECT SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, "
+                 "MAX(neg) AS hi, COUNT(*) AS n FROM facts;",
+    "count-max": "SELECT label, COUNT(v) AS c, MAX(v) AS hi "
+                 "FROM facts, dim WHERE facts.k = dim.k "
+                 "GROUP BY label ORDER BY label;",
+    # HAVING reads an aggregate the select list does not.
+    "having": "SELECT label, SUM(v) AS s FROM facts, dim "
+              "WHERE facts.k = dim.k GROUP BY label "
+              "HAVING MIN(neg) < -8 ORDER BY label;",
+}
+
+
+class TestEmptyInputs:
+    """Aggregates over zero-row inputs carry identity values: no
+    fabricated groups, and no zero corrupting a MIN over positive or a
+    MAX over negative values.  TCUDB must agree with the Reference
+    oracle on every backend."""
+
+    @staticmethod
+    def tiny(facts: str) -> Catalog:
+        table = Table.from_dict("facts", {
+            "k": [1, 2, 3],
+            "v": [10.0, 20.0, 30.0],
+            "neg": [-5.0, -7.0, -9.0],
+        })
+        if facts == "no-rows":
+            table = table.filter(np.zeros(table.num_rows, dtype=bool))
+        elif facts == "no-matches":
+            table = Table.from_dict("facts", {
+                "k": [7, 8, 9],
+                "v": [10.0, 20.0, 30.0],
+                "neg": [-5.0, -7.0, -9.0],
+            })
+        catalog = Catalog()
+        catalog.register(table)
+        catalog.register(Table.from_dict("dim", {
+            "k": [1, 2, 3, 4],
+            "label": ["a", "b", "a", "b"],
+        }))
+        return catalog
+
+    @pytest.mark.parametrize("backend", ["sim", "fast"])
+    @pytest.mark.parametrize("facts", ["full", "no-rows", "no-matches"])
+    @pytest.mark.parametrize("query", sorted(EMPTY_INPUT_QUERIES))
+    def test_identity_over_empty_inputs(self, query, facts, backend):
+        catalog = self.tiny(facts)
+        sql = EMPTY_INPUT_QUERIES[query]
+        expected = ReferenceEngine(catalog).execute(sql)
+        got = TCUDBEngine(
+            catalog, options=TCUDBOptions(backend=backend)).execute(sql)
+        assert got.require_table().column_names == \
+            expected.require_table().column_names
+        assert_results_match(got, expected)
+
+    def test_grouped_aggregate_over_empty_filter(self):
+        catalog = self.tiny("full")
+        sql = ("SELECT label, SUM(v) AS s FROM facts, dim "
+               "WHERE facts.k = dim.k AND v > 1000 GROUP BY label;")
+        got = TCUDBEngine(catalog).execute(sql)
+        assert got.require_table().num_rows == 0
+        assert_results_match(got, ReferenceEngine(catalog).execute(sql))
+
+    def test_global_count_over_empty_selection(self):
+        catalog = self.tiny("full")
+        sql = "SELECT COUNT(*) AS n FROM facts WHERE v > 1000;"
+        got = TCUDBEngine(catalog).execute(sql)
+        assert got.require_table().rows() == [(0,)]
+        assert_results_match(got, ReferenceEngine(catalog).execute(sql))
 
 
 @settings(max_examples=20, deadline=None)
