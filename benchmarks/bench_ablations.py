@@ -3,7 +3,6 @@
 from repro.bench import (
     run_ablation_density_switch,
     run_ablation_fused_agg,
-    run_ablation_fusion,
     run_ablation_precision,
     run_ablation_transform_location,
 )
@@ -65,17 +64,3 @@ def test_ablation_transform_location(print_series, benchmark, bench_profile,
         assert (result.find(config, "gpu-allowed").seconds
                 <= result.find(config, "cpu-only").seconds)
     benchmark(lambda: run_ablation_transform_location(sizes=[4096]))
-
-
-def test_ablation_fusion(print_series, benchmark, bench_profile, verifier):
-    result = run_ablation_fusion(profile=bench_profile, verifier=verifier)
-    print_series(result)
-    for config in result.configs():
-        on = result.find(config, "fusion=on")
-        off = result.find(config, "fusion=off")
-        # Fusion must never increase simulated cost, and both variants
-        # must stay on the TCU path (the comparison pins the strategy).
-        assert on.seconds <= off.seconds, config
-        assert on.executed_by == "TCU" and off.executed_by == "TCU", config
-        assert on.host_seconds is not None and off.host_seconds is not None
-    benchmark(lambda: run_ablation_fusion(rows=4000))

@@ -5,7 +5,6 @@ reports (see docs/benchmarking.md)."""
 from repro.bench.exp_ablations import (
     run_ablation_density_switch,
     run_ablation_fused_agg,
-    run_ablation_fusion,
     run_ablation_precision,
     run_ablation_transform_location,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "get_profile",
     "run_ablation_density_switch",
     "run_ablation_fused_agg",
-    "run_ablation_fusion",
     "run_ablation_precision",
     "run_ablation_transform_location",
     "run_chaos",

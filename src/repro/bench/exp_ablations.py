@@ -8,12 +8,7 @@
 
 from __future__ import annotations
 
-from repro.bench.harness import (
-    ExperimentResult,
-    annotate_tcu_point,
-    geomean,
-    timed_execute,
-)
+from repro.bench.harness import ExperimentResult, annotate_tcu_point
 from repro.bench.scale import ScaleProfile
 from repro.bench.verify import OracleVerifier
 from repro.datasets.microbench import (
@@ -21,110 +16,10 @@ from repro.datasets.microbench import (
     QUERY_Q3,
     microbench_catalog,
 )
-from repro.datasets.ssb import ssb_catalog
 from repro.engine.base import ExecutionMode
 from repro.engine.tcudb import Strategy, TCUDBEngine, TCUDBOptions
 from repro.hardware.gpu import GPUDevice
 from repro.tensor.precision import Precision
-
-# Multi-aggregate SSB-style star reports: the JOIN_AGG shapes whose
-# per-aggregate GEMM fan-out the fusion pass collapses into one
-# BatchedGemm (shared indicator structure + stacked matmul).
-FUSION_QUERIES = {
-    "flight1_report": """
-        SELECT d_year,
-               SUM(lo_extendedprice * lo_discount) AS revenue,
-               SUM(lo_quantity) AS qty, SUM(lo_revenue) AS rev,
-               SUM(lo_supplycost) AS cost, COUNT(*) AS orders,
-               AVG(lo_discount) AS avg_disc,
-               AVG(lo_extendedprice) AS avg_price,
-               AVG(lo_quantity) AS avg_qty
-        FROM lineorder, ddate
-        WHERE lo_orderdate = d_datekey
-        GROUP BY d_year;""",
-    "profit_report": """
-        SELECT d_year, c_nation,
-               SUM(lo_revenue - lo_supplycost) AS profit,
-               COUNT(*) AS orders, AVG(lo_revenue) AS avg_rev,
-               SUM(lo_quantity) AS qty, AVG(lo_supplycost) AS avg_cost
-        FROM lineorder, customer, ddate
-        WHERE lo_custkey = c_custkey AND lo_orderdate = d_datekey
-        GROUP BY d_year, c_nation;""",
-    "supplier_report": """
-        SELECT s_nation, SUM(lo_revenue) AS rev,
-               SUM(lo_supplycost) AS cost,
-               AVG(lo_quantity) AS q, COUNT(*) AS n,
-               SUM(lo_extendedprice * lo_discount) AS disc_rev,
-               AVG(lo_extendedprice) AS avg_price,
-               SUM(lo_quantity * lo_supplycost) AS qcost
-        FROM lineorder, supplier, ddate
-        WHERE lo_suppkey = s_suppkey AND lo_orderdate = d_datekey
-        GROUP BY s_nation;""",
-}
-
-
-def run_ablation_fusion(
-    rows: int | None = None, seed: int = 45, *,
-    profile: ScaleProfile | None = None,
-    verifier: OracleVerifier | None = None,
-) -> ExperimentResult:
-    """TensorProgram fusion on vs off over multi-aggregate SSB stars.
-
-    Both variants run in REAL mode with the dense strategy pinned, so
-    the measurement isolates the fusion pass: fusion=off prices the
-    per-aggregate operator fan-out (one operand fill per grid) and runs
-    its epilogues as separate passes, fusion=on prices the rewritten
-    program (shared indicator structure, one stacked GEMM, ``n_agg`` MMA
-    passes).  Each point records simulated seconds *and* measured host
-    wall-clock (``host_seconds``) — the simulated ledger shows the
-    modeled one-fill-vs-n-rebuilds gap; on the host both variants
-    multiply the same prepared operands, so the clock shows what the
-    fold-chain and epilogue rewrites save.  Left to its own devices the
-    optimizer would reject the unfused plans outright (the per-aggregate
-    rebuild cost loses to the conventional plan), which is the
-    cost-model view of the same story.
-    """
-    if rows is None:
-        rows = profile.fusion_rows if profile else 20_000
-    reps = profile.fusion_reps if profile else 3
-    result = ExperimentResult(
-        "ablation_fusion",
-        "TensorProgram fusion: BatchedGemm + epilogues vs unfused "
-        "per-aggregate operator DAG (REAL mode, multi-aggregate stars)",
-    )
-    catalog = ssb_catalog(scale_factor=1, rows_per_sf=rows, seed=seed)
-    device = GPUDevice()
-    speedups = []
-    for query_id, sql in FUSION_QUERIES.items():
-        variants = {
-            "fusion=on": TCUDBOptions(force_strategy=Strategy.DENSE),
-            "fusion=off": TCUDBOptions(force_strategy=Strategy.DENSE,
-                                       fusion=False),
-        }
-        points = {}
-        for label, options in variants.items():
-            engine = TCUDBEngine(catalog, device=device,
-                                 mode=ExecutionMode.REAL, options=options)
-            run, host_seconds = timed_execute(engine, sql, repeats=reps)
-            point = result.add(query_id, label, run.seconds,
-                               breakdown=run.breakdown)
-            annotate_tcu_point(point, run)
-            point.host_seconds = host_seconds
-            points[label] = point
-            if verifier is not None:
-                verifier.verify_query(point, "TCUDB", catalog, sql,
-                                      device=device, options=options)
-        on, off = points["fusion=on"], points["fusion=off"]
-        on.normalized = 1.0
-        off.normalized = off.seconds / on.seconds
-        speedups.append(off.host_seconds / on.host_seconds)
-    host_geomean = geomean(speedups)
-    result.notes.append(
-        f"rows_per_sf={rows}; normalized column = simulated slowdown of "
-        "the unfused program; host wall-clock geomean speedup "
-        f"(fusion on vs off) = {host_geomean:.2f}x"
-    )
-    return result
 
 
 def run_ablation_fused_agg(

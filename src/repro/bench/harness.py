@@ -40,8 +40,8 @@ class SeriesPoint:
     # Measured host wall-clock of the engine call (interpreter-level),
     # alongside the machine-independent simulated ``seconds``.  The
     # regression gate keeps using simulated seconds; host_seconds makes
-    # real interpreter-level speedups (e.g. the fusion pass) visible in
-    # reports.  None when the experiment did not measure it.
+    # real interpreter-level speedups (e.g. a faster operand build)
+    # visible in reports.  None when the experiment did not measure it.
     host_seconds: float | None = None
 
     def to_dict(self) -> dict:

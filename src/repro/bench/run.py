@@ -23,7 +23,6 @@ from collections.abc import Callable, Iterator
 from repro.bench.exp_ablations import (
     run_ablation_density_switch,
     run_ablation_fused_agg,
-    run_ablation_fusion,
     run_ablation_precision,
     run_ablation_transform_location,
 )
@@ -90,7 +89,6 @@ def iter_experiments(
     yield "ablation:precision", lambda: run_ablation_precision(**kwargs)
     yield "ablation:transform_location", (
         lambda: run_ablation_transform_location(**kwargs))
-    yield "ablation:fusion", lambda: run_ablation_fusion(**kwargs)
     yield "chaos", lambda: run_chaos(**kwargs)
 
 

@@ -72,11 +72,6 @@ class ScaleProfile:
     # Ablations.
     ablation_sizes: tuple[int, ...] = (4096, 8192, 16384, 32768)
     ablation_distincts: tuple[int, ...] = (32, 256, 1024, 4096, 16384)
-    # Fusion ablation: SSB generator rows and host-timing repeats for the
-    # fusion=on vs fusion=off series (REAL mode; large enough that the
-    # per-aggregate redundancy dominates the fixed query overhead).
-    fusion_rows: int = 20_000
-    fusion_reps: int = 3
     # Chaos experiment: injected fault rates (probability per fault-site
     # call) swept against success rate and availability, SSB generator
     # rows, queries per point and repeats per query (REAL mode; every
@@ -125,8 +120,6 @@ SMOKE = ScaleProfile(
     ablation_sizes=(1024, 2048),
     # extremes must sit clearly on either side of the density threshold
     ablation_distincts=(16, 16384),
-    fusion_rows=20_000,
-    fusion_reps=3,
     chaos_fault_rates=(0.0, 0.2),
     chaos_rows=6_000,
     chaos_queries=4,
@@ -154,8 +147,6 @@ STRESS = ScaleProfile(
     fig13_sizes=(8192, 16384, 32768, 65536),
     ablation_sizes=(16384, 65536),
     ablation_distincts=(64, 1024, 32768),
-    fusion_rows=60_000,
-    fusion_reps=3,
 )
 
 PROFILES: dict[str, ScaleProfile] = {

@@ -9,7 +9,6 @@ from repro.engine.tcudb.codegen import (
     GeneratedProgram,
     OpEmission,
     emit_tensor_program,
-    generate_program,
 )
 from repro.engine.tcudb.cost import (
     OperatorGeometry,
@@ -103,7 +102,6 @@ __all__ = [
     "estimate_gpu_baseline",
     "estimate_sparse",
     "fuse_program",
-    "generate_program",
     "gpu_transform_cost",
     "grouped_matrix",
     "lower_hybrid",

@@ -7,15 +7,10 @@ executes the equivalent steps — but emitting it keeps the architecture
 faithful and makes plans inspectable: every query result carries its
 generated program in ``extra["generated_code"]``.
 
-Two emission surfaces:
-
-* :func:`generate_program` — one self-contained kernel launch sequence
-  for a single plan (the historical whole-pattern emitter, still used
-  for per-plan inspection and by the component tests);
-* :func:`emit_tensor_program` — one section **per operator** of a
-  :class:`~repro.engine.tcudb.program.TensorProgram`, assembled from the
-  :class:`OpEmission` each operator contributes, so generated programs
-  mirror the operator DAG that actually executed.
+:func:`emit_tensor_program` writes one section **per operator** of a
+:class:`~repro.engine.tcudb.program.TensorProgram`, assembled from the
+:class:`OpEmission` each operator contributes, so generated programs
+mirror the operator DAG that actually executed.
 """
 
 from __future__ import annotations
@@ -49,29 +44,6 @@ class GeneratedProgram:
 
     def __str__(self) -> str:
         return self.source
-
-
-def _transform_snippet(plan: PlanCost, m: int, n: int, k: int) -> list[str]:
-    in_type, _ = _WMMA_TYPES[plan.precision]
-    if plan.transform.on_gpu:
-        return [
-            "  // GPU-assisted transformation: ship raw columns, scatter on device",
-            "  cudaMemcpy(d_rawA, h_colA, rawA_bytes, cudaMemcpyHostToDevice);",
-            "  cudaMemcpy(d_rawB, h_colB, rawB_bytes, cudaMemcpyHostToDevice);",
-            f"  cudaMemset(d_At, 0, {m}UL * {k}UL * sizeof({in_type}));",
-            f"  cudaMemset(d_Bt, 0, {n}UL * {k}UL * sizeof({in_type}));",
-            "  fill_matrix_kernel<<<grid, block>>>(d_rawA, d_At, n_tuples_A);",
-            "  fill_matrix_kernel<<<grid, block>>>(d_rawB, d_Bt, n_tuples_B);",
-        ]
-    return [
-        "  // CPU transformation: fill matrices in host memory, then copy",
-        "  fill_matrix_host(h_At, tableA, n_tuples_A);",
-        "  fill_matrix_host(h_Bt, tableB, n_tuples_B);",
-        f"  cudaMemcpy(d_At, h_At, {m}UL * {k}UL * sizeof({in_type}), "
-        "cudaMemcpyHostToDevice);",
-        f"  cudaMemcpy(d_Bt, h_Bt, {n}UL * {k}UL * sizeof({in_type}), "
-        "cudaMemcpyHostToDevice);",
-    ]
 
 
 def _compute_snippet(plan: PlanCost, m: int, n: int, k: int,
@@ -111,46 +83,6 @@ def _compute_snippet(plan: PlanCost, m: int, n: int, k: int,
         ])
     lines.append(f"  // accumulate in {acc_type}, inputs {in_type}")
     return lines
-
-
-def generate_program(
-    plan: PlanCost,
-    m: int,
-    n: int,
-    k: int,
-    op_label: str,
-    n_matmuls: int = 1,
-    needs_nonzero: bool = True,
-) -> GeneratedProgram:
-    """Emit the C program for one TCU operator invocation."""
-    steps: list[str] = []
-    lines = [_HEADER, f"// operator: {op_label}",
-             f"// plan: {plan.strategy.value} @ {plan.precision.value}",
-             "extern \"C\" void tcudb_run_query() {"]
-    transform = _transform_snippet(plan, m, n, k)
-    lines.extend(transform)
-    steps.append("transform:" + ("gpu" if plan.transform.on_gpu else "cpu"))
-    compute = _compute_snippet(plan, m, n, k, n_matmuls)
-    lines.extend(compute)
-    steps.append(f"compute:{plan.strategy.value}x{n_matmuls}")
-    if needs_nonzero:
-        lines.append(
-            "  nonzero_kernel<<<grid, block>>>(d_Ct, d_pairs, &n_pairs);"
-        )
-        steps.append("nonzero")
-    lines.append(
-        "  cudaMemcpyAsync(h_result, d_pairs, n_pairs * sizeof(pair_t), "
-        "cudaMemcpyDeviceToHost, result_stream);"
-    )
-    steps.append("result:d2h")
-    lines.append("  cudaDeviceSynchronize();")
-    lines.append("}")
-    return GeneratedProgram(source="\n".join(lines), steps=tuple(steps))
-
-
-# --------------------------------------------------------------------------- #
-# Per-operator emission (TensorProgram surface)
-# --------------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)

@@ -55,15 +55,11 @@ class OperatorGeometry:
     # accumulation — atomic conflicts make each record ~4x costlier to
     # place than an indicator fill.
     fill_scale: float = 1.0
-    # How many times the operand matrices are rebuilt from the base
-    # tuples.  The fused BatchedGemm builds the indicator structure once
-    # (1) and stacks per-aggregate values; the unfused per-aggregate
-    # loop rebuilds both operands for every grid (n_matmuls).
-    fill_passes: int = 1
 
     def fill_tuples(self) -> int:
-        """Qualifying-record placements the transformation must perform."""
-        return int(self.n_tuples * self.fill_scale * self.fill_passes)
+        """Qualifying-record placements the transformation must perform:
+        one shared fill, however many grids the product stacks."""
+        return int(self.n_tuples * self.fill_scale)
 
     @property
     def density_left(self) -> float:
@@ -230,16 +226,12 @@ def estimate_sparse(
 # -- non-GEMM operator estimates (TensorProgram per-operator costing) --------- #
 
 
-def estimate_mask_apply(device: GPUDevice, rows: int,
-                        n_predicates: int, fused: bool = False) -> float:
-    """CUDA-core cost of a ``MaskApply``: one gather-rate pass over the
-    masked intermediate per predicate.  A fused epilogue (the mask
-    evaluated inside the GEMM result hook instead of a separate grid
-    pass) charges a single pass regardless of the conjunct count — the
-    predicates ride the extraction kernel's existing traversal."""
-    if fused:
-        return device.cuda.gather_seconds(max(rows, 1))
-    return device.cuda.gather_seconds(max(rows, 1) * max(n_predicates, 1))
+def estimate_mask_apply(device: GPUDevice, rows: int) -> float:
+    """CUDA-core cost of a predicate epilogue: the predicates ride the
+    host operator's existing traversal (the operand fill, the pair
+    extraction or the grid harvest), so one gather-rate pass over the
+    masked rows, regardless of the conjunct count."""
+    return device.cuda.gather_seconds(max(rows, 1))
 
 
 def estimate_fold_step(host: HostProfile, device: GPUDevice,
@@ -264,9 +256,8 @@ def estimate_fold_chain(host: HostProfile, device: GPUDevice,
     ``step_sizes`` holds one ``(fact_rows, dim_rows)`` pair per folded
     dimension, with ``fact_rows`` the survivor count *entering* that
     step.  The fusion is a host-side rewrite — the simulated kernel
-    stream (fills, conversions, gathers) is unchanged — so charging the
-    exact sequential sum keeps fused programs' simulated time
-    byte-identical to the unfused chain.
+    stream (fills, conversions, gathers) is unchanged — so the chain
+    charges the exact sequential sum of its steps.
     """
     return sum(
         estimate_fold_step(host, device, fact_rows, dim_rows, chained_fill_s)

@@ -67,10 +67,6 @@ class TCUDBOptions:
     require_exact: bool = False  # reject plans with fp16 rounding
     disable_fallback: bool = False  # raise instead of falling back
     force_cpu_transform: bool = False
-    # The TensorProgram fusion pass (repro.engine.tcudb.fuse): on by
-    # default; ``fusion=False`` executes the unfused per-aggregate
-    # operator DAG (bench ablation / debugging).
-    fusion: bool = True
     # Rows per chunk, the unit of execution: scans walk stat-pruned row
     # chunks, the driver accumulates GEMM grids over key-domain chunks,
     # and hybrid pre-stages stream.  ``None`` takes the storage layer's
@@ -205,7 +201,7 @@ class TCUDBEngine(Engine):
         cache = self.program_cache if key is not None else None
 
         def lower(lowering) -> LoweredQuery | MatchFailure:
-            lowered = lowering(template, fusion=self.options.fusion)
+            lowered = lowering(template)
             # A hybrid re-lowering replaces the pattern template: the
             # data-dependent shape it failed on is stable under this
             # fingerprint (data only changes by re-registering).
@@ -274,7 +270,6 @@ class TCUDBEngine(Engine):
             options.require_exact,
             options.disable_fallback,
             options.force_cpu_transform,
-            options.fusion,
             options.chunk_rows,
             self.driver.backend.name,
         )
@@ -320,7 +315,6 @@ class TCUDBEngine(Engine):
             strategy=plan.strategy.value if plan else "none",
             precision=plan.precision.value if plan else "none",
             executed_by="TCU-hybrid" if program.hybrid else "TCU",
-            fusion=self.options.fusion,
             program=program,
             program_listing=Deferred(program.describe),
             operator_costs=ctx.op_costs,

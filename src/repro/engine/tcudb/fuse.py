@@ -30,28 +30,13 @@ Rewrite rules, applied in order:
     ``ValueFill`` builds each side's indicator structure once (rows and
     group codes shared, per-aggregate values stacked into an
     ``(n_agg, g, k)`` operand) and the driver issues a single stacked
-    matmul.  The cost model charges one operand fill plus ``n_agg`` MMA
-    passes instead of ``n_agg`` full operand rebuilds.
-
-``having-epilogue``
-    ``Gemm → GridAggregate → MaskApply[having]`` collapses the mask into
-    the grid harvest: the HAVING conjuncts are evaluated inside the GEMM
-    result hook (a masked nonzero extraction) instead of a separate pass
-    over the harvested groups.
-
-``residual-epilogue``
-    ``Gemm → NonzeroExtract → MaskApply[residual-pairs]`` collapses the
-    residual mask into the pair extraction the same way.
-
-``residual-fill``
-    ``MaskApply[residual-fact] → ValueFill[star]`` folds the fact-side
-    residual mask into the operand fill: masked fact tuples are never
-    placed into the operand matrices (a masked fill riding the existing
-    placement pass), removing the last standalone mask operator.
+    matmul, priced as one operand fill plus ``n_agg`` MMA passes.
 
 Fusion never rewrites semantics: every rule preserves the operator's
-payload contract, and the fused-vs-unfused equivalence is property-tested
-over the fuzz corpus (``tests/test_fusion.py``).
+payload contract, and the fused programs are property-tested against the
+oracle over the fuzz corpus (``tests/test_fusion.py``).  HAVING and
+residual predicates need no rule: the lowering already places them in
+the operator that evaluates them (:mod:`repro.engine.tcudb.lower`).
 """
 
 from __future__ import annotations
@@ -72,12 +57,10 @@ def _grid_count(fill: ops.ValueFill) -> int:
 def fuse_program(program: TensorProgram) -> TensorProgram:
     """Apply the rewrite rules; returns a new, equivalent program.
 
-    The input program is not mutated — unfused execution (``fusion=off``)
-    can run the original side by side for ablation.
-    """
+    The input program is not mutated."""
     by_id = {op.id: op for op in program.ops}
     rewritten: dict[str, ops.TensorOp] = {}
-    dropped: dict[str, str] = {}  # fused MaskApply id -> its new host op
+    dropped: set[str] = set()  # folds absorbed into a FoldJoinChain
     notes: list[str] = []
 
     # -- rule: fold-chain -------------------------------------------------- #
@@ -122,8 +105,7 @@ def fuse_program(program: TensorProgram) -> TensorProgram:
                 for fold in run
             ],
         )
-        for fold in run[:-1]:
-            dropped[fold.id] = run[-1].id
+        dropped.update(fold.id for fold in run[:-1])
         notes.append(
             f"fusion: fold-chain collapsed {len(run)} chained-join steps "
             f"({', '.join(fold.dim_binding for fold in run)}) into one "
@@ -159,90 +141,16 @@ def fuse_program(program: TensorProgram) -> TensorProgram:
             f"products of {op.id} into one stacked GEMM"
         )
 
-    # -- rules: masked epilogues ------------------------------------------- #
-    for op in program.ops:
-        if not isinstance(op, ops.MaskApply):
-            continue
-        host = by_id.get(op.input)
-        if op.role == "having" and isinstance(host, ops.GridAggregate):
-            base = rewritten.get(host.id, host)
-            rewritten[host.id] = replace(
-                base,
-                epilogue_predicates=list(op.predicates),
-                fused_from=list(base.fused_from) + [op.id],
-            )
-            dropped[op.id] = host.id
-            notes.append(
-                f"fusion: having-epilogue folded {op.id} into {host.id}'s "
-                "result hook"
-            )
-        elif (op.role == "residual-pairs"
-                and isinstance(host, ops.NonzeroExtract)):
-            base = rewritten.get(host.id, host)
-            rewritten[host.id] = replace(
-                base,
-                epilogue_predicates=list(op.predicates),
-                fused_from=list(base.fused_from) + [op.id],
-            )
-            dropped[op.id] = host.id
-            notes.append(
-                f"fusion: residual-epilogue folded {op.id} into "
-                f"{host.id}'s extraction kernel"
-            )
-
-    # -- rule: residual-fill ----------------------------------------------- #
-    for op in program.ops:
-        if not isinstance(op, ops.ValueFill) or op.mode != "star":
-            continue
-        host = by_id.get(op.left_input)
-        if not (isinstance(host, ops.MaskApply)
-                and host.role == "residual-fact"):
-            continue
-        base = rewritten.get(op.id, op)
-        fused_fill = replace(
-            base,
-            epilogue_predicates=list(host.predicates),
-            fused_from=list(base.fused_from) + [host.id],
-        )
-        if hasattr(base, "consumer_id"):
-            fused_fill.consumer_id = base.consumer_id
-        rewritten[op.id] = fused_fill
-        # Consumers of the mask (this fill) rewire to the mask's input.
-        dropped[host.id] = host.input
-        notes.append(
-            f"fusion: residual-fill folded {host.id} into {op.id}'s "
-            "operand fill (masked placement)"
-        )
-
     if not rewritten and not dropped:
         return program
 
-    # -- reassemble: drop fused masks, rewire their consumers ------------- #
-    new_ops: list[ops.TensorOp] = []
-    for op in program.ops:
-        if op.id in dropped:
-            continue
-        op = rewritten.get(op.id, op)
-        new_ops.append(_rewire(op, dropped))
     return TensorProgram(
-        ops=new_ops,
+        ops=[rewritten.get(op.id, op) for op in program.ops
+             if op.id not in dropped],
         strategy=program.strategy,
         hybrid=program.hybrid,
         notes=list(program.notes) + notes,
     )
-
-
-def _rewire(op: ops.TensorOp, dropped: dict[str, str]) -> ops.TensorOp:
-    """Point consumers of a fused-away MaskApply at its host operator."""
-    if not dropped:
-        return op
-    updates = {}
-    for attr in ("input", "left_input", "right_input", "chain_input",
-                 "fact_input", "dim_input"):
-        value = getattr(op, attr, None)
-        if isinstance(value, str) and value in dropped:
-            updates[attr] = dropped[value]
-    return replace(op, **updates) if updates else op
 
 
 __all__ = ["fuse_program"]

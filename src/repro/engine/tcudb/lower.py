@@ -7,11 +7,11 @@ operators.  Two strategies, tried in order:
    :mod:`repro.engine.tcudb.patterns` recognizes a matmul-encodable core
    shape (JOIN_2WAY / JOIN_MULTIWAY / JOIN_AGG) and this pass emits the
    operator chain for it.  Unlike the historical whole-query matcher,
-   HAVING lowers to a ``MaskApply`` over the aggregate grid and
-   cross-table residual predicates lower to ``MaskApply`` over the
-   folded fact side (JOIN_AGG) or over the extracted join pairs
-   (JOIN_2WAY / multiway) — native TCU execution instead of whole-query
-   fallback.
+   HAVING and cross-table residual predicates run natively as epilogues
+   of the operator that already evaluates them: HAVING in the
+   ``GridAggregate`` harvest, residuals in the operand fill
+   (``ValueFill[star]``, JOIN_AGG) or in the last pair extraction
+   (``NonzeroExtract``, JOIN_2WAY / multiway).
 
 2. **Hybrid lowering** — when the pattern core cannot express the query
    (non-star join graphs, non-product aggregate arguments,
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.tcudb import ops
+from repro.engine.tcudb.fuse import fuse_program
 from repro.engine.tcudb.patterns import (
     AggregateSpec,
     MatchFailure,
@@ -54,24 +55,19 @@ class LoweredQuery:
     hybrid: bool = False
 
 
-def lower_query(
-    bound: BoundQuery, fusion: bool = True,
-) -> LoweredQuery | MatchFailure:
-    """Lower a bound query, preferring the full pattern pipeline.
-
-    ``fusion`` runs the optimizing rewrite pass
-    (:mod:`repro.engine.tcudb.fuse`) over the lowered program — on by
-    default; ``fusion=False`` is the ablation/debug switch.
-    """
+def lower_query(bound: BoundQuery) -> LoweredQuery | MatchFailure:
+    """Lower a bound query, preferring the full pattern pipeline; the
+    rewrite pass (:mod:`repro.engine.tcudb.fuse`) runs on every lowered
+    program."""
     pattern = match_pattern(bound)
     if isinstance(pattern, TCUPattern):
         lowered = _lower_pattern(bound, pattern)
         if isinstance(lowered, LoweredQuery):
-            return _maybe_fuse(lowered, fusion)
+            return _fused(lowered)
         pattern_failure = lowered
     else:
         pattern_failure = pattern
-    hybrid = lower_hybrid(bound, fusion=fusion)
+    hybrid = lower_hybrid(bound)
     if isinstance(hybrid, LoweredQuery):
         return hybrid
     # Report the primary (pattern) rejection: it names the construct
@@ -79,11 +75,7 @@ def lower_query(
     return pattern_failure
 
 
-def _maybe_fuse(lowered: LoweredQuery, fusion: bool) -> LoweredQuery:
-    if not fusion:
-        return lowered
-    from repro.engine.tcudb.fuse import fuse_program
-
+def _fused(lowered: LoweredQuery) -> LoweredQuery:
     return LoweredQuery(
         program=fuse_program(lowered.program),
         pattern=lowered.pattern,
@@ -183,13 +175,8 @@ def _lower_join_chain(
         extract = ops.NonzeroExtract(id=f"pairs_{index}", input=gemm.id)
         program_ops.extend([build, gemm, extract])
         chain_id = extract.id
-    if bound.residuals:
-        mask = ops.MaskApply(
-            id="mask_residual", input=chain_id,
-            predicates=list(bound.residuals), role="residual-pairs",
-        )
-        program_ops.append(mask)
-        chain_id = mask.id
+    # Residuals mask the pairs inside the last extraction kernel.
+    extract.epilogue_predicates = list(bound.residuals)
     program_ops.append(
         ops.Decode(
             id="decode", input=chain_id, role="project",
@@ -251,13 +238,6 @@ def _lower_join_agg(
         )
         program_ops.extend([scan_dim, fold])
         fact_id = fold.id
-    if bound.residuals:
-        mask = ops.MaskApply(
-            id="mask_residual", input=fact_id,
-            predicates=list(bound.residuals), role="residual-fact",
-        )
-        program_ops.append(mask)
-        fact_id = mask.id
     b_predicate = _join_for(pattern, fact, b_side)
     if b_predicate is None:
         return MatchFailure(f"no join between {fact} and {b_side}")
@@ -266,10 +246,12 @@ def _lower_join_agg(
     b_col = (b_predicate.left if b_predicate.left.binding == b_side
              else b_predicate.right)
     scan_b = ops.TableSource(id=f"scan_{b_side}", binding=b_side)
+    # Residuals mask the folded fact side inside the operand fill.
     fill = ops.ValueFill(
         id="value_fill", left_input=fact_id, right_input=scan_b.id,
         mode="star", specs=pattern.aggregates, group_by=pattern.group_by,
         pattern=pattern, b_side=b_side, fact_column=fact_col, b_column=b_col,
+        epilogue_predicates=list(bound.residuals),
     )
     gemm = ops.Gemm(id="gemm_agg", input=fill.id,
                     label="TCU Join+GroupBy+Aggregation")
@@ -325,24 +307,14 @@ def _dim_needed_columns(pattern: TCUPattern, dim: str) -> list[str]:
 def _aggregate_tail(bound: BoundQuery, gemm_id: str,
                     calls: list[AggregateCall],
                     split_sums: bool = False) -> list[ops.TensorOp]:
-    """The harvest of an aggregate product, HAVING's mask over its
-    groups, then the select items evaluated per group."""
+    """The harvest of an aggregate product with HAVING in its result
+    hook, then the select items evaluated per group."""
     harvest = ops.GridAggregate(id="grid_agg", input=gemm_id,
-                                calls=list(calls), split_sums=split_sums)
-    program_ops: list[ops.TensorOp] = [harvest]
-    node_id = harvest.id
-    if bound.having:
-        having = ops.MaskApply(
-            id="mask_having", input=node_id, predicates=list(bound.having),
-            role="having",
-        )
-        program_ops.append(having)
-        node_id = having.id
-    program_ops.append(
-        ops.Decode(id="decode", input=node_id, role="aggregate",
-                   items=list(bound.select_items))
-    )
-    return program_ops
+                                calls=list(calls), split_sums=split_sums,
+                                epilogue_predicates=list(bound.having))
+    return [harvest,
+            ops.Decode(id="decode", input=harvest.id, role="aggregate",
+                       items=list(bound.select_items))]
 
 
 # --------------------------------------------------------------------------- #
@@ -350,9 +322,7 @@ def _aggregate_tail(bound: BoundQuery, gemm_id: str,
 # --------------------------------------------------------------------------- #
 
 
-def lower_hybrid(
-    bound: BoundQuery, fusion: bool = True,
-) -> LoweredQuery | MatchFailure:
+def lower_hybrid(bound: BoundQuery) -> LoweredQuery | MatchFailure:
     """Lower the aggregation core onto the TCU over a conventional
     pre-stage (Lemma 3.1 grouped reduce).
 
@@ -382,16 +352,11 @@ def lower_hybrid(
                     label="TCU grouped reduce (Lemma 3.1)")
     fill.consumer_id = gemm.id
     program_ops = [stage, fill, gemm, *_aggregate_tail(bound, gemm.id, calls)]
-    return _maybe_fuse(
-        LoweredQuery(
-            program=TensorProgram(
-                ops=program_ops, strategy="hybrid:grouped_reduce",
-                hybrid=True,
-            ),
-            hybrid=True,
-        ),
-        fusion,
-    )
+    return _fused(LoweredQuery(
+        program=TensorProgram(ops=program_ops,
+                              strategy="hybrid:grouped_reduce", hybrid=True),
+        hybrid=True,
+    ))
 
 
 __all__ = ["LoweredQuery", "lower_hybrid", "lower_query"]

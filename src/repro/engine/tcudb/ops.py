@@ -15,17 +15,16 @@ generator).  The catalog:
 * :class:`IndicatorBuild` — union key domain + indicator/comparison
   operand matrices for one join step (Section 3.1/3.4 encodings);
 * :class:`ValueFill`      — value-filled grouped operand matrices for a
-  join+aggregate product, or the Lemma-3.1 grouped-reduce encoding of an
+  join+aggregate product (residual predicates masking the fact side
+  inside the fill), or the Lemma-3.1 grouped-reduce encoding of an
   already-materialized relation (hybrid mode);
 * :class:`Gemm`           — run the Figure-6 optimizer workflow for this
   product (range/working-set/density tests, adaptive precision, cost
   comparison) and execute the matrix multiply;
 * :class:`NonzeroExtract` — nonzero() extraction of matching pairs,
-  extending the join chain;
+  extending the join chain (residual predicates masking the pairs);
 * :class:`GridAggregate`  — harvest non-empty cells of the aggregate
-  grids (AVG division, group-key decoding);
-* :class:`MaskApply`      — residual predicates over the fact side or
-  extracted pairs, and HAVING over the aggregated grid;
+  grids (AVG division, group-key decoding, HAVING over the groups);
 * :class:`PhysicalStage`  — conventional pre-stage executing the
   non-TCU-expressible prefix of the plan (hybrid execution);
 * :class:`Decode`         — project output columns / evaluate output
@@ -795,6 +794,11 @@ class IndicatorBuild(TensorOp):
         )
 
 
+def _charge_epilogue(ctx, op: TensorOp, rows: int) -> None:
+    """An operator's epilogue predicates ride its own traversal."""
+    ctx.charge(op, "tcu_mask_apply", estimate_mask_apply(ctx.device, rows))
+
+
 @dataclass
 class ValueFill(TensorOp):
     """Build value-filled grouped operand matrices for one aggregate
@@ -823,15 +827,13 @@ class ValueFill(TensorOp):
     b_column: BoundColumn | None = None
     # reduce mode only: one argument expression (or None for COUNT) per spec
     arguments: list[Expr | None] = field(default_factory=list)
-    # Set by the fusion pass: the consuming BatchedGemm charges one
-    # fill of the shared indicator structure instead of one per
-    # aggregate (the structure itself is built once either way).
+    # Set by the fusion pass when a BatchedGemm consumes this fill: the
+    # listing and the emitted section name the shared indicator
+    # structure (built, and charged, once either way).
     shared: bool = False
-    # Fused residual-fact mask (fusion pass): the residual conjuncts are
-    # evaluated inside the operand fill — masked fact tuples are never
-    # placed, instead of a separate MaskApply pass over the fact side.
+    # star mode only: residual conjuncts evaluated inside the operand
+    # fill — masked fact tuples are never placed.
     epilogue_predicates: list[Predicate] = field(default_factory=list)
-    fused_from: list[str] = field(default_factory=list)
 
     kind = "value_fill"
 
@@ -847,7 +849,7 @@ class ValueFill(TensorOp):
         suffix = " [coo-shared]" if self.shared else ""
         if self.epilogue_predicates:
             conds = " AND ".join(str(p) for p in self.epilogue_predicates)
-            suffix += f" epilogue({conds}) fused_from={self.fused_from}"
+            suffix += f" epilogue({conds})"
         return (f"{self.id}: ValueFill[{self.mode}](aggs={funcs}, "
                 f"group_by={keys}){suffix}")
 
@@ -878,12 +880,7 @@ class ValueFill(TensorOp):
         if self.epilogue_predicates:
             # Masked operand fill: residual-fact conjuncts ride the fill
             # pass — masked tuples are never placed into the operands.
-            ctx.charge(
-                self, "tcu_mask_apply",
-                estimate_mask_apply(ctx.device, fact.n_rows,
-                                    len(self.epilogue_predicates),
-                                    fused=True),
-            )
+            _charge_epilogue(ctx, self, fact.n_rows)
             mask = conjunction_mask(self.epilogue_predicates,
                                     fact.eval_environment(), ctx.bound)
             fact = fact.filtered(mask)
@@ -1042,27 +1039,14 @@ class Gemm(TensorOp):
             dims=dims, n_matmuls=n_matmuls,
         )
 
-    def priced_geometry(self, operands) -> OperatorGeometry:
-        """Geometry the optimizer prices and the plan charges.
-
-        An unfused multi-grid product is priced as the per-aggregate
-        loop it stands for — one operand fill per matmul; the fused
-        ``BatchedGemm`` overrides this to a single shared fill.
-        """
-        geometry = operands.geometry
-        if isinstance(operands, AggOperandsValue) and geometry.n_matmuls > 1:
-            return replace(geometry, fill_passes=geometry.n_matmuls)
-        return geometry
-
     def execute(self, ctx) -> ProductValue:
         operands = ctx.value(self.input)
         if isinstance(operands, AggOperandsValue) and operands.empty:
             return ProductValue(operands=operands, empty=True)
         grouped = (operands.grouped
                    if isinstance(operands, AggOperandsValue) else False)
-        geometry = self.priced_geometry(operands)
         decision = ctx.optimizer.decide(
-            geometry, operands.feasibility, operands.pairs,
+            operands.geometry, operands.feasibility, operands.pairs,
             grouped=grouped, op_label=f"{self.id} ({self.label})",
         )
         ctx.record_decision(self.id, decision)
@@ -1120,9 +1104,9 @@ class BatchedGemm(Gemm):
     Each side's indicator structure is built once — rows and group codes
     shared across every aggregate — the per-aggregate fill values stack
     into an (n_agg, g, k) operand and a single stacked matmul is issued.
-    It executes as ``Gemm`` does; what the rewrite changes is the price:
-    one operand fill plus ``n_agg`` MMA passes instead of ``n_agg`` full
-    operand rebuilds.
+    It executes and is priced as ``Gemm`` is: one shared operand fill
+    plus ``n_agg`` MMA passes.  What the rewrite changes is the emitted
+    kernel sequence.
     """
 
     n_grids: int = 1
@@ -1137,10 +1121,6 @@ class BatchedGemm(Gemm):
             base += f" fused_from={self.fused_from}"
         return base
 
-    def priced_geometry(self, operands) -> OperatorGeometry:
-        # One shared fill regardless of the grid count.
-        return operands.geometry
-
     def emission(self, ctx) -> OpEmission:
         emission = super().emission(ctx)
         return replace(emission, kind="batched_gemm",
@@ -1151,15 +1131,14 @@ class BatchedGemm(Gemm):
 class NonzeroExtract(TensorOp):
     """nonzero() extraction of matching pairs; extends the join chain.
 
-    A fused residual epilogue (``epilogue_predicates``, installed by the
-    fusion pass from a downstream ``MaskApply[residual-pairs]``) is
-    evaluated inside this result hook — the extracted pairs are masked in
-    the same pass instead of a separate grid traversal.
+    Residual predicates (``epilogue_predicates``, set by the lowering on
+    the chain's last extraction) are evaluated inside this result hook —
+    the extracted pairs are masked in the same pass instead of a separate
+    grid traversal.
     """
 
     input: str
     epilogue_predicates: list[Predicate] = field(default_factory=list)
-    fused_from: list[str] = field(default_factory=list)
 
     kind = "nonzero"
 
@@ -1170,7 +1149,7 @@ class NonzeroExtract(TensorOp):
         base = f"{self.id}: NonzeroExtract()"
         if self.epilogue_predicates:
             conds = " AND ".join(str(p) for p in self.epilogue_predicates)
-            base += f" epilogue({conds}) fused_from={self.fused_from}"
+            base += f" epilogue({conds})"
         return base
 
     def emission(self, ctx) -> OpEmission:
@@ -1217,7 +1196,7 @@ class NonzeroExtract(TensorOp):
             else:
                 count = ctx.driver._join_count(prepared)
             if self.epilogue_predicates:
-                self._charge_epilogue(ctx, count)
+                _charge_epilogue(ctx, self, count)
                 selectivity = conjunction_selectivity(
                     self.epilogue_predicates, bound_stats_lookup(ctx.bound)
                 )
@@ -1241,15 +1220,8 @@ class NonzeroExtract(TensorOp):
         )
         if not self.epilogue_predicates:
             return extracted
-        self._charge_epilogue(ctx, extracted.n_rows)
+        _charge_epilogue(ctx, self, extracted.n_rows)
         return extracted.filtered(self.epilogue_predicates, ctx.bound)
-
-    def _charge_epilogue(self, ctx, rows: int) -> None:
-        ctx.charge(
-            self, "tcu_mask_apply",
-            estimate_mask_apply(ctx.device, rows,
-                                len(self.epilogue_predicates), fused=True),
-        )
 
 
 @dataclass
@@ -1261,17 +1233,15 @@ class GridAggregate(TensorOp):
     into physical group-column values.  The per-spec values become one
     float64 final per aggregate call in ``calls``; under ``split_sums``
     (the star lowering) a ``SUM(x ± y)`` call owns the specs of its
-    linear parts and adds or subtracts them.  A fused HAVING epilogue
-    (installed by the fusion pass from a downstream
-    ``MaskApply[having]``) evaluates the HAVING conjuncts inside this
-    result hook — masked groups never leave the extraction pass.
+    linear parts and adds or subtracts them.  HAVING
+    (``epilogue_predicates``) is evaluated inside this result hook —
+    masked groups never leave the extraction pass.
     """
 
     input: str
     calls: list[AggregateCall] = field(default_factory=list)
     split_sums: bool = False
     epilogue_predicates: list[Predicate] = field(default_factory=list)
-    fused_from: list[str] = field(default_factory=list)
 
     kind = "grid_aggregate"
 
@@ -1282,7 +1252,7 @@ class GridAggregate(TensorOp):
         base = f"{self.id}: GridAggregate()"
         if self.epilogue_predicates:
             conds = " AND ".join(str(p) for p in self.epilogue_predicates)
-            base += f" epilogue({conds}) fused_from={self.fused_from}"
+            base += f" epilogue({conds})"
         return base
 
     def emission(self, ctx) -> OpEmission:
@@ -1328,7 +1298,7 @@ class GridAggregate(TensorOp):
                     int(right.keys_mapped.size), 1),
             )
             if self.epilogue_predicates:
-                self._charge_epilogue(ctx, estimate)
+                _charge_epilogue(ctx, self, estimate)
                 estimate = int(estimate * conjunction_selectivity(
                     self.epilogue_predicates, bound_stats_lookup(ctx.bound)
                 ))
@@ -1406,106 +1376,8 @@ class GridAggregate(TensorOp):
     def _apply_epilogue(self, ctx, groups: GroupsValue) -> GroupsValue:
         if not self.epilogue_predicates:
             return groups
-        self._charge_epilogue(ctx, groups.n_rows)
+        _charge_epilogue(ctx, self, groups.n_rows)
         return groups.having(ctx, self.epilogue_predicates)
-
-    def _charge_epilogue(self, ctx, rows: int) -> None:
-        ctx.charge(
-            self, "tcu_mask_apply",
-            estimate_mask_apply(ctx.device, rows,
-                                len(self.epilogue_predicates), fused=True),
-        )
-
-
-@dataclass
-class MaskApply(TensorOp):
-    """Predicate masks over intermediate results.
-
-    Roles:
-
-    * ``residual-fact``  — cross-table residual conjuncts over the fact
-      side after its dimensions folded (JOIN_AGG lowering);
-    * ``residual-pairs`` — residual conjuncts over extracted join pairs
-      (JOIN_2WAY / multiway lowering);
-    * ``having``         — HAVING conjuncts over the aggregated grid,
-      evaluated per group over the harvested finals.
-    """
-
-    input: str
-    predicates: list[Predicate]
-    role: str
-
-    kind = "mask_apply"
-
-    def input_ids(self) -> list[str]:
-        return [self.input]
-
-    def describe(self) -> str:
-        conds = " AND ".join(str(p) for p in self.predicates)
-        return f"{self.id}: MaskApply[{self.role}]({conds})"
-
-    def emission(self, ctx) -> OpEmission:
-        return OpEmission(
-            kind="mask_apply", label=f"MaskApply[{self.role}]",
-            lines=[
-                f"  // {len(self.predicates)} predicate(s), role="
-                f"{self.role}",
-                "  mask_apply_kernel<<<grid, block>>>"
-                "(d_rows, d_mask, n_rows);",
-            ],
-        )
-
-    def execute(self, ctx):
-        value = ctx.value(self.input)
-        if isinstance(value, FactValue) or isinstance(value, RelationValue):
-            return self._mask_fact(ctx, value)
-        if isinstance(value, ChainValue):
-            return self._mask_chain(ctx, value)
-        if isinstance(value, GroupsValue):
-            return self._mask_groups(ctx, value)
-        raise ExecutionError(f"MaskApply cannot filter {type(value).__name__}")
-
-    def _charge(self, ctx, rows: int) -> None:
-        ctx.charge(
-            self, "tcu_mask_apply",
-            estimate_mask_apply(ctx.device, rows, len(self.predicates)),
-        )
-
-    def _mask_fact(self, ctx, value):
-        if isinstance(value, RelationValue):
-            value = FactValue(env=value.env, gathered={})
-        self._charge(ctx, value.n_rows)
-        env = value.eval_environment()
-        mask = conjunction_mask(self.predicates, env, ctx.bound)
-        return value.filtered(mask)
-
-    def _mask_chain(self, ctx, chain: ChainValue) -> ChainValue:
-        self._charge(ctx, chain.n_rows)
-        if not chain.materialized:
-            # ANALYTIC estimate: per-conjunct selectivities derived from
-            # column statistics (0.5 only for conjuncts beyond them).
-            selectivity = conjunction_selectivity(
-                self.predicates, bound_stats_lookup(ctx.bound)
-            )
-            n = int(chain.n_rows * selectivity)
-            return ChainValue(
-                envs=chain.envs, n_rows=n,
-                multiplicity={b: m * selectivity
-                              for b, m in chain.multiplicity.items()},
-                materialized=False,
-            )
-        return chain.filtered(self.predicates, ctx.bound)
-
-    def _mask_groups(self, ctx, groups: GroupsValue) -> GroupsValue:
-        self._charge(ctx, groups.n_rows)
-        if groups.empty:
-            return groups
-        if groups.finals is None:
-            n = int(groups.n_rows * conjunction_selectivity(
-                self.predicates, bound_stats_lookup(ctx.bound)
-            ))
-            return GroupsValue(finals=None, group_columns=None, n_rows=n)
-        return groups.having(ctx, self.predicates)
 
 
 @dataclass
@@ -1853,7 +1725,6 @@ __all__ = [
     "GroupsValue",
     "IndicatorBuild",
     "JoinOperandsValue",
-    "MaskApply",
     "NonzeroExtract",
     "OutputValue",
     "PhysicalStage",

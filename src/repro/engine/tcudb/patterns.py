@@ -19,7 +19,7 @@ Constructs truly beyond matmul expressiveness (MIN/MAX, additive
 aggregate arguments that do not split linearly, disconnected joins)
 still reject with a :class:`MatchFailure`, in HAVING too; HAVING and
 cross-table residual predicates themselves are *not* rejected — the
-lowering pass turns them into ``MaskApply`` operators.
+lowering pass evaluates them as epilogues of the matched operators.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def match_pattern(bound: BoundQuery) -> TCUPattern | MatchFailure:
 
     Residual predicates are deliberately *not* inspected, and HAVING only
     for its aggregate calls: the lowering pass attaches both as
-    ``MaskApply`` operators over the matched core shape.
+    epilogues of the matched core shape's operators.
     """
     if len(bound.tables) < 2:
         return MatchFailure("single-table query: nothing to encode as a join")

@@ -8,10 +8,10 @@ inside predicate or argument expressions.  This pass stamps a cached
 template with one execution's parameter values by *copying* exactly the
 operators that carry expressions, leaving everything else shared:
 
-* ``MaskApply`` / ``NonzeroExtract`` / ``GridAggregate`` / ``ValueFill``
-  — residual/HAVING predicates (and fused epilogues) substituted and
-  re-folded; parameter-only HAVING operands (skipped at template
-  lowering) fold to the literals the per-group evaluator reads.
+* ``NonzeroExtract`` / ``GridAggregate`` / ``ValueFill`` — residual
+  and HAVING epilogue predicates substituted and re-folded;
+  parameter-only HAVING operands (skipped at template lowering) fold to
+  the literals the per-group evaluator reads.
 * ``GridAggregate`` / ``Decode`` — aggregate calls and select items go
   through the same substitute+fold, so the finals a lifted
   ``SUM(b * ?)`` keys are found under the substituted HAVING's call.
@@ -86,12 +86,6 @@ def _specialize_op(
 ) -> ops.TensorOp:
     if isinstance(op, ops.PhysicalStage):
         return _replace(op, tree=plan_relation(exec_bound))
-    if isinstance(op, ops.MaskApply):
-        if not any(map(_predicate_has_parameter, op.predicates)):
-            return op
-        return _replace(
-            op, predicates=_substitute_predicates(op.predicates, values)
-        )
     if isinstance(op, ops.ValueFill):
         needs_args = any(
             argument is not None and _expr_has_parameter(argument)

@@ -24,7 +24,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.common.errors import StorageError
+from repro.common.errors import ConfigError
 from repro.storage.column import Column
 from repro.storage.statistics import ChunkStats, ColumnStats, compute_stats
 from repro.storage.table import Table
@@ -41,14 +41,14 @@ def chunk_rows_policy(override: int | None = None) -> int:
     ``REPRO_CHUNK_ROWS`` environment knob, or the default."""
     if override is not None:
         if override <= 0:
-            raise StorageError(f"chunk size must be positive, got {override}")
+            raise ConfigError(f"chunk size must be positive, got {override}")
         return int(override)
     env = os.environ.get("REPRO_CHUNK_ROWS")
     if env:
         try:
             return chunk_rows_policy(int(env))
         except ValueError:
-            raise StorageError(
+            raise ConfigError(
                 f"REPRO_CHUNK_ROWS must be a positive integer, got {env!r}"
             ) from None
     return DEFAULT_CHUNK_ROWS

@@ -19,7 +19,7 @@ import pytest
 from differential_utils import assert_results_match
 from repro.bench.harness import SeriesPoint
 from repro.bench.verify import OracleVerifier, result_rows, sampled_catalog
-from repro.common.errors import BindError, PlanError, StorageError
+from repro.common.errors import BindError, ConfigError, PlanError
 from repro.common.rng import make_rng
 from repro.datasets.ssb import ssb_catalog
 from repro.engine.base import ExecutionMode
@@ -92,8 +92,16 @@ class TestChunkedTable:
         monkeypatch.setenv("REPRO_CHUNK_ROWS", "3")
         assert chunk_rows_policy() == 3
         assert chunk_rows_policy(7) == 7  # explicit override wins
-        with pytest.raises(StorageError):
+        with pytest.raises(ConfigError):
             chunk_rows_policy(0)
+
+    @pytest.mark.parametrize("env", ["abc", "0"])
+    def test_bad_env_policy_is_a_config_error(self, monkeypatch, env):
+        # As REPRO_WORKERS and REPRO_BACKEND: a bad knob is a
+        # configuration error, not a storage failure.
+        monkeypatch.setenv("REPRO_CHUNK_ROWS", env)
+        with pytest.raises(ConfigError):
+            chunk_rows_policy()
 
     def test_empty_table_has_zero_chunks(self):
         # A zero-row table contributes no chunks at all: nothing to scan,
@@ -453,7 +461,7 @@ class TestExpressionGroupBy:
 
 
 # --------------------------------------------------------------------------- #
-# Residual-fact epilogue (satellite, fusion rule)
+# Residual-fact epilogue in the operand fill
 # --------------------------------------------------------------------------- #
 
 
@@ -466,19 +474,14 @@ class TestResidualFillFusion:
 
     def test_mask_folds_into_value_fill(self, fuzz_catalog):
         fused = TCUDBEngine(fuzz_catalog).execute(self.SQL)
-        unfused = TCUDBEngine(
-            fuzz_catalog, options=TCUDBOptions(fusion=False)
-        ).execute(self.SQL)
         oracle = ReferenceEngine(fuzz_catalog).execute(self.SQL)
         assert fused.extra["executed_by"] == "TCU"
-        fused_listing = fused.extra["program_listing"]
-        assert "MaskApply[residual-fact]" not in fused_listing
-        assert "epilogue(" in fused_listing
-        assert "MaskApply[residual-fact]" in unfused.extra["program_listing"]
-        assert any("residual-fill" in note
-                   for note in fused.extra["program"].notes)
+        (fill_line,) = [line for line in
+                        fused.extra["program_listing"].splitlines()
+                        if "ValueFill[star]" in line]
+        assert "epilogue(" in fill_line
         assert_results_match(fused, oracle, rel=TCU_REL)
-        assert_results_match(unfused, oracle, rel=TCU_REL)
-        # The fused masked fill charges one riding pass; it must never
-        # cost more simulated time than the standalone mask.
-        assert fused.seconds <= unfused.seconds + 1e-12
+        # The masked fill charges one riding pass, on the fill itself.
+        masks = [cost.op_id for cost in fused.extra["operator_costs"]
+                 if cost.stage == "tcu_mask_apply"]
+        assert masks == ["value_fill"]

@@ -90,8 +90,8 @@ class TestFallbackReasons:
         assert_results_match(tcu, oracle)
 
     def test_cross_table_or_runs_natively(self):
-        """Residual ORs lower to MaskApply over the extracted pairs —
-        native TCU execution, not a whole-query fallback."""
+        """Residual ORs lower into the pair extraction — native TCU
+        execution, not a whole-query fallback."""
         catalog = microbench_catalog(700, 24, seed=3)
         tcu, oracle = run_both(
             catalog,
@@ -155,7 +155,7 @@ class TestFallbackReasons:
         assert_results_match(tcu, oracle, rel=1e-3)
 
     def test_having_runs_natively(self):
-        """HAVING lowers to MaskApply over the aggregate output grid."""
+        """HAVING lowers into the aggregate grid's harvest."""
         catalog = microbench_catalog(700, 24, seed=3)
         tcu, oracle = run_both(
             catalog,

@@ -505,16 +505,14 @@ def test_empty_dimension_keeps_float_group_column():
     sql = ("SELECT d.rate, SUM(f.v * e.w) AS total FROM f, d, e "
            "WHERE f.k = d.k AND f.b = e.b AND d.tag > 100 GROUP BY d.rate")
     expected = ReferenceEngine(catalog).execute(sql)
-    for fusion in (True, False):
-        got = TCUDBEngine(
-            catalog, options=TCUDBOptions(fusion=fusion)).execute(sql)
-        assert not got.extra.get("fallback_reason")
-        got_table, expected_table = got.require_table(), expected.require_table()
-        assert got_table.column_names == expected_table.column_names
-        assert ([got_table.dtype(name) for name in got_table.column_names]
-                == [expected_table.dtype(name)
-                    for name in expected_table.column_names])
-        assert_results_match(got, expected)
+    got = TCUDBEngine(catalog).execute(sql)
+    assert not got.extra.get("fallback_reason")
+    got_table, expected_table = got.require_table(), expected.require_table()
+    assert got_table.column_names == expected_table.column_names
+    assert ([got_table.dtype(name) for name in got_table.column_names]
+            == [expected_table.dtype(name)
+                for name in expected_table.column_names])
+    assert_results_match(got, expected)
     # The fold itself: the gathered column of the emptied dimension is a
     # zero-length float array, not a fabricated int64 one.
     fold, ctx = fold_of_d(catalog, sql, ["d.rate"])
@@ -592,7 +590,7 @@ def test_dense_and_sparse_keys_agree_end_to_end(wide_catalogs, query,
     # The ledger charges operator sizes, never the probe strategy.
     for (shape, variant), seen in observed.items():
         assert seen == observed["sparse", variant], (shape, variant)
-    assert observed["dense", "fused/sim"] == observed["dense", "workers=2"]
+    assert observed["dense", "sim"] == observed["dense", "workers=2"]
 
 
 def test_duplicate_key_dimension_with_gathered_column_falls_back(probe_calls):

@@ -7,7 +7,7 @@ the hybrid pre-stage), **non-equi join predicates** (<, <=, >, >=
 between tables, the comparison-matrix encoding), random filters
 (comparisons, BETWEEN, IN / NOT IN lists, NOT-wrapped conjuncts,
 single-table ORs and **cross-table ORs** that exercise the residual
-``MaskApply`` path), SUM/COUNT/AVG/MIN/MAX aggregates with arithmetic
+epilogues), SUM/COUNT/AVG/MIN/MAX aggregates with arithmetic
 arguments, GROUP BY, HAVING (including negated HAVING), ORDER BY and
 LIMIT.  Every query runs through TCUDB (native, hybrid or fallback) and
 ReferenceEngine; mismatches fail with the reproducing SQL in the
@@ -184,7 +184,8 @@ class QueryGenerator:
                     predicate = f"({predicate} OR {other})"
             elif roll < 0.45 and len(tables) >= 2:
                 # Cross-table OR: a residual conjunct exercising the
-                # MaskApply path (fold-side or pair-side).
+                # residual epilogue (in the operand fill or the pair
+                # extraction).
                 others = [t for t in tables if t != table]
                 other = self._table_predicate(self._choice(others))
                 if other is not None:

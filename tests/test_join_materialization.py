@@ -214,17 +214,19 @@ def test_forced_exact_key_joins_equal_the_oracle(exact_key_path):
             assert_columns_are_private(got, context)
 
 
-def test_residuals_run_fused_and_as_mask_apply(exact_key_path):
+def test_residuals_run_in_the_last_pair_extraction(exact_key_path):
     catalog = blocking_catalog()
     exact_key_path()
     for name in ("2way-residual", "3way-residual"):
-        fused = TCUDBEngine(catalog).execute(QUERIES[name])
-        unfused = TCUDBEngine(
-            catalog, options=TCUDBOptions(fusion=False)).execute(QUERIES[name])
-        assert "epilogue(" in fused.extra["program_listing"], name
-        assert "MaskApply[residual-pairs]" in unfused.extra["program_listing"]
-        assert (fused.require_table().rows()
-                == unfused.require_table().rows()), name
+        got = TCUDBEngine(catalog).execute(QUERIES[name])
+        extracts = [line for line in
+                    got.extra["program_listing"].splitlines()
+                    if "NonzeroExtract(" in line]
+        assert ["epilogue(" in line for line in extracts] == (
+            [False] * (len(extracts) - 1) + [True]), name
+        assert_results_match(
+            got, ReferenceEngine(catalog).execute(QUERIES[name]),
+            context=name)
 
 
 @pytest.mark.parametrize("limit", [0, 1, 10, 10_000])

@@ -4,11 +4,12 @@ The TensorProgram refactor made two query classes first-class TCU
 citizens instead of whole-query fallbacks:
 
 * **HAVING-only** queries — star joins whose only "exotic" construct is
-  a HAVING clause, lowered to a ``MaskApply`` over the aggregate output
+  a HAVING clause, lowered into the harvest of the aggregate output
   grid;
 * **same-schema residual-OR** queries — cross-table OR conjuncts over
-  tables already joined by the query, lowered to a ``MaskApply`` over
-  the folded fact side (aggregates) or the extracted pairs (joins).
+  tables already joined by the query, lowered into the operand fill
+  over the folded fact side (aggregates) or the pair extraction
+  (joins).
 
 This suite is the CI tier-1 gate for that property: across a
 differential corpus of both classes, **zero queries may report a

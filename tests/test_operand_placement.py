@@ -264,9 +264,8 @@ def test_placement_never_moves_plan_ledger_or_rows(
 @pytest.mark.parametrize("backend", ["sim", "fast"])
 @pytest.mark.parametrize("options", [
     dict(force_strategy=Strategy.SPARSE),
-    dict(force_strategy=Strategy.SPARSE, fusion=False),
     dict(chunk_rows=16),
-], ids=["sparse", "sparse-unfused", "chunk_rows=16"])
+], ids=["sparse", "chunk_rows=16"])
 @pytest.mark.parametrize("name", ["figure-5 half-empty", "ssb nation x year"])
 def test_sparse_and_chunked_plans_through_addressed_structures(
         name, options, backend, placements, monkeypatch):

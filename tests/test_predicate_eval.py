@@ -12,7 +12,7 @@ strings compared as strings):
 * IN-lists over integer columns read the shared presence table
   (``tensor.keys``); float, mixed and over-budget lists stay ``np.isin``;
 * the group-level call site, ``StreamGroupEval.having_mask``, serves
-  the oracle's HAVING and TCUDB's (``MaskApply`` and the fused epilogue)
+  the oracle's HAVING and TCUDB's (the ``GridAggregate`` epilogue)
   through the same interpreter.
 """
 

@@ -7,9 +7,8 @@ re-selecting each chunk's tuples.  The slices hold the same numbers —
 are bit-identical to the re-selecting loop (kept here as the oracle),
 on both backends, sequential or pooled, DENSE or BLOCKED, whichever
 placement built the structure; rows, simulated seconds, strategy and
-precision never see the chunk size; the unfused ``Gemm`` multiplies the
-same tiles as the fused one; the exact-key path past the cell limit
-reads the same structures; and the loop holds one slice pair.
+precision never see the chunk size; the exact-key path past the cell
+limit reads the same structures; and the loop holds one slice pair.
 """
 
 from __future__ import annotations
@@ -317,44 +316,6 @@ def test_chunk_size_never_moves_rows_ledger_or_plan(sql, placement,
                 got.extra.get("strategy"), got.extra.get("precision"))
     for (chunk_rows, variant), seen in observed.items():
         assert seen == observed[UNCHUNKED, variant], (chunk_rows, variant)
-
-
-@pytest.mark.parametrize("backend", ["sim", "fast"])
-@pytest.mark.parametrize("chunk_rows", [16, 4096])
-@pytest.mark.parametrize("strategy",
-                         [Strategy.DENSE, Strategy.SPARSE, Strategy.BLOCKED],
-                         ids=lambda s: s.value)
-def test_unfused_gemm_multiplies_the_fused_tiles(strategy, chunk_rows,
-                                                 backend, monkeypatch):
-    """``fusion=False`` is a statement about the cost model: the grids of
-    the per-aggregate ``Gemm`` are the ``BatchedGemm``'s, bit for bit."""
-    catalog = star_catalog()
-    sql = STAR_QUERIES["two tables"]
-    produced = []
-    inner = TCUDriver._grids_numeric
-
-    def recorded(self, *args):
-        grids, count_grid, present = inner(self, *args)
-        produced.append([count_grid, *grids])
-        return grids, count_grid, present
-
-    monkeypatch.setattr(TCUDriver, "_grids_numeric", recorded)
-    results = {}
-    for fusion in (True, False):
-        del produced[:]
-        engine = TCUDBEngine(catalog, options=TCUDBOptions(
-            fusion=fusion, force_strategy=strategy, chunk_rows=chunk_rows,
-            backend=backend))
-        results[fusion] = engine.execute(sql)
-        assert results[fusion].extra["strategy"] == strategy.value
-        listing = results[fusion].extra["program_listing"]
-        assert ("BatchedGemm(" in listing) == fusion
-        (results[fusion, "grids"],) = produced
-    for fused, unfused in zip(results[True, "grids"],
-                              results[False, "grids"], strict=True):
-        assert np.array_equal(fused, unfused)
-    # What fusion=False still changes: one fill pass charged per matmul.
-    assert results[False].seconds > results[True].seconds
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)

@@ -118,11 +118,11 @@ class TestEngineIntegration:
 
     def test_incompatible_options_do_not_share_programs(self, catalog):
         cache = ProgramCache()
-        fused = TCUDBEngine(catalog, program_cache=cache)
-        unfused = TCUDBEngine(catalog, program_cache=cache,
-                              options=TCUDBOptions(fusion=False))
-        fused.execute(JOIN_AGG_SQL)
-        unfused.execute(JOIN_AGG_SQL)
+        default = TCUDBEngine(catalog, program_cache=cache)
+        chunked = TCUDBEngine(catalog, program_cache=cache,
+                              options=TCUDBOptions(chunk_rows=16))
+        default.execute(JOIN_AGG_SQL)
+        chunked.execute(JOIN_AGG_SQL)
         # Different compile options -> different keys -> two entries.
         assert cache.stats()["entries"] == 2
         assert cache.stats()["hits"] == 0
@@ -134,7 +134,7 @@ class TestEngineIntegration:
         cache = ProgramCache()
         engines = (TCUDBEngine(catalog, program_cache=cache),
                    TCUDBEngine(catalog, program_cache=cache,
-                               options=TCUDBOptions(fusion=False)))
+                               options=TCUDBOptions(chunk_rows=16)))
         expected = create_engine("reference", catalog).execute(JOIN_AGG_SQL)
         for _ in range(2):
             for engine in engines:

@@ -1,16 +1,19 @@
 """TCUDB components: patterns, transforms, feasibility, optimizer, codegen."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.engine.tcudb import (
     MatchFailure,
+    OpEmission,
     OperatorGeometry,
     PatternKind,
     Strategy,
     TCUOptimizer,
     comparison_matrix,
-    generate_program,
+    emit_tensor_program,
     grouped_matrix,
     match_pattern,
     run_feasibility_test,
@@ -264,21 +267,28 @@ class TestCodegen:
             return estimate_sparse(device, I7_7700K, geometry, Precision.FP16)
         return estimate_dense(device, I7_7700K, geometry, Precision.FP16)
 
+    def _program(self, plan, n_matmuls=1):
+        """A transform operator feeding one GEMM: the transform reads the
+        plan its consumer's decision selected."""
+        return emit_tensor_program("test", [
+            OpEmission(kind="indicator_build", label="IndicatorBuild(=)",
+                       consumer_id="gemm_1", transform=True),
+            OpEmission(kind="gemm", label="TCUJoin", plan=plan,
+                       dims=(64, 64, 32), n_matmuls=n_matmuls),
+        ], decisions={"gemm_1": SimpleNamespace(plan=plan)})
+
     def test_dense_program_uses_wmma(self, device):
-        program = generate_program(self._plan(device), 64, 64, 32, "TCUJoin")
+        program = self._program(self._plan(device))
         assert "wmma_optimized_gemm" in program.source
         assert "cudaMemcpy" in program.source
-        assert "nonzero_kernel" in program.source
 
     def test_sparse_program_uses_tile_kernel(self, device):
-        program = generate_program(
-            self._plan(device, Strategy.SPARSE), 64, 64, 32, "TCU-SpMM"
-        )
+        program = self._program(self._plan(device, Strategy.SPARSE))
         assert "tcu_spmm_kernel" in program.source
         assert "csr_to_tiles" in program.source
 
     def test_steps_enumerated(self, device):
-        program = generate_program(self._plan(device), 64, 64, 32, "op",
-                                   n_matmuls=2)
-        assert "compute:densex2" in program.steps
-        assert "result:d2h" in program.steps
+        plan = self._plan(device)
+        program = self._program(plan, n_matmuls=2)
+        transform = "gpu" if plan.transform.on_gpu else "cpu"
+        assert program.steps == (f"transform:{transform}", "compute:densex2")
