@@ -239,24 +239,32 @@ class OperandStructure:
         :attr:`rows` / :attr:`cols`."""
         return sums if self.cells is not None else sums[self.occupied_cells]
 
-    def dense_stack(self, sums_list: list[np.ndarray],
-                    dtype=np.float64) -> np.ndarray:
+    def dense_stack(self, sums_list: list[np.ndarray], dtype=np.float64,
+                    cast=None):
         """(n_agg, g, k) stacked operand: shared coordinates, one slice of
-        per-slot sums (:meth:`cell_sums`) per aggregate.  ``dtype``
-        follows the active backend's fill dtype (float32 stacks feed
-        sgemm directly).  Addressed sums are the flat slices already: one
-        slot is returned as its sums, unconverted (the backend's product
+        per-slot sums (:meth:`cell_sums`) per aggregate, and the
+        ``(n_agg, 1, 1)`` scales of the ``cast`` (``None`` without one).
+        ``dtype`` and ``cast`` are the active backend's fill format
+        (:meth:`~repro.tensor.backend.TensorBackend.fill_format`):
+        float32 stacks feed sgemm directly, and a cast runs over each
+        slice's per-slot sums — one value per occupied cell — before
+        placement.  Addressed sums are the flat slices already: one slot
+        is returned as its sums, unconverted (the backend's product
         converts what it reads), more are copied into one stack; ranked
         sums scatter to their cells."""
+        scale = None
+        if cast is not None:
+            sums_list, scales = zip(*map(cast, sums_list))
+            scale = np.array(scales).reshape(-1, 1, 1)
         addressed = self.cells is None
         if addressed and len(sums_list) == 1:
-            return sums_list[0].reshape(1, self.g, self.k)
+            return sums_list[0].reshape(1, self.g, self.k), scale
         stack = (np.empty if addressed else np.zeros)(
             (len(sums_list), self.g * self.k), dtype=dtype)
         where = slice(None) if addressed else self.cells
         for i, sums in enumerate(sums_list):
             stack[i, where] = sums
-        return stack.reshape(len(sums_list), self.g, self.k)
+        return stack.reshape(len(sums_list), self.g, self.k), scale
 
 
 class ColumnSlices:
@@ -291,17 +299,23 @@ class ColumnSlices:
         return bool(structure.presence.reshape(structure.g, structure.k)
                     [:, k0:k0 + self.chunk].any())
 
-    def fills(self, c: int, sums_list: list[np.ndarray], dtype):
+    def fills(self, c: int, sums_list: list[np.ndarray], dtype,
+              cast=None):
         """Chunk ``c`` of every operand of ``sums_list`` (one value per
         slot each, :meth:`OperandStructure.cell_sums`), C-contiguous,
-        generated one at a time."""
+        generated one at a time with its scale.  A ``cast`` (the
+        backend's fill format) runs over the chunk's own values, so each
+        chunk carries its own scale; without one the scale is None."""
         structure = self.structure
         g, k = structure.g, structure.k
         k0 = c * self.chunk
+        scale = None
         if structure.cells is None:
             for sums in sums_list:
-                yield np.ascontiguousarray(
-                    sums.reshape(g, k)[:, k0:k0 + self.chunk], dtype=dtype)
+                values = sums.reshape(g, k)[:, k0:k0 + self.chunk]
+                if cast is not None:
+                    values, scale = cast(values)
+                yield np.ascontiguousarray(values, dtype=dtype), scale
             return
         width = min(self.chunk, k - k0)
         starts = self._bounds[:, c]
@@ -314,9 +328,12 @@ class ColumnSlices:
         offsets = (structure.cells[index] - np.repeat(
             np.arange(g) * (k - width) + k0, lengths)).astype(np.int32)
         for sums in sums_list:
+            values = sums[index]
+            if cast is not None:
+                values, scale = cast(values)
             out = np.zeros(g * width, dtype=dtype)
-            out[offsets] = sums[index]
-            yield out.reshape(g, width)
+            out[offsets] = values
+            yield out.reshape(g, width), scale
 
 
 def build_coo_operands(side: "PreparedAggSide", k: int) -> OperandStructure:
@@ -625,9 +642,9 @@ class TCUDriver:
             stacked = np.stack(self._grids_by_slices(
                 left, right, left_sums, right_sums, plan))
         else:
-            fill_dtype = self.backend.fill_dtype
-            a_stack = left.dense_stack(left_sums, dtype=fill_dtype)
-            b_stack = right.dense_stack(right_sums, dtype=fill_dtype)
+            dtype, cast = self._fill_format(plan)
+            a_stack, a_scale = left.dense_stack(left_sums, dtype, cast)
+            b_stack, b_scale = right.dense_stack(right_sums, dtype, cast)
             if plan.strategy == Strategy.BLOCKED:
                 stacked = np.stack([
                     self._execute_gemm(a, b.T, plan)
@@ -637,7 +654,7 @@ class TCUDriver:
                 stacked = np.asarray(
                     self.backend.matmul(
                         self.device, a_stack, b_stack.transpose(0, 2, 1),
-                        plan.precision
+                        plan.precision, scale=_times(a_scale, b_scale),
                     ),
                     dtype=np.float64,
                 )
@@ -653,7 +670,7 @@ class TCUDriver:
         time, so the dense numeric path scales to any key-domain size.
         """
         chunk = self.chunk_rows
-        fill_dtype = self.backend.fill_dtype
+        dtype, cast = self._fill_format(plan)
         left_slices = ColumnSlices(left, chunk)
         right_slices = ColumnSlices(right, chunk)
         grids = [np.zeros((left.g, right.g)) for _ in left_sums]
@@ -669,14 +686,17 @@ class TCUDriver:
             partials: list[np.ndarray] = []
             if not (left_slices.occupied(c) and right_slices.occupied(c)):
                 return partials
-            for grid, mat_a, mat_b in zip(
-                    grids, left_slices.fills(c, left_sums, fill_dtype),
-                    right_slices.fills(c, right_sums, fill_dtype)):
+            for grid, (mat_a, scale_a), (mat_b, scale_b) in zip(
+                    grids, left_slices.fills(c, left_sums, dtype, cast),
+                    right_slices.fills(c, right_sums, dtype, cast)):
+                scale = _times(scale_a, scale_b)
                 if in_place:
                     self.backend.matmul_into(grid, self.device, mat_a,
-                                             mat_b.T, plan.precision)
+                                             mat_b.T, plan.precision,
+                                             scale=scale)
                 else:
-                    partials.append(self._execute_gemm(mat_a, mat_b.T, plan))
+                    partials.append(self._execute_gemm(mat_a, mat_b.T, plan,
+                                                       scale))
             return partials
 
         for partials in parallel_map(chunk_partials,
@@ -686,9 +706,18 @@ class TCUDriver:
                 grid += partial
         return grids
 
+    def _fill_format(self, plan: PlanCost):
+        """Dtype and cast of a dense aggregate product's operand fills:
+        the backend's format for the plan's precision, except BLOCKED,
+        whose ``msplit_gemm`` scales each whole operand itself."""
+        if plan.strategy == Strategy.BLOCKED:
+            return self.backend.fill_dtype, None
+        return self.backend.fill_format(plan.precision)
+
     def _execute_gemm(self, a: np.ndarray, b: np.ndarray,
-                      plan: PlanCost) -> np.ndarray:
-        """Strategy-dispatched GEMM of two dense operands."""
+                      plan: PlanCost, scale=None) -> np.ndarray:
+        """Strategy-dispatched GEMM of two dense operands (``scale``:
+        DENSE operands cast by the backend's fill format)."""
         if plan.strategy == Strategy.SPARSE:
             # from_dense extracts nonzeros in row-major order: unique,
             # sorted coordinates, so from_coo's canonicalizing sort is
@@ -704,7 +733,8 @@ class TCUDriver:
                                     backend=self.backend)
             return np.asarray(result, dtype=np.float64)
         return np.asarray(
-            self.backend.matmul(self.device, a, b, plan.precision),
+            self.backend.matmul(self.device, a, b, plan.precision,
+                                scale=scale),
             dtype=np.float64,
         )
 
@@ -727,6 +757,12 @@ class TCUDriver:
             ).reshape(left.g, right.g)
             for lsums, rsums in zip(left_sums, right_sums)
         ], aggregates, counted, proven)
+
+
+def _times(scale_a, scale_b):
+    """The scale a product of two cast operands carries back: None when
+    the fills ran no cast."""
+    return None if scale_a is None else scale_a * scale_b
 
 
 def _grids_of(slots, aggregates, counted: bool, proven: bool):

@@ -34,6 +34,41 @@ from repro.tensor.precision import (
 WMMA_TILE = 16
 
 
+def fp16_cast(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """TCUDB's binary16 operand cast, as the Fill Matrices step applies it.
+
+    Values beyond fp16's exact window are scaled down by a lossless
+    power of two first (the optimizer's range-handling strategy,
+    :func:`~repro.tensor.precision.fp16_scale_factor` of the finite
+    extremes), then rounded through binary16 and held as float32, the
+    type the fp32-accumulating product reads.  A 3-D stack casts per
+    slice and returns an ``(n, 1, 1)`` scale array; any other operand
+    casts whole and returns one float.  The product is scaled back by
+    the two operands' scales.  A NaN or infinite value raises
+    :class:`PrecisionError`: no power of two brings it into range.
+    """
+    values = np.asarray(values)
+    stacked = values.ndim == 3
+    if values.size:
+        axis = (1, 2) if stacked else None
+        lo, hi = values.min(axis=axis), values.max(axis=axis)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise PrecisionError("fp16 operand holds a NaN or infinite value")
+        magnitude = np.maximum(np.abs(lo), np.abs(hi))
+    else:
+        magnitude = np.zeros(values.shape[0] if stacked else ())
+    if stacked:
+        scale = np.array([fp16_scale_factor(float(m)) for m in magnitude]
+                         ).reshape(-1, 1, 1)
+        unscaled = bool((scale == 1.0).all())
+    else:
+        scale = fp16_scale_factor(float(magnitude))
+        unscaled = scale == 1.0
+    # Dividing by 1.0 is exact: skip the pass.
+    scaled = values if unscaled else values / scale
+    return scaled.astype(np.float16).astype(np.float32), scale
+
+
 class TensorCoreUnit:
     """Timing + numeric emulation of a GPU's tensor cores."""
 
@@ -78,6 +113,7 @@ class TensorCoreUnit:
         a: np.ndarray,
         b: np.ndarray,
         precision: Precision = Precision.FP16,
+        scale=None,
     ) -> np.ndarray:
         """Numerically emulated tensor-core product of ``a @ b``.
 
@@ -86,6 +122,11 @@ class TensorCoreUnit:
         Stacked (batched) 3-D operands run as one broadcast product —
         the fused ``BatchedGemm`` path — with per-slice fp16 scaling so
         every slice rounds exactly as its standalone 2-D product would.
+
+        An fp16 product casts both operands (:func:`fp16_cast`) unless
+        ``scale`` is given: then ``a`` and ``b`` are operands the Fill
+        Matrices step already cast, and ``scale`` is the product of their
+        scales, carried back onto the product.
         """
         a = np.asarray(a)
         b = np.asarray(b)
@@ -98,43 +139,16 @@ class TensorCoreUnit:
         elif a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValueError(f"incompatible shapes {a.shape} @ {b.shape}")
         if precision == Precision.FP16:
-            return self._matmul_fp16(a, b)
+            if scale is None:
+                a, scale_a = fp16_cast(a)
+                b, scale_b = fp16_cast(b)
+                scale = scale_a * scale_b
+            # fp16 products are exact in fp32; accumulation rounds in
+            # fp32, exactly as WMMA's fp32 accumulator does.
+            return np.matmul(a, b).astype(np.float64) * scale
         if precision in (Precision.INT8, Precision.INT4):
             return self._matmul_int(a, b, precision)
         raise PrecisionError(f"TCUs cannot execute precision {precision}")
-
-    @staticmethod
-    def _fp16_scales(operand: np.ndarray) -> np.ndarray | float:
-        """Power-of-two pre-scale(s): scalar for a 2-D operand, one per
-        slice (broadcastable) for a stacked operand."""
-        if operand.ndim == 3:
-            magnitudes = (
-                np.abs(operand).max(axis=(1, 2)) if operand.size
-                else np.zeros(operand.shape[0])
-            )
-            return np.array(
-                [fp16_scale_factor(float(m)) for m in magnitudes]
-            ).reshape(-1, 1, 1)
-        return fp16_scale_factor(
-            float(np.max(np.abs(operand))) if operand.size else 0.0
-        )
-
-    def _matmul_fp16(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # Values beyond fp16's finite range are scaled down by a lossless
-        # power of two first (the optimizer's range-handling strategy);
-        # the product is scaled back afterwards.
-        scale_a = self._fp16_scales(a)
-        scale_b = self._fp16_scales(b)
-        a16 = (a / scale_a).astype(np.float16)
-        b16 = (b / scale_b).astype(np.float16)
-        if a16.size and not np.all(np.isfinite(a16)):
-            raise PrecisionError("operand A overflows fp16 even after scaling")
-        if b16.size and not np.all(np.isfinite(b16)):
-            raise PrecisionError("operand B overflows fp16 even after scaling")
-        # fp16 products are exact in fp32; accumulation rounds in fp32,
-        # exactly as WMMA's fp32 accumulator does.
-        product = np.matmul(a16.astype(np.float32), b16.astype(np.float32))
-        return product.astype(np.float64) * (scale_a * scale_b)
 
     def _matmul_int(
         self, a: np.ndarray, b: np.ndarray, precision: Precision

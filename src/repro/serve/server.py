@@ -34,11 +34,20 @@ lifecycle flags) are guarded by one lock; ``submit``/``execute``/
 ``prepare``/``stats``/``cache_stats`` may be called from any thread.
 A ``Session`` itself is *not* a concurrency primitive — its lazily
 built engine carries per-query state (cancellation token, optimizer
-decisions), so one session's queries serialize on the server pool while
-distinct sessions run concurrently.  Shared read-only structures — the
-catalog, cached ``TensorProgram`` templates, ``PreparedStatement``
-objects — are safe to share across all sessions; per-run state lives in
-each execution's private ``ProgramContext``.
+decisions), so one session's queries run one at a time (a per-session
+lock around each execution) while distinct sessions run concurrently.
+Shared read-only structures — the catalog, cached ``TensorProgram``
+templates, ``PreparedStatement`` objects — are safe to share across all
+sessions; per-run state lives in each execution's private
+``ProgramContext``.
+
+Where a query runs: :meth:`Session.submit` always queues it for the
+pool.  :meth:`Session.execute` without a ``timeout`` runs it on the
+calling thread when the server could start it at once — nothing queued
+and a slot free — and queues it otherwise; with a ``timeout`` it always
+queues, so a caller that stops waiting leaves the query on the pool.
+An inline run takes a slot like a pool run: ``max_concurrent`` bounds
+both together.
 """
 
 from __future__ import annotations
@@ -248,7 +257,9 @@ class QueryServer:
     """Admission-controlled concurrent execution over a shared catalog.
 
     ``max_concurrent`` executor threads drain a bounded FIFO of admitted
-    tickets; ``workers`` is forwarded to every engine so each query's
+    tickets, each starting one only while fewer than ``max_concurrent``
+    queries run (inline :meth:`Session.execute` runs take slots too);
+    ``workers`` is forwarded to every engine so each query's
     chunk loops fan out morsel-parallel (total thread pressure is then
     ``max_concurrent * workers`` — size accordingly).
     """
@@ -288,8 +299,10 @@ class QueryServer:
         self._running = 0
         self._closed = False
         self._idle = threading.Condition(self._lock)
+        # Signalled when a ticket is queued or a slot frees with one
+        # queued: what a pool thread waits for.
+        self._ready = threading.Condition(self._lock)
         self._threads: list[threading.Thread] = []
-        self._work = threading.Semaphore(0)
         for i in range(max_concurrent):
             thread = threading.Thread(
                 target=self._drain, name=f"query-server-{i}", daemon=True
@@ -319,7 +332,12 @@ class QueryServer:
 
     def _submit(self, session: "Session", sql: str | PreparedStatement,
                 budget: QueryBudget | None,
-                params: dict | list | tuple | None = None) -> QueryTicket:
+                params: dict | list | tuple | None = None,
+                inline: bool = False) -> QueryTicket:
+        """Admit one query and return its ticket.  ``inline``: when
+        nothing is queued and a slot is free, run it on this thread
+        before returning (the ticket comes back resolved); otherwise it
+        queues, as every ``inline=False`` query does."""
         budget = budget or self.default_budget
         token = CancellationToken(deadline_s=budget.max_seconds)
         ticket = QueryTicket(sql, token, params=params)
@@ -328,6 +346,9 @@ class QueryServer:
         with self._lock:
             if self._closed:
                 raise ServerClosed("server is closed")
+            # FIFO: run inline only when no admitted query waits.
+            inline = (inline and not self._queue
+                      and self._running < self.max_concurrent)
             deadline = (time.monotonic() + self.admission_timeout_s
                         if self.admission_timeout_s is not None else None)
             while len(self._queue) + self._running >= limit:
@@ -356,28 +377,41 @@ class QueryServer:
                 if self._closed:
                     raise ServerClosed("server is closed")
             self.stats["admitted"] += 1
-            self._queue.append((ticket, session))
-        self._work.release()
+            if inline:
+                self._running += 1
+            else:
+                self._queue.append((ticket, session))
+                self._ready.notify()
+        if inline:
+            self._run(ticket, session)
         return ticket
 
     # -- executor loop --------------------------------------------------- #
 
     def _drain(self) -> None:
         while True:
-            self._work.acquire()
             with self._lock:
-                if self._closed and not self._queue:
+                while not self._closed and not (
+                        self._queue and self._running < self.max_concurrent):
+                    self._ready.wait()
+                if self._closed:  # close() resolved every queued ticket
                     return
-                if not self._queue:
-                    continue
                 ticket, session = self._queue.pop(0)
                 self._running += 1
-            try:
+            self._run(ticket, session)
+
+    def _run(self, ticket: QueryTicket, session: "Session") -> None:
+        """Execute an admitted ticket in the slot already counted for it,
+        one query per session at a time, then free the slot."""
+        try:
+            with session._run_lock:
                 self._execute(ticket, session)
-            finally:
-                with self._idle:
-                    self._running -= 1
-                    self._idle.notify_all()
+        finally:
+            with self._lock:
+                self._running -= 1
+                self._idle.notify_all()
+                if self._queue:
+                    self._ready.notify()
 
     @staticmethod
     def _as_library_error(error: Exception) -> ReproError:
@@ -577,11 +611,10 @@ class QueryServer:
             self._queue.clear()
             self.stats["cancelled"] += len(abandoned)
             self._idle.notify_all()  # wake admission waiters to reject
+            self._ready.notify_all()  # wake every worker so it can exit
         for ticket, _session in abandoned:
             ticket._fail(ServerClosed(
                 "server closed before the query started"))
-        for _ in self._threads:
-            self._work.release()  # wake every worker so it can exit
         for thread in self._threads:
             thread.join(timeout=30.0)
 
@@ -598,8 +631,9 @@ class Session:
     Sessions are cheap: they share the server's catalog and lazily build
     one private engine (first use), so per-query state — optimizer
     decisions, fallback bookkeeping, the cancellation token — never
-    crosses sessions.  A session submits from its owning thread; its
-    queries execute on the server pool.
+    crosses sessions, and its queries run one at a time.  A session
+    submits from its owning thread; its queries execute on the server
+    pool, or on that thread for a synchronous :meth:`execute`.
     """
 
     _counter = 0
@@ -613,6 +647,9 @@ class Session:
         self._engine_instance = None
         self._fallback_instance = None
         self._engine_lock = threading.Lock()
+        # Held for each execution: the engine's cancel token and
+        # per-query state belong to one query at a time.
+        self._run_lock = threading.Lock()
 
     def _engine(self):
         with self._engine_lock:
@@ -677,8 +714,16 @@ class Session:
                 budget: QueryBudget | None = None,
                 timeout: float | None = None,
                 params: dict | list | tuple | None = None) -> QueryResult:
-        """Submit and block for the result."""
-        return self.submit(sql, budget, params=params).result(timeout)
+        """Run one query and return its result.
+
+        Without a ``timeout`` the query runs on this thread when the
+        server could start it at once (nothing queued, a slot free) and
+        waits its turn on the pool otherwise.  With one it always runs on
+        the pool, and :class:`TimeoutError` leaves it running there."""
+        if timeout is not None:
+            return self.submit(sql, budget, params=params).result(timeout)
+        return self.server._submit(self, sql, budget, params=params,
+                                   inline=True).result()
 
 
 __all__ = [

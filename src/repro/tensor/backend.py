@@ -49,6 +49,7 @@ import threading
 import numpy as np
 
 from repro.common.errors import ConfigError
+from repro.hardware.tcu import fp16_cast
 from repro.tensor.coo import dense_from_coo as _sim_dense_from_coo
 from repro.tensor.precision import Precision, exact_integer_matmul
 
@@ -69,23 +70,35 @@ class TensorBackend:
     #: narrower type when their matmul consumes it directly).
     fill_dtype = np.float64
 
+    def fill_format(self, precision: Precision):
+        """``(dtype, cast)`` of the operand fills of a ``precision``
+        product: the dtype the fill places values in, and the cast it
+        applies to each slice's values before placing them (``None``:
+        values are placed as they are).  A cast returns the cast values
+        and the scale their product carries back, which the product
+        primitives take as ``scale``."""
+        return self.fill_dtype, None
+
     # -- products ------------------------------------------------------- #
 
     def matmul(self, device, a: np.ndarray, b: np.ndarray,
-               precision: Precision) -> np.ndarray:
+               precision: Precision, scale=None) -> np.ndarray:
         """``a @ b`` (2-D, or 3-D stacked batch) at a TCU precision.
 
         Returns float64 for fp16-strategy products and int64 for integer
         precisions, matching the simulated unit's output contract.
+        ``scale`` is set when the operands come from a fill that ran
+        this backend's :meth:`fill_format` cast.
         """
         raise NotImplementedError
 
     def matmul_into(self, acc: np.ndarray, device, a: np.ndarray,
-                    b: np.ndarray, precision: Precision) -> np.ndarray:
+                    b: np.ndarray, precision: Precision,
+                    scale=None) -> np.ndarray:
         """Accumulate ``a @ b`` into ``acc`` (the grid-accumulation hot
         loop).  Backends may reuse scratch buffers across calls; the
         default materializes the product and adds."""
-        acc += self.matmul(device, a, b, precision)
+        acc += self.matmul(device, a, b, precision, scale=scale)
         return acc
 
     # -- movement / reduction primitives -------------------------------- #
@@ -121,14 +134,24 @@ class SimBackend(TensorBackend):
     :meth:`repro.hardware.tcu.TensorCoreUnit.matmul` (bit-accurate
     fp16/int8/int4 emulation) and every fill to the historical
     float64 :func:`repro.tensor.coo.dense_from_coo`, so the default
-    execution path is byte-for-byte the pre-backend driver.
+    execution path is byte-for-byte the pre-backend driver.  The
+    binary16 input cast, :func:`~repro.hardware.tcu.fp16_cast`, has two
+    callers: the aggregate product's operand fills cast each slice's
+    occupied cells at fill time (:meth:`fill_format`), and the unit's
+    dense ``matmul`` casts the operands it is handed whole (join
+    products, BLOCKED blocks).
     """
 
     name = "sim"
     fill_dtype = np.float64
 
-    def matmul(self, device, a, b, precision):
-        return device.tcu.matmul(a, b, precision)
+    def fill_format(self, precision):
+        if precision == Precision.FP16:
+            return np.float32, fp16_cast
+        return self.fill_dtype, None
+
+    def matmul(self, device, a, b, precision, scale=None):
+        return device.tcu.matmul(a, b, precision, scale=scale)
 
     def dense_from_coo(self, rows, cols, vals, shape):
         return _sim_dense_from_coo(rows, cols, vals, shape)
@@ -162,7 +185,8 @@ class FastBackend(TensorBackend):
             return operand
         return np.ascontiguousarray(operand, dtype=np.float32)
 
-    def matmul(self, device, a, b, precision):
+    def matmul(self, device, a, b, precision, scale=None):
+        # fill_format casts nothing: fast operands never carry a scale.
         if not precision.is_integer:
             product = np.matmul(self._as_f32(a), self._as_f32(b))
             return product.astype(np.float64)
@@ -171,7 +195,7 @@ class FastBackend(TensorBackend):
         # it), minus its range and accumulator checks.
         return exact_integer_matmul(a, b)
 
-    def matmul_into(self, acc, device, a, b, precision):
+    def matmul_into(self, acc, device, a, b, precision, scale=None):
         if precision.is_integer:
             acc += self.matmul(device, a, b, precision)
             return acc

@@ -24,12 +24,16 @@ import pytest
 
 from differential_utils import assert_results_match
 from test_fuzz_queries import QueryGenerator
+from test_operand_placement import PLACEMENTS, force_placement, make_side
+from test_product_slices import prepared_operands, product_plan
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.datasets.ssb import ssb_catalog
 from repro.engine.base import ExecutionMode
 from repro.engine.reference import ReferenceEngine
-from repro.engine.tcudb import TCUDBEngine, TCUDBOptions
+from repro.engine.tcudb import Strategy, TCUDBEngine, TCUDBOptions
+from repro.engine.tcudb.driver import TCUDriver
+from repro.engine.tcudb.patterns import AggregateSpec
 from repro.hardware.gpu import GPUDevice
 from repro.tensor.backend import (
     BACKENDS,
@@ -40,6 +44,7 @@ from repro.tensor.backend import (
     get_backend,
 )
 from repro.common.errors import PrecisionError
+from repro.tensor.coo import dense_from_coo
 from repro.tensor.precision import (
     FP16_EXACT_INT,
     INTEGER_WINDOW,
@@ -47,6 +52,7 @@ from repro.tensor.precision import (
 )
 
 TCU_REL = 2e-3
+SUM_SPEC = AggregateSpec(func="sum", constant=1.0, factors=[])
 FUZZ_SEED = 20250808
 N_FUZZ_QUERIES = 60
 
@@ -254,6 +260,123 @@ class TestPrimitiveContracts:
         )
         assert dense.dtype == np.float32
         assert dense.flags.c_contiguous
+
+
+# --------------------------------------------------------------------- #
+# The sim backend's fill-time binary16 cast
+# --------------------------------------------------------------------- #
+
+def _cast_values(kind: str, rng, size: int) -> np.ndarray:
+    """Per-tuple fill values of one magnitude class."""
+    if kind == "unit scale":  # cell sums stay inside fp16's exact window
+        return rng.integers(-20, 21, size).astype(np.float64)
+    if kind in ("2^15", "2^31"):
+        edge = 2.0 ** int(kind[2:])
+        values = rng.uniform(-edge, edge, size)
+        values[0], values[-1] = edge, -edge
+        return values
+    if kind == "subnormal":  # below binary16's smallest normal, 2**-14
+        return rng.choice([2.0 ** -20, -(2.0 ** -24), 3e-8, 6e-5, -1e-6],
+                          size)
+    assert kind == "zero"
+    return np.zeros(size)
+
+
+def _cast_case(left_kind: str, right_kind: str, single_cell: bool):
+    rng = make_rng(39)
+    n, m, k = 60, 40, 11
+    if single_cell:  # one tuple: a slice with one occupied cell
+        left = make_side([2], [7], 4)
+    else:
+        left = make_side(rng.integers(0, 4, n), rng.integers(0, k, n), 4)
+    right = make_side(rng.integers(0, 3, m), rng.integers(0, k, m), 3)
+    fills = []
+    for placed, kind in ((left, left_kind), (right, right_kind)):
+        keys = placed.keys_mapped
+        if kind == "2^31 in chunk 0":
+            # The chunks' scales differ: chunk 0's would push the other
+            # chunks' fractions into binary16's subnormal range.
+            values = rng.normal(size=keys.size)
+            values[keys < 3] *= 2.0 ** 31
+        else:
+            values = _cast_values(kind, rng, keys.size)
+        fills.append([None, values])
+    return (left, fills[0]), (right, fills[1]), k
+
+
+def _dense_emulator(device, left, right, k, chunk):
+    """Every slot's grid as the unit's dense entry computes it: float64
+    operands placed by ``dense_from_coo`` and cast inside
+    ``TensorCoreUnit.matmul`` — one stacked product, or one product per
+    key-domain chunk both sides occupy, added in chunk order."""
+    stacks = [np.stack([
+        dense_from_coo(placed.row_codes(), placed.keys_mapped,
+                       np.ones(placed.keys_mapped.size) if v is None else v,
+                       (placed.g, k))
+        for v in fills]) for placed, fills in (left, right)]
+    a, b = stacks
+    if k <= chunk:
+        return device.tcu.matmul(a, b.transpose(0, 2, 1), Precision.FP16)
+    grids = np.zeros((a.shape[0], a.shape[1], b.shape[1]))
+    for k0 in range(0, k, chunk):
+        if not all(((placed.keys_mapped >= k0)
+                    & (placed.keys_mapped < k0 + chunk)).any()
+                   for placed, _ in (left, right)):
+            continue
+        for grid, mat_a, mat_b in zip(grids, a, b):
+            grid += device.tcu.matmul(
+                np.ascontiguousarray(mat_a[:, k0:k0 + chunk]),
+                np.ascontiguousarray(mat_b[:, k0:k0 + chunk]).T,
+                Precision.FP16)
+    return grids
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk", [1 << 20, 3], ids=["whole", "slices"])
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("kinds", [
+    ("unit scale", "unit scale", False), ("2^15", "unit scale", False),
+    ("2^31", "2^15", False), ("subnormal", "2^31", False),
+    ("zero", "subnormal", False), ("2^31 in chunk 0", "2^15", False),
+    ("2^31", "subnormal", True),
+    ("unit scale", "zero", True)], ids=lambda kinds: "-".join(
+        map(str, kinds)))
+def test_fill_cast_is_the_dense_emulator(kinds, placement, chunk, workers,
+                                         device, monkeypatch):
+    """The sim backend casts each slice's occupied cells at fill time;
+    its grids equal, byte for byte (zero signs included), the dense
+    emulator's, which casts the whole float64 operand inside the
+    product.  Every product reads the fill's cast, none casts again."""
+    left, right, k = _cast_case(*kinds)
+    force_placement(monkeypatch, placement)
+    driver = TCUDriver(device, chunk_rows=chunk, workers=workers,
+                       backend="sim")
+    plan = product_plan(device, left, right, k, Precision.FP16,
+                        Strategy.DENSE)
+    structures, sums = prepared_operands(left, right, k)
+    assert all((s.cells is None) == (placement == "addressed")
+               for s in structures)
+    products = []
+    unit_matmul = type(device.tcu).matmul
+    monkeypatch.setattr(
+        type(device.tcu), "matmul",
+        lambda tcu, a, b, precision, scale=None: products.append(
+            (a.dtype, b.dtype, scale is not None))
+        or unit_matmul(tcu, a, b, precision, scale=scale))
+    grids, count_grid, _ = driver._grids_numeric(
+        *structures, *sums, [SUM_SPEC], plan)
+    assert products and set(products) == {
+        (np.dtype(np.float32), np.dtype(np.float32), True)}
+    monkeypatch.undo()
+    expected = _dense_emulator(device, left, right, k, chunk)
+    assert grids[0].tobytes() == expected[1].tobytes()
+    if count_grid is not None:
+        assert count_grid.tobytes() == expected[0].tobytes()
+
+
+def test_fill_cast_rejects_non_finite_sums():
+    with pytest.raises(PrecisionError, match="NaN or infinite"):
+        SimBackend().fill_format(Precision.FP16)[1](np.array([1.0, np.nan]))
 
 
 # --------------------------------------------------------------------- #

@@ -247,8 +247,9 @@ def test_figure5_multiplies_a_depth_one_stack(backend, slots_seen,
     inner = type(engine.driver.backend).matmul
     monkeypatch.setattr(
         type(engine.driver.backend), "matmul",
-        lambda self, device, a, b, precision: stacks.append((a.shape, a.dtype))
-        or inner(self, device, a, b, precision))
+        lambda self, device, a, b, precision, **scale: stacks.append(
+            (a.shape, a.dtype)) or inner(self, device, a, b, precision,
+                                         **scale))
     got = engine.execute(MATMUL_SQL)
     assert got.extra["executed_by"] == "TCU"
     assert stacks == [((1, dim, dim), np.float64)]

@@ -142,6 +142,20 @@ class TestTensorCoreNumerics:
         rel = np.abs(result - reference).sum() / np.abs(reference).sum()
         assert rel < 1e-3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("operand", ["A", "B"])
+    def test_fp16_non_finite_operand_is_a_precision_error(
+            self, device, operand, stacked, bad):
+        """No power-of-two scale brings a NaN or infinity into fp16's
+        range: the cast reports it as a PrecisionError."""
+        batch = (2,) if stacked else ()
+        a = np.ones(batch + (4, 3))
+        b = np.ones(batch + (3, 5))
+        (a if operand == "A" else b)[..., 1, 2] = bad
+        with pytest.raises(PrecisionError, match="NaN or infinite"):
+            device.tcu.matmul(a, b, Precision.FP16)
+
     def test_int_range_enforced(self, device):
         a = np.full((4, 4), 300.0)
         with pytest.raises(PrecisionError):

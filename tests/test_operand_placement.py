@@ -126,8 +126,9 @@ def test_addressed_and_ranked_structures_agree(rows, keys, g, k,
         assert sums[p][0] is built[p].occupancy
         assert np.array_equal(sums[p][0], sums[p][1])
     for dtype in (np.float32, np.float64):
-        a_stack = addressed.dense_stack(sums["addressed"], dtype=dtype)
-        r_stack = ranked.dense_stack(sums["ranked"], dtype=dtype)
+        a_stack, a_scale = addressed.dense_stack(sums["addressed"], dtype)
+        r_stack, r_scale = ranked.dense_stack(sums["ranked"], dtype)
+        assert a_scale is None and r_scale is None
         assert a_stack.dtype == r_stack.dtype == dtype
         assert a_stack.shape == r_stack.shape == (len(fills), g, k)
         assert a_stack.tobytes() == r_stack.tobytes()
@@ -145,7 +146,9 @@ def test_addressed_and_ranked_structures_agree(rows, keys, g, k,
                 for p in PLACEMENTS:
                     assert slicers[p].occupied(c) == in_chunk.any()
                     pieces = slicers[p].fills(c, sums[p], dtype)
-                    for matrix, piece in zip(a_stack, pieces, strict=True):
+                    for matrix, (piece, scale) in zip(a_stack, pieces,
+                                                      strict=True):
+                        assert scale is None
                         assert piece.dtype == dtype
                         assert piece.flags.c_contiguous
                         assert np.array_equal(piece,

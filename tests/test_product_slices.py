@@ -235,8 +235,8 @@ def test_a_chunk_either_side_leaves_empty_is_not_multiplied(
     accumulate = driver.backend.matmul_into
     monkeypatch.setattr(
         driver.backend, "matmul_into",
-        lambda acc, device, a, b, precision: products.append(a.shape)
-        or accumulate(acc, device, a, b, precision))
+        lambda acc, device, a, b, precision, **scale: products.append(
+            a.shape) or accumulate(acc, device, a, b, precision, **scale))
     structures, sums = prepared_operands(left, right, k)
     driver._grids_numeric(*structures, *sums, specs, plan)
     assert products == [(left[0].g, chunk)] * 2  # one chunk, two slots

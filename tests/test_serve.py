@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
-from repro.common.errors import AdmissionError, ExecutionError, QueryCancelled
+from repro.common.errors import (
+    AdmissionError,
+    ExecutionError,
+    QueryCancelled,
+    ServerClosed,
+)
 from repro.datasets.ssb import ssb_catalog
 from repro.engine.reference import ReferenceEngine
 from repro.serve import QueryBudget, QueryServer, Session, TicketState
@@ -36,6 +42,52 @@ class BlockingEngine:
 
         return QueryResult(engine="blocking", n_rows=0,
                            breakdown=TimingBreakdown())
+
+
+class CountingEngine(BlockingEngine):
+    """Test double: a :class:`BlockingEngine` that records, per query, its
+    SQL, the thread it runs on and the cancel token armed for it, and
+    the most queries it ever ran at once."""
+
+    def __init__(self, release: bool = False):
+        super().__init__()
+        if release:
+            self.release.set()
+        self.sql: list[str] = []
+        self.threads: list[int] = []
+        self.tokens: list = []
+        self.active = self.peak = 0
+        self._count = threading.Lock()
+
+    def execute(self, sql):
+        with self._count:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            self.sql.append(sql)
+            self.threads.append(threading.get_ident())
+            self.tokens.append(self.cancel_token)
+        try:
+            return super().execute(sql)
+        finally:
+            with self._count:
+                self.active -= 1
+
+
+def in_thread(call):
+    """Start ``call`` on a new thread; returns the thread and a dict that
+    receives its ``result``, or its ``error``, and its thread ``ident``."""
+    outcome: dict = {}
+
+    def run():
+        outcome["ident"] = threading.get_ident()
+        try:
+            outcome["result"] = call()
+        except Exception as error:  # handed to the test
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
 
 
 class TestSessions:
@@ -178,6 +230,169 @@ def test_result_timeout(catalog, monkeypatch):
         ticket = server.session().submit("SELECT 1")
         with pytest.raises(TimeoutError):
             ticket.result(timeout=0.05)
+    finally:
+        engine.release.set()
+        server.close()
+
+
+class TestCallerRuns:
+    """A synchronous ``Session.execute`` runs on the calling thread when
+    the server could start it at once, and waits its turn otherwise."""
+
+    def test_execute_runs_on_the_calling_thread(self, catalog, monkeypatch):
+        engine = CountingEngine(release=True)
+        server = QueryServer(catalog, engine="reference", max_concurrent=1)
+        monkeypatch.setattr(Session, "_engine", lambda self: engine)
+        seen = []
+        execute = engine.execute
+        monkeypatch.setattr(engine, "execute", lambda sql: seen.append(
+            server.health()) or execute(sql))
+        try:
+            session = server.session()
+            result = session.execute("SELECT 1")
+            assert engine.threads == [threading.get_ident()]
+            assert result.extra["session"] == session.session_id
+            assert "host_seconds" in result.extra
+            assert seen[0]["running"] == 1 and seen[0]["queued"] == 0
+            assert server.stats["admitted"] == server.stats["completed"] == 1
+            assert server.health()["running"] == 0
+            assert server.drain(timeout=1)
+        finally:
+            server.close()
+
+    def test_execute_with_timeout_runs_on_the_pool(self, catalog,
+                                                   monkeypatch):
+        engine = CountingEngine(release=True)
+        server = QueryServer(catalog, engine="reference", max_concurrent=1)
+        monkeypatch.setattr(Session, "_engine", lambda self: engine)
+        try:
+            server.session().execute("SELECT 1", timeout=10)
+            assert engine.threads and (
+                engine.threads[0] != threading.get_ident())
+        finally:
+            server.close()
+
+    def test_execute_queues_behind_an_admitted_ticket(self, catalog,
+                                                      monkeypatch):
+        """FIFO: with a ticket queued ahead, a free slot does not let a
+        synchronous query jump the queue."""
+        engine = CountingEngine(release=True)
+        gate = threading.Event()
+        drain = QueryServer._drain
+
+        def gated(server):  # the pool starts nothing before gate fires
+            gate.wait()
+            drain(server)
+
+        monkeypatch.setattr(QueryServer, "_drain", gated)
+        monkeypatch.setattr(Session, "_engine", lambda self: engine)
+        server = QueryServer(catalog, engine="reference", max_concurrent=1)
+        try:
+            ahead = server.session().submit("SELECT 1")
+            thread, outcome = in_thread(
+                lambda: server.session().execute("SELECT 2"))
+            thread.join(0.2)
+            assert thread.is_alive() and engine.sql == []
+            assert server.health()["queued"] == 2
+            gate.set()
+            thread.join(10)
+            ahead.result(timeout=10)
+            assert engine.sql == ["SELECT 1", "SELECT 2"]
+            assert "result" in outcome
+            assert outcome["ident"] not in engine.threads
+        finally:
+            gate.set()
+            server.close()
+
+    def test_execute_waits_for_a_busy_slot(self, catalog, monkeypatch):
+        engine = CountingEngine()
+        server = QueryServer(catalog, engine="reference", max_concurrent=1)
+        monkeypatch.setattr(Session, "_engine", lambda self: engine)
+        try:
+            running = server.session().submit("SELECT 1")
+            assert engine.started.wait(5)
+            thread, outcome = in_thread(
+                lambda: server.session().execute("SELECT 2"))
+            thread.join(0.2)
+            assert thread.is_alive() and engine.sql == ["SELECT 1"]
+            assert server.health()["queued"] == 1
+            engine.release.set()
+            running.result(timeout=10)
+            thread.join(10)
+            assert "result" in outcome
+            assert outcome["ident"] not in engine.threads
+            assert engine.peak == 1
+        finally:
+            engine.release.set()
+            server.close()
+
+    def test_pool_respects_max_concurrent_during_an_inline_run(
+            self, catalog, monkeypatch):
+        """A ticket submitted while an inline run holds the only slot
+        starts only after that run ends, although a pool thread idles."""
+        engine = CountingEngine()
+        server = QueryServer(catalog, engine="reference", max_concurrent=1)
+        monkeypatch.setattr(Session, "_engine", lambda self: engine)
+        try:
+            thread, outcome = in_thread(
+                lambda: server.session().execute("SELECT 1"))
+            assert engine.started.wait(5)
+            assert engine.threads == [outcome["ident"]]
+            assert server.health()["running"] == 1
+            submitted = server.session().submit("SELECT 2")
+            thread.join(0.2)
+            assert engine.sql == ["SELECT 1"]
+            assert submitted.state is TicketState.QUEUED
+            engine.release.set()
+            thread.join(10)
+            submitted.result(timeout=10)
+            assert "result" in outcome
+            assert engine.sql == ["SELECT 1", "SELECT 2"]
+            assert engine.peak == 1
+            assert server.stats["admitted"] == server.stats["completed"] == 2
+        finally:
+            engine.release.set()
+            server.close()
+
+    def test_inline_budgets(self, catalog):
+        with QueryServer(catalog, engine="reference", max_concurrent=1,
+                         engine_kwargs={"chunk_rows": 64}) as server:
+            session = server.session()
+            with pytest.raises(QueryCancelled, match="time budget"):
+                session.execute(SSB_QUERIES["Q3.1"],
+                                budget=QueryBudget(max_seconds=0.0))
+            with pytest.raises(ExecutionError, match="row budget"):
+                session.execute("SELECT lo_orderkey FROM lineorder",
+                                budget=QueryBudget(max_rows=10))
+            assert server.stats["cancelled"] == server.stats["failed"] == 1
+            assert server.health()["running"] == 0
+
+    def test_closed_server_raises_server_closed(self, catalog):
+        server = QueryServer(catalog, engine="reference")
+        session = server.session()
+        server.close()
+        with pytest.raises(ServerClosed):
+            session.execute("SELECT d_year FROM ddate")
+
+
+def test_one_sessions_queries_run_one_at_a_time(catalog, monkeypatch):
+    """Two tickets of one session never overlap on two pool threads: the
+    second starts once the first ends, with its own cancel token armed."""
+    engine = CountingEngine()
+    server = QueryServer(catalog, engine="reference", max_concurrent=2)
+    monkeypatch.setattr(Session, "_engine", lambda self: engine)
+    try:
+        session = server.session()
+        first = session.submit("SELECT 1")
+        second = session.submit("SELECT 2")
+        assert engine.started.wait(5)
+        time.sleep(0.2)
+        assert engine.sql == ["SELECT 1"]
+        engine.release.set()
+        first.result(timeout=10)
+        second.result(timeout=10)
+        assert engine.peak == 1
+        assert engine.tokens == [first.token, second.token]
     finally:
         engine.release.set()
         server.close()
