@@ -31,6 +31,9 @@ class Column:
             raise SchemaError("string columns require a dictionary")
         if dtype != DataType.STRING and dictionary is not None:
             raise SchemaError("only string columns carry a dictionary")
+        if data.dtype == np.uint64 and dtype != DataType.FLOAT64 and (
+                data.size and data.max() > np.iinfo(np.int64).max):
+            raise SchemaError(f"uint64 value {data.max()} overflows int64")
         self._data = np.ascontiguousarray(data, dtype=dtype.numpy_dtype)
         self._data.flags.writeable = False
         self.dtype = dtype
@@ -40,13 +43,32 @@ class Column:
 
     @staticmethod
     def from_values(values) -> "Column":
-        """Build a column from raw Python/numpy values, inferring the type."""
-        dtype = infer_type(values)
-        if dtype == DataType.STRING:
-            dictionary = StringDictionary()
-            codes = dictionary.encode([str(v) for v in values])
-            return Column(codes, dtype, dictionary)
-        return Column(np.asarray(values), dtype)
+        """Build a column from raw Python/numpy values, inferring the type.
+
+        Types and codes are those of ``np.asarray(list(values))`` and a
+        per-value ``str(v)`` encode, in whole-array passes: a numeric
+        ndarray is copied once, all-``str`` items are encoded in one batch.
+        """
+        # Empty and n-d arrays take the list rule: ``np.asarray([])`` is
+        # float64, and rows of an n-d array are items.
+        if type(values) is np.ndarray and values.ndim == 1 and values.size:
+            if values.dtype.kind in "biuf":
+                dtype = infer_type(values)
+                if values.dtype == dtype.numpy_dtype:
+                    values = values.copy()  # never adopt the caller's array
+                return Column(values, dtype)
+            if values.dtype.kind == "U":
+                values = values.tolist()  # exact str items
+        items = values if type(values) is list else list(values)
+        if not (items and type(items[0]) is str
+                and set(map(type, items)) == {str}):
+            array = np.asarray(items)
+            dtype = infer_type(array)
+            if dtype != DataType.STRING:
+                return Column(array, dtype)
+            items = list(map(str, items))
+        dictionary = StringDictionary()
+        return Column(dictionary.encode(items), DataType.STRING, dictionary)
 
     # -- accessors --------------------------------------------------------- #
 

@@ -9,6 +9,8 @@ matrix-encodable.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.common.errors import StorageError
@@ -21,28 +23,24 @@ class StringDictionary:
         self._values: list[str] = []
         self._codes: dict[str, int] = {}
         if values:
-            for value in values:
-                self.encode_one(value)
+            self.encode(values)
 
     def __len__(self) -> int:
         return len(self._values)
 
-    def encode_one(self, value: str) -> int:
-        """Code for ``value``, inserting it if unseen."""
-        value = str(value)
-        code = self._codes.get(value)
-        if code is None:
-            code = len(self._values)
-            self._codes[value] = code
-            self._values.append(value)
-        return code
-
     def encode(self, values) -> np.ndarray:
-        """Encode a sequence of strings into an int64 code array."""
-        return np.fromiter(
-            (self.encode_one(v) for v in values), dtype=np.int64,
-            count=len(values),
-        )
+        """Encode a sequence of strings into an int64 code array.
+
+        Unseen values get the next codes in first-seen order, in C-level
+        passes with no Python frame per value.
+        """
+        fresh = list(itertools.filterfalse(
+            self._codes.__contains__, dict.fromkeys(values)))
+        start = len(self._values)
+        self._codes.update(zip(fresh, range(start, start + len(fresh))))
+        self._values.extend(fresh)
+        return np.fromiter(map(self._codes.__getitem__, values),
+                           dtype=np.int64, count=len(values))
 
     def lookup(self, value: str) -> int:
         """Code for an existing value; raises if absent."""
@@ -68,14 +66,10 @@ class StringDictionary:
 
     def merged_with(self, other: "StringDictionary") -> "StringDictionary":
         """A new dictionary containing both value sets (self's codes first)."""
-        merged = StringDictionary(list(self._values))
-        for value in other._values:
-            merged.encode_one(value)
+        merged = StringDictionary(self._values)
+        merged.encode(other._values)
         return merged
 
     def remap_codes(self, other: "StringDictionary") -> np.ndarray:
         """Array mapping ``other``'s codes into this dictionary's codes."""
-        return np.fromiter(
-            (self.encode_one(v) for v in other._values), dtype=np.int64,
-            count=len(other._values),
-        )
+        return self.encode(other._values)

@@ -54,7 +54,7 @@ class Table:
     def from_dict(name: str, data: Mapping[str, Iterable]) -> "Table":
         """Build a table from {column name: values}, inferring types."""
         return Table(
-            name, {col: Column.from_values(list(vals)) for col, vals in data.items()}
+            name, {col: Column.from_values(vals) for col, vals in data.items()}
         )
 
     # -- schema -------------------------------------------------------------- #

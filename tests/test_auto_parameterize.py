@@ -26,6 +26,7 @@ from differential_utils import (  # noqa: E402
     engine_variants,
 )
 from perfbench.workloads import HIT_SQL, MISS_SQL, PREPARED  # noqa: E402
+from repro.bench.verify import TCU_REL  # noqa: E402
 from repro.common.errors import (  # noqa: E402
     BindError,
     LexError,
@@ -68,7 +69,6 @@ from test_fuzz_queries import QueryGenerator  # noqa: E402
 
 pytestmark = pytest.mark.engine_matrix
 
-TCU_REL = 2e-3
 B = 2 ** 53
 
 YEARLY = ("select d.d_year, count(*) from lineorder as lo, ddate as d "

@@ -26,6 +26,7 @@ from differential_utils import assert_results_match
 from test_fuzz_queries import QueryGenerator
 from test_operand_placement import PLACEMENTS, force_placement, make_side
 from test_product_slices import prepared_operands, product_plan
+from repro.bench.verify import TCU_REL
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.datasets.ssb import ssb_catalog
@@ -51,7 +52,6 @@ from repro.tensor.precision import (
     Precision,
 )
 
-TCU_REL = 2e-3
 SUM_SPEC = AggregateSpec(func="sum", constant=1.0, factors=[])
 FUZZ_SEED = 20250808
 N_FUZZ_QUERIES = 60

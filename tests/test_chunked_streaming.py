@@ -18,7 +18,7 @@ import pytest
 
 from differential_utils import assert_results_match
 from repro.bench.harness import SeriesPoint
-from repro.bench.verify import OracleVerifier, result_rows, sampled_catalog
+from repro.bench.verify import TCU_REL, OracleVerifier, result_rows, sampled_catalog
 from repro.common.errors import BindError, ConfigError, PlanError
 from repro.common.rng import make_rng
 from repro.datasets.ssb import ssb_catalog
@@ -41,8 +41,6 @@ from repro.storage import (
     predicate_can_match,
 )
 from test_fuzz_queries import FUZZ_SEED, QueryGenerator
-
-TCU_REL = 2e-3
 
 
 @pytest.fixture(scope="module")

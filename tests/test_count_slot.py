@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from differential_utils import assert_results_match, engine_variants
+from repro.bench.verify import TCU_REL
 from repro.datasets.matmul import dense_matrix_from_table, matmul_catalog
 from repro.engine import ReferenceEngine
 from repro.engine.tcudb import Strategy, TCUDBEngine, TCUDBOptions, driver, ops
@@ -35,8 +36,6 @@ from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
 pytestmark = pytest.mark.engine_matrix
-
-TCU_REL = 2e-3
 
 
 def rule_catalog(g=16, k=64, seed=29) -> Catalog:

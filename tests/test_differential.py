@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from differential_utils import assert_results_match, column_dtypes
+from repro.bench.verify import TCU_REL
 from repro.datasets.microbench import (
     QUERY_Q1,
     QUERY_Q3,
@@ -24,8 +25,8 @@ from repro.datasets.ssb import ssb_catalog
 from repro.engine import create_engine
 from repro.workloads.ssb_queries import SSB_QUERIES
 
-# TCUDB's adaptive-precision path may pick fp16; everything else is fp64.
-TCU_REL = 2e-3
+# TCUDB's adaptive-precision path may pick fp16 (TCU_REL); everything
+# else is fp64.
 EXACT_REL = 1e-9
 
 

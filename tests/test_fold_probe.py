@@ -20,6 +20,7 @@ from differential_utils import (
     engine_variants,
     scaled_key_catalog,
 )
+from repro.bench.verify import TCU_REL
 from repro.common.errors import ExecutionError
 from repro.datasets.ssb import ssb_catalog
 from repro.engine import ReferenceEngine
@@ -35,7 +36,6 @@ from repro.tensor.keys import DIRECT_ADDRESS_SLOTS_PER_ROW, KEY_TABLE_MAX_SLOTS
 
 pytestmark = pytest.mark.engine_matrix
 
-TCU_REL = 2e-3
 INT64 = np.iinfo(np.int64)
 
 

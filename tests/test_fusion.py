@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from differential_utils import assert_results_match
+from repro.bench.verify import TCU_REL
 from repro.common.rng import make_rng
 from repro.datasets.ssb import ssb_catalog
 from repro.engine import create_engine
@@ -43,8 +44,6 @@ from repro.storage.statistics import (
     predicate_selectivity,
 )
 from test_fuzz_queries import FUZZ_SEED, QueryGenerator
-
-TCU_REL = 2e-3
 
 
 def lowered_program(catalog, sql):

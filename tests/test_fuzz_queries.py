@@ -24,13 +24,13 @@ import numpy as np
 import pytest
 
 from differential_utils import assert_results_match, column_dtypes
+from repro.bench.verify import TCU_REL
 from repro.common.rng import make_rng
 from repro.datasets.ssb import REGIONS, ssb_catalog
 from repro.engine import create_engine
 
 FUZZ_SEED = 20220612
 N_QUERIES = 200
-TCU_REL = 2e-3
 
 # -- SSB schema description for the generator ------------------------------- #
 

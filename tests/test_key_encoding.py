@@ -22,6 +22,7 @@ from differential_utils import (
     engine_variants,
     scaled_key_catalog,
 )
+from repro.bench.verify import TCU_REL
 from repro.datasets.matmul import MATMUL_QUERY, matmul_catalog
 from repro.datasets.ssb import ssb_catalog
 from repro.engine import ReferenceEngine
@@ -35,7 +36,6 @@ from repro.tensor.keys import (
 
 pytestmark = pytest.mark.engine_matrix
 
-TCU_REL = 2e-3
 INT64 = np.iinfo(np.int64)
 
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 import pytest
 
 from differential_utils import assert_results_match
+from repro.bench.verify import TCU_REL
 from repro.datasets.microbench import microbench_catalog
 from repro.datasets.ssb import ssb_catalog
 from repro.engine.reference import ReferenceEngine
 from repro.engine.tcudb import TCUDBEngine
-
-TCU_REL = 2e-3
 
 HAVING_ONLY = [
     # Star joins whose only obstacle is the HAVING clause.

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from differential_utils import assert_results_match, engine_variants
+from repro.bench.verify import TCU_REL
 from repro.datasets.matmul import MATMUL_QUERY, matmul_catalog
 from repro.datasets.ssb import ssb_catalog
 from repro.engine import ReferenceEngine
@@ -34,7 +35,6 @@ from repro.tensor.keys import DIRECT_ADDRESS_SLOTS_PER_ROW, KEY_TABLE_MAX_SLOTS
 
 pytestmark = pytest.mark.engine_matrix
 
-TCU_REL = 2e-3
 PLACEMENTS = ("addressed", "ranked")
 
 

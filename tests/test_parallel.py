@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from differential_utils import assert_results_match
+from repro.bench.verify import TCU_REL
 from repro.common.errors import ConfigError, ExecutionError, QueryCancelled
 from repro.common.rng import make_rng
 from repro.datasets.ssb import ssb_catalog
@@ -205,7 +206,7 @@ class TestParallelEquivalence:
             b = parallel.execute(sql)
             if rows_of(a) != rows_of(b):
                 divergences.append(sql)
-            assert_results_match(b, oracle.execute(sql), rel=2e-3,
+            assert_results_match(b, oracle.execute(sql), rel=TCU_REL,
                                  context=f"fuzz #{index}: {sql}")
         assert not divergences, divergences
 
@@ -232,7 +233,7 @@ class TestParallelEquivalence:
                                   second.column(name).data)
         assert_results_match(engine.execute(sql),
                              ReferenceEngine(catalog).execute(sql),
-                             rel=2e-3, context=sql)
+                             rel=TCU_REL, context=sql)
 
     def test_pruning_counters_deterministic(self, catalog):
         sql = ("SELECT SUM(lo_revenue) AS r FROM lineorder "

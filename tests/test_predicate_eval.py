@@ -28,6 +28,7 @@ from differential_utils import (
     canonical_sorted,
     result_rows,
 )
+from repro.bench.verify import TCU_REL
 from repro.datasets.microbench import microbench_catalog
 from repro.engine import ReferenceEngine, physical
 from repro.engine.tcudb import TCUDBEngine
@@ -329,4 +330,4 @@ def test_having_call_sites_share_the_interpreter(grouped, condition,
         if make_engine is TCUDBEngine:
             assert got.extra["executed_by"] == "TCU", condition
         assert_rows_match(result_rows(got), canonical_sorted(expected),
-                          rel=2e-3, context=f"{name}: {sql}")
+                          rel=TCU_REL, context=f"{name}: {sql}")

@@ -9,6 +9,7 @@ which exercises the same paths with the morsel pool engaged).
 import pytest
 
 from differential_utils import assert_results_match
+from repro.bench.verify import TCU_REL
 from repro.common.errors import BindError, ParseError
 from repro.datasets.ssb import ssb_catalog
 from repro.engine import create_engine
@@ -17,8 +18,6 @@ from repro.sql.lexer import TokenType, tokenize
 from repro.sql.parser import parse
 from repro.sql.prepared import prepare_statement, render_statement
 from repro.storage.types import DataType
-
-TCU_REL = 2e-3
 
 
 @pytest.fixture(scope="module")

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from differential_utils import assert_results_match, engine_variants
+from repro.bench.verify import TCU_REL
 from repro.engine import ReferenceEngine
 from repro.engine.tcudb import (
     Strategy,
@@ -40,7 +41,6 @@ from test_operand_placement import PLACEMENTS, force_placement, make_side
 
 pytestmark = pytest.mark.engine_matrix
 
-TCU_REL = 2e-3
 COUNT = AggregateSpec(func="count", constant=1.0, factors=[])
 SUM = AggregateSpec(func="sum", constant=1.0, factors=[])
 

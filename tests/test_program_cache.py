@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from differential_utils import assert_results_match
+from repro.bench.verify import TCU_REL
 from repro.common.rng import make_rng
 from repro.datasets.ssb import ssb_catalog
 from repro.engine import create_engine
@@ -17,8 +18,6 @@ from repro.engine.cache import ProgramCache
 from repro.engine.tcudb import TCUDBEngine, TCUDBOptions
 from repro.serve import QueryServer
 from test_fuzz_queries import QueryGenerator
-
-TCU_REL = 2e-3
 
 JOIN_AGG_SQL = (
     "select d.d_year, sum(lo.lo_revenue) from lineorder as lo, ddate as d "

@@ -23,6 +23,7 @@ from differential_utils import assert_results_match
 from test_fuzz_queries import FUZZ_SEED, QueryGenerator
 from test_serve import BlockingEngine
 from repro.bench.exp_chaos import _plan_for as chaos_sweep_plan
+from repro.bench.verify import TCU_REL
 from repro.common.errors import (
     AdmissionError,
     BackendUnavailable,
@@ -61,8 +62,6 @@ from repro.engine.parallel import (
 from repro.engine.reference import ReferenceEngine
 from repro.engine.tcudb import TCUDBEngine
 from repro.serve import CircuitBreaker, QueryBudget, QueryServer, Session
-
-TCU_REL = 2e-3
 
 AGG_SQL = ("SELECT SUM(lo_revenue) AS r, d_year FROM lineorder, ddate "
            "WHERE lo_orderdate = d_datekey GROUP BY d_year")

@@ -84,6 +84,127 @@ class TestColumn:
         assert column.encode_literal("y") == 1
         assert column.encode_literal("nope") == -1  # matches nothing
 
+    def test_uint64_above_int64_rejected(self):
+        # An int64 cast would wrap 2**63 + 5 to a negative key.
+        with pytest.raises(SchemaError, match="overflows int64"):
+            Column.from_values(np.array([1, 2**63 + 5], dtype=np.uint64))
+        with pytest.raises(SchemaError, match="overflows int64"):
+            Table.from_dict("t", {"x": [2**63 + 5]})
+        assert list(Column.from_values(
+            np.array([0, 2**63 - 1], dtype=np.uint64)).data) == [0, 2**63 - 1]
+
+
+def per_value_load(values):
+    """The load rule before batching: box every item, infer, encode one by one.
+
+    ``(DataType, data bytes, dictionary values)`` of
+    ``Column.from_values(list(values))`` as it was: ``np.asarray`` over
+    the boxed items picks the type, and a string column encodes
+    ``str(v)`` per value in first-seen order.
+    """
+    items = list(values)
+    array = np.asarray(items)
+    if array.dtype.kind in "USO":
+        codes: dict[str, int] = {}
+        for item in items:
+            codes.setdefault(str(item), len(codes))
+        data = np.array([codes[str(item)] for item in items], dtype=np.int64)
+        return DataType.STRING, data.tobytes(), list(codes)
+    dtype = DataType.FLOAT64 if array.dtype.kind == "f" else DataType.INT64
+    return dtype, array.astype(dtype.numpy_dtype).tobytes(), None
+
+
+#: Every kind of input ``Table.from_dict`` accepts.  Inference follows
+#: NumPy's promotion rules, so this list is also run on the oldest
+#: supported NumPy line.
+LOAD_INPUTS = {
+    "int64 array": np.arange(-3, 7),
+    "int32 array": np.array([5, -1, 5], dtype=np.int32),
+    "big-endian int": np.array([1, 300, -2], dtype=">i4"),
+    "strided view": np.arange(20)[::3],
+    "read-only array": np.arange(4),
+    "uint64 in range": np.array([0, 2**63 - 1], dtype=np.uint64),
+    "float64 array": np.array([1.5, np.nan, -0.0, np.inf]),
+    "float32 array": np.array([0.1, 2.5], dtype=np.float32),
+    "float16 array": np.array([0.1, -3.0], dtype=np.float16),
+    "bool array": np.array([True, False, True]),
+    "U array": np.array(["b", "a", "b", ""]),
+    "S array": np.array([b"x", b"y", b"x"]),
+    "object str array": np.array(["q", "p", "q"], dtype=object),
+    "object int array": np.array([3, 1, 3], dtype=object),
+    "object mixed array": np.array(["a", 1, None], dtype=object),
+    "int list": [3, 1, 2],
+    "float list": [1, 2.5],
+    "bool list": [True, False],
+    "str list": ["y", "x", "y", "z"],
+    "np.str_ list": [np.str_("a"), "b", "a"],
+    "bytes and str": [b"x", "y"],
+    "mixed str/number": ["a", 1, 2.5, "a", 1],
+    "number then str": [1, "1", 2],
+    "None only": [None, None],
+    "None and str": [None, "a", "None"],
+    "None and int": [None, 1],
+    "empty list": [],
+    "empty int64 array": np.array([], dtype=np.int64),
+    "empty U array": np.array([], dtype="U3"),
+    "tuple": ("s", "t"),
+    "range": range(4),
+    "iterator": [0, 1, 4, 9],  # loaded through iter(): no len()
+    "ints beyond int64": [2**64, 1],
+    "ints below int64": [-(2**63) - 1, 0],
+}
+LOAD_INPUTS["read-only array"].flags.writeable = False
+
+
+class TestLoadParity:
+    """Batched loading reproduces the per-value rule, byte for byte."""
+
+    @staticmethod
+    def fresh(name):
+        value = LOAD_INPUTS[name]
+        if name == "iterator":
+            return iter(value)
+        return value.copy() if isinstance(value, np.ndarray) else value
+
+    @staticmethod
+    def observed(column):
+        dictionary = (None if column.dictionary is None
+                      else list(column.dictionary.decode(
+                          np.arange(len(column.dictionary)))))
+        return column.dtype, column.data.tobytes(), dictionary
+
+    @pytest.mark.parametrize("name", sorted(LOAD_INPUTS))
+    def test_from_dict_and_from_values_match_per_value_rule(self, name):
+        expected = per_value_load(self.fresh(name))
+        table = Table.from_dict("t", {"c": self.fresh(name)})
+        assert self.observed(table.column("c")) == expected
+        assert self.observed(Column.from_values(self.fresh(name))) == expected
+        dictionary = table.column("c").dictionary
+        if dictionary is not None:
+            assert all(type(v) is str for v in dictionary._values)
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n, v in LOAD_INPUTS.items() if isinstance(v, np.ndarray)))
+    def test_column_owns_its_data(self, name):
+        values = LOAD_INPUTS[name]
+        writeable = values.flags.writeable
+        column = Column.from_values(values)
+        assert not np.shares_memory(column.data, values)
+        assert values.flags.writeable == writeable
+        assert not column.data.flags.writeable
+
+    def test_batched_encode_extends_in_first_seen_order(self):
+        d = StringDictionary(["m", "n"])
+        codes = d.encode(["z", "n", "a", "z", "m"])
+        assert list(codes) == [2, 1, 3, 2, 0]
+        assert list(d.decode(np.arange(len(d)))) == ["m", "n", "z", "a"]
+
+    def test_concat_matches_per_value_rule(self):
+        left = ["x", "y", "x"]
+        right = ["z", "y", "w", "z"]
+        merged = Column.from_values(left).concat(Column.from_values(right))
+        assert self.observed(merged) == per_value_load(left + right)
+
 
 class TestTable:
     def test_ragged_columns_rejected(self):
