@@ -31,8 +31,9 @@ class Column:
             raise SchemaError("string columns require a dictionary")
         if dtype != DataType.STRING and dictionary is not None:
             raise SchemaError("only string columns carry a dictionary")
-        if data.dtype == np.uint64 and dtype != DataType.FLOAT64 and (
-                data.size and data.max() > np.iinfo(np.int64).max):
+        if (data.dtype.kind == "u" and data.dtype.itemsize == 8
+                and dtype != DataType.FLOAT64
+                and data.size and data.max() > np.iinfo(np.int64).max):
             raise SchemaError(f"uint64 value {data.max()} overflows int64")
         self._data = np.ascontiguousarray(data, dtype=dtype.numpy_dtype)
         self._data.flags.writeable = False
@@ -57,8 +58,6 @@ class Column:
                 if values.dtype == dtype.numpy_dtype:
                     values = values.copy()  # never adopt the caller's array
                 return Column(values, dtype)
-            if values.dtype.kind == "U":
-                values = values.tolist()  # exact str items
         items = values if type(values) is list else list(values)
         if not (items and type(items[0]) is str
                 and set(map(type, items)) == {str}):

@@ -89,6 +89,8 @@ class TestColumn:
         with pytest.raises(SchemaError, match="overflows int64"):
             Column.from_values(np.array([1, 2**63 + 5], dtype=np.uint64))
         with pytest.raises(SchemaError, match="overflows int64"):
+            Column.from_values(np.array([2**63 + 5], dtype=">u8"))
+        with pytest.raises(SchemaError, match="overflows int64"):
             Table.from_dict("t", {"x": [2**63 + 5]})
         assert list(Column.from_values(
             np.array([0, 2**63 - 1], dtype=np.uint64)).data) == [0, 2**63 - 1]
