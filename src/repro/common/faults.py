@@ -1,14 +1,14 @@
 """Deterministic, seedable fault injection for resilience testing.
 
-The engine and the server call :func:`fault_point` at a handful of
-*named sites*.  In normal operation these are no-ops.  When a
-:class:`FaultPlan` is active — installed explicitly via :func:`inject`
-/ :func:`set_fault_plan` or parsed from the ``REPRO_FAULTS``
-environment variable — each site consults the plan's rules and may
-raise a typed, *retryable* :class:`~repro.common.errors.ReproError`
-subtype.  Every recovery path in the engine and server is therefore
-testable and CI-reproducible: the same plan string always injects the
-same faults at the same call counts.
+The engine and the server call :func:`fault_point` at two *named
+sites*.  In normal operation these are no-ops.  When a
+:class:`FaultPlan` is active — installed for a ``with`` body by
+:func:`inject` or parsed from the ``REPRO_FAULTS`` environment
+variable — each site consults the plan's rules and may raise a typed,
+*retryable* :class:`~repro.common.errors.ReproError` subtype.  Every
+recovery path in the engine and server is therefore testable and
+CI-reproducible: the same plan string always injects the same faults
+at the same call counts.
 
 Sites
 -----
@@ -37,11 +37,9 @@ Each rule is ``site:kind[:knob=value[,knob=value...]]`` with kinds
     Fire on every 3rd matching call (periodic — consecutive calls never
     both fire, so a single retry deterministically succeeds; this is
     what the CI chaos leg uses to stay flake-free).
-``max=5``
-    Stop firing after this many total fires.
 
 A rule with no trigger knob (no ``p``/``n``/``every``) fires on every
-matching call until ``max`` is reached.
+matching call.
 """
 
 from __future__ import annotations
@@ -67,7 +65,13 @@ SITE_SESSION_RUN = "session.run"
 
 SITES = frozenset({SITE_CACHE_GET, SITE_SESSION_RUN})
 
-KINDS = frozenset({"transient", "unavailable", "poison"})
+#: What each fault kind raises, and the message it raises with.
+_RAISES = {
+    "transient": (TransientError, "injected transient fault"),
+    "unavailable": (BackendUnavailable, "injected backend-unavailable fault"),
+    "poison": (PoisonedTemplateError, "injected template poison"),
+}
+KINDS = frozenset(_RAISES)
 
 #: Seed for plans that do not pin one (matches the repo-wide default).
 DEFAULT_FAULT_SEED = 20220612
@@ -82,7 +86,6 @@ class FaultRule:
     p: float | None = None
     n: int | None = None
     every: int | None = None
-    max_fires: int | None = None
 
     # Mutable per-rule state (guarded by the owning plan's lock).
     calls: int = field(default=0, repr=False)
@@ -111,8 +114,6 @@ class FaultRule:
     def _should_fire(self) -> bool:
         """Advance the call counter and decide.  Caller holds the lock."""
         self.calls += 1
-        if self.max_fires is not None and self.fires >= self.max_fires:
-            return False
         if self.n is not None:
             fire = self.calls <= self.n
         elif self.every is not None:
@@ -142,12 +143,6 @@ class FaultPlan:
         for index, rule in enumerate(self.rules):
             rule._bind(seed, index)
 
-    def add(self, rule: FaultRule) -> FaultRule:
-        with self._lock:
-            rule._bind(self.seed, len(self.rules))
-            self.rules.append(rule)
-        return rule
-
     def fired_rules(self, site: str) -> list[FaultRule]:
         """Advance counters for *site* and return the rules that fire."""
         fired = []
@@ -156,12 +151,6 @@ class FaultPlan:
                 if rule.site == site and rule._should_fire():
                     fired.append(rule)
         return fired
-
-    def reset(self) -> None:
-        with self._lock:
-            for index, rule in enumerate(self.rules):
-                rule.calls = rule.fires = 0
-                rule._bind(self.seed, index)
 
     def stats(self) -> dict:
         with self._lock:
@@ -177,9 +166,6 @@ class FaultPlan:
                     for rule in self.rules
                 ],
             }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultPlan(seed={self.seed}, rules={self.rules!r})"
 
 
 def parse_fault_plan(spec: str) -> FaultPlan:
@@ -213,7 +199,7 @@ def parse_fault_plan(spec: str) -> FaultPlan:
                 key, _, raw = token.partition("=")
                 key = key.strip()
                 try:
-                    if key in ("n", "every", "max"):
+                    if key in ("n", "every"):
                         knobs[key] = int(raw)
                     elif key == "p":
                         knobs[key] = float(raw)
@@ -230,42 +216,23 @@ def parse_fault_plan(spec: str) -> FaultPlan:
             p=knobs.get("p"),
             n=knobs.get("n"),
             every=knobs.get("every"),
-            max_fires=knobs.get("max"),
         ))
     return FaultPlan(rules, seed=seed)
 
 
 # --- active-plan management -------------------------------------------------
 
-class _Unset:
-    """Sentinel distinguishing "no explicit plan" from inject(None)."""
-
-
-_UNSET = _Unset()
-_explicit_plan: FaultPlan | None | _Unset = _UNSET
+#: ``inject``'s default: no plan of its own, so ``REPRO_FAULTS`` applies.
+_FROM_ENV = object()
+_explicit_plan: FaultPlan | None | object = _FROM_ENV
 _env_cache: tuple[str, FaultPlan] | None = None
 _state_lock = threading.Lock()
 _local = threading.local()
 
 
-def set_fault_plan(plan: FaultPlan | None) -> None:
-    """Install *plan* process-wide (``None`` disables injection even if
-    ``REPRO_FAULTS`` is set; pass :data:`_UNSET` semantics via
-    :func:`clear_fault_plan` to fall back to the environment)."""
-    global _explicit_plan
-    with _state_lock:
-        _explicit_plan = plan
-
-
-def clear_fault_plan() -> None:
-    """Drop the explicit plan; ``REPRO_FAULTS`` (if set) applies again."""
-    global _explicit_plan
-    with _state_lock:
-        _explicit_plan = _UNSET
-
-
 def active_plan() -> FaultPlan | None:
-    """The plan in effect: explicit wins, else ``REPRO_FAULTS``.
+    """The plan in effect: the innermost :func:`inject`'s, else
+    ``REPRO_FAULTS``.
 
     The env-parsed plan is cached per spec string as one shared
     instance, so its counters accumulate for the whole process — the
@@ -273,7 +240,7 @@ def active_plan() -> FaultPlan | None:
     """
     global _env_cache
     with _state_lock:
-        if not isinstance(_explicit_plan, _Unset):
+        if _explicit_plan is not _FROM_ENV:
             return _explicit_plan
         spec = os.environ.get("REPRO_FAULTS", "").strip()
         if not spec:
@@ -284,15 +251,16 @@ def active_plan() -> FaultPlan | None:
 
 
 @contextmanager
-def inject(plan: FaultPlan | None) -> Iterator[FaultPlan | None]:
-    """Scoped :func:`set_fault_plan`: install *plan* for the ``with``
-    body, restoring the prior state after (tests use this heavily)."""
+def inject(plan=_FROM_ENV) -> Iterator[None]:
+    """Install *plan* process-wide for the ``with`` body and restore the
+    prior state after.  ``inject(None)`` disables injection even when
+    ``REPRO_FAULTS`` is set; ``inject()`` defers to ``REPRO_FAULTS``."""
     global _explicit_plan
     with _state_lock:
         prior = _explicit_plan
         _explicit_plan = plan
     try:
-        yield plan
+        yield
     finally:
         with _state_lock:
             _explicit_plan = prior
@@ -315,10 +283,6 @@ def suppress() -> Iterator[None]:
         _local.suppressed = depth
 
 
-def _suppressed() -> bool:
-    return getattr(_local, "suppressed", 0) > 0
-
-
 def fault_point(site: str) -> None:
     """Injection hook: raise per the active plan.
 
@@ -327,17 +291,12 @@ def fault_point(site: str) -> None:
     """
     if site not in SITES:
         raise ConfigError(f"unknown fault site {site!r}")
-    if _suppressed():
+    if getattr(_local, "suppressed", 0):
         return
     plan = active_plan()
     if plan is None:
         return
-    for rule in plan.fired_rules(site):
-        if rule.kind == "transient":
-            raise TransientError(f"injected transient fault at {site}")
-        elif rule.kind == "unavailable":
-            raise BackendUnavailable(
-                f"injected backend-unavailable fault at {site}")
-        elif rule.kind == "poison":
-            raise PoisonedTemplateError(
-                f"injected template poison at {site}")
+    fired = plan.fired_rules(site)
+    if fired:
+        error, message = _RAISES[fired[0].kind]
+        raise error(f"{message} at {site}")

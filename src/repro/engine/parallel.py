@@ -14,10 +14,11 @@ Threads (not processes) are the right pool here: the chunk kernels are
 NumPy calls that release the GIL, and the chunks are zero-copy views of
 shared catalog arrays that processes would have to serialize.
 
-:func:`workers_policy` mirrors :func:`repro.storage.chunk.chunk_rows_policy`:
-an explicit override wins, then the ``REPRO_WORKERS`` environment knob,
-then 1 (sequential).  CI pins ``REPRO_WORKERS`` so test runs stay
-deterministic in their scheduling.
+:func:`workers_policy` resolves like every setting
+(:func:`repro.common.settings.resolve_setting`): an explicit override
+wins, then the ``REPRO_WORKERS`` environment knob, then 1 (sequential).
+CI pins ``REPRO_WORKERS`` so test runs stay deterministic in their
+scheduling.
 
 Thread-safety contract: :func:`parallel_map` is a pure fan-out/fan-in —
 it owns its pool for the duration of one call and requires the chunk
@@ -33,15 +34,14 @@ thread and its executor.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
-from repro.common.errors import ConfigError, QueryCancelled, ReproError
+from repro.common.errors import QueryCancelled
+from repro.common.settings import positive_int, resolve_setting
 
 #: Hard ceiling on the pool width: beyond this, per-chunk dispatch
 #: overhead dominates any conceivable chunk kernel.
@@ -51,19 +51,8 @@ MAX_WORKERS = 64
 def workers_policy(override: int | None = None) -> int:
     """The effective worker count: an explicit override, the
     ``REPRO_WORKERS`` environment knob, or 1 (sequential)."""
-    if override is not None:
-        if override <= 0:
-            raise ConfigError(f"worker count must be positive, got {override}")
-        return min(int(override), MAX_WORKERS)
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            return workers_policy(int(env))
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_WORKERS must be a positive integer, got {env!r}"
-            ) from None
-    return 1
+    return min(resolve_setting(override, "REPRO_WORKERS", 1, positive_int),
+               MAX_WORKERS)
 
 
 class CancellationToken:
@@ -162,90 +151,9 @@ def parallel_map(
             raise
 
 
-# --- resilience primitives --------------------------------------------------
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff with deterministic jitter.
-
-    ``max_attempts`` counts the first try: 3 means one try plus two
-    retries.  Jitter is derived from ``(seed, key, attempt)`` by a
-    splitmix-style hash rather than a shared RNG, so concurrent query
-    retries never perturb each other's schedules and a failing run
-    replays with identical sleeps.
-    """
-
-    max_attempts: int = 3
-    base_backoff_s: float = 0.002
-    multiplier: float = 2.0
-    max_backoff_s: float = 0.050
-    jitter: float = 0.25
-    seed: int = 20220612
-
-    def backoff_for(self, attempt: int, key: int = 0) -> float:
-        """Sleep before retry number *attempt* (1-based) of item *key*."""
-        if attempt < 1:
-            return 0.0
-        delay = min(self.max_backoff_s,
-                    self.base_backoff_s * self.multiplier ** (attempt - 1))
-        if self.jitter <= 0.0:
-            return delay
-        x = (self.seed * 0x9E3779B97F4A7C15 + key * 0xBF58476D1CE4E5B9
-             + attempt * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 31
-        frac = (x & 0xFFFFFF) / float(0x1000000)
-        return delay * (1.0 - self.jitter + 2.0 * self.jitter * frac)
-
-
-def is_retryable(error: BaseException) -> bool:
-    """True for library errors flagged transient (and not cancellations)."""
-    return (isinstance(error, ReproError)
-            and not isinstance(error, QueryCancelled)
-            and getattr(error, "retryable", False))
-
-
-def call_with_retries(
-    fn: Callable[[], object],
-    policy: RetryPolicy,
-    token: CancellationToken | None = None,
-    key: int = 0,
-    attempts_log: list | None = None,
-):
-    """Run ``fn`` under *policy*, retrying retryable library errors.
-
-    Sleeps the backoff schedule between attempts (checking the token
-    first, so a zero-second budget still cancels promptly under
-    injected faults).  ``attempts_log``, when given, receives one
-    ``{"error", "backoff_s"}`` record per retried failure — the
-    material for ``extra["resilience"]``.  Non-retryable errors and
-    exhausted budgets propagate unchanged.
-    """
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            return fn()
-        except BaseException as error:
-            if not is_retryable(error) or attempt >= policy.max_attempts:
-                raise
-            backoff = policy.backoff_for(attempt, key=key)
-            if attempts_log is not None:
-                attempts_log.append({
-                    "error": type(error).__name__,
-                    "backoff_s": round(backoff, 6),
-                })
-            if token is not None:
-                token.raise_if_cancelled()
-            if backoff > 0.0:
-                time.sleep(backoff)
-
-
 __all__ = [
     "MAX_WORKERS",
     "CancellationToken",
-    "RetryPolicy",
-    "call_with_retries",
-    "is_retryable",
     "parallel_map",
     "workers_policy",
 ]

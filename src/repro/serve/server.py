@@ -54,11 +54,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.common.errors import (
     AdmissionError,
+    ConfigError,
     ExecutionError,
     InternalError,
     QueryCancelled,
@@ -76,9 +77,6 @@ from repro.engine.base import QueryResult
 from repro.engine.cache import ProgramCache
 from repro.engine.parallel import (
     CancellationToken,
-    RetryPolicy,
-    call_with_retries,
-    is_retryable,
     workers_policy,
 )
 from repro.sql.prepared import PreparedStatement
@@ -95,13 +93,21 @@ class QueryBudget:
     checked when the result materializes, so an aggregate over billions
     of input rows with a three-row answer passes a small budget.
     ``max_retries`` is the server-level retry budget: how many times a
-    *retryable* failure (transient error, unavailable backend) may
-    be re-run before the query degrades to the reference fallback.
+    *retryable* failure (transient error, unavailable backend) is
+    re-run, at once, before the query degrades to the reference
+    fallback.  A negative limit raises :class:`ConfigError`.
     """
 
     max_seconds: float | None = None
     max_rows: int | None = None
     max_retries: int = 2
+
+    def __post_init__(self) -> None:
+        for name in ("max_seconds", "max_rows", "max_retries"):
+            limit = getattr(self, name)
+            if limit is not None and limit < 0:
+                raise ConfigError(f"QueryBudget.{name} must be >= 0, "
+                                  f"got {limit}")
 
 
 class TicketState(Enum):
@@ -273,8 +279,6 @@ class QueryServer:
         workers: int | None = None,
         default_budget: QueryBudget | None = None,
         engine_kwargs: dict | None = None,
-        program_cache: ProgramCache | None = None,
-        retry_policy: RetryPolicy | None = None,
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 1.0,
         admission_timeout_s: float | None = None,
@@ -293,7 +297,7 @@ class QueryServer:
         # One program cache for the whole server: lowering is memoized
         # across sessions (the cache is internally locked; cached
         # programs are stateless templates, so sharing is safe).
-        self.program_cache = program_cache or ProgramCache()
+        self.program_cache = ProgramCache()
         self._lock = threading.Lock()
         self._queue: list[tuple[QueryTicket, Session]] = []
         self._running = 0
@@ -313,10 +317,8 @@ class QueryServer:
         self.stats = {"admitted": 0, "rejected": 0, "completed": 0,
                       "failed": 0, "cancelled": 0, "retried": 0,
                       "degraded": 0, "shed": 0, "internal_errors": 0}
-        # Resilience machinery: server-level retry budget schedule, the
-        # primary-path circuit breaker, and bounded admission waits.
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy())
+        # Resilience machinery: the primary-path circuit breaker and
+        # bounded admission waits.
         self.breaker = CircuitBreaker(
             path=self.engine_name, threshold=breaker_threshold,
             cooldown_s=breaker_cooldown_s,
@@ -437,21 +439,23 @@ class QueryServer:
 
     def _run_primary(self, ticket: QueryTicket, session: "Session",
                      budget: QueryBudget, resilience: dict) -> QueryResult:
-        """The primary engine path under the per-query retry budget."""
+        """The primary engine path under the per-query retry budget: a
+        retryable library error re-runs at once, up to
+        ``budget.max_retries`` times, each retry logged by error class.
+        The only retryable errors come from injected faults, so there
+        is no backoff to wait out."""
         engine = session._engine()
         log: list[dict] = []
-
-        def attempt() -> QueryResult:
-            fault_point(SITE_SESSION_RUN)
-            return self._run_on(ticket, engine)
-
-        policy = replace(self.retry_policy,
-                         max_attempts=1 + max(budget.max_retries, 0))
         try:
-            return call_with_retries(
-                attempt, policy, token=ticket.token,
-                key=session.session_id, attempts_log=log,
-            )
+            while True:
+                try:
+                    fault_point(SITE_SESSION_RUN)
+                    return self._run_on(ticket, engine)
+                except ReproError as error:
+                    if not error.retryable or len(log) >= budget.max_retries:
+                        raise
+                    log.append({"error": type(error).__name__})
+                    ticket.token.raise_if_cancelled()
         finally:
             if log:
                 resilience["retries"] = log
@@ -475,7 +479,7 @@ class QueryServer:
                     raise
                 except Exception as error:
                     wrapped = self._as_library_error(error)
-                    infrastructure = (is_retryable(wrapped)
+                    infrastructure = (wrapped.retryable
                                       or isinstance(wrapped, InternalError))
                     if not infrastructure:
                         raise wrapped
@@ -566,19 +570,12 @@ class QueryServer:
         ledger."""
         with self._lock:
             queries = dict(self.stats)
-        out = {
+        plan = active_plan()
+        return {
             "queries": queries,
             "breaker": self.breaker.snapshot(),
-            "retry_policy": {
-                "max_retries_default": self.default_budget.max_retries,
-                "base_backoff_s": self.retry_policy.base_backoff_s,
-                "multiplier": self.retry_policy.multiplier,
-                "max_backoff_s": self.retry_policy.max_backoff_s,
-            },
+            "fault_plan": plan.stats() if plan is not None else None,
         }
-        plan = active_plan()
-        out["fault_plan"] = plan.stats() if plan is not None else None
-        return out
 
     # -- lifecycle ------------------------------------------------------- #
 

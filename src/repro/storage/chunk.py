@@ -18,13 +18,12 @@ the table row for row (chunking never reorders).
 
 from __future__ import annotations
 
-import os
 import threading
 from collections.abc import Iterator
 
 import numpy as np
 
-from repro.common.errors import ConfigError
+from repro.common.settings import positive_int, resolve_setting
 from repro.storage.column import Column
 from repro.storage.statistics import ChunkStats, ColumnStats, compute_stats
 from repro.storage.table import Table
@@ -39,19 +38,8 @@ DEFAULT_CHUNK_ROWS = 4096
 def chunk_rows_policy(override: int | None = None) -> int:
     """The effective chunk size: an explicit override, the
     ``REPRO_CHUNK_ROWS`` environment knob, or the default."""
-    if override is not None:
-        if override <= 0:
-            raise ConfigError(f"chunk size must be positive, got {override}")
-        return int(override)
-    env = os.environ.get("REPRO_CHUNK_ROWS")
-    if env:
-        try:
-            return chunk_rows_policy(int(env))
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_CHUNK_ROWS must be a positive integer, got {env!r}"
-            ) from None
-    return DEFAULT_CHUNK_ROWS
+    return resolve_setting(override, "REPRO_CHUNK_ROWS", DEFAULT_CHUNK_ROWS,
+                           positive_int)
 
 
 class Chunk:

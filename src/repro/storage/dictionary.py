@@ -22,6 +22,9 @@ class StringDictionary:
     def __init__(self, values: list[str] | None = None):
         self._values: list[str] = []
         self._codes: dict[str, int] = {}
+        # ``_values`` as an object array for ``decode``; rebuilt when
+        # ``encode`` has grown the dictionary since.
+        self._decoder = np.empty(0, dtype=object)
         if values:
             self.encode(values)
 
@@ -61,8 +64,10 @@ class StringDictionary:
         codes = np.asarray(codes, dtype=np.int64)
         if codes.size and (codes.min() < 0 or codes.max() >= len(self._values)):
             raise StorageError("dictionary code out of range")
-        values = np.array(self._values, dtype=object)
-        return values[codes]
+        decoder = self._decoder
+        if len(decoder) != len(self._values):
+            decoder = self._decoder = np.array(self._values, dtype=object)
+        return decoder[codes]
 
     def merged_with(self, other: "StringDictionary") -> "StringDictionary":
         """A new dictionary containing both value sets (self's codes first)."""

@@ -26,7 +26,7 @@ implementations:
   integer-precision products are the simulator's own
   (:func:`~repro.tensor.precision.exact_integer_matmul`).
 
-Selection mirrors ``workers_policy``: an explicit
+Selection resolves like every setting: an explicit
 ``TCUDBOptions.backend`` wins, then the ``REPRO_BACKEND`` environment
 knob, then ``"sim"``.  Unknown names raise :class:`ConfigError`.
 
@@ -43,12 +43,11 @@ Equivalence contract (differentially tested in ``tests/test_backends.py``):
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
 
-from repro.common.errors import ConfigError
+from repro.common.settings import resolve_setting
 from repro.hardware.tcu import fp16_cast
 from repro.tensor.coo import dense_from_coo as _sim_dense_from_coo
 from repro.tensor.precision import Precision, exact_integer_matmul
@@ -241,24 +240,19 @@ DEFAULT_BACKEND = "sim"
 
 def backend_policy(override: str | None = None) -> str:
     """The effective backend name: an explicit override, the
-    ``REPRO_BACKEND`` environment knob, or ``"sim"``.
-
-    Mirrors :func:`repro.engine.parallel.workers_policy`: unknown names
+    ``REPRO_BACKEND`` environment knob, or ``"sim"``.  Unknown names
     raise :class:`ConfigError` (a typo must not silently run the
-    default backend).
-    """
-    if override is not None:
-        name = str(override).strip().lower()
-        if name not in BACKENDS:
-            raise ConfigError(
-                f"unknown tensor backend {override!r}; "
-                f"available: {sorted(BACKENDS)}"
-            )
-        return name
-    env = os.environ.get("REPRO_BACKEND")
-    if env:
-        return backend_policy(env)
-    return DEFAULT_BACKEND
+    default backend)."""
+    return resolve_setting(override, "REPRO_BACKEND", DEFAULT_BACKEND,
+                           _backend_name)
+
+
+def _backend_name(value) -> str:
+    name = str(value).strip().lower()
+    if name not in BACKENDS:
+        raise ValueError(f"unknown tensor backend {value!r}; "
+                         f"available: {sorted(BACKENDS)}")
+    return name
 
 
 def get_backend(name: str | None = None) -> TensorBackend:

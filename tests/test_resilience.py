@@ -5,11 +5,11 @@ queries (the generator shared with ``test_fuzz_queries``) are served by
 a TCUDB ``QueryServer`` under each fault kind alone and under the plan
 ``bench/exp_chaos.py`` sweeps, and every answer must equal the
 fault-free run and the Reference oracle.  Unit classes pin the
-individual contracts: fault-plan parsing and determinism, retry
-backoff, the circuit-breaker state machine, program cache poisoning,
-graceful degradation to the reference fallback, server close/cancel
-semantics, load shedding, and the error taxonomy (no raw
-non-ReproError ever escapes the server).
+individual contracts: fault-plan parsing and determinism, back-to-back
+retries within the per-query budget, the circuit-breaker state
+machine, program cache poisoning, graceful degradation to the
+reference fallback, server close/cancel semantics, load shedding, and
+the error taxonomy (no raw non-ReproError ever escapes the server).
 """
 
 from __future__ import annotations
@@ -43,22 +43,15 @@ from repro.common.faults import (
     FaultPlan,
     FaultRule,
     active_plan,
-    clear_fault_plan,
     fault_point,
     inject,
     parse_fault_plan,
-    set_fault_plan,
     suppress,
 )
 from repro.common.rng import make_rng
 from repro.datasets.ssb import ssb_catalog
 from repro.engine.base import ExecutionMode
 from repro.engine.cache import ProgramCache
-from repro.engine.parallel import (
-    RetryPolicy,
-    call_with_retries,
-    is_retryable,
-)
 from repro.engine.reference import ReferenceEngine
 from repro.engine.tcudb import TCUDBEngine
 from repro.serve import CircuitBreaker, QueryBudget, QueryServer, Session
@@ -77,14 +70,6 @@ def oracle(catalog):
     return ReferenceEngine(catalog)
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_plan():
-    """Every test starts and ends without an installed fault plan."""
-    clear_fault_plan()
-    yield
-    clear_fault_plan()
-
-
 # --------------------------------------------------------------------- #
 # Fault-plan units
 # --------------------------------------------------------------------- #
@@ -93,13 +78,13 @@ class TestFaultPlan:
     def test_parse_seed_and_knobs(self):
         plan = parse_fault_plan(
             "seed=7; session.run:transient:every=3;"
-            "session.run:unavailable:p=0.5,max=2"
+            "session.run:unavailable:p=0.5,n=2"
         )
         assert plan.seed == 7
         every, proba = plan.rules
         assert (every.site, every.kind, every.every) == (
             SITE_SESSION_RUN, "transient", 3)
-        assert (proba.p, proba.max_fires) == (0.5, 2)
+        assert (proba.kind, proba.p, proba.n) == ("unavailable", 0.5, 2)
 
     @pytest.mark.parametrize("spec", [
         "session.run",                         # no kind
@@ -111,6 +96,7 @@ class TestFaultPlan:
         "session.run:transient:every=x",       # non-numeric value
         "session.run:slow",                    # removed kind
         "session.run:transient:delay=0.1",     # removed knob
+        "session.run:transient:max=2",         # removed knob
         "seed=abc",                            # bad seed
         "shard.execute:transient",             # removed site
         "grid.accumulate:corrupt",             # removed site and kind
@@ -128,15 +114,11 @@ class TestFaultPlan:
         assert fired == [False, False, True] * 4
         assert not any(a and b for a, b in zip(fired, fired[1:]))
 
-    def test_n_and_max_fires(self):
+    def test_n_fires_on_the_first_n_calls(self):
         plan = FaultPlan([FaultRule(site=SITE_CACHE_GET, kind="poison",
                                     n=2)])
         fired = [bool(plan.fired_rules(SITE_CACHE_GET)) for _ in range(4)]
         assert fired == [True, True, False, False]
-        capped = FaultPlan([FaultRule(site=SITE_CACHE_GET, kind="poison",
-                                      max_fires=1)])
-        fired = [bool(capped.fired_rules(SITE_CACHE_GET)) for _ in range(3)]
-        assert fired == [True, False, False]
 
     def test_probability_rules_are_seed_deterministic(self):
         def pattern(seed):
@@ -149,16 +131,6 @@ class TestFaultPlan:
         assert pattern(11) == pattern(11)
         assert pattern(11) != pattern(12)
         assert any(pattern(11)) and not all(pattern(11))
-
-    def test_reset_restores_the_exact_sequence(self):
-        plan = FaultPlan([FaultRule(site=SITE_SESSION_RUN,
-                                    kind="transient", p=0.4)], seed=3)
-        first = [bool(plan.fired_rules(SITE_SESSION_RUN))
-                 for _ in range(32)]
-        plan.reset()
-        again = [bool(plan.fired_rules(SITE_SESSION_RUN))
-                 for _ in range(32)]
-        assert first == again
 
     def test_fault_point_raises_typed_errors(self):
         plan = FaultPlan([
@@ -206,9 +178,11 @@ class TestFaultPlan:
         with inject(None):            # explicit None disables env plan
             assert active_plan() is None
         override = FaultPlan([])
-        set_fault_plan(override)
-        assert active_plan() is override
-        clear_fault_plan()
+        with inject(override):        # an installed plan wins...
+            assert active_plan() is override
+            with inject():            # ...unless it defers to the env
+                assert active_plan() is plan
+            assert active_plan() is override
         assert active_plan() is plan
 
     def test_stats_ledger(self):
@@ -224,60 +198,19 @@ class TestFaultPlan:
 
 
 # --------------------------------------------------------------------- #
-# Retry primitives
+# The retry taxonomy
 # --------------------------------------------------------------------- #
 
-class TestRetryPolicy:
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy()
-        delays = [policy.backoff_for(attempt, key=7)
-                  for attempt in range(1, 6)]
-        assert delays == [policy.backoff_for(a, key=7)
-                          for a in range(1, 6)]
-        cap = policy.max_backoff_s * (1.0 + policy.jitter)
-        assert all(0.0 < d <= cap for d in delays)
-        # Jitter decorrelates sessions: same attempt, different key.
-        assert policy.backoff_for(1, key=1) != policy.backoff_for(1, key=2)
-
-    def test_retries_then_succeeds(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise TransientError("flap")
-            return "ok"
-
-        log: list[dict] = []
-        policy = RetryPolicy(max_attempts=3, base_backoff_s=0.0)
-        assert call_with_retries(flaky, policy, attempts_log=log) == "ok"
-        assert calls["n"] == 3
-        assert [entry["error"] for entry in log] == [
-            "TransientError", "TransientError"]
-
-    def test_exhaustion_and_non_retryable(self):
-        policy = RetryPolicy(max_attempts=2, base_backoff_s=0.0)
-        with pytest.raises(TransientError):
-            call_with_retries(
-                lambda: (_ for _ in ()).throw(TransientError("x")),
-                policy)
-        calls = {"n": 0}
-
-        def fatal():
-            calls["n"] += 1
-            raise ExecutionError("not retryable")
-
-        with pytest.raises(ExecutionError):
-            call_with_retries(fatal, policy)
-        assert calls["n"] == 1  # no second attempt
-
-    def test_is_retryable_taxonomy(self):
-        assert is_retryable(TransientError("x"))
-        assert is_retryable(BackendUnavailable("x"))
-        assert is_retryable(PoisonedTemplateError("x"))
-        assert not is_retryable(ExecutionError("x"))
-        assert not is_retryable(QueryCancelled("x"))
-        assert not is_retryable(ValueError("x"))
+def test_retryable_flags():
+    # The server re-runs exactly the errors whose class sets the flag.
+    assert TransientError("x").retryable
+    assert BackendUnavailable("x").retryable
+    assert PoisonedTemplateError("x").retryable
+    assert not ExecutionError("x").retryable
+    assert not QueryCancelled("x").retryable
+    assert not ServerClosed("x").retryable
+    # A raw exception reaches the retry loop wrapped as InternalError.
+    assert not InternalError("x").retryable
 
 
 # --------------------------------------------------------------------- #
@@ -378,8 +311,7 @@ def serve_fuzz(catalog, fuzz_answers, plan: FaultPlan) -> QueryServer:
     """Serve every fuzz query twice under *plan* (the repeat hits the
     program cache); each answer must equal the fault-free run and the
     oracle.  Returns the closed server."""
-    with QueryServer(catalog, engine="tcudb", max_concurrent=1,
-                     retry_policy=RetryPolicy(base_backoff_s=0.0)) as server:
+    with QueryServer(catalog, engine="tcudb", max_concurrent=1) as server:
         session = server.session()
         for index, (sql, expected, exact) in enumerate(fuzz_answers):
             for repeat in range(2):
@@ -413,9 +345,14 @@ class TestServedRecovery:
         assert (fires > 0) == (rate > 0)
         assert server.stats["completed"] == 2 * N_FUZZ_QUERIES
 
-    def test_retries_recorded_in_resilience_extra(self, catalog, oracle):
-        plan = FaultPlan([FaultRule(site=SITE_SESSION_RUN,
-                                    kind="transient", n=1)])
+    def test_retries_recorded_in_resilience_extra(self, catalog, oracle,
+                                                  monkeypatch):
+        # Only injected faults are retryable, so retries run back-to-back.
+        def no_sleep(seconds):
+            raise AssertionError(f"retry slept {seconds}s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        plan = parse_fault_plan("session.run:transient:n=2")
         with QueryServer(catalog, engine="tcudb") as server:
             with inject(plan):
                 result = server.session().execute(AGG_SQL, timeout=60)
@@ -423,8 +360,7 @@ class TestServedRecovery:
         assert_results_match(result, oracle.execute(AGG_SQL), rel=TCU_REL)
         resilience = result.extra["resilience"]
         assert resilience["route"] == "primary"
-        assert [entry["error"] for entry in resilience["retries"]] == [
-            "TransientError"]
+        assert resilience["retries"] == [{"error": "TransientError"}] * 2
 
     def test_poisoned_served_hit_recompiles(self, catalog, oracle):
         plan = FaultPlan([FaultRule(site=SITE_CACHE_GET, kind="poison",
@@ -452,9 +388,7 @@ class TestServedRecovery:
             raise error("primary path is down")
 
         monkeypatch.setattr(TCUDBEngine, "execute", down)
-        with QueryServer(catalog, engine="tcudb",
-                         retry_policy=RetryPolicy(base_backoff_s=0.0)) \
-                as server:
+        with QueryServer(catalog, engine="tcudb") as server:
             with inject(None):
                 ticket = server.session().submit(AGG_SQL)
                 result = ticket.result(timeout=60)
@@ -506,6 +440,21 @@ class TestServerResilience:
             assert len(resilience["retries"]) == 2
             assert server.stats["retried"] == 1
             assert server.stats["completed"] == 1
+
+    def test_non_retryable_error_is_not_retried(self, catalog,
+                                                monkeypatch):
+        flaky = FlakyEngine(ReferenceEngine(catalog), failures=1,
+                            error=ExecutionError)
+        with QueryServer(catalog, engine="reference") as server, \
+                inject(None):  # even under an ambient REPRO_FAULTS plan
+            monkeypatch.setattr(Session, "_engine", lambda self: flaky)
+            with pytest.raises(ExecutionError, match="injected primary"):
+                server.session().execute(AGG_SQL, timeout=60)
+            assert flaky.remaining == 0
+            assert server.stats["retried"] == 0
+            assert server.stats["degraded"] == 0
+            # The query failed, not the engine path: the breaker holds.
+            assert server.breaker.snapshot()["consecutive_failures"] == 0
 
     def test_exhausted_budget_falls_back_to_reference(self, catalog,
                                                       oracle,
@@ -657,8 +606,8 @@ class TestServerResilience:
             session = server.session()
             session.execute("SELECT d_year FROM ddate", timeout=60)
             stats = server.resilience_stats()
+            assert set(stats) == {"queries", "breaker", "fault_plan"}
             assert stats["queries"]["completed"] == 1
-            assert stats["retry_policy"]["max_retries_default"] >= 0
             assert stats["fault_plan"] is None
             plan = FaultPlan([FaultRule(site=SITE_SESSION_RUN,
                                         kind="unavailable", every=3)])

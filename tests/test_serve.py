@@ -9,6 +9,7 @@ import pytest
 
 from repro.common.errors import (
     AdmissionError,
+    ConfigError,
     ExecutionError,
     QueryCancelled,
     ServerClosed,
@@ -212,6 +213,14 @@ class TestBudgets:
                 budget=QueryBudget(max_rows=10), timeout=60,
             )
             assert small.n_rows == 1
+
+    @pytest.mark.parametrize("field", [
+        "max_seconds", "max_rows", "max_retries",
+    ])
+    def test_negative_limit_is_a_config_error(self, field):
+        with pytest.raises(ConfigError, match=field):
+            QueryBudget(**{field: -1})
+        assert getattr(QueryBudget(**{field: 0}), field) == 0
 
     def test_default_budget_applies(self, catalog):
         budget = QueryBudget(max_rows=1)

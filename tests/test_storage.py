@@ -29,6 +29,16 @@ class TestDictionary:
         assert list(codes) == [0, 1, 0, 2]
         assert list(d.decode(codes)) == ["b", "a", "b", "c"]
 
+    def test_decode_sees_values_a_later_encode_adds(self):
+        d = StringDictionary(["a", "b"])
+        assert list(d.decode(np.array([1, 0]))) == ["b", "a"]
+        with pytest.raises(StorageError):
+            d.decode(np.array([2]))
+        d.encode(["c", "a"])
+        assert list(d.decode(np.array([2, 1, 0]))) == ["c", "b", "a"]
+        d.encode(["a"])  # nothing new: the codes decode as before
+        assert list(d.decode(np.array([0, 2]))) == ["a", "c"]
+
     def test_lookup_missing(self):
         d = StringDictionary(["x"])
         with pytest.raises(StorageError):
