@@ -8,6 +8,8 @@ columns sharing the dictionary.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from repro.common.errors import SchemaError, StorageError
@@ -48,7 +50,11 @@ class Column:
 
         Types and codes are those of ``np.asarray(list(values))`` and a
         per-value ``str(v)`` encode, in whole-array passes: a numeric
-        ndarray is copied once, all-``str`` items are encoded in one batch.
+        ndarray is copied once.  One ``set`` pass over all-``str`` items
+        serves the type check (over the distinct values) and finds an
+        all-distinct column, whose codes are ``0..n-1`` with no
+        string -> code map; other string columns take one first-seen
+        ``encode`` pass.
         """
         # Empty and n-d arrays take the list rule: ``np.asarray([])`` is
         # float64, and rows of an n-d array are items.
@@ -59,13 +65,25 @@ class Column:
                     values = values.copy()  # never adopt the caller's array
                 return Column(values, dtype)
         items = values if type(values) is list else list(values)
-        if not (items and type(items[0]) is str
-                and set(map(type, items)) == {str}):
+        distinct = set()
+        if items and type(items[0]) is str:
+            with contextlib.suppress(TypeError):  # an unhashable item
+                distinct = set(items)
+        # The distinct values decide the type: an item equal to a ``str``
+        # (a ``str`` subclass such as ``np.str_``) stringifies to it.
+        # All-distinct items are those values, read faster in list order
+        # than in the set's hash order.
+        all_distinct = len(distinct) == len(items)
+        if set(map(type, items if all_distinct else distinct)) != {str}:
             array = np.asarray(items)
             dtype = infer_type(array)
             if dtype != DataType.STRING:
                 return Column(array, dtype)
             items = list(map(str, items))
+            all_distinct = len(set(items)) == len(items)
+        if all_distinct:
+            return Column(np.arange(len(items)), DataType.STRING,
+                          StringDictionary.of_distinct(items))
         dictionary = StringDictionary()
         return Column(dictionary.encode(items), DataType.STRING, dictionary)
 
@@ -94,9 +112,8 @@ class Column:
         """Translate a literal into this column's physical domain."""
         if self.dtype == DataType.STRING:
             assert self.dictionary is not None
-            if not self.dictionary.contains(str(value)):
-                return -1  # matches nothing; codes are non-negative
-            return self.dictionary.lookup(str(value))
+            # -1 matches nothing; codes are non-negative.
+            return self.dictionary.find(value)
         return value
 
     # -- transformations ---------------------------------------------------- #

@@ -1,8 +1,11 @@
 """CSV import/export for tables.
 
-Minimal but correct: quoting via the standard :mod:`csv` module, type
-inference per column (int -> float -> string), round-trip fidelity for the
-dataset files the examples ship.
+Minimal but correct: quoting via the standard :mod:`csv` module, and
+types that round-trip.  ``write_csv`` writes each header cell as
+``name:<type>`` (``int64``, ``float64`` or ``string``) and ``read_csv``
+parses that column under that type.  A plain header cell keeps per-column
+inference (int -> float -> string), for the dataset files the examples
+ship.
 """
 
 from __future__ import annotations
@@ -10,8 +13,15 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+import numpy as np
+
 from repro.common.errors import StorageError
+from repro.storage.column import Column
+from repro.storage.dictionary import StringDictionary
 from repro.storage.table import Table
+from repro.storage.types import DataType
+
+_TYPES = {dtype.value: dtype for dtype in DataType}
 
 
 def _parse_column(raw: list[str]):
@@ -24,6 +34,24 @@ def _parse_column(raw: list[str]):
         return [float(v) for v in raw]
     except ValueError:
         return raw
+
+
+def _typed_column(path: Path, name: str, dtype: DataType,
+                  raw: list[str]) -> Column:
+    """``raw`` parsed under ``dtype``; a cell that does not parse raises."""
+    if dtype == DataType.STRING:
+        dictionary = StringDictionary()
+        return Column(dictionary.encode(raw), dtype, dictionary)
+    parse = int if dtype == DataType.INT64 else float
+    data = np.empty(len(raw), dtype=dtype.numpy_dtype)
+    for row, cell in enumerate(raw):
+        try:
+            data[row] = parse(cell)
+        except (ValueError, OverflowError):
+            raise StorageError(
+                f"{path}: row {row + 2}, column {name!r}: "
+                f"{cell!r} is not {dtype.value}") from None
+    return Column(data, dtype)
 
 
 def read_csv(path: str | Path, table_name: str | None = None) -> Table:
@@ -41,21 +69,26 @@ def read_csv(path: str | Path, table_name: str | None = None) -> Table:
     bad = [i for i, row in enumerate(rows) if len(row) != len(header)]
     if bad:
         raise StorageError(f"{path}: row {bad[0] + 2} has wrong arity")
+    columns = {}
+    for i, cell in enumerate(header):
+        raw = [row[i] for row in rows]
+        name, _, type_name = cell.rpartition(":")
+        dtype = _TYPES.get(type_name) if name else None
+        if dtype is None:
+            columns[cell] = Column.from_values(_parse_column(raw))
+        else:
+            columns[name] = _typed_column(path, name, dtype, raw)
     name = table_name if table_name is not None else path.stem
-    columns = {
-        column_name: _parse_column([row[i] for row in rows])
-        for i, column_name in enumerate(header)
-    }
-    return Table.from_dict(name, columns)
+    return Table(name, columns)
 
 
 def write_csv(table: Table, path: str | Path) -> None:
-    """Write a table (decoded values) as CSV with a header row."""
+    """Write a table (decoded values) as CSV, typed header cells first."""
     path = Path(path)
     decoded = table.to_dict()
     names = table.column_names
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(names)
+        writer.writerow(f"{n}:{table.dtype(n).value}" for n in names)
         for row in zip(*(decoded[n] for n in names)):
             writer.writerow(row)

@@ -130,6 +130,35 @@ class TestSessions:
             session.submit("SELECT d_year FROM ddate")
 
 
+def test_first_lookups_on_a_lazy_map_run_concurrently():
+    """Two sessions make the first literal lookups on an all-distinct
+    string column at once, both racing its lazy string -> code map."""
+    catalog = ssb_catalog(scale_factor=1, rows_per_sf=3000, seed=29)
+    sql = ("SELECT p_brand1, COUNT(*) AS n, SUM(lo_quantity) AS q "
+           "FROM lineorder, part WHERE lo_partkey = p_partkey "
+           "AND p_name = '{}' GROUP BY p_brand1")
+    names = ["Part0000007", "Part0001999"]
+    barrier = threading.Barrier(len(names))
+    with QueryServer(catalog, engine="tcudb", max_concurrent=2) as server:
+        sessions = [server.session() for _ in names]
+
+        def first_lookup(session, name):
+            barrier.wait(timeout=30)
+            return session.execute(sql.format(name), timeout=120)
+
+        runs = [in_thread(lambda s=s, n=n: first_lookup(s, n))
+                for s, n in zip(sessions, names)]
+        for thread, _ in runs:
+            thread.join(timeout=180)
+            assert not thread.is_alive()
+    oracle = ReferenceEngine(catalog)
+    for (_, outcome), name in zip(runs, names):
+        assert "error" not in outcome, outcome.get("error")
+        got = outcome["result"].require_table().rows()
+        want = oracle.execute(sql.format(name)).require_table().rows()
+        assert got == want and len(got) == 1
+
+
 class TestAdmissionControl:
     def test_queue_overflow_rejected(self, catalog, monkeypatch):
         engine = BlockingEngine()

@@ -1,7 +1,14 @@
 """Storage layer: columns, dictionaries, tables, statistics, catalog, CSV."""
 
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import (
     SchemaError,
@@ -164,6 +171,16 @@ LOAD_INPUTS = {
     "iterator": [0, 1, 4, 9],  # loaded through iter(): no len()
     "ints beyond int64": [2**64, 1],
     "ints below int64": [-(2**63) - 1, 0],
+    # Every value distinct: the codes are 0..n-1 with no map built.
+    "all-distinct object array": np.array(
+        [f"k{i}" for i in range(50)], dtype=object),
+    "all-distinct list": [f"k{i}" for i in range(50, 0, -1)],
+    "all-distinct U array": np.array([f"u{i}" for i in range(50)]),
+    "duplicate-heavy": ["c", "a", "b"] * 40 + ["d"],
+    # 1 == True: the distinct values are {"a", 1}, and both must stringify.
+    "str, int and bool": ["a", 1, True],
+    "str then equal np.str_": ["a", np.str_("a"), "b"],
+    "str and unhashable": ["a", {"b"}, "a"],
 }
 LOAD_INPUTS["read-only array"].flags.writeable = False
 
@@ -216,6 +233,86 @@ class TestLoadParity:
         right = ["z", "y", "w", "z"]
         merged = Column.from_values(left).concat(Column.from_values(right))
         assert self.observed(merged) == per_value_load(left + right)
+
+
+class TestLazyCodeMap:
+    """An all-distinct column loads without a string -> code map and
+    answers every probe as an eagerly mapped one does."""
+
+    VALUES = [f"v{i}" for i in range(7, 0, -1)]
+    EAGER = {v: i for i, v in enumerate(VALUES)}
+
+    def test_probes_match_an_eager_map(self):
+        column = Column.from_values(self.VALUES)
+        dictionary = column.dictionary
+        for value, code in self.EAGER.items():
+            assert dictionary.lookup(value) == code
+            assert dictionary.find(value) == code
+            assert dictionary.contains(value)
+            assert column.encode_literal(value) == code
+        assert dictionary.find("absent") == -1
+        assert not dictionary.contains("absent")
+        assert column.encode_literal("absent") == -1
+        with pytest.raises(StorageError):
+            dictionary.lookup("absent")
+
+    def test_merge_remap_and_concat_match_an_eager_map(self):
+        other_values = ["v3", "w1", "v7", "w2"]
+        left = Column.from_values(self.VALUES)
+        right = Column.from_values(other_values)
+        merged = left.dictionary.merged_with(right.dictionary)
+        assert list(merged.decode(np.arange(len(merged)))) == (
+            self.VALUES + ["w1", "w2"])
+        eager = {**self.EAGER, "w1": 7, "w2": 8}
+        assert list(merged.remap_codes(right.dictionary)) == [
+            eager[v] for v in other_values]
+        combined = left.concat(right)
+        assert TestLoadParity.observed(combined) == per_value_load(
+            self.VALUES + other_values)
+        assert combined.encode_literal("w2") == 8
+        assert combined.encode_literal("w3") == -1
+
+    def test_racing_first_lookups_agree(self):
+        # More threads than cores race the lazy build; each must read
+        # every code an eager map gives.
+        n, threads = 20_000, 8
+        values = [f"r{i}" for i in range(n)]
+        probes = values[::-997] + ["absent"]
+        want = [n - 1 - i * 997 for i in range(len(probes) - 1)] + [-1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                dictionary = Column.from_values(values).dictionary
+                barrier = threading.Barrier(threads)
+
+                def probe():
+                    barrier.wait(timeout=10)
+                    return [dictionary.find(v) for v in probes]
+
+                with ThreadPoolExecutor(threads) as pool:
+                    futures = [pool.submit(probe) for _ in range(threads)]
+                    assert [f.result(timeout=30) for f in futures] == (
+                        [want] * threads)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_loading_builds_no_map(self):
+        # A map costs about 70 B per distinct value (a dict slot and an
+        # int object) on top of the 16 B of codes and value list.
+        n = 200_000
+        values = [f"name{i:07d}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            column = Column.from_values(values)
+            _, load_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert column.encode_literal(values[-1]) == n - 1
+            _, lookup_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert load_peak < 80 * n
+        assert lookup_peak > 60 * n  # the first lookup builds the map
 
 
 class TestTable:
@@ -338,6 +435,89 @@ class TestCSV:
         path.write_text("a,b\n1\n")
         with pytest.raises(StorageError):
             read_csv(path)
+
+    @staticmethod
+    def round_trip(table, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(table, path)
+        return read_csv(path)
+
+    @staticmethod
+    def observed(table):
+        return {n: TestLoadParity.observed(table.column(n))
+                for n in table.column_names}
+
+    def test_digit_strings_stay_strings(self, tmp_path):
+        table = Table.from_dict("t", {"s": ["1", "2", "1"],
+                                      "f": [1.0, 2.0, 3.0]})
+        back = self.round_trip(table, tmp_path)
+        assert self.observed(back) == self.observed(table)
+        assert back.rows() == [("1", 1.0), ("2", 2.0), ("1", 3.0)]
+
+    def test_empty_table_keeps_its_types(self, tmp_path):
+        table = Table("t", {
+            "i": Column(np.empty(0, dtype=np.int64), DataType.INT64),
+            "f": Column(np.empty(0), DataType.FLOAT64),
+            "s": Column(np.empty(0, dtype=np.int64), DataType.STRING,
+                        StringDictionary()),
+        })
+        back = self.round_trip(table, tmp_path)
+        assert back.column_names == ["i", "f", "s"]
+        assert self.observed(back) == self.observed(table)
+
+    def test_int64_extremes_round_trip(self, tmp_path):
+        table = Table.from_dict("t", {"x": [-(2**63), 2**63 - 1, 0]})
+        back = self.round_trip(table, tmp_path)
+        assert back.rows() == table.rows()
+        assert back.dtype("x") == DataType.INT64
+
+    @pytest.mark.parametrize("text, row, cell", [
+        ("x:int64,y:string\n1,a\n2.5,b\n", 3, "'2.5'"),
+        ("x:int64\n9223372036854775808\n", 2, "'9223372036854775808'"),
+        ("y:string,x:float64\na,1\nb,\n", 3, "''"),
+    ])
+    def test_typed_cell_that_does_not_parse(self, tmp_path, text, row, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(StorageError,
+                           match=f"row {row}, column 'x': {cell}"):
+            read_csv(path)
+
+    def test_plain_header_infers_types(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_text("a,b,c,d:e\n1,2.5,x,3\n")
+        table = read_csv(path)
+        assert [table.dtype(n) for n in table.column_names] == [
+            DataType.INT64, DataType.FLOAT64, DataType.STRING,
+            DataType.INT64]
+        assert table.column_names == ["a", "b", "c", "d:e"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, tmp_path_factory, data):
+        cells = {
+            DataType.INT64: st.integers(-(2**63), 2**63 - 1),
+            DataType.FLOAT64: st.floats(allow_nan=False),
+            DataType.STRING: st.text(st.characters(
+                blacklist_categories=("Cs",), blacklist_characters="\0")),
+        }
+        dtypes = data.draw(st.lists(st.sampled_from(list(cells)),
+                                    min_size=1, max_size=3))
+        n = data.draw(st.integers(0, 6))
+        columns = {}
+        for i, dtype in enumerate(dtypes):
+            values = data.draw(st.lists(cells[dtype], min_size=n,
+                                        max_size=n))
+            if dtype == DataType.STRING:
+                dictionary = StringDictionary()
+                columns[f"c{i}"] = Column(dictionary.encode(values), dtype,
+                                          dictionary)
+            else:
+                columns[f"c{i}"] = Column(
+                    np.array(values, dtype=dtype.numpy_dtype), dtype)
+        table = Table("t", columns)
+        back = self.round_trip(table, tmp_path_factory.mktemp("csv"))
+        assert self.observed(back) == self.observed(table)
 
 
 class TestClusterBy:
