@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.harness import (
-    ExperimentResult,
-    annotate_tcu_point,
-    timed_execute,
-)
+from repro.bench.harness import ExperimentResult, annotate_tcu_point
 from repro.bench.scale import ScaleProfile
 from repro.bench.verify import OracleVerifier
 from repro.datasets.em import beer_catalog, itunes_catalog
@@ -116,10 +112,9 @@ def run_fig10(
                                  mode=ExecutionMode.ANALYTIC),
         }
         for name, engine in engines.items():
-            run, host_seconds = timed_execute(engine, MATMUL_QUERY)
+            run = engine.execute(MATMUL_QUERY)
             measured[name][dim] = run.seconds
             point = result.add(f"{dim} (engine)", name, run.seconds)
-            point.host_seconds = host_seconds
             if name == "TCUDB":
                 annotate_tcu_point(point, run)
             if verifier is not None:
@@ -273,10 +268,7 @@ def run_fig11(dataset: str, seed: int = 11, *,
     paper = PAPER_FIG11[dataset]
     for attribute in attributes:
         sql = query_for(attribute)
-        runs = {}
-        host_seconds = {}
-        for name, engine in engines.items():
-            runs[name], host_seconds[name] = timed_execute(engine, sql)
+        runs = {name: engine.execute(sql) for name, engine in engines.items()}
         baseline = runs["YDB"].seconds
         refs = paper.get(attribute)
         for i, name in enumerate(("MonetDB", "YDB", "TCUDB")):
@@ -291,7 +283,6 @@ def run_fig11(dataset: str, seed: int = 11, *,
                 paper_value=refs[i] if refs else None,
                 breakdown=run.breakdown, note=note,
             )
-            point.host_seconds = host_seconds[name]
             if name == "TCUDB":
                 annotate_tcu_point(point, run)
             point.normalized = run.seconds / baseline
@@ -366,7 +357,7 @@ def run_fig12(query: str, sizes: list[int] | None = None,
             "TCUDB": TCUDBEngine(catalog, device=device),
         }
         for name, engine in engines.items():
-            run, host_seconds = timed_execute(engine, sql, params=params)
+            run = engine.execute(sql, params=params)
             note = ""
             if name == "TCUDB":
                 note = run.extra.get("strategy", "")
@@ -375,7 +366,6 @@ def run_fig12(query: str, sizes: list[int] | None = None,
             point = result.add(f"{size}", name, run.seconds,
                                paper_value=paper[name].get(size),
                                breakdown=run.breakdown, note=note)
-            point.host_seconds = host_seconds
             if name == "TCUDB":
                 annotate_tcu_point(point, run)
             if verifier is not None:
@@ -435,11 +425,10 @@ def run_fig13(sizes: list[int] | None = None, seed: int = 13,
         device = GPUDevice()
         params = {"alpha": 0.85, "num_node": graph.n_nodes}
         monet = MonetDBEngine(catalog, mode=ExecutionMode.ANALYTIC)
-        run, host_seconds = timed_execute(monet, PR_Q3, params=params)
+        run = monet.execute(PR_Q3, params=params)
         point = result.add(str(size), "MonetDB",
                            _core_seconds(run, "MonetDB"),
                            paper_value=PAPER_FIG13["MonetDB"].get(size))
-        point.host_seconds = host_seconds
         if verifier is not None:
             verifier.verify_query(point, "MonetDB", catalog, PR_Q3,
                                   params=params)
@@ -448,10 +437,9 @@ def run_fig13(sizes: list[int] | None = None, seed: int = 13,
             # (Section 5.5); we reproduce the cap.
             ydb = YDBEngine(catalog, device=device,
                             mode=ExecutionMode.ANALYTIC)
-            run, host_seconds = timed_execute(ydb, PR_Q3, params=params)
+            run = ydb.execute(PR_Q3, params=params)
             point = result.add(str(size), "YDB", _core_seconds(run, "YDB"),
                                paper_value=PAPER_FIG13["YDB"].get(size))
-            point.host_seconds = host_seconds
             if verifier is not None:
                 verifier.verify_query(point, "YDB", catalog, PR_Q3,
                                       params=params, device=device)
@@ -465,11 +453,10 @@ def run_fig13(sizes: list[int] | None = None, seed: int = 13,
             ok, note = _magiq_core_check(magiq, graph)
             verifier.verify_check(point, ok, "numeric", note)
         tcu = TCUDBEngine(catalog, device=device, mode=ExecutionMode.ANALYTIC)
-        run, host_seconds = timed_execute(tcu, PR_Q3, params=params)
+        run = tcu.execute(PR_Q3, params=params)
         point = result.add(str(size), "TCUDB", _core_seconds(run, "TCUDB"),
                            paper_value=PAPER_FIG13["TCUDB"].get(size),
                            note=run.extra.get("strategy", ""))
-        point.host_seconds = host_seconds
         annotate_tcu_point(point, run)
         if verifier is not None:
             verifier.verify_query(point, "TCUDB", catalog, PR_Q3,

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.harness import (
-    ExperimentResult,
-    annotate_tcu_point,
-    timed_execute,
-)
+from repro.bench.harness import ExperimentResult, annotate_tcu_point
 from repro.bench.scale import ScaleProfile
 from repro.bench.verify import OracleVerifier, skip
 from repro.datasets.microbench import (
@@ -172,13 +168,12 @@ def run_fig7(query: str, sizes: list[int] | None = None,
         catalog = microbench_catalog(size, n_distinct, seed)
         engines = _engines_for(catalog)
         for name, engine in engines.items():
-            run, host_seconds = timed_execute(engine, sql)
+            run = engine.execute(sql)
             point = result.add(
                 f"{size},{n_distinct}", name, run.seconds,
                 paper_value=paper[name].get(size),
                 breakdown=run.breakdown,
             )
-            point.host_seconds = host_seconds
             if name == "TCUDB":
                 annotate_tcu_point(point, run)
             if verifier is not None:
@@ -224,7 +219,7 @@ def run_fig8(query: str, distincts: list[int] | None = None,
         chooser = TCUDBEngine(catalog, device=device,
                               mode=ExecutionMode.ANALYTIC)
         for name, engine in engines.items():
-            run, host_seconds = timed_execute(engine, sql)
+            run = engine.execute(sql)
             note = ""
             if name == "TCUDB":
                 choice = chooser.execute(sql)
@@ -238,7 +233,6 @@ def run_fig8(query: str, distincts: list[int] | None = None,
                 paper_value=paper[name].get(k),
                 breakdown=run.breakdown, note=note,
             )
-            point.host_seconds = host_seconds
             if name == "TCUDB":
                 annotate_tcu_point(point, run)
             if verifier is not None:
@@ -266,16 +260,12 @@ def run_fig14(sizes: list[int] | None = None, n_distinct: int | None = None,
         for size in sizes:
             catalog = microbench_catalog(size, n_distinct, seed)
             times: dict[str, dict[str, float]] = {}
-            host_times: dict[str, float] = {}
             for gpu_name, gpu in (("3090", RTX_3090), ("2080", RTX_2080)):
                 device = GPUDevice(gpu)
                 engines = _engines_for(catalog, device)
                 times[gpu_name] = {}
                 for name in ("YDB", "TCUDB"):
-                    run, host_seconds = timed_execute(engines[name], sql)
-                    times[gpu_name][name] = run.seconds
-                    if gpu_name == "3090":
-                        host_times[name] = host_seconds
+                    times[gpu_name][name] = engines[name].execute(sql).seconds
             for name in ("YDB", "TCUDB"):
                 speedup = times["2080"][name] / times["3090"][name]
                 point = result.add(
@@ -283,7 +273,6 @@ def run_fig14(sizes: list[int] | None = None, n_distinct: int | None = None,
                     paper_value=PAPER_FIG14[query][name].get(size),
                 )
                 point.normalized = speedup  # already a ratio
-                point.host_seconds = host_times[name]
                 if verifier is not None:
                     # Results are device-independent; verifying the 3090
                     # replay covers both legs of the ratio.

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bench.harness import (
-    ExperimentResult,
-    annotate_tcu_point,
-    timed_execute,
-)
+from repro.bench.harness import ExperimentResult, annotate_tcu_point
 from repro.bench.scale import ScaleProfile
 from repro.bench.verify import OracleVerifier
 from repro.datasets.ssb import ssb_catalog
@@ -64,12 +60,8 @@ def run_fig9(
     )
     paper = PAPER_FIG9.get(scale_factor, {})
     for query_id in queries:
-        runs = {}
-        host_seconds = {}
-        for name, engine in engines.items():
-            runs[name], host_seconds[name] = timed_execute(
-                engine, SSB_QUERIES[query_id]
-            )
+        runs = {name: engine.execute(SSB_QUERIES[query_id])
+                for name, engine in engines.items()}
         baseline = runs["YDB"].seconds
         refs = paper.get(query_id)
         for i, name in enumerate(("MonetDB", "YDB", "TCUDB")):
@@ -79,7 +71,6 @@ def run_fig9(
                 paper_value=refs[i] if refs else None,
                 breakdown=run.breakdown,
             )
-            point.host_seconds = host_seconds[name]
             if name == "TCUDB":
                 annotate_tcu_point(point, run)
             point.normalized = run.seconds / baseline

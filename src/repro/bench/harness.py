@@ -37,12 +37,6 @@ class SeriesPoint:
     fallback_reason: str = ""
     fallback_kind: str = ""
     executed_by: str = ""  # "TCU" | "TCU-hybrid" | "YDB-fallback"
-    # Measured host wall-clock of the engine call (interpreter-level),
-    # alongside the machine-independent simulated ``seconds``.  The
-    # regression gate keeps using simulated seconds; host_seconds makes
-    # real interpreter-level speedups (e.g. a faster operand build)
-    # visible in reports.  None when the experiment did not measure it.
-    host_seconds: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -59,7 +53,6 @@ class SeriesPoint:
             "fallback_reason": self.fallback_reason,
             "fallback_kind": self.fallback_kind,
             "executed_by": self.executed_by,
-            "host_seconds": self.host_seconds,
         }
 
     @classmethod
@@ -78,7 +71,6 @@ class SeriesPoint:
             fallback_reason=data.get("fallback_reason", ""),
             fallback_kind=data.get("fallback_kind", ""),
             executed_by=data.get("executed_by", ""),
-            host_seconds=data.get("host_seconds"),
         )
 
 
@@ -165,35 +157,6 @@ class ExperimentResult:
             "reasons": reasons,
         }
 
-    # -- host-vs-simulated drift ------------------------------------------- #
-
-    def host_drift_ratios(self) -> list[float]:
-        """``host_seconds / seconds`` per measured time point — the one
-        eligibility rule both the per-experiment and run-level drift
-        summaries aggregate from."""
-        if self.unit != "seconds":
-            return []
-        return [
-            point.host_seconds / point.seconds
-            for point in self.points
-            if point.host_seconds and point.seconds > 0
-        ]
-
-    def host_drift_summary(self) -> dict:
-        """Wall-clock vs simulated-time drift for this experiment.
-
-        Geomean of ``host_seconds / seconds`` over time points that
-        measured wall-clock.  The *trend* of this ratio across reports is
-        what matters: a jump means an interpreter-level regression the
-        simulated gate cannot see.  ``None`` when nothing was measured
-        (or the experiment's unit is not seconds).
-        """
-        ratios = self.host_drift_ratios()
-        return {
-            "points": len(ratios),
-            "host_over_sim_geomean": geomean(ratios),
-        }
-
     # -- verification bookkeeping ------------------------------------------ #
 
     def verification_summary(self) -> dict[str, int]:
@@ -223,7 +186,6 @@ class ExperimentResult:
             "fidelity_geomean": geometric_mean_ratio(self),
             "verification": self.verification_summary(),
             "fallback": self.fallback_summary(),
-            "host_drift": self.host_drift_summary(),
         }
 
     @classmethod
@@ -312,25 +274,6 @@ def geometric_mean_ratio(result: ExperimentResult) -> float | None:
         for point in result.points
         if point.normalized and point.paper_value
     )
-
-
-def timed_execute(engine, sql: str, repeats: int = 1,
-                  params: dict | None = None):
-    """Run ``engine.execute(sql)`` and measure host wall-clock.
-
-    Returns ``(result, host_seconds)`` with ``host_seconds`` the minimum
-    over ``repeats`` runs (minimum, not mean: scheduling noise only ever
-    adds time).  Attach via ``point.host_seconds``.
-    """
-    import time
-
-    result = None
-    best = float("inf")
-    for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        result = engine.execute(sql, params=params)
-        best = min(best, time.perf_counter() - start)
-    return result, best
 
 
 def annotate_tcu_point(point: SeriesPoint, run) -> SeriesPoint:

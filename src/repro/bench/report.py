@@ -162,30 +162,8 @@ class BenchReport:
             )
         return summary
 
-    def host_drift_summary(self) -> dict:
-        """Run-level host-vs-simulated drift: geomean of
-        ``host_seconds / seconds`` over every measured time point, plus
-        the per-experiment breakdown (only experiments that measured
-        wall-clock appear)."""
-        ratios = []
-        per_experiment: dict[str, float] = {}
-        for experiment in self.experiments:
-            experiment_ratios = experiment.host_drift_ratios()
-            if not experiment_ratios:
-                continue
-            per_experiment[experiment.experiment_id] = geomean(
-                experiment_ratios
-            )
-            ratios.extend(experiment_ratios)
-        return {
-            "points": len(ratios),
-            "host_over_sim_geomean": geomean(ratios),
-            "per_experiment": per_experiment,
-        }
-
     def summary(self) -> dict:
         fallback = self.fallback_summary()
-        drift = self.host_drift_summary()
         return {
             "experiments": len(self.experiments),
             "points": sum(1 for _ in self.points()),
@@ -194,8 +172,6 @@ class BenchReport:
             "tcu_points": fallback["tcu_points"],
             "tcu_fallbacks": fallback["fallbacks"],
             "tcu_hybrid": fallback["hybrid"],
-            "host_drift_points": drift["points"],
-            "host_drift_geomean": drift["host_over_sim_geomean"],
             **self.verification_summary(),
         }
 
@@ -213,7 +189,6 @@ class BenchReport:
             "wall_seconds": self.wall_seconds,
             "summary": self.summary(),
             "fallback": self.fallback_summary(),
-            "host_drift": self.host_drift_summary(),
             "experiments": [e.to_dict() for e in self.experiments],
         }
 

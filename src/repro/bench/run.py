@@ -140,13 +140,6 @@ def _print_report(report: BenchReport, verbose: bool) -> None:
         )
         for reason, count in sorted(fallback["reasons"].items()):
             print(f"  fallback x{count}: {reason}")
-    drift = report.host_drift_summary()
-    if drift["points"]:
-        print(
-            f"host drift: wall-clock / simulated geomean "
-            f"{drift['host_over_sim_geomean']:.2f}x over "
-            f"{drift['points']} measured points"
-        )
     for line in report.mismatches():
         print(f"MISMATCH: {line}")
 

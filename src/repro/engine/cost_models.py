@@ -12,7 +12,6 @@ breakdowns the paper's figures show.
 from __future__ import annotations
 
 import math
-import threading
 
 from repro.common.errors import ExecutionError
 from repro.common.timing import (
@@ -156,7 +155,7 @@ class CostObserver:
     ``NONEQUI_PAIR_LIMIT`` pairs raises.  :meth:`charge` then replays the model's charges
     in post-order — a Join after both of its inputs, Sort after its
     input, ``result_out`` last — so they depend on neither the chunk
-    size nor the worker count the walk ran with.
+    size the walk ran with.
     """
 
     def __init__(self, model, bound: BoundQuery, mode: ExecutionMode,
@@ -168,13 +167,11 @@ class CostObserver:
         self._rows: dict[int, int] = {}
         self._groups: dict[int, tuple[int, int]] = {}
         self._declined: set[int] = set()
-        self._lock = threading.Lock()
 
-    # -- what the walker reports (chunk tasks may race on a pool) -------- #
+    # -- what the walker reports ----------------------------------------- #
 
     def rows(self, node: LogicalNode, n: int) -> None:
-        with self._lock:
-            self._rows[id(node)] = self._rows.get(id(node), 0) + n
+        self._rows[id(node)] = self._rows.get(id(node), 0) + n
 
     def expands(self, join: Join, pairs: int) -> bool:
         self._rows[id(join)] = pairs

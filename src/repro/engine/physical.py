@@ -21,16 +21,10 @@ through these helpers.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.common.errors import BindError, ExecutionError
-from repro.engine.parallel import (
-    CancellationToken,
-    parallel_map,
-    workers_policy,
-)
+from repro.engine.cancel import CancellationToken
 from repro.sql.ast_nodes import (
     AggregateCall,
     BinaryOp,
@@ -87,26 +81,21 @@ class _PairBudget:
     """A join-pair budget: :meth:`reserve` adds a count and raises once
     the total crosses ``limit`` (``None``: unbounded).
 
-    One budget spans every probe chunk of a streaming join; with the
-    chunks racing on the pool, each reservation is atomic, so exactly the
-    same total triggers exactly the same error at every worker count
-    (only the reporting chunk can differ).
+    One budget spans every probe chunk of a streaming join.
     """
 
     def __init__(self, limit: int | None, op: str):
         self.limit = limit
         self.kind = "equi" if op == "=" else "non-equi"
         self._total = 0
-        self._lock = threading.Lock()
 
     def reserve(self, pairs: int) -> None:
-        with self._lock:
-            self._total += pairs
-            if self.limit is not None and self._total > self.limit:
-                raise ExecutionError(
-                    f"{self.kind} join would materialize {self._total} "
-                    f"pairs (> {self.limit})"
-                )
+        self._total += pairs
+        if self.limit is not None and self._total > self.limit:
+            raise ExecutionError(
+                f"{self.kind} join would materialize {self._total} "
+                f"pairs (> {self.limit})"
+            )
 
 
 class JoinBuild:
@@ -458,24 +447,18 @@ class PhysicalExecutor:
 
     ``pair_limit`` (``None``: unbounded) bounds each join's pairs,
     cumulative across its probe chunks, so runaway fuzzed queries fail
-    loudly instead of exhausting memory.  ``workers`` > 1 runs the chunk
-    tasks on a thread pool (``None`` takes the ``REPRO_WORKERS``
-    policy); chunks are *merged in submission order*, so the parallel
-    output — and every floating-point accumulation order behind it — is
-    bit-identical to the sequential run.  ``cancel_token`` is polled at
+    loudly instead of exhausting memory.  ``cancel_token`` is polled at
     every chunk boundary for cooperative cancellation (see
-    :class:`~repro.engine.parallel.CancellationToken`).
+    :class:`~repro.engine.cancel.CancellationToken`).
     """
 
     def __init__(self, bound: BoundQuery, pair_limit: int | None = 20_000_000,
                  chunk_rows: int | None = None,
-                 workers: int | None = None,
                  cancel_token: CancellationToken | None = None,
                  observer=None):
         self.bound = bound
         self.pair_limit = pair_limit
         self.chunk_rows = chunk_rows
-        self.workers = workers_policy(workers)
         self.cancel_token = cancel_token
         self.observer = observer
         #: chunks skipped by stat pruning / scanned, over the executor's life
@@ -521,11 +504,12 @@ class PhysicalExecutor:
         }, total)
 
     def _stream(self, tasks):
-        """Run chunk tasks (in order here at ``workers`` <= 1, on the pool
-        otherwise) and yield their Environments in chunk order."""
-        for envs in parallel_map(lambda task: task(), tasks, self.workers,
-                                 token=self.cancel_token):
-            yield from envs
+        """Run chunk tasks in order, polling the cancel token before
+        each, and yield their Environments in chunk order."""
+        for task in tasks:
+            if self.cancel_token is not None:
+                self.cancel_token.raise_if_cancelled()
+            yield from task()
 
     def _rows_out(self, node: LogicalNode, envs: list[Environment]) -> None:
         if self.observer is not None:
@@ -538,8 +522,8 @@ class PhysicalExecutor:
         Each task returns the list of Environments its chunk contributes,
         in task order — scans map to one task per surviving chunk,
         Filter/Compute wrap the inner tasks, and a Join materializes and
-        sorts its build side once (here, on the submitting thread) and
-        wraps the probe-side tasks around one cumulative pair budget.
+        sorts its build side once and wraps the probe-side tasks around
+        one cumulative pair budget.
         """
         if isinstance(node, Scan):
             kept, chunked, name_of = pruned_scan_chunks(

@@ -44,19 +44,16 @@ class ReferenceEngine(Engine):
         mode: ExecutionMode = ExecutionMode.REAL,
         pair_limit: int | None = 20_000_000,
         chunk_rows: int | None = None,
-        workers: int | None = None,
         cancel_token=None,
     ):
         # The oracle always materializes; ANALYTIC mode has no meaning here.
         super().__init__(catalog, ExecutionMode.REAL)
         self.pair_limit = pair_limit
         # Rows per chunk, resolved once like TCUDriver's (None = the
-        # storage chunk-size policy; 1 << 30 is the whole-table run),
-        # worker-pool fan-out (None = REPRO_WORKERS policy) and the
-        # cooperative cancellation token, all forwarded to the
+        # storage chunk-size policy; 1 << 30 is the whole-table run) and
+        # the cooperative cancellation token, both forwarded to the
         # PhysicalExecutor per query.
         self.chunk_rows = chunk_rows_policy(chunk_rows)
-        self.workers = workers
         self.cancel_token = cancel_token
 
     def execute_bound(self, bound: BoundQuery) -> QueryResult:
@@ -67,7 +64,6 @@ class ReferenceEngine(Engine):
                                     self.materialize_limit)
         executor = PhysicalExecutor(bound, pair_limit=self.pair_limit,
                                     chunk_rows=self.chunk_rows,
-                                    workers=self.workers,
                                     cancel_token=self.cancel_token,
                                     observer=observer)
         arrays, names = executor.run(tree)
@@ -86,7 +82,6 @@ class ReferenceEngine(Engine):
             plan_description=explain(tree),
             extra={
                 "oracle": True,
-                "workers": executor.workers,
                 "chunks_pruned": executor.chunks_pruned,
                 "chunks_scanned": executor.chunks_scanned,
             },

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.common.errors import ExecutionError
 from repro.engine.base import ExecutionMode
-from repro.engine.parallel import parallel_map, workers_policy
 from repro.engine.physical import (
     equi_join_indices,
     nonequi_join_count,
@@ -405,21 +404,12 @@ class TCUDriver:
     slice.  Chunked accumulation is what keeps large-``k`` products on
     the bit-accurate numeric path with bounded memory; an operand no
     wider than one chunk multiplies whole.
-
-    ``workers`` > 1 fans the independent chunks of both loops across a
-    thread pool (the GEMM emulation is stateless, so parallel products
-    are safe).  Partials still merge in chunk order — pair concatenation
-    and grid summation see exactly the sequential order, so parallel
-    results stay bit-identical (``A @ B.T == sum_c A[:,c] @ B[:,c].T``
-    accumulated in a fixed order).
     """
 
     def __init__(self, device: GPUDevice, chunk_rows: int | None = None,
-                 workers: int | None = None,
                  backend: str | None = None):
         self.device = device
         self.chunk_rows = chunk_rows_policy(chunk_rows)
-        self.workers = workers_policy(workers)
         # Kernel-primitive layer: "sim" (the simulated unit, the oracle)
         # or "fast" (optimized NumPy/BLAS); see
         # repro.tensor.backend for the selection policy and the
@@ -542,8 +532,9 @@ class TCUDriver:
 
         chunk = self.chunk_rows
         n = prepared.left_keys_mapped.size
-
-        def probe_chunk(start: int) -> tuple[np.ndarray, np.ndarray]:
+        rows_parts: list[np.ndarray] = []
+        cols_parts: list[np.ndarray] = []
+        for start in range(0, n, chunk):
             keys = prepared.left_keys_mapped[start:start + chunk]
             nc = keys.size
             if prepared.op == "=":
@@ -558,16 +549,7 @@ class TCUDriver:
                                                    side.vals, (nc, k))
             product = self._execute_gemm(left, right, plan)
             rows, cols = self.backend.nonzero(product > 0)
-            return rows + start, cols
-
-        # Chunks are independent GEMMs over a shared read-only build side;
-        # parallel_map yields them in submission order, so the pair lists
-        # concatenate exactly as the sequential loop would.
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        for rows, cols in parallel_map(probe_chunk, range(0, n, chunk),
-                                       self.workers):
-            rows_parts.append(rows)
+            rows_parts.append(rows + start)
             cols_parts.append(cols)
         if not rows_parts:
             empty = np.array([], dtype=np.int64)
@@ -674,18 +656,14 @@ class TCUDriver:
         left_slices = ColumnSlices(left, chunk)
         right_slices = ColumnSlices(right, chunk)
         grids = [np.zeros((left.g, right.g)) for _ in left_sums]
-        # Sequential dense accumulation: the backend adds each chunk's
-        # product straight into the output grid (matmul_into), reusing
-        # one scratch buffer across all chunks.  Otherwise the partials
-        # compute on the pool (or as BLOCKED msplit products) and sum on
-        # this thread in chunk order — the same float accumulation
-        # order, so every variant is bit-identical per backend.
-        in_place = self.workers <= 1 and plan.strategy != Strategy.BLOCKED
-
-        def chunk_partials(c: int) -> list[np.ndarray]:
-            partials: list[np.ndarray] = []
+        # DENSE accumulation: the backend adds each chunk's product
+        # straight into the output grid (matmul_into), reusing one
+        # scratch buffer across all chunks.  BLOCKED msplit products are
+        # added into the grid in the same chunk order.
+        in_place = plan.strategy != Strategy.BLOCKED
+        for c in range(-(-left.k // chunk)):
             if not (left_slices.occupied(c) and right_slices.occupied(c)):
-                return partials
+                continue
             for grid, (mat_a, scale_a), (mat_b, scale_b) in zip(
                     grids, left_slices.fills(c, left_sums, dtype, cast),
                     right_slices.fills(c, right_sums, dtype, cast)):
@@ -695,15 +673,7 @@ class TCUDriver:
                                              mat_b.T, plan.precision,
                                              scale=scale)
                 else:
-                    partials.append(self._execute_gemm(mat_a, mat_b.T, plan,
-                                                       scale))
-            return partials
-
-        for partials in parallel_map(chunk_partials,
-                                     range(-(-left.k // chunk)),
-                                     self.workers):
-            for grid, partial in zip(grids, partials):
-                grid += partial
+                    grid += self._execute_gemm(mat_a, mat_b.T, plan, scale)
         return grids
 
     def _fill_format(self, plan: PlanCost):

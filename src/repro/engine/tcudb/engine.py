@@ -72,11 +72,6 @@ class TCUDBOptions:
     # and hybrid pre-stages stream.  ``None`` takes the storage layer's
     # chunk-size policy; a size past every table is one whole chunk.
     chunk_rows: int | None = None
-    # Morsel parallelism: worker-thread count for the independent chunk
-    # loops (scan filters, probe-chunk GEMMs, grid partials, streaming
-    # pre-stages).  ``None`` defers to the REPRO_WORKERS policy; 1 is
-    # strictly sequential.  Parallel output is bit-identical.
-    workers: int | None = None
     # Tensor backend for the kernel primitives: "sim" (the simulated
     # unit, the reference oracle) or "fast" (optimized NumPy/BLAS).
     # ``None`` defers to the REPRO_BACKEND policy;
@@ -118,7 +113,6 @@ class TCUDBEngine(Engine):
         )
         self.driver = TCUDriver(self.device,
                                 chunk_rows=self.options.chunk_rows,
-                                workers=self.options.workers,
                                 backend=self.options.backend)
         self._fallback = YDBEngine(catalog, self.device, mode=mode)
         # Per-query cooperative cancellation: the serving front-end sets
@@ -253,14 +247,12 @@ class TCUDBEngine(Engine):
         """Compile-relevant engine configuration, part of the cache key.
 
         Every option that changes what ``lower_query`` produces (or how
-        operators execute) except ``workers``: morsel parallelism is
-        bit-identical to sequential execution by contract, so sessions
-        with different worker counts share programs.  The *resolved*
-        backend name is part of the key: backends only differ within the
-        numeric envelope, but cached-program isolation keeps any future
-        backend-specific specialization honest (and the key resolves the
-        env default so two engines under different ``REPRO_BACKEND``
-        values never share an entry).
+        operators execute).  The *resolved* backend name is part of the
+        key: backends only differ within the numeric envelope, but
+        cached-program isolation keeps any future backend-specific
+        specialization honest (and the key resolves the env default so
+        two engines under different ``REPRO_BACKEND`` values never share
+        an entry).
         """
         options = self.options
         return (

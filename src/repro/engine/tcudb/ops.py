@@ -417,20 +417,6 @@ class TableSource(TensorOp):
             return Environment({key: env.arrays[key].take(rows)
                                 for key in gathered}, int(rows.size))
 
-        if ctx.workers > 1 and kept:
-            # Morsel-parallel filtering: each kept chunk evaluates the
-            # conjunction over its own slice; filtering per chunk and
-            # concatenating in chunk order is elementwise-identical to
-            # filtering the concatenated arrays.
-            from repro.engine.parallel import parallel_map
-
-            parts = list(parallel_map(
-                lambda chunk: filtered(self._env_of(chunk, name_of)),
-                kept, ctx.workers))
-            return Environment(
-                {key: np.concatenate([part.arrays[key] for part in parts])
-                 for key in gathered},
-                sum(part.n_rows for part in parts))
         if len(kept) == chunked.num_chunks:
             return filtered(self._env_of(table, name_of))
         # The zero-length head keeps the column dtype when every chunk
@@ -1416,7 +1402,6 @@ class PhysicalStage(TensorOp):
 
     def execute(self, ctx) -> RelationValue:
         executor = PhysicalExecutor(ctx.bound, chunk_rows=ctx.chunk_rows,
-                                    workers=ctx.workers,
                                     cancel_token=ctx.cancel_token)
         # ANALYTIC streams up to the row budget; REAL keeps the pair-limit
         # bound alone.

@@ -91,11 +91,6 @@ class ProgramContext:
         return self.driver.chunk_rows
 
     @property
-    def workers(self) -> int:
-        """Worker count of the morsel-parallel chunk loops."""
-        return self.driver.workers
-
-    @property
     def backend(self):
         """The active :class:`~repro.tensor.backend.TensorBackend` —
         operators route gather/bincount/nonzero/mask primitives through

@@ -1,7 +1,6 @@
 """A concurrent query server over one shared catalog.
 
-The morsel-parallel executors (PR: parallel morsel execution) make a
-single query faster; this module makes *many* queries safe.  A
+This module makes *many* queries safe to run at once.  A
 :class:`QueryServer` owns one immutable :class:`~repro.storage.catalog.Catalog`
 and a pool of executor threads; any number of :class:`Session` handles
 submit SQL concurrently.  The design mirrors the classic analytic-serving
@@ -18,7 +17,7 @@ shape:
   unboundedly;
 * **per-query budgets** — a :class:`QueryBudget` caps host wall-clock
   seconds (enforced cooperatively through the executor's
-  :class:`~repro.engine.parallel.CancellationToken`, polled at chunk/op
+  :class:`~repro.engine.cancel.CancellationToken`, polled at chunk/op
   boundaries) and result rows (enforced on completion);
 * **cooperative cancellation** — :meth:`QueryTicket.cancel` flips the
   query's token; a streaming query stops at its next chunk boundary and
@@ -75,10 +74,7 @@ from repro.common.faults import (
 from repro.engine import create_engine
 from repro.engine.base import QueryResult
 from repro.engine.cache import ProgramCache
-from repro.engine.parallel import (
-    CancellationToken,
-    workers_policy,
-)
+from repro.engine.cancel import CancellationToken
 from repro.sql.prepared import PreparedStatement
 from repro.storage.catalog import Catalog
 
@@ -264,10 +260,7 @@ class QueryServer:
 
     ``max_concurrent`` executor threads drain a bounded FIFO of admitted
     tickets, each starting one only while fewer than ``max_concurrent``
-    queries run (inline :meth:`Session.execute` runs take slots too);
-    ``workers`` is forwarded to every engine so each query's
-    chunk loops fan out morsel-parallel (total thread pressure is then
-    ``max_concurrent * workers`` — size accordingly).
+    queries run (inline :meth:`Session.execute` runs take slots too).
     """
 
     def __init__(
@@ -276,7 +269,6 @@ class QueryServer:
         engine: str = "tcudb",
         max_concurrent: int = 2,
         max_queued: int = 8,
-        workers: int | None = None,
         default_budget: QueryBudget | None = None,
         engine_kwargs: dict | None = None,
         breaker_threshold: int = 5,
@@ -291,7 +283,6 @@ class QueryServer:
         self.engine_name = engine
         self.max_concurrent = max_concurrent
         self.max_queued = max_queued
-        self.workers = workers_policy(workers)
         self.default_budget = default_budget or QueryBudget()
         self.engine_kwargs = dict(engine_kwargs or {})
         # One program cache for the whole server: lowering is memoized
@@ -654,22 +645,8 @@ class Session:
                 kwargs = dict(self.server.engine_kwargs)
                 name = self.server.engine_name
                 if name.lower() == "tcudb":
-                    from repro.engine.tcudb.engine import TCUDBOptions
-
-                    options = kwargs.pop("options", None) or TCUDBOptions()
-                    options.workers = self.server.workers
-                    kwargs["options"] = options
                     kwargs.setdefault("program_cache",
                                       self.server.program_cache)
-                else:
-                    import inspect
-
-                    from repro.engine import ENGINE_REGISTRY
-
-                    cls = ENGINE_REGISTRY[name.lower()]
-                    accepts = inspect.signature(cls.__init__).parameters
-                    if "workers" in accepts:
-                        kwargs.setdefault("workers", self.server.workers)
                 self._engine_instance = create_engine(
                     name, self.server.catalog, **kwargs
                 )

@@ -5,7 +5,8 @@ types that round-trip.  ``write_csv`` writes each header cell as
 ``name:<type>`` (``int64``, ``float64`` or ``string``) and ``read_csv``
 parses that column under that type.  A plain header cell keeps per-column
 inference (int -> float -> string), for the dataset files the examples
-ship.
+ship; an integer column with a cell outside int64 raises rather than
+turning lossy.
 """
 
 from __future__ import annotations
@@ -22,14 +23,24 @@ from repro.storage.table import Table
 from repro.storage.types import DataType
 
 _TYPES = {dtype.value: dtype for dtype in DataType}
+_INT64 = np.iinfo(np.int64)
 
 
-def _parse_column(raw: list[str]):
-    """Try int, then float, else keep strings."""
+def _parse_column(path: Path, name: str, raw: list[str]):
+    """Try int, then float, else keep strings.  An integer cell outside
+    int64 raises, naming its row and column."""
     try:
-        return [int(v) for v in raw]
+        values = [int(v) for v in raw]
     except ValueError:
         pass
+    else:
+        if values and (min(values) < _INT64.min or max(values) > _INT64.max):
+            row = next(i for i, v in enumerate(values)
+                       if not _INT64.min <= v <= _INT64.max)
+            raise StorageError(
+                f"{path}: row {row + 2}, column {name!r}: "
+                f"{raw[row]!r} is outside int64")
+        return values
     try:
         return [float(v) for v in raw]
     except ValueError:
@@ -75,7 +86,7 @@ def read_csv(path: str | Path, table_name: str | None = None) -> Table:
         name, _, type_name = cell.rpartition(":")
         dtype = _TYPES.get(type_name) if name else None
         if dtype is None:
-            columns[cell] = Column.from_values(_parse_column(raw))
+            columns[cell] = Column.from_values(_parse_column(path, cell, raw))
         else:
             columns[name] = _typed_column(path, name, dtype, raw)
     name = table_name if table_name is not None else path.stem

@@ -16,8 +16,8 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "engine_matrix: iterates differential_utils.engine_variants (or a "
-        "matrix like it); CI re-runs every such test under REPRO_WORKERS=2 "
-        "and REPRO_BACKEND=fast",
+        "matrix like it); CI re-runs every such test under "
+        "REPRO_BACKEND=fast",
     )
 
 

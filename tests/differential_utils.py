@@ -72,7 +72,7 @@ def scaled_key_catalog(catalog, key_columns: dict[str, set[str]],
 
 def engine_variants(catalog, cached=False):
     """``(name, engine)`` along the axes the cost model is blind to:
-    backend, workers and chunk size.
+    backend and chunk size.
     ``cached`` attaches a fresh :class:`ProgramCache` to each engine, so
     raw SQL takes the auto-parameterized, memoized path."""
     def cache():
@@ -84,5 +84,4 @@ def engine_variants(catalog, cached=False):
 
     yield "sim", engine(backend="sim")
     yield "fast", engine(backend="fast")
-    yield "workers=2", engine(workers=2)
     yield "chunk_rows=16", engine(chunk_rows=16)

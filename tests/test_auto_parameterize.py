@@ -4,8 +4,8 @@ lifted ≡ inlined ≡ Reference along every ``engine_variants`` cell,
 statements that outlive ``register(replace=True)``, and the report
 strings that render on first read.
 
-Tier-1; also in the REPRO_WORKERS=2 and chaos CI legs (the memo is
-shared state under the pool).
+Tier-1; also in the chaos CI leg (the memo is state that concurrent
+sessions share).
 """
 
 import gc
@@ -362,7 +362,7 @@ def test_two_sessions_one_shape_different_literals(catalog, reference):
     their own rows, from one compilation."""
     years = (1993, 1996)
     expected = {year: reference.execute(YEARLY.format(year)) for year in years}
-    with QueryServer(catalog, max_concurrent=4, workers=1) as server:
+    with QueryServer(catalog, max_concurrent=4) as server:
         server.session().execute(YEARLY.format(1992), timeout=60)  # compile
         results, errors = {year: [] for year in years}, []
         barrier = threading.Barrier(len(years))

@@ -25,7 +25,12 @@ import pytest
 from differential_utils import assert_results_match
 from test_fuzz_queries import QueryGenerator
 from test_operand_placement import PLACEMENTS, force_placement, make_side
-from test_product_slices import prepared_operands, product_plan
+from test_product_slices import (
+    HISTORIES,
+    numeric_grids,
+    prepared_operands,
+    product_plan,
+)
 from repro.bench.verify import TCU_REL
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
@@ -331,7 +336,7 @@ def _dense_emulator(device, left, right, k, chunk):
     return grids
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("history", HISTORIES)
 @pytest.mark.parametrize("chunk", [1 << 20, 3], ids=["whole", "slices"])
 @pytest.mark.parametrize("placement", PLACEMENTS)
 @pytest.mark.parametrize("kinds", [
@@ -341,7 +346,7 @@ def _dense_emulator(device, left, right, k, chunk):
     ("2^31", "subnormal", True),
     ("unit scale", "zero", True)], ids=lambda kinds: "-".join(
         map(str, kinds)))
-def test_fill_cast_is_the_dense_emulator(kinds, placement, chunk, workers,
+def test_fill_cast_is_the_dense_emulator(kinds, placement, chunk, history,
                                          device, monkeypatch):
     """The sim backend casts each slice's occupied cells at fill time;
     its grids equal, byte for byte (zero signs included), the dense
@@ -349,8 +354,7 @@ def test_fill_cast_is_the_dense_emulator(kinds, placement, chunk, workers,
     product.  Every product reads the fill's cast, none casts again."""
     left, right, k = _cast_case(*kinds)
     force_placement(monkeypatch, placement)
-    driver = TCUDriver(device, chunk_rows=chunk, workers=workers,
-                       backend="sim")
+    driver = TCUDriver(device, chunk_rows=chunk, backend="sim")
     plan = product_plan(device, left, right, k, Precision.FP16,
                         Strategy.DENSE)
     structures, sums = prepared_operands(left, right, k)
@@ -363,8 +367,8 @@ def test_fill_cast_is_the_dense_emulator(kinds, placement, chunk, workers,
         lambda tcu, a, b, precision, scale=None: products.append(
             (a.dtype, b.dtype, scale is not None))
         or unit_matmul(tcu, a, b, precision, scale=scale))
-    grids, count_grid, _ = driver._grids_numeric(
-        *structures, *sums, [SUM_SPEC], plan)
+    grids, count_grid, _ = numeric_grids(
+        driver, history, *structures, *sums, [SUM_SPEC], plan)
     assert products and set(products) == {
         (np.dtype(np.float32), np.dtype(np.float32), True)}
     monkeypatch.undo()

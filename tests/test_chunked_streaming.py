@@ -95,7 +95,7 @@ class TestChunkedTable:
 
     @pytest.mark.parametrize("env", ["abc", "0"])
     def test_bad_env_policy_is_a_config_error(self, monkeypatch, env):
-        # As REPRO_WORKERS and REPRO_BACKEND: a bad knob is a
+        # As REPRO_BACKEND: a bad knob is a
         # configuration error, not a storage failure.
         monkeypatch.setenv("REPRO_CHUNK_ROWS", env)
         with pytest.raises(ConfigError):

@@ -397,11 +397,11 @@ STAR = ("SELECT d_year, SUM(lo_revenue) AS rev FROM lineorder, ddate "
 
 
 class TestProjectedScan:
-    # Chunk-pruned (sequential and morsel-parallel), one whole-table
-    # chunk (every chunk kept), and — on ddate, which has no filter
-    # here — the unfiltered branch.
+    # Chunk-pruned, one whole-table chunk (every chunk kept), hundreds
+    # of five-row chunks concatenated, and — on ddate, which has no
+    # filter here — the unfiltered branch.
     @pytest.mark.parametrize("options", [
-        {}, {"workers": 2}, {"chunk_rows": 1 << 30}, {"chunk_rows": 64},
+        {}, {"chunk_rows": 1 << 30}, {"chunk_rows": 64}, {"chunk_rows": 5},
     ])
     def test_only_referenced_columns_are_carried(self, catalog, options):
         # lo_discount is read by the filter alone: masked, never gathered.
@@ -590,7 +590,6 @@ def test_dense_and_sparse_keys_agree_end_to_end(wide_catalogs, query,
     # The ledger charges operator sizes, never the probe strategy.
     for (shape, variant), seen in observed.items():
         assert seen == observed["sparse", variant], (shape, variant)
-    assert observed["dense", "sim"] == observed["dense", "workers=2"]
 
 
 def test_duplicate_key_dimension_with_gathered_column_falls_back(probe_calls):

@@ -1,40 +1,39 @@
-"""Parallel morsel execution: determinism, cancellation, thread safety.
+"""Chunk-loop execution: cancellation, pair budgets, determinism and
+thread safety.
 
-The contract under test (docs/architecture.md, § parallel morsels):
-fanning independent chunks across N workers and merging partials in
-submission order produces output **bit-identical** to the sequential
-executor — same rows, same float accumulation order — for every N and
-every chunk size.
+The chunk loops run in order on the executing thread.  Under test: the
+cancel token is polled once per chunk task, and a query cancelled at
+any poll leaves its engine able to answer the next one; one join's pair
+budget spans all of its probe chunks; repeated runs are bit-identical;
+and what concurrent server sessions share — the lazy chunk statistics
+and the fast backend's scratch buffers — stays correct under a race.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from differential_utils import assert_results_match
 from repro.bench.verify import TCU_REL
-from repro.common.errors import ConfigError, ExecutionError, QueryCancelled
+from repro.common.errors import ExecutionError, QueryCancelled
 from repro.common.rng import make_rng
 from repro.datasets.ssb import ssb_catalog
-from repro.engine.parallel import (
-    MAX_WORKERS,
-    CancellationToken,
-    parallel_map,
-    workers_policy,
-)
+from repro.engine.cancel import CancellationToken
 from repro.engine.physical import PhysicalExecutor
 from repro.engine.reference import ReferenceEngine
 from repro.engine.tcudb import TCUDBEngine, TCUDBOptions
-from repro.engine.ydb import YDBEngine
+from repro.hardware.gpu import GPUDevice
 from repro.sql.binder import bind
 from repro.sql.logical import Join, Scan
 from repro.sql.parser import parse
 from repro.sql.planner import plan
 from repro.storage.table import Table
+from repro.tensor.backend import FastBackend
+from repro.tensor.precision import Precision
 from repro.workloads import SSB_QUERIES
 from test_fuzz_queries import FUZZ_SEED, QueryGenerator
 
@@ -48,169 +47,28 @@ def rows_of(result):
     return sorted(map(tuple, result.require_table().rows()))
 
 
-# --------------------------------------------------------------------------- #
-# The pool primitives
-# --------------------------------------------------------------------------- #
+class PollCounter(CancellationToken):
+    """A token that counts its polls and cancels itself at poll
+    ``fire_at`` (None: never)."""
 
+    def __init__(self, fire_at: int | None = None):
+        super().__init__()
+        self.polls = 0
+        self.fire_at = fire_at
 
-class TestWorkersPolicy:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert workers_policy() == 1
-
-    def test_override_and_env(self, monkeypatch):
-        assert workers_policy(4) == 4
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert workers_policy() == 3
-        assert workers_policy(2) == 2  # explicit override wins
-        assert workers_policy(10_000) == MAX_WORKERS
-
-    def test_invalid_values_raise(self, monkeypatch):
-        with pytest.raises(ConfigError):
-            workers_policy(0)
-        monkeypatch.setenv("REPRO_WORKERS", "banana")
-        with pytest.raises(ConfigError):
-            workers_policy()
-
-
-class TestParallelMap:
-    @pytest.mark.parametrize("workers", [1, 2, 4, 7])
-    def test_submission_order_preserved(self, workers):
-        items = list(range(97))
-        out = list(parallel_map(lambda i: i * i, items, workers))
-        assert out == [i * i for i in items]
-
-    def test_worker_exception_propagates(self):
-        def boom(i):
-            if i == 5:
-                raise ValueError("chunk 5 failed")
-            return i
-
-        with pytest.raises(ValueError, match="chunk 5"):
-            list(parallel_map(boom, range(20), 4))
-
-    def test_cancellation_stops_the_stream(self):
-        token = CancellationToken()
-        seen = []
-
-        def work(i):
-            seen.append(i)
-            if i == 3:
-                token.cancel("test cancel")
-            return i
-
-        with pytest.raises(QueryCancelled):
-            list(parallel_map(work, range(10_000), 2, token=token))
-        assert len(seen) < 10_000
-
-    def test_early_close_leaves_the_token_live(self):
-        token = CancellationToken()
-        ran = []
-        busy = threading.Semaphore(0)
-
-        def work(i):
-            ran.append(i)
-            if i:
-                busy.release()
-                time.sleep(0.2)  # hold both workers past the close
-            return i
-
-        stream = parallel_map(work, range(10), 2, token=token)
-        assert next(stream) == 0
-        assert busy.acquire(timeout=5) and busy.acquire(timeout=5)
-        stream.close()
-        # Item 3 was queued, not started: the close cancelled it.
-        assert sorted(ran) == [0, 1, 2]
-        assert not token.cancelled and token.reason == "cancelled"
-
-    def test_failing_item_leaves_the_token_live(self):
-        token = CancellationToken()
-        ran = []
-
-        def work(i):
-            ran.append(i)
-            if i == 0:
-                raise ValueError("item 0 failed")
-            time.sleep(0.2)  # hold the workers past the failure
-            return i
-
-        with pytest.raises(ValueError, match="item 0"):
-            list(parallel_map(work, range(10), 2, token=token))
-        assert set(ran) <= {0, 1, 2}
-        assert not token.cancelled and token.reason == "cancelled"
-
-    def test_deadline_token_self_fires(self):
-        token = CancellationToken(deadline_s=0.0)
-        with pytest.raises(QueryCancelled, match="time budget"):
-            token.raise_if_cancelled()
-        assert token.cancelled
+    def raise_if_cancelled(self) -> None:
+        self.polls += 1
+        if self.polls == self.fire_at:
+            self.cancel("poll limit")
+        super().raise_if_cancelled()
 
 
 # --------------------------------------------------------------------------- #
-# Equivalence: parallel output is bit-identical to sequential
+# Determinism and the cumulative pair budget
 # --------------------------------------------------------------------------- #
 
 
-class TestParallelEquivalence:
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("chunk_rows", [256, 1024])
-    def test_reference_streaming_fuzz(self, catalog, workers, chunk_rows):
-        generator = QueryGenerator(make_rng(FUZZ_SEED))
-        sequential = ReferenceEngine(catalog, chunk_rows=chunk_rows)
-        parallel = ReferenceEngine(catalog, chunk_rows=chunk_rows,
-                                   workers=workers)
-        divergences = []
-        for _ in range(25):
-            sql = generator.generate()
-            a = rows_of(sequential.execute(sql))
-            b = rows_of(parallel.execute(sql))
-            if a != b:  # bit-identical, not approximately equal
-                divergences.append(sql)
-        assert not divergences, divergences
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_tcudb_ssb_flights(self, catalog, workers):
-        sequential = TCUDBEngine(catalog,
-                                 options=TCUDBOptions(chunk_rows=512))
-        parallel = TCUDBEngine(
-            catalog,
-            options=TCUDBOptions(chunk_rows=512, workers=workers),
-        )
-        for query_id, sql in sorted(SSB_QUERIES.items()):
-            a = sequential.execute(sql)
-            b = parallel.execute(sql)
-            assert rows_of(a) == rows_of(b), query_id
-            # Parallelism must not change routing decisions, nor the
-            # simulated seconds (the ledger models the device, not the
-            # host's worker pool).
-            assert (a.extra.get("executed_by")
-                    == b.extra.get("executed_by")), query_id
-            assert repr(a.seconds) == repr(b.seconds), query_id
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_tcudb_fuzz(self, catalog, workers):
-        """Generated queries on TCUDB: bit-identical rows under a worker
-        pool, and the oracle's rows within the TCU tolerance."""
-        generator = QueryGenerator(make_rng(FUZZ_SEED))
-        oracle = ReferenceEngine(catalog)
-        sequential = TCUDBEngine(catalog,
-                                 options=TCUDBOptions(chunk_rows=512))
-        parallel = TCUDBEngine(
-            catalog,
-            options=TCUDBOptions(chunk_rows=512, workers=workers),
-        )
-        divergences = []
-        for index in range(25):
-            sql = generator.generate()
-            a = sequential.execute(sql)
-            b = parallel.execute(sql)
-            if rows_of(a) != rows_of(b):
-                divergences.append(sql)
-            assert_results_match(b, oracle.execute(sql), rel=TCU_REL,
-                                 context=f"fuzz #{index}: {sql}")
-        assert not divergences, divergences
-
-    @pytest.mark.parametrize("workers", [1, 2])
+class TestChunkLoops:
     @pytest.mark.parametrize("sql", [
         "SELECT d_year, SUM(lo_revenue) AS rev, COUNT(*) AS n "
         "FROM lineorder, ddate WHERE lo_orderdate = d_datekey "
@@ -220,11 +78,8 @@ class TestParallelEquivalence:
         "FROM lineorder, ddate WHERE lo_orderdate = d_datekey "
         "GROUP BY d_year ORDER BY d_year;",
     ], ids=["grid", "partials"])
-    def test_tcudb_repeat_runs_bit_identical(self, catalog, sql, workers):
-        engine = TCUDBEngine(
-            catalog,
-            options=TCUDBOptions(chunk_rows=512, workers=workers),
-        )
+    def test_tcudb_repeat_runs_bit_identical(self, catalog, sql):
+        engine = TCUDBEngine(catalog, options=TCUDBOptions(chunk_rows=512))
         first = engine.execute(sql).require_table()
         second = engine.execute(sql).require_table()
         assert first.column_names == second.column_names
@@ -238,40 +93,17 @@ class TestParallelEquivalence:
     def test_pruning_counters_deterministic(self, catalog):
         sql = ("SELECT SUM(lo_revenue) AS r FROM lineorder "
                "WHERE lo_quantity < 10")
-        sequential = ReferenceEngine(catalog, chunk_rows=256)
-        parallel = ReferenceEngine(catalog, chunk_rows=256, workers=4)
-        a = sequential.execute(sql)
-        b = parallel.execute(sql)
+        a = ReferenceEngine(catalog, chunk_rows=256).execute(sql)
+        b = ReferenceEngine(catalog, chunk_rows=256).execute(sql)
         assert a.extra["chunks_pruned"] == b.extra["chunks_pruned"]
         assert a.extra["chunks_scanned"] == b.extra["chunks_scanned"]
+        chunks = catalog.chunked("lineorder", 256).num_chunks
+        assert a.extra["chunks_pruned"] + a.extra["chunks_scanned"] == chunks
 
-    def test_observer_counts_survive_racing_chunks(self, catalog,
-                                                   monkeypatch):
-        """YDB's cost observer sums the row counts of chunk tasks racing
-        on the pool: with more workers than cores and a short switch
-        interval, a lost update would change the charged seconds."""
-        import sys
-
-        sql = ("SELECT SUM(lo_revenue) AS r, d_year FROM lineorder, ddate "
-               "WHERE lo_orderdate = d_datekey AND lo_quantity < 30 "
-               "GROUP BY d_year")
-        monkeypatch.setenv("REPRO_CHUNK_ROWS", "16")
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        expected = repr(YDBEngine(catalog).execute(sql).seconds)
-        monkeypatch.setenv("REPRO_WORKERS", "32")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                assert repr(YDBEngine(catalog).execute(sql).seconds) == expected
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_pair_limit_is_cumulative(self, catalog, workers):
-        """One join's pair budget spans all of its probe chunks, at every
-        worker count: a limit one below the join's total fails, the
-        total itself returns the whole-table oracle's rows."""
+    def test_pair_limit_is_cumulative(self, catalog):
+        """One join's pair budget spans all of its probe chunks: a limit
+        one below the join's total fails, the total itself returns the
+        whole-table oracle's rows."""
         generator = QueryGenerator(make_rng(FUZZ_SEED))
         while True:
             sql = generator.generate()
@@ -285,7 +117,7 @@ class TestParallelEquivalence:
 
         def streamed(pair_limit):
             return ReferenceEngine(catalog, chunk_rows=256,
-                                   workers=workers, pair_limit=pair_limit)
+                                   pair_limit=pair_limit)
 
         with pytest.raises(ExecutionError, match="would materialize"):
             streamed(total - 1).execute(sql)
@@ -324,14 +156,75 @@ class TestCancellation:
 
     def test_deadline_cancels_streaming_query(self, catalog):
         token = CancellationToken(deadline_s=0.0)
-        engine = ReferenceEngine(catalog, chunk_rows=64,
-                                 cancel_token=token, workers=2)
+        engine = ReferenceEngine(catalog, chunk_rows=64, cancel_token=token)
         with pytest.raises(QueryCancelled, match="time budget"):
             engine.execute(SSB_QUERIES["Q2.1"])
 
+    def test_deadline_token_self_fires(self):
+        token = CancellationToken(deadline_s=0.0)
+        with pytest.raises(QueryCancelled, match="time budget"):
+            token.raise_if_cancelled()
+        assert token.cancelled
+
+    def test_stream_polls_the_token_per_task(self, catalog):
+        """A token cancelled inside one chunk task stops the stream before
+        the next task starts."""
+        token = CancellationToken()
+        bound = bind(parse(SSB_QUERIES["Q1.1"]), catalog)
+        executor = PhysicalExecutor(bound, cancel_token=token)
+        seen = []
+
+        def task(i):
+            seen.append(i)
+            if i == 3:
+                token.cancel("test cancel")
+            return []
+
+        with pytest.raises(QueryCancelled, match="test cancel"):
+            list(executor._stream([lambda i=i: task(i) for i in range(10)]))
+        assert seen == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("chunk_rows", [16, 64, 256, 1 << 30],
+                             ids=["16", "64", "256", "whole"])
+    def test_reference_polls_at_every_chunk(self, catalog, chunk_rows):
+        """The reference walk polls at least once per lineorder chunk it
+        streams; a token firing at the first, a middle or the last poll
+        cancels, and the engine's next run returns the uncancelled
+        rows."""
+        sql = SSB_QUERIES["Q3.1"]  # no lineorder filter: no chunk pruned
+        counter = PollCounter()
+        engine = ReferenceEngine(catalog, chunk_rows=chunk_rows,
+                                 cancel_token=counter)
+        expected = rows_of(engine.execute(sql))
+        chunks = catalog.chunked("lineorder", chunk_rows).num_chunks
+        assert counter.polls > chunks
+        for fire_at in sorted({1, counter.polls // 2, counter.polls}):
+            engine.cancel_token = PollCounter(fire_at)
+            with pytest.raises(QueryCancelled, match="poll limit"):
+                engine.execute(sql)
+        engine.cancel_token = None
+        assert rows_of(engine.execute(sql)) == expected
+
+    @pytest.mark.parametrize("query_id", sorted(SSB_QUERIES))
+    def test_tcudb_cancels_at_every_poll(self, catalog, query_id):
+        """TCUDB polls the token before each program op: a token firing
+        at any of those polls cancels the query, and the engine answers
+        the next run with the uncancelled rows."""
+        sql = SSB_QUERIES[query_id]
+        engine = TCUDBEngine(catalog, options=TCUDBOptions(chunk_rows=512))
+        engine.cancel_token = counter = PollCounter()
+        expected = rows_of(engine.execute(sql))
+        assert counter.polls > 0
+        for fire_at in range(1, counter.polls + 1):
+            engine.cancel_token = PollCounter(fire_at)
+            with pytest.raises(QueryCancelled, match="poll limit"):
+                engine.execute(sql)
+        engine.cancel_token = None
+        assert rows_of(engine.execute(sql)) == expected
+
 
 # --------------------------------------------------------------------------- #
-# Chunk.stats thread safety
+# Thread safety of what concurrent sessions share
 # --------------------------------------------------------------------------- #
 
 
@@ -362,3 +255,42 @@ class TestChunkStatsRace:
             assert results[0].min_value == float(expected.min())
             assert results[0].max_value == float(expected.max())
             assert results[0].n_rows == expected.size
+
+
+class TestScratchRace:
+    def test_threads_sharing_a_fast_backend_keep_their_products(self):
+        """Threads accumulating same-shaped products through one fast
+        backend each reuse a scratch buffer of their own: at a 1 µs
+        switch interval, every accumulated grid is still byte-equal to
+        its own product."""
+        backend, device = FastBackend(), GPUDevice()
+        rng = np.random.default_rng(7)
+        operands = [(rng.normal(size=(48, 32)).astype(np.float32),
+                     rng.normal(size=(32, 48)).astype(np.float32))
+                    for _ in range(8)]
+        expected = [(np.zeros((48, 48)) + a @ b).tobytes()
+                    for a, b in operands]
+        wrong = []
+        barrier = threading.Barrier(len(operands))
+
+        def accumulate(slot):
+            a, b = operands[slot]
+            barrier.wait()
+            for _ in range(50):
+                acc = backend.matmul_into(np.zeros((48, 48)), device, a, b,
+                                          Precision.FP16)
+                if acc.tobytes() != expected[slot]:
+                    wrong.append(slot)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=accumulate, args=(slot,))
+                       for slot in range(len(operands))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not wrong

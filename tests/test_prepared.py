@@ -2,8 +2,7 @@
 the differential guarantee that prepared execution is row-identical to
 one-shot execution for every parameter binding.
 
-Tier-1: runs in the default suite (and in the REPRO_WORKERS=2 CI leg,
-which exercises the same paths with the morsel pool engaged).
+Tier-1: runs in the default suite.
 """
 
 import pytest

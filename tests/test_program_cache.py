@@ -2,7 +2,7 @@
 the prepared+cached vs one-shot differential over the fuzz corpus, and
 concurrent sessions sharing one cache through the QueryServer.
 
-Tier-1: runs in the default suite and in the REPRO_WORKERS=2 CI leg.
+Tier-1: runs in the default suite.
 """
 
 import threading
@@ -225,7 +225,7 @@ class TestConcurrentSessions:
     def test_sessions_share_cache_safely(self, catalog):
         """N sessions execute the same prepared statement concurrently
         through the server: all results identical, one compilation."""
-        with QueryServer(catalog, max_concurrent=4, workers=1) as server:
+        with QueryServer(catalog, max_concurrent=4) as server:
             sessions = [server.session() for _ in range(4)]
             prepared = sessions[0].prepare(
                 "select d.d_year, sum(lo.lo_revenue) "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
@@ -16,6 +17,7 @@ from repro.common.errors import (
 )
 from repro.datasets.ssb import ssb_catalog
 from repro.engine.reference import ReferenceEngine
+from repro.engine.tcudb import TCUDBOptions
 from repro.serve import QueryBudget, QueryServer, Session, TicketState
 from repro.workloads import SSB_QUERIES
 
@@ -93,8 +95,8 @@ def in_thread(call):
 
 class TestSessions:
     def test_concurrent_sessions_share_catalog(self, catalog):
-        with QueryServer(catalog, engine="tcudb", max_concurrent=2,
-                         workers=2) as server:
+        with QueryServer(catalog, engine="tcudb",
+                         max_concurrent=2) as server:
             oracle = ReferenceEngine(catalog)
             sessions = [server.session() for _ in range(3)]
             tickets = [
@@ -116,11 +118,25 @@ class TestSessions:
 
     def test_reference_engine_server(self, catalog):
         with QueryServer(catalog, engine="reference", max_concurrent=2,
-                         workers=2,
                          engine_kwargs={"chunk_rows": 512}) as server:
             session = server.session()
             result = session.execute(SSB_QUERIES["Q1.2"], timeout=60)
-            assert result.extra["workers"] == 2
+            assert result.extra["oracle"]
+            assert session._engine().chunk_rows == 512
+
+    def test_shared_options_are_not_written(self, catalog):
+        """Every session engine reads the caller's TCUDBOptions; none
+        writes to it."""
+        opts = TCUDBOptions(chunk_rows=512)
+        before = dataclasses.asdict(opts)
+        with QueryServer(catalog, engine="tcudb", max_concurrent=2,
+                         engine_kwargs={"options": opts}) as server:
+            sessions = [server.session() for _ in range(2)]
+            for session in sessions:
+                session.execute(SSB_QUERIES["Q1.1"], timeout=60)
+            assert all(session._engine().options is opts
+                       for session in sessions)
+        assert dataclasses.asdict(opts) == before
 
     def test_closed_server_rejects(self, catalog):
         server = QueryServer(catalog, engine="reference")

@@ -483,6 +483,20 @@ class TestCSV:
                            match=f"row {row}, column 'x': {cell}"):
             read_csv(path)
 
+    @pytest.mark.parametrize("text, row, cell", [
+        ("x\n9223372036854775808\n2\n", 2, "'9223372036854775808'"),
+        ("x\n18446744073709551616\n", 2, "'18446744073709551616'"),
+        ("x\n9223372036854775808\n", 2, "'9223372036854775808'"),
+        ("y,x\na,1\nb,-9223372036854775809\n", 3,
+         "'-9223372036854775809'"),
+    ])
+    def test_plain_integer_outside_int64(self, tmp_path, text, row, cell):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        with pytest.raises(StorageError,
+                           match=f"row {row}, column 'x': {cell}"):
+            read_csv(path)
+
     def test_plain_header_infers_types(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("a,b,c,d:e\n1,2.5,x,3\n")
