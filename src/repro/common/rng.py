@@ -22,22 +22,3 @@ def derive_rng(rng: np.random.Generator, stream: int) -> np.random.Generator:
     """Derive an independent child generator for substream ``stream``."""
     seed = int(rng.integers(0, 2**63 - 1)) ^ (stream * 0x9E3779B97F4A7C15)
     return np.random.default_rng(seed & (2**63 - 1))
-
-
-def zipf_codes(
-    rng: np.random.Generator, n: int, n_distinct: int, skew: float = 0.0
-) -> np.ndarray:
-    """Draw ``n`` codes in ``[0, n_distinct)`` with optional Zipf skew.
-
-    ``skew == 0`` gives a uniform distribution.  Larger values concentrate
-    mass on low codes, mimicking the skewed attribute-frequency profiles of
-    real entity-matching datasets.
-    """
-    if n_distinct <= 0:
-        raise ValueError("n_distinct must be positive")
-    if skew <= 0:
-        return rng.integers(0, n_distinct, size=n, dtype=np.int64)
-    ranks = np.arange(1, n_distinct + 1, dtype=np.float64)
-    weights = ranks**-skew
-    weights /= weights.sum()
-    return rng.choice(n_distinct, size=n, p=weights).astype(np.int64)

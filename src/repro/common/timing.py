@@ -9,7 +9,7 @@ named stage and supports the normalization used throughout Section 5
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 # Canonical stage names used across engines.  Engines may add their own,
 # but sticking to these keeps figure legends consistent with the paper.
@@ -18,9 +18,7 @@ STAGE_MEMCPY = "gpu_memcpy"
 STAGE_JOIN = "join"
 STAGE_GROUPBY = "groupby_aggregation"
 STAGE_AGGREGATION = "aggregation"
-STAGE_TCU_OP = "tcu_join_groupby_aggregation"
 STAGE_CPU = "cpu_processing"
-STAGE_SCAN = "scan"
 STAGE_OTHER = "other"
 
 
@@ -55,13 +53,6 @@ class TimingBreakdown:
         """A copy of the per-stage times, in insertion order."""
         return dict(self._stages)
 
-    def merge(self, other: "TimingBreakdown") -> "TimingBreakdown":
-        """Return a new breakdown with both operands' stages summed."""
-        merged = TimingBreakdown(self._stages)
-        for name, seconds in other._stages.items():
-            merged.add(name, seconds)
-        return merged
-
     def scaled(self, factor: float) -> "TimingBreakdown":
         """Return a new breakdown with all stages multiplied by ``factor``."""
         return TimingBreakdown(
@@ -77,11 +68,3 @@ class TimingBreakdown:
     def __repr__(self) -> str:
         parts = ", ".join(f"{n}={s:.3g}s" for n, s in self._stages.items())
         return f"TimingBreakdown({parts}, total={self.total:.3g}s)"
-
-
-def sum_breakdowns(breakdowns: Iterable[TimingBreakdown]) -> TimingBreakdown:
-    """Sum an iterable of breakdowns stage-by-stage."""
-    result = TimingBreakdown()
-    for breakdown in breakdowns:
-        result = result.merge(breakdown)
-    return result

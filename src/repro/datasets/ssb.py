@@ -174,12 +174,3 @@ def ssb_catalog(
         )
     )
     return catalog
-
-
-def ssb_data_bytes(catalog: Catalog) -> int:
-    """Total bytes across the five tables (the paper quotes 0.7-5.6 GB
-    for SF 1-8 at full scale)."""
-    return sum(
-        catalog.get(name).nbytes
-        for name in ("lineorder", "customer", "supplier", "part", "ddate")
-    )

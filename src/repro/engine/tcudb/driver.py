@@ -1,21 +1,24 @@
 """The TCUDB program driver: TCU-accelerated physical operators.
 
 Executes the plan the optimizer selected.  Numerics run through the
-simulated tensor cores (bit-accurate fp16/int8/int4 emulation) whenever
-the matrices are small enough to materialize; beyond that the driver
-switches to a semantically equivalent vectorized path — indicator-matrix
-products over exact keys — while charging identical simulated time.  The
-equivalence of the two paths is property-tested.
+active tensor backend (bit-accurate fp16/int8/int4 emulation on the
+simulator) whenever the matrices are small enough to materialize; beyond
+that the driver switches to a semantically equivalent vectorized path —
+indicator-matrix products over exact keys — while charging identical
+simulated time.  The equivalence of the two paths is property-tested.
 
-Since the TensorProgram refactor the operator-level orchestration lives
-in :mod:`repro.engine.tcudb.ops`; this module provides the shared
-device kernels those operators invoke — strategy-dispatched GEMM
-execution (``_execute_gemm``), operand construction
-(``join_operand_matrices``, ``build_coo_operands``), the one aggregate
-product over a prepared operand (``_grids_numeric``: whole, in
-key-domain column slices, or as SPARSE tiles), the semantic exact-key
-equivalents (``_join_pairs_semantic``, ``_grids_semantic``) and the
-numeric-emulation gates.
+A plan's strategy (DENSE, BLOCKED or SPARSE, Section 4.2) is its price:
+it decides the simulated seconds and the emitted CUDA source, and every
+strategy computes the same product, so the host runs one backend product
+for all three.
+
+The operator-level orchestration lives in :mod:`repro.engine.tcudb.ops`;
+this module provides what those operators invoke — operand construction
+(``join_operand_matrices``, ``build_coo_operands``), the join product
+(``_join_pairs_by_matmul``), the one aggregate product over a prepared
+operand (``_grids_numeric``: whole, or in key-domain column slices), the
+semantic exact-key equivalents (``_join_pairs_semantic``,
+``_grids_semantic``) and the numeric-emulation gates.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.engine.physical import (
     nonequi_join_count,
     nonequi_join_indices,
 )
-from repro.engine.tcudb.cost import PlanCost, Strategy
+from repro.engine.tcudb.cost import PlanCost
 from repro.engine.tcudb.transform import (
     PairIndex,
     PairRuns,
@@ -41,14 +44,12 @@ from repro.engine.tcudb.transform import (
 from repro.hardware.gpu import GPUDevice
 from repro.storage.chunk import chunk_rows_policy
 from repro.tensor.backend import get_backend
-from repro.tensor.coo import COOMatrix, dense_from_coo
+from repro.tensor.coo import dense_from_coo
 from repro.tensor.keys import (
     DIRECT_ADDRESS_SLOTS_PER_ROW,
     KEY_TABLE_MAX_SLOTS,
     unique_inverse,
 )
-from repro.tensor.matmul import msplit_gemm
-from repro.tensor.tiled import TiledMatrix, TileLayout
 
 # Largest dense matrix/grid the driver will actually materialize for
 # numeric emulation; beyond this, the semantic fast path takes over.
@@ -398,8 +399,8 @@ class TCUDriver:
 
     ``chunk_rows`` (``None``: the storage layer's chunk-size policy,
     resolved once here) drives morsel-driven numeric execution:
-    dense/blocked aggregate grids accumulate over key-domain chunks (each
-    operand slice is at most ``g x chunk_rows`` cells) and numeric join
+    aggregate grids accumulate over key-domain chunks (each operand
+    slice is at most ``g x chunk_rows`` cells) and numeric join
     products chunk the probe rows, extracting nonzero pairs per product
     slice.  Chunked accumulation is what keeps large-``k`` products on
     the bit-accurate numeric path with bounded memory; an operand no
@@ -444,39 +445,20 @@ class TCUDriver:
             and chunk * k <= NUMERIC_CELL_LIMIT
         )
 
-    def use_numeric_grid(self, g1: int, g2: int, k: int,
-                         nnz_left: int | None = None,
-                         nnz_right: int | None = None,
-                         sparse: bool = False) -> bool:
+    def use_numeric_grid(self, g1: int, g2: int, k: int) -> bool:
         """True when the aggregate grids can run bit-accurate numerics.
 
-        Dense plans materialize both operands one key-domain chunk at a
-        time: the key domain streams through the unit in ``chunk_rows``
-        column slices of the prepared operand (:class:`ColumnSlices`: a
-        view of at most 2**20 addressed cells, or O(nnz) ranked cells
-        plus one ``(g, chunk)`` slice pair) and only the ``g x chunk``
-        slices plus the output grid need fit.  Sparse plans with direct-COO operands
-        (``sparse=True`` plus known nnz) never build the dense operands —
-        what bounds them is the tiled representation: at worst one 16x16
-        tile per stored entry (or per grid slot, whichever is smaller),
-        kept under the same cell budget as the dense gate.  That keeps
-        large-but-sparse products on the bit-accurate numeric path
-        without letting a scattered operand blow up tile memory.
+        Whatever the plan's strategy, both operands materialize one
+        key-domain chunk at a time: the key domain streams through the
+        unit in ``chunk_rows`` column slices of the prepared operand
+        (:class:`ColumnSlices`: a view of at most 2**20 addressed cells,
+        or O(nnz) ranked cells plus one ``(g, chunk)`` slice pair) and
+        only the ``g x chunk`` slices plus the output grid need fit.
         """
-        if g1 * g2 > NUMERIC_CELL_LIMIT:
-            return False
-        if sparse and nnz_left is not None and nnz_right is not None:
-            from repro.tensor.tiled import TILE
-
-            k_slots = -(-k // TILE)
-            worst_tiles = (
-                min(nnz_left, -(-g1 // TILE) * k_slots)
-                + min(nnz_right, -(-g2 // TILE) * k_slots)
-            )
-            return worst_tiles * TILE * TILE <= NUMERIC_CELL_LIMIT
         k_slice = min(k, self.chunk_rows)
         return (
-            g1 * k_slice <= NUMERIC_CELL_LIMIT
+            g1 * g2 <= NUMERIC_CELL_LIMIT
+            and g1 * k_slice <= NUMERIC_CELL_LIMIT
             and g2 * k_slice <= NUMERIC_CELL_LIMIT
         )
 
@@ -514,7 +496,8 @@ class TCUDriver:
         if n > self.chunk_rows:
             return self._join_pairs_chunked(prepared, plan)
         left, right = self.join_operand_matrices(prepared, self.backend)
-        product = self._execute_gemm(left, right.T, plan)
+        product = self.backend.matmul(self.device, left, right.T,
+                                      plan.precision)
         rows, cols = self.backend.nonzero(product > 0)
         return rows, cols
 
@@ -547,7 +530,8 @@ class TCUDriver:
                 )
                 left = self.backend.dense_from_coo(side.rows, side.cols,
                                                    side.vals, (nc, k))
-            product = self._execute_gemm(left, right, plan)
+            product = self.backend.matmul(self.device, left, right,
+                                          plan.precision)
             rows, cols = self.backend.nonzero(product > 0)
             rows_parts.append(rows + start)
             cols_parts.append(cols)
@@ -592,54 +576,31 @@ class TCUDriver:
         The producing ``ValueFill`` built each side's indicator structure
         and every fill slot's per-cell sums once (slot 0 = COUNT grid,
         then one per non-COUNT aggregate); :func:`product_slots` drops
-        slot 0 when nothing reads it.  The rest are multiplied as SPARSE
-        tiles, in key-domain column slices when ``k`` outgrows
-        ``chunk_rows``, or whole — an (n_agg, g, k) stack and a single
-        stacked matmul.  Returns ``(grids, count_grid, present)``
+        slot 0 when nothing reads it.  The rest are multiplied in
+        key-domain column slices when ``k`` outgrows ``chunk_rows``, or
+        whole — an (n_agg, g, k) stack and a single stacked matmul.  The
+        plan's strategy priced the product and does not change it: only
+        its precision is read.  Returns ``(grids, count_grid, present)``
         (:func:`_grids_of`).
         """
         left_sums, right_sums, counted, proven = product_slots(
             left, right, left_sums, right_sums, aggregates)
-        k = left.k
         if not left_sums:
             stacked = []
-        elif plan.strategy == Strategy.SPARSE:
-            # Batched sparse tiles: the tile structure (block keys,
-            # uniques, within-tile offsets) is derived ONCE from the
-            # shared COO coordinates; each aggregate of the batch then
-            # materializes its tiles with a single fancy-index fill —
-            # no per-grid TiledMatrix re-derivation.
-            g1, g2 = left.g, right.g
-            layout_a = TileLayout.from_coords(left.rows, left.cols, (g1, k))
-            layout_b = TileLayout.from_coords(right.cols, right.rows,
-                                              (k, g2))
-            products = []
-            for lsums, rsums in zip(left_sums, right_sums):
-                tiled_a = layout_a.fill(left.at_cells(lsums))
-                tiled_b = layout_b.fill(right.at_cells(rsums))
-                product, _ = tiled_a.spmm(tiled_b)
-                products.append(product.to_dense()[:g1, :g2])
-            stacked = np.stack(products)
-        elif k > self.chunk_rows:
+        elif left.k > self.chunk_rows:
             stacked = np.stack(self._grids_by_slices(
                 left, right, left_sums, right_sums, plan))
         else:
-            dtype, cast = self._fill_format(plan)
+            dtype, cast = self.backend.fill_format(plan.precision)
             a_stack, a_scale = left.dense_stack(left_sums, dtype, cast)
             b_stack, b_scale = right.dense_stack(right_sums, dtype, cast)
-            if plan.strategy == Strategy.BLOCKED:
-                stacked = np.stack([
-                    self._execute_gemm(a, b.T, plan)
-                    for a, b in zip(a_stack, b_stack)
-                ])
-            else:
-                stacked = np.asarray(
-                    self.backend.matmul(
-                        self.device, a_stack, b_stack.transpose(0, 2, 1),
-                        plan.precision, scale=_times(a_scale, b_scale),
-                    ),
-                    dtype=np.float64,
-                )
+            stacked = np.asarray(
+                self.backend.matmul(
+                    self.device, a_stack, b_stack.transpose(0, 2, 1),
+                    plan.precision, scale=_times(a_scale, b_scale),
+                ),
+                dtype=np.float64,
+            )
         return _grids_of(stacked, aggregates, counted, proven)
 
     def _grids_by_slices(self, left: OperandStructure,
@@ -649,64 +610,25 @@ class TCUDriver:
         matmul identity ``A @ B.T == sum_c A[:, c] @ B[:, c].T`` over
         column slices ``c`` of the prepared operands.  A chunk either
         side leaves empty is skipped, and one slice pair is live at a
-        time, so the dense numeric path scales to any key-domain size.
+        time, so the numeric path scales to any key-domain size.  The
+        backend adds each chunk's product straight into the output grid
+        (``matmul_into``), reusing one scratch buffer across all chunks.
         """
         chunk = self.chunk_rows
-        dtype, cast = self._fill_format(plan)
+        dtype, cast = self.backend.fill_format(plan.precision)
         left_slices = ColumnSlices(left, chunk)
         right_slices = ColumnSlices(right, chunk)
         grids = [np.zeros((left.g, right.g)) for _ in left_sums]
-        # DENSE accumulation: the backend adds each chunk's product
-        # straight into the output grid (matmul_into), reusing one
-        # scratch buffer across all chunks.  BLOCKED msplit products are
-        # added into the grid in the same chunk order.
-        in_place = plan.strategy != Strategy.BLOCKED
         for c in range(-(-left.k // chunk)):
             if not (left_slices.occupied(c) and right_slices.occupied(c)):
                 continue
             for grid, (mat_a, scale_a), (mat_b, scale_b) in zip(
                     grids, left_slices.fills(c, left_sums, dtype, cast),
                     right_slices.fills(c, right_sums, dtype, cast)):
-                scale = _times(scale_a, scale_b)
-                if in_place:
-                    self.backend.matmul_into(grid, self.device, mat_a,
-                                             mat_b.T, plan.precision,
-                                             scale=scale)
-                else:
-                    grid += self._execute_gemm(mat_a, mat_b.T, plan, scale)
+                self.backend.matmul_into(grid, self.device, mat_a, mat_b.T,
+                                         plan.precision,
+                                         scale=_times(scale_a, scale_b))
         return grids
-
-    def _fill_format(self, plan: PlanCost):
-        """Dtype and cast of a dense aggregate product's operand fills:
-        the backend's format for the plan's precision, except BLOCKED,
-        whose ``msplit_gemm`` scales each whole operand itself."""
-        if plan.strategy == Strategy.BLOCKED:
-            return self.backend.fill_dtype, None
-        return self.backend.fill_format(plan.precision)
-
-    def _execute_gemm(self, a: np.ndarray, b: np.ndarray,
-                      plan: PlanCost, scale=None) -> np.ndarray:
-        """Strategy-dispatched GEMM of two dense operands (``scale``:
-        DENSE operands cast by the backend's fill format)."""
-        if plan.strategy == Strategy.SPARSE:
-            # from_dense extracts nonzeros in row-major order: unique,
-            # sorted coordinates, so from_coo's canonicalizing sort is
-            # skipped.
-            tiled_a = TiledMatrix.from_coo(COOMatrix.from_dense(a),
-                                           assume_canonical=True)
-            tiled_b = TiledMatrix.from_coo(COOMatrix.from_dense(b),
-                                           assume_canonical=True)
-            result, _ = tiled_a.spmm(tiled_b)
-            return result.to_dense()[: a.shape[0], : b.shape[1]]
-        if plan.strategy == Strategy.BLOCKED:
-            result, _ = msplit_gemm(self.device, a, b, plan.precision,
-                                    backend=self.backend)
-            return np.asarray(result, dtype=np.float64)
-        return np.asarray(
-            self.backend.matmul(self.device, a, b, plan.precision,
-                                scale=scale),
-            dtype=np.float64,
-        )
 
     @staticmethod
     def _grids_semantic(left: OperandStructure, right: OperandStructure,

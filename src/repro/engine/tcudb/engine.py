@@ -277,7 +277,12 @@ class TCUDBEngine(Engine):
                    kind: str = "pattern") -> QueryResult:
         if self.options.disable_fallback:
             raise UnsupportedQueryError(f"TCU execution rejected: {reason}")
-        result = self._fallback.execute_bound(bound)
+        # The walk polls the token per chunk, as TCUDB's operators do.
+        self._fallback.cancel_token = self.cancel_token
+        try:
+            result = self._fallback.execute_bound(bound)
+        finally:
+            self._fallback.cancel_token = None
         result.engine = self.name
         result.extra["executed_by"] = "YDB-fallback"
         result.extra["fallback_reason"] = reason

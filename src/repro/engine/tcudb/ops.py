@@ -51,7 +51,6 @@ from repro.engine.physical import (
 from repro.engine.tcudb.codegen import OpEmission
 from repro.engine.tcudb.cost import (
     OperatorGeometry,
-    Strategy,
     estimate_fold_chain,
     estimate_mask_apply,
     estimate_physical_stage,
@@ -993,7 +992,9 @@ class Gemm(TensorOp):
     and feasibility report, charges the chosen plan's transform/compute/
     result costs, and performs the product — bit-accurate TCU emulation
     when the matrices are small enough to materialize, the semantically
-    equivalent exact-key path beyond that.
+    equivalent exact-key path beyond that.  The plan's strategy (DENSE,
+    BLOCKED or SPARSE) is a price: it sets the simulated seconds and the
+    emitted kernel, and the host runs the same backend product for each.
     """
 
     input: str
@@ -1065,15 +1066,11 @@ class Gemm(TensorOp):
                      plan) -> ProductValue:
         if ctx.mode != ExecutionMode.REAL:
             return ProductValue(operands=operands, semantic=True)
-        geometry = operands.geometry
         # Either way the grids come from what ValueFill prepared.
         prepared = (operands.left_structure, operands.right_structure,
                     operands.left_sums, operands.right_sums, operands.specs)
-        if ctx.driver.use_numeric_grid(
-            operands.left.g, operands.right.g, operands.k,
-            nnz_left=geometry.nnz_left, nnz_right=geometry.nnz_right,
-            sparse=plan.strategy == Strategy.SPARSE,
-        ):
+        if ctx.driver.use_numeric_grid(operands.left.g, operands.right.g,
+                                       operands.k):
             grids, count_grid, present = ctx.driver._grids_numeric(
                 *prepared, plan)
         else:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 AGGREGATE_FUNCS = ("sum", "count", "avg", "min", "max")
-COMPARISON_OPS = ("=", "<", ">", "<=", ">=", "<>", "!=")
-ARITHMETIC_OPS = ("+", "-", "*", "/", "%")
 
 
 class Expr:

@@ -18,7 +18,7 @@ from repro.storage.statistics import (
     predicate_can_match,
 )
 from repro.storage.table import Table
-from repro.storage.types import DataType, common_numeric_type, infer_type
+from repro.storage.types import DataType, infer_type
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
@@ -31,7 +31,6 @@ __all__ = [
     "StringDictionary",
     "Table",
     "chunk_rows_policy",
-    "common_numeric_type",
     "compute_stats",
     "conjunction_can_match",
     "infer_type",

@@ -45,14 +45,3 @@ def infer_type(values) -> DataType:
     if array.dtype.kind in ("i", "u", "b"):
         return DataType.INT64
     raise SchemaError(f"cannot infer column type from dtype {array.dtype}")
-
-
-def common_numeric_type(left: DataType, right: DataType) -> DataType:
-    """Result type of an arithmetic expression over two columns."""
-    if not (left.is_numeric and right.is_numeric):
-        raise SchemaError(
-            f"arithmetic requires numeric types, got {left.value}/{right.value}"
-        )
-    if DataType.FLOAT64 in (left, right):
-        return DataType.FLOAT64
-    return DataType.INT64

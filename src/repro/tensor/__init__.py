@@ -1,21 +1,13 @@
-"""Tensor formats, precisions and matmul kernels for the simulated GPU."""
+"""Tensor formats, precisions, backends and GEMM prices for the simulated GPU."""
 
 from repro.tensor.coo import COOMatrix
 from repro.tensor.csr import CSRMatrix
 from repro.tensor.matmul import (
     BLOCKED_EFFICIENCY,
     BlockedPlan,
-    cuda_gemm,
-    dense_gemm,
     dense_gemm_seconds,
-    gemm_flops,
-    matrix_bytes,
-    msplit_gemm,
     msplit_gemm_seconds,
-    pad_to_tiles,
     plan_blocked_gemm,
-    tcu_spmm,
-    tcu_spmm_seconds,
 )
 from repro.tensor.precision import (
     FP16_EXACT_INT,
@@ -32,17 +24,13 @@ from repro.tensor.precision import (
 from repro.tensor.quantize import (
     PrecisionChoice,
     choose_precision,
-    dequantize,
     observed_range,
     quantize,
 )
 from repro.tensor.tiled import (
     TILE,
-    TiledMatrix,
-    count_nonempty_tiles,
     estimate_nonempty_tiles,
     estimate_tile_pairs,
-    tile_pair_count,
 )
 
 __all__ = [
@@ -56,30 +44,18 @@ __all__ = [
     "Precision",
     "PrecisionChoice",
     "TILE",
-    "TiledMatrix",
     "ValueRange",
     "accumulator_exact",
     "choose_precision",
-    "count_nonempty_tiles",
-    "cuda_gemm",
-    "dense_gemm",
     "dense_gemm_seconds",
-    "dequantize",
     "estimate_nonempty_tiles",
     "estimate_tile_pairs",
     "fits_exactly",
     "fits_representable",
     "fp16_scale_factor",
-    "gemm_flops",
-    "matrix_bytes",
-    "msplit_gemm",
     "msplit_gemm_seconds",
     "observed_range",
-    "pad_to_tiles",
     "plan_blocked_gemm",
     "product_magnitude_bound",
     "quantize",
-    "tcu_spmm",
-    "tcu_spmm_seconds",
-    "tile_pair_count",
 ]

@@ -138,7 +138,7 @@ class SimBackend(TensorBackend):
     callers: the aggregate product's operand fills cast each slice's
     occupied cells at fill time (:meth:`fill_format`), and the unit's
     dense ``matmul`` casts the operands it is handed whole (join
-    products, BLOCKED blocks).
+    products).  Every plan strategy multiplies through these two.
     """
 
     name = "sim"

@@ -100,11 +100,6 @@ def quantize(values: np.ndarray, precision: Precision) -> np.ndarray:
     return values
 
 
-def dequantize(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Back to float64 logical values (undoing any pre-scale)."""
-    return np.asarray(values, dtype=np.float64) * scale
-
-
 def observed_range(values: np.ndarray) -> ValueRange:
     """ValueRange of an array (0-width range for empty input)."""
     values = np.asarray(values, dtype=np.float64)

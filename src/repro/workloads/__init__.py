@@ -6,7 +6,6 @@ from repro.workloads.em_blocking import (
     beer_blocking_query,
     blocking_query,
     itunes_blocking_query,
-    run_blocking,
 )
 from repro.workloads.matmul_query import (
     mape,
@@ -21,16 +20,9 @@ from repro.workloads.pagerank import (
     PR_Q3,
     PR_Q3_PER_NODE,
     reference_pagerank,
-    run_pr_q1,
-    run_pr_q2,
-    run_pr_q3,
     sql_pagerank,
 )
-from repro.workloads.ssb_queries import (
-    FLIGHT_REPRESENTATIVES,
-    SSB_QUERIES,
-    run_ssb_query,
-)
+from repro.workloads.ssb_queries import FLIGHT_REPRESENTATIVES, SSB_QUERIES
 
 __all__ = [
     "BEER_ATTRIBUTES",
@@ -49,11 +41,6 @@ __all__ = [
     "reference_matrix_product",
     "reference_pagerank",
     "result_as_matrix",
-    "run_blocking",
     "run_matmul_query",
-    "run_pr_q1",
-    "run_pr_q2",
-    "run_pr_q3",
-    "run_ssb_query",
     "sql_pagerank",
 ]

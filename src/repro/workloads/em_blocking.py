@@ -7,8 +7,6 @@ matching the paper's EM-blocking queries.
 
 from __future__ import annotations
 
-from repro.engine.base import QueryResult
-
 BEER_ATTRIBUTES = ("abv", "style", "factory", "beer_name")
 ITUNES_ATTRIBUTES = ("price", "genre", "time", "artist", "copyright", "album")
 
@@ -37,12 +35,3 @@ def itunes_blocking_query(attribute: str) -> str:
     if attribute not in ITUNES_ATTRIBUTES:
         raise KeyError(f"unknown iTunes attribute {attribute!r}")
     return blocking_query(attribute, "song")
-
-
-def run_blocking(engine, attribute: str, dataset: str) -> QueryResult:
-    """Run one blocking query (``dataset`` is 'beer' or 'itunes')."""
-    if dataset == "beer":
-        return engine.execute(beer_blocking_query(attribute))
-    if dataset == "itunes":
-        return engine.execute(itunes_blocking_query(attribute))
-    raise KeyError(f"unknown dataset {dataset!r}")

@@ -13,7 +13,6 @@ import numpy as np
 from repro.common.errors import ExecutionError
 from repro.common.timing import TimingBreakdown
 from repro.datasets.graphs import Graph, graph_catalog
-from repro.engine.base import QueryResult
 from repro.storage.table import Table
 
 PR_Q1 = """
@@ -47,20 +46,6 @@ PR_Q3_PER_NODE = """
 """
 
 DEFAULT_ALPHA = 0.85
-
-
-def run_pr_q1(engine, alpha: float = DEFAULT_ALPHA) -> QueryResult:
-    return engine.execute(PR_Q1)
-
-
-def run_pr_q2(engine, n_nodes: int, alpha: float = DEFAULT_ALPHA) -> QueryResult:
-    return engine.execute(PR_Q2, params={"alpha": alpha,
-                                         "num_node": n_nodes})
-
-
-def run_pr_q3(engine, n_nodes: int, alpha: float = DEFAULT_ALPHA) -> QueryResult:
-    return engine.execute(PR_Q3, params={"alpha": alpha,
-                                         "num_node": n_nodes})
 
 
 def sql_pagerank(

@@ -165,10 +165,3 @@ SSB_QUERIES: dict[str, str] = {
 }
 
 FLIGHT_REPRESENTATIVES = ("Q1.1", "Q2.1", "Q3.1", "Q4.1")
-
-
-def run_ssb_query(engine, query_id: str):
-    """Run one SSB query by id on any engine."""
-    if query_id not in SSB_QUERIES:
-        raise KeyError(f"unknown SSB query {query_id!r}")
-    return engine.execute(SSB_QUERIES[query_id])

@@ -7,9 +7,10 @@ skips it when operand occupancy already proves every cell does
 every row of the other holds a tuple.  A one-column group codes only
 values that occur; a two-column composite is a cross product, so its
 rows are counted.  Every case runs on both backends, DENSE / BLOCKED /
-SPARSE plans and the exact-key path, at two chunk sizes, and must equal
-the Reference oracle; the fills of ``_build_agg_side`` equal the
-ones-array formula they replaced, byte for byte.
+SPARSE plans (priced apart, multiplied by the one backend product) and
+the exact-key path, at two chunk sizes, and must equal the Reference
+oracle; the fills of ``_build_agg_side`` equal the ones-array formula
+they replaced, byte for byte.
 
 The tuple count per slot (``OperandStructure.occupancy``) is the COUNT
 operand only.  ``ValueFill`` counts it when an aggregate reads slot 0,

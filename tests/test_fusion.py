@@ -207,7 +207,8 @@ class TestFusedExecution:
         assert_results_match(got, expected, rel=TCU_REL, context="dense")
 
     def test_fused_matches_oracle_forced_sparse(self, catalog):
-        # Exercises the direct-COO operand builder end to end.
+        # The SPARSE price over the direct-COO operands, multiplied by
+        # the same backend product as DENSE.
         got = TCUDBEngine(catalog, options=TCUDBOptions(
             force_strategy=Strategy.SPARSE)).execute(self.MULTI_AGG)
         expected = create_engine("reference", catalog).execute(self.MULTI_AGG)

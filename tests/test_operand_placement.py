@@ -4,8 +4,8 @@
 address (``row * k + col``, when the ``g * k`` table fits the
 ``tensor/keys.py`` budget) or by rank among the distinct cells (one
 ``unique_inverse``, the only placement before).  Whichever runs, the
-operand matrices, their key-domain column slices, ``nnz`` and the tile
-coordinates — and therefore plans, simulated seconds and rows — are the
+operand matrices, their key-domain column slices and ``nnz`` — and
+therefore plans, simulated seconds and rows — are the
 same; a side whose COUNT weights are all one reads its COUNT operand off
 the occupancy histogram.
 """
@@ -272,9 +272,10 @@ def test_placement_never_moves_plan_ledger_or_rows(
 @pytest.mark.parametrize("name", ["figure-5 half-empty", "ssb nation x year"])
 def test_sparse_and_chunked_plans_through_addressed_structures(
         name, options, backend, placements, monkeypatch):
-    """The SPARSE tile layout reads an addressed structure's occupied
-    cells (some cells hold nothing, one side's COUNT weights are not
-    unit), and a ``chunk_rows`` below ``k`` streams unit COUNT fills."""
+    """A SPARSE plan multiplies an addressed structure whose cells are
+    not all occupied (some cells hold nothing, one side's COUNT weights
+    are not unit), and a ``chunk_rows`` below ``k`` streams unit COUNT
+    fills."""
     if name == "figure-5 half-empty":
         sql = MATMUL_QUERY
         catalog = matmul_catalog(48, seed=4, value_high=4.0, density=0.5)

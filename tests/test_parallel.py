@@ -222,6 +222,40 @@ class TestCancellation:
         engine.cancel_token = None
         assert rows_of(engine.execute(sql)) == expected
 
+    def test_fallback_polls_the_token(self, small_catalog, monkeypatch):
+        """A query the matcher rejects runs on the YDB fallback, whose
+        walk polls TCUDB's token once per chunk: a token firing at any of
+        those polls cancels, and the fallback engine is left unarmed."""
+        monkeypatch.setenv("REPRO_CHUNK_ROWS", "2")  # a: 3 chunks, b: 2
+        sql = "SELECT MIN(a.val) AS m FROM a, b WHERE a.id = b.id"
+        engine = TCUDBEngine(small_catalog)
+        fallback = engine._fallback
+        inner = fallback.execute_bound
+        window = []
+
+        def bracketed(bound):
+            token = engine.cancel_token
+            window.append(token.polls)
+            try:
+                return inner(bound)
+            finally:
+                window.append(token.polls)
+
+        monkeypatch.setattr(fallback, "execute_bound", bracketed)
+        engine.cancel_token = PollCounter()
+        expected = engine.execute(sql)
+        assert expected.extra["executed_by"] == "YDB-fallback"
+        start, end = window[:2]
+        assert end - start >= small_catalog.chunked("a", 2).num_chunks
+        assert fallback.cancel_token is None
+        for fire_at in range(start + 1, end + 1):
+            engine.cancel_token = PollCounter(fire_at)
+            with pytest.raises(QueryCancelled, match="poll limit"):
+                engine.execute(sql)
+            assert fallback.cancel_token is None
+        engine.cancel_token = PollCounter()
+        assert rows_of(engine.execute(sql)) == rows_of(expected)
+
 
 # --------------------------------------------------------------------------- #
 # Thread safety of what concurrent sessions share

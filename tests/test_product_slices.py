@@ -5,10 +5,12 @@ operand ``ValueFill`` already built (``ColumnSlices``) instead of
 re-selecting each chunk's tuples.  The slices hold the same numbers —
 ``bincount`` summed every cell in tuple order either way — so the grids
 are bit-identical to the re-selecting loop (kept here as the oracle),
-on both backends, on a fresh driver or a reused one, DENSE or BLOCKED,
-whichever placement built the structure; rows, simulated seconds, strategy and
-precision never see the chunk size; the exact-key path past the cell
-limit reads the same structures; and the loop holds one slice pair.
+on both backends, on a fresh driver or a reused one, whichever placement
+built the structure; a plan's strategy prices the product and never
+changes it, so DENSE, BLOCKED and SPARSE plans return the same bytes;
+rows, simulated seconds, strategy and precision never see the chunk
+size; the exact-key path past the cell limit reads the same structures;
+and the loop holds one slice pair.
 """
 
 from __future__ import annotations
@@ -105,21 +107,26 @@ CASES = _cases()
 
 
 def reselecting_oracle(driver, left, right, k, plan):
-    """The chunk loop this PR retired: per key-domain chunk, re-select
-    each side's tuples, place them with ``dense_from_coo`` and add the
-    products in chunk order.  Returns one grid per slot and how many
-    chunks were multiplied."""
+    """The retired re-selecting chunk loop: per key-domain chunk,
+    re-select each side's tuples, place them with ``dense_from_coo``,
+    apply the backend's fill format and add the backend's products in
+    chunk order.  Returns one grid per slot and how many chunks were
+    multiplied."""
     chunk = driver.chunk_rows
+    dtype, cast = driver.backend.fill_format(plan.precision)
     (left, left_fills), (right, right_fills) = left, right
     grids = [np.zeros((left.g, right.g)) for _ in left_fills]
 
     def placed(agg_side, values, selected, k0, width):
         weights = (np.ones(int(selected.sum())) if values is None
                    else values[selected])
-        return driver.backend.dense_from_coo(
+        matrix = driver.backend.dense_from_coo(
             agg_side.row_codes()[selected],
             agg_side.keys_mapped[selected] - k0, weights,
             (agg_side.g, width))
+        if cast is None:
+            return matrix.astype(dtype, copy=False), None
+        return cast(matrix)
 
     multiplied = 0
     for k0 in range(0, k, chunk):
@@ -130,9 +137,11 @@ def reselecting_oracle(driver, left, right, k, plan):
             continue
         multiplied += 1
         for grid, lvalues, rvalues in zip(grids, left_fills, right_fills):
-            mat_a = placed(left, lvalues, lsel, k0, k1 - k0)
-            mat_b = placed(right, rvalues, rsel, k0, k1 - k0)
-            grid += driver._execute_gemm(mat_a, mat_b.T, plan)
+            mat_a, scale_a = placed(left, lvalues, lsel, k0, k1 - k0)
+            mat_b, scale_b = placed(right, rvalues, rsel, k0, k1 - k0)
+            scale = None if cast is None else scale_a * scale_b
+            grid += driver.backend.matmul(driver.device, mat_a, mat_b.T,
+                                          plan.precision, scale=scale)
     return grids, multiplied
 
 
@@ -242,6 +251,29 @@ def test_sliced_grids_equal_the_reselecting_loop(
         else:
             assert np.allclose(got, product, rtol=TCU_REL,
                                atol=TCU_REL * np.abs(product).max())
+
+
+@pytest.mark.parametrize("layout", ["whole", "sliced"])
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+@pytest.mark.parametrize("strategy", [Strategy.BLOCKED, Strategy.SPARSE],
+                         ids=lambda s: s.value)
+@pytest.mark.parametrize("case", CASES)
+def test_every_strategy_multiplies_the_dense_product(
+        case, strategy, backend, layout, device):
+    """A plan's strategy is its price: BLOCKED and SPARSE plans return
+    the DENSE plan's grids byte for byte, whole (``k <= chunk_rows``) or
+    in key-domain slices, fp16 fills included."""
+    left, right, k, chunk, specs, precision = CASES[case].values()
+    driver = TCUDriver(device, backend=backend,
+                       chunk_rows=chunk if layout == "sliced" else k)
+    structures, sums = prepared_operands(left, right, k)
+    dense = driver._grids_numeric(
+        *structures, *sums, specs,
+        product_plan(device, left, right, k, precision, Strategy.DENSE))
+    got = driver._grids_numeric(
+        *structures, *sums, specs,
+        product_plan(device, left, right, k, precision, strategy))
+    assert grid_bytes(got) == grid_bytes(dense)
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)

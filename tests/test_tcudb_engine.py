@@ -161,6 +161,8 @@ class TestPlanSelection:
         assert run.extra["precision"] == "int4"
 
     def test_forced_sparse_executes_correctly(self):
+        """A forced SPARSE plan is priced as TCU-SpMM and multiplied by
+        the backend's one product."""
         catalog = microbench_catalog(500, 12, seed=2)
         options = TCUDBOptions(force_strategy=Strategy.SPARSE)
         tcu = TCUDBEngine(catalog, options=options).execute(QUERY_Q1)
@@ -169,11 +171,28 @@ class TestPlanSelection:
         assert tcu.extra["strategy"] == "sparse"
 
     def test_forced_blocked_executes_correctly(self):
+        """A forced BLOCKED plan is priced as MSplitGEMM and multiplied
+        by the backend's one product."""
         catalog = microbench_catalog(500, 12, seed=2)
         options = TCUDBOptions(force_strategy=Strategy.BLOCKED)
         tcu = TCUDBEngine(catalog, options=options).execute(QUERY_Q3)
         ydb = YDBEngine(catalog).execute(QUERY_Q3)
         assert_results_match(tcu, ydb)
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("sql", [
+        "SELECT a.val AS v FROM a, b WHERE a.id <= b.id AND b.val = 'q'",
+        "SELECT a.val AS v FROM a, b WHERE a.id = b.id AND a.val > 100",
+    ], ids=["non-equi", "equi"])
+    def test_forced_plan_over_an_empty_side(self, small_catalog, sql,
+                                            strategy):
+        """A filter that leaves one join side empty makes a 0-row
+        operand; every forced plan multiplies it and returns no rows."""
+        options = TCUDBOptions(force_strategy=strategy)
+        tcu = TCUDBEngine(small_catalog, options=options).execute(sql)
+        assert tcu.extra["executed_by"] == "TCU"
+        assert tcu.extra["strategy"] == strategy.value
+        assert tcu.require_table().num_rows == 0
 
     def test_require_exact_rejects_wide_values(self, rng):
         catalog = Catalog()

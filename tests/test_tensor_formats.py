@@ -1,4 +1,5 @@
-"""Unit + property tests for COO/CSR/tiled sparse formats."""
+"""Unit + property tests for the COO/CSR sparse formats and the tile-count
+estimate TCU-SpMM is priced with."""
 
 import numpy as np
 import pytest
@@ -9,13 +10,7 @@ from hypothesis import strategies as st
 from repro.common.errors import ReproError
 from repro.tensor.coo import COOMatrix
 from repro.tensor.csr import CSRMatrix
-from repro.tensor.tiled import (
-    TILE,
-    TiledMatrix,
-    count_nonempty_tiles,
-    estimate_nonempty_tiles,
-    tile_pair_count,
-)
+from repro.tensor.tiled import estimate_nonempty_tiles
 
 
 def random_coo(rng, shape, nnz):
@@ -114,64 +109,10 @@ class TestCSR:
 
 
 class TestTiled:
-    def test_roundtrip(self, rng):
-        dense = np.zeros((40, 50))
-        dense[3, 7] = 1.5
-        dense[33, 49] = -2.0
-        tiled = TiledMatrix.from_dense(dense)
-        assert np.allclose(tiled.to_dense(), dense)
-        assert tiled.n_tiles == 2
-
-    def test_skips_zero_tiles(self, rng):
-        dense = np.zeros((64, 64))
-        dense[0, 0] = 1  # only one 16x16 tile non-empty
-        tiled = TiledMatrix.from_dense(dense)
-        assert tiled.n_tiles == 1
-        assert tiled.tile_density == 1 / 16
-
-    def test_spmm_matches_dense(self, rng):
-        a_dense = np.zeros((48, 32))
-        b_dense = np.zeros((32, 64))
-        a_dense[rng.integers(0, 48, 30), rng.integers(0, 32, 30)] = (
-            rng.normal(size=30)
-        )
-        b_dense[rng.integers(0, 32, 30), rng.integers(0, 64, 30)] = (
-            rng.normal(size=30)
-        )
-        a = TiledMatrix.from_dense(a_dense)
-        b = TiledMatrix.from_dense(b_dense)
-        result, pairs = a.spmm(b)
-        assert np.allclose(result.to_dense(), a_dense @ b_dense)
-        assert pairs == tile_pair_count(a, b)
-
-    def test_tile_pair_count_zero_when_disjoint(self):
-        a_dense = np.zeros((32, 32))
-        a_dense[0, 0] = 1  # inner block 0
-        b_dense = np.zeros((32, 32))
-        b_dense[16, 0] = 1  # inner block 1
-        a = TiledMatrix.from_dense(a_dense)
-        b = TiledMatrix.from_dense(b_dense)
-        assert tile_pair_count(a, b) == 0
-        result, pairs = a.spmm(b)
-        assert pairs == 0
-        assert result.n_tiles == 0
-
-    def test_count_nonempty_tiles_exact(self, rng):
-        rows = rng.integers(0, 100, 500)
-        cols = rng.integers(0, 100, 500)
-        expected = len({(r // TILE, c // TILE) for r, c in zip(rows, cols)})
-        assert count_nonempty_tiles(rows, cols) == expected
-
     def test_estimate_nonempty_tiles_bounds(self):
         estimate = estimate_nonempty_tiles((160, 160), 50)
         assert 0 < estimate <= 100  # grid is 10x10 tiles
         assert estimate <= 50  # can't exceed nnz
-
-    def test_incompatible_shapes(self, rng):
-        a = TiledMatrix.from_dense(np.ones((16, 16)))
-        b = TiledMatrix.from_dense(np.ones((32, 16)))
-        with pytest.raises(ReproError):
-            a.spmm(b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,23 +130,3 @@ def test_property_csr_roundtrip(n_rows, n_cols, seed):
     csr = CSRMatrix.from_coo(coo)
     assert np.allclose(csr.to_dense(), dense)
     assert np.allclose(csr.to_coo().to_dense(), dense)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    inner=st.integers(1, 50),
-    seed=st.integers(0, 10_000),
-)
-def test_property_tiled_spmm_equals_dense(inner, seed):
-    """Tile-level SpMM equals the dense product for arbitrary sparsity."""
-    rng = np.random.default_rng(seed)
-    m, n = int(rng.integers(1, 50)), int(rng.integers(1, 50))
-    a_dense = np.where(rng.random((m, inner)) < 0.1,
-                       rng.integers(-5, 6, (m, inner)).astype(float), 0.0)
-    b_dense = np.where(rng.random((inner, n)) < 0.1,
-                       rng.integers(-5, 6, (inner, n)).astype(float), 0.0)
-    a = TiledMatrix.from_dense(a_dense)
-    b = TiledMatrix.from_dense(b_dense)
-    result, _ = a.spmm(b)
-    padded = result.to_dense()
-    assert np.allclose(padded[:m, :n], a_dense @ b_dense)

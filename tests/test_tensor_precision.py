@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.common.errors import PrecisionError
 from repro.hardware.gpu import GPUDevice
-from repro.tensor.matmul import dense_gemm, msplit_gemm
 from repro.tensor.precision import (
     FP16_EXACT_INT,
     FP32_EXACT_INT,
@@ -151,19 +150,19 @@ class TestTable1Structure:
     def test_zero_one_always_exact(self, device, rng):
         a = rng.integers(0, 2, (64, 2048)).astype(float)
         b = rng.integers(0, 2, (2048, 64)).astype(float)
-        result, _ = dense_gemm(device, a, b)
+        result = device.tcu.matmul(a, b)
         assert np.array_equal(result, a @ b)
 
     def test_pm127_exact_at_small_k(self, device, rng):
         a = rng.integers(-128, 128, (32, 512)).astype(float)
         b = rng.integers(-128, 128, (512, 32)).astype(float)
-        result, _ = dense_gemm(device, a, b)
+        result = device.tcu.matmul(a, b)
         assert np.array_equal(result, a @ b)
 
     def test_pm2pow15_small_nonzero_error(self, device, rng):
         a = rng.integers(-(2**15), 2**15, (32, 2048)).astype(float)
         b = rng.integers(-(2**15), 2**15, (2048, 32)).astype(float)
-        result, _ = dense_gemm(device, a, b)
+        result = device.tcu.matmul(a, b)
         reference = a @ b
         wmape = np.abs(result - reference).sum() / np.abs(reference).sum()
         assert 0 < wmape < 1e-3  # paper: ~0.001-0.01%
@@ -172,7 +171,7 @@ class TestTable1Structure:
         def wmape_for(limit):
             a = rng.integers(-limit, limit, (32, 1024)).astype(float)
             b = rng.integers(-limit, limit, (1024, 32)).astype(float)
-            result, _ = dense_gemm(device, a, b)
+            result = device.tcu.matmul(a, b)
             reference = a @ b
             return np.abs(result - reference).sum() / np.abs(reference).sum()
 
@@ -180,21 +179,6 @@ class TestTable1Structure:
 
 
 class TestBlockedGemm:
-    def test_matches_unblocked_for_integers(self, device, rng):
-        a = rng.integers(-8, 8, (70, 90)).astype(float)
-        b = rng.integers(-8, 8, (90, 50)).astype(float)
-        blocked, _ = msplit_gemm(device, a, b, Precision.INT4,
-                                 memory_budget=20_000)
-        assert np.array_equal(blocked, (a @ b).astype(np.int64))
-
-    def test_fp16_blocked_within_error_bound(self, device, rng):
-        a = rng.integers(-(2**15), 2**15, (64, 128)).astype(float)
-        b = rng.integers(-(2**15), 2**15, (128, 48)).astype(float)
-        blocked, _ = msplit_gemm(device, a, b, memory_budget=50_000)
-        reference = a @ b
-        wmape = np.abs(blocked - reference).sum() / np.abs(reference).sum()
-        assert wmape < 1e-3
-
     def test_blocking_plan_respects_budget(self, device):
         from repro.tensor.matmul import plan_blocked_gemm
 
