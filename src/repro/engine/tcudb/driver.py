@@ -129,7 +129,7 @@ class PreparedAggSide:
         return self.group.codes
 
 
-@dataclass(frozen=True)
+@dataclass
 class OperandStructure:
     """Shared indicator structure of one operand matrix, built once.
 
@@ -137,10 +137,11 @@ class OperandStructure:
     the same for every aggregate of a product — only the fill values
     differ.  This structure gives every input tuple the *slot* of its
     cell a single time, so per-aggregate operand builds and exact
-    cell-range feasibility reduce to one ``np.bincount`` over the shared
+    cell-range feasibility reduce to one scatter-add over the shared
     ``slots`` array, and nnz to a one-byte presence table (the tuple
-    count per slot is counted only when a COUNT operand reads it).
-    :func:`build_coo_operands` picks one of two placements:
+    count per slot is counted only when a COUNT operand or a cell
+    holding two tuples needs it).  :func:`build_coo_operands` picks one
+    of two placements:
 
     * **addressed** — the slot is the cell's address ``row * k + col``
       and there are ``g * k`` slots: per-slot sums already are the flat
@@ -149,13 +150,15 @@ class OperandStructure:
       occupied ``cells`` (one ``unique_inverse``), for operands too
       large or too thinly occupied to address.
 
-    ``bincount`` accumulates in tuple order in both, so every operand
-    cell is bit-identical whichever ran.
+    Sums accumulate in tuple order in both, so every operand cell is
+    bit-identical whichever ran.  Once every fill slot is summed,
+    :meth:`release_slots` lets the per-tuple ``slots`` go.
     """
 
     g: int
     k: int
-    slots: np.ndarray  # input tuple -> slot of its cell
+    # Input tuple -> slot of its cell; None once released.
+    slots: np.ndarray | None
     # Ranked placement: slot -> linearized cell (row * k + col), sorted.
     # None: addressed, a slot is its cell.
     cells: np.ndarray | None
@@ -163,6 +166,10 @@ class OperandStructure:
     # may leave a row without tuples.  One group column (or none) codes
     # only values that occur, so each of its rows holds a tuple.
     cross_rows: bool = False
+    n_tuples: int = field(init=False)
+
+    def __post_init__(self):
+        self.n_tuples = int(self.slots.size)
 
     @property
     def n_slots(self) -> int:
@@ -171,8 +178,13 @@ class OperandStructure:
     @cached_property
     def occupancy(self) -> np.ndarray:
         """Tuples per slot, counted on first read and kept: the COUNT
-        operand of a unit side.  Presence and the multiplicity bound
-        never need it."""
+        operand of a unit side.  Where no cell holds two tuples it is
+        the presence table, read as counts; presence and the
+        multiplicity bound never need it."""
+        if self.unique:
+            if self.cells is not None:
+                return np.ones(self.n_slots, dtype=np.intp)
+            return self.presence.astype(np.intp)
         return np.bincount(self.slots, minlength=self.n_slots)
 
     @cached_property
@@ -189,6 +201,11 @@ class OperandStructure:
         return int(np.count_nonzero(self.presence))
 
     @property
+    def unique(self) -> bool:
+        """No two tuples share a cell."""
+        return self.nnz == self.n_tuples
+
+    @property
     def full(self) -> bool:
         """Every (row, key) cell holds a tuple."""
         return self.nnz == self.g * self.k
@@ -197,7 +214,7 @@ class OperandStructure:
     def max_multiplicity(self) -> int:
         """Most tuples in one cell — the largest COUNT operand entry: 1
         exactly when no two tuples share a cell."""
-        if self.nnz == self.slots.size:
+        if self.unique:
             return 1
         return int(self.occupancy.max())
 
@@ -223,16 +240,41 @@ class OperandStructure:
     def cols(self) -> np.ndarray:
         return self.occupied_cells % self.k
 
+    def column_counts(self) -> np.ndarray:
+        """Tuples per key (operand column), read from the operand: the
+        presence summed per key when no cell holds two tuples, the
+        occupancy otherwise; ranked cells add up by ``cells % k``."""
+        if self.cells is not None:
+            counts = np.bincount(
+                self.cells % self.k,
+                weights=None if self.unique else self.occupancy,
+                minlength=self.k)
+            return counts.astype(np.int64, copy=False)
+        per_slot = self.presence if self.unique else self.occupancy
+        return per_slot.reshape(self.g, self.k).sum(axis=0, dtype=np.int64)
+
+    def release_slots(self) -> None:
+        """Drop the per-tuple ``slots`` once every fill slot is summed.
+        What the product still reads survives them: the presence table,
+        and the occupancy when a cell holds two tuples (counted now if
+        nothing has yet); :meth:`cell_sums` of values needs the slots."""
+        # ``unique`` reads (and caches) the presence table first.
+        if not self.unique:
+            self.occupancy
+        self.slots = None
+
     def cell_sums(self, values: np.ndarray | None) -> np.ndarray:
         """Per-slot sums of one fill-value array (duplicates summed).
         ``None`` fills every tuple with one: an integer count equals the
         sum of that many 1.0s exactly, so the sums are the occupancy."""
         if values is None:
             return self.occupancy
-        return np.bincount(
-            self.slots, weights=np.asarray(values, dtype=np.float64),
-            minlength=self.n_slots,
-        )
+        # ``add.at`` adds in tuple order from 0.0, as ``bincount`` does,
+        # and reads a read-only table column in place, which ``bincount``
+        # copies into writable memory first.
+        sums = np.zeros(self.n_slots)
+        np.add.at(sums, self.slots, np.asarray(values, dtype=np.float64))
+        return sums
 
     def at_cells(self, sums: np.ndarray) -> np.ndarray:
         """Per-slot sums as one value per occupied cell, in the order of
@@ -373,25 +415,31 @@ def reads_count(aggregates) -> bool:
 
 def product_slots(left: OperandStructure, right: OperandStructure,
                   left_sums, right_sums, aggregates):
-    """The fill slots one product multiplies, decided once for every
-    consumer.  Slot 0, the COUNT grid, runs only when something reads it:
-    an aggregate (:func:`reads_count`), or cell presence that
-    :func:`all_present` does not prove.  A unit slot 0 that ValueFill
-    left uncounted (None) is counted here, only then.  Returns both
-    sides' slot sums, whether slot 0 is among them, and whether presence
-    is proven — what :func:`_grids_of` reads the grids back with."""
-    proven = all_present(left, right)
-    counted = not proven or reads_count(aggregates)
-    if not counted:
-        return left_sums[1:], right_sums[1:], counted, proven
-    return (_counted(left, left_sums), _counted(right, right_sums),
-            counted, proven)
+    """The fill slots one product multiplies, decided once, by the
+    producing ``ValueFill``.  Slot 0, the COUNT grid, runs only when
+    something reads it: an aggregate (:func:`reads_count`), or cell
+    presence that :func:`all_present` does not prove.  A unit slot 0
+    arrives uncounted (None) and is counted here, only then.  Returns
+    both sides' slot sums, slot 0 None where it does not run — what
+    :meth:`TCUDriver._grids_numeric` multiplies."""
+    if all_present(left, right) and not reads_count(aggregates):
+        return [None, *left_sums[1:]], [None, *right_sums[1:]]
+    return _counted(left, left_sums), _counted(right, right_sums)
 
 
 def _counted(structure: OperandStructure, sums):
     if sums[0] is not None:
         return sums
     return [structure.cell_sums(None), *sums[1:]]
+
+
+def _run_slots(left_sums, right_sums):
+    """The slot sums a product multiplies, and whether slot 0 (the
+    COUNT grid) is among them: it is unless :func:`product_slots` left
+    it None."""
+    if left_sums[0] is None:
+        return left_sums[1:], right_sums[1:], False
+    return left_sums, right_sums, True
 
 
 class TCUDriver:
@@ -575,16 +623,16 @@ class TCUDriver:
 
         The producing ``ValueFill`` built each side's indicator structure
         and every fill slot's per-cell sums once (slot 0 = COUNT grid,
-        then one per non-COUNT aggregate); :func:`product_slots` drops
-        slot 0 when nothing reads it.  The rest are multiplied in
-        key-domain column slices when ``k`` outgrows ``chunk_rows``, or
-        whole — an (n_agg, g, k) stack and a single stacked matmul.  The
-        plan's strategy priced the product and does not change it: only
-        its precision is read.  Returns ``(grids, count_grid, present)``
-        (:func:`_grids_of`).
+        then one per non-COUNT aggregate), slot 0 None when
+        :func:`product_slots` decided it does not run.  The slots handed
+        are multiplied in key-domain column slices when ``k`` outgrows
+        ``chunk_rows``, or whole — an (n_agg, g, k) stack and a single
+        stacked matmul, whose product keeps the backend's dtype (int64
+        at the integer precisions).  The plan's strategy priced the
+        product and does not change it: only its precision is read.
+        Returns ``(grids, count_grid, present)`` (:func:`_grids_of`).
         """
-        left_sums, right_sums, counted, proven = product_slots(
-            left, right, left_sums, right_sums, aggregates)
+        left_sums, right_sums, counted = _run_slots(left_sums, right_sums)
         if not left_sums:
             stacked = []
         elif left.k > self.chunk_rows:
@@ -594,14 +642,11 @@ class TCUDriver:
             dtype, cast = self.backend.fill_format(plan.precision)
             a_stack, a_scale = left.dense_stack(left_sums, dtype, cast)
             b_stack, b_scale = right.dense_stack(right_sums, dtype, cast)
-            stacked = np.asarray(
-                self.backend.matmul(
-                    self.device, a_stack, b_stack.transpose(0, 2, 1),
-                    plan.precision, scale=_times(a_scale, b_scale),
-                ),
-                dtype=np.float64,
-            )
-        return _grids_of(stacked, aggregates, counted, proven)
+            stacked = self.backend.matmul(
+                self.device, a_stack, b_stack.transpose(0, 2, 1),
+                plan.precision, scale=_times(a_scale, b_scale))
+        return _grids_of(stacked, aggregates, counted,
+                         all_present(left, right))
 
     def _grids_by_slices(self, left: OperandStructure,
                          right: OperandStructure, left_sums, right_sums,
@@ -636,8 +681,7 @@ class TCUDriver:
         """The exact-key equivalent of :meth:`_grids_numeric`, for
         products too large to emulate: the occupied cells of the two
         operands join on their column, in float64."""
-        left_sums, right_sums, counted, proven = product_slots(
-            left, right, left_sums, right_sums, aggregates)
+        left_sums, right_sums, counted = _run_slots(left_sums, right_sums)
         left_idx, right_idx = equi_join_indices(left.cols, right.cols)
         cell = left.rows[left_idx] * right.g + right.rows[right_idx]
         return _grids_of([
@@ -648,7 +692,7 @@ class TCUDriver:
                 minlength=left.g * right.g,
             ).reshape(left.g, right.g)
             for lsums, rsums in zip(left_sums, right_sums)
-        ], aggregates, counted, proven)
+        ], aggregates, counted, all_present(left, right))
 
 
 def _times(scale_a, scale_b):

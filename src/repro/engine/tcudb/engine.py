@@ -115,6 +115,8 @@ class TCUDBEngine(Engine):
                                 chunk_rows=self.options.chunk_rows,
                                 backend=self.options.backend)
         self._fallback = YDBEngine(catalog, self.device, mode=mode)
+        # The fallback walks at the engine's chunk size, as its operators do.
+        self._fallback.chunk_rows = self.driver.chunk_rows
         # Per-query cooperative cancellation: the serving front-end sets
         # this before execute_bound and clears it after; operators poll
         # it at chunk/op boundaries.
@@ -322,7 +324,7 @@ class TCUDBEngine(Engine):
             # The report strings render on first read, from what is
             # small — never from ctx: a held result must not keep a
             # run's operand and relation arrays alive.
-            facts = program.code_facts(ctx)
+            facts = ctx.decisions, ctx.emissions
             extra["generated_code"] = Deferred(
                 lambda: program.generated_code(*facts))
             plan_description = Deferred(lambda: "\n---\n".join(

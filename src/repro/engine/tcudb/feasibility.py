@@ -1,7 +1,7 @@
 """The data-range feasibility test (Section 4.2.1).
 
 Given the value ranges of both operand matrices (computed exactly from
-the prepared sides by ``ops._exact_cell_range``), the test
+the prepared sides by ``ops._summed_operand``), the test
 bounds the largest possible result as m1 * m2 * k and picks the most
 compact TCU-compatible precision (int4 -> int8 -> fp16) — or rejects
 TCU execution when no precision can represent the data.

@@ -61,7 +61,7 @@ from repro.engine.tcudb.driver import (
     PreparedAggSide,
     PreparedJoin,
     build_coo_operands,
-    reads_count,
+    product_slots,
 )
 from repro.storage.statistics import (
     bound_stats_lookup,
@@ -76,7 +76,6 @@ from repro.engine.tcudb.patterns import AggregateSpec, TCUPattern, sum_parts
 from repro.engine.tcudb.transform import (
     PairIndex,
     PairRuns,
-    mapped_pair_count,
     union_key_domain,
 )
 from repro.sql.ast_nodes import AggregateCall, ColumnRef, Expr, Predicate
@@ -246,9 +245,11 @@ class JoinOperandsValue:
 class AggOperandsValue:
     """Operand matrices of one join+aggregate (or grouped-reduce) product.
 
-    Each side's coordinate structure and every fill slot's per-cell sums
-    ride along (``ValueFill`` computes them for the range test, fused or
-    not): the consuming ``Gemm`` multiplies these, it builds nothing.
+    Each side's coordinate structure (its per-tuple slots released) and
+    the per-cell sums of every fill slot the product multiplies ride
+    along (``ValueFill`` computes them for the range test, fused or not,
+    and leaves slot 0 None when it does not run): the consuming ``Gemm``
+    multiplies these, it builds nothing.
     """
 
     left: PreparedAggSide | None
@@ -882,52 +883,47 @@ class ValueFill(TensorOp):
         bound = ctx.bound
         fact_binding = self.pattern.fact
         dims = {t.binding for t in bound.tables} - {fact_binding, self.b_side}
-        left_side, left_fills = _build_agg_side(
+        # One side at a time: the left operand is placed and summed, and
+        # its per-tuple slots and fill values are gone, before the right
+        # one is built.
+        left = _summed_operand(*_build_agg_side(
             self.specs, self.group_by, fact.column, domain.left,
             side_bindings={fact_binding} | dims, weights=fact.weights,
             b_side=False,
-        )
-        right_side, right_fills = _build_agg_side(
+        ), domain.k)
+        right = _summed_operand(*_build_agg_side(
             self.specs, self.group_by, b_env.lookup, domain.right,
             side_bindings={self.b_side}, weights=None, b_side=True,
-        )
-        pairs = mapped_pair_count(domain.left, domain.right, domain.k)
-        left_structure = build_coo_operands(left_side, domain.k)
-        right_structure = build_coo_operands(right_side, domain.k)
+        ), domain.k)
+        # The equi-join pair count: tuples per key, read off each operand.
+        pairs = int(np.dot(left.structure.column_counts(),
+                           right.structure.column_counts()))
         geometry = _agg_geometry(
-            ctx, self.specs, left_side, right_side, domain.k, pairs,
-            fact_binding, self.b_side, left_structure.nnz,
-            right_structure.nnz,
+            ctx, self.specs, left.side, right.side, domain.k, pairs,
+            fact_binding, self.b_side, left.structure.nnz,
+            right.structure.nnz,
         )
-        return self._operands(ctx, left_side, right_side, domain.k, geometry,
-                              pairs, grouped, left_structure, right_structure,
-                              left_fills, right_fills)
+        return self._operands(ctx, left, right, domain.k, geometry, pairs,
+                              grouped)
 
-    def _operands(self, ctx, left_side, right_side, k, geometry, pairs,
-                  grouped, left_structure, right_structure,
-                  left_fills, right_fills):
-        """``*_fills`` hold each side's per-tuple fill values, one entry
-        per grid: the COUNT grid's weights, then one array per non-COUNT
-        aggregate; None fills every tuple with one.  Each is summed per
-        operand slot once, here: the feasibility test reads the sums'
-        range, the consuming ``Gemm`` multiplies the same arrays, and the
-        per-tuple values end with this call.  A unit COUNT slot no
-        aggregate reads is left None: its range is the multiplicity
-        bound, and ``driver.product_slots`` counts it only if presence
-        needs it."""
-        count_read = reads_count(self.specs)
-        left_sums = _slot_sums(left_structure, left_fills, count_read)
-        right_sums = _slot_sums(right_structure, right_fills, count_read)
+    def _operands(self, ctx, left: _SummedOperand, right: _SummedOperand,
+                  k, geometry, pairs, grouped):
+        """The product's inputs from both summed sides: the data-range
+        test over their cell ranges, and the fill slots the product
+        multiplies (``driver.product_slots``), decided here once —
+        a unit COUNT slot is counted only if it runs."""
         feasibility = _agg_feasibility(
-            _cell_ranges(left_structure, left_fills, left_sums),
-            _cell_ranges(right_structure, right_fills, right_sums), k,
+            left.ranges, right.ranges, k,
             require_exact=ctx.options.require_exact,
         )
+        left_sums, right_sums = product_slots(
+            left.structure, right.structure, left.sums, right.sums,
+            self.specs)
         return AggOperandsValue(
-            left=left_side, right=right_side, k=k, geometry=geometry,
+            left=left.side, right=right.side, k=k, geometry=geometry,
             feasibility=feasibility, pairs=pairs, specs=self.specs,
             grouped=grouped,
-            left_structure=left_structure, right_structure=right_structure,
+            left_structure=left.structure, right_structure=right.structure,
             left_sums=left_sums, right_sums=right_sums,
         )
 
@@ -977,10 +973,9 @@ class ValueFill(TensorOp):
             fill_scale=4.0 if value_specs else 1.0,
         )
         return self._operands(
-            ctx, left_side, right_side, n, geometry, n, grouped,
-            build_coo_operands(left_side, n),
-            build_coo_operands(right_side, n),
-            left_fills, [None] * len(left_fills),
+            ctx, _summed_operand(left_side, left_fills, n),
+            _summed_operand(right_side, [None] * len(left_fills), n),
+            n, geometry, n, grouped,
         )
 
 
@@ -1036,7 +1031,7 @@ class Gemm(TensorOp):
             operands.geometry, operands.feasibility, operands.pairs,
             grouped=grouped, op_label=f"{self.id} ({self.label})",
         )
-        ctx.record_decision(self.id, decision)
+        ctx.record_decision(self, decision)
         if not decision.use_tcu and not ctx.options.force_strategy:
             kind = ("feasibility"
                     if decision.feasibility is not None
@@ -1064,8 +1059,13 @@ class Gemm(TensorOp):
 
     def _execute_agg(self, ctx, operands: AggOperandsValue,
                      plan) -> ProductValue:
+        # The product keeps what GridAggregate reads; the structures and
+        # slot sums die with the operands value, after this operator.
+        harvested = replace(operands, left_structure=None,
+                            right_structure=None, left_sums=None,
+                            right_sums=None)
         if ctx.mode != ExecutionMode.REAL:
-            return ProductValue(operands=operands, semantic=True)
+            return ProductValue(operands=harvested, semantic=True)
         # Either way the grids come from what ValueFill prepared.
         prepared = (operands.left_structure, operands.right_structure,
                     operands.left_sums, operands.right_sums, operands.specs)
@@ -1076,7 +1076,7 @@ class Gemm(TensorOp):
         else:
             grids, count_grid, present = ctx.driver._grids_semantic(
                 *prepared)
-        return ProductValue(operands=operands, grids=grids,
+        return ProductValue(operands=harvested, grids=grids,
                             count_grid=count_grid, present=present)
 
 
@@ -1300,7 +1300,7 @@ class GridAggregate(TensorOp):
             sides = ((left, np.arange(left.g),
                       lambda labels: np.repeat(labels, right.g)),
                      (right, np.arange(right.g),
-                      lambda labels: np.tile(labels, left.g)))
+                      lambda labels: _tiled(labels, left.g)))
         else:
             rows, cols = ctx.backend.nonzero(product.present)
             n_rows = int(rows.size)
@@ -1334,7 +1334,9 @@ class GridAggregate(TensorOp):
     def _finals(self, values: list[np.ndarray]
                 ) -> dict[AggregateCall, np.ndarray]:
         """One float64 final per call from the per-spec values, in spec
-        order; a float64 value is the final itself, not a copy."""
+        order; a float64 value is the final itself, not a copy, and an
+        integer one (an integer-precision product) converts once, into
+        an array the result adopts."""
         parts = iter(values)
         return {call: self._final(call, parts) for call in self.calls}
 
@@ -1512,6 +1514,14 @@ class Decode(TensorOp):
                            n_rows=groups.n_rows)
 
 
+def _tiled(labels: np.ndarray, reps: int) -> np.ndarray:
+    """``np.tile(labels, reps)`` as an array that owns its data (tile
+    returns a view of its repeat), so the result adopts it uncopied."""
+    out = np.empty(labels.size * reps, dtype=labels.dtype)
+    out.reshape(reps, labels.size)[:] = labels
+    return out
+
+
 def _key_column(bound: BoundQuery, expr: Expr) -> BoundColumn | None:
     """The GROUP BY key an aggregate output reads whole, which types the
     output: a key column, or the computed key the expression equals."""
@@ -1622,26 +1632,64 @@ def _agg_geometry(ctx, specs, left_side, right_side, k, pairs, fact,
     )
 
 
-def _slot_sums(structure: OperandStructure, fills, count_read: bool):
-    """Per-slot sums of every fill slot (:meth:`OperandStructure.cell_sums`),
-    but None for a unit COUNT slot when ``count_read`` is false."""
-    return [None if slot == 0 and values is None and not count_read
-            else structure.cell_sums(values)
-            for slot, values in enumerate(fills)]
+@dataclass
+class _SummedOperand:
+    """One side of an aggregate product once ``ValueFill`` has placed
+    and summed it: the side, its structure (slots released), one array
+    of per-slot sums per fill slot (a unit COUNT slot None: uncounted),
+    and each slot's exact cell range (None: a value is non-finite)."""
+
+    side: PreparedAggSide
+    structure: OperandStructure
+    sums: list[np.ndarray | None]
+    ranges: list
 
 
-def _cell_ranges(structure: OperandStructure, fills, sums):
-    """Exact [min, max] of each fill slot's operand cells
-    (:func:`_exact_cell_range`); a unit slot's cells are tuple counts,
-    bounded by the structure's multiplicity."""
+def _summed_operand(side: PreparedAggSide, fills, k: int) -> _SummedOperand:
+    """Check each fill slot's per-tuple values, place the side's tuples
+    (:func:`build_coo_operands`), sum every slot per operand slot once
+    and read its range, then release the per-tuple slots.  ``fills``
+    holds the per-tuple values, one entry per grid: the COUNT grid's
+    weights, then one array per non-COUNT aggregate; None fills every
+    tuple with one.  Finiteness and integrality run first, before the
+    slots or any ``g * k`` array exist; a unit slot's range is the
+    structure's multiplicity bound, and a unit slot 0 is left None for
+    ``driver.product_slots``."""
     from repro.tensor.precision import ValueRange
 
-    for values, slot_sums in zip(fills, sums):
+    checks = [None if values is None else _tuple_check(values)
+              for values in fills]
+    structure = build_coo_operands(side, k)
+    sums = [None if slot == 0 and values is None
+            else structure.cell_sums(values)
+            for slot, values in enumerate(fills)]
+    ranges = []
+    for values, check, slot_sums in zip(fills, checks, sums):
         if values is None:
-            yield ValueRange(0.0, float(structure.max_multiplicity),
-                             integral=True)
+            ranges.append(ValueRange(
+                0.0, float(structure.max_multiplicity), integral=True))
+        elif check is None:
+            ranges.append(None)
         else:
-            yield _exact_cell_range(values, slot_sums)
+            ranges.append(ValueRange(float(min(slot_sums.min(), 0.0)),
+                                     float(max(slot_sums.max(), 0.0)),
+                                     integral=check))
+    structure.release_slots()
+    return _SummedOperand(side=side, structure=structure, sums=sums,
+                          ranges=ranges)
+
+
+def _tuple_check(values) -> bool | None:
+    """Whether every per-tuple fill value is an integer — the fill
+    values, not just the accumulated endpoints, decide integrality:
+    fractional fills quantize to garbage at int4/int8 — or None when
+    one is non-finite (e.g. division by a zero-valued column)."""
+    values = np.asarray(values, dtype=np.float64)
+    # The extremes are non-finite exactly when some value is: NaN
+    # propagates through both, an infinity is one of them.
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        return None
+    return bool(np.all(values == np.rint(values)))
 
 
 def _agg_feasibility(left_ranges, right_ranges, k, require_exact=False):
@@ -1649,7 +1697,7 @@ def _agg_feasibility(left_ranges, right_ranges, k, require_exact=False):
 
     Both sides are fully materialized by the time the optimizer decides,
     so the test reads the exact per-cell range each matrix will hold:
-    ``*_ranges`` yield one range per fill slot (:func:`_cell_ranges`),
+    ``*_ranges`` hold one range per fill slot (:func:`_summed_operand`),
     None where a value is non-finite.
     """
     worst_left = worst_right = None
@@ -1660,25 +1708,6 @@ def _agg_feasibility(left_ranges, right_ranges, k, require_exact=False):
         worst_right = _wider(worst_right, right_range)
     return run_feasibility_test(worst_left, worst_right, k,
                                 require_exact=require_exact)
-
-
-def _exact_cell_range(values, sums):
-    """Exact [min, max] of one operand matrix's cell sums (0 included for
-    empty cells); None when a value is non-finite (e.g. division by a
-    zero-valued column)."""
-    from repro.tensor.precision import ValueRange
-
-    values = np.asarray(values, dtype=np.float64)
-    # The extremes are non-finite exactly when some value is: NaN
-    # propagates through both, an infinity is one of them.
-    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
-        return None
-    # The fill values (not just the accumulated endpoints) decide
-    # integrality: fractional fills quantize to garbage at int4/int8.
-    integral = bool(np.all(values == np.rint(values)))
-    return ValueRange(float(min(sums.min(), 0.0)),
-                      float(max(sums.max(), 0.0)),
-                      integral=integral)
 
 
 def _wider(a, b):

@@ -55,6 +55,9 @@ class ProgramContext:
         self.breakdown = TimingBreakdown()
         self.values: dict[str, object] = {}
         self.decisions: dict[str, object] = {}
+        # The emission of each operator that recorded a decision, taken
+        # when it ran: it reads operand dims its input value had then.
+        self.emissions: dict[str, OpEmission] = {}
         self.op_costs: list[OperatorCost] = []
 
     # -- value store ---------------------------------------------------- #
@@ -80,8 +83,9 @@ class ProgramContext:
         self.charge(op, op_stage, plan.compute_seconds)
         self.charge(op, STAGE_MEMCPY, plan.result_seconds)
 
-    def record_decision(self, op_id: str, decision) -> None:
-        self.decisions[op_id] = decision
+    def record_decision(self, op: TensorOp, decision) -> None:
+        self.decisions[op.id] = decision
+        self.emissions[op.id] = op.emission(self)
 
     # -- settings the driver resolved once, at engine construction ------- #
 
@@ -113,15 +117,27 @@ class TensorProgram:
     strategy: str  # lowering strategy, e.g. "pattern:join_agg"
     hybrid: bool = False
     notes: list[str] = field(default_factory=list)
+    # Per operator, the values the run drops once it has executed
+    # (:func:`_releases`); a specialized copy passes the template's.
+    releases: list[tuple[str, ...]] | None = field(
+        default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.releases is None:
+            self.releases = _releases(self.ops)
 
     def run(self, ctx: ProgramContext) -> OutputValue:
-        """Execute every operator in order; returns the final payload."""
+        """Execute every operator in order; returns the final payload.
+        A value leaves ``ctx.values`` as soon as its last reader has
+        executed, so only the final payload is there at the end."""
         result = None
-        for op in self.ops:
+        for op, released in zip(self.ops, self.releases, strict=True):
             if ctx.cancel_token is not None:
                 ctx.cancel_token.raise_if_cancelled()
             result = op.execute(ctx)
             ctx.values[op.id] = result
+            for value_id in released:
+                del ctx.values[value_id]
         if not isinstance(result, OutputValue):
             raise ExecutionError(
                 f"program did not end in a Decode operator "
@@ -144,20 +160,31 @@ class TensorProgram:
     def generated_code(self, decisions: dict,
                        priced: dict[str, OpEmission]) -> GeneratedProgram:
         """Assemble the per-operator CUDA sections of a finished run from
-        what :meth:`code_facts` kept of it."""
+        what its context kept, small enough to hold after the run: the
+        decisions, and the emissions the deciding operators took as they
+        ran (:meth:`ProgramContext.record_decision`).  Any other emission
+        depends on its operator alone and renders here."""
         late = SimpleNamespace(decisions=decisions, values={})
         emissions = [priced.get(op.id) or op.emission(late)
                      for op in self.ops]
         return emit_tensor_program(
             self.strategy, [e for e in emissions if e is not None], decisions)
 
-    def code_facts(self, ctx: ProgramContext) -> tuple[dict, dict]:
-        """:meth:`generated_code`'s arguments, small enough to hold after
-        the run: the decisions, and the emissions of the operators that
-        recorded one (they read operand dims out of ``ctx.values``; any
-        other emission depends on its operator alone and can wait)."""
-        return ctx.decisions, {op.id: op.emission(ctx) for op in self.ops
-                               if op.id in ctx.decisions}
+
+def _releases(ops: list[TensorOp]) -> list[tuple[str, ...]]:
+    """Per operator, the ids of the values no later operator reads: the
+    inputs it reads last, and its own output if nothing reads it — but
+    never the final operator's, the run's result."""
+    last: dict[str, int] = {}
+    for position, op in enumerate(ops):
+        last[op.id] = position
+        for value_id in op.input_ids():
+            last[value_id] = position
+    releases: list[list[str]] = [[] for _ in ops]
+    for value_id, position in last.items():
+        if value_id != ops[-1].id:
+            releases[position].append(value_id)
+    return [tuple(ids) for ids in releases]
 
 
 __all__ = ["OperatorCost", "ProgramContext", "TensorProgram"]

@@ -166,4 +166,5 @@ def specialize_program(
         strategy=program.strategy,
         hybrid=program.hybrid,
         notes=list(program.notes),
+        releases=program.releases,
     )

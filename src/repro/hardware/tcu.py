@@ -153,21 +153,27 @@ class TensorCoreUnit:
     def _matmul_int(
         self, a: np.ndarray, b: np.ndarray, precision: Precision
     ) -> np.ndarray:
+        magnitudes = []
         for name, operand in (("A", a), ("B", b)):
+            if not operand.size:
+                magnitudes.append(0.0)
+                continue
             # rint is monotonic: the quantized operand's extremes are the
             # quantized extremes.  A NaN or infinite one fails the test.
-            if operand.size and not in_integer_window(
-                    np.rint(operand.min()), np.rint(operand.max()),
-                    precision):
-                lo, hi = INTEGER_WINDOW[precision]
+            lo, hi = np.rint(operand.min()), np.rint(operand.max())
+            if not in_integer_window(lo, hi, precision):
+                window_lo, window_hi = INTEGER_WINDOW[precision]
                 raise PrecisionError(
                     f"operand {name} outside {precision.value} range "
-                    f"[{lo}, {hi}]"
+                    f"[{window_lo}, {window_hi}]"
                 )
+            magnitudes.append(float(max(hi, -lo)))
         # int8/int4 MMA accumulates in int32; the exact-width product is
         # exact for every in-range input (its bound is <= 2**14 * k), so
-        # emulate and then check the accumulator.
-        product = exact_integer_matmul(a, b)
-        if product.size and max(product.max(), -product.min()) > INT32_MAX:
+        # emulate and then check the accumulator — unless the bound on
+        # every partial sum, k * max|a| * max|b|, already clears it.
+        product = exact_integer_matmul(a, b, tuple(magnitudes))
+        if (a.shape[-1] * magnitudes[0] * magnitudes[1] > INT32_MAX
+                and max(product.max(), -product.min()) > INT32_MAX):
             raise PrecisionError("int32 accumulator overflow in TCU matmul")
         return product

@@ -174,7 +174,9 @@ def _quantized_magnitude(operand: np.ndarray) -> float:
     return float(max(np.rint(operand.max()), -np.rint(operand.min())))
 
 
-def exact_integer_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def exact_integer_matmul(a: np.ndarray, b: np.ndarray,
+                         magnitudes: tuple[float, float] | None = None
+                         ) -> np.ndarray:
     """``rint(a) @ rint(b)`` (2-D or stacked), exactly, as int64.
 
     Operands are quantized to the nearest integer, as the unit's input
@@ -188,11 +190,15 @@ def exact_integer_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k <= 1024, and every product the int32 accumulator admits fits
     float64.  This is the one integer product of the code base: the
     simulated unit and the execution backends both call it, so integer
-    results agree by construction.
+    results agree by construction.  ``magnitudes`` are ``max|rint(a)|``
+    and ``max|rint(b)|`` when the caller has already read them (None:
+    read here).
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    bound = a.shape[-1] * _quantized_magnitude(a) * _quantized_magnitude(b)
+    if magnitudes is None:
+        magnitudes = _quantized_magnitude(a), _quantized_magnitude(b)
+    bound = a.shape[-1] * magnitudes[0] * magnitudes[1]
     dtype = np.float32 if bound <= FP32_EXACT_INT else np.float64
     # One pass per operand: quantized straight into the product's width
     # and the operand's own layout (BLAS takes transposed views as-is).

@@ -640,19 +640,35 @@ def test_strings_render_on_first_read_only(catalog, calls):
 
 def test_lazy_strings_are_the_eager_ones(catalog, monkeypatch):
     """What renders late equals what the run itself would have rendered
-    with its context in hand, over the corpus."""
+    with its values in hand — each operator's emission taken the moment
+    it has executed, before the run drops any value it read — over the
+    corpus."""
     contexts = []
+    emitted: dict = {}
     finalize = TCUDBEngine._finalize
 
     def keep_context(self, bound, program, ctx, output):
         contexts.append((program, ctx))
         return finalize(self, bound, program, ctx, output)
 
+    def emitting(inner):
+        def execute(self, ctx):
+            value = inner(self, ctx)
+            emitted.setdefault(ctx, {})[self.id] = self.emission(ctx)
+            return value
+        return execute
+
     monkeypatch.setattr(TCUDBEngine, "_finalize", keep_context)
+    for op_type in vars(ops).values():
+        if (isinstance(op_type, type) and issubclass(op_type, ops.TensorOp)
+                and "execute" in vars(op_type)):
+            monkeypatch.setattr(op_type, "execute",
+                                emitting(vars(op_type)["execute"]))
     engine = TCUDBEngine(catalog, program_cache=ProgramCache())
     rendered = 0
     for sql in fuzz_corpus(60, seed=31337) + [STAR]:
         contexts.clear()
+        emitted.clear()
         result = engine.execute(sql)
         if not contexts or not result.extra["decisions"]:
             assert result.extra.get("generated_code") is None
@@ -660,7 +676,8 @@ def test_lazy_strings_are_the_eager_ones(catalog, monkeypatch):
         (program, ctx), = contexts[-1:]
         eager = emit_tensor_program(
             program.strategy,
-            [e for op in program.ops if (e := op.emission(ctx)) is not None],
+            [e for op in program.ops
+             if (e := emitted[ctx][op.id]) is not None],
             ctx.decisions)
         assert result.extra["generated_code"] == eager, sql
         assert result.extra["program_listing"] == program.describe()

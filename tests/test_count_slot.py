@@ -13,8 +13,9 @@ oracle; the fills of ``_build_agg_side`` equal the ones-array formula
 they replaced, byte for byte.
 
 The tuple count per slot (``OperandStructure.occupancy``) is the COUNT
-operand only.  ``ValueFill`` counts it when an aggregate reads slot 0,
-``Gemm`` when presence needs it, and nothing counts it otherwise:
+operand only.  ``ValueFill`` decides once whether slot 0 runs
+(``driver.product_slots``) and counts it then — an aggregate reads
+slot 0, or presence needs it — and nothing counts it otherwise:
 presence reads a one-byte table, and slot 0's feasibility range is the
 largest cell multiplicity, 1 whenever no two tuples share a cell.
 """
@@ -111,20 +112,15 @@ RULE_QUERIES = {
         f"SELECT grp, c1, c2 {JOIN} GROUP BY grp, c1, c2", True, False),
 }
 PLANS = ("dense", "blocked", "sparse", "exact-key")
-# Queries whose aggregates read slot 0: ValueFill counts their unit
-# sides' occupancy.  Every other query counts it in Gemm when slot 0 runs
-# for presence, and nowhere when it does not.
-READS_COUNT = {"c: COUNT", "c: AVG", "c: HAVING COUNT(*)",
-               "d: fold-weighted COUNT"}
 
 
 @pytest.fixture
 def slots_seen(monkeypatch):
-    """``(counted, proven, weighted)`` of every product the driver
-    multiplied: whether slot 0 ran, whether every cell was proven
+    """``(counted, proven, weighted)`` of every product ``ValueFill``
+    prepared: whether slot 0 runs, whether every cell was proven
     present, and whether a side's COUNT weights were folded
-    multiplicities.  A unit COUNT slot no aggregate reads arrives
-    uncounted (None)."""
+    multiplicities.  A unit COUNT slot arrives uncounted (None), and
+    leaves None exactly when it does not run."""
     seen = []
     inner = driver.product_slots
 
@@ -132,10 +128,12 @@ def slots_seen(monkeypatch):
         out = inner(left, right, left_sums, right_sums, aggregates)
         weighted = any(sums[0] is not None and sums[0].dtype.kind == "f"
                        for sums in (left_sums, right_sums))
-        seen.append((*out[2:], weighted))
+        counted = out[0][0] is not None
+        assert counted == (out[1][0] is not None)
+        seen.append((counted, driver.all_present(left, right), weighted))
         return out
 
-    monkeypatch.setattr(driver, "product_slots", recorded)
+    monkeypatch.setattr(ops, "product_slots", recorded)
     return seen
 
 
@@ -192,9 +190,7 @@ def test_count_slot_runs_only_when_read_or_presence_is_unproven(
     assert got.extra["strategy"] == ("dense" if plan == "exact-key"
                                      else plan)
     assert slots_seen == [(counted, proven, name.startswith("d:"))]
-    counted_by = ({"value_fill"} if name in READS_COUNT
-                  else {"gemm"} if counted else set())
-    assert set(occupancy_counted) == counted_by
+    assert set(occupancy_counted) == ({"value_fill"} if counted else set())
     assert_results_match(got, expected, rel=TCU_REL, context=name)
 
 

@@ -26,6 +26,7 @@ from repro.engine.cancel import CancellationToken
 from repro.engine.physical import PhysicalExecutor
 from repro.engine.reference import ReferenceEngine
 from repro.engine.tcudb import TCUDBEngine, TCUDBOptions
+from repro.engine.ydb import YDBEngine
 from repro.hardware.gpu import GPUDevice
 from repro.sql.binder import bind
 from repro.sql.logical import Join, Scan
@@ -41,6 +42,10 @@ from test_fuzz_queries import FUZZ_SEED, QueryGenerator
 @pytest.fixture(scope="module")
 def catalog():
     return ssb_catalog(scale_factor=1, rows_per_sf=4000, seed=23)
+
+
+# The matcher rejects MIN: the query runs on TCUDB's YDB fallback.
+FALLBACK_SQL = "SELECT MIN(a.val) AS m FROM a, b WHERE a.id = b.id"
 
 
 def rows_of(result):
@@ -226,9 +231,10 @@ class TestCancellation:
         """A query the matcher rejects runs on the YDB fallback, whose
         walk polls TCUDB's token once per chunk: a token firing at any of
         those polls cancels, and the fallback engine is left unarmed."""
-        monkeypatch.setenv("REPRO_CHUNK_ROWS", "2")  # a: 3 chunks, b: 2
-        sql = "SELECT MIN(a.val) AS m FROM a, b WHERE a.id = b.id"
-        engine = TCUDBEngine(small_catalog)
+        sql = FALLBACK_SQL
+        # a: 3 chunks, b: 2
+        engine = TCUDBEngine(small_catalog,
+                             options=TCUDBOptions(chunk_rows=2))
         fallback = engine._fallback
         inner = fallback.execute_bound
         window = []
@@ -255,6 +261,39 @@ class TestCancellation:
             assert fallback.cancel_token is None
         engine.cancel_token = PollCounter()
         assert rows_of(engine.execute(sql)) == rows_of(expected)
+
+    def test_fallback_walks_at_the_engine_chunk_size(self, small_catalog,
+                                                      monkeypatch):
+        """``TCUDBOptions.chunk_rows`` reaches the YDB fallback, whatever
+        ``REPRO_CHUNK_ROWS`` says: at two rows a chunk its walk polls
+        exactly as often as a YDB engine walking two-row chunks."""
+
+        def ydb_polls(chunk_rows):
+            monkeypatch.setenv("REPRO_CHUNK_ROWS", str(chunk_rows))
+            ydb = YDBEngine(small_catalog)
+            ydb.cancel_token = counter = PollCounter()
+            ydb.execute(FALLBACK_SQL)
+            return counter.polls
+
+        walk = ydb_polls(2)
+        assert walk > ydb_polls(4096)
+        engine = TCUDBEngine(small_catalog,
+                             options=TCUDBOptions(chunk_rows=2))
+        polls = []
+        inner = engine._fallback.execute_bound
+
+        def counted(bound):
+            start = engine.cancel_token.polls
+            try:
+                return inner(bound)
+            finally:
+                polls.append(engine.cancel_token.polls - start)
+
+        monkeypatch.setattr(engine._fallback, "execute_bound", counted)
+        engine.cancel_token = PollCounter()
+        assert engine.execute(FALLBACK_SQL).extra["executed_by"] == (
+            "YDB-fallback")
+        assert polls == [walk]
 
 
 # --------------------------------------------------------------------------- #

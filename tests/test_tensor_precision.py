@@ -333,6 +333,43 @@ class TestSimulatedIntegerUnit:
                 product = device.tcu.matmul(a, b, Precision.INT8)
                 assert product.tolist() == [[127 * 127 * k]]
 
+    def test_each_operand_is_scanned_once(self, device, monkeypatch):
+        """The window check's extremes size the product (the product
+        reads no operand extreme again), and the product is scanned for
+        the int32 accumulator only when ``k * max|a| * max|b|`` passes
+        ``INT32_MAX``."""
+        from repro.hardware import tcu
+        from repro.tensor import precision
+
+        scans = []
+
+        class Product(np.ndarray):
+            def max(self, *args, **kwargs):
+                scans.append("max")
+                return super().max(*args, **kwargs)
+
+        def unread(operand):
+            raise AssertionError("operand extremes read twice")
+
+        exact = tcu.exact_integer_matmul
+        monkeypatch.setattr(precision, "_quantized_magnitude", unread)
+        monkeypatch.setattr(
+            tcu, "exact_integer_matmul",
+            lambda a, b, magnitudes: exact(a, b, magnitudes).view(Product))
+        # 127 * 127 * 133144 < 2**31: no partial sum can overflow.
+        k = 133_144
+        a, b = np.full((1, k), 127.0), np.full((k, 1), 127.0)
+        assert device.tcu.matmul(a, b, Precision.INT8).tolist() == [
+            [127 * 127 * k]]
+        assert scans == []
+        # One more term and the bound passes 2**31: the product is
+        # scanned, and this one fits.
+        a, b = np.zeros((1, k + 1)), np.full((k + 1, 1), 127.0)
+        a[0, 0] = 127.0
+        assert device.tcu.matmul(a, b, Precision.INT8).tolist() == [
+            [127 * 127]]
+        assert scans == ["max"]
+
     def test_operands_are_quantized_before_the_range_check(self, device):
         a = np.array([[127.4, -0.4]])
         b = np.array([[2.0], [3.0]])
