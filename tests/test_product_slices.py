@@ -188,16 +188,18 @@ def grid_bytes(grids):
             for grid in (*values, count_grid, present)]
 
 
+@pytest.mark.parametrize("strategy", [Strategy.DENSE, Strategy.BLOCKED],
+                         ids=lambda s: s.value)
 @pytest.mark.parametrize("history", HISTORIES)
 @pytest.mark.parametrize("backend", ["sim", "fast"])
 @pytest.mark.parametrize("placement", PLACEMENTS)
 @pytest.mark.parametrize("case", CASES)
 def test_sliced_grids_equal_the_reselecting_loop(
-        case, placement, backend, history, device, monkeypatch):
+        case, placement, backend, history, strategy, device, monkeypatch):
     left, right, k, chunk, specs, precision = CASES[case].values()
     force_placement(monkeypatch, placement)
     driver = TCUDriver(device, chunk_rows=chunk, backend=backend)
-    plan = product_plan(device, left, right, k, precision, Strategy.DENSE)
+    plan = product_plan(device, left, right, k, precision, strategy)
     structures, sums = prepared_operands(left, right, k)
     assert all((s.cells is None) == (placement == "addressed")
                for s in structures)
