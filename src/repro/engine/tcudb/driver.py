@@ -137,7 +137,7 @@ class OperandStructure:
     the same for every aggregate of a product — only the fill values
     differ.  This structure gives every input tuple the *slot* of its
     cell a single time, so per-aggregate operand builds and exact
-    cell-range feasibility reduce to one scatter-add over the shared
+    cell-range feasibility reduce to one ``np.bincount`` over the shared
     ``slots`` array, and nnz to a one-byte presence table (the tuple
     count per slot is counted only when a COUNT operand or a cell
     holding two tuples needs it).  :func:`build_coo_operands` picks one
@@ -150,8 +150,8 @@ class OperandStructure:
       occupied ``cells`` (one ``unique_inverse``), for operands too
       large or too thinly occupied to address.
 
-    Sums accumulate in tuple order in both, so every operand cell is
-    bit-identical whichever ran.  Once every fill slot is summed,
+    ``bincount`` accumulates in tuple order in both, so every operand
+    cell is bit-identical whichever ran.  Once every fill slot is summed,
     :meth:`release_slots` lets the per-tuple ``slots`` go.
     """
 
@@ -269,12 +269,10 @@ class OperandStructure:
         sum of that many 1.0s exactly, so the sums are the occupancy."""
         if values is None:
             return self.occupancy
-        # ``add.at`` adds in tuple order from 0.0, as ``bincount`` does,
-        # and reads a read-only table column in place, which ``bincount``
-        # copies into writable memory first.
-        sums = np.zeros(self.n_slots)
-        np.add.at(sums, self.slots, np.asarray(values, dtype=np.float64))
-        return sums
+        return np.bincount(
+            self.slots, weights=np.asarray(values, dtype=np.float64),
+            minlength=self.n_slots,
+        )
 
     def at_cells(self, sums: np.ndarray) -> np.ndarray:
         """Per-slot sums as one value per occupied cell, in the order of
@@ -436,8 +434,9 @@ def _counted(structure: OperandStructure, sums):
 def _run_slots(left_sums, right_sums):
     """The slot sums a product multiplies, and whether slot 0 (the
     COUNT grid) is among them: it is unless :func:`product_slots` left
-    it None."""
+    it None, on both sides."""
     if left_sums[0] is None:
+        assert right_sums[0] is None
         return left_sums[1:], right_sums[1:], False
     return left_sums, right_sums, True
 

@@ -118,13 +118,12 @@ class TensorProgram:
     hybrid: bool = False
     notes: list[str] = field(default_factory=list)
     # Per operator, the values the run drops once it has executed
-    # (:func:`_releases`); a specialized copy passes the template's.
-    releases: list[tuple[str, ...]] | None = field(
-        default=None, repr=False, compare=False)
+    # (:func:`_releases`), derived from ``ops`` once per program.
+    releases: list[tuple[str, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.releases is None:
-            self.releases = _releases(self.ops)
+        self.releases = _releases(self.ops)
 
     def run(self, ctx: ProgramContext) -> OutputValue:
         """Execute every operator in order; returns the final payload.

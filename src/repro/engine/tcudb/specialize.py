@@ -166,5 +166,4 @@ def specialize_program(
         strategy=program.strategy,
         hybrid=program.hybrid,
         notes=list(program.notes),
-        releases=program.releases,
     )

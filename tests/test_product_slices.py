@@ -154,13 +154,18 @@ def product_plan(device, left, right, k, precision, strategy):
                    strategy=strategy)
 
 
-def prepared_operands(left, right, k):
+def prepared_operands(left, right, k, specs):
     """What ``ValueFill`` hands the product: each side's structure and
-    one array of per-slot sums per grid."""
+    one array of per-slot sums per grid, built as ``ValueFill`` builds
+    them — a unit slot 0 left uncounted (None), then
+    ``driver.product_slots``, which counts it where slot 0 runs and
+    leaves both sides' slot 0 None where it does not."""
     structures = [build_coo_operands(placed, k) for placed, _ in (left, right)]
-    sums = [[structure.cell_sums(values) for values in fills]
+    sums = [[None if slot == 0 and values is None
+             else structure.cell_sums(values)
+             for slot, values in enumerate(fills)]
             for structure, (_, fills) in zip(structures, (left, right))]
-    return structures, sums
+    return structures, driver.product_slots(*structures, *sums, specs)
 
 
 #: A driver's state when it runs the product: new, or past one run of
@@ -200,7 +205,7 @@ def test_sliced_grids_equal_the_reselecting_loop(
     force_placement(monkeypatch, placement)
     driver = TCUDriver(device, chunk_rows=chunk, backend=backend)
     plan = product_plan(device, left, right, k, precision, strategy)
-    structures, sums = prepared_operands(left, right, k)
+    structures, sums = prepared_operands(left, right, k, specs)
     assert all((s.cells is None) == (placement == "addressed")
                for s in structures)
     grids, count_grid, present = numeric_grids(
@@ -266,7 +271,7 @@ def test_every_strategy_multiplies_the_dense_product(
     left, right, k, chunk, specs, precision = CASES[case].values()
     driver = TCUDriver(device, backend=backend,
                        chunk_rows=chunk if layout == "sliced" else k)
-    structures, sums = prepared_operands(left, right, k)
+    structures, sums = prepared_operands(left, right, k, specs)
     dense = driver._grids_numeric(
         *structures, *sums, specs,
         product_plan(device, left, right, k, precision, Strategy.DENSE))
@@ -292,7 +297,7 @@ def test_a_chunk_either_side_leaves_empty_is_not_multiplied(
         driver.backend, "matmul_into",
         lambda acc, device, a, b, precision, **scale: products.append(
             a.shape) or accumulate(acc, device, a, b, precision, **scale))
-    structures, sums = prepared_operands(left, right, k)
+    structures, sums = prepared_operands(left, right, k, specs)
     driver._grids_numeric(*structures, *sums, specs, plan)
     assert products == [(left[0].g, chunk)] * 2  # one chunk, two slots
 
