@@ -151,8 +151,11 @@ class OperandStructure:
       large or too thinly occupied to address.
 
     ``bincount`` accumulates in tuple order in both, so every operand
-    cell is bit-identical whichever ran.  Once every fill slot is summed,
-    :meth:`release_slots` lets the per-tuple ``slots`` go.
+    cell is bit-identical whichever ran.  An addressed structure whose
+    cells each hold at most one tuple (:attr:`placed`) can place each
+    value in its cell, in a narrower dtype, to the same bits.  Once every
+    fill slot is summed, :meth:`release_slots` lets the per-tuple
+    ``slots`` go.
     """
 
     g: int
@@ -204,6 +207,13 @@ class OperandStructure:
     def unique(self) -> bool:
         """No two tuples share a cell."""
         return self.nnz == self.n_tuples
+
+    @property
+    def placed(self) -> bool:
+        """Addressed, and no two tuples share a cell: each slot's sum is
+        its one tuple's value (or zero), which can be placed rather than
+        summed."""
+        return self.cells is None and self.unique
 
     @property
     def full(self) -> bool:
@@ -263,12 +273,24 @@ class OperandStructure:
             self.occupancy
         self.slots = None
 
-    def cell_sums(self, values: np.ndarray | None) -> np.ndarray:
+    def cell_sums(self, values: np.ndarray | None,
+                  dtype=np.float64) -> np.ndarray:
         """Per-slot sums of one fill-value array (duplicates summed).
         ``None`` fills every tuple with one: an integer count equals the
-        sum of that many 1.0s exactly, so the sums are the occupancy."""
+        sum of that many 1.0s exactly, so the sums are the occupancy.
+        A :attr:`placed` structure asked for a narrower ``dtype`` (one
+        that holds every value exactly: the caller's choice) scatters
+        the values into a zeroed ``dtype`` array, one write per tuple;
+        every other sum is float64, where ``bincount`` is the faster
+        scatter."""
         if values is None:
             return self.occupancy
+        if self.placed and dtype != np.float64:
+            sums = np.zeros(self.n_slots, dtype=dtype)
+            # bincount adds each value into +0.0, so a -0.0 lands as
+            # +0.0; converted before the scatter, which casts slower.
+            sums[self.slots] = np.add(values, 0.0, dtype=dtype)
+            return sums
         return np.bincount(
             self.slots, weights=np.asarray(values, dtype=np.float64),
             minlength=self.n_slots,
@@ -617,7 +639,7 @@ class TCUDriver:
                        right: OperandStructure,
                        left_sums: list[np.ndarray],
                        right_sums: list[np.ndarray],
-                       aggregates, plan: PlanCost):
+                       aggregates, plan: PlanCost, magnitudes=None):
         """Every grid of one aggregate product (``Gemm``, fused or not).
 
         The producing ``ValueFill`` built each side's indicator structure
@@ -629,6 +651,11 @@ class TCUDriver:
         stacked matmul, whose product keeps the backend's dtype (int64
         at the integer precisions).  The plan's strategy priced the
         product and does not change it: only its precision is read.
+        ``magnitudes`` bound each side's ``max|v|`` over the slots
+        handed, when every one of them is integral (the range test's
+        :attr:`~repro.engine.tcudb.feasibility.FeasibilityReport.integral_magnitudes`;
+        None otherwise): the backend's integer product reads them
+        instead of the operands.
         Returns ``(grids, count_grid, present)`` (:func:`_grids_of`).
         """
         left_sums, right_sums, counted = _run_slots(left_sums, right_sums)
@@ -636,20 +663,22 @@ class TCUDriver:
             stacked = []
         elif left.k > self.chunk_rows:
             stacked = np.stack(self._grids_by_slices(
-                left, right, left_sums, right_sums, plan))
+                left, right, left_sums, right_sums, plan, magnitudes))
         else:
             dtype, cast = self.backend.fill_format(plan.precision)
             a_stack, a_scale = left.dense_stack(left_sums, dtype, cast)
             b_stack, b_scale = right.dense_stack(right_sums, dtype, cast)
             stacked = self.backend.matmul(
                 self.device, a_stack, b_stack.transpose(0, 2, 1),
-                plan.precision, scale=_times(a_scale, b_scale))
+                plan.precision, scale=_times(a_scale, b_scale),
+                magnitudes=magnitudes)
         return _grids_of(stacked, aggregates, counted,
                          all_present(left, right))
 
     def _grids_by_slices(self, left: OperandStructure,
                          right: OperandStructure, left_sums, right_sums,
-                         plan: PlanCost) -> list[np.ndarray]:
+                         plan: PlanCost,
+                         magnitudes=None) -> list[np.ndarray]:
         """Grid-wise accumulation over key-domain chunks — the tiled
         matmul identity ``A @ B.T == sum_c A[:, c] @ B[:, c].T`` over
         column slices ``c`` of the prepared operands.  A chunk either
@@ -671,7 +700,8 @@ class TCUDriver:
                     right_slices.fills(c, right_sums, dtype, cast)):
                 self.backend.matmul_into(grid, self.device, mat_a, mat_b.T,
                                          plan.precision,
-                                         scale=_times(scale_a, scale_b))
+                                         scale=_times(scale_a, scale_b),
+                                         magnitudes=magnitudes)
         return grids
 
     @staticmethod
@@ -679,15 +709,17 @@ class TCUDriver:
                         left_sums, right_sums, aggregates):
         """The exact-key equivalent of :meth:`_grids_numeric`, for
         products too large to emulate: the occupied cells of the two
-        operands join on their column, in float64."""
+        operands join on their column, in float64 (placed sums may be
+        float32)."""
         left_sums, right_sums, counted = _run_slots(left_sums, right_sums)
         left_idx, right_idx = equi_join_indices(left.cols, right.cols)
         cell = left.rows[left_idx] * right.g + right.rows[right_idx]
         return _grids_of([
             np.bincount(
                 cell,
-                weights=(left.at_cells(lsums)[left_idx]
-                         * right.at_cells(rsums)[right_idx]),
+                weights=np.multiply(left.at_cells(lsums)[left_idx],
+                                    right.at_cells(rsums)[right_idx],
+                                    dtype=np.float64),
                 minlength=left.g * right.g,
             ).reshape(left.g, right.g)
             for lsums, rsums in zip(left_sums, right_sums)

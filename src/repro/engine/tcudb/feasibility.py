@@ -31,6 +31,19 @@ class FeasibilityReport:
     result_bound: float
     reason: str = ""
 
+    @property
+    def integral_magnitudes(self) -> tuple[float, float] | None:
+        """``(max|a|, max|b|)`` over every fill slot of each operand when
+        both ranges are integral (None otherwise): an integer product
+        reads these instead of re-reading its operands.  Slots that do
+        not run can only widen them, which may pick the wider exact
+        width, never change a product's value."""
+        left, right = self.left_range, self.right_range
+        if left is None or right is None or not (
+                left.is_integral and right.is_integral):
+            return None
+        return left.magnitude, right.magnitude
+
 
 INDICATOR_RANGE = ValueRange(0.0, 1.0)
 

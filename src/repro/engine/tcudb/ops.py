@@ -886,15 +886,16 @@ class ValueFill(TensorOp):
         # One side at a time: the left operand is placed and summed, and
         # its per-tuple slots and fill values are gone, before the right
         # one is built.
+        fill_dtype = ctx.backend.fill_dtype
         left = _summed_operand(*_build_agg_side(
             self.specs, self.group_by, fact.column, domain.left,
             side_bindings={fact_binding} | dims, weights=fact.weights,
             b_side=False,
-        ), domain.k)
+        ), domain.k, fill_dtype)
         right = _summed_operand(*_build_agg_side(
             self.specs, self.group_by, b_env.lookup, domain.right,
             side_bindings={self.b_side}, weights=None, b_side=True,
-        ), domain.k)
+        ), domain.k, fill_dtype)
         # The equi-join pair count: tuples per key, read off each operand.
         pairs = int(np.dot(left.structure.column_counts(),
                            right.structure.column_counts()))
@@ -973,7 +974,8 @@ class ValueFill(TensorOp):
             fill_scale=4.0 if value_specs else 1.0,
         )
         return self._operands(
-            ctx, _summed_operand(left_side, left_fills, n),
+            ctx, _summed_operand(left_side, left_fills, n,
+                                 ctx.backend.fill_dtype),
             _summed_operand(right_side, [None] * len(left_fills), n),
             n, geometry, n, grouped,
         )
@@ -1072,7 +1074,7 @@ class Gemm(TensorOp):
         if ctx.driver.use_numeric_grid(operands.left.g, operands.right.g,
                                        operands.k):
             grids, count_grid, present = ctx.driver._grids_numeric(
-                *prepared, plan)
+                *prepared, plan, operands.feasibility.integral_magnitudes)
         else:
             grids, count_grid, present = ctx.driver._grids_semantic(
                 *prepared)
@@ -1645,51 +1647,70 @@ class _SummedOperand:
     ranges: list
 
 
-def _summed_operand(side: PreparedAggSide, fills, k: int) -> _SummedOperand:
+def _summed_operand(side: PreparedAggSide, fills, k: int,
+                    fill_dtype=np.float64) -> _SummedOperand:
     """Check each fill slot's per-tuple values, place the side's tuples
     (:func:`build_coo_operands`), sum every slot per operand slot once
     and read its range, then release the per-tuple slots.  ``fills``
     holds the per-tuple values, one entry per grid: the COUNT grid's
     weights, then one array per non-COUNT aggregate; None fills every
-    tuple with one.  Finiteness and integrality run first, before the
-    slots or any ``g * k`` array exist; a unit slot's range is the
-    structure's multiplicity bound, and a unit slot 0 is left None for
-    ``driver.product_slots``."""
-    from repro.tensor.precision import ValueRange
+    tuple with one.  Finiteness, integrality and the tuples' extremes
+    are read first, before the slots or any ``g * k`` array exist; a
+    unit slot's range is the structure's multiplicity bound, and a unit
+    slot 0 is left None for ``driver.product_slots``.
 
-    checks = [None if values is None else _tuple_check(values)
-              for values in fills]
+    Where no two tuples share an addressed cell (``structure.placed``)
+    each cell holds its one tuple's value, so a slot's cell range is the
+    tuples' own range widened to zero, and the slot is placed in the
+    backend's ``fill_dtype`` when every value is an integer it holds
+    exactly (within 2**24, FP32's window), in float64 otherwise: a
+    forced integer precision quantizes a single-slot operand from its
+    float64 sums, so a fractional value or one past 2**24 must reach it
+    unrounded."""
+    from repro.tensor.precision import FP32_EXACT_INT, ValueRange
+
+    tuple_ranges = [None if values is None else _tuple_range(values)
+                    for values in fills]
     structure = build_coo_operands(side, k)
-    sums = [None if slot == 0 and values is None
-            else structure.cell_sums(values)
-            for slot, values in enumerate(fills)]
-    ranges = []
-    for values, check, slot_sums in zip(fills, checks, sums):
+    sums, ranges = [], []
+    for slot, (values, tuples) in enumerate(zip(fills, tuple_ranges)):
         if values is None:
+            sums.append(None if slot == 0 else structure.cell_sums(None))
             ranges.append(ValueRange(
                 0.0, float(structure.max_multiplicity), integral=True))
-        elif check is None:
+            continue
+        if tuples is None:
+            sums.append(structure.cell_sums(values))
             ranges.append(None)
-        else:
-            ranges.append(ValueRange(float(min(slot_sums.min(), 0.0)),
-                                     float(max(slot_sums.max(), 0.0)),
-                                     integral=check))
+            continue
+        lo, hi, integral = tuples
+        exact = integral and max(-lo, hi) <= FP32_EXACT_INT
+        slot_sums = structure.cell_sums(
+            values, fill_dtype if exact else np.float64)
+        sums.append(slot_sums)
+        if not structure.placed:
+            lo, hi = slot_sums.min(), slot_sums.max()
+        # + 0.0: a -0.0 extreme reads as the +0.0 its placed cell holds.
+        ranges.append(ValueRange(float(min(lo, 0.0)) + 0.0,
+                                 float(max(hi, 0.0)) + 0.0,
+                                 integral=integral))
     structure.release_slots()
     return _SummedOperand(side=side, structure=structure, sums=sums,
                           ranges=ranges)
 
 
-def _tuple_check(values) -> bool | None:
-    """Whether every per-tuple fill value is an integer — the fill
-    values, not just the accumulated endpoints, decide integrality:
-    fractional fills quantize to garbage at int4/int8 — or None when
-    one is non-finite (e.g. division by a zero-valued column)."""
+def _tuple_range(values) -> tuple[float, float, bool] | None:
+    """``(lo, hi, integral)`` of one slot's per-tuple fill values, or
+    None when one is non-finite (e.g. division by a zero-valued column).
+    Integrality reads every value, not just the endpoints: fractional
+    fills quantize to garbage at int4/int8."""
     values = np.asarray(values, dtype=np.float64)
+    lo, hi = values.min(), values.max()
     # The extremes are non-finite exactly when some value is: NaN
     # propagates through both, an infinity is one of them.
-    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         return None
-    return bool(np.all(values == np.rint(values)))
+    return float(lo), float(hi), bool(np.all(values == np.rint(values)))
 
 
 def _agg_feasibility(left_ranges, right_ranges, k, require_exact=False):

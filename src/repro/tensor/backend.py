@@ -18,13 +18,17 @@ implementations:
   backend choice cannot move the perf-regression gate.
 * :class:`FastBackend` — an optimized NumPy/BLAS execution backend that
   is measurably faster on *host* wall-clock: float32 contiguous operand
-  fills feeding sgemm directly, preallocated grid-accumulation buffers
-  reused across key-domain chunks (``matmul_into``), and single-pass
-  bincount epilogues.  fp16-strategy products skip the simulator's
+  fills feeding sgemm directly (a single-slot operand is its own sums:
+  float32 when placed one tuple per cell from integers within 2**24,
+  else float64 that the product converts), preallocated
+  grid-accumulation buffers reused across key-domain chunks
+  (``matmul_into``), and single-pass bincount epilogues.  fp16-strategy products skip the simulator's
   cast-to-binary16 rounding (float32 inputs, fp32 accumulation), which
   keeps results within the documented ``rel=2e-3`` equivalence envelope;
   integer-precision products are the simulator's own
-  (:func:`~repro.tensor.precision.exact_integer_matmul`).
+  (:func:`~repro.tensor.precision.exact_integer_matmul`), which
+  multiplies integral operands as they are when it is handed their
+  magnitudes.
 
 Selection resolves like every setting: an explicit
 ``TCUDBOptions.backend`` wins, then the ``REPRO_BACKEND`` environment
@@ -81,23 +85,28 @@ class TensorBackend:
     # -- products ------------------------------------------------------- #
 
     def matmul(self, device, a: np.ndarray, b: np.ndarray,
-               precision: Precision, scale=None) -> np.ndarray:
+               precision: Precision, scale=None,
+               magnitudes=None) -> np.ndarray:
         """``a @ b`` (2-D, or 3-D stacked batch) at a TCU precision.
 
         Returns float64 for fp16-strategy products and int64 for integer
         precisions, matching the simulated unit's output contract.
         ``scale`` is set when the operands come from a fill that ran
-        this backend's :meth:`fill_format` cast.
+        this backend's :meth:`fill_format` cast.  ``magnitudes`` bound
+        ``(max|a|, max|b|)`` when both operands are known to hold
+        integers only (the range test's cell ranges): an integer product
+        may multiply them as they are, re-reading neither.
         """
         raise NotImplementedError
 
     def matmul_into(self, acc: np.ndarray, device, a: np.ndarray,
                     b: np.ndarray, precision: Precision,
-                    scale=None) -> np.ndarray:
+                    scale=None, magnitudes=None) -> np.ndarray:
         """Accumulate ``a @ b`` into ``acc`` (the grid-accumulation hot
         loop).  Backends may reuse scratch buffers across calls; the
         default materializes the product and adds."""
-        acc += self.matmul(device, a, b, precision, scale=scale)
+        acc += self.matmul(device, a, b, precision, scale=scale,
+                           magnitudes=magnitudes)
         return acc
 
     # -- movement / reduction primitives -------------------------------- #
@@ -138,7 +147,9 @@ class SimBackend(TensorBackend):
     callers: the aggregate product's operand fills cast each slice's
     occupied cells at fill time (:meth:`fill_format`), and the unit's
     dense ``matmul`` casts the operands it is handed whole (join
-    products).  Every plan strategy multiplies through these two.
+    products).  Every plan strategy multiplies through these two.  The
+    unit reads its integer operands' ranges itself (its window and
+    accumulator checks), so handed ``magnitudes`` are ignored.
     """
 
     name = "sim"
@@ -149,7 +160,7 @@ class SimBackend(TensorBackend):
             return np.float32, fp16_cast
         return self.fill_dtype, None
 
-    def matmul(self, device, a, b, precision, scale=None):
+    def matmul(self, device, a, b, precision, scale=None, magnitudes=None):
         return device.tcu.matmul(a, b, precision, scale=scale)
 
     def dense_from_coo(self, rows, cols, vals, shape):
@@ -165,10 +176,14 @@ class FastBackend(TensorBackend):
     passes cheaper.  Integer precisions run
     :func:`~repro.tensor.precision.exact_integer_matmul`, the product
     the simulator runs: exact at the width the operands need, sgemm on
-    the float32 fills in the common case.  Operand fills are float32 and
-    C-contiguous so sgemm consumes them without conversion; the
-    grid-accumulation loop reuses one thread-local scratch buffer per
-    output shape instead of allocating a partial per chunk.
+    the float32 fills in the common case, with no ``rint`` pass when it
+    is handed integral operands' magnitudes.  Operand fills are float32
+    and C-contiguous so sgemm consumes them without conversion; a
+    single-slot operand is its own sums instead, float32 when placed one
+    tuple per cell from integers within 2**24 and float64, converted by
+    the product, otherwise.  The grid-accumulation loop
+    reuses one thread-local scratch buffer per output shape instead of
+    allocating a partial per chunk.
     """
 
     name = "fast"
@@ -184,19 +199,23 @@ class FastBackend(TensorBackend):
             return operand
         return np.ascontiguousarray(operand, dtype=np.float32)
 
-    def matmul(self, device, a, b, precision, scale=None):
+    def matmul(self, device, a, b, precision, scale=None, magnitudes=None):
         # fill_format casts nothing: fast operands never carry a scale.
         if not precision.is_integer:
             product = np.matmul(self._as_f32(a), self._as_f32(b))
             return product.astype(np.float64)
         # int8/int4: the simulator's own integer product (sgemm on the
         # float32 fills while k * max|a| * max|b| <= 2**24, dgemm past
-        # it), minus its range and accumulator checks.
-        return exact_integer_matmul(a, b)
+        # it), minus its range and accumulator checks; handed magnitudes
+        # come from integral fills, which need no rint.
+        return exact_integer_matmul(a, b, magnitudes,
+                                    integral=magnitudes is not None)
 
-    def matmul_into(self, acc, device, a, b, precision, scale=None):
+    def matmul_into(self, acc, device, a, b, precision, scale=None,
+                    magnitudes=None):
         if precision.is_integer:
-            acc += self.matmul(device, a, b, precision)
+            acc += self.matmul(device, a, b, precision,
+                               magnitudes=magnitudes)
             return acc
         a32, b32 = self._as_f32(a), self._as_f32(b)
         out_shape = tuple(acc.shape)

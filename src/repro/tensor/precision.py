@@ -175,8 +175,8 @@ def _quantized_magnitude(operand: np.ndarray) -> float:
 
 
 def exact_integer_matmul(a: np.ndarray, b: np.ndarray,
-                         magnitudes: tuple[float, float] | None = None
-                         ) -> np.ndarray:
+                         magnitudes: tuple[float, float] | None = None,
+                         integral: bool = False) -> np.ndarray:
     """``rint(a) @ rint(b)`` (2-D or stacked), exactly, as int64.
 
     Operands are quantized to the nearest integer, as the unit's input
@@ -192,7 +192,10 @@ def exact_integer_matmul(a: np.ndarray, b: np.ndarray,
     simulated unit and the execution backends both call it, so integer
     results agree by construction.  ``magnitudes`` are ``max|rint(a)|``
     and ``max|rint(b)|`` when the caller has already read them (None:
-    read here).
+    read here).  ``integral`` says both operands already hold integers
+    (their fills were proven integral, and ``magnitudes`` are read from
+    those fills): they multiply as they are, converted only if their
+    dtype is not the product's width, and no ``rint`` copy is made.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -200,10 +203,14 @@ def exact_integer_matmul(a: np.ndarray, b: np.ndarray,
         magnitudes = _quantized_magnitude(a), _quantized_magnitude(b)
     bound = a.shape[-1] * magnitudes[0] * magnitudes[1]
     dtype = np.float32 if bound <= FP32_EXACT_INT else np.float64
-    # One pass per operand: quantized straight into the product's width
-    # and the operand's own layout (BLAS takes transposed views as-is).
-    a, b = (np.rint(x, out=np.empty_like(x, dtype=dtype), casting="same_kind")
-            for x in (a, b))
+    # At most one pass per operand: quantized (or, integral, converted)
+    # straight into the product's width and the operand's own layout
+    # (BLAS takes transposed views as-is).
+    if integral:
+        a, b = (x.astype(dtype, copy=False) for x in (a, b))
+    else:
+        a, b = (np.rint(x, out=np.empty_like(x, dtype=dtype),
+                        casting="same_kind") for x in (a, b))
     return np.matmul(a, b).astype(np.int64)
 
 

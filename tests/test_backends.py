@@ -357,7 +357,7 @@ def test_fill_cast_is_the_dense_emulator(kinds, placement, chunk, history,
     driver = TCUDriver(device, chunk_rows=chunk, backend="sim")
     plan = product_plan(device, left, right, k, Precision.FP16,
                         Strategy.DENSE)
-    structures, sums = prepared_operands(left, right, k, [SUM_SPEC])
+    structures, sums, _ = prepared_operands(left, right, k, [SUM_SPEC])
     assert all((s.cells is None) == (placement == "addressed")
                for s in structures)
     products = []

@@ -234,21 +234,29 @@ def assert_is_product(result, expected):
 @pytest.mark.parametrize("backend", ["sim", "fast"])
 def test_figure5_multiplies_a_depth_one_stack(backend, slots_seen,
                                               monkeypatch):
-    """One GEMM of the value slot's own sums: float64 on both backends,
-    not a copy converted to the backend's fill dtype."""
+    """One GEMM of the value slot's own placed arrays, in the backend's
+    fill dtype (one tuple per cell, integers within 2**24): not a copy
+    converted to it."""
     dim = 24
     catalog = matmul_catalog(dim, seed=5)
     engine = TCUDBEngine(catalog, options=TCUDBOptions(backend=backend))
-    stacks = []
+    stacks, slots = [], []
     inner = type(engine.driver.backend).matmul
     monkeypatch.setattr(
         type(engine.driver.backend), "matmul",
         lambda self, device, a, b, precision, **scale: stacks.append(
-            (a.shape, a.dtype)) or inner(self, device, a, b, precision,
-                                         **scale))
+            (a, b)) or inner(self, device, a, b, precision, **scale))
+    recorded = ops.product_slots
+    monkeypatch.setattr(ops, "product_slots", lambda *args: slots.append(
+        recorded(*args)) or slots[-1])
     got = engine.execute(MATMUL_SQL)
     assert got.extra["executed_by"] == "TCU"
-    assert stacks == [((1, dim, dim), np.float64)]
+    (a, b), = stacks
+    ((_, left_sum), (_, right_sum)), = slots
+    fill_dtype = engine.driver.backend.fill_dtype
+    assert (a.shape, a.dtype, b.dtype) == ((1, dim, dim), fill_dtype,
+                                           fill_dtype)
+    assert a.base is left_sum and b.base is right_sum
     assert slots_seen == [(False, True, False)]
     assert_is_product(got, matmul_product(catalog, dim))
 

@@ -3,8 +3,9 @@
 When ``k > chunk_rows`` the driver multiplies column slices of the
 operand ``ValueFill`` already built (``ColumnSlices``) instead of
 re-selecting each chunk's tuples.  The slices hold the same numbers —
-``bincount`` summed every cell in tuple order either way — so the grids
-are bit-identical to the re-selecting loop (kept here as the oracle),
+``bincount`` summed every cell in tuple order either way, or placed its
+one tuple — so the grids are bit-identical to the re-selecting loop
+(kept here as the oracle), whole or sliced,
 on both backends, on a fresh driver or a reused one, whichever placement
 built the structure; a plan's strategy prices the product and never
 changes it, so DENSE, BLOCKED and SPARSE plans return the same bytes;
@@ -32,7 +33,7 @@ from repro.engine.tcudb import (
     ops,
 )
 from repro.engine.tcudb.cost import OperatorGeometry, estimate_dense
-from repro.engine.tcudb.driver import TCUDriver, build_coo_operands
+from repro.engine.tcudb.driver import TCUDriver
 from repro.engine.tcudb.patterns import AggregateSpec
 from repro.hardware.profiles import I7_7700K
 from repro.storage.catalog import Catalog
@@ -100,6 +101,15 @@ def _cases():
                       None, [1, 2, 3, 4, 5, 6, 7]),
             right=side([0, 1, 2, 2], [1, 1, 0, 2], 3, None, [2, 3, 4, 5]),
             k=3, chunk=2, specs=[SUM], precision=Precision.INT8),
+        # No two tuples share a cell: an addressed side is placed, not
+        # summed (the left one full, in shuffled order, with a -0.0; the
+        # right one holey), and its integral slots multiply unquantized.
+        "one tuple per cell": dict(
+            left=side(*np.divmod(rng.permutation(10), 5), 2, None,
+                      [3, -0.0, 7, -4, 1, 0, 9, 2, -6, 5]),
+            right=side([0, 2, 1, 2, 0], [4, 0, 1, 3, 0], 3, None,
+                       [2, 8, -3, 1, 6]),
+            k=5, chunk=2, specs=[SUM, COUNT], precision=Precision.INT8),
     }
 
 
@@ -154,18 +164,22 @@ def product_plan(device, left, right, k, precision, strategy):
                    strategy=strategy)
 
 
-def prepared_operands(left, right, k, specs):
-    """What ``ValueFill`` hands the product: each side's structure and
-    one array of per-slot sums per grid, built as ``ValueFill`` builds
-    them — a unit slot 0 left uncounted (None), then
-    ``driver.product_slots``, which counts it where slot 0 runs and
-    leaves both sides' slot 0 None where it does not."""
-    structures = [build_coo_operands(placed, k) for placed, _ in (left, right)]
-    sums = [[None if slot == 0 and values is None
-             else structure.cell_sums(values)
-             for slot, values in enumerate(fills)]
-            for structure, (_, fills) in zip(structures, (left, right))]
-    return structures, driver.product_slots(*structures, *sums, specs)
+def prepared_operands(left, right, k, specs, fill_dtype=np.float64):
+    """What ``ValueFill`` hands the product, built as ``ValueFill``
+    builds it: each side placed and summed by ``ops._summed_operand`` in
+    the backend's ``fill_dtype`` (a unit slot 0 left uncounted), then
+    ``driver.product_slots``, which counts slot 0 where it runs and
+    leaves both sides' slot 0 None where it does not.  Returns both
+    sides' structures, their slot sums and the magnitudes an integer
+    product reads: the range test's, None unless every slot is
+    integral."""
+    left, right = (ops._summed_operand(placed, fills, k, fill_dtype)
+                   for placed, fills in (left, right))
+    left_sums, right_sums = driver.product_slots(
+        left.structure, right.structure, left.sums, right.sums, specs)
+    feasibility = ops._agg_feasibility(left.ranges, right.ranges, k)
+    return ((left.structure, right.structure), (left_sums, right_sums),
+            feasibility.integral_magnitudes)
 
 
 #: A driver's state when it runs the product: new, or past one run of
@@ -205,11 +219,12 @@ def test_sliced_grids_equal_the_reselecting_loop(
     force_placement(monkeypatch, placement)
     driver = TCUDriver(device, chunk_rows=chunk, backend=backend)
     plan = product_plan(device, left, right, k, precision, strategy)
-    structures, sums = prepared_operands(left, right, k, specs)
+    structures, sums, magnitudes = prepared_operands(
+        left, right, k, specs, driver.backend.fill_dtype)
     assert all((s.cells is None) == (placement == "addressed")
                for s in structures)
     grids, count_grid, present = numeric_grids(
-        driver, history, *structures, *sums, specs, plan)
+        driver, history, *structures, *sums, specs, plan, magnitudes)
     expected, _ = reselecting_oracle(driver, left, right, k, plan)
     value_grids = iter(expected[1:])
     # The COUNT grid is multiplied when read or needed for presence, and
@@ -267,18 +282,28 @@ def test_every_strategy_multiplies_the_dense_product(
         case, strategy, backend, layout, device):
     """A plan's strategy is its price: BLOCKED and SPARSE plans return
     the DENSE plan's grids byte for byte, whole (``k <= chunk_rows``) or
-    in key-domain slices, fp16 fills included."""
+    in key-domain slices, fp16 fills included; and the DENSE plan's
+    value grids, read as float64 (a whole integer product keeps int64),
+    are the re-selecting loop's at the same chunk size."""
     left, right, k, chunk, specs, precision = CASES[case].values()
     driver = TCUDriver(device, backend=backend,
                        chunk_rows=chunk if layout == "sliced" else k)
-    structures, sums = prepared_operands(left, right, k, specs)
-    dense = driver._grids_numeric(
-        *structures, *sums, specs,
-        product_plan(device, left, right, k, precision, Strategy.DENSE))
+    structures, sums, magnitudes = prepared_operands(
+        left, right, k, specs, driver.backend.fill_dtype)
+    dense_plan = product_plan(device, left, right, k, precision,
+                              Strategy.DENSE)
+    dense = driver._grids_numeric(*structures, *sums, specs, dense_plan,
+                                  magnitudes)
     got = driver._grids_numeric(
         *structures, *sums, specs,
-        product_plan(device, left, right, k, precision, strategy))
+        product_plan(device, left, right, k, precision, strategy),
+        magnitudes)
     assert grid_bytes(got) == grid_bytes(dense)
+    expected, _ = reselecting_oracle(driver, left, right, k, dense_plan)
+    values = [grid for spec, grid in zip(specs, dense[0])
+              if spec.func != "count"]
+    assert [grid.astype(np.float64).tobytes() for grid in values] == [
+        grid.tobytes() for grid in expected[1:]]
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
@@ -297,8 +322,8 @@ def test_a_chunk_either_side_leaves_empty_is_not_multiplied(
         driver.backend, "matmul_into",
         lambda acc, device, a, b, precision, **scale: products.append(
             a.shape) or accumulate(acc, device, a, b, precision, **scale))
-    structures, sums = prepared_operands(left, right, k, specs)
-    driver._grids_numeric(*structures, *sums, specs, plan)
+    structures, sums, magnitudes = prepared_operands(left, right, k, specs)
+    driver._grids_numeric(*structures, *sums, specs, plan, magnitudes)
     assert products == [(left[0].g, chunk)] * 2  # one chunk, two slots
 
 
